@@ -11,6 +11,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 
@@ -271,7 +272,7 @@ func BenchmarkBuildParallel(b *testing.B) {
 	m, g := buildBenchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ess.BuildParallel(m, g, 0); err != nil {
+		if _, err := ess.BuildParallelContext(context.Background(), m, g, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -71,15 +71,11 @@ func run() error {
 		return err
 	}
 	if err := smoke.Post(base+"/v1/sessions/"+id+"/run",
-		`{"algorithm":"spillbound","truth":[0.04,0.1],"durable":true}`); err != nil {
+		`{"strategy":"spillbound","truth":[0.04,0.1],"durable":true}`); err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
-	if err := smoke.Get(base + "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=16"); err != nil {
+	if err := smoke.Get(base + "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=16"); err != nil {
 		return fmt.Errorf("sweep: %w", err)
-	}
-	// One hit on a deprecated unversioned alias.
-	if err := smoke.Get(base + "/healthz"); err != nil {
-		return err
 	}
 	if err := checkFamilies(base); err != nil {
 		return err
@@ -147,7 +143,6 @@ func checkFamilies(base string) error {
 	for _, want := range []string{
 		"rqp_requests_total",
 		"rqp_request_duration_seconds",
-		"rqp_deprecated_requests_total",
 		"rqp_runs_total",
 		"rqp_suboptimality",
 		"rqp_session_builds_total",

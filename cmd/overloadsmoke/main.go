@@ -79,7 +79,7 @@ func run() error {
 	// The burst: with a run ceiling of 1, concurrent sweeps past the limit
 	// must be shed, not queued.
 	const burst = 24
-	sweepURL := base + "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=0"
+	sweepURL := base + "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=0"
 	var (
 		mu            sync.Mutex
 		okCount       int

@@ -115,19 +115,17 @@ func splitTargets(spec string) []string {
 }
 
 // parseMix resolves the -strategies knob against the strategy registry,
-// canonicalizing aliases ("sb" → "spillbound") and rejecting unknown names
-// before the daemon ever boots.
+// rejecting unknown names before the daemon ever boots.
 func parseMix(spec string) ([]string, error) {
 	var mix []string
 	for _, name := range strings.Split(spec, ",") {
 		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		canonical, _, err := repro.ParseStrategyName(name)
-		if err != nil {
+		if _, err := repro.ParseStrategy(name); err != nil {
 			return nil, err
 		}
-		mix = append(mix, canonical)
+		mix = append(mix, name)
 	}
 	if len(mix) == 0 {
 		return nil, fmt.Errorf("empty -strategies mix")
@@ -731,7 +729,7 @@ func fireOnce(base, node, sessionID string, ev trafficEvent, rec *recorder) (str
 		}
 	default:
 		status, headers, _, err = do(http.MethodGet,
-			fmt.Sprintf("%s/v1/sessions/%s/sweep?algorithm=spillbound&max=%d", base, sessionID, ev.sweepMax), "")
+			fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=spillbound&max=%d", base, sessionID, ev.sweepMax), "")
 	}
 	latency := time.Since(start)
 	if err == nil {

@@ -40,11 +40,11 @@ func atlasMain(args []string) error {
 	}
 	var algos []repro.Algorithm
 	for _, name := range strings.Split(*algosStr, ",") {
-		a, err := repro.ParseAlgorithm(strings.TrimSpace(strings.ToLower(name)))
-		if err != nil {
+		name = strings.TrimSpace(name)
+		if _, err := repro.ParseStrategy(name); err != nil {
 			return err
 		}
-		algos = append(algos, a)
+		algos = append(algos, repro.Algorithm(name))
 	}
 	sp, ok := workload.ByName(*queryName)
 	if !ok {

@@ -10,7 +10,7 @@
 //	curl -s -XPOST localhost:8080/v1/sessions -d '{"query":"2D_EQ"}'
 //	curl -s localhost:8080/v1/sessions/s1          # poll until "ready"
 //	curl -s -XPOST localhost:8080/v1/sessions/s1/run \
-//	     -d '{"algorithm":"spillbound","truth":[0.04,0.1]}'
+//	     -d '{"strategy":"spillbound","truth":[0.04,0.1]}'
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition
 // (request, run, sub-optimality and session-build metrics; negotiate

@@ -44,7 +44,7 @@ func (s *Session) RunDurable(ctx context.Context, a Algorithm, truth Location, r
 	if err := s.requireStore(); err != nil {
 		return RunResult{}, err
 	}
-	st, err := strategyFor(a)
+	st, err := ParseStrategy(string(a))
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -100,10 +100,6 @@ func (s *Session) ResumeRun(ctx context.Context, runID string) (RunResult, error
 	if rs.Completed {
 		return RunResult{}, fmt.Errorf("repro: run %s already completed; nothing to resume", runID)
 	}
-	a, err := ParseAlgorithm(rs.Algorithm)
-	if err != nil {
-		return RunResult{}, err
-	}
 	if len(rs.Truth) != s.D() {
 		return RunResult{}, fmt.Errorf("repro: run %s has %d dims, session query has %d epps", runID, len(rs.Truth), s.D())
 	}
@@ -122,7 +118,7 @@ func (s *Session) ResumeRun(ctx context.Context, runID string) (RunResult, error
 	// still-running incarnation is fenced out of the store (see epoch.go).
 	rs.Epoch = s.store.Epoch()
 	resume := rs.Discovery.Clone()
-	return s.runDurable(ctx, a, Location(rs.Truth), runstate.NewTracker(s.store, *rs), &resume)
+	return s.runDurable(ctx, Algorithm(rs.Algorithm), Location(rs.Truth), runstate.NewTracker(s.store, *rs), &resume)
 }
 
 // runDurable drives a tracked run and seals the terminal snapshot on any

@@ -37,8 +37,9 @@ func main() {
 	//    "the contour constructions can be carried out in parallel").
 	opts := repro.DefaultOptions()
 	opts.GridRes = 24
+	opts.Workers = runtime.NumCPU()
 	start := time.Now()
-	sess, err := repro.NewSessionParallel(cat, sql, epps, opts, runtime.NumCPU())
+	sess, err := repro.NewSession(cat, sql, epps, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -50,15 +50,15 @@ func main() {
 
 	// Process one instance.
 	run := post(ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound",
-		"truth":     []float64{0.001, 0.0004},
+		"strategy": "spillbound",
+		"truth":    []float64{0.001, 0.0004},
 	})
 	fmt.Printf("\nspillbound run: %v steps, sub-optimality %.2f (guarantee %v)\n",
 		run["steps"], run["subOpt"], run["guarantee"])
 
 	// Whole-ESS robustness (the sweep is sharded across all cores).
 	var sweep map[string]any
-	get(ts.URL+"/v1/sessions/"+id+"/sweep?algorithm=alignedbound&max=64", &sweep)
+	get(ts.URL+"/v1/sessions/"+id+"/sweep?strategy=alignedbound&max=64", &sweep)
 	fmt.Printf("alignedbound sweep: MSO %.2f, ASO %.2f over %v locations\n",
 		sweep["mso"], sweep["aso"], sweep["locations"])
 }

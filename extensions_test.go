@@ -3,7 +3,6 @@ package repro
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -76,32 +75,6 @@ func TestSaveLoadSession(t *testing.T) {
 	}
 	if _, err := LoadSession(TPCDSCatalog(10), paperEQ, paperEPPs, opts, strings.NewReader("junk")); err == nil {
 		t.Error("corrupt payload should error")
-	}
-}
-
-func TestNewSessionParallel(t *testing.T) {
-	opts := DefaultOptions()
-	opts.GridRes = 10
-	cat := TPCDSCatalog(10)
-	seq, err := NewSession(cat, paperEQ, paperEPPs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewSessionParallel(cat, paperEQ, paperEPPs, opts, runtime.NumCPU())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.POSPSize() != par.POSPSize() || seq.ContourCount() != par.ContourCount() {
-		t.Error("parallel session diverges from sequential")
-	}
-	truth := Location{0.02, 0.2}
-	a, _ := seq.Run(AlignedBound, truth)
-	b, _ := par.Run(AlignedBound, truth)
-	if a.TotalCost != b.TotalCost {
-		t.Errorf("run cost %g vs %g", a.TotalCost, b.TotalCost)
-	}
-	if _, err := NewSessionParallel(cat, paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile()}, 2); err == nil {
-		t.Error("bad grid should error")
 	}
 }
 

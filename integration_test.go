@@ -28,7 +28,8 @@ func TestEndToEndEQ(t *testing.T) {
 	// 2. Parallel ESS construction.
 	opts := DefaultOptions()
 	opts.GridRes = 10
-	sess, err := NewSessionParallel(cat, bq.SQL, epps, opts, 4)
+	opts.Workers = 4
+	sess, err := NewSession(cat, bq.SQL, epps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -508,8 +508,7 @@ func createSessionRequest(r *http.Request) (string, bool) {
 	if r.Method != http.MethodPost {
 		return "", false
 	}
-	p := r.URL.Path
-	if p == "/v1/sessions" || p == "/sessions" {
+	if r.URL.Path == "/v1/sessions" {
 		return r.Header.Get(server.FleetSessionHeader), true
 	}
 	return "", false
@@ -518,19 +517,15 @@ func createSessionRequest(r *http.Request) (string, bool) {
 // sessionScope extracts the owning session ID of a request path, or "" for
 // node-local resources. Session-scoped shapes:
 //
-//	/v1/sessions/{id}[/...]   (and the legacy /sessions/{id}[/...])
-//	/v1/atlas?session={id}    (and legacy /atlas)
+//	/v1/sessions/{id}[/...]
+//	/v1/atlas?session={id}
 func sessionScope(r *http.Request) string {
 	p := r.URL.Path
-	for _, prefix := range []string{"/v1/sessions/", "/sessions/"} {
-		if rest, ok := strings.CutPrefix(p, prefix); ok {
-			if i := strings.IndexByte(rest, '/'); i >= 0 {
-				rest = rest[:i]
-			}
-			return rest
-		}
+	if rest, ok := strings.CutPrefix(p, "/v1/sessions/"); ok {
+		id, _, _ := strings.Cut(rest, "/")
+		return id
 	}
-	if p == "/v1/atlas" || p == "/atlas" {
+	if p == "/v1/atlas" {
 		return r.URL.Query().Get("session")
 	}
 	return ""

@@ -450,3 +450,33 @@ func TestHopHeadersStripped(t *testing.T) {
 		t.Errorf("deadline header %q not RFC3339Nano: %v", got.Get(DeadlineHeader), err)
 	}
 }
+
+// TestSessionScope pins which request shapes are routed to a session's ring
+// owner: only the /v1 session and atlas resources. Unversioned paths are
+// node-local: the server does not mount them, so the receiving node answers
+// 404 itself.
+func TestSessionScope(t *testing.T) {
+	cases := []struct {
+		method, target, want string
+		create               bool
+	}{
+		{http.MethodPost, "/v1/sessions", "", true},
+		{http.MethodGet, "/v1/sessions/x", "x", false},
+		{http.MethodPost, "/v1/sessions/x/run", "x", false},
+		{http.MethodGet, "/v1/atlas?session=x", "x", false},
+		{http.MethodPost, "/sessions", "", false},
+		{http.MethodGet, "/sessions/x", "", false},
+		{http.MethodPost, "/sessions/x/run", "", false},
+		{http.MethodGet, "/atlas?session=x", "", false},
+		{http.MethodGet, "/v1/healthz", "", false},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(c.method, c.target, nil)
+		if got := sessionScope(r); got != c.want {
+			t.Errorf("sessionScope(%s %s) = %q, want %q", c.method, c.target, got, c.want)
+		}
+		if _, create := createSessionRequest(r); create != c.create {
+			t.Errorf("createSessionRequest(%s %s) = %v, want %v", c.method, c.target, create, c.create)
+		}
+	}
+}

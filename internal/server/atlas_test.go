@@ -24,7 +24,7 @@ func TestAtlasEndpoint(t *testing.T) {
 			Verdict   []string  `json:"verdict"`
 		} `json:"maps"`
 	}
-	resp := getJSON(t, ts.URL+"/v1/atlas?session="+id+"&algorithms=spillbound&seed=5&max=9", &atlas)
+	resp := getJSON(t, ts.URL+"/v1/atlas?session="+id+"&strategies=spillbound&seed=5&max=9", &atlas)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("atlas status %d", resp.StatusCode)
 	}
@@ -55,7 +55,7 @@ func TestAtlasEndpoint(t *testing.T) {
 		t.Error("no ess_escape overlay anywhere; adversarial-1 should force escapes")
 	}
 
-	svgResp, err := http.Get(ts.URL + "/v1/atlas?session=" + id + "&algorithms=spillbound&max=4&format=svg")
+	svgResp, err := http.Get(ts.URL + "/v1/atlas?session=" + id + "&strategies=spillbound&max=4&format=svg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestAtlasEndpointValidation(t *testing.T) {
 	}{
 		{"/v1/atlas", http.StatusBadRequest, "bad_request"},
 		{"/v1/atlas?session=nope", http.StatusNotFound, "not_found"},
-		{"/v1/atlas?session=" + id + "&algorithms=quantum", http.StatusBadRequest, "unknown_strategy"},
 		{"/v1/atlas?session=" + id + "&strategies=quantum", http.StatusBadRequest, "unknown_strategy"},
+		{"/v1/atlas?session=" + id + "&strategies=SpillBound", http.StatusBadRequest, "unknown_strategy"},
 		{"/v1/atlas?session=" + id + "&seed=x", http.StatusBadRequest, "bad_request"},
 		{"/v1/atlas?session=" + id + "&perRegime=99", http.StatusBadRequest, "bad_request"},
 		{"/v1/atlas?session=" + id + "&max=-1", http.StatusBadRequest, "bad_request"},
@@ -117,7 +117,7 @@ func TestRunWithScenario(t *testing.T) {
 	// spillbound run must complete via the safe path with the verdict on the
 	// wire and the scenario echoed.
 	resp, out := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 		"scenario": "adversarial-1", "scenarioSeed": 7,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -132,7 +132,7 @@ func TestRunWithScenario(t *testing.T) {
 
 	// regret-correlated-1 always overruns budgets: the watchdog must abort.
 	resp, out = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 		"scenario": "regret-correlated-1",
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -144,7 +144,7 @@ func TestRunWithScenario(t *testing.T) {
 
 	// Unknown scenario names are a client error.
 	resp, out = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3}, "scenario": "chaotic-1",
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3}, "scenario": "chaotic-1",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown scenario status %d: %v", resp.StatusCode, out)
@@ -155,7 +155,7 @@ func TestRunWithScenario(t *testing.T) {
 
 	// Clean runs stay clean: no verdict, no scenario echo.
 	resp, out = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.02, 0.3},
+		"strategy": "spillbound", "truth": []float64{0.02, 0.3},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean run status %d: %v", resp.StatusCode, out)

@@ -57,7 +57,7 @@ func TestDurableServerRecovery(t *testing.T) {
 	awaitReady(t, ts1.URL, sid)
 
 	resp, run := postJSON(t, ts1.URL+"/v1/sessions/"+sid+"/run",
-		map[string]any{"algorithm": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
+		map[string]any{"strategy": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("durable run status %d: %v", resp.StatusCode, run)
 	}
@@ -128,7 +128,7 @@ func TestDurableServerRecovery(t *testing.T) {
 	// A new durable run on the recovered session must not collide with the
 	// recovered IDs.
 	resp, run3 := postJSON(t, ts2.URL+"/v1/sessions/"+sid+"/run",
-		map[string]any{"algorithm": "planbouquet", "truth": []float64{0.04, 0.1}, "durable": true})
+		map[string]any{"strategy": "planbouquet", "truth": []float64{0.04, 0.1}, "durable": true})
 	if resp.StatusCode != http.StatusOK || run3["runId"] != "r3" {
 		t.Errorf("post-recovery run allocated %v (status %d)", run3["runId"], resp.StatusCode)
 	}
@@ -156,7 +156,7 @@ func TestDurableRunNeedsDataDir(t *testing.T) {
 	ts := testServer(t)
 	sid := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+sid+"/run",
-		map[string]any{"algorithm": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
+		map[string]any{"strategy": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("durable run without -data: status %d: %v", resp.StatusCode, body)
 	}

@@ -8,11 +8,9 @@
 package server
 
 import (
-	"log"
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -34,10 +32,9 @@ var buildBuckets = []float64{0.01, 0.05, 0.1, 0.5, 1, 5, 10, 30, 60, 120, 300}
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	requests   *telemetry.CounterVec   // route, method, status
-	latency    *telemetry.HistogramVec // route
-	deprecated *telemetry.CounterVec   // route
-	inflight   *telemetry.Gauge
+	requests *telemetry.CounterVec   // route, method, status
+	latency  *telemetry.HistogramVec // route
+	inflight *telemetry.Gauge
 
 	runs    *telemetry.CounterVec // algorithm, outcome
 	retries *telemetry.Counter
@@ -67,9 +64,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		latency: reg.HistogramVec("rqp_request_duration_seconds",
 			"HTTP request latency in seconds, by route pattern.",
 			latencyBuckets, "route"),
-		deprecated: reg.CounterVec("rqp_deprecated_requests_total",
-			"Requests served via deprecated unversioned (pre-/v1) paths, by route.",
-			"route"),
 		inflight: reg.Gauge("rqp_requests_inflight",
 			"HTTP requests currently being served."),
 		runs: reg.CounterVec("rqp_runs_total",
@@ -222,27 +216,6 @@ func statusClass(code int) string {
 		return "4xx"
 	}
 	return "5xx"
-}
-
-// deprecationWarned dedupes the structured deprecation log line per route;
-// the counter still advances on every request so the removal decision
-// (ISSUE: "data-driven") sees real traffic volume.
-var deprecationWarned sync.Map
-
-// deprecate wraps a legacy unversioned route: counts every hit and logs a
-// structured warning (once per route per process) pointing at the /v1 path.
-func (m *serverMetrics) deprecate(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		m.deprecated.With(route).Inc()
-		if _, seen := deprecationWarned.LoadOrStore(route, true); !seen {
-			_, path, _ := strings.Cut(route, " ")
-			tp, _ := trace.FromContext(r.Context())
-			log.Printf("server: deprecated=true route=%q path=%q replacement=%q requestId=%q msg=%q",
-				route, r.URL.Path, "/v1"+path, tp.TraceID,
-				"unversioned paths will be removed; migrate to /v1")
-		}
-		h(w, r)
-	}
 }
 
 // handleMetrics serves the registry in the Prometheus text format, or —

@@ -63,9 +63,8 @@ func sampleSum(f *telemetry.ParsedFamily, name string, match map[string]string) 
 func TestMetricsEndpointExposition(t *testing.T) {
 	ts := testServer(t)
 
-	// Traffic on both mounts: the /v1 route and its deprecated alias.
-	for _, path := range []string{"/v1/healthz", "/healthz", "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/v1/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,18 +75,14 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	fams := scrape(t, ts.URL)
 	for _, name := range []string{
 		"rqp_requests_total", "rqp_request_duration_seconds",
-		"rqp_deprecated_requests_total", "rqp_runs_total",
-		"rqp_suboptimality", "rqp_sessions",
+		"rqp_runs_total", "rqp_suboptimality", "rqp_sessions",
 	} {
 		if _, ok := fams[name]; !ok {
 			t.Errorf("exposition missing %s", name)
 		}
 	}
-	if got := sampleSum(fams["rqp_requests_total"], "", map[string]string{"route": "GET /v1/healthz", "status": "2xx"}); got < 1 {
-		t.Errorf("rqp_requests_total for GET /v1/healthz = %g, want >= 1", got)
-	}
-	if got := sampleSum(fams["rqp_deprecated_requests_total"], "", map[string]string{"route": "GET /healthz"}); got != 2 {
-		t.Errorf("rqp_deprecated_requests_total for GET /healthz = %g, want 2", got)
+	if got := sampleSum(fams["rqp_requests_total"], "", map[string]string{"route": "GET /v1/healthz", "status": "2xx"}); got != 2 {
+		t.Errorf("rqp_requests_total for GET /v1/healthz = %g, want 2", got)
 	}
 	// The latency histogram saw the healthz requests.
 	if got := sampleSum(fams["rqp_request_duration_seconds"], "rqp_request_duration_seconds_count",
@@ -104,7 +99,7 @@ func TestRunAndSweepPopulateRunMetrics(t *testing.T) {
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run",
-		map[string]any{"algorithm": "spillbound", "truth": []float64{0.04, 0.1}})
+		map[string]any{"strategy": "spillbound", "truth": []float64{0.04, 0.1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d: %v", resp.StatusCode, body)
 	}
@@ -118,7 +113,7 @@ func TestRunAndSweepPopulateRunMetrics(t *testing.T) {
 		t.Errorf("first event = %v, want contour_enter", first)
 	}
 
-	sweepResp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/sweep?algorithm=native&max=16")
+	sweepResp, err := http.Get(ts.URL + "/v1/sessions/" + id + "/sweep?strategy=native&max=16")
 	if err != nil {
 		t.Fatal(err)
 	}

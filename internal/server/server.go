@@ -21,11 +21,10 @@
 //	GET  /v1/queries                   benchmark query list
 //	GET  /v1/healthz
 //
-// Run, sweep and atlas requests name their strategy through the registry
-// (see GET /v1/strategies): the "strategy" field/parameter is canonical, the
-// legacy "algorithm" spelling and the short aliases ("sb", "pb", ...) still
-// resolve but are counted into rqp_deprecated_requests_total. An unknown
-// name is rejected with the envelope code "unknown_strategy".
+// Run, sweep and atlas requests name their strategy by its exact registered
+// name (see GET /v1/strategies) in the "strategy" field or parameter
+// ("strategies" for the atlas). A missing or unknown name is rejected with
+// the envelope code "unknown_strategy".
 //
 // A server configured with Config.DataDir is durable: sessions persist their
 // ESS and run checkpoints under per-session directories, run requests may
@@ -44,10 +43,6 @@
 // overloaded, timeout, canceled, internal. Adaptive overload control (AIMD run/build limiters,
 // per-session bulkheads, a session-build circuit breaker) sheds excess work
 // with 429/503 "overloaded" responses instead of queueing it.
-//
-// Deprecated: the unversioned paths (/sessions, /queries, /healthz) remain
-// mounted as aliases of their /v1 counterparts for one release and will be
-// removed in the next; clients should migrate to /v1.
 package server
 
 import (
@@ -59,7 +54,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -323,46 +317,31 @@ func (s *Server) Metrics() *telemetry.Registry { return s.metrics.reg }
 
 // Handler returns the routed http.Handler wrapped with the resilience
 // middleware: panic recovery (structured JSON 500), per-request timeout,
-// and request body limits. Every route is mounted under /v1 and, for one
-// deprecation release, at its legacy unversioned path; both mounts are
-// instrumented (request count/latency/status by route pattern), and the
-// legacy mounts additionally log a structured deprecation warning and count
-// into rqp_deprecated_requests_total. The observability endpoints
-// (/v1/metrics, /v1/debug/stats) are new in /v1 and have no legacy alias.
+// and request body limits. Every route is mounted under /v1 and
+// instrumented (request count/latency/status by route pattern).
 func (s *Server) Handler() http.Handler {
 	m := s.metrics
 	mux := http.NewServeMux()
-	v1 := func(pattern string, h http.HandlerFunc) {
-		method, path, ok := strings.Cut(pattern, " ")
-		if !ok {
-			panic("server: route pattern missing method: " + pattern)
-		}
-		versioned := method + " /v1" + path
-		mux.HandleFunc(versioned, m.instrument(versioned, h))
-	}
 	route := func(pattern string, h http.HandlerFunc) {
-		v1(pattern, h)
-		// Legacy unversioned alias, kept for one deprecation release.
-		mux.HandleFunc(pattern, m.deprecate(pattern, m.instrument(pattern, h)))
+		mux.HandleFunc(pattern, m.instrument(pattern, h))
 	}
-	route("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+	route("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	route("GET /queries", s.handleQueries)
-	route("POST /sessions", s.handleCreateSession)
-	route("GET /sessions/{id}", s.handleGetSession)
-	route("POST /sessions/{id}/run", s.handleRun)
-	route("GET /sessions/{id}/sweep", s.handleSweep)
-	// Durable run resources are new in /v1 and have no legacy alias.
-	v1("GET /sessions/{id}/runs", s.handleListRuns)
-	v1("GET /sessions/{id}/runs/{rid}", s.handleGetRun)
-	v1("GET /strategies", s.handleStrategies)
-	v1("GET /atlas", s.handleAtlas)
+	route("GET /v1/queries", s.handleQueries)
+	route("POST /v1/sessions", s.handleCreateSession)
+	route("GET /v1/sessions/{id}", s.handleGetSession)
+	route("POST /v1/sessions/{id}/run", s.handleRun)
+	route("GET /v1/sessions/{id}/sweep", s.handleSweep)
+	route("GET /v1/sessions/{id}/runs", s.handleListRuns)
+	route("GET /v1/sessions/{id}/runs/{rid}", s.handleGetRun)
+	route("GET /v1/strategies", s.handleStrategies)
+	route("GET /v1/atlas", s.handleAtlas)
 	// Trace resources are keyed by trace ID, not session: a trace may span
 	// daemon restarts (crash-resumed runs) and outlive its session.
-	v1("GET /runs/{id}/trace", s.handleGetTrace)
-	v1("GET /metrics", m.handleMetrics)
-	v1("GET /debug/stats", m.handleDebugStats)
+	route("GET /v1/runs/{id}/trace", s.handleGetTrace)
+	route("GET /v1/metrics", m.handleMetrics)
+	route("GET /v1/debug/stats", m.handleDebugStats)
 	// The trace middleware sits outermost so every response — including
 	// panics recovered below it and overload sheds — carries Traceparent
 	// and X-Request-ID headers.
@@ -849,10 +828,6 @@ func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
 type runRequest struct {
 	// Strategy names a registered strategy (see GET /v1/strategies).
 	Strategy string `json:"strategy"`
-	// Algorithm is the deprecated spelling of Strategy, kept for wire
-	// compatibility; requests using it count into
-	// rqp_deprecated_requests_total. Strategy wins when both are set.
-	Algorithm string `json:"algorithm,omitempty"`
 	// Truth is the actual selectivity location (one value per epp).
 	Truth []float64 `json:"truth"`
 	// Durable checkpoints the run's discovery state at every contour
@@ -917,26 +892,15 @@ func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, repro.Strategies())
 }
 
-// resolveStrategy resolves a wire strategy name — the canonical "strategy"
-// field/parameter, falling back to the deprecated "algorithm" spelling —
-// against the registry. Legacy usage (the old field, alias or mixed-case
-// names) is counted into rqp_deprecated_requests_total; an unknown name
-// writes the uniform envelope with code "unknown_strategy".
-func (s *Server) resolveStrategy(w http.ResponseWriter, strategy, algorithm string) (repro.Algorithm, bool) {
-	name := strategy
-	if name == "" && algorithm != "" {
-		name = algorithm
-		s.metrics.deprecated.With("field:algorithm").Inc()
-	}
-	canonical, legacy, err := repro.ParseStrategyName(name)
-	if err != nil {
+// resolveStrategy resolves a wire strategy name against the registry; a
+// missing or unknown name writes the uniform envelope with code
+// "unknown_strategy".
+func (s *Server) resolveStrategy(w http.ResponseWriter, name string) (repro.Algorithm, bool) {
+	if _, err := repro.ParseStrategy(name); err != nil {
 		s.writeError(w, http.StatusBadRequest, codeUnknownStrategy, err)
 		return "", false
 	}
-	if legacy {
-		s.metrics.deprecated.With("strategy:" + canonical).Inc()
-	}
-	return repro.Algorithm(canonical), true
+	return repro.Algorithm(name), true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -958,7 +922,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("bad payload: %w", err))
 		return
 	}
-	algo, ok := s.resolveStrategy(w, req.Strategy, req.Algorithm)
+	algo, ok := s.resolveStrategy(w, req.Strategy)
 	if !ok {
 		return
 	}
@@ -1084,7 +1048,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	algo, ok := s.resolveStrategy(w, r.URL.Query().Get("strategy"), r.URL.Query().Get("algorithm"))
+	algo, ok := s.resolveStrategy(w, r.URL.Query().Get("strategy"))
 	if !ok {
 		return
 	}

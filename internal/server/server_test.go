@@ -121,12 +121,10 @@ func createSession(t *testing.T, baseURL string, payload map[string]any) string 
 
 func TestHealthz(t *testing.T) {
 	ts := testServer(t)
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		var out map[string]string
-		resp := getJSON(t, ts.URL+path, &out)
-		if resp.StatusCode != http.StatusOK || out["status"] != "ok" {
-			t.Fatalf("%s = %d %v", path, resp.StatusCode, out)
-		}
+	var out map[string]string
+	resp := getJSON(t, ts.URL+"/v1/healthz", &out)
+	if resp.StatusCode != http.StatusOK || out["status"] != "ok" {
+		t.Fatalf("/v1/healthz = %d %v", resp.StatusCode, out)
 	}
 }
 
@@ -176,7 +174,7 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 
 	// Run SpillBound.
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.001, 0.0005},
+		"strategy": "spillbound", "truth": []float64{0.001, 0.0005},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run status %d: %v", resp.StatusCode, run)
@@ -191,7 +189,7 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 
 	// Sweep.
 	var sweep map[string]any
-	if r := getJSON(t, fmt.Sprintf("%s/v1/sessions/%s/sweep?algorithm=alignedbound&max=20", ts.URL, id), &sweep); r.StatusCode != http.StatusOK {
+	if r := getJSON(t, fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=alignedbound&max=20", ts.URL, id), &sweep); r.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %v", r.StatusCode, sweep)
 	}
 	if sweep["mso"].(float64) > 10 {
@@ -202,29 +200,49 @@ func TestAsyncSessionLifecycle(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesServeV1Handlers proves the deprecated unversioned paths
-// remain live aliases of the v1 handlers: a session created through the
-// legacy path is visible through /v1 and vice versa.
-func TestLegacyAliasesServeV1Handlers(t *testing.T) {
+// TestRemovedSpellingsRejected pins the single request surface: the former
+// unversioned routes are not mounted, and a run or sweep that names its
+// strategy only through a removed spelling (the "algorithm" field or
+// parameter, a short alias) fails as an unknown strategy.
+func TestRemovedSpellingsRejected(t *testing.T) {
 	ts := testServer(t)
-	resp, created := postJSON(t, ts.URL+"/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("legacy create status %d: %v", resp.StatusCode, created)
+	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
+	cases := []struct {
+		method, path, body string
+		wantStatus         int
+		wantCode           string // "" for the mux's plain-text 404
+	}{
+		{"GET", "/healthz", "", http.StatusNotFound, ""},
+		{"POST", "/sessions", `{"query":"2D_EQ","gridRes":6}`, http.StatusNotFound, ""},
+		{"POST", "/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.01,0.02]}`, http.StatusNotFound, ""},
+		{"POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.01,0.02]}`, http.StatusBadRequest, "unknown_strategy"},
+		{"POST", "/v1/sessions/" + id + "/run", `{"strategy":"sb","truth":[0.01,0.02]}`, http.StatusBadRequest, "unknown_strategy"},
+		{"GET", "/v1/sessions/" + id + "/sweep?algorithm=spillbound", "", http.StatusBadRequest, "unknown_strategy"},
 	}
-	id := created["id"].(string)
-	awaitReady(t, ts.URL, id)
-	var legacy map[string]any
-	if r := getJSON(t, ts.URL+"/sessions/"+id, &legacy); r.StatusCode != http.StatusOK {
-		t.Fatalf("legacy get = %d", r.StatusCode)
-	}
-	if legacy["status"] != "ready" {
-		t.Errorf("legacy status = %v", legacy["status"])
-	}
-	resp, run := postJSON(t, ts.URL+"/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy run status %d: %v", resp.StatusCode, run)
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.wantStatus {
+			t.Errorf("%s %s %s = %d, want %d", tc.method, tc.path, tc.body, resp.StatusCode, tc.wantStatus)
+			continue
+		}
+		if tc.wantCode == "" {
+			continue
+		}
+		if decodeErr != nil {
+			t.Errorf("%s %s: error body is not JSON: %v", tc.method, tc.path, decodeErr)
+		} else if code, _ := errEnvelope(t, body); code != tc.wantCode {
+			t.Errorf("%s %s %s code = %q, want %q", tc.method, tc.path, tc.body, code, tc.wantCode)
+		}
 	}
 }
 
@@ -258,7 +276,7 @@ func TestRunWhileBuildingConflicts(t *testing.T) {
 	}
 
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("run while building = %d (%v), want 409", resp.StatusCode, body)
@@ -268,14 +286,14 @@ func TestRunWhileBuildingConflicts(t *testing.T) {
 	}
 
 	var sweep map[string]any
-	if r := getJSON(t, ts.URL+"/v1/sessions/"+id+"/sweep?algorithm=spillbound", &sweep); r.StatusCode != http.StatusConflict {
+	if r := getJSON(t, ts.URL+"/v1/sessions/"+id+"/sweep?strategy=spillbound", &sweep); r.StatusCode != http.StatusConflict {
 		t.Fatalf("sweep while building = %d, want 409", r.StatusCode)
 	}
 
 	close(gate)
 	awaitReady(t, ts.URL, id)
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run after ready = %d (%v)", resp.StatusCode, run)
@@ -312,7 +330,7 @@ func TestFailedBuildReportsConflict(t *testing.T) {
 		t.Errorf("buildError = %v", info["buildError"])
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("run on failed session = %d, want 409", resp.StatusCode)
@@ -334,8 +352,8 @@ func TestErrorPaths(t *testing.T) {
 		{"POST", "/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 1}, http.StatusBadRequest, "bad_request"},
 		{"POST", "/v1/sessions", map[string]any{"query": "2D_EQ", "profile": "oracle"}, http.StatusBadRequest, "bad_request"},
 		{"GET", "/v1/sessions/zzz", nil, http.StatusNotFound, "not_found"},
-		{"POST", "/v1/sessions/zzz/run", map[string]any{"algorithm": "spillbound", "truth": []float64{0.5, 0.5}}, http.StatusNotFound, "not_found"},
-		{"GET", "/v1/sessions/zzz/sweep?algorithm=spillbound", nil, http.StatusNotFound, "not_found"},
+		{"POST", "/v1/sessions/zzz/run", map[string]any{"strategy": "spillbound", "truth": []float64{0.5, 0.5}}, http.StatusNotFound, "not_found"},
+		{"GET", "/v1/sessions/zzz/sweep?strategy=spillbound", nil, http.StatusNotFound, "not_found"},
 	}
 	for _, tc := range cases {
 		var resp *http.Response
@@ -362,10 +380,9 @@ func TestRunValidation(t *testing.T) {
 		payload  map[string]any
 		wantCode string
 	}{
-		{map[string]any{"algorithm": "teleport", "truth": []float64{0.5, 0.5}}, "unknown_strategy"},
 		{map[string]any{"strategy": "teleport", "truth": []float64{0.5, 0.5}}, "unknown_strategy"},
 		{map[string]any{"strategy": "spillbound", "truth": []float64{0.5}}, "bad_request"},
-		{map[string]any{"algorithm": "spillbound", "truth": []float64{0.5, 2.0}}, "bad_request"},
+		{map[string]any{"strategy": "spillbound", "truth": []float64{0.5, 2.0}}, "bad_request"},
 	}
 	for _, tc := range cases {
 		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", tc.payload)
@@ -394,14 +411,14 @@ func TestBadPayloadsYield4xx(t *testing.T) {
 		{"malformed JSON create", "POST", "/v1/sessions", `{"query": `, http.StatusBadRequest},
 		{"malformed JSON run", "POST", "/v1/sessions/" + id + "/run", `not json at all`, http.StatusBadRequest},
 		{"unknown query", "POST", "/v1/sessions", `{"query":"Q_NOPE"}`, http.StatusNotFound},
-		{"unknown algorithm", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"quantum","truth":[0.5,0.5]}`, http.StatusBadRequest},
-		{"truth arity low", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5]}`, http.StatusBadRequest},
-		{"truth arity high", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5,0.5,0.5]}`, http.StatusBadRequest},
-		{"truth out of range", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0.5,7]}`, http.StatusBadRequest},
-		{"truth zero", "POST", "/v1/sessions/" + id + "/run", `{"algorithm":"spillbound","truth":[0,0.5]}`, http.StatusBadRequest},
-		{"sweep on missing session", "GET", "/v1/sessions/ghost/sweep?algorithm=spillbound", "", http.StatusNotFound},
-		{"sweep bad algorithm", "GET", "/v1/sessions/" + id + "/sweep?algorithm=psychic", "", http.StatusBadRequest},
-		{"sweep bad max", "GET", "/v1/sessions/" + id + "/sweep?algorithm=spillbound&max=-3", "", http.StatusBadRequest},
+		{"unknown algorithm", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"quantum","truth":[0.5,0.5]}`, http.StatusBadRequest},
+		{"truth arity low", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5]}`, http.StatusBadRequest},
+		{"truth arity high", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5,0.5,0.5]}`, http.StatusBadRequest},
+		{"truth out of range", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0.5,7]}`, http.StatusBadRequest},
+		{"truth zero", "POST", "/v1/sessions/" + id + "/run", `{"strategy":"spillbound","truth":[0,0.5]}`, http.StatusBadRequest},
+		{"sweep on missing session", "GET", "/v1/sessions/ghost/sweep?strategy=spillbound", "", http.StatusNotFound},
+		{"sweep bad algorithm", "GET", "/v1/sessions/" + id + "/sweep?strategy=psychic", "", http.StatusBadRequest},
+		{"sweep bad max", "GET", "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=-3", "", http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -469,7 +486,7 @@ func TestRequestTimeoutAbortsRun(t *testing.T) {
 	t.Cleanup(ts2.Close)
 	start := time.Now()
 	resp, body := postJSON(t, ts2.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.001, 0.0005},
+		"strategy": "spillbound", "truth": []float64{0.001, 0.0005},
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (%v), want 504", resp.StatusCode, body)
@@ -575,7 +592,7 @@ func TestDegradedFieldsAbsentOnCleanRun(t *testing.T) {
 	ts := testServer(t)
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	_, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "spillbound", "truth": []float64{0.01, 0.02},
+		"strategy": "spillbound", "truth": []float64{0.01, 0.02},
 	})
 	if _, present := run["degraded"]; present {
 		t.Errorf("clean run carries degraded flag: %v", run)
@@ -586,7 +603,7 @@ func TestNativeRunHasNoGuaranteeField(t *testing.T) {
 	ts := testServer(t)
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "native", "truth": []float64{0.01, 0.01},
+		"strategy": "native", "truth": []float64{0.01, 0.01},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %v", resp.StatusCode, run)

@@ -44,11 +44,10 @@ func TestStrategiesEndpoint(t *testing.T) {
 	}
 }
 
-// TestRunStrategyFieldAndLegacyCounter runs a selection strategy through the
-// canonical "strategy" field, then exercises the deprecated "algorithm"
-// field with an alias name and checks both legacy usages are counted into
-// rqp_deprecated_requests_total.
-func TestRunStrategyFieldAndLegacyCounter(t *testing.T) {
+// TestRunAndSweepSelectionStrategy runs and sweeps a selection strategy
+// named through the "strategy" field and parameter; the response echoes the
+// strategy under its "algorithm" field.
+func TestRunAndSweepSelectionStrategy(t *testing.T) {
 	ts := testServer(t)
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
 
@@ -64,32 +63,8 @@ func TestRunStrategyFieldAndLegacyCounter(t *testing.T) {
 	if cost, _ := body["totalCost"].(float64); cost <= 0 {
 		t.Errorf("totalCost %v", body["totalCost"])
 	}
-	fams := scrape(t, ts.URL)
-	dep := fams["rqp_deprecated_requests_total"]
-	if n := sampleSum(dep, "", map[string]string{"route": "field:algorithm"}); n != 0 {
-		t.Errorf("canonical field counted as legacy: %v", n)
-	}
 
-	resp, body = postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", map[string]any{
-		"algorithm": "sb", "truth": []float64{0.02, 0.3},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy run status %d: %v", resp.StatusCode, body)
-	}
-	if body["algorithm"] != "spillbound" {
-		t.Errorf("alias resolved to %v", body["algorithm"])
-	}
-	fams = scrape(t, ts.URL)
-	dep = fams["rqp_deprecated_requests_total"]
-	if n := sampleSum(dep, "", map[string]string{"route": "field:algorithm"}); n != 1 {
-		t.Errorf("legacy field count %v, want 1", n)
-	}
-	if n := sampleSum(dep, "", map[string]string{"route": "strategy:spillbound"}); n != 1 {
-		t.Errorf("legacy name count %v, want 1", n)
-	}
-
-	// The sweep handler shares the resolver: canonical parameter works, the
-	// legacy parameter spelling counts.
+	// The sweep handler shares the resolver.
 	var sweep map[string]any
 	if resp := getJSON(t, ts.URL+"/v1/sessions/"+id+"/sweep?strategy=probabilistic&max=9", &sweep); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sweep status %d: %v", resp.StatusCode, sweep)

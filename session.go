@@ -53,27 +53,6 @@ const (
 // String names the algorithm: the canonical registry name.
 func (a Algorithm) String() string { return string(a) }
 
-// ParseAlgorithm resolves an algorithm name (as produced by String) against
-// the strategy registry, accepting legacy aliases ("sb", "pb", ...) and
-// non-canonical casing; use ParseStrategyName to detect legacy spellings.
-func ParseAlgorithm(name string) (Algorithm, error) {
-	canonical, _, err := ParseStrategyName(name)
-	if err != nil {
-		return "", err
-	}
-	return Algorithm(canonical), nil
-}
-
-// strategyFor resolves the Algorithm shim to its registered strategy. Exact
-// canonical values (the common path: the built-in constants, names already
-// resolved by ParseAlgorithm) avoid the alias fold.
-func strategyFor(a Algorithm) (Strategy, error) {
-	if st, ok := LookupStrategy(string(a)); ok {
-		return st, nil
-	}
-	return ParseStrategy(string(a))
-}
-
 // Options configures a Session.
 type Options struct {
 	// Params is the platform cost profile.
@@ -309,8 +288,8 @@ func (s *Session) EstimateLocation() Location { return s.model.EstimateLocation(
 // AlignedBound's worst-case D²+3D, and +Inf (none) for the native baseline,
 // the selection strategies, and unregistered names.
 func (s *Session) Guarantee(a Algorithm) float64 {
-	st, err := strategyFor(a)
-	if err != nil {
+	st, ok := LookupStrategy(string(a))
+	if !ok {
 		return math.Inf(1)
 	}
 	return st.Guarantee(s)
@@ -451,7 +430,7 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
-	st, err := strategyFor(a)
+	st, err := ParseStrategy(string(a))
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -658,7 +637,7 @@ func (s *Session) Sweep(a Algorithm, maxLocations int) (SweepSummary, error) {
 // serial sweep regardless of worker count, and sampled sweeps draw their
 // locations from Options.SweepSeed.
 func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations int) (SweepSummary, error) {
-	st, err := strategyFor(a)
+	st, err := ParseStrategy(string(a))
 	if err != nil {
 		return SweepSummary{}, err
 	}
@@ -681,7 +660,7 @@ func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations in
 // SweepStrategies evaluates several strategies' MSO/ASO over one shared
 // location sample (identical truth cells per strategy, including under
 // subsampling), returning one summary per requested strategy in request
-// order. Names resolve like ParseAlgorithm (legacy aliases accepted);
+// order. Names are exact registry names (see ParseStrategy);
 // duplicates collapse to their first occurrence. An empty names slice
 // sweeps every registered strategy, sorted by name — the comparison the
 // `make sweep-strategies` smoke and the strategy-breadth experiments run.
@@ -692,16 +671,15 @@ func (s *Session) SweepStrategies(ctx context.Context, names []string, maxLocati
 	runs := make(map[string]metrics.RunFunc, len(names))
 	order := make([]string, 0, len(names))
 	for _, name := range names {
-		canonical, _, err := ParseStrategyName(name)
+		st, err := ParseStrategy(name)
 		if err != nil {
 			return nil, err
 		}
-		if _, dup := runs[canonical]; dup {
+		if _, dup := runs[name]; dup {
 			continue
 		}
-		st, _ := LookupStrategy(canonical)
-		runs[canonical] = st.SweepRun(s)
-		order = append(order, canonical)
+		runs[name] = st.SweepRun(s)
+		order = append(order, name)
 	}
 	results, err := metrics.SweepManyContext(ctx, s.space, runs, metrics.SweepOptions{
 		MaxLocations: maxLocations,

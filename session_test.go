@@ -55,6 +55,7 @@ func TestNewSessionErrors(t *testing.T) {
 		{"SELECT * FROM nothere", nil, DefaultOptions()},
 		{paperEQ, []string{"a.b = c.d"}, DefaultOptions()},
 		{paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile()}},
+		{paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile(), Workers: 2}},
 	}
 	for i, tc := range cases {
 		if _, err := NewSession(cat, tc.sql, tc.epps, tc.opts); err == nil {
@@ -162,20 +163,16 @@ func TestNativeMSOMotivation(t *testing.T) {
 
 func TestAlgorithmNames(t *testing.T) {
 	for _, a := range []Algorithm{Native, PlanBouquet, SpillBound, AlignedBound} {
-		got, err := ParseAlgorithm(a.String())
-		if err != nil || got != a {
-			t.Errorf("round trip %v: %v, %v", a, got, err)
+		st, err := ParseStrategy(a.String())
+		if err != nil || st.Info().Name != a.String() {
+			t.Errorf("round trip %v: %v, %v", a, st, err)
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Error("ParseAlgorithm(nope) should fail")
+	if _, err := ParseStrategy("nope"); err == nil {
+		t.Error("ParseStrategy(nope) should fail")
 	}
 	if Algorithm("bogus").String() != "bogus" {
 		t.Error("Algorithm String should echo the registry name")
-	}
-	// Legacy aliases resolve (flagged legacy) for wire compatibility.
-	if got, err := ParseAlgorithm("SB"); err != nil || got != SpillBound {
-		t.Errorf("ParseAlgorithm(SB) = %v, %v", got, err)
 	}
 }
 

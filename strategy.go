@@ -150,22 +150,8 @@ var (
 	strategyReg = make(map[string]Strategy)
 )
 
-// legacyStrategyAliases maps deprecated wire names to canonical registry
-// names. Alias (and mixed-case) resolution succeeds but is flagged legacy,
-// so callers can census deprecated usage (rqp_deprecated_requests_total).
-var legacyStrategyAliases = map[string]string{
-	"pb":      "planbouquet",
-	"bouquet": "planbouquet",
-	"sb":      "spillbound",
-	"ab":      "alignedbound",
-	"penalty": "penaltyaware",
-	"prob":    "probabilistic",
-	"regret":  "minmaxregret",
-}
-
 // RegisterStrategy adds a strategy to the registry. The name must be
-// non-empty lowercase and not already taken (canonically or as a legacy
-// alias). Safe for concurrent use.
+// non-empty lowercase and not already taken. Safe for concurrent use.
 func RegisterStrategy(st Strategy) error {
 	name := st.Info().Name
 	if name == "" || name != strings.ToLower(name) {
@@ -175,9 +161,6 @@ func RegisterStrategy(st Strategy) error {
 	defer strategyMu.Unlock()
 	if _, dup := strategyReg[name]; dup {
 		return fmt.Errorf("repro: strategy %q already registered", name)
-	}
-	if _, dup := legacyStrategyAliases[name]; dup {
-		return fmt.Errorf("repro: strategy name %q shadows a legacy alias", name)
 	}
 	strategyReg[name] = st
 	return nil
@@ -222,30 +205,14 @@ func Strategies() []StrategyInfo {
 	return infos
 }
 
-// ParseStrategyName resolves a strategy name from the wire to its canonical
-// registered form. legacy reports that a deprecated spelling was used (an
-// alias like "sb", or non-canonical casing) so transports can count it.
-func ParseStrategyName(name string) (canonical string, legacy bool, err error) {
-	folded := strings.ToLower(strings.TrimSpace(name))
-	legacy = folded != name
-	if alias, ok := legacyStrategyAliases[folded]; ok {
-		folded, legacy = alias, true
-	}
-	if _, ok := LookupStrategy(folded); !ok {
-		return "", false, fmt.Errorf("repro: unknown strategy %q (registered: %s)",
+// ParseStrategy resolves a registered strategy name, as LookupStrategy does,
+// but reports an unknown name as an error that lists the registry.
+func ParseStrategy(name string) (Strategy, error) {
+	st, ok := LookupStrategy(name)
+	if !ok {
+		return nil, fmt.Errorf("repro: unknown strategy %q (registered: %s)",
 			name, strings.Join(StrategyNames(), ", "))
 	}
-	return folded, legacy, nil
-}
-
-// ParseStrategy resolves a (possibly legacy) strategy name to its registered
-// implementation.
-func ParseStrategy(name string) (Strategy, error) {
-	canonical, _, err := ParseStrategyName(name)
-	if err != nil {
-		return nil, err
-	}
-	st, _ := LookupStrategy(canonical)
 	return st, nil
 }
 

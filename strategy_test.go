@@ -8,47 +8,32 @@ import (
 	"testing"
 )
 
-// TestParseStrategyNameAliases pins the wire-compat contract: canonical
-// names resolve clean, deprecated aliases and non-canonical spellings
-// resolve but are flagged legacy (so transports can census them), unknown
-// names fail with the registry enumerated in the error.
-func TestParseStrategyNameAliases(t *testing.T) {
-	cases := []struct {
-		in        string
-		canonical string
-		legacy    bool
-	}{
-		{"native", "native", false},
-		{"planbouquet", "planbouquet", false},
-		{"penaltyaware", "penaltyaware", false},
-		{"minmaxregret", "minmaxregret", false},
-		{"pb", "planbouquet", true},
-		{"bouquet", "planbouquet", true},
-		{"sb", "spillbound", true},
-		{"ab", "alignedbound", true},
-		{"penalty", "penaltyaware", true},
-		{"prob", "probabilistic", true},
-		{"regret", "minmaxregret", true},
-		{"SpillBound", "spillbound", true},
-		{" native ", "native", true},
-	}
-	for _, c := range cases {
-		got, legacy, err := ParseStrategyName(c.in)
-		if err != nil || got != c.canonical || legacy != c.legacy {
-			t.Errorf("ParseStrategyName(%q) = %q, legacy=%v, err=%v; want %q, legacy=%v",
-				c.in, got, legacy, err, c.canonical, c.legacy)
+// TestParseStrategyExactNames pins the name contract: every registered
+// name resolves to itself, while former aliases and non-canonical spellings
+// are unknown, and the error enumerates the registry.
+func TestParseStrategyExactNames(t *testing.T) {
+	for _, name := range StrategyNames() {
+		st, err := ParseStrategy(name)
+		if err != nil || st.Info().Name != name {
+			t.Errorf("ParseStrategy(%q) = %v, %v", name, st, err)
 		}
 	}
-	if _, _, err := ParseStrategyName("quantum"); err == nil || !strings.Contains(err.Error(), "spillbound") {
-		t.Errorf("unknown-strategy error should enumerate the registry, got %v", err)
+	for _, name := range []string{"sb", "pb", "bouquet", "regret", "SpillBound", " spillbound", ""} {
+		_, err := ParseStrategy(name)
+		if err == nil || !strings.Contains(err.Error(), "registered: alignedbound") {
+			t.Errorf("ParseStrategy(%q) = %v, want an unknown-strategy error listing the registry", name, err)
+		}
+		if _, ok := LookupStrategy(name); ok {
+			t.Errorf("LookupStrategy(%q) resolved", name)
+		}
 	}
 }
 
 // TestStrategyRegistryConcurrency hammers the registry's read and write
 // paths from concurrent goroutines — meaningful under -race (make race),
 // where it pins the RWMutex discipline. The write path only attempts
-// registrations that must be rejected (duplicate name, alias shadowing), so
-// the registry is left exactly as found.
+// registrations that must be rejected (duplicate name, non-lowercase name),
+// so the registry is left exactly as found.
 func TestStrategyRegistryConcurrency(t *testing.T) {
 	t.Parallel()
 	var wg sync.WaitGroup
@@ -60,8 +45,8 @@ func TestStrategyRegistryConcurrency(t *testing.T) {
 				if err := RegisterStrategy(nativeStrategy{}); err == nil {
 					t.Error("duplicate registration must fail")
 				}
-				if err := RegisterStrategy(selectionStrategy{info: StrategyInfo{Name: "sb"}}); err == nil {
-					t.Error("alias-shadowing registration must fail")
+				if err := RegisterStrategy(selectionStrategy{info: StrategyInfo{Name: "SpillBound"}}); err == nil {
+					t.Error("non-lowercase registration must fail")
 				}
 			}
 		}()
@@ -86,7 +71,7 @@ func TestStrategyRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				if _, err := ParseStrategy("regret"); err != nil {
+				if _, err := ParseStrategy("minmaxregret"); err != nil {
 					t.Error(err)
 				}
 			}
