@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet chaos resume-chaos fleet-smoke brownout-smoke bench sweep-strategies experiments metrics-smoke overload-smoke replay-smoke trace-smoke atlas fuzz clean
+.PHONY: all build test race vet chaos resume-chaos drills bench experiments replay-smoke atlas fuzz clean
 
 all: vet build test
 
@@ -33,62 +33,23 @@ resume-chaos:
 	$(GO) test -race ./internal/runstate/ -v
 	$(GO) test -race ./internal/fleet/ -v
 
-# fleet-smoke is the multi-node chaos drill: boot a 3-node rqpd fleet over a
-# shared data directory, place a durable session through a non-owner
-# (transparent proxying), crash the owner mid-run (checkpoint-crash
-# injection + SIGKILL), and assert any-node failover end to end — mark-down
-# within the heartbeat budget, adoption and resume on the next hash owner
-# with an event suffix identical to the uninterrupted golden run under one
-# trace ID, zombie checkpoints fenced by the ownership epoch, a partitioned
-# peer routed around and healed, fleet metrics accounted, no goroutine leak.
-fleet-smoke:
-	$(GO) run ./cmd/fleetsmoke
+# drills runs every end-to-end daemon drill (cmd/drill: metrics, overload,
+# trace, fleet, brownout) against freshly built rqpd processes; each drill's
+# Go doc comment states what it checks. `make <name>-smoke` runs one drill.
+drills:
+	$(GO) run ./cmd/drill
 
-# brownout-smoke is the fleet overload drill: boot a 3-node rqpd fleet with a
-# tiny run ceiling and a fast brownout tick, saturate one node's owner with a
-# concurrent sweep storm, and assert fleet-aware overload control end to end —
-# the owner's vitals gossip to its peers on heartbeats, peers shed traffic for
-# the saturated owner at the proxy edge (503 + the owner's advertised
-# Retry-After, owner untouched), hedging is suppressed under pressure, spent
-# X-Rqp-Retry-Budget requests are rejected before the wire, the staged
-# brownout ladder ascends under load and recovers to stage 0 afterwards with
-# the transitions recorded in the fleet trace, and no node leaks goroutines.
-brownout-smoke:
-	$(GO) run ./cmd/brownoutsmoke
+%-smoke:
+	$(GO) run ./cmd/drill $*
 
-# bench runs the serial-vs-parallel ESS build comparison first, recording
-# the raw results in BENCH_build.json, then the selection-strategy
-# benchmarks (penaltyaware/probabilistic/minmaxregret choose + ladder) into
-# BENCH_strategy.json, then the full benchmark suite.
+# bench runs the full testing.B suite. The tracked per-layer numbers
+# (ESS build throughput, selection-strategy run cost, ...) come from
+# perfbench, which records its environment with every run.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild(Serial|Parallel)$$' -benchmem -json . > BENCH_build.json
-	$(GO) test -run '^$$' -bench 'BenchmarkStrategySelect' -benchmem -json . > BENCH_strategy.json
 	$(GO) test -bench=. -benchmem -run '^$$'
-
-# sweep-strategies is the strategy-registry smoke: sweeps every registered
-# strategy on a 2D session (finite MSO, discovery strategies within their
-# guarantees) and drives the error-regime scenario suite for a discovery and
-# a selection strategy, asserting the guard-verdict census is populated.
-sweep-strategies:
-	$(GO) run ./cmd/strategysweep
 
 experiments:
 	$(GO) run ./cmd/experiments
-
-# metrics-smoke boots rqpd on a local port, drives a session through
-# build → run → sweep, scrapes GET /v1/metrics, and validates the
-# Prometheus text exposition (parse, histogram invariants, non-zero
-# run/build/request families).
-metrics-smoke:
-	$(GO) run ./cmd/metricssmoke
-
-# overload-smoke boots rqpd with deliberately low admission limits, fires a
-# burst of concurrent sweeps past them, and asserts the overload contract:
-# some requests complete, the excess is shed with 429 + Retry-After, the
-# rqp_inflight/rqp_shed_total/rqp_breaker_state families are exposed, and
-# the goroutine count settles back to baseline (no leaked handlers).
-overload-smoke:
-	$(GO) run ./cmd/overloadsmoke
 
 # replay-smoke boots rqpd with tight admission limits and replays a seeded
 # 30s open-loop mixed trace (clean runs, adversarial / regret-correlated
@@ -98,15 +59,6 @@ overload-smoke:
 # fired — watchdog abort, ESS escape, shed, breaker — with no goroutine leak.
 replay-smoke:
 	$(GO) run ./cmd/replay -duration 30s -rate 20 -check -o replay-report.json
-
-# trace-smoke boots rqpd and walks the correlation contract end to end: a
-# run fired with a caller traceparent must echo it (header, X-Request-ID,
-# run document), serve sound run and build span trees at
-# /v1/runs/{traceID}/trace, render a well-formed flamegraph SVG, carry the
-# trace ID in the error envelope, and attach trace-ID exemplars to the
-# OpenMetrics exposition.
-trace-smoke:
-	$(GO) run ./cmd/tracesmoke
 
 # atlas renders the per-regime robustness atlas for the motivating example
 # query (suboptimality heat over the ESS with guardrail-intervention

@@ -444,7 +444,7 @@ func BenchmarkESSSaveLoad(b *testing.B) {
 	}
 }
 
-// --- selection-strategy benchmarks (make bench → BENCH_strategy.json) ---
+// --- selection-strategy benchmarks (perfbench tracks repro.selection_run_us) ---
 
 var (
 	selBenchOnce sync.Once

@@ -1,14 +1,3 @@
-// Command overloadsmoke is an end-to-end drill for the daemon's adaptive
-// overload control, wired to `make overload-smoke`. It builds rqpd, boots it
-// with deliberately low admission limits (-max-runs 1), builds one session,
-// then fires a burst of concurrent sweep requests past the limit and asserts
-// the contract under overload: at least one request completes (the server
-// keeps doing work), at least one is shed with 429 carrying a Retry-After
-// header (clients get backpressure, not queueing collapse), the scrape
-// exposes the rqp_inflight / rqp_shed_total / rqp_breaker_state families
-// with a non-zero shed count, and the goroutine count settles back to its
-// pre-burst baseline (no leaked request handlers). Exits non-zero on any
-// failure.
 package main
 
 import (
@@ -16,54 +5,33 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
 	"repro/internal/smoke"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("overloadsmoke: ")
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-	log.Print("PASS")
-}
-
-func run() error {
-	dir, err := os.MkdirTemp("", "overloadsmoke")
+// overloadDrill checks the daemon's adaptive overload control
+// (`make overload-smoke`). It boots rqpd with deliberately low admission
+// limits (-max-runs 1), builds one session, then fires a burst of
+// concurrent sweeps past the limit and asserts the contract under
+// overload: at least one request completes (the server keeps doing work),
+// at least one is shed with 429 carrying a Retry-After header (clients get
+// backpressure, not queueing collapse), the scrape exposes the
+// rqp_inflight / rqp_shed_total / rqp_breaker_state families with a
+// non-zero shed count, and the goroutine count settles back to its
+// pre-burst baseline (no leaked request handlers).
+func overloadDrill(bin, _ string) error {
+	d, err := smoke.Boot(bin, "-max-runs", "1", "-session-max-runs", "1", "-max-builds", "2")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-
-	bin := filepath.Join(dir, "rqpd")
-	if err := smoke.BuildDaemon(bin); err != nil {
-		return err
-	}
-
-	addr, err := smoke.FreeAddr()
-	if err != nil {
-		return err
-	}
-	stop, err := smoke.StartDaemon(bin, "-addr", addr,
-		"-max-runs", "1", "-session-max-runs", "1", "-max-builds", "2")
-	if err != nil {
-		return err
-	}
-	defer stop()
-
-	base := "http://" + addr
-	if err := smoke.Await(base+"/v1/healthz", 10*time.Second); err != nil {
-		return fmt.Errorf("daemon never became healthy: %w", err)
-	}
+	defer d.Stop()
+	base := d.Base()
 
 	// A denser grid plus exhaustive sweeps makes every request heavy enough
 	// that the burst genuinely overlaps in the server.
-	id, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":16}`)
+	id, _, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":16}`, nil)
 	if err != nil {
 		return err
 	}
@@ -147,7 +115,7 @@ func run() error {
 
 // scrapeGuards validates the exposition and the overload-control families.
 func scrapeGuards(base string, wantShed float64) error {
-	fams, err := smoke.Scrape(base)
+	fams, err := smoke.Scrape(base, smoke.Prometheus)
 	if err != nil {
 		return err
 	}
@@ -156,12 +124,7 @@ func scrapeGuards(base string, wantShed float64) error {
 			return fmt.Errorf("exposition missing family %s", want)
 		}
 	}
-	shed := 0.0
-	for _, s := range fams["rqp_shed_total"].Samples {
-		if s.Labels["class"] == "run" {
-			shed += s.Value
-		}
-	}
+	shed := smoke.Sum(fams, "rqp_shed_total", "class", "run")
 	if shed < wantShed {
 		return fmt.Errorf("rqp_shed_total{class=run} = %g, want >= %g", shed, wantShed)
 	}

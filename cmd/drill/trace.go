@@ -1,24 +1,13 @@
-// Command tracesmoke is the end-to-end drill for the tracing surface, wired
-// to `make trace-smoke`. It builds rqpd, boots it, and walks the whole
-// correlation contract: a session is created and a run fired with a caller
-// traceparent, the response must echo that trace identity (Traceparent
-// header, X-Request-ID, the run document's traceId), the span tree must be
-// served back at GET /v1/runs/{traceID}/trace with a sound parent/child
-// structure, the flamegraph render must be well-formed XML, the error
-// envelope must carry the trace ID in-band, and the OpenMetrics exposition
-// must attach trace-ID exemplars to the histogram families. Exits non-zero
-// on any failure.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"encoding/xml"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -34,47 +23,29 @@ const (
 	runTraceparent   = "00-bbbb0000bbbb0000bbbb0000bbbb0002-00f067aa0ba90202-01"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("tracesmoke: ")
-	if err := run(); err != nil {
-		log.Fatal(err)
-	}
-	log.Print("PASS")
-}
-
-func run() error {
-	dir, err := os.MkdirTemp("", "tracesmoke")
+// traceDrill walks the tracing correlation contract end to end
+// (`make trace-smoke`). A session is created and a run fired with a caller
+// traceparent; the response must echo that trace identity (Traceparent
+// header, X-Request-ID, the run document's traceId), sound run and build
+// span trees must be served at GET /v1/runs/{traceID}/trace, the
+// flamegraph render must be well-formed XML, the error envelope must carry
+// the trace ID in-band, and the OpenMetrics exposition must attach
+// trace-ID exemplars to the histogram families.
+func traceDrill(bin, _ string) error {
+	d, err := smoke.Boot(bin)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-
-	bin := filepath.Join(dir, "rqpd")
-	if err := smoke.BuildDaemon(bin); err != nil {
-		return err
-	}
-	addr, err := smoke.FreeAddr()
-	if err != nil {
-		return err
-	}
-	stop, err := smoke.StartDaemon(bin, "-addr", addr)
-	if err != nil {
-		return err
-	}
-	defer stop()
-
-	base := "http://" + addr
-	if err := smoke.Await(base+"/v1/healthz", 10*time.Second); err != nil {
-		return fmt.Errorf("daemon never became healthy: %w", err)
-	}
+	defer d.Stop()
+	base := d.Base()
 
 	buildTP, _ := trace.Parse(buildTraceparent)
 	runTP, _ := trace.Parse(runTraceparent)
 
 	// Create the session under the pinned build traceparent; the async ESS
 	// build's span tree is recorded under this trace ID.
-	id, err := createTraced(base, `{"query":"2D_EQ","gridRes":6}`, buildTraceparent)
+	id, _, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":6}`,
+		map[string]string{"Traceparent": buildTraceparent})
 	if err != nil {
 		return err
 	}
@@ -83,8 +54,8 @@ func run() error {
 	}
 
 	// Fire the run with the caller's traceparent and check every echo.
-	status, headers, body, err := doTraced(http.MethodPost, base+"/v1/sessions/"+id+"/run",
-		`{"strategy":"spillbound","truth":[0.04,0.1]}`, runTraceparent)
+	status, headers, body, err := smoke.Do(http.MethodPost, base+"/v1/sessions/"+id+"/run",
+		`{"strategy":"spillbound","truth":[0.04,0.1]}`, map[string]string{"Traceparent": runTraceparent})
 	if err != nil {
 		return err
 	}
@@ -102,8 +73,7 @@ func run() error {
 		return fmt.Errorf("X-Request-ID %q, want trace ID %s", got, runTP.TraceID)
 	}
 	var runDoc struct {
-		TraceID string  `json:"traceId"`
-		SubOpt  float64 `json:"subOpt"`
+		TraceID string `json:"traceId"`
 	}
 	if err := json.Unmarshal(body, &runDoc); err != nil {
 		return fmt.Errorf("run response: %w", err)
@@ -134,48 +104,23 @@ func run() error {
 	}
 
 	// The OpenMetrics exposition attaches trace-ID exemplars.
-	if err := checkExemplars(base); err != nil {
-		return err
-	}
-	return nil
+	return checkExemplars(base)
 }
 
-// createTraced POSTs the create payload under the given traceparent and
-// returns the accepted session ID.
-func createTraced(base, payload, traceparent string) (string, error) {
-	status, _, body, err := doTraced(http.MethodPost, base+"/v1/sessions", payload, traceparent)
+// getTyped fetches url, requires a 200 with the given Content-Type prefix,
+// and returns the body.
+func getTyped(url, contentType string) ([]byte, error) {
+	status, h, b, err := smoke.Do(http.MethodGet, url, "", nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if status != http.StatusAccepted && status != http.StatusCreated {
-		return "", fmt.Errorf("create session: status %d: %s", status, body)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("GET %s: status %d: %s", url, status, b)
 	}
-	var doc struct {
-		ID string `json:"id"`
+	if ct := h.Get("Content-Type"); !strings.HasPrefix(ct, contentType) {
+		return nil, fmt.Errorf("GET %s: content type %q", url, ct)
 	}
-	if err := json.Unmarshal(body, &doc); err != nil || doc.ID == "" {
-		return "", fmt.Errorf("create session: bad response: %s", body)
-	}
-	return doc.ID, nil
-}
-
-// doTraced issues one request carrying the given traceparent header.
-func doTraced(method, url, body, traceparent string) (int, http.Header, []byte, error) {
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if body != "" {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set("Traceparent", traceparent)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, resp.Header, b, err
+	return b, nil
 }
 
 // checkTree fetches the span tree by trace ID and validates its structure:
@@ -183,20 +128,12 @@ func doTraced(method, url, body, traceparent string) (int, http.Header, []byte, 
 // the actual tree, unique span IDs, and parent/child closure (every child
 // names its parent and lies within the parent's extent).
 func checkTree(base, traceID, wantKind string) error {
-	resp, err := http.Get(base + "/v1/runs/" + traceID + "/trace")
+	b, err := getTyped(base+"/v1/runs/"+traceID+"/trace", "application/json")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("trace %s: status %d: %s", traceID, resp.StatusCode, b)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-		return fmt.Errorf("trace %s: content type %q", traceID, ct)
-	}
 	var t trace.Tree
-	if err := json.NewDecoder(resp.Body).Decode(&t); err != nil {
+	if err := json.Unmarshal(b, &t); err != nil {
 		return fmt.Errorf("trace %s: %w", traceID, err)
 	}
 	if t.TraceID != traceID || t.Kind != wantKind || t.Root == nil {
@@ -240,18 +177,11 @@ func checkTree(base, traceID, wantKind string) error {
 
 // checkSVG fetches the flamegraph and requires well-formed XML.
 func checkSVG(base, traceID string) error {
-	resp, err := http.Get(base + "/v1/runs/" + traceID + "/trace?format=svg")
+	b, err := getTyped(base+"/v1/runs/"+traceID+"/trace?format=svg", "image/svg+xml")
 	if err != nil {
-		return err
+		return fmt.Errorf("flamegraph %s: %w", traceID, err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("flamegraph %s: status %d", traceID, resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "image/svg+xml") {
-		return fmt.Errorf("flamegraph %s: content type %q", traceID, ct)
-	}
-	dec := xml.NewDecoder(resp.Body)
+	dec := xml.NewDecoder(bytes.NewReader(b))
 	elements := 0
 	for {
 		tok, err := dec.Token()
@@ -275,26 +205,24 @@ func checkSVG(base, traceID string) error {
 // checkErrorEnvelope hits a missing resource and requires the 404 envelope
 // to carry the trace ID in-band, matching the response headers.
 func checkErrorEnvelope(base string) error {
-	resp, err := http.Get(base + "/v1/sessions/no-such-session")
+	status, h, b, err := smoke.Do(http.MethodGet, base+"/v1/sessions/no-such-session", "", nil)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("missing session: status %d, want 404", resp.StatusCode)
+	if status != http.StatusNotFound {
+		return fmt.Errorf("missing session: status %d, want 404", status)
 	}
 	var doc struct {
 		Error struct {
-			Code    string `json:"code"`
 			TraceID string `json:"traceId"`
 		} `json:"error"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.Unmarshal(b, &doc); err != nil {
 		return fmt.Errorf("error envelope: %w", err)
 	}
-	if doc.Error.TraceID == "" || doc.Error.TraceID != resp.Header.Get("X-Request-ID") {
+	if doc.Error.TraceID == "" || doc.Error.TraceID != h.Get("X-Request-ID") {
 		return fmt.Errorf("error envelope traceId %q, header %q — must match and be set",
-			doc.Error.TraceID, resp.Header.Get("X-Request-ID"))
+			doc.Error.TraceID, h.Get("X-Request-ID"))
 	}
 	log.Printf("error envelope carries trace %s", doc.Error.TraceID)
 	return nil
@@ -304,7 +232,7 @@ func checkErrorEnvelope(base string) error {
 // histogram bucket exemplar carrying a trace_id, plus the runtime gauges the
 // classic exposition also serves.
 func checkExemplars(base string) error {
-	fams, err := smoke.ScrapeOpenMetrics(base)
+	fams, err := smoke.Scrape(base, smoke.OpenMetrics)
 	if err != nil {
 		return err
 	}

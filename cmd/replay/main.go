@@ -505,7 +505,11 @@ func run(duration time.Duration, rate float64, seed int64, mix, targets []string
 	var bases []string
 	if len(targets) > 0 {
 		for _, t := range targets {
-			bases = append(bases, "http://"+t)
+			b := "http://" + t
+			if err := smoke.Await(b+"/v1/healthz", 10*time.Second); err != nil {
+				return nil, fmt.Errorf("daemon %s never became healthy: %w", b, err)
+			}
+			bases = append(bases, b)
 		}
 	} else {
 		dir, err := os.MkdirTemp("", "replay")
@@ -518,33 +522,24 @@ func run(duration time.Duration, rate float64, seed int64, mix, targets []string
 		if err := smoke.BuildDaemon(bin); err != nil {
 			return nil, err
 		}
-		addr, err := smoke.FreeAddr()
-		if err != nil {
-			return nil, err
-		}
 		// Tight limits so the replay itself pushes the daemon into its guardrails:
 		// a run ceiling of one that the burst must overflow, a breaker that opens
 		// within one drill, and a cooldown long enough that the circuit is still
 		// open at the final scrape.
-		stop, err := smoke.StartDaemon(bin, "-addr", addr,
+		d, err := smoke.Boot(bin,
 			"-max-runs", "1", "-session-max-runs", "1", "-max-builds", "2",
 			"-breaker-threshold", fmt.Sprint(breakerThreshold), "-breaker-cooldown", "5m")
 		if err != nil {
 			return nil, err
 		}
-		defer stop()
-		bases = []string{"http://" + addr}
+		defer d.Stop()
+		bases = []string{d.Base()}
 	}
 
 	base := bases[0]
-	for _, b := range bases {
-		if err := smoke.Await(b+"/v1/healthz", 10*time.Second); err != nil {
-			return nil, fmt.Errorf("daemon %s never became healthy: %w", b, err)
-		}
-	}
 	// The anchor session every run/sweep targets: dense enough that
 	// exhaustive sweeps are heavy, small enough to build quickly.
-	id, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":16}`)
+	id, _, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":16}`, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -710,13 +705,13 @@ func fireOnce(base, node, sessionID string, ev trafficEvent, rec *recorder) (str
 	case ev.build:
 		// A tiny real build: exercises the build limiter and keeps the
 		// breaker's consecutive-failure count at zero during mixed traffic.
-		status, headers, _, err = do(http.MethodPost, base+"/v1/sessions", `{"query":"2D_EQ","gridRes":4}`)
+		status, headers, _, err = smoke.Do(http.MethodPost, base+"/v1/sessions", `{"query":"2D_EQ","gridRes":4}`, nil)
 		if status == http.StatusAccepted || status == http.StatusCreated {
 			status = http.StatusOK
 		}
 	case ev.body != "":
 		var body []byte
-		status, headers, body, err = do(http.MethodPost, base+"/v1/sessions/"+sessionID+"/run", ev.body)
+		status, headers, body, err = smoke.Do(http.MethodPost, base+"/v1/sessions/"+sessionID+"/run", ev.body, nil)
 		if status == http.StatusOK {
 			var doc struct {
 				GuardVerdict string            `json:"guardVerdict"`
@@ -728,8 +723,8 @@ func fireOnce(base, node, sessionID string, ev trafficEvent, rec *recorder) (str
 			}
 		}
 	default:
-		status, headers, _, err = do(http.MethodGet,
-			fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=spillbound&max=%d", base, sessionID, ev.sweepMax), "")
+		status, headers, _, err = smoke.Do(http.MethodGet,
+			fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=spillbound&max=%d", base, sessionID, ev.sweepMax), "", nil)
 	}
 	latency := time.Since(start)
 	if err == nil {
@@ -758,7 +753,7 @@ func fireOnce(base, node, sessionID string, ev trafficEvent, rec *recorder) (str
 func breakerDrill(base string, rec *recorder) error {
 	for i := 0; i < breakerThreshold; i++ {
 		start := time.Now()
-		status, headers, body, err := do(http.MethodPost, base+"/v1/sessions", `{"query":"CHAOS_FAIL"}`)
+		status, headers, body, err := smoke.Do(http.MethodPost, base+"/v1/sessions", `{"query":"CHAOS_FAIL"}`, nil)
 		if err != nil {
 			return fmt.Errorf("chaos build %d: %w", i+1, err)
 		}
@@ -781,7 +776,7 @@ func breakerDrill(base string, rec *recorder) error {
 		rec.observe("build:chaos", "", "", "build_failed", time.Since(start), nil, "")
 	}
 	start := time.Now()
-	status, headers, body, err := do(http.MethodPost, base+"/v1/sessions", `{"query":"CHAOS_FAIL"}`)
+	status, headers, body, err := smoke.Do(http.MethodPost, base+"/v1/sessions", `{"query":"CHAOS_FAIL"}`, nil)
 	if err != nil {
 		return err
 	}
@@ -815,7 +810,7 @@ func sessionStatus(base, id string) (string, error) {
 
 // scrapeDaemon cross-checks the census against the daemon's own exposition.
 func scrapeDaemon(base string) (*daemonView, error) {
-	fams, err := smoke.Scrape(base)
+	fams, err := smoke.Scrape(base, smoke.Prometheus)
 	if err != nil {
 		return nil, err
 	}
@@ -834,10 +829,4 @@ func scrapeDaemon(base string) (*daemonView, error) {
 		}
 	}
 	return out, nil
-}
-
-// do issues one request and returns (status, headers, body, error). Latency
-// is the caller's business so retries never hide in the measurement.
-func do(method, url, body string) (int, http.Header, []byte, error) {
-	return smoke.Do(method, url, body)
 }

@@ -1,9 +1,8 @@
 // Package smoke is the shared toolkit of the end-to-end daemon drills
-// (cmd/metricssmoke, cmd/overloadsmoke, cmd/tracesmoke, cmd/fleetsmoke,
-// cmd/brownoutsmoke, cmd/replay): build and boot rqpd, poll with a deadline,
-// drive the /v1 session lifecycle, scrape the Prometheus exposition, and
-// check goroutine hygiene after load. Every helper is a plain function
-// returning errors — the drills decide what is fatal.
+// (cmd/drill, cmd/replay): build and boot rqpd singly or as a fleet, poll
+// with a deadline, drive the /v1 session lifecycle, scrape the metrics
+// exposition, and check goroutine hygiene after load. Every helper is a
+// plain function returning errors — the drills decide what is fatal.
 package smoke
 
 import (
@@ -47,15 +46,20 @@ func Poll(what string, timeout, interval time.Duration, fn func() (bool, error))
 	}
 }
 
-// FreeAddr reserves and releases a loopback TCP address for the daemon.
-func FreeAddr() (string, error) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+// freeAddrs reserves n distinct loopback TCP addresses. Every listener is
+// held until all n are bound and only then released, so the kernel cannot
+// hand the same port out twice within one call.
+func freeAddrs(n int) ([]string, error) {
+	addrs := make([]string, 0, n)
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		defer l.Close()
+		addrs = append(addrs, l.Addr().String())
 	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr, nil
+	return addrs, nil
 }
 
 // BuildDaemon compiles ./cmd/rqpd into binPath.
@@ -66,24 +70,86 @@ func BuildDaemon(binPath string) error {
 	return nil
 }
 
-// Daemon is a started rqpd process handle. Most drills only ever Stop()
-// (graceful SIGTERM); the fleet chaos drill also Kill()s an owner mid-run —
-// SIGKILL, no shutdown hooks, the honest crash.
+// Daemon is a started rqpd process listening on Addr. Most drills only ever
+// Stop() it (graceful SIGTERM); the fleet chaos drill also Kill()s an owner
+// mid-run — SIGKILL, no shutdown hooks, the honest crash.
 type Daemon struct {
+	Addr    string
 	cmd     *exec.Cmd
 	stopped bool
 }
 
-// Start boots a built rqpd with the given flags, forwarding its output to
-// stderr.
-func Start(binPath string, args ...string) (*Daemon, error) {
-	cmd := exec.Command(binPath, args...)
+// Base is the daemon's HTTP base URL.
+func (d *Daemon) Base() string { return "http://" + d.Addr }
+
+// start boots a built rqpd on addr with the given extra flags, forwarding
+// its output to stderr. It does not wait for the daemon to serve.
+func start(binPath, addr string, flags ...string) (*Daemon, error) {
+	cmd := exec.Command(binPath, append([]string{"-addr", addr}, flags...)...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return nil, err
 	}
-	return &Daemon{cmd: cmd}, nil
+	return &Daemon{Addr: addr, cmd: cmd}, nil
+}
+
+// Boot starts rqpd on a free loopback address with the given flags and
+// waits up to 10s for /v1/healthz to answer 200. A daemon that never comes
+// up is stopped before the error returns.
+func Boot(binPath string, flags ...string) (*Daemon, error) {
+	addrs, err := freeAddrs(1)
+	if err != nil {
+		return nil, err
+	}
+	d, err := start(binPath, addrs[0], flags...)
+	if err != nil {
+		return nil, err
+	}
+	if err := Await(d.Base()+"/v1/healthz", 10*time.Second); err != nil {
+		d.Stop()
+		return nil, fmt.Errorf("daemon never became healthy: %w", err)
+	}
+	return d, nil
+}
+
+// BootFleet starts n rqpd nodes peered with each other (-peers lists all
+// of them) plus the given flags, waits up to 10s for each to answer
+// /v1/fleet/health, and then up to 10s more for every node to see all n
+// peers live. Placement against a still-forming ring can hash a session to
+// a different owner than the formed ring reports, so drills place nothing
+// before this returns. On error every started node is stopped.
+func BootFleet(binPath string, n int, flags ...string) ([]*Daemon, error) {
+	addrs, err := freeAddrs(n)
+	if err != nil {
+		return nil, err
+	}
+	flags = append([]string{"-peers", strings.Join(addrs, ",")}, flags...)
+	nodes := make([]*Daemon, 0, n)
+	fail := func(err error) ([]*Daemon, error) {
+		for _, d := range nodes {
+			d.Stop()
+		}
+		return nil, err
+	}
+	for _, a := range addrs {
+		d, err := start(binPath, a, flags...)
+		if err != nil {
+			return fail(err)
+		}
+		nodes = append(nodes, d)
+	}
+	for _, d := range nodes {
+		if err := Await(d.Base()+"/v1/fleet/health", 10*time.Second); err != nil {
+			return fail(err)
+		}
+	}
+	for _, d := range nodes {
+		if err := AwaitLive(d.Addr, n, 10*time.Second); err != nil {
+			return fail(err)
+		}
+	}
+	return nodes, nil
 }
 
 // Stop terminates the daemon gracefully (SIGTERM with a kill fallback after
@@ -115,17 +181,6 @@ func (d *Daemon) Kill() {
 	d.cmd.Wait()
 }
 
-// StartDaemon boots a built rqpd with the given flags, forwarding its output
-// to stderr, and returns an idempotent stop function (SIGTERM with a kill
-// fallback after 10s — the graceful-shutdown drill by default).
-func StartDaemon(binPath string, args ...string) (stop func(), err error) {
-	d, err := Start(binPath, args...)
-	if err != nil {
-		return nil, err
-	}
-	return d.Stop, nil
-}
-
 // Await polls url until it answers 200 (connection errors mean "booting" and
 // keep the poll alive).
 func Await(url string, timeout time.Duration) error {
@@ -140,28 +195,39 @@ func Await(url string, timeout time.Duration) error {
 	})
 }
 
-// CreateSession POSTs the create payload and returns the accepted session ID
+// AwaitLive polls addr's membership snapshot until it reports want live
+// peers (errors keep the poll alive: a partitioned or booting node may not
+// answer yet).
+func AwaitLive(addr string, want int, timeout time.Duration) error {
+	return Poll(fmt.Sprintf("%s to see %d live peers", addr, want), timeout, 50*time.Millisecond, func() (bool, error) {
+		var doc struct {
+			Live int `json:"live"`
+		}
+		if err := GetJSON("http://"+addr+"/v1/fleet/peers", &doc); err != nil {
+			return false, nil
+		}
+		return doc.Live == want, nil
+	})
+}
+
+// CreateSession POSTs the create payload with the given extra request
+// headers and returns the accepted session ID and the response headers
 // (the build is still asynchronous — pair with AwaitReady).
-func CreateSession(base, body string) (string, error) {
-	resp, err := http.Post(base+"/v1/sessions", "application/json", strings.NewReader(body))
+func CreateSession(base, body string, hdr map[string]string) (string, http.Header, error) {
+	status, h, b, err := Do(http.MethodPost, base+"/v1/sessions", body, hdr)
 	if err != nil {
-		return "", err
+		return "", nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusCreated {
-		b, _ := io.ReadAll(resp.Body)
-		return "", fmt.Errorf("create session: status %d: %s", resp.StatusCode, b)
+	if status != http.StatusAccepted && status != http.StatusCreated {
+		return "", nil, fmt.Errorf("create session: status %d: %s", status, b)
 	}
 	var doc struct {
 		ID string `json:"id"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return "", err
+	if err := json.Unmarshal(b, &doc); err != nil || doc.ID == "" {
+		return "", nil, fmt.Errorf("create session: bad response: %s", b)
 	}
-	if doc.ID == "" {
-		return "", fmt.Errorf("create session: no id in response")
-	}
-	return doc.ID, nil
+	return doc.ID, h, nil
 }
 
 // AwaitReady polls the session resource until its status is ready; a failed
@@ -193,44 +259,51 @@ func AwaitReady(base, id string, timeout time.Duration) error {
 
 // Get fetches url and requires a 200.
 func Get(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return nil
+	_, err := expectOK(http.MethodGet, url, "")
+	return err
 }
 
 // Post sends a JSON payload and requires a 200.
 func Post(url, body string) error {
-	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	_, err := expectOK(http.MethodPost, url, body)
+	return err
+}
+
+// GetJSON fetches url, requires a 200, and decodes the body into v.
+func GetJSON(url string, v any) error {
+	b, err := expectOK(http.MethodGet, url, "")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: status %d: %s", url, resp.StatusCode, b)
-	}
-	return nil
+	return json.Unmarshal(b, v)
 }
 
-// Do issues one request with an optional JSON body and returns the status,
-// the response headers, and the response body. The headers matter to drills
-// that assert on the correlation contract (Traceparent, X-Request-ID,
-// Retry-After); latency is the caller's business so retries never hide in
-// the measurement.
-func Do(method, url, body string) (int, http.Header, []byte, error) {
+func expectOK(method, url, body string) ([]byte, error) {
+	status, _, b, err := Do(method, url, body, nil)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("%s %s: status %d: %s", method, url, status, b)
+	}
+	return b, nil
+}
+
+// Do issues one request with an optional JSON body and extra request
+// headers, and returns the status, the response headers, and the response
+// body. The headers matter to drills that assert on the correlation
+// contract (Traceparent, X-Request-ID, Retry-After); latency is the
+// caller's business so retries never hide in the measurement.
+func Do(method, url, body string, hdr map[string]string) (int, http.Header, []byte, error) {
 	req, err := http.NewRequest(method, url, strings.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range hdr {
+		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -241,59 +314,57 @@ func Do(method, url, body string) (int, http.Header, []byte, error) {
 	return resp.StatusCode, resp.Header, b, err
 }
 
-// Scrape fetches /v1/metrics and returns the parsed Prometheus families.
-func Scrape(base string) (map[string]*telemetry.ParsedFamily, error) {
-	resp, err := http.Get(base + "/v1/metrics")
+// Flavor is a /v1/metrics exposition format, named by the Content-Type
+// prefix the daemon answers it with.
+type Flavor string
+
+const (
+	// Prometheus is the classic text exposition, served by default.
+	Prometheus Flavor = "text/plain"
+	// OpenMetrics additionally carries histogram bucket exemplars; the
+	// daemon serves it when the scrape's Accept header asks for it.
+	OpenMetrics Flavor = "application/openmetrics-text"
+)
+
+// Scrape fetches /v1/metrics in the given flavor, requires the matching
+// Content-Type, and returns the parsed families.
+func Scrape(base string, flavor Flavor) (map[string]*telemetry.ParsedFamily, error) {
+	var hdr map[string]string
+	if flavor == OpenMetrics {
+		hdr = map[string]string{"Accept": string(OpenMetrics)}
+	}
+	status, h, body, err := Do(http.MethodGet, base+"/v1/metrics", "", hdr)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("metrics status %d", status)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		return nil, fmt.Errorf("metrics content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
+	if ct := h.Get("Content-Type"); !strings.HasPrefix(ct, string(flavor)) {
+		return nil, fmt.Errorf("%s scrape: content type %q", flavor, ct)
 	}
 	fams, err := telemetry.ParseProm(bytes.NewReader(body))
 	if err != nil {
-		return nil, fmt.Errorf("exposition does not parse: %w", err)
+		return nil, fmt.Errorf("%s exposition does not parse: %w", flavor, err)
 	}
 	return fams, nil
 }
 
-// ScrapeOpenMetrics fetches /v1/metrics negotiating the OpenMetrics flavor
-// (which additionally carries histogram bucket exemplars) and returns the
-// parsed families.
-func ScrapeOpenMetrics(base string) (map[string]*telemetry.ParsedFamily, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/v1/metrics", nil)
-	if err != nil {
-		return nil, err
+// Sum adds up the samples of family name, keeping only those whose label
+// equals value when label is non-empty. A missing family sums to 0.
+func Sum(fams map[string]*telemetry.ParsedFamily, name, label, value string) float64 {
+	fam, ok := fams[name]
+	if !ok {
+		return 0
 	}
-	req.Header.Set("Accept", "application/openmetrics-text")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
+	var sum float64
+	for _, s := range fam.Samples {
+		if label != "" && s.Labels[label] != value {
+			continue
+		}
+		sum += s.Value
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/openmetrics-text") {
-		return nil, fmt.Errorf("openmetrics content type %q", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	fams, err := telemetry.ParseProm(bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("openmetrics exposition does not parse: %w", err)
-	}
-	return fams, nil
+	return sum
 }
 
 // AwaitGoroutineSettle polls /v1/debug/stats until the daemon's goroutine

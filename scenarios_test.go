@@ -2,6 +2,7 @@ package repro
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 )
@@ -38,12 +39,13 @@ func TestScenarioSuitePublicAPI(t *testing.T) {
 
 // TestSweepScenariosAcrossAlgorithms is the tentpole acceptance check: one
 // seeded suite drives per-regime MSO/ASO for all three q-error regimes
-// across every robust strategy, from a single harness.
+// across every robust strategy and a selection strategy, from a single
+// harness, and the guard-verdict census records the pinned drills.
 func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 	sess := newTestSession(t)
 	suite := ScenarioSuite(42, 2)
 	want := Regimes()
-	for _, a := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
+	for _, a := range []Algorithm{PlanBouquet, SpillBound, AlignedBound, "penaltyaware"} {
 		summaries, err := sess.SweepScenarios(context.Background(), a, suite, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
@@ -59,19 +61,30 @@ func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 			if rs.Algorithm != a || rs.Scenarios != 2 {
 				t.Errorf("%v/%s: algorithm/scenario bookkeeping: %+v", a, rs.Regime, rs)
 			}
-			if rs.Locations == 0 || rs.MSO < 1 || rs.ASO < 1 || rs.MSO < rs.ASO {
+			if rs.Locations == 0 || math.IsInf(rs.MSO, 0) || math.IsNaN(rs.MSO) ||
+				rs.MSO < 1 || rs.ASO < 1 || rs.MSO < rs.ASO {
 				t.Errorf("%v/%s: implausible aggregates MSO=%g ASO=%g locations=%d",
 					a, rs.Regime, rs.MSO, rs.ASO, rs.Locations)
 			}
 			if rs.MSO > 1 && rs.WorstLocation == nil {
 				t.Errorf("%v/%s: missing worst location", a, rs.Regime)
 			}
+			// regret-correlated-1 always overruns its budgets, so the
+			// watchdog must abort for a discovery and a selection strategy;
+			// adversarial-1 skews monitoring past the ESS boundary.
+			if rs.Regime == RegimeCorrelated && (a == SpillBound || a == "penaltyaware") &&
+				rs.GuardVerdicts["budget_abort"] == 0 {
+				t.Errorf("%v/%s: no budget_abort censused", a, rs.Regime)
+			}
+			if rs.Regime == RegimeAdversarial && a == SpillBound && rs.GuardVerdicts["ess_escape"] == 0 {
+				t.Errorf("%v/%s: no ess_escape censused", a, rs.Regime)
+			}
 			escapes += rs.GuardVerdicts["ess_escape"]
 		}
-		// adversarial-1 skews monitoring past the ESS boundary, so the escape
-		// guardrail must fire for the spill-monitoring strategies. PlanBouquet
-		// never spills — learned-selectivity skew is physically inert there.
-		if a != PlanBouquet && escapes == 0 {
+		// The escape guardrail must fire for the spill-monitoring
+		// strategies. PlanBouquet never spills and the selection family has
+		// no spill monitoring — learned-selectivity skew is inert there.
+		if (a == SpillBound || a == AlignedBound) && escapes == 0 {
 			t.Errorf("%v: no ess_escape interventions across the suite", a)
 		}
 	}

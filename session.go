@@ -662,8 +662,7 @@ func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations in
 // subsampling), returning one summary per requested strategy in request
 // order. Names are exact registry names (see ParseStrategy);
 // duplicates collapse to their first occurrence. An empty names slice
-// sweeps every registered strategy, sorted by name — the comparison the
-// `make sweep-strategies` smoke and the strategy-breadth experiments run.
+// sweeps every registered strategy, sorted by name.
 func (s *Session) SweepStrategies(ctx context.Context, names []string, maxLocations int) ([]SweepSummary, error) {
 	if len(names) == 0 {
 		names = StrategyNames()

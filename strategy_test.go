@@ -83,7 +83,8 @@ func TestStrategyRegistryConcurrency(t *testing.T) {
 // TestSelectionStrategiesRunAndSweep runs each selection-family strategy
 // end-to-end on the shared 2D session: no MSO guarantee (+Inf), but every
 // run must finish its budget-doubling ladder on one committed plan with the
-// charged ledger matching the step stream, and sweeps must land finite.
+// charged ledger matching the step stream, and sweeps must land finite —
+// for them and, over one shared sample, for every registered strategy.
 func TestSelectionStrategiesRunAndSweep(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
@@ -125,6 +126,25 @@ func TestSelectionStrategiesRunAndSweep(t *testing.T) {
 		}
 		if math.IsInf(sweep.MSO, 0) || sweep.MSO < 1 {
 			t.Errorf("%s: sweep MSO %g", name, sweep.MSO)
+		}
+	}
+
+	// Registry-wide: every registered strategy over one shared sample must
+	// land a finite MSO >= 1, and discovery strategies stay within their
+	// guarantees (+Inf for the rest, which never trips).
+	sums, err := sess.SweepStrategies(context.Background(), nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(StrategyNames()); len(sums) != want {
+		t.Fatalf("swept %d strategies, registry has %d", len(sums), want)
+	}
+	for _, sum := range sums {
+		if math.IsInf(sum.MSO, 0) || math.IsNaN(sum.MSO) || sum.MSO < 1 {
+			t.Errorf("%v: MSO %g is not finite and >= 1", sum.Algorithm, sum.MSO)
+		}
+		if g := sess.Guarantee(sum.Algorithm); sum.MSO > g+1e-9 {
+			t.Errorf("%v: MSO %g exceeds guarantee %g", sum.Algorithm, sum.MSO, g)
 		}
 	}
 }
