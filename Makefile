@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet chaos resume-chaos drills bench experiments replay-smoke atlas fuzz clean
+.PHONY: all build test race vet examples chaos resume-chaos drills bench experiments replay-smoke atlas fuzz clean
 
 all: vet build test
 
@@ -15,6 +15,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# examples runs every program under examples/ end to end: they drive the
+# public API (sessions, sweeps, physical runs, rendering, the service), and
+# `go build` alone does not catch a runtime break there.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # chaos runs the seeded fault-injection scenarios under the race detector:
 # injected errors, operator panics, cost-eval failures and latency faults

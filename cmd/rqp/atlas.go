@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -16,8 +17,9 @@ import (
 // algorithms, and dump the per-regime robustness atlas as SVG or JSON.
 //
 //	rqp atlas -query 2D_EQ -algos spillbound,planbouquet -seed 7 -o atlas.svg
-func atlasMain(args []string) error {
-	fs := flag.NewFlagSet("rqp atlas", flag.ExitOnError)
+func atlasMain(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rqp atlas", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		queryName = fs.String("query", "2D_Q91", "2D benchmark query name (see rqp -list)")
 		res       = fs.Int("res", 0, "grid resolution override (0 = query default)")
@@ -64,7 +66,7 @@ func atlasMain(args []string) error {
 	if *res != 0 {
 		opts.GridRes = *res
 	}
-	fmt.Fprintf(os.Stderr, "building ESS for %s and sweeping %d scenarios x %d algorithms...\n",
+	fmt.Fprintf(stderr, "building ESS for %s and sweeping %d scenarios x %d algorithms...\n",
 		sp.Name, 3**perRegime, len(algos))
 	sess, err := repro.NewBenchmarkSession(sp, opts)
 	if err != nil {
@@ -88,12 +90,12 @@ func atlasMain(args []string) error {
 		}
 	}
 	if *outPath == "-" {
-		_, err = os.Stdout.Write(payload)
+		_, err = stdout.Write(payload)
 		return err
 	}
 	if err := os.WriteFile(*outPath, payload, 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *outPath, len(payload))
+	fmt.Fprintf(stderr, "wrote %s (%d bytes)\n", *outPath, len(payload))
 	return nil
 }

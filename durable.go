@@ -230,9 +230,3 @@ func (s *Session) requireStore() error {
 func (s *Session) RunDurableWithFaults(ctx context.Context, a Algorithm, truth Location, runID string, fp *FaultPlan) (RunResult, error) {
 	return s.RunDurable(faults.With(ctx, fp.internal()), a, truth, runID)
 }
-
-// ResumeRunWithFaults is ResumeRun with a fault plan attached, so chaos
-// suites can crash a run repeatedly across successive resumes.
-func (s *Session) ResumeRunWithFaults(ctx context.Context, runID string, fp *FaultPlan) (RunResult, error) {
-	return s.ResumeRun(faults.With(ctx, fp.internal()), runID)
-}

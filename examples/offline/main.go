@@ -78,7 +78,7 @@ func main() {
 		noisy.SubOpt, warm.Guarantee(repro.SpillBound)*1.3*1.3)
 
 	// 6. And the paper's Fig. 7 view of the discovery.
-	plotted, err := warm.RenderRun(truth)
+	plotted, err := warm.RenderRun(repro.SpillBound, truth)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,17 +1,19 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/aligned"
-	"repro/internal/bouquet"
 	"repro/internal/engine"
 	"repro/internal/eppid"
 	"repro/internal/ess"
 	"repro/internal/rowexec"
 	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/viz"
 )
 
@@ -93,13 +95,18 @@ func (s *Session) ContourMap() (string, error) {
 	return viz.ContourMap(s.space, s.opts.ContourRatio)
 }
 
-// RenderRun executes SpillBound at the given truth and renders the Fig. 7
-// style Manhattan discovery profile over the contour map (2D only).
-func (s *Session) RenderRun(truth Location) (string, error) {
-	if len(truth) != s.D() {
-		return "", fmt.Errorf("repro: truth has %d dims, query has %d epps", len(truth), s.D())
+// RenderRun runs the strategy at the given truth and renders the Fig. 7
+// style Manhattan discovery profile of its spill executions over the
+// contour map (2D only).
+func (s *Session) RenderRun(a Algorithm, truth Location) (string, error) {
+	res, err := s.Run(a, truth)
+	if err != nil {
+		return "", err
 	}
-	out := (&spillbound.Runner{Space: s.space, Ratio: s.opts.ContourRatio}).Run(engine.New(s.model, truth))
+	var out spillbound.Outcome
+	for _, st := range res.Steps {
+		out.Executions = append(out.Executions, spillbound.Execution{Dim: st.SpillDim, Learned: st.Learned})
+	}
 	return viz.Fig7(s.space, s.opts.ContourRatio, out, truth)
 }
 
@@ -108,44 +115,29 @@ func (s *Session) GuaranteeRangeAB() (lo, hi float64) {
 	return aligned.GuaranteeLower(s.D()), aligned.GuaranteeUpper(s.D())
 }
 
-// RunPhysical executes the chosen robust algorithm end-to-end on the
+// RunPhysical executes the chosen discovery strategy end-to-end on the
 // row-at-a-time engine over deterministic synthetic data (the closest
 // analogue of the paper's modified PostgreSQL): budgets are enforced — and
 // selectivities learnt — by actual tuple execution rather than the cost
-// simulator. rowCap bounds each relation's generated cardinality
-// (0 = catalog cardinality; keep it small, execution is O(rows)). The
-// reported OptimalCost is the cheapest measured execution among the POSP
-// plans, so SubOpt compares like with like. Native is not supported here
-// (it needs no discovery machinery).
+// simulator. It is the session's run path with one thing swapped: the
+// strategy's executor is the row engine instead of the cost-model stack,
+// so the result carries the same Steps, Events and derived Trace. rowCap
+// bounds each relation's generated cardinality (0 = catalog cardinality;
+// keep it small, execution is O(rows)). The reported OptimalCost is the
+// cheapest measured execution among the POSP plans, so SubOpt compares like
+// with like. Only "discovery" strategies are supported (the native baseline
+// and the selection strategies are rejected).
 func (s *Session) RunPhysical(a Algorithm, rowCap int64) (RunResult, error) {
-	re := &rowexec.Engine{Query: s.query, Params: s.opts.Params, RowCap: rowCap}
-	ad := &rowexec.Adapter{E: re}
-	res := RunResult{Algorithm: a}
-	switch a {
-	case PlanBouquet:
-		out := bouquet.Run(s.diag, ad, s.opts.ContourRatio)
-		res.TotalCost = out.TotalCost
-		for _, st := range out.Steps {
-			res.Steps = append(res.Steps, ExecutionStep{
-				Contour: st.Contour + 1, SpillDim: -1, PlanID: st.PlanID,
-				Budget: st.Budget, Spent: st.Spent, Completed: st.Completed,
-			})
-			res.Trace += st.String() + "\n"
-		}
-	case SpillBound:
-		out := (&spillbound.Runner{Space: s.space, Ratio: s.opts.ContourRatio}).Run(ad)
-		res.TotalCost = out.TotalCost
-		res.Steps = convertSteps(out.Executions)
-		res.Trace = out.Trace()
-	case AlignedBound:
-		out := (&aligned.Runner{Space: s.space, Ratio: s.opts.ContourRatio}).Run(ad)
-		res.TotalCost = out.TotalCost
-		for _, x := range out.Executions {
-			res.Steps = append(res.Steps, stepFrom(x.Execution))
-		}
-		res.Trace = out.Trace()
-	default:
+	st, ok := LookupStrategy(string(a))
+	if !ok || st.Info().Kind != "discovery" {
 		return RunResult{}, fmt.Errorf("repro: physical execution supports planbouquet, spillbound, alignedbound; got %v", a)
+	}
+	re := &rowexec.Engine{Query: s.query, Params: s.opts.Params, RowCap: rowCap}
+	rec := telemetry.NewRecorder()
+	ctx := telemetry.With(context.Background(), rec)
+	out, err := st.Run(ctx, &StrategyRun{sess: s, rex: &rowexec.Adapter{E: re}, rec: rec})
+	if err != nil {
+		return RunResult{}, fmt.Errorf("repro: physical run: %w", err)
 	}
 	// Physical oracle: the cheapest measured POSP plan execution.
 	best := -1.0
@@ -161,7 +153,9 @@ func (s *Session) RunPhysical(a Algorithm, rowCap int64) (RunResult, error) {
 	if best <= 0 {
 		return RunResult{}, fmt.Errorf("repro: no POSP plan executed physically")
 	}
-	res.OptimalCost = best
-	res.SubOpt = res.TotalCost / best
-	return res, nil
+	res := RunResult{
+		Algorithm: a, Steps: out.Steps, TotalCost: out.TotalCost,
+		OptimalCost: best, SubOpt: out.TotalCost / best, TraceID: trace.New().TraceID,
+	}
+	return finishRun(rec, res, true), nil
 }

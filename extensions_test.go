@@ -3,8 +3,11 @@ package repro
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func TestIdentifyEPPs(t *testing.T) {
@@ -103,6 +106,25 @@ func TestRunWithCostError(t *testing.T) {
 	}
 }
 
+// renderRunSpillBound pins RenderRun(SpillBound, (0.02, 0.2)) on the test
+// session byte for byte.
+const renderRunSpillBound = `ESS contour map (29 contours, C_min=6.37e+05, C_max=1.07e+14; bands labelled by covering contour)
+'*' = q_run Manhattan profile, 'X' = q_a
+    1e+00 |8acfhjlnqs
+          |68acfhjXnq
+          |468acfh*ln
+          |2468acf*jl
+    2e-03 |12468a**hj
+          |11246**cfh
+          |1112**8acf
+          |1111*468ac
+          |1111*2468a
+    1e-06 |*****12468
+          +----------
+           1e-06 1e+00
+           dimension 0 selectivity (log scale) →
+`
+
 func TestContourMapAndRenderRun(t *testing.T) {
 	sess := newTestSession(t)
 	m, err := sess.ContourMap()
@@ -112,14 +134,22 @@ func TestContourMapAndRenderRun(t *testing.T) {
 	if !strings.Contains(m, "contour map") {
 		t.Error("map header missing")
 	}
-	out, err := sess.RenderRun(Location{0.02, 0.2})
+	out, err := sess.RenderRun(SpillBound, Location{0.02, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "X") || !strings.Contains(out, "*") {
-		t.Errorf("render missing trace markers:\n%s", out)
+	if out != renderRunSpillBound {
+		t.Errorf("RenderRun(SpillBound) drifted:\n%s\nwant:\n%s", out, renderRunSpillBound)
 	}
-	if _, err := sess.RenderRun(Location{0.5}); err == nil {
+	// Every strategy renders: the profile follows its spill executions
+	// (none for PlanBouquet, whose path jumps straight to the truth).
+	for _, a := range []Algorithm{AlignedBound, PlanBouquet} {
+		out, err := sess.RenderRun(a, Location{0.02, 0.2})
+		if err != nil || !strings.Contains(out, "X") || !strings.Contains(out, "*") {
+			t.Errorf("RenderRun(%v) = %v, missing trace markers:\n%s", a, err, out)
+		}
+	}
+	if _, err := sess.RenderRun(SpillBound, Location{0.5}); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 }
@@ -135,19 +165,50 @@ func TestGuaranteeRangeAB(t *testing.T) {
 func TestRunPhysical(t *testing.T) {
 	sess := newTestSession(t)
 	const rowCap = 2000
-	for _, a := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
+	// Pinned costs, steps and traces of the physical runs.
+	spill := []ExecutionStep{
+		{Contour: 1, SpillDim: 0, PlanID: 0, Budget: 636697.9015052988, Spent: 178.40507279695112, Completed: true, Learned: 4.929577464788732e-05},
+		{Contour: 2, SpillDim: -1, PlanID: 0, Budget: 1.2733958030105976e+06, Spent: 250.26083141762655, Completed: true},
+	}
+	spillTrace := "IC1: p0|6.367e+05 spill dim 0 → 4.93e-05\nIC2: P0|1.273e+06 ✓\n"
+	want := map[Algorithm]struct {
+		total float64
+		steps []ExecutionStep
+		trace string
+	}{
+		PlanBouquet: {250.26083141762655, []ExecutionStep{
+			{Contour: 1, SpillDim: -1, PlanID: 0, Budget: 764037.4818063586, Spent: 250.26083141762655, Completed: true},
+		}, "IC1: P0|7.64e+05 ✓\n"},
+		SpillBound:   {428.66590421457767, spill, spillTrace},
+		AlignedBound: {428.66590421457767, spill, spillTrace},
+	}
+	const optimal = 249.5858314176414
+	for a, w := range want {
 		res, err := sess.RunPhysical(a, rowCap)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
-		if res.SubOpt < 1-1e-9 {
-			t.Errorf("%v: physical SubOpt %g below 1", a, res.SubOpt)
+		if res.TotalCost != w.total || res.OptimalCost != optimal || res.SubOpt != w.total/optimal {
+			t.Errorf("%v: total/optimal/subopt = %v/%v/%v, want %v/%v/%v",
+				a, res.TotalCost, res.OptimalCost, res.SubOpt, w.total, optimal, w.total/optimal)
 		}
-		if len(res.Steps) == 0 || res.Trace == "" {
-			t.Errorf("%v: empty physical trace", a)
+		if !reflect.DeepEqual(res.Steps, w.steps) {
+			t.Errorf("%v: steps = %+v, want %+v", a, res.Steps, w.steps)
+		}
+		if res.Trace != w.trace {
+			t.Errorf("%v: trace = %q, want %q", a, res.Trace, w.trace)
+		}
+		n := len(res.Events)
+		if n == 0 || res.Events[0].Kind != telemetry.ContourEnter || res.Events[n-1].Kind != telemetry.Done {
+			t.Fatalf("%v: events must run contour_enter … done, got %+v", a, res.Events)
+		}
+		if res.Trace != telemetry.RenderTrace(res.Events) {
+			t.Errorf("%v: Trace is not the rendering of Events", a)
 		}
 	}
-	if _, err := sess.RunPhysical(Native, rowCap); err == nil {
-		t.Error("physical native should be rejected")
+	for _, a := range []Algorithm{Native, "penaltyaware", "nosuch"} {
+		if _, err := sess.RunPhysical(a, rowCap); err == nil {
+			t.Errorf("physical %v should be rejected", a)
+		}
 	}
 }

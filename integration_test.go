@@ -86,7 +86,7 @@ func TestEndToEndEQ(t *testing.T) {
 	if _, err := warm.ContourMap(); err != nil {
 		t.Errorf("ContourMap: %v", err)
 	}
-	if _, err := warm.RenderRun(truth); err != nil {
+	if _, err := warm.RenderRun(SpillBound, truth); err != nil {
 		t.Errorf("RenderRun: %v", err)
 	}
 }

@@ -77,11 +77,6 @@ type Resilient struct {
 	events  []string
 }
 
-// NewResilient wraps the executor with the default policy.
-func NewResilient(e Executor) *Resilient {
-	return &Resilient{Exec: AsContextExecutor(e), Policy: DefaultPolicy()}
-}
-
 // Retries reports the total number of retry attempts performed.
 func (r *Resilient) Retries() int {
 	r.mu.Lock()

@@ -456,7 +456,7 @@ func (s *Server) Close() {
 	s.buildWG.Wait()
 }
 
-// queryInfo is one /queries entry.
+// queryInfo is one /v1/queries entry.
 type queryInfo struct {
 	Name    string `json:"name"`
 	D       int    `json:"d"`
@@ -466,10 +466,7 @@ type queryInfo struct {
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	var out []queryInfo
-	for _, sp := range workload.TPCDSQueries() {
-		out = append(out, queryInfo{Name: sp.Name, D: sp.D, Catalog: sp.Catalog, GridRes: sp.GridRes})
-	}
-	for _, sp := range []workload.Spec{workload.Q91(2), workload.JOB1a(), workload.EQ()} {
+	for _, sp := range workload.All() {
 		out = append(out, queryInfo{Name: sp.Name, D: sp.D, Catalog: sp.Catalog, GridRes: sp.GridRes})
 	}
 	writeJSON(w, http.StatusOK, out)

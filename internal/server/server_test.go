@@ -130,18 +130,20 @@ func TestHealthz(t *testing.T) {
 
 func TestQueriesList(t *testing.T) {
 	ts := testServer(t)
-	var out []map[string]any
+	var out []queryInfo
 	resp := getJSON(t, ts.URL+"/v1/queries", &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	names := map[string]bool{}
-	for _, q := range out {
-		names[q["name"].(string)] = true
+	// The listing is workload.All, the table ByName and rqp -list read.
+	all := workload.All()
+	if len(out) != len(all) {
+		t.Fatalf("/v1/queries lists %d queries, workload.All has %d", len(out), len(all))
 	}
-	for _, want := range []string{"4D_Q91", "JOB_1a", "2D_EQ", "2D_Q91"} {
-		if !names[want] {
-			t.Errorf("missing %s in /v1/queries", want)
+	for i, sp := range all {
+		want := queryInfo{Name: sp.Name, D: sp.D, Catalog: sp.Catalog, GridRes: sp.GridRes}
+		if out[i] != want {
+			t.Errorf("/v1/queries[%d] = %+v, want %+v", i, out[i], want)
 		}
 	}
 }

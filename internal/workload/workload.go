@@ -328,7 +328,7 @@ func JOB1a() Spec {
 
 // ChaosFail returns a spec whose build always fails: the query references
 // tables absent from every catalog, so binding errors out immediately. It is
-// deliberately excluded from Names() and the daemon's query listing — it
+// deliberately excluded from All(), and so from every query listing — it
 // exists for resilience drills (cmd/replay's circuit-breaker phase) that
 // need a session build to fail on demand against a real daemon.
 func ChaosFail() Spec {
@@ -342,38 +342,33 @@ func ChaosFail() Spec {
 	}
 }
 
-// ByName returns the suite query with the given name (including the Q91
-// dimensional variants, JOB_1a, and the hidden CHAOS_FAIL drill spec).
+// All returns every public benchmark query exactly once, in listing order:
+// the evaluation suite, the Q91 dimensional variants it does not already
+// hold, Q25, EQ and JOB_1a. It is the one table behind ByName, rqp -list and
+// GET /v1/queries.
+func All() []Spec {
+	out := TPCDSQueries()
+	for _, d := range []int{2, 3, 5} { // 4D and 6D Q91 are suite members
+		out = append(out, Q91(d))
+	}
+	return append(out, Q25(), EQ(), JOB1a())
+}
+
+// ByName returns the listed query with the given name, or the hidden
+// CHAOS_FAIL drill spec, which resolves but is never listed.
 func ByName(name string) (Spec, bool) {
-	for _, sp := range TPCDSQueries() {
+	for _, sp := range append(All(), ChaosFail()) {
 		if sp.Name == name {
 			return sp, true
 		}
 	}
-	for d := 2; d <= 6; d++ {
-		if sp := Q91(d); sp.Name == name {
-			return sp, true
-		}
-	}
-	if sp := JOB1a(); sp.Name == name {
-		return sp, true
-	}
-	if sp := EQ(); sp.Name == name {
-		return sp, true
-	}
-	if sp := Q25(); sp.Name == name {
-		return sp, true
-	}
-	if sp := ChaosFail(); sp.Name == name {
-		return sp, true
-	}
 	return Spec{}, false
 }
 
-// Names returns the names of all suite queries in evaluation order.
+// Names returns the names of All, in listing order.
 func Names() []string {
 	var out []string
-	for _, sp := range TPCDSQueries() {
+	for _, sp := range All() {
 		out = append(out, sp.Name)
 	}
 	return out

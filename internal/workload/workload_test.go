@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -120,16 +121,55 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestNamesMatchSuite pins the listing order: the evaluation suite first,
+// then the rest of All.
 func TestNamesMatchSuite(t *testing.T) {
 	names := Names()
 	suite := TPCDSQueries()
-	if len(names) != len(suite) {
-		t.Fatalf("Names len %d != suite len %d", len(names), len(suite))
+	all := All()
+	if len(names) != len(all) || len(all) <= len(suite) {
+		t.Fatalf("Names len %d, All len %d, suite len %d", len(names), len(all), len(suite))
 	}
-	for i, sp := range suite {
+	for i, sp := range all {
 		if names[i] != sp.Name {
 			t.Errorf("Names[%d] = %q, want %q", i, names[i], sp.Name)
 		}
+		if i < len(suite) && sp.Name != suite[i].Name {
+			t.Errorf("All[%d] = %q, want suite query %q", i, sp.Name, suite[i].Name)
+		}
+	}
+}
+
+// TestListedQueriesResolveOnce checks the one query table: every listed
+// name appears once and resolves to the listed spec, every name that
+// resolved before the table existed still does, and the CHAOS_FAIL drill
+// spec resolves without being listed.
+func TestListedQueriesResolveOnce(t *testing.T) {
+	seen := map[string]bool{}
+	for _, sp := range All() {
+		if seen[sp.Name] {
+			t.Errorf("%s listed twice", sp.Name)
+		}
+		seen[sp.Name] = true
+		got, ok := ByName(sp.Name)
+		if !ok || !reflect.DeepEqual(got, sp) {
+			t.Errorf("ByName(%q) = %v, %v; want the listed spec", sp.Name, got.Name, ok)
+		}
+	}
+	want := []Spec{Q91(2), Q91(3), Q91(4), Q91(5), Q91(6), Q25(), EQ(), JOB1a()}
+	for _, sp := range append(want, TPCDSQueries()...) {
+		if !seen[sp.Name] {
+			t.Errorf("%s not listed", sp.Name)
+		}
+		if got, ok := ByName(sp.Name); !ok || !reflect.DeepEqual(got, sp) {
+			t.Errorf("ByName(%q) no longer resolves to its spec", sp.Name)
+		}
+	}
+	if seen["CHAOS_FAIL"] {
+		t.Error("CHAOS_FAIL must not be listed")
+	}
+	if got, ok := ByName("CHAOS_FAIL"); !ok || !reflect.DeepEqual(got, ChaosFail()) {
+		t.Error("CHAOS_FAIL must still resolve")
 	}
 }
 

@@ -83,7 +83,8 @@ type StrategyRun struct {
 // Session returns the owning session (grid shape, POSP, estimate, oracle).
 func (r *StrategyRun) Session() *Session { return r.sess }
 
-// Truth returns the hidden true selectivity location the run executes at.
+// Truth returns the hidden true selectivity location the run executes at
+// (nil on a physical run, whose truth is emergent from the data).
 // Strategies must not use it for plan choice — only pass it to executions.
 func (r *StrategyRun) Truth() Location { return r.truth }
 

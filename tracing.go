@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -40,16 +39,4 @@ func WithTraceparent(ctx context.Context, header string) (context.Context, error
 // are in cost-ledger units, the only deterministic clock a run has.
 func TraceTree(res RunResult) ([]byte, error) {
 	return trace.FromRun(res.TraceID, res.Events).JSON()
-}
-
-// TraceText renders the run's span tree as an indented one-span-per-line
-// transcript (the `rqp -trace` output).
-func TraceText(res RunResult) string {
-	return trace.RenderText(trace.FromRun(res.TraceID, res.Events))
-}
-
-// TraceTreeFromEvents is TraceTree for callers holding a raw event stream
-// (the server's run resources, replay tooling) instead of a RunResult.
-func TraceTreeFromEvents(traceID string, events []telemetry.Event) ([]byte, error) {
-	return trace.FromRun(traceID, events).JSON()
 }
