@@ -9,8 +9,10 @@
 package bouquet
 
 import (
+	"slices"
 	"sort"
 
+	"repro/internal/cost"
 	"repro/internal/ess"
 )
 
@@ -32,7 +34,7 @@ type Diagram struct {
 	Lambda float64
 
 	planIdx []int32
-	kept    map[int]bool
+	kept    []int // POSP indices of the surviving plans, ascending
 }
 
 // PlanIDAt returns the plan assigned to cell ci after reduction.
@@ -43,64 +45,68 @@ func (d *Diagram) PlanCount() int { return len(d.kept) }
 
 // Reduce performs anorexic reduction of the space's plan diagram with
 // threshold lambda: plans are greedily swallowed (smallest optimality
-// region first) by re-assigning each of their cells to another surviving
-// plan whose cost there stays within (1+lambda) of optimal. The resulting
-// diagram retains near-optimality everywhere while typically shrinking the
-// plan count dramatically.
+// region first, lower POSP index first among equal regions) by
+// re-assigning each of their cells to another surviving plan whose cost
+// there stays within (1+lambda) of optimal. A victim is swallowed only if
+// every one of its cells can be re-homed; otherwise it survives untouched.
+// Each cell goes to the cheapest qualifying survivor; among survivors of
+// equal cost the lowest POSP index wins, and a cost of exactly
+// (1+lambda)·optimal still qualifies, so the diagram is a deterministic
+// function of the space. The resulting diagram retains near-optimality
+// everywhere while typically shrinking the plan count dramatically.
+//
+// The survivors are costed at each cell through one cost.PlanSet over the
+// POSP, which evaluates every subtree shared between plans once per cell.
 func Reduce(s *ess.Space, lambda float64) *Diagram {
 	g := s.Grid
 	n := g.Size()
-	d := &Diagram{Space: s, Lambda: lambda, planIdx: make([]int32, n), kept: map[int]bool{}}
+	d := &Diagram{Space: s, Lambda: lambda, planIdx: make([]int32, n)}
+	// Cells per plan, for area ordering and re-assignment.
+	cellsOf := make([][]int, len(s.Plans()))
 	for ci := 0; ci < n; ci++ {
-		d.planIdx[ci] = int32(s.PlanIDAt(ci))
-		d.kept[s.PlanIDAt(ci)] = true
+		id := s.PlanIDAt(ci)
+		d.planIdx[ci] = int32(id)
+		cellsOf[id] = append(cellsOf[id], ci)
+	}
+	for id, cells := range cellsOf {
+		if len(cells) > 0 {
+			d.kept = append(d.kept, id)
+		}
 	}
 	if lambda <= 0 {
 		return d
 	}
 
-	// Cells per plan, for area ordering and re-assignment.
-	cellsOf := map[int][]int{}
-	for ci := 0; ci < n; ci++ {
-		id := s.PlanIDAt(ci)
-		cellsOf[id] = append(cellsOf[id], ci)
-	}
-	order := make([]int, 0, len(cellsOf))
-	for id := range cellsOf {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if len(cellsOf[a]) != len(cellsOf[b]) {
-			return len(cellsOf[a]) < len(cellsOf[b])
-		}
-		return a < b
+	order := slices.Clone(d.kept)
+	sort.SliceStable(order, func(i, j int) bool {
+		return len(cellsOf[order[i]]) < len(cellsOf[order[j]])
 	})
 
-	plans := s.Plans()
+	type move struct {
+		ci int
+		to int32
+	}
+	var moves []move
+	ev := cost.NewPlanSet(s.Model, s.Plans())
 	for _, victim := range order {
 		if len(d.kept) == 1 {
 			break
 		}
 		// Try to re-home every cell of the victim within threshold.
-		type move struct {
-			ci int
-			to int32
-		}
-		moves := make([]move, 0, len(cellsOf[victim]))
+		moves = moves[:0]
 		ok := true
 		for _, ci := range cellsOf[victim] {
 			if int(d.planIdx[ci]) != victim {
 				continue // already re-homed by an earlier swallow
 			}
-			loc := g.Location(ci)
+			ev.At(g.Location(ci))
 			limit := s.CostAt(ci) * (1 + lambda)
 			bestID, bestCost := -1, limit
-			for id := range d.kept {
+			for _, id := range d.kept {
 				if id == victim {
 					continue
 				}
-				if c := s.Model.Eval(plans[id], loc); c <= bestCost {
+				if c := ev.Cost(id); c <= limit && (bestID < 0 || c < bestCost) {
 					bestID, bestCost = id, c
 				}
 			}
@@ -117,9 +123,10 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 			d.planIdx[mv.ci] = mv.to
 			// Track the moved cell under its new owner so a later swallow
 			// of that owner re-homes it again instead of stranding it.
-			cellsOf[int(mv.to)] = append(cellsOf[int(mv.to)], mv.ci)
+			cellsOf[mv.to] = append(cellsOf[mv.to], mv.ci)
 		}
-		delete(d.kept, victim)
+		i, _ := slices.BinarySearch(d.kept, victim)
+		d.kept = slices.Delete(d.kept, i, i+1)
 	}
 	return d
 }

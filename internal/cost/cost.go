@@ -136,20 +136,22 @@ func CommercialLike() Params {
 }
 
 // Model evaluates plan cardinalities and costs for one query under one
-// parameter profile. It precomputes filtered base cardinalities and the
-// statistics-derived default selectivity of every join predicate; the
-// selectivities of the query's epps are injected per evaluation through a
-// Location.
+// parameter profile. It precomputes filtered base cardinalities, the scan
+// cost of every relation and the statistics-derived default selectivity of
+// every join predicate; the selectivities of the query's epps are injected
+// per evaluation through a Location. Query and Params are read-only once
+// the model is built.
 type Model struct {
 	// Query is the evaluated query.
 	Query *query.Query
 	// Params is the platform profile.
 	Params Params
 
-	baseRows []float64 // filtered row count per relation
-	joinSel  []float64 // statistics-derived selectivity per join predicate
-	eppDim   []int     // join ID -> ESS dimension, or -1
-	innerNDV []float64 // join ID -> NDV of the inner (right) column
+	baseRows []float64  // filtered row count per relation
+	scanNC   []NodeCost // cost of scanning each relation
+	joinSel  []float64  // statistics-derived selectivity per join predicate
+	eppDim   []int      // join ID -> ESS dimension, or -1
+	innerNDV []float64  // join ID -> NDV of the inner (right) column
 
 	// groupEstimate is the estimated group count for the query's GROUP BY
 	// (product of the grouping columns' NDVs), 0 when the query does not
@@ -162,6 +164,7 @@ type Model struct {
 func NewModel(q *query.Query, p Params) (*Model, error) {
 	m := &Model{Query: q, Params: p}
 	m.baseRows = make([]float64, len(q.Relations))
+	m.scanNC = make([]NodeCost, len(q.Relations))
 	for i, r := range q.Relations {
 		rows := float64(r.Table.Rows)
 		for _, f := range q.FiltersOn(i) {
@@ -175,6 +178,10 @@ func NewModel(q *query.Query, p Params) (*Model, error) {
 			rows = 1
 		}
 		m.baseRows[i] = rows
+		self := float64(r.Table.Pages(p.PageBytes))*p.SeqPageCost +
+			float64(r.Table.Rows)*p.CPUOperCost +
+			rows*p.CPUTupleCost
+		m.scanNC[i] = NodeCost{Rows: rows, Self: self, Total: self}
 	}
 	m.joinSel = make([]float64, len(q.Joins))
 	m.eppDim = make([]int, len(q.Joins))

@@ -11,16 +11,9 @@ import (
 // the tree evaluator in eval.go is built on it — and lets the dynamic
 // programming optimizer cost candidate joins in O(1) per candidate.
 
-// ScanNC returns the NodeCost of scanning relation rel.
-func (m *Model) ScanNC(rel int) NodeCost {
-	p := &m.Params
-	rows := m.baseRows[rel]
-	tab := m.Query.Relations[rel].Table
-	self := float64(tab.Pages(p.PageBytes))*p.SeqPageCost +
-		float64(tab.Rows)*p.CPUOperCost +
-		rows*p.CPUTupleCost
-	return NodeCost{Rows: rows, Self: self, Total: self}
-}
+// ScanNC returns the NodeCost of scanning relation rel, precomputed by
+// NewModel: a scan's cost does not depend on the location.
+func (m *Model) ScanNC(rel int) NodeCost { return m.scanNC[rel] }
 
 // SortNC returns the NodeCost of sorting the given input.
 func (m *Model) SortNC(in NodeCost) NodeCost {

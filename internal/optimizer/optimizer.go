@@ -36,6 +36,9 @@ type Optimizer struct {
 type dpEntry struct {
 	valid bool
 	nc    cost.NodeCost
+	// sorted is SortNC(nc), the subset sorted as a merge-join input,
+	// computed once when the entry is finalised.
+	sorted cost.NodeCost
 	// Decision record for plan reconstruction.
 	kind     plan.OpKind
 	leftSet  uint64
@@ -97,7 +100,8 @@ func (o *Optimizer) Optimize(at cost.Location) (*plan.Plan, float64) {
 	// Singletons.
 	for r := 0; r < o.n; r++ {
 		s := 1 << uint(r)
-		o.entries[s] = dpEntry{valid: true, nc: o.model.ScanNC(r), kind: plan.SeqScan, rel: r}
+		nc := o.model.ScanNC(r)
+		o.entries[s] = dpEntry{valid: true, nc: nc, sorted: o.model.SortNC(nc), kind: plan.SeqScan, rel: r}
 	}
 
 	// Subsets by increasing population count. Iterating masks in numeric
@@ -142,7 +146,7 @@ func (o *Optimizer) Optimize(at cost.Location) (*plan.Plan, float64) {
 				}
 			}
 			consider(plan.HashJoin, e1.nc, e2.nc, -1)
-			consider(plan.MergeJoin, o.model.SortNC(e1.nc), o.model.SortNC(e2.nc), -1)
+			consider(plan.MergeJoin, e1.sorted, e2.sorted, -1)
 			consider(plan.NestLoop, e1.nc, e2.nc, -1)
 			if bits.OnesCount64(uint64(s2)) == 1 {
 				rel := bits.TrailingZeros64(uint64(s2))
@@ -150,6 +154,7 @@ func (o *Optimizer) Optimize(at cost.Location) (*plan.Plan, float64) {
 			}
 		}
 		if best.valid {
+			best.sorted = o.model.SortNC(best.nc)
 			o.entries[s] = best
 		}
 	}
