@@ -1,25 +1,23 @@
 // Package aligned implements the AlignedBound algorithm (paper Sec 5),
 // which bridges SpillBound's quadratic-to-linear MSO gap by exploiting —
 // and, where absent, inducing at bounded cost penalty — the contour
-// alignment and predicate set alignment (PSA) properties. On every contour
-// it selects the minimum-penalty partition cover of the remaining epps,
-// executes one spill-mode plan per part (its leader's replacement plan),
-// and achieves quantum progress with as few as one execution per contour,
-// for an MSO guarantee in the platform-independent range [2D+2, D²+3D].
+// alignment and predicate set alignment (PSA) properties. It is a planner
+// for SpillBound's discovery driver (spillbound.Drive): on every contour
+// it selects the minimum-penalty partition cover of the remaining epps and
+// schedules one spill-mode plan per part (its leader's replacement plan),
+// achieving quantum progress with as few as one execution per contour, for
+// an MSO guarantee in the platform-independent range [2D+2, D²+3D].
 package aligned
 
 import (
 	"context"
 	"math"
 
-	"repro/internal/bouquet"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/optimizer"
-	"repro/internal/plan"
 	"repro/internal/runstate"
 	"repro/internal/spillbound"
-	"repro/internal/telemetry"
 )
 
 // GuaranteeLower returns the aligned-case MSO bound 2D+2 (Theorem 5.1).
@@ -57,82 +55,35 @@ func NewRunner(s *ess.Space) *Runner {
 	return &Runner{Space: s, Ratio: ess.CostDoublingRatio}
 }
 
-// partExec describes the single spill-mode execution chosen for one part of
-// a partition cover: the leader dimension's (possibly replacement) plan,
-// the location it substitutes at, and the penalty relative to that
-// location's optimal cost.
-type partExec struct {
-	leader  int // ESS dimension
-	planID  int
-	plan    *plan.Plan // non-nil for beam-enumerated (non-POSP) replacements
-	cell    int
-	budget  float64
-	penalty float64
-	native  bool
-	empty   bool // no contour cell spills on any dim of the part
-}
-
-// Execution re-exports SpillBound's execution record; AlignedBound traces
-// carry the same fields plus the part's penalty.
-type Execution struct {
-	spillbound.Execution
-	// Penalty is Cost(P,q)/Cost(Pq,q) for the executed (replacement) plan,
-	// 1 for natively aligned executions, 0 for the terminal 1-D phase.
-	Penalty float64
-	// Native reports whether the alignment was native rather than induced.
-	Native bool
-}
-
-// Outcome is a full AlignedBound run.
+// Outcome is a full AlignedBound run: the shared discovery outcome plus
+// the partition penalties met on the way.
 type Outcome struct {
-	// Executions lists every budgeted execution in order.
-	Executions []Execution
-	// TotalCost is the summed charged cost.
-	TotalCost float64
-	// Completed reports whether the query finished.
-	Completed bool
+	spillbound.Outcome
 	// MaxPartitionPenalty is the largest per-partition total penalty π*
 	// encountered across explored contours (paper Table 4).
 	MaxPartitionPenalty float64
 }
 
-// SpillOutcome converts the run into a spillbound.Outcome view, so the
-// shared tooling (e.g. viz.Fig7's Manhattan rendering) applies to
-// AlignedBound traces too.
-func (o Outcome) SpillOutcome() spillbound.Outcome {
-	out := spillbound.Outcome{TotalCost: o.TotalCost, Completed: o.Completed}
-	for _, x := range o.Executions {
-		out.Executions = append(out.Executions, x.Execution)
-	}
-	return out
-}
-
-// Trace renders the executions, one line each.
-func (o Outcome) Trace() string {
-	s := ""
-	for _, x := range o.Executions {
-		s += x.String() + "\n"
-	}
-	return s
+// partExec is the single spill-mode execution chosen for one part of a
+// partition cover: the leader dimension's (possibly replacement) plan, the
+// location it substitutes at, and the penalty relative to that location's
+// optimal cost.
+type partExec struct {
+	spillbound.Spill
+	empty bool // no contour cell spills on any dim of the part
 }
 
 // contourState caches the per-contour analysis AlignedBound needs: the
-// contour cells, each cell's spill dimension, and the pool of plans per
-// spill dimension.
+// contour cells, their per-spill-dimension extremes, and the pool of plans
+// per spill dimension.
 type contourState struct {
-	r        *Runner
-	cells    []int
-	spillDim []int           // parallel to cells
-	pools    map[int][]int   // dim -> POSP plan IDs spilling on dim
-	memo     map[[2]int]memo // (part mask, leader) -> part penalty
-	indMemo  map[[2]int]memo // (leader, coord) -> induced replacement
-	learned  map[int]bool
-
-	// maxCoord[d][j] is the maximum j-coordinate over contour cells whose
-	// plan spills on d, or -1 when no cell spills on d; jmaxCell[j] is the
-	// cell attaining maxCoord[j][j] (the paper's q^j_max).
-	maxCoord [][]int
-	jmaxCell []int
+	r       *Runner
+	cells   []int
+	scan    spillbound.ContourScan
+	pools   map[int][]int   // dim -> POSP plan IDs spilling on dim
+	memo    map[[2]int]memo // (part mask, leader) -> part penalty
+	indMemo map[[2]int]memo // (leader, coord) -> induced replacement
+	learned map[int]bool
 }
 
 type memo struct {
@@ -144,53 +95,25 @@ type memo struct {
 // precomputing the per-dimension extreme coordinates that make partition
 // penalty queries O(D) instead of O(|contour|).
 func (r *Runner) newContourState(cells []int, learned map[int]bool) *contourState {
-	s := r.Space
-	g := s.Grid
-	st := &contourState{
+	return &contourState{
 		r: r, cells: cells, learned: learned,
-		spillDim: make([]int, len(cells)),
-		pools:    map[int][]int{},
-		memo:     map[[2]int]memo{},
-		indMemo:  map[[2]int]memo{},
-		maxCoord: make([][]int, g.D),
-		jmaxCell: make([]int, g.D),
+		scan:    spillbound.ScanContour(r.Space, cells, learned),
+		pools:   spillPools(r.Space, learned),
+		memo:    map[[2]int]memo{},
+		indMemo: map[[2]int]memo{},
 	}
-	for d := range st.maxCoord {
-		st.maxCoord[d] = make([]int, g.D)
-		for j := range st.maxCoord[d] {
-			st.maxCoord[d][j] = -1
-		}
-		st.jmaxCell[d] = -1
-	}
-	epps := s.Query.EPPs
-	for i, ci := range cells {
-		st.spillDim[i] = -1
-		tgt, ok := s.PlanAt(ci).SpillTarget(epps, learned)
-		if !ok {
-			continue
-		}
-		d, isEPP := s.Query.IsEPP(tgt.JoinID)
-		if !isEPP {
-			continue
-		}
-		st.spillDim[i] = d
-		for j := 0; j < g.D; j++ {
-			if c := g.Coord(ci, j); c > st.maxCoord[d][j] {
-				st.maxCoord[d][j] = c
-				if d == j {
-					st.jmaxCell[d] = ci
-				}
-			}
-		}
-	}
+}
+
+// spillPools groups the POSP plan IDs by the dimension each spills on
+// under the learned set.
+func spillPools(s *ess.Space, learned map[int]bool) map[int][]int {
+	pools := map[int][]int{}
 	for id, p := range s.Plans() {
-		if tgt, ok := p.SpillTarget(epps, learned); ok {
-			if d, isEPP := s.Query.IsEPP(tgt.JoinID); isEPP {
-				st.pools[d] = append(st.pools[d], id)
-			}
+		if d, ok := spillbound.SpillDim(s, p, learned); ok {
+			pools[d] = append(pools[d], id)
 		}
 	}
-	return st
+	return pools
 }
 
 // partPenalty computes the minimum-penalty way to make part T (a bitmask
@@ -219,21 +142,21 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 		if mask&(1<<uint(d)) == 0 {
 			continue
 		}
-		if c := st.maxCoord[d][leader]; c > memberMax {
+		if c := st.scan.MaxCoord[d][leader]; c > memberMax {
 			memberMax = c
 		}
 	}
 	if memberMax < 0 {
-		return partExec{leader: leader, empty: true}, true
+		return partExec{Spill: spillbound.Spill{Dim: leader}, empty: true}, true
 	}
 
 	// q^j_max: the max-leader-coordinate cell among cells spilling on the
 	// leader itself (Sec 3.2). Native PSA holds when it attains memberMax.
-	if ci := st.jmaxCell[leader]; ci >= 0 && st.maxCoord[leader][leader] >= memberMax {
-		return partExec{
-			leader: leader, planID: s.PlanIDAt(ci), cell: ci,
-			budget: s.CostAt(ci), penalty: 1, native: true,
-		}, true
+	if ci := st.scan.JMaxCell[leader]; ci >= 0 && st.scan.MaxCoord[leader][leader] >= memberMax {
+		return partExec{Spill: spillbound.Spill{
+			Plan: s.PlanAt(ci), PlanID: s.PlanIDAt(ci), Dim: leader, Cell: ci,
+			Budget: s.CostAt(ci), Penalty: 1, Native: true,
+		}}, true
 	}
 	return st.inducedReplacement(leader, memberMax)
 }
@@ -251,7 +174,7 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 	s := st.r.Space
 	g := s.Grid
 	pool := st.pools[leader]
-	best := partExec{leader: leader, penalty: math.Inf(1)}
+	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
 	for _, ci := range st.cells {
 		if g.Coord(ci, leader) != coord {
 			continue
@@ -259,11 +182,12 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 		loc := g.Location(ci)
 		opt := s.CostAt(ci)
 		for _, id := range pool {
-			c := s.Model.Eval(s.Plans()[id], loc)
-			if pen := c / opt; pen < best.penalty {
-				best = partExec{
-					leader: leader, planID: id, cell: ci,
-					budget: c, penalty: pen,
+			p := s.Plans()[id]
+			c := s.Model.Eval(p, loc)
+			if pen := c / opt; pen < best.Penalty {
+				best = spillbound.Spill{
+					Plan: p, PlanID: id, Dim: leader, Cell: ci,
+					Budget: c, Penalty: pen,
 				}
 			}
 		}
@@ -276,27 +200,30 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 				k = 8
 			}
 			if sp, ok := st.r.Opt.BestSpillingOn(loc, leader, k, st.learned); ok {
-				if pen := sp.Cost / opt; pen < best.penalty {
-					best = partExec{
-						leader: leader, planID: -1, plan: sp.Plan, cell: ci,
-						budget: sp.Cost, penalty: pen,
+				if pen := sp.Cost / opt; pen < best.Penalty {
+					best = spillbound.Spill{
+						Plan: sp.Plan, PlanID: -1, Dim: leader, Cell: ci,
+						Budget: sp.Cost, Penalty: pen,
 					}
 				}
 			}
 		}
 	}
-	feasible := !math.IsInf(best.penalty, 1)
+	pe, feasible := partExec{Spill: best}, !math.IsInf(best.Penalty, 1)
 	if !feasible {
-		best = partExec{}
+		pe = partExec{}
 	}
-	st.indMemo[key] = memo{best, feasible}
-	return best, feasible
+	st.indMemo[key] = memo{pe, feasible}
+	return pe, feasible
 }
 
 // bestPartition enumerates the set partitions of the free dimensions
 // (Sec 5.2.2 justifies restricting to partition covers) and returns the
-// minimum total-penalty cover with each part's chosen leader execution.
-func (st *contourState) bestPartition(free []int) ([]partExec, float64, bool) {
+// minimum total-penalty cover with each part's chosen leader execution, or
+// nil when no partition is feasible. That cannot happen: the all-singletons
+// partition is always feasible (a part {j} is natively aligned by
+// construction); the driver would then move on to the next contour.
+func (st *contourState) bestPartition(free []int) ([]partExec, float64) {
 	bestPenalty := math.Inf(1)
 	var best []partExec
 
@@ -311,13 +238,13 @@ func (st *contourState) bestPartition(free []int) ([]partExec, float64, bool) {
 				for _, d := range part {
 					mask |= 1 << uint(d)
 				}
-				pe := partExec{penalty: math.Inf(1)}
+				pe := partExec{Spill: spillbound.Spill{Penalty: math.Inf(1)}}
 				ok := false
 				for _, leader := range part {
 					// An empty part (no contour cell spills on any of its
 					// dims) has penalty 0 under every leader and needs no
 					// execution, so the min below handles it uniformly.
-					if cand, feasible := st.partPenalty(mask, leader); feasible && cand.penalty < pe.penalty {
+					if cand, feasible := st.partPenalty(mask, leader); feasible && cand.Penalty < pe.Penalty {
 						pe = cand
 						ok = true
 					}
@@ -325,7 +252,7 @@ func (st *contourState) bestPartition(free []int) ([]partExec, float64, bool) {
 				if !ok {
 					return // infeasible partition
 				}
-				total += pe.penalty
+				total += pe.Penalty
 				execs = append(execs, pe)
 			}
 			if total < bestPenalty {
@@ -346,9 +273,9 @@ func (st *contourState) bestPartition(free []int) ([]partExec, float64, bool) {
 	}
 	rec(0)
 	if best == nil {
-		return nil, 0, false
+		return nil, 0
 	}
-	return best, bestPenalty, true
+	return best, bestPenalty
 }
 
 // Run performs AlignedBound discovery (Algorithm 2) against the engine's
@@ -358,150 +285,24 @@ func (r *Runner) Run(e engine.Executor) Outcome {
 	return out
 }
 
-// RunContext is Run with cancellation and error-aware execution, mirroring
-// spillbound.Runner.RunContext: the partial outcome is returned with the
-// abort error.
+// RunContext is Run with cancellation and error-aware execution: the
+// shared discovery driver (spillbound.Drive) runs the contours, taking
+// each one's spills from the minimum-penalty partition cover.
 func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, error) {
-	ce := engine.AsContextExecutor(e)
-	rec := telemetry.From(ctx)
-	s := r.Space
-	g := s.Grid
-	costs := s.ContourCosts(r.Ratio)
-	learned := make(map[int]bool) // by join ID
-	sub := s.Full()
 	var out Outcome
-
-	start := 0
-	if r.Resume != nil {
-		// Restore the checkpointed monotone state (contour index plus every
-		// learnt selectivity and its half-space prune); the tail of the
-		// discovery proceeds as in the uninterrupted run.
-		start = r.Resume.Contour
-		if start > len(costs)-1 {
-			start = len(costs) - 1
-		}
-		for dim, sel := range r.Resume.Learned {
-			learned[s.Query.EPPs[dim]] = true
-			sub = sub.Fix(dim, g.CeilIndex(dim, sel))
-		}
-	}
-
-	for i := start; i < len(costs); {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		free := sub.FreeDims()
-		if len(free) == 1 {
-			tail, err := bouquet.RunSubspaceContext(ctx, s, s, ce, costs, i, sub, 1)
-			for _, stp := range tail.Steps {
-				out.Executions = append(out.Executions, Execution{
-					Execution: spillbound.Execution{
-						Contour: stp.Contour, Dim: -1, PlanID: stp.PlanID,
-						Budget: stp.Budget, Spent: stp.Spent, Completed: stp.Completed,
-					},
-				})
-			}
-			out.TotalCost += tail.TotalCost
-			out.Completed = tail.Completed
-			return out, err
-		}
-
-		// Contour-iteration boundary: persist the monotone discovery state
-		// (and give the crash-point injector its window), mirroring
-		// SpillBound's placement after the 1-D hand-off check.
-		if err := runstate.Checkpoint(ctx, i); err != nil {
-			return out, err
-		}
-
-		rec.EnterContour(i + 1)
-		cells := sub.ContourCellsCached(costs[i])
-		if len(cells) == 0 {
-			i++
-			continue
-		}
-		st := r.newContourState(cells, learned)
-		execs, penalty, ok := st.bestPartition(free)
+	var err error
+	out.Outcome, err = spillbound.Drive(ctx, r.Space, r.Ratio, r.Resume, func(c spillbound.Contour) []spillbound.Spill {
+		execs, penalty := r.newContourState(c.Cells, c.Learned).bestPartition(c.Free)
 		if penalty > out.MaxPartitionPenalty {
 			out.MaxPartitionPenalty = penalty
 		}
-		if !ok {
-			// Cannot happen: the all-singletons partition is always
-			// feasible (a part {j} is natively aligned by construction).
-			// Guard by falling through to the next contour.
-			i++
-			continue
-		}
-
-		progressed := false
+		spills := make([]spillbound.Spill, 0, len(execs))
 		for _, pe := range execs {
-			if pe.empty {
-				continue
+			if !pe.empty {
+				spills = append(spills, pe.Spill)
 			}
-			p := pe.plan
-			if p == nil {
-				p = s.Plans()[pe.planID]
-			}
-			res, okSpill, err := ce.ExecuteSpillCtx(ctx, p, pe.leader, pe.budget)
-			if err != nil && !engine.IsBudgetAbort(err) {
-				return out, err
-			}
-			if !okSpill {
-				continue
-			}
-			// A watchdog budget abort is an incomplete spill (the clamped
-			// charge is recorded below); discovery moves on as after a
-			// regular budget expiry.
-			out.Executions = append(out.Executions, Execution{
-				Execution: spillbound.Execution{
-					Contour: i, Dim: pe.leader, PlanID: pe.planID,
-					CellLoc: g.Location(pe.cell), Budget: pe.budget,
-					Spent: res.Spent, Completed: res.Completed, Learned: res.Learned,
-				},
-				Penalty: pe.penalty, Native: pe.native,
-			})
-			out.TotalCost += res.Spent
-			runstate.Spend(ctx, res.Spent)
-			rec.Record(telemetry.Event{
-				Kind: telemetry.SpillExec, Contour: i + 1, Dim: pe.leader, PlanID: pe.planID,
-				Budget: pe.budget, Spent: res.Spent, Completed: res.Completed,
-				Learned: res.Learned, Penalty: pe.penalty,
-			})
-			if res.Completed {
-				learned[s.Query.EPPs[pe.leader]] = true
-				sub = sub.Fix(pe.leader, g.CeilIndex(pe.leader, res.Learned))
-				runstate.Learn(ctx, pe.leader, res.Learned)
-				rec.Record(telemetry.Event{
-					Kind: telemetry.HalfSpacePrune, Contour: i + 1, Dim: pe.leader, Learned: res.Learned,
-				})
-				progressed = true
-				break
-			}
-			runstate.Bound(ctx, pe.leader, res.Learned)
 		}
-		if !progressed {
-			i++
-		}
-	}
-
-	// Defensive fallback mirroring SpillBound's.
-	ci := sub.MaxCorner()
-	p := s.PlanAt(ci)
-	res, err := ce.ExecuteCtx(ctx, p, math.Inf(1))
-	if err != nil {
-		return out, err
-	}
-	rec.Record(telemetry.Event{
-		Kind: telemetry.PlanExec, Contour: len(costs), Dim: -1, PlanID: s.PlanIDAt(ci),
-		Budget: res.Spent, Spent: res.Spent, Completed: true,
-	})
-	out.Executions = append(out.Executions, Execution{
-		Execution: spillbound.Execution{
-			Contour: len(costs) - 1, Dim: -1, PlanID: s.PlanIDAt(ci),
-			Budget: res.Spent, Spent: res.Spent, Completed: true,
-		},
-	})
-	out.TotalCost += res.Spent
-	runstate.Spend(ctx, res.Spent)
-	out.Completed = true
-	return out, nil
+		return spills
+	}, e)
+	return out, err
 }

@@ -240,21 +240,3 @@ func TestAlignmentStatsEdgeCases(t *testing.T) {
 		t.Error("empty stats MaxPenalty should be 0")
 	}
 }
-
-func TestSpillOutcomeView(t *testing.T) {
-	s := build2D(t, 10)
-	r := NewRunner(s)
-	out := r.Run(engine.New(s.Model, cost.Location{0.02, 0.1}))
-	view := out.SpillOutcome()
-	if view.TotalCost != out.TotalCost || view.Completed != out.Completed {
-		t.Error("view diverges from the outcome")
-	}
-	if len(view.Executions) != len(out.Executions) {
-		t.Fatalf("view has %d executions, outcome %d", len(view.Executions), len(out.Executions))
-	}
-	for i := range view.Executions {
-		if view.Executions[i].String() != out.Executions[i].Execution.String() {
-			t.Fatalf("execution %d mismatch", i)
-		}
-	}
-}

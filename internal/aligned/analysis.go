@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/ess"
+	"repro/internal/spillbound"
 )
 
 // AlignmentStats summarizes how cheaply contour alignment (Sec 3.3) can be
@@ -54,20 +55,11 @@ func (a AlignmentStats) MaxPenalty() float64 {
 // spills on j, natively or by minimum-penalty replacement (Sec 5.1).
 func AnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
 	g := s.Grid
-	epps := s.Query.EPPs
 	costs := s.ContourCosts(ratio)
 	full := s.Full()
 	stats := AlignmentStats{Contours: len(costs)}
 
-	// Plan pools by spill dimension (nothing learnt yet).
-	pools := map[int][]int{}
-	for id, p := range s.Plans() {
-		if tgt, ok := p.SpillTarget(epps, nil); ok {
-			if d, isEPP := s.Query.IsEPP(tgt.JoinID); isEPP {
-				pools[d] = append(pools[d], id)
-			}
-		}
-	}
+	pools := spillPools(s, nil) // nothing learnt yet
 
 	for _, cc := range costs {
 		cells := full.ContourCells(cc)
@@ -88,11 +80,9 @@ func AnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
 				if g.Coord(ci, dim) != extCoord {
 					continue
 				}
-				if tgt, ok := s.PlanAt(ci).SpillTarget(epps, nil); ok {
-					if d, isEPP := s.Query.IsEPP(tgt.JoinID); isEPP && d == dim {
-						native = true
-						break
-					}
+				if d, ok := spillbound.SpillDim(s, s.PlanAt(ci), nil); ok && d == dim {
+					native = true
+					break
 				}
 			}
 			if native {

@@ -10,24 +10,21 @@ package spillbound
 import (
 	"context"
 	"fmt"
-	"math"
 	"strings"
 
-	"repro/internal/bouquet"
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/runstate"
-	"repro/internal/telemetry"
 )
 
 // Guarantee returns SpillBound's structural MSO bound D²+3D (Theorem 4.5),
 // computable by query inspection alone.
 func Guarantee(d int) float64 { return float64(d*d + 3*d) }
 
-// Execution records one budgeted execution performed by SpillBound: a
-// spill-mode execution on some dimension, or a regular execution during the
-// terminal 1-D PlanBouquet phase.
+// Execution records one budgeted execution of a contour-wise discovery run
+// (SpillBound or AlignedBound): a spill-mode execution on some dimension,
+// or a regular execution during the terminal 1-D PlanBouquet phase.
 type Execution struct {
 	// Contour is the contour index explored.
 	Contour int
@@ -49,6 +46,13 @@ type Execution struct {
 	// spilled on this contour, and its P^j_max changed after another epp
 	// was fully learnt (paper Sec 4.2).
 	Repeat bool
+	// Penalty is AlignedBound's Cost(P,q)/Cost(Pq,q) for the executed
+	// (replacement) plan, 1 for natively aligned executions; zero for
+	// SpillBound and for regular executions.
+	Penalty float64
+	// Native reports an AlignedBound execution whose alignment was native
+	// rather than induced.
+	Native bool
 }
 
 // String renders the execution in the paper's trace notation (lowercase p
@@ -69,7 +73,7 @@ func (x Execution) String() string {
 		x.Contour+1, x.PlanID, x.Budget, x.Dim, x.Learned, tag)
 }
 
-// Outcome is a full SpillBound run.
+// Outcome is a full discovery run.
 type Outcome struct {
 	// Executions lists every budgeted execution in order.
 	Executions []Execution
@@ -77,10 +81,9 @@ type Outcome struct {
 	TotalCost float64
 	// Completed reports whether the query finished (always true under PCM).
 	Completed bool
-	// LearnedSel holds the exact selectivities discovered, indexed by
-	// dimension; entries for dimensions resolved by the terminal 1-D phase
-	// are the phase's implicit discovery and remain NaN-free only when
-	// individually learnt.
+	// LearnedSel holds the exact selectivities learnt by completed spills
+	// (or restored on resume), indexed by dimension; the dimension resolved
+	// by the terminal 1-D phase has no entry.
 	LearnedSel map[int]float64
 }
 
@@ -115,32 +118,6 @@ func NewRunner(s *ess.Space) *Runner {
 	return &Runner{Space: s, Ratio: ess.CostDoublingRatio}
 }
 
-// maxCell identifies q^j_max and P^j_max for dimension dim on the contour
-// cells (paper Sec 3.2): among the cells whose optimal plan spills on dim
-// (under the learned set), the one with the maximum dim-coordinate.
-// ok is false when no contour plan spills on the dimension.
-func (r *Runner) maxCell(cells []int, dim int, learned map[int]bool) (cell int, ok bool) {
-	s := r.Space
-	epps := s.Query.EPPs
-	bestCoord := -1
-	for _, ci := range cells {
-		p := s.PlanAt(ci)
-		tgt, has := p.SpillTarget(epps, learned)
-		if !has {
-			continue
-		}
-		d, isEPP := s.Query.IsEPP(tgt.JoinID)
-		if !isEPP || d != dim {
-			continue
-		}
-		if c := s.Grid.Coord(ci, dim); c > bestCoord {
-			bestCoord = c
-			cell = ci
-		}
-	}
-	return cell, bestCoord >= 0
-}
-
 // Run performs SpillBound discovery against the engine's hidden true
 // location and returns the full outcome (Algorithm 1).
 func (r *Runner) Run(e engine.Executor) Outcome {
@@ -148,160 +125,31 @@ func (r *Runner) Run(e engine.Executor) Outcome {
 	return out
 }
 
-// RunContext is Run with cancellation and error-aware execution: the
-// context is checked at every contour iteration and spill boundary, and on
-// abort the partial outcome is returned with the error so the caller can
-// degrade (fall back to the Native plan) or propagate the cancellation.
+// RunContext is Run with cancellation and error-aware execution (see
+// Drive): on abort the partial outcome is returned with the error so the
+// caller can degrade (fall back to the Native plan) or propagate the
+// cancellation.
 func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, error) {
-	ce := engine.AsContextExecutor(e)
-	rec := telemetry.From(ctx)
-	s := r.Space
-	g := s.Grid
-	costs := s.ContourCosts(r.Ratio)
-	learned := make(map[int]bool)       // by join ID (plan.SpillTarget keys)
-	learnedDim := make(map[int]bool)    // by ESS dimension
-	learnedSel := make(map[int]float64) // by ESS dimension
-	sub := s.Full()
-	out := Outcome{LearnedSel: learnedSel}
+	return Drive(ctx, r.Space, r.Ratio, r.Resume, maxCellPlanner(r.Space), e)
+}
 
-	// spilledOnContour tracks which dimensions already had a spill on the
-	// current contour, to label repeat executions.
-	spilledOnContour := make(map[int]bool)
-	contourOfSpills := -1
-
-	start := 0
-	if r.Resume != nil {
-		// Restore the checkpointed monotone state: the contour about to be
-		// explored and every fully learnt selectivity with its half-space
-		// prune. Discovery from here on is identical to the uninterrupted
-		// run's tail — the state is monotone, so the snapshot is always a
-		// valid (merely conservative) restart point.
-		start = r.Resume.Contour
-		if start > len(costs)-1 {
-			start = len(costs) - 1
-		}
-		for dim, sel := range r.Resume.Learned {
-			learned[s.Query.EPPs[dim]] = true
-			learnedDim[dim] = true
-			learnedSel[dim] = sel
-			sub = sub.Fix(dim, g.CeilIndex(dim, sel))
-		}
-	}
-
-	for i := start; i < len(costs); {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		free := sub.FreeDims()
-		if len(free) == 1 {
-			// Terminal 1-D phase: plain PlanBouquet over the remaining
-			// dimension, starting from the current contour, in regular
-			// (non-spill) mode — spilling in 1-D weakens the bound.
-			tail, err := bouquet.RunSubspaceContext(ctx, s, s, ce, costs, i, sub, 1)
-			for _, st := range tail.Steps {
-				out.Executions = append(out.Executions, Execution{
-					Contour: st.Contour, Dim: -1, PlanID: st.PlanID,
-					Budget: st.Budget, Spent: st.Spent, Completed: st.Completed,
+// maxCellPlanner is SpillBound's planner: for each free dimension j in
+// order, P^j_max at q^j_max — among the contour cells whose optimal plan
+// spills on j, the one with the maximum j-coordinate (paper Sec 3.2) —
+// under the contour budget. Dimensions no contour plan spills on are
+// skipped.
+func maxCellPlanner(s *ess.Space) Planner {
+	return func(c Contour) []Spill {
+		jmax := ScanContour(s, c.Cells, c.Learned).JMaxCell
+		spills := make([]Spill, 0, len(c.Free))
+		for _, dim := range c.Free {
+			if cell := jmax[dim]; cell >= 0 {
+				spills = append(spills, Spill{
+					Plan: s.PlanAt(cell), PlanID: s.PlanIDAt(cell),
+					Dim: dim, Cell: cell, Budget: c.Cost,
 				})
 			}
-			out.TotalCost += tail.TotalCost
-			out.Completed = tail.Completed
-			return out, err
 		}
-
-		// Contour-iteration boundary: persist the monotone discovery state
-		// (and give the crash-point injector its window). Re-explorations of
-		// the same contour after a prune checkpoint again — the learnt set
-		// grew, so the restart point improved.
-		if err := runstate.Checkpoint(ctx, i); err != nil {
-			return out, err
-		}
-
-		if i != contourOfSpills {
-			contourOfSpills = i
-			spilledOnContour = make(map[int]bool)
-		}
-		rec.EnterContour(i + 1)
-
-		cells := sub.ContourCellsCached(costs[i])
-		if len(cells) == 0 {
-			i++
-			continue
-		}
-		progressed := false
-		for _, dim := range free {
-			cell, ok := r.maxCell(cells, dim, learned)
-			if !ok {
-				continue // no contour plan spills on this epp: skip it
-			}
-			p := s.PlanAt(cell)
-			res, ok, err := ce.ExecuteSpillCtx(ctx, p, dim, costs[i])
-			if err != nil && !engine.IsBudgetAbort(err) {
-				return out, err
-			}
-			if !ok {
-				continue
-			}
-			// A watchdog budget abort is an incomplete spill, not a failed
-			// run: the clamped charge and the partial monitoring bound are
-			// recorded below and discovery moves on (next dim, then next
-			// contour per Lemma 4.3).
-			x := Execution{
-				Contour: i, Dim: dim, PlanID: s.PlanIDAt(cell),
-				CellLoc: g.Location(cell), Budget: costs[i],
-				Spent: res.Spent, Completed: res.Completed, Learned: res.Learned,
-				Repeat: spilledOnContour[dim],
-			}
-			spilledOnContour[dim] = true
-			out.Executions = append(out.Executions, x)
-			out.TotalCost += res.Spent
-			runstate.Spend(ctx, res.Spent)
-			rec.Record(telemetry.Event{
-				Kind: telemetry.SpillExec, Contour: i + 1, Dim: dim, PlanID: x.PlanID,
-				Budget: x.Budget, Spent: x.Spent, Completed: x.Completed,
-				Learned: x.Learned, Repeat: x.Repeat,
-			})
-			if res.Completed {
-				// Selectivity fully learnt: restrict the effective search
-				// space and re-explore the same contour with the reduced
-				// EPP set (Algorithm 1's break).
-				learned[s.Query.EPPs[dim]] = true
-				learnedDim[dim] = true
-				learnedSel[dim] = res.Learned
-				sub = sub.Fix(dim, g.CeilIndex(dim, res.Learned))
-				runstate.Learn(ctx, dim, res.Learned)
-				rec.Record(telemetry.Event{
-					Kind: telemetry.HalfSpacePrune, Contour: i + 1, Dim: dim, Learned: res.Learned,
-				})
-				progressed = true
-				break
-			}
-			runstate.Bound(ctx, dim, res.Learned)
-		}
-		if !progressed {
-			i++ // quantum progress: jump to the next contour (Lemma 4.3)
-		}
+		return spills
 	}
-
-	// Unreachable under PCM (the final contour's spills complete, reducing
-	// to the 1-D phase); kept as a defensive fallback mirroring
-	// bouquet.RunSubspace's guard.
-	ci := sub.MaxCorner()
-	p := s.PlanAt(ci)
-	res, err := ce.ExecuteCtx(ctx, p, math.Inf(1))
-	if err != nil {
-		return out, err
-	}
-	rec.Record(telemetry.Event{
-		Kind: telemetry.PlanExec, Contour: len(costs), Dim: -1, PlanID: s.PlanIDAt(ci),
-		Budget: res.Spent, Spent: res.Spent, Completed: true,
-	})
-	out.Executions = append(out.Executions, Execution{
-		Contour: len(costs) - 1, Dim: -1, PlanID: s.PlanIDAt(ci),
-		Budget: res.Spent, Spent: res.Spent, Completed: true,
-	})
-	out.TotalCost += res.Spent
-	runstate.Spend(ctx, res.Spent)
-	out.Completed = true
-	return out, nil
 }

@@ -212,40 +212,6 @@ func TestLemma41ExecutionCounts(t *testing.T) {
 	}
 }
 
-// TestMonotoneDiscovery verifies that the learned running location only
-// moves toward the truth: every spill's Learned value is a valid lower
-// bound, and completed spills learn the exact coordinate.
-func TestMonotoneDiscovery(t *testing.T) {
-	s := build2D(t, 10)
-	r := NewRunner(s)
-	truth := cost.Location{0.01, 0.2}
-	e := engine.New(s.Model, truth)
-	out := r.Run(e)
-	qrun := cost.Location{0, 0}
-	for _, x := range out.Executions {
-		if x.Dim < 0 {
-			continue
-		}
-		if x.Learned < qrun[x.Dim]-1e-12 {
-			t.Errorf("learning went backwards on dim %d: %g after %g", x.Dim, x.Learned, qrun[x.Dim])
-		}
-		if x.Learned > truth[x.Dim]+1e-12 {
-			t.Errorf("dim %d learned %g beyond truth %g", x.Dim, x.Learned, truth[x.Dim])
-		}
-		if x.Completed && x.Learned != truth[x.Dim] {
-			t.Errorf("completed spill learned %g, want exact %g", x.Learned, truth[x.Dim])
-		}
-		if x.Learned > qrun[x.Dim] {
-			qrun[x.Dim] = x.Learned
-		}
-	}
-	for d, sel := range out.LearnedSel {
-		if sel != truth[d] {
-			t.Errorf("LearnedSel[%d] = %g, want %g", d, sel, truth[d])
-		}
-	}
-}
-
 func TestTerminal1DPhaseIsRegularMode(t *testing.T) {
 	s := build2D(t, 10)
 	r := NewRunner(s)
@@ -309,38 +275,6 @@ func TestExecutionString(t *testing.T) {
 	reg := Execution{Contour: 0, Dim: -1, PlanID: 2, Budget: 10, Completed: true}
 	if s := reg.String(); !strings.Contains(s, "P2") || !strings.Contains(s, "✓") {
 		t.Errorf("regular String = %q", s)
-	}
-}
-
-// TestLemma44RepeatBound4D checks Lemma 4.4's global repeat-execution bound
-// D(D-1)/2 on a 4D instance (bound 6) over the whole grid.
-func TestLemma44RepeatBound4D(t *testing.T) {
-	s := build4D(t, 5)
-	r := NewRunner(s)
-	g := s.Grid
-	bound := 4 * 3 / 2
-	for ci := 0; ci < g.Size(); ci += 2 {
-		out := r.Run(engine.New(s.Model, g.Location(ci)))
-		repeats := 0
-		perContourFresh := map[int]int{}
-		for _, x := range out.Executions {
-			if x.Dim < 0 {
-				continue
-			}
-			if x.Repeat {
-				repeats++
-			} else {
-				perContourFresh[x.Contour]++
-			}
-		}
-		if repeats > bound {
-			t.Fatalf("cell %d: %d repeats exceed D(D-1)/2=%d\n%s", ci, repeats, bound, out.Trace())
-		}
-		for contour, n := range perContourFresh {
-			if n > 4 {
-				t.Fatalf("cell %d contour %d: %d fresh spills (> D)", ci, contour, n)
-			}
-		}
 	}
 }
 

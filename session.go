@@ -590,16 +590,12 @@ func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, t
 func convertSteps(xs []spillbound.Execution) []ExecutionStep {
 	out := make([]ExecutionStep, len(xs))
 	for i, x := range xs {
-		out[i] = stepFrom(x)
+		out[i] = ExecutionStep{
+			Contour: x.Contour + 1, SpillDim: x.Dim, PlanID: x.PlanID,
+			Budget: x.Budget, Spent: x.Spent, Completed: x.Completed, Learned: x.Learned,
+		}
 	}
 	return out
-}
-
-func stepFrom(x spillbound.Execution) ExecutionStep {
-	return ExecutionStep{
-		Contour: x.Contour + 1, SpillDim: x.Dim, PlanID: x.PlanID,
-		Budget: x.Budget, Spent: x.Spent, Completed: x.Completed, Learned: x.Learned,
-	}
 }
 
 // optimalCost optimizes at the exact (possibly off-grid) truth through the

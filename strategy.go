@@ -352,11 +352,7 @@ func (alignedBoundStrategy) Guarantee(s *Session) float64 { return aligned.Guara
 func (alignedBoundStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
 	out, rerr := (&aligned.Runner{Space: s.space, Ratio: s.opts.ContourRatio, Resume: r.resume}).RunContext(ctx, r.rex)
-	res := StrategyOutcome{TotalCost: out.TotalCost}
-	for _, x := range out.Executions {
-		res.Steps = append(res.Steps, stepFrom(x.Execution))
-	}
-	return res, rerr
+	return StrategyOutcome{TotalCost: out.TotalCost, Steps: convertSteps(out.Executions)}, rerr
 }
 
 func (alignedBoundStrategy) SweepRun(s *Session) func(Location) float64 {
