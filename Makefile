@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet examples chaos resume-chaos drills bench experiments replay-smoke atlas fuzz clean
+.PHONY: all build test race vet examples chaos resume-chaos drills bench experiments experiments-check replay-smoke atlas fuzz clean
 
 all: vet build test
 
@@ -56,6 +56,13 @@ bench:
 
 experiments:
 	$(GO) run ./cmd/experiments
+
+# experiments-check regenerates every paper table and figure plus the
+# four-way MSO/ASO summary and diffs them against the archived
+# results_full.txt: any moved number fails. A change that moves the numbers
+# on purpose re-records the file.
+experiments-check:
+	{ $(GO) run ./cmd/experiments && $(GO) run ./cmd/experiments -summary; } | diff - results_full.txt
 
 # replay-smoke boots rqpd with tight admission limits and replays a seeded
 # 30s open-loop mixed trace (clean runs, adversarial / regret-correlated

@@ -361,15 +361,6 @@ func BenchmarkRowEngineSpillBound(b *testing.B) {
 	}
 }
 
-func BenchmarkOptimizerTopK(b *testing.B) {
-	microSetup(b)
-	loc := cost.Location{1e-4, 1e-3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		microOpt.TopK(loc, 8)
-	}
-}
-
 func BenchmarkAnorexicReduction(b *testing.B) {
 	microSetup(b)
 	b.ResetTimer()

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/runstate"
 	"repro/internal/spillbound"
 )
@@ -33,14 +32,6 @@ type Runner struct {
 	Space *ess.Space
 	// Ratio is the contour cost ratio (paper default: doubling).
 	Ratio float64
-	// Opt, when set, enables the spill-constrained plan search the paper's
-	// evaluation added to PostgreSQL ("a feature that obtains a least cost
-	// plan from optimizer which spills on a user-specified epp ...
-	// primarily needed for AlignedBound", Sec 6.1): induced replacements
-	// may then draw on beam-enumerated plans beyond the POSP pool.
-	Opt *optimizer.Optimizer
-	// BeamK is the beam width of the constrained search (defaults to 8).
-	BeamK int
 	// Resume, when non-nil, restarts the discovery from a checkpointed
 	// state: the contour index and learnt selectivities (with their
 	// half-space prunes, Lemma 3.1) are restored before the first
@@ -77,13 +68,12 @@ type partExec struct {
 // contour cells, their per-spill-dimension extremes, and the pool of plans
 // per spill dimension.
 type contourState struct {
-	r       *Runner
+	s       *ess.Space
 	cells   []int
 	scan    spillbound.ContourScan
 	pools   map[int][]int   // dim -> POSP plan IDs spilling on dim
 	memo    map[[2]int]memo // (part mask, leader) -> part penalty
 	indMemo map[[2]int]memo // (leader, coord) -> induced replacement
-	learned map[int]bool
 }
 
 type memo struct {
@@ -94,11 +84,11 @@ type memo struct {
 // newContourState analyzes one contour under the current learned set,
 // precomputing the per-dimension extreme coordinates that make partition
 // penalty queries O(D) instead of O(|contour|).
-func (r *Runner) newContourState(cells []int, learned map[int]bool) *contourState {
+func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourState {
 	return &contourState{
-		r: r, cells: cells, learned: learned,
-		scan:    spillbound.ScanContour(r.Space, cells, learned),
-		pools:   spillPools(r.Space, learned),
+		s: s, cells: cells,
+		scan:    spillbound.ScanContour(s, cells, learned),
+		pools:   spillPools(s, learned),
 		memo:    map[[2]int]memo{},
 		indMemo: map[[2]int]memo{},
 	}
@@ -132,7 +122,7 @@ func (st *contourState) partPenalty(mask int, leader int) (partExec, bool) {
 }
 
 func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool) {
-	s := st.r.Space
+	s := st.s
 
 	// Members: contour cells whose optimal plan spills on a dim in T.
 	// Their extreme leader-coordinate is the max over the part's dims of
@@ -154,7 +144,7 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 	// leader itself (Sec 3.2). Native PSA holds when it attains memberMax.
 	if ci := st.scan.JMaxCell[leader]; ci >= 0 && st.scan.MaxCoord[leader][leader] >= memberMax {
 		return partExec{Spill: spillbound.Spill{
-			Plan: s.PlanAt(ci), PlanID: s.PlanIDAt(ci), Dim: leader, Cell: ci,
+			PlanID: s.PlanIDAt(ci), Dim: leader, Cell: ci,
 			Budget: s.CostAt(ci), Penalty: 1, Native: true,
 		}}, true
 	}
@@ -164,14 +154,15 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 // inducedReplacement finds the minimum-penalty (plan, location) pair that
 // induces PSA with the given leader at the given extreme coordinate:
 // S = contour cells whose leader coordinate equals coord, candidates are
-// the leader-spilling plans (Sec 5.2.1). Memoized per (leader, coord) —
-// the coordinate can only be one of D precomputed extremes.
+// the POSP plans spilling on the leader (Sec 5.2.1). Memoized per
+// (leader, coord) — the coordinate can only be one of D precomputed
+// extremes.
 func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 	key := [2]int{leader, coord}
 	if m, ok := st.indMemo[key]; ok {
 		return m.exec, m.feasible
 	}
-	s := st.r.Space
+	s := st.s
 	g := s.Grid
 	pool := st.pools[leader]
 	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
@@ -182,29 +173,11 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 		loc := g.Location(ci)
 		opt := s.CostAt(ci)
 		for _, id := range pool {
-			p := s.Plans()[id]
-			c := s.Model.Eval(p, loc)
+			c := s.Model.Eval(s.Plans()[id], loc)
 			if pen := c / opt; pen < best.Penalty {
 				best = spillbound.Spill{
-					Plan: p, PlanID: id, Dim: leader, Cell: ci,
+					PlanID: id, Dim: leader, Cell: ci,
 					Budget: c, Penalty: pen,
-				}
-			}
-		}
-		// Spill-constrained optimizer search (paper Sec 6.1 feature): ask
-		// for the cheapest plan at this location that spills on the
-		// leader, beyond what the POSP offers.
-		if st.r.Opt != nil {
-			k := st.r.BeamK
-			if k <= 0 {
-				k = 8
-			}
-			if sp, ok := st.r.Opt.BestSpillingOn(loc, leader, k, st.learned); ok {
-				if pen := sp.Cost / opt; pen < best.Penalty {
-					best = spillbound.Spill{
-						Plan: sp.Plan, PlanID: -1, Dim: leader, Cell: ci,
-						Budget: sp.Cost, Penalty: pen,
-					}
 				}
 			}
 		}
@@ -292,7 +265,7 @@ func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, er
 	var out Outcome
 	var err error
 	out.Outcome, err = spillbound.Drive(ctx, r.Space, r.Ratio, r.Resume, func(c spillbound.Contour) []spillbound.Spill {
-		execs, penalty := r.newContourState(c.Cells, c.Learned).bestPartition(c.Free)
+		execs, penalty := newContourState(r.Space, c.Cells, c.Learned).bestPartition(c.Free)
 		if penalty > out.MaxPartitionPenalty {
 			out.MaxPartitionPenalty = penalty
 		}

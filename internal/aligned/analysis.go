@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/ess"
-	"repro/internal/spillbound"
 )
 
 // AlignmentStats summarizes how cheaply contour alignment (Sec 3.3) can be
@@ -52,56 +51,31 @@ func (a AlignmentStats) MaxPenalty() float64 {
 // AnalyzeAlignment computes per-contour alignment penalties for the space's
 // doubling contours: for each contour, the cheapest way — over all
 // dimensions j — to have an extreme location along j hold a plan that
-// spills on j, natively or by minimum-penalty replacement (Sec 5.1).
+// spills on j, natively or by minimum-penalty replacement (Sec 5.1). It
+// prices each dimension exactly as AlignedBound's planner does, as the
+// penalty of the part holding every dimension led by j, with nothing
+// learnt.
 func AnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
-	g := s.Grid
 	costs := s.ContourCosts(ratio)
 	full := s.Full()
+	all := 1<<uint(s.Grid.D) - 1
 	stats := AlignmentStats{Contours: len(costs)}
-
-	pools := spillPools(s, nil) // nothing learnt yet
-
 	for _, cc := range costs {
-		cells := full.ContourCells(cc)
+		st := newContourState(s, full.ContourCells(cc), nil)
 		best := math.Inf(1)
-		for dim := 0; dim < g.D; dim++ {
-			// Extreme locations along dim: max dim-coordinate on contour.
-			extCoord := -1
-			for _, ci := range cells {
-				if c := g.Coord(ci, dim); c > extCoord {
-					extCoord = c
-				}
-			}
-			if extCoord < 0 {
+		for dim := 0; dim < s.Grid.D; dim++ {
+			pe, ok := st.partPenalty(all, dim)
+			if !ok || pe.empty {
 				continue
 			}
-			native := false
-			for _, ci := range cells {
-				if g.Coord(ci, dim) != extCoord {
-					continue
-				}
-				if d, ok := spillbound.SpillDim(s, s.PlanAt(ci), nil); ok && d == dim {
-					native = true
-					break
-				}
-			}
-			if native {
+			if pe.Native {
+				// Native alignment along any dimension wins outright, even
+				// over an induced penalty below 1.
 				best = 1
 				break
 			}
-			// Induced alignment along dim: cheapest replacement at any
-			// extreme location by a dim-spilling plan.
-			for _, ci := range cells {
-				if g.Coord(ci, dim) != extCoord {
-					continue
-				}
-				loc := g.Location(ci)
-				opt := s.CostAt(ci)
-				for _, id := range pools[dim] {
-					if pen := s.Model.Eval(s.Plans()[id], loc) / opt; pen < best {
-						best = pen
-					}
-				}
+			if pe.Penalty < best {
+				best = pe.Penalty
 			}
 		}
 		stats.MinPenalty = append(stats.MinPenalty, best)

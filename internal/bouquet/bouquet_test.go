@@ -1,6 +1,7 @@
 package bouquet
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -223,7 +224,10 @@ func TestRunSubspace1D(t *testing.T) {
 	e := engine.New(s.Model, truth)
 	sub := s.Full().Fix(0, 4) // dimension 0 fully learnt
 	costs := s.ContourCosts(2)
-	out := RunSubspace(s, s, e, costs, 2, sub, 1)
+	out, err := RunSubspaceContext(context.Background(), s, s, e, costs, 2, sub, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !out.Completed {
 		t.Fatal("1D subspace run did not complete")
 	}

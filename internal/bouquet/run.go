@@ -43,34 +43,21 @@ type Outcome struct {
 // budget (inflated by the diagram's reduction threshold), jumping to the
 // next contour when all fail. The engine carries the hidden true location.
 func Run(d *Diagram, e engine.Executor, ratio float64) Outcome {
-	out, _ := RunContext(context.Background(), d, e, ratio)
+	out, _ := RunSubspaceContext(context.Background(), d.Space, d, e, d.Space.ContourCosts(ratio), 0, d.Space.Full(), 1+d.Lambda)
 	return out
 }
 
-// RunContext is Run with cancellation: the context is checked at every
-// contour iteration and execution boundary, and the partial outcome is
-// returned alongside the abort error. Fault plans attached to the context
-// surface the same way (see internal/faults).
-func RunContext(ctx context.Context, d *Diagram, e engine.Executor, ratio float64) (Outcome, error) {
-	costs := d.Space.ContourCosts(ratio)
-	return RunSubspaceContext(ctx, d.Space, d, e, costs, 0, d.Space.Full(), 1+d.Lambda)
-}
-
-// RunSubspace is the budgeted execution loop over an arbitrary subspace and
-// starting contour, used directly by Run and as the terminal 1-D phase of
-// SpillBound and AlignedBound (paper Sec 4.1: "we simply invoke the
-// standard PlanBouquet with only the [remaining] epp, starting from the
-// contour currently being explored"). Budgets are cc*inflate.
-func RunSubspace(s *ess.Space, a Assignment, e engine.Executor, costs []float64, start int, sub ess.Subspace, inflate float64) Outcome {
-	out, _ := RunSubspaceContext(context.Background(), s, a, e, costs, start, sub, inflate)
-	return out
-}
-
-// RunSubspaceContext is RunSubspace with cancellation and error-aware
-// execution. On abort (cancellation, deadline, or an execution failure that
-// survived the substrate's retry policy) it returns the steps completed so
-// far together with the error; the caller decides whether to degrade or
-// propagate.
+// RunSubspaceContext is the budgeted execution loop over an arbitrary
+// subspace and starting contour, used by Run, by the planbouquet strategy,
+// and as the terminal 1-D phase of SpillBound and AlignedBound (paper
+// Sec 4.1: "we simply invoke the standard PlanBouquet with only the
+// [remaining] epp, starting from the contour currently being explored").
+// Budgets are cc*inflate. The context is checked at every contour iteration
+// and execution boundary; on abort (cancellation, deadline, or an execution
+// failure that survived the substrate's retry policy) it returns the steps
+// completed so far together with the error, and the caller decides whether
+// to degrade or propagate. Fault plans attached to the context surface the
+// same way (see internal/faults).
 func RunSubspaceContext(ctx context.Context, s *ess.Space, a Assignment, e engine.Executor, costs []float64, start int, sub ess.Subspace, inflate float64) (Outcome, error) {
 	ce := engine.AsContextExecutor(e)
 	rec := telemetry.From(ctx)

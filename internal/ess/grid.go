@@ -116,6 +116,16 @@ func (g Grid) CeilIndex(d int, sel float64) int {
 	return len(pts) - 1
 }
 
+// CoveringCell returns the flat index of the grid cell covering loc: per
+// dimension, the smallest grid point at or above the coordinate (CeilIndex).
+func (g Grid) CoveringCell(loc cost.Location) int {
+	ci := 0
+	for d := 0; d < g.D; d++ {
+		ci += g.CeilIndex(d, loc[d]) * g.strides[d]
+	}
+	return ci
+}
+
 // Origin returns the flat index of the all-minimum cell.
 func (g Grid) Origin() int { return 0 }
 

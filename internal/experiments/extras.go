@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/ess"
 	"repro/internal/metrics"
 	"repro/internal/spillbound"
 	"repro/internal/viz"
@@ -35,20 +34,11 @@ func (l *Lab) Fig7() (string, error) {
 	b.WriteString(m)
 	b.WriteString("\nbudgeted executions:\n")
 	b.WriteString(out.Trace())
+	// The covering grid cell's optimum stands in for the oracle cost (exact
+	// when the truth is on the grid).
 	fmt.Fprintf(&b, "sub-optimality: %.2f (bound %.0f)\n",
-		out.TotalCost/optCostOnGrid(s, truth), spillbound.Guarantee(2))
+		out.TotalCost/s.CostAt(s.Grid.CoveringCell(truth)), spillbound.Guarantee(2))
 	return b.String(), nil
-}
-
-// optCostOnGrid approximates the oracle cost at an off-grid location by the
-// covering grid cell's optimum (exact when truth is on-grid).
-func optCostOnGrid(s *ess.Space, truth cost.Location) float64 {
-	g := s.Grid
-	idx := make([]int, g.D)
-	for d := range idx {
-		idx[d] = g.CeilIndex(d, truth[d])
-	}
-	return s.CostAt(g.Flatten(idx))
 }
 
 // RatioRow is one line of the contour-ratio ablation (Sec 4.2 remark): the

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bouquet"
 	"repro/internal/cost"
 	"repro/internal/engine"
-	"repro/internal/ess"
 	"repro/internal/native"
 	"repro/internal/optimizer"
 	"repro/internal/spillbound"
@@ -110,8 +109,13 @@ func (l *Lab) Table3() (Table3Result, error) {
 	// middling elsewhere — mirroring the paper's learnt (80%, 0.8%, 5%,
 	// 60%) endpoint.
 	truth := cost.Location{0.8, 0.008, 0.05, 0.6}
-	optPlan, optCost := optimalAt(l, sp, truth)
-	_ = optPlan
+	// The oracle optimum at the exact location: the grid only holds on-grid
+	// optima.
+	o, err := optimizer.New(s.Model)
+	if err != nil {
+		return Table3Result{}, err
+	}
+	_, optCost := o.Optimize(truth)
 
 	const paperOptSeconds = 44.0
 	timeScale := optCost / paperOptSeconds
@@ -172,8 +176,8 @@ func (l *Lab) Table3() (Table3Result, error) {
 	flush()
 
 	// Native and AlignedBound comparisons at the same location.
-	estCell := estimateCell(s)
-	nativeCost := s.Model.Eval(s.PlanAt(estCell), truth)
+	// The native plan is the optimum at the estimate's covering grid cell.
+	nativeCost := s.Model.Eval(s.PlanAt(s.Grid.CoveringCell(s.Model.EstimateLocation())), truth)
 	res.NativeSubOpt = nativeCost / optCost
 	res.NativeSeconds = nativeCost / timeScale
 
@@ -269,37 +273,6 @@ func (l *Lab) JOB() (JOBResult, error) {
 		SBMSO:     sb.MSO,
 		ABMSO:     ab.MSO,
 	}, nil
-}
-
-// optimalAt optimizes the spec's query at an off-grid location.
-func optimalAt(l *Lab, sp workload.Spec, truth cost.Location) (planFP string, optCost float64) {
-	s, err := l.Space(sp)
-	if err != nil {
-		return "", math.NaN()
-	}
-	// Re-run the optimizer at the exact location (the grid only holds
-	// on-grid optima).
-	cat, _ := l.Catalog(sp.Catalog)
-	q, _ := sp.Build(cat)
-	m, _ := cost.NewModel(q, s.Model.Params)
-	o, err := optimizer.New(m)
-	if err != nil {
-		return "", math.NaN()
-	}
-	p, c := o.Optimize(truth)
-	return p.Fingerprint(), c
-}
-
-// estimateCell snaps the model's statistics-derived estimate to its grid
-// cell.
-func estimateCell(s *ess.Space) int {
-	g := s.Grid
-	est := s.Model.EstimateLocation()
-	idx := make([]int, g.D)
-	for d := range idx {
-		idx[d] = g.CeilIndex(d, est[d])
-	}
-	return g.Flatten(idx)
 }
 
 // RenderTable2 renders the alignment cost table.

@@ -26,15 +26,10 @@ func SubOpt(s *ess.Space, truthCell int) float64 {
 // SubOptAt returns the sub-optimality of executing the plan optimal at the
 // estimate location est when the truth is the grid cell truthCell.
 func SubOptAt(s *ess.Space, est cost.Location, truthCell int) float64 {
-	g := s.Grid
 	// Snap the estimate to its covering grid cell and take that cell's
 	// optimal plan — the plan the native optimizer would pick.
-	idx := make([]int, g.D)
-	for d := 0; d < g.D; d++ {
-		idx[d] = g.CeilIndex(d, est[d])
-	}
-	p := s.PlanAt(g.Flatten(idx))
-	actual := s.Model.Eval(p, g.Location(truthCell))
+	p := s.PlanAt(s.Grid.CoveringCell(est))
+	actual := s.Model.Eval(p, s.Grid.Location(truthCell))
 	return actual / s.CostAt(truthCell)
 }
 
@@ -74,12 +69,7 @@ func MSO(s *ess.Space, stride int) float64 {
 // equally likely.
 func ASO(s *ess.Space) float64 {
 	g := s.Grid
-	est := s.Model.EstimateLocation()
-	idx := make([]int, g.D)
-	for d := 0; d < g.D; d++ {
-		idx[d] = g.CeilIndex(d, est[d])
-	}
-	p := s.PlanAt(g.Flatten(idx))
+	p := s.PlanAt(g.CoveringCell(s.Model.EstimateLocation()))
 	sum := 0.0
 	for qa := 0; qa < g.Size(); qa++ {
 		sum += s.Model.Eval(p, g.Location(qa)) / s.CostAt(qa)

@@ -226,3 +226,37 @@ func TestCommercialProfileChangesPlans(t *testing.T) {
 		t.Error("profiles produce identical optimal cost surfaces")
 	}
 }
+
+func TestOptimizeWithGroupBy(t *testing.T) {
+	q := sqlmini.MustParse(testCatalog(), `
+		SELECT * FROM part p, lineitem l, orders o
+		WHERE p.p_partkey = l.l_partkey AND l.l_orderkey = o.o_orderkey
+		GROUP BY p.p_retailprice`)
+	if err := q.MarkEPPs("p.p_partkey = l.l_partkey", "l.l_orderkey = o.o_orderkey"); err != nil {
+		t.Fatal(err)
+	}
+	m := cost.MustNewModel(q, cost.PostgresLike())
+	o := MustNew(m)
+	at := cost.Location{1e-4, 1e-4}
+	p, c := o.Optimize(at)
+	if p.Root.Kind != plan.Aggregate {
+		t.Fatalf("root = %v, want Aggregate", p.Root.Kind)
+	}
+	// Cost must equal re-evaluation and exceed the join-only plan.
+	if ev := m.Eval(p, at); math.Abs(ev-c)/c > 1e-9 {
+		t.Errorf("cost %g != eval %g", c, ev)
+	}
+	inner := plan.New(p.Root.Left)
+	if m.Eval(inner, at) >= c {
+		t.Error("aggregate should add cost")
+	}
+	// Aggregated output is capped by the group estimate.
+	tree := m.EvalTree(p, at)
+	if tree[p.Root].Rows > tree[p.Root.Left].Rows {
+		t.Error("aggregate output exceeds its input")
+	}
+	// Spill machinery still works: epps live below the aggregate.
+	if _, ok := p.SpillTarget(q.EPPs, nil); !ok {
+		t.Error("no spill target under the aggregate")
+	}
+}

@@ -14,9 +14,7 @@ import (
 
 // Spill is one spill-mode execution a Planner schedules on a contour.
 type Spill struct {
-	// Plan is the executed plan; PlanID is its POSP index, or -1 for a
-	// plan outside the POSP (AlignedBound's constrained search).
-	Plan   *plan.Plan
+	// PlanID is the executed plan's POSP index.
 	PlanID int
 	// Dim is the ESS dimension spilled on.
 	Dim int
@@ -127,7 +125,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 		}
 		progressed := false
 		for _, sp := range planner(Contour{Index: i, Cost: costs[i], Cells: cells, Free: free, Learned: learned}) {
-			res, ok, err := ce.ExecuteSpillCtx(ctx, sp.Plan, sp.Dim, sp.Budget)
+			res, ok, err := ce.ExecuteSpillCtx(ctx, s.Plans()[sp.PlanID], sp.Dim, sp.Budget)
 			if err != nil && !engine.IsBudgetAbort(err) {
 				return out, err
 			}
@@ -174,7 +172,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 
 	// Unreachable under PCM (the final contour's spills complete, reducing
 	// to the 1-D phase); kept as a defensive fallback mirroring
-	// bouquet.RunSubspace's guard.
+	// bouquet.RunSubspaceContext's guard.
 	ci := sub.MaxCorner()
 	res, err := ce.ExecuteCtx(ctx, s.PlanAt(ci), math.Inf(1))
 	if err != nil {

@@ -145,8 +145,7 @@ func maxCellPlanner(s *ess.Space) Planner {
 		for _, dim := range c.Free {
 			if cell := jmax[dim]; cell >= 0 {
 				spills = append(spills, Spill{
-					Plan: s.PlanAt(cell), PlanID: s.PlanIDAt(cell),
-					Dim: dim, Cell: cell, Budget: c.Cost,
+					PlanID: s.PlanIDAt(cell), Dim: dim, Cell: cell, Budget: c.Cost,
 				})
 			}
 		}

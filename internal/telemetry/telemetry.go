@@ -111,8 +111,7 @@ type Event struct {
 	// Dim is the ESS dimension spilled/pruned on; -1 for regular
 	// executions and non-dimensional events.
 	Dim int `json:"dim"`
-	// PlanID is the executed plan's POSP index (-1 for beam-enumerated
-	// replacement plans outside the POSP pool).
+	// PlanID is the executed plan's POSP index.
 	PlanID int `json:"planID,omitempty"`
 	// Budget and Spent are the assigned and charged costs; Budget -1 marks
 	// an unbudgeted execution.

@@ -139,6 +139,28 @@ func (s *Session) SweepScenarios(ctx context.Context, a Algorithm, suite []Scena
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("repro: empty scenario suite")
 	}
+	results, err := s.scenarioSweep(ctx, a, suite, maxLocations)
+	if err != nil {
+		return nil, fmt.Errorf("repro: scenario sweep aborted: %w", err)
+	}
+	out := make([]RegimeSummary, len(results))
+	for i, r := range results {
+		out[i] = RegimeSummary{
+			Regime: r.Regime, Algorithm: a, Scenarios: r.Scenarios,
+			MSO: r.MSO, ASO: r.ASO, Locations: r.Locations,
+			GuardVerdicts: r.Guard, Degraded: r.Degraded, Skipped: r.Skipped,
+		}
+		if r.MSOCell >= 0 {
+			out[i].WorstLocation = s.space.Grid.Location(r.MSOCell)
+		}
+	}
+	return out, nil
+}
+
+// scenarioSweep runs the algorithm under every scenario of the suite at (a
+// sample of) every grid cell, one full guarded run per (scenario,
+// location), and aggregates per regime.
+func (s *Session) scenarioSweep(ctx context.Context, a Algorithm, suite []Scenario, maxLocations int) ([]*metrics.RegimeResult, error) {
 	regimeOf := make([]string, len(suite))
 	for i, sc := range suite {
 		regimeOf[i] = sc.Regime
@@ -162,26 +184,11 @@ func (s *Session) SweepScenarios(ctx context.Context, a Algorithm, suite []Scena
 			TotalCost: res.TotalCost, GuardVerdict: res.GuardVerdict, Degraded: res.Degraded,
 		}
 	}
-	results, err := metrics.ScenarioSweepContext(ctx, s.space, regimeOf, run, metrics.SweepOptions{
+	return metrics.ScenarioSweepContext(ctx, s.space, regimeOf, run, metrics.SweepOptions{
 		MaxLocations: maxLocations,
 		Seed:         s.opts.sweepSeed(),
 		Workers:      s.opts.workers(),
 	})
-	if err != nil {
-		return nil, fmt.Errorf("repro: scenario sweep aborted: %w", err)
-	}
-	out := make([]RegimeSummary, len(results))
-	for i, r := range results {
-		out[i] = RegimeSummary{
-			Regime: r.Regime, Algorithm: a, Scenarios: r.Scenarios,
-			MSO: r.MSO, ASO: r.ASO, Locations: r.Locations,
-			GuardVerdicts: r.Guard, Degraded: r.Degraded, Skipped: r.Skipped,
-		}
-		if r.MSOCell >= 0 {
-			out[i].WorstLocation = s.space.Grid.Location(r.MSOCell)
-		}
-	}
-	return out, nil
 }
 
 // Atlas computes the per-regime robustness atlas of a 2D session: for every
@@ -216,29 +223,8 @@ func (s *Session) Atlas(ctx context.Context, algos []Algorithm, suite []Scenario
 		SelY:    append([]float64(nil), g.Points[1]...),
 		Regimes: Regimes(),
 	}
-	regimeOf := make([]string, len(suite))
-	for i, sc := range suite {
-		regimeOf[i] = sc.Regime
-	}
 	for _, a := range algos {
-		run := func(idx int, truth Location) metrics.ScenarioOutcome {
-			fctx := faults.With(ctx, suite[idx].Faults.internal())
-			res, err := s.runContext(fctx, a, truth, nil)
-			if err != nil {
-				if faults.IsCrash(err) {
-					return metrics.ScenarioOutcome{TotalCost: res.TotalCost, GuardVerdict: "crashed"}
-				}
-				return metrics.ScenarioOutcome{Skip: true}
-			}
-			return metrics.ScenarioOutcome{
-				TotalCost: res.TotalCost, GuardVerdict: res.GuardVerdict, Degraded: res.Degraded,
-			}
-		}
-		results, err := metrics.ScenarioSweepContext(ctx, s.space, regimeOf, run, metrics.SweepOptions{
-			MaxLocations: maxLocations,
-			Seed:         s.opts.sweepSeed(),
-			Workers:      s.opts.workers(),
-		})
+		results, err := s.scenarioSweep(ctx, a, suite, maxLocations)
 		if err != nil {
 			return nil, fmt.Errorf("repro: atlas sweep aborted: %w", err)
 		}

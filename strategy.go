@@ -257,14 +257,9 @@ func (nativeStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome,
 }
 
 func (nativeStrategy) SweepRun(s *Session) func(Location) float64 {
-	est := s.EstimateLocation()
+	p := s.space.PlanAt(s.space.Grid.CoveringCell(s.EstimateLocation()))
 	return func(truth Location) float64 {
-		g := s.space.Grid
-		idx := make([]int, g.D)
-		for d := range idx {
-			idx[d] = g.CeilIndex(d, est[d])
-		}
-		return s.model.Eval(s.space.PlanAt(g.Flatten(idx)), truth)
+		return s.model.Eval(p, truth)
 	}
 }
 
