@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet examples chaos resume-chaos drills bench experiments experiments-check replay-smoke atlas fuzz clean
+.PHONY: all build test race vet examples chaos resume-chaos drills bench bench-check experiments experiments-check replay-smoke atlas fuzz clean
 
 all: vet build test
 
@@ -53,6 +53,18 @@ drills:
 # perfbench, which records its environment with every run.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
+
+# bench-check runs one short offline perfbench round (the benchmark's
+# session builds and strategy sweeps) and fails unless its outputs still
+# match perfbench/expected.json: POSP sizes and every sweep's MSO/ASO. Only
+# offline is gated. The serve workload's per-reply AlignedBound guarantee
+# check fails at seeds 5 and 408 until AlignedBound keeps its guarantee off
+# the grid (ROADMAP.md, open items), so gating serve would fail for a
+# reason this check does not cover.
+bench-check:
+	@out=$$(bash perfbench/run.sh --workload offline --seed 1 --seconds 2 --trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "bench-check: offline outputs differ from perfbench/expected.json"; exit 1; }
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -215,7 +215,10 @@ func microSetup(b *testing.B) {
 		}
 		m := cost.MustNewModel(q, cost.PostgresLike())
 		microOpt = optimizer.MustNew(m)
-		microSpace = ess.Build(microOpt, ess.NewGrid(2, 16, 1e-6))
+		microSpace, err = ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, 16, 1e-6), 1, nil)
+		if err != nil {
+			panic(err)
+		}
 		microDiag = bouquet.Reduce(microSpace, 0.2)
 	})
 }
@@ -244,7 +247,9 @@ func BenchmarkESSBuild(b *testing.B) {
 	g := ess.NewGrid(2, 8, 1e-6)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ess.Build(microOpt, g)
+		if _, err := ess.BuildParallelContext(context.Background(), microSpace.Model, g, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -264,7 +269,9 @@ func BenchmarkBuildSerial(b *testing.B) {
 	m, g := buildBenchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ess.Build(optimizer.MustNew(m), g)
+		if _, err := ess.BuildParallelContext(context.Background(), m, g, 1, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -335,7 +342,9 @@ func BenchmarkMetricsSweepSB(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.Sweep(microSpace, run, metrics.SweepOptions{MaxLocations: 32, Seed: 1})
+		if _, err := metrics.SweepContext(context.Background(), microSpace, run, metrics.SweepOptions{MaxLocations: 32, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

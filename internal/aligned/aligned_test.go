@@ -1,6 +1,7 @@
 package aligned
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
 )
@@ -53,7 +53,11 @@ func build2D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(2, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func build3D(t *testing.T, res int) *ess.Space {
@@ -70,7 +74,11 @@ func build3D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(3, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(3, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestGuaranteeFormulas(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -171,9 +170,12 @@ func TestReduceMatchesReferenceOnRandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		o := optimizer.MustNew(cost.MustNewModel(q, cost.PostgresLike()))
+		m := cost.MustNewModel(q, cost.PostgresLike())
 		res := []int{0, 16, 10, 6, 4}[q.D()]
-		s := ess.Build(o, ess.NewGrid(q.D(), res, 1e-6))
+		s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), res, 1e-6), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, lambda := range []float64{0.2, 1} {
 			requireMatchesReference(t, workload.Describe(q), s, lambda)
 		}

@@ -1,6 +1,7 @@
 package cost_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -62,8 +63,11 @@ func TestPlanSetMatchesEvalOnBenchmarkPOSP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := optimizer.MustNew(cost.MustNewModel(q, cost.PostgresLike()))
-		s := ess.Build(o, ess.NewGrid(q.D(), 4, sp.GridLo))
+		m := cost.MustNewModel(q, cost.PostgresLike())
+		s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), 4, sp.GridLo), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		requireBitIdentical(t, name, s, sampleCells(s.Grid, 64, rng), rng)
 	}
 }
@@ -80,8 +84,11 @@ func TestPlanSetMatchesEvalOnRandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		o := optimizer.MustNew(cost.MustNewModel(q, cost.PostgresLike()))
-		s := ess.Build(o, ess.NewGrid(q.D(), []int{0, 16, 8, 5}[q.D()], 1e-6))
+		m := cost.MustNewModel(q, cost.PostgresLike())
+		s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), []int{0, 16, 8, 5}[q.D()], 1e-6), 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		requireBitIdentical(t, workload.Describe(q), s, sampleCells(s.Grid, 64, rng), rng)
 	}
 }

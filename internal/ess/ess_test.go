@@ -1,13 +1,13 @@
 package ess
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
-	"repro/internal/optimizer"
 	"repro/internal/sqlmini"
 )
 
@@ -38,6 +38,15 @@ func testCatalog() *catalog.Catalog {
 
 func buildSpace(t *testing.T, res int) *Space {
 	t.Helper()
+	s, err := BuildParallelContext(context.Background(), testModel(t), NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func testModel(t *testing.T) *cost.Model {
+	t.Helper()
 	q := sqlmini.MustParse(testCatalog(), `
 		SELECT * FROM part p, lineitem l, orders o
 		WHERE p.p_partkey = l.l_partkey AND l.l_orderkey = o.o_orderkey
@@ -45,8 +54,7 @@ func buildSpace(t *testing.T, res int) *Space {
 	if err := q.MarkEPPs("p.p_partkey = l.l_partkey", "l.l_orderkey = o.o_orderkey"); err != nil {
 		t.Fatal(err)
 	}
-	m := cost.MustNewModel(q, cost.PostgresLike())
-	return Build(optimizer.MustNew(m), NewGrid(2, res, 1e-6))
+	return cost.MustNewModel(q, cost.PostgresLike())
 }
 
 func TestGridBasics(t *testing.T) {

@@ -4,13 +4,48 @@ import (
 	"context"
 	"sync"
 	"testing"
+
+	"repro/internal/optimizer"
 )
 
+// sequentialBuild is the reference build: one optimizer walks the grid in
+// flat cell order, numbering plans by first appearance. BuildParallelContext
+// must reproduce it exactly at every worker count.
+func sequentialBuild(opt *optimizer.Optimizer, g Grid) *Space {
+	s := &Space{
+		Grid:    g,
+		Query:   opt.Model().Query,
+		Model:   opt.Model(),
+		optCost: make([]float64, g.Size()),
+		planIdx: make([]int32, g.Size()),
+	}
+	byFP := make(map[string]int32)
+	for ci := 0; ci < g.Size(); ci++ {
+		p, c := opt.Optimize(g.Location(ci))
+		fp := p.Fingerprint()
+		id, ok := byFP[fp]
+		if !ok {
+			id = int32(len(s.plans))
+			s.plans = append(s.plans, p)
+			byFP[fp] = id
+		}
+		s.optCost[ci] = c
+		s.planIdx[ci] = id
+	}
+	return s
+}
+
+// sequentialSpace is buildSpace through the reference build.
+func sequentialSpace(t *testing.T, res int) *Space {
+	t.Helper()
+	return sequentialBuild(optimizer.MustNew(testModel(t)), NewGrid(2, res, 1e-6))
+}
+
 // TestBuildParallelContextMatchesSequential proves the pooled build is
-// byte-identical to the sequential one: same costs, same plan numbering,
-// same fingerprints, same contour ladder.
+// byte-identical to the sequential reference: same costs, same plan
+// numbering, same fingerprints, same contour ladder.
 func TestBuildParallelContextMatchesSequential(t *testing.T) {
-	s := buildSpace(t, 8) // sequential reference
+	s := sequentialSpace(t, 8)
 	for _, workers := range []int{1, 2, 3, 8, 64} {
 		par, err := BuildParallelContext(context.Background(), s.Model, s.Grid, workers, nil)
 		if err != nil {

@@ -119,7 +119,7 @@ func TestLoadValidatesPlanReferences(t *testing.T) {
 }
 
 func TestBuildParallelMatchesSequential(t *testing.T) {
-	s := buildSpace(t, 8) // sequential reference
+	s := sequentialSpace(t, 8)
 	par, err := BuildParallelContext(context.Background(), s.Model, s.Grid, 4, nil)
 	if err != nil {
 		t.Fatalf("BuildParallelContext: %v", err)
@@ -141,7 +141,7 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 }
 
 func TestBuildParallelSingleWorker(t *testing.T) {
-	s := buildSpace(t, 4)
+	s := sequentialSpace(t, 4)
 	par, err := BuildParallelContext(context.Background(), s.Model, s.Grid, 1, nil)
 	if err != nil {
 		t.Fatal(err)

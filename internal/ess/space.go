@@ -35,34 +35,6 @@ type Space struct {
 	contourCache map[string][]int
 }
 
-// Build enumerates the whole grid through the optimizer, recording the
-// optimal plan and cost of every cell. This is the preprocessing step whose
-// expense the paper notes (Sec 7); for the grid resolutions used here it is
-// laptop-scale.
-func Build(opt *optimizer.Optimizer, g Grid) *Space {
-	s := &Space{
-		Grid:    g,
-		Query:   opt.Model().Query,
-		Model:   opt.Model(),
-		optCost: make([]float64, g.Size()),
-		planIdx: make([]int32, g.Size()),
-	}
-	byFP := make(map[string]int32)
-	for ci := 0; ci < g.Size(); ci++ {
-		p, c := opt.Optimize(g.Location(ci))
-		fp := p.Fingerprint()
-		id, ok := byFP[fp]
-		if !ok {
-			id = int32(len(s.plans))
-			s.plans = append(s.plans, p)
-			byFP[fp] = id
-		}
-		s.optCost[ci] = c
-		s.planIdx[ci] = id
-	}
-	return s
-}
-
 // BuildProgress observes an in-flight build: done of total grid cells have
 // been optimized. It is invoked concurrently from worker goroutines, so
 // implementations must be safe for concurrent use (an atomic store or a
@@ -79,17 +51,20 @@ type BuildProgress func(done, total int)
 // CellLo, so scheduling never shows in the tree.
 const buildChunkCells = 32
 
-// BuildParallelContext is Build with the grid partitioned across workers —
-// the paper's Sec 7 observation that "the contour constructions can be
-// carried out in parallel since they do not have any dependence on each
-// other" — plus cancellation and progress reporting: the context is polled
-// between optimizer calls (an expired deadline or cancel abandons the build
-// and returns the context's error), and progress, when non-nil, observes the
-// running cell count. workers <= 0 uses GOMAXPROCS; the grid is split into
-// fixed-size chunks pulled by the workers, one optimizer instance per worker
-// over the shared cost model. Plan numbering follows first
-// appearance in flat cell order, so the resulting Space is identical to the
-// sequential Build's regardless of worker count.
+// BuildParallelContext enumerates the whole grid through the optimizer,
+// recording the optimal plan and cost of every cell. This is the
+// preprocessing step whose expense the paper notes (Sec 7), and it is the
+// only way to build a Space from a cost model. The grid is partitioned
+// across workers — the paper's Sec 7 observation that "the contour
+// constructions can be carried out in parallel since they do not have any
+// dependence on each other" — with cancellation and progress reporting: the
+// context is polled between optimizer calls (an expired deadline or cancel
+// abandons the build and returns the context's error), and progress, when
+// non-nil, observes the running cell count. workers <= 0 uses GOMAXPROCS
+// and workers == 1 builds serially; the grid is split into fixed-size
+// chunks pulled by the workers, one optimizer instance per worker over the
+// shared cost model. Plan numbering follows first appearance in flat cell
+// order, so the resulting Space is identical whatever the worker count.
 func BuildParallelContext(ctx context.Context, m *cost.Model, g Grid, workers int, progress BuildProgress) (*Space, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -164,8 +139,7 @@ func BuildParallelContext(ctx context.Context, m *cost.Model, g Grid, workers in
 			return nil, err
 		}
 	}
-	// Deterministic plan numbering: first appearance in cell order, as in
-	// the sequential Build.
+	// Deterministic plan numbering: first appearance in cell order.
 	byFP := make(map[string]int32)
 	for ci := 0; ci < g.Size(); ci++ {
 		id, ok := byFP[fps[ci].fp]

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/estimate"
-	"repro/internal/metrics"
 	"repro/internal/optimizer"
 	"repro/internal/query"
 	"repro/internal/reopt"
@@ -163,9 +162,9 @@ func (l *Lab) ReoptComparison() ([]ReoptRow, error) {
 		pop := reopt.NewRunner(o)
 		// The POP runner re-invokes the (non-concurrency-safe) optimizer,
 		// so its sweep stays sequential regardless of Config.Workers.
-		popSweep := metrics.Sweep(s, func(truth cost.Location) float64 {
+		popSweep := l.sweepOn(s, func(truth cost.Location) float64 {
 			return pop.Run(truth).TotalCost
-		}, metrics.SweepOptions{MaxLocations: l.Config.MaxLocations, Seed: l.Config.Seed})
+		}, 1)
 		rio := reopt.NewRioRunner(s)
 		rioSweep := l.sweep(s, rio.Run)
 		sb := l.cachedSweep("sb:"+sp.Name, s, l.sbRun(s))

@@ -103,13 +103,13 @@ func (l *Lab) DeltaRobustness() ([]DeltaRow, error) {
 	var rows []DeltaRow
 	for _, delta := range []float64{0, 0.1, 0.3, 0.5} {
 		errFn := engine.DeterministicCostError(delta, uint64(l.Config.Seed)+1)
-		res := metrics.Sweep(s, func(truth cost.Location) float64 {
+		res := l.sweep(s, func(truth cost.Location) float64 {
 			e := engine.New(s.Model, truth)
 			e.CostError = errFn
 			// Conservative denominator handling: scale the numerator up by
 			// (1+δ) instead of tracking the perturbed-world oracle.
 			return runner.Run(e).TotalCost * (1 + delta)
-		}, metrics.SweepOptions{MaxLocations: l.Config.MaxLocations, Seed: l.Config.Seed})
+		})
 		rows = append(rows, DeltaRow{
 			Delta:         delta,
 			InflatedBound: spillbound.Guarantee(sp.D) * (1 + delta) * (1 + delta),
@@ -142,18 +142,14 @@ func (l *Lab) CorrelatedWorkload() ([]CorrelatedRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	sbRunner := &spillbound.Runner{Space: s, Ratio: l.Config.Ratio}
-	abRunner := newABRunner(l, s)
-	opts := metrics.SweepOptions{MaxLocations: l.Config.MaxLocations, Seed: l.Config.Seed}
+	// The runs do not depend on the workload: reweight the cached sweeps.
+	sbSweep := l.cachedSweep("sb:"+sp.Name, s, l.sbRun(s))
+	abSweep, _ := l.abSweep(sp.Name, s)
 	var rows []CorrelatedRow
 	for _, rho := range []float64{0, 0.5, 0.9} {
 		density := metrics.CorrelatedLogNormal(sp.D, -3, 1.5, rho)
-		sb := metrics.WeightedSweep(s, func(truth cost.Location) float64 {
-			return sbRunner.Run(engine.New(s.Model, truth)).TotalCost
-		}, density, opts)
-		ab := metrics.WeightedSweep(s, func(truth cost.Location) float64 {
-			return abRunner.Run(engine.New(s.Model, truth)).TotalCost
-		}, density, opts)
+		sb := metrics.Reweight(s.Grid, sbSweep, density)
+		ab := metrics.Reweight(s.Grid, abSweep, density)
 		rows = append(rows, CorrelatedRow{Rho: rho, SBASO: sb.ASO, ABASO: ab.ASO, SBMSO: sb.MSO})
 	}
 	return rows, nil

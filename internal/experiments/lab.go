@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -20,7 +21,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/metrics"
-	"repro/internal/optimizer"
 	"repro/internal/spillbound"
 	"repro/internal/workload"
 )
@@ -45,8 +45,8 @@ type Config struct {
 	// ResOverride optionally overrides the grid resolution per query name
 	// (useful to shrink benchmark runtimes).
 	ResOverride map[string]int
-	// Workers parallelizes MSO sweeps (the runners are concurrency-safe
-	// over a shared space); 0 uses GOMAXPROCS.
+	// Workers parallelizes ESS builds and MSO sweeps (the runners are
+	// concurrency-safe over a shared space); 0 uses GOMAXPROCS.
 	Workers int
 }
 
@@ -140,15 +140,14 @@ func (l *Lab) SpaceWith(sp workload.Spec, params cost.Params) (*ess.Space, error
 	if err != nil {
 		return nil, err
 	}
-	o, err := optimizer.New(m)
-	if err != nil {
-		return nil, err
-	}
 	res := sp.GridRes
 	if r, ok := l.Config.ResOverride[sp.Name]; ok {
 		res = r
 	}
-	s := ess.Build(o, ess.NewGrid(q.D(), res, sp.GridLo))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), res, sp.GridLo), l.Config.Workers, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	l.mu.Lock()
 	l.spaces[key] = s
@@ -178,17 +177,23 @@ func (l *Lab) Diagram(sp workload.Spec) (*bouquet.Diagram, error) {
 }
 
 // sweep runs the strategy over the space's grid per the lab's sampling
-// configuration.
+// configuration, on the lab's workers.
 func (l *Lab) sweep(s *ess.Space, run metrics.RunFunc) metrics.SweepResult {
 	workers := l.Config.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return metrics.Sweep(s, run, metrics.SweepOptions{
+	return l.sweepOn(s, run, workers)
+}
+
+// sweepOn is sweep on an explicit worker count.
+func (l *Lab) sweepOn(s *ess.Space, run metrics.RunFunc, workers int) metrics.SweepResult {
+	res, _ := metrics.SweepContext(context.Background(), s, run, metrics.SweepOptions{
 		MaxLocations: l.Config.MaxLocations,
 		Seed:         l.Config.Seed,
 		Workers:      workers,
 	})
+	return res
 }
 
 // cachedSweep memoizes a sweep per (query space, algorithm tag); figures
@@ -240,11 +245,6 @@ func (l *Lab) abRun(s *ess.Space, maxPenalty *float64) metrics.RunFunc {
 		}
 		return out.TotalCost
 	}
-}
-
-// newABRunner builds an AlignedBound runner under the lab's configuration.
-func newABRunner(l *Lab, s *ess.Space) *aligned.Runner {
-	return &aligned.Runner{Space: s, Ratio: l.Config.Ratio}
 }
 
 // abSweep runs (and caches) the AlignedBound sweep for a query, returning

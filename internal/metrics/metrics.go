@@ -32,12 +32,12 @@ type SweepOptions struct {
 	MaxLocations int
 	// Seed drives the subsample when MaxLocations is exceeded.
 	Seed int64
-	// Workers > 1 evaluates locations concurrently. The RunFunc must then
-	// be safe for concurrent use: the discovery runners over a shared
-	// Space are (the contour cache is mutex-protected, engines are
-	// per-call), but a shared *optimizer.Optimizer is not — its DP scratch
-	// is reused across calls. Results are deterministic regardless of
-	// worker count.
+	// Workers > 1 evaluates locations concurrently; Workers <= 1 evaluates
+	// them one at a time. With more than one worker the RunFunc must be
+	// safe for concurrent use: the discovery runners over a shared Space
+	// are (the contour cache is mutex-protected, engines are per-call), but
+	// a shared *optimizer.Optimizer is not — its DP scratch is reused
+	// across calls. Results are deterministic regardless of worker count.
 	Workers int
 }
 
@@ -55,65 +55,76 @@ type SweepResult struct {
 	Cells []int
 }
 
-// Sweep evaluates the strategy at (a sample of) every grid cell as the
-// true location and aggregates the sub-optimalities.
-func Sweep(s *ess.Space, run RunFunc, opts SweepOptions) SweepResult {
-	res, _ := SweepContext(context.Background(), s, run, opts)
-	return res
-}
-
-// SweepContext is Sweep with cancellation: the context is polled between
-// location evaluations (workers stop claiming new cells once it is done),
-// and the partial aggregate computed so far is returned with the context's
-// error. Locations never evaluated hold a zero sub-optimality and are
-// excluded from the abort-time aggregate by the early return.
+// SweepContext evaluates the strategy at (a sample of) every grid cell as
+// the true location and aggregates the sub-optimalities. The context is
+// polled between location evaluations (workers stop claiming new cells once
+// it is done); on cancellation the result is returned unaggregated with the
+// context's error, holding a zero sub-optimality at every location never
+// evaluated.
 func SweepContext(ctx context.Context, s *ess.Space, run RunFunc, opts SweepOptions) (SweepResult, error) {
 	g := s.Grid
 	cells := pickCells(g.Size(), opts)
 	res := SweepResult{Cells: cells, SubOpt: make([]float64, len(cells)), MSOCell: -1}
-
-	if opts.Workers > 1 && len(cells) > 1 {
-		var wg sync.WaitGroup
-		next := int64(-1)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(cells) {
-						return
-					}
-					ci := cells[i]
-					res.SubOpt[i] = run(g.Location(ci)) / s.CostAt(ci)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, ci := range cells {
-			if err := ctx.Err(); err != nil {
-				return res, err
-			}
-			res.SubOpt[i] = run(g.Location(ci)) / s.CostAt(ci)
-		}
-	}
+	forEach(ctx, len(cells), opts.Workers, func(i int) {
+		ci := cells[i]
+		res.SubOpt[i] = run(g.Location(ci)) / s.CostAt(ci)
+	})
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
+	res.aggregate(nil)
+	return res, nil
+}
 
-	sum := 0.0
-	for i, so := range res.SubOpt {
-		sum += so
-		if so > res.MSO {
-			res.MSO = so
-			res.MSOCell = cells[i]
+// aggregate sets MSO, MSOCell and ASO from SubOpt, summing in index order so
+// the result never depends on the evaluation schedule. weight (nil means
+// uniform) gives each cell's share of ASO; cells of zero weight count
+// towards neither MSO nor ASO.
+func (r *SweepResult) aggregate(weight func(ci int) float64) {
+	r.MSO, r.MSOCell, r.ASO = 0, -1, 0
+	sum, wsum := 0.0, 0.0
+	for i, so := range r.SubOpt {
+		w := 1.0
+		if weight != nil {
+			w = weight(r.Cells[i])
+		}
+		if w <= 0 {
+			continue
+		}
+		sum += w * so
+		wsum += w
+		if so > r.MSO {
+			r.MSO = so
+			r.MSOCell = r.Cells[i]
 		}
 	}
-	if len(cells) > 0 {
-		res.ASO = sum / float64(len(cells))
+	if wsum > 0 {
+		r.ASO = sum / wsum
 	}
-	return res, nil
+}
+
+// forEach calls fn for every index in [0, n) from workers goroutines that
+// claim indices off one shared counter; workers <= 1 means one worker. fn
+// must be safe for concurrent use when workers > 1. Workers stop claiming
+// once ctx is done, so a canceled loop leaves some indices unvisited.
+func forEach(ctx context.Context, n, workers int, fn func(i int)) {
+	workers = max(1, min(workers, n))
+	var wg sync.WaitGroup
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // SweepManyContext evaluates several named strategies over one shared cell
@@ -140,8 +151,8 @@ func SweepManyContext(ctx context.Context, s *ess.Space, runs map[string]RunFunc
 }
 
 // pickCells returns the sweep's cell sample: every cell when within budget,
-// otherwise a deterministic uniform sample that always includes the origin
-// and terminus.
+// otherwise a deterministic uniform sample of exactly MaxLocations cells
+// that starts from the origin and, for a cap of two or more, the terminus.
 func pickCells(size int, opts SweepOptions) []int {
 	if opts.MaxLocations <= 0 || size <= opts.MaxLocations {
 		out := make([]int, size)
@@ -152,7 +163,7 @@ func pickCells(size int, opts SweepOptions) []int {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	seen := map[int]bool{0: true, size - 1: true}
-	out := []int{0, size - 1}
+	out := []int{0, size - 1}[:min(2, opts.MaxLocations)]
 	for len(out) < opts.MaxLocations {
 		ci := rng.Intn(size)
 		if !seen[ci] {

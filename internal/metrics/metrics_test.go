@@ -1,14 +1,15 @@
 package metrics
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
 )
@@ -42,7 +43,21 @@ func buildSpace(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(2, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// sweep runs SweepContext to completion, failing the test on error.
+func sweep(t *testing.T, s *ess.Space, run RunFunc, opts SweepOptions) SweepResult {
+	t.Helper()
+	res, err := SweepContext(context.Background(), s, run, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestSweepExhaustive(t *testing.T) {
@@ -51,7 +66,7 @@ func TestSweepExhaustive(t *testing.T) {
 	run := func(truth cost.Location) float64 {
 		return r.Run(engine.New(s.Model, truth)).TotalCost
 	}
-	res := Sweep(s, run, SweepOptions{})
+	res := sweep(t, s, run, SweepOptions{})
 	if len(res.Cells) != s.Grid.Size() {
 		t.Fatalf("exhaustive sweep visited %d cells", len(res.Cells))
 	}
@@ -79,7 +94,7 @@ func indexOf(cells []int, ci int) int {
 func TestSweepSampled(t *testing.T) {
 	s := buildSpace(t, 8)
 	run := func(truth cost.Location) float64 { return s.MinCost() * 2 }
-	res := Sweep(s, run, SweepOptions{MaxLocations: 10, Seed: 1})
+	res := sweep(t, s, run, SweepOptions{MaxLocations: 10, Seed: 1})
 	if len(res.Cells) != 10 {
 		t.Fatalf("sampled sweep visited %d cells, want 10", len(res.Cells))
 	}
@@ -88,10 +103,38 @@ func TestSweepSampled(t *testing.T) {
 		t.Errorf("sample must include origin and terminus: %v", res.Cells)
 	}
 	// Determinism by seed.
-	res2 := Sweep(s, run, SweepOptions{MaxLocations: 10, Seed: 1})
+	res2 := sweep(t, s, run, SweepOptions{MaxLocations: 10, Seed: 1})
 	for i := range res.Cells {
 		if res.Cells[i] != res2.Cells[i] {
 			t.Fatal("sampling not deterministic for equal seeds")
+		}
+	}
+}
+
+// TestSweepCap proves a capped sweep evaluates at most MaxLocations cells:
+// a cap of 1 is the origin alone, 2 adds the terminus, and 3 adds one
+// seeded draw.
+func TestSweepCap(t *testing.T) {
+	s := buildSpace(t, 8)
+	run := func(truth cost.Location) float64 { return s.MinCost() }
+	last := s.Grid.Size() - 1
+	for _, c := range []struct {
+		max  int
+		want []int
+	}{
+		{1, []int{0}},
+		{2, []int{0, last}},
+		{3, nil},
+	} {
+		res := sweep(t, s, run, SweepOptions{MaxLocations: c.max, Seed: 1})
+		if len(res.Cells) != c.max {
+			t.Fatalf("cap %d: swept %d cells %v", c.max, len(res.Cells), res.Cells)
+		}
+		if c.want != nil && !slices.Equal(res.Cells, c.want) {
+			t.Errorf("cap %d: swept cells %v, want %v", c.max, res.Cells, c.want)
+		}
+		if res.Cells[0] != 0 || (c.max > 1 && res.Cells[c.max-1] != last) {
+			t.Errorf("cap %d: sample %v misses the origin or terminus", c.max, res.Cells)
 		}
 	}
 }
@@ -137,8 +180,8 @@ func TestSweepParallelMatchesSequential(t *testing.T) {
 	run := func(truth cost.Location) float64 {
 		return r.Run(engine.New(s.Model, truth)).TotalCost
 	}
-	seq := Sweep(s, run, SweepOptions{})
-	par := Sweep(s, run, SweepOptions{Workers: 8})
+	seq := sweep(t, s, run, SweepOptions{})
+	par := sweep(t, s, run, SweepOptions{Workers: 8})
 	if seq.MSO != par.MSO || seq.ASO != par.ASO || seq.MSOCell != par.MSOCell {
 		t.Errorf("parallel sweep diverges: %+v vs %+v", par, seq)
 	}

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
@@ -124,37 +122,11 @@ func ScenarioSweepContext(ctx context.Context, s *ess.Space, regimeOf []string, 
 	}
 	evals := make([]eval, len(units))
 
-	evalOne := func(u unit) eval {
+	forEach(ctx, len(units), opts.Workers, func(i int) {
+		u := units[i]
 		out := run(u.sc, g.Location(cells[u.cell]))
-		return eval{out: out, subOpt: out.TotalCost / s.CostAt(cells[u.cell]), done: true}
-	}
-
-	workers := opts.Workers
-	if workers > 1 && len(units) > 1 {
-		var wg sync.WaitGroup
-		next := int64(-1)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(units) {
-						return
-					}
-					evals[i] = evalOne(units[i])
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i, u := range units {
-			if ctx.Err() != nil {
-				break
-			}
-			evals[i] = evalOne(u)
-		}
-	}
+		evals[i] = eval{out: out, subOpt: out.TotalCost / s.CostAt(cells[u.cell]), done: true}
+	})
 	err := ctx.Err()
 
 	// Serial aggregation keeps a completed sweep deterministic regardless of

@@ -18,36 +18,21 @@ import (
 // Density maps an ESS location to an unnormalized workload probability.
 type Density func(loc cost.Location) float64
 
-// WeightedSweep evaluates the strategy at every grid cell (subject to the
-// sampling options) and aggregates with the density as weight: ASO becomes
-// the density-weighted mean sub-optimality; MSO remains the maximum over
-// cells with non-zero weight.
-func WeightedSweep(s *ess.Space, run RunFunc, w Density, opts SweepOptions) SweepResult {
-	g := s.Grid
-	cells := pickCells(g.Size(), opts)
-	res := SweepResult{Cells: cells, SubOpt: make([]float64, len(cells)), MSOCell: -1}
-	sum, wsum := 0.0, 0.0
-	for i, ci := range cells {
-		loc := g.Location(ci)
-		weight := w(loc)
-		if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
-			weight = 0
+// Reweight re-aggregates a finished sweep under the workload density w over
+// grid g: ASO becomes the density-weighted mean sub-optimality, and MSO the
+// maximum over cells of positive weight (negative, NaN and infinite weights
+// count as zero). The strategy's runs do not depend on the workload, so
+// one sweep serves every density.
+func Reweight(g ess.Grid, res SweepResult, w Density) SweepResult {
+	out := SweepResult{Cells: res.Cells, SubOpt: res.SubOpt}
+	out.aggregate(func(ci int) float64 {
+		weight := w(g.Location(ci))
+		if math.IsNaN(weight) || math.IsInf(weight, 0) {
+			return 0
 		}
-		so := run(loc) / s.CostAt(ci)
-		res.SubOpt[i] = so
-		if weight > 0 {
-			sum += weight * so
-			wsum += weight
-			if so > res.MSO {
-				res.MSO = so
-				res.MSOCell = ci
-			}
-		}
-	}
-	if wsum > 0 {
-		res.ASO = sum / wsum
-	}
-	return res
+		return weight
+	})
+	return out
 }
 
 // CorrelatedLogNormal returns a Density modeling *dependent* predicate

@@ -5,13 +5,58 @@ import (
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/ess"
 )
+
+// referenceWeightedSweep is the weighted sweep as one serial loop that runs
+// the strategy and weights it cell by cell: the oracle Reweight must match
+// exactly.
+func referenceWeightedSweep(s *ess.Space, run RunFunc, w Density, opts SweepOptions) SweepResult {
+	g := s.Grid
+	cells := pickCells(g.Size(), opts)
+	res := SweepResult{Cells: cells, SubOpt: make([]float64, len(cells)), MSOCell: -1}
+	sum, wsum := 0.0, 0.0
+	for i, ci := range cells {
+		loc := g.Location(ci)
+		weight := w(loc)
+		if weight < 0 || math.IsNaN(weight) || math.IsInf(weight, 0) {
+			weight = 0
+		}
+		so := run(loc) / s.CostAt(ci)
+		res.SubOpt[i] = so
+		if weight > 0 {
+			sum += weight * so
+			wsum += weight
+			if so > res.MSO {
+				res.MSO = so
+				res.MSOCell = ci
+			}
+		}
+	}
+	if wsum > 0 {
+		res.ASO = sum / wsum
+	}
+	return res
+}
+
+// weightedSweep sweeps run and reweights the result by w, asserting exact
+// equality with the reference loop.
+func weightedSweep(t *testing.T, s *ess.Space, run RunFunc, w Density, opts SweepOptions) SweepResult {
+	t.Helper()
+	got := Reweight(s.Grid, sweep(t, s, run, opts), w)
+	want := referenceWeightedSweep(s, run, w, opts)
+	if got.MSO != want.MSO || got.MSOCell != want.MSOCell || got.ASO != want.ASO {
+		t.Fatalf("Reweight = MSO %v@%d ASO %v, reference MSO %v@%d ASO %v",
+			got.MSO, got.MSOCell, got.ASO, want.MSO, want.MSOCell, want.ASO)
+	}
+	return got
+}
 
 func TestWeightedSweepUniformMatchesPlain(t *testing.T) {
 	s := buildSpace(t, 8)
 	run := func(truth cost.Location) float64 { return s.CostAt(0) * 3 }
-	plain := Sweep(s, run, SweepOptions{})
-	weighted := WeightedSweep(s, run, func(cost.Location) float64 { return 1 }, SweepOptions{})
+	plain := sweep(t, s, run, SweepOptions{})
+	weighted := weightedSweep(t, s, run, func(cost.Location) float64 { return 1 }, SweepOptions{})
 	if math.Abs(plain.ASO-weighted.ASO) > 1e-12 {
 		t.Errorf("uniform weighted ASO %g != plain %g", weighted.ASO, plain.ASO)
 	}
@@ -29,8 +74,8 @@ func TestWeightedSweepConcentration(t *testing.T) {
 		return s.CostAt(ci) * (1 + float64(ci)/float64(g.Size()))
 	}
 	// Mass near the origin → low ASO; mass near the terminus → high ASO.
-	atOrigin := WeightedSweep(s, run, CorrelatedLogNormal(2, -6, 0.5, 0), SweepOptions{})
-	atTerminus := WeightedSweep(s, run, CorrelatedLogNormal(2, 0, 0.5, 0), SweepOptions{})
+	atOrigin := weightedSweep(t, s, run, CorrelatedLogNormal(2, -6, 0.5, 0), SweepOptions{})
+	atTerminus := weightedSweep(t, s, run, CorrelatedLogNormal(2, 0, 0.5, 0), SweepOptions{})
 	if atOrigin.ASO >= atTerminus.ASO {
 		t.Errorf("origin-weighted ASO %g should undercut terminus-weighted %g",
 			atOrigin.ASO, atTerminus.ASO)
@@ -40,7 +85,7 @@ func TestWeightedSweepConcentration(t *testing.T) {
 func TestWeightedSweepIgnoresBadWeights(t *testing.T) {
 	s := buildSpace(t, 6)
 	run := func(truth cost.Location) float64 { return s.CostAt(0) }
-	res := WeightedSweep(s, run, func(loc cost.Location) float64 {
+	res := weightedSweep(t, s, run, func(loc cost.Location) float64 {
 		if loc[0] < 1e-3 {
 			return math.NaN()
 		}

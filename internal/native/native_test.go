@@ -1,12 +1,12 @@
 package native
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/sqlmini"
 )
 
@@ -39,7 +39,11 @@ func buildSpace(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(2, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestSubOptAtLeastOne(t *testing.T) {

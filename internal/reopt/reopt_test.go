@@ -1,6 +1,7 @@
 package reopt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -20,8 +21,11 @@ func buildQ91(t *testing.T) (*optimizer.Optimizer, *ess.Space) {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	o := optimizer.MustNew(m)
-	return o, ess.Build(o, ess.NewGrid(2, 10, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, 10, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return optimizer.MustNew(m), s
 }
 
 func TestRunCompletes(t *testing.T) {

@@ -1,12 +1,12 @@
 package rowexec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aligned"
 	"repro/internal/bouquet"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/plan"
 	"repro/internal/spillbound"
 )
@@ -21,8 +21,10 @@ import (
 // discrepancy (a bounded cost-model error in the Sec 7 sense).
 func TestSpillBoundOnRealRows(t *testing.T) {
 	e, m := smallEngine(t)
-	o := optimizer.MustNew(m)
-	s := ess.Build(o, ess.NewGrid(2, 10, 1e-4))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, 10, 1e-4), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := spillbound.NewRunner(s)
 
 	out := r.Run(&Adapter{E: e})
@@ -69,8 +71,10 @@ func TestSpillBoundOnRealRows(t *testing.T) {
 // TestPlanBouquetOnRealRows drives the PB protocol physically.
 func TestPlanBouquetOnRealRows(t *testing.T) {
 	e, m := smallEngine(t)
-	o := optimizer.MustNew(m)
-	s := ess.Build(o, ess.NewGrid(2, 10, 1e-4))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, 10, 1e-4), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := bouquet.Reduce(s, 0.2)
 	out := bouquet.Run(d, &Adapter{E: e}, 2)
 	if !out.Completed {
@@ -84,8 +88,10 @@ func TestPlanBouquetOnRealRows(t *testing.T) {
 // TestAlignedBoundOnRealRows drives AB physically.
 func TestAlignedBoundOnRealRows(t *testing.T) {
 	e, m := smallEngine(t)
-	o := optimizer.MustNew(m)
-	s := ess.Build(o, ess.NewGrid(2, 10, 1e-4))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, 10, 1e-4), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := aligned.NewRunner(s)
 	out := r.Run(&Adapter{E: e})
 	if !out.Completed {

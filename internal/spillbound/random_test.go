@@ -1,6 +1,7 @@
 package spillbound
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/workload"
 )
 
@@ -34,15 +34,14 @@ func TestStructuralBoundOnRandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		o, err := optimizer.New(m)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
 		res := []int{0, 0, 10, 6, 4}[q.D()] // per-D grid resolution
 		if res == 0 {
 			res = 10
 		}
-		s := ess.Build(o, ess.NewGrid(q.D(), res, 1e-6))
+		s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), res, 1e-6), 1, nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 		r := NewRunner(s)
 		bound := Guarantee(q.D())
 		g := s.Grid

@@ -1,6 +1,7 @@
 package spillbound
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/sqlmini"
 )
 
@@ -52,7 +52,11 @@ func build2D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(2, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func build3D(t *testing.T, res int) *ess.Space {
@@ -69,7 +73,11 @@ func build3D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(3, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(3, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestGuaranteeFormula(t *testing.T) {
@@ -298,5 +306,9 @@ func build4D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(4, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(4, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

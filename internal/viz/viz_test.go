@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/optimizer"
 	"repro/internal/spillbound"
 	"repro/internal/workload"
 )
@@ -21,7 +21,11 @@ func build2D(t *testing.T, res int) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(2, res, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(2, res, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func build3D(t *testing.T) *ess.Space {
@@ -32,7 +36,11 @@ func build3D(t *testing.T) *ess.Space {
 		t.Fatal(err)
 	}
 	m := cost.MustNewModel(q, cost.PostgresLike())
-	return ess.Build(optimizer.MustNew(m), ess.NewGrid(3, 4, 1e-6))
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(3, 4, 1e-6), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestContourMapRenders(t *testing.T) {

@@ -243,24 +243,6 @@ func runLadder(ctx context.Context, r *StrategyRun, name string, choose func(*Se
 	return out, fmt.Errorf("repro: %s budget ladder exceeded %d doublings (non-finite execution cost?)", name, maxLadderSteps)
 }
 
-// sweepLadder is the sweeps' lightweight ladder evaluator: identical cost
-// accounting to runLadder (failed attempts charge their budget, the
-// completing attempt charges the plan's true cost) without the executor
-// stack, telemetry, or durability plumbing.
-func sweepLadder(s *Session, name string, choose func(*Session) selectionChoice) func(Location) float64 {
-	ch := s.selectionFor(name, choose)
-	p := s.space.Plans()[ch.planID]
-	return func(truth Location) float64 {
-		c := s.model.Eval(p, truth)
-		total, budget := 0.0, ch.initBudget
-		for i := 0; c > budget && i < maxLadderSteps; i++ {
-			total += budget
-			budget *= 2
-		}
-		return total + c
-	}
-}
-
 // selectionStrategy implements Strategy for one member of the selection
 // family; the members differ only in descriptor, salt and chooser.
 type selectionStrategy struct {
@@ -268,14 +250,12 @@ type selectionStrategy struct {
 	choose func(*Session) selectionChoice
 }
 
-func (st selectionStrategy) Info() StrategyInfo          { return st.info }
-func (selectionStrategy) Guarantee(*Session) float64     { return math.Inf(1) }
+func (st selectionStrategy) Info() StrategyInfo      { return st.info }
+func (selectionStrategy) Guarantee(*Session) float64 { return math.Inf(1) }
 func (st selectionStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	return runLadder(ctx, r, st.info.Name, st.choose)
 }
-func (st selectionStrategy) SweepRun(s *Session) func(Location) float64 {
-	return sweepLadder(s, st.info.Name, st.choose)
-}
+func (st selectionStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
 
 // registerSelectionStrategies registers the selection family (called from
 // the strategy registry's init).

@@ -633,24 +633,11 @@ func (s *Session) Sweep(a Algorithm, maxLocations int) (SweepSummary, error) {
 // serial sweep regardless of worker count, and sampled sweeps draw their
 // locations from Options.SweepSeed.
 func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations int) (SweepSummary, error) {
-	st, err := ParseStrategy(string(a))
+	sums, err := s.SweepStrategies(ctx, []string{string(a)}, maxLocations)
 	if err != nil {
 		return SweepSummary{}, err
 	}
-	run := metrics.RunFunc(st.SweepRun(s))
-	res, err := metrics.SweepContext(ctx, s.space, run, metrics.SweepOptions{
-		MaxLocations: maxLocations,
-		Seed:         s.opts.sweepSeed(),
-		Workers:      s.opts.workers(),
-	})
-	if err != nil {
-		return SweepSummary{}, fmt.Errorf("repro: sweep aborted: %w", err)
-	}
-	sum := SweepSummary{Algorithm: a, MSO: res.MSO, ASO: res.ASO, Locations: len(res.Cells)}
-	if res.MSOCell >= 0 {
-		sum.WorstLocation = s.space.Grid.Location(res.MSOCell)
-	}
-	return sum, nil
+	return sums[0], nil
 }
 
 // SweepStrategies evaluates several strategies' MSO/ASO over one shared

@@ -27,10 +27,15 @@ import (
 // (engine → budget watchdog → retry).
 type runExecutor = engine.ContextExecutor
 
-// engineFor builds the bare cost-model executor sweeps use (no watchdog or
-// retry stack: sweeps measure the strategy, not the resilience ladder).
-func engineFor(s *Session, truth Location) *engine.Engine {
-	return engine.New(s.model, truth)
+// sweepByRun is every built-in strategy's SweepRun: the strategy's own Run
+// at the truth over the bare cost-model engine, with no watchdog, retry,
+// telemetry or durability (sweeps measure the strategy, not the resilience
+// ladder). A sweep therefore costs exactly what a clean run costs.
+func sweepByRun(st Strategy, s *Session) func(Location) float64 {
+	return func(truth Location) float64 {
+		out, _ := st.Run(context.Background(), &StrategyRun{sess: s, rex: engine.New(s.model, truth), truth: truth})
+		return out.TotalCost
+	}
 }
 
 // StrategyInfo describes a registered strategy for listings (the rqp CLI,
@@ -137,10 +142,12 @@ type Strategy interface {
 	// Run processes one query at the run's hidden truth, driving every
 	// execution through the StrategyRun's budgeted executor.
 	Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error)
-	// SweepRun returns the lightweight evaluator whole-space sweeps use: a
-	// function from true location to total charged cost, without telemetry
-	// or durability overhead. The closure is reused across every swept
-	// location, so per-session precomputation belongs here.
+	// SweepRun returns the evaluator whole-space sweeps use: a function
+	// from true location to total charged cost, called concurrently across
+	// swept locations. Contract: at every truth where Run completes cleanly,
+	// the sweep's cost equals Run's TotalCost, so MSO and ASO (Eq. 4 and 8)
+	// measure the strategy a run executes. The built-ins all return
+	// sweepByRun, which derives it from Run.
 	SweepRun(s *Session) func(truth Location) float64
 }
 
@@ -256,12 +263,7 @@ func (nativeStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome,
 	return StrategyOutcome{TotalCost: total}, nil
 }
 
-func (nativeStrategy) SweepRun(s *Session) func(Location) float64 {
-	p := s.space.PlanAt(s.space.Grid.CoveringCell(s.EstimateLocation()))
-	return func(truth Location) float64 {
-		return s.model.Eval(p, truth)
-	}
-}
+func (st nativeStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
 
 // planBouquetStrategy is Dutt & Haritsa's contour-budgeted discovery
 // baseline over the anorexically reduced plan diagram.
@@ -302,11 +304,7 @@ func (planBouquetStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOut
 	return res, rerr
 }
 
-func (planBouquetStrategy) SweepRun(s *Session) func(Location) float64 {
-	return func(truth Location) float64 {
-		return bouquet.Run(s.diag, engineFor(s, truth), s.opts.ContourRatio).TotalCost
-	}
-}
+func (st planBouquetStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
 
 // spillBoundStrategy is the paper's core algorithm (MSO ≤ D²+3D).
 type spillBoundStrategy struct{}
@@ -326,10 +324,7 @@ func (spillBoundStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutc
 	return StrategyOutcome{TotalCost: out.TotalCost, Steps: convertSteps(out.Executions)}, rerr
 }
 
-func (spillBoundStrategy) SweepRun(s *Session) func(Location) float64 {
-	r := &spillbound.Runner{Space: s.space, Ratio: s.opts.ContourRatio}
-	return func(truth Location) float64 { return r.Run(engineFor(s, truth)).TotalCost }
-}
+func (st spillBoundStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
 
 // alignedBoundStrategy is the alignment-exploiting SpillBound variant
 // (MSO ∈ [2D+2, D²+3D]).
@@ -350,7 +345,4 @@ func (alignedBoundStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOu
 	return StrategyOutcome{TotalCost: out.TotalCost, Steps: convertSteps(out.Executions)}, rerr
 }
 
-func (alignedBoundStrategy) SweepRun(s *Session) func(Location) float64 {
-	r := &aligned.Runner{Space: s.space, Ratio: s.opts.ContourRatio}
-	return func(truth Location) float64 { return r.Run(engineFor(s, truth)).TotalCost }
-}
+func (st alignedBoundStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }

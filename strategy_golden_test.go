@@ -189,3 +189,33 @@ func TestStrategyGoldenEquivalence(t *testing.T) {
 		t.Fatalf("golden mismatch (document-level; regenerate with -update if intended)")
 	}
 }
+
+// TestSweepRunEqualsRun pins SweepRun's contract on the golden sessions: for
+// every registered strategy, the sweep evaluator's cost at a grid truth is
+// exactly the TotalCost of a clean RunContext there, so sweep MSO and ASO
+// measure the strategy a run executes.
+func TestSweepRunEqualsRun(t *testing.T) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		query string
+		res   int
+	}{{"2D_EQ", 8}, {"3D_Q91", 5}} {
+		sess := goldenSession(t, c.query, c.res, "")
+		g := sess.space.Grid
+		cells := []int{0, g.Size() / 3, g.Size() / 2, 2 * g.Size() / 3, g.Size() - 1}
+		for _, name := range StrategyNames() {
+			st, _ := LookupStrategy(name)
+			sweep := st.SweepRun(sess)
+			for _, ci := range cells {
+				truth := g.Location(ci)
+				res, err := sess.RunContext(ctx, Algorithm(name), truth)
+				if err != nil {
+					t.Fatalf("%s/%s run at %v: %v", c.query, name, truth, err)
+				}
+				if got := sweep(truth); got != res.TotalCost {
+					t.Errorf("%s/%s at %v: sweep cost %v, run TotalCost %v", c.query, name, truth, got, res.TotalCost)
+				}
+			}
+		}
+	}
+}
