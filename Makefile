@@ -32,10 +32,12 @@ chaos:
 # resume-chaos runs the crash-tolerance suite under the race detector: a 3D
 # SpillBound run is killed at every contour checkpoint and resumed from its
 # durable snapshot (identical discovery, bounded redo), the durable server
-# restart drill recovers sessions and runs from disk, and the runstate
-# store/tracker invariants are exercised directly.
+# restart drill recovers sessions and runs from disk, the persisted ledger
+# of every resumable strategy is pinned against testdata/ledger_golden.json
+# (TestLedgerGolden), and the runstate store/tracker invariants are
+# exercised directly.
 resume-chaos:
-	$(GO) test -race -run 'CrashResume|Resume|Rehydrat|Durable|Checkpoint' . ./internal/server/ -v
+	$(GO) test -race -run 'CrashResume|Resume|Rehydrat|Durable|Checkpoint|LedgerGolden' . ./internal/server/ -v
 	$(GO) test -race ./internal/runstate/ -v
 	$(GO) test -race ./internal/fleet/ -v
 
