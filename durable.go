@@ -129,7 +129,7 @@ func (s *Session) runDurable(ctx context.Context, a Algorithm, truth Location, t
 	if err != nil {
 		return res, err
 	}
-	if ferr := tr.Finish(); ferr != nil {
+	if ferr := tr.Finish(res.Events); ferr != nil {
 		return res, fmt.Errorf("repro: run %s finished but its terminal snapshot failed: %w", res.RunID, ferr)
 	}
 	return res, nil

@@ -154,7 +154,7 @@ func (s *Session) RunPhysical(a Algorithm, rowCap int64) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("repro: no POSP plan executed physically")
 	}
 	res := RunResult{
-		Algorithm: a, Steps: out.Steps, TotalCost: out.TotalCost,
+		Algorithm: a, TotalCost: out.TotalCost,
 		OptimalCost: best, SubOpt: out.TotalCost / best, TraceID: trace.New().TraceID,
 	}
 	return finishRun(rec, res, true), nil

@@ -93,7 +93,6 @@ func RunSubspaceContext(ctx context.Context, s *ess.Space, a Assignment, e engin
 				Spent: res.Spent, Completed: res.Completed,
 			})
 			out.TotalCost += res.Spent
-			runstate.Spend(ctx, res.Spent)
 			if res.Completed {
 				out.Completed = true
 				out.FinalPlanID = id
@@ -119,7 +118,6 @@ func RunSubspaceContext(ctx context.Context, s *ess.Space, a Assignment, e engin
 		Contour: len(costs) - 1, PlanID: a.PlanIDAt(ci), Budget: res.Spent, Spent: res.Spent, Completed: true,
 	})
 	out.TotalCost += res.Spent
-	runstate.Spend(ctx, res.Spent)
 	out.Completed = true
 	out.FinalPlanID = a.PlanIDAt(ci)
 	return out, nil

@@ -10,7 +10,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/plan"
@@ -63,7 +62,9 @@ func (e *StepError) Unwrap() error { return e.Err }
 // Resilient wraps a ContextExecutor with the retry half of the degradation
 // ladder: panics in the substrate are recovered into errors, failed steps
 // are retried with exponential backoff, and cancellation is never retried.
-// It implements ContextExecutor, so discovery runners use it transparently.
+// Each retry and give-up is recorded only as a retry event on the context's
+// recorder (telemetry.CountRetries counts them). It implements
+// ContextExecutor, so discovery runners use it transparently.
 type Resilient struct {
 	// Exec is the wrapped substrate.
 	Exec ContextExecutor
@@ -71,31 +72,6 @@ type Resilient struct {
 	Policy Policy
 	// Sleep replaces time.Sleep in tests; nil uses a context-aware sleep.
 	Sleep func(context.Context, time.Duration) error
-
-	mu      sync.Mutex
-	retries int
-	events  []string
-}
-
-// Retries reports the total number of retry attempts performed.
-func (r *Resilient) Retries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retries
-}
-
-// Events returns the recovery log (one line per recovered failure or
-// retry), for inclusion in run traces.
-func (r *Resilient) Events() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]string(nil), r.events...)
-}
-
-func (r *Resilient) note(format string, args ...any) {
-	r.mu.Lock()
-	r.events = append(r.events, fmt.Sprintf(format, args...))
-	r.mu.Unlock()
 }
 
 // attempt runs fn once, converting a panic in the substrate into an error.
@@ -125,18 +101,13 @@ func (r *Resilient) retry(ctx context.Context, kind string, fn func() error) err
 		}
 		if n >= r.Policy.MaxRetries {
 			note := fmt.Sprintf("%s: giving up after %d attempts: %v", kind, n+1, last)
-			r.note("%s", note)
 			telemetry.From(ctx).Record(telemetry.Event{
 				Kind: telemetry.Retry, Dim: -1, Detail: note, Final: true,
 			})
 			return &StepError{Attempts: n + 1, Err: last}
 		}
 		d := r.Policy.backoff(n + 1)
-		r.mu.Lock()
-		r.retries++
-		r.mu.Unlock()
 		note := fmt.Sprintf("%s: attempt %d failed (%v), retrying in %s", kind, n+1, last, d)
-		r.note("%s", note)
 		telemetry.From(ctx).Record(telemetry.Event{Kind: telemetry.Retry, Dim: -1, Detail: note})
 		sleep := r.Sleep
 		if sleep == nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/plan"
+	"repro/internal/telemetry"
 )
 
 // scriptedExec fails (or panics) for the first N calls, then succeeds.
@@ -54,21 +55,30 @@ func (s *scriptedExec) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim in
 // noSleep makes backoff instantaneous in tests.
 func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
+// recorded returns a context carrying a fresh recorder, which collects the
+// retry events the resilience layer emits.
+func recorded(ctx context.Context) (context.Context, *telemetry.Recorder) {
+	rec := telemetry.NewRecorder()
+	return telemetry.With(ctx, rec), rec
+}
+
 func TestResilientRetriesTransientFailure(t *testing.T) {
 	ex := &scriptedExec{failures: 2, succeedAs: Result{Completed: true, Spent: 7}}
 	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 2, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
-	res, err := r.ExecuteCtx(context.Background(), nil, 100)
+	ctx, rec := recorded(context.Background())
+	res, err := r.ExecuteCtx(ctx, nil, 100)
 	if err != nil {
 		t.Fatalf("retries should absorb 2 failures: %v", err)
 	}
 	if !res.Completed || res.Spent != 7 {
 		t.Fatalf("result = %+v", res)
 	}
-	if r.Retries() != 2 {
-		t.Fatalf("retries = %d, want 2", r.Retries())
+	evs := rec.Events()
+	if n := telemetry.CountRetries(evs); n != 2 {
+		t.Fatalf("retries = %d, want 2", n)
 	}
-	if len(r.Events()) != 2 {
-		t.Fatalf("events = %v", r.Events())
+	if len(evs) != 2 {
+		t.Fatalf("events = %v", evs)
 	}
 }
 
@@ -115,12 +125,13 @@ func TestResilientDoesNotRetryCancellation(t *testing.T) {
 	cancel()
 	ex := &scriptedExec{succeedAs: Result{Completed: true}}
 	r := &Resilient{Exec: AsContextExecutor(plainOnly{ex}), Policy: DefaultPolicy(), Sleep: noSleep}
+	ctx, rec := recorded(ctx)
 	_, err := r.ExecuteCtx(ctx, nil, 100)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if r.Retries() != 0 {
-		t.Fatalf("cancellation must not be retried (retries = %d)", r.Retries())
+	if n := telemetry.CountRetries(rec.Events()); n != 0 {
+		t.Fatalf("cancellation must not be retried (retries = %d)", n)
 	}
 }
 

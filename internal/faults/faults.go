@@ -221,16 +221,6 @@ func (p *Plan) OnHeartbeat() error {
 	return nil
 }
 
-// Checkpoints reports how many checkpoint boundaries the plan has observed.
-func (p *Plan) Checkpoints() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.checkpoints
-}
-
 // OnLearned is called by the metering substrates after each spill-mode
 // learned-selectivity observation; it returns the (possibly skew-corrupted)
 // value the monitoring layer reports. Nil-safe.

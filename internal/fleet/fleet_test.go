@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,6 +51,36 @@ func TestRingRebalanceMovesOnlyDeadOwnersKeys(t *testing.T) {
 	for _, n := range nodes {
 		if perOwner[n] < 3000/10 {
 			t.Errorf("lopsided ring: %s owns only %d/3000 keys", n, perOwner[n])
+		}
+	}
+}
+
+// TestRingBalance checks the ring spreads session-style keys ("f" + 12 hex
+// digits) evenly over loopback fleets whose addresses differ only in the
+// port: every node's share of 8,000 keys stays within [0.5, 1.6]x of fair.
+func TestRingBalance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 8000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("f%012x", rng.Int63()&(1<<48-1))
+	}
+	for _, base := range []int{8081, 18431, 20000, 34567, 45001} {
+		for _, size := range []int{2, 3, 5, 8} {
+			nodes := make([]string, size)
+			for i := range nodes {
+				nodes[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
+			}
+			r := NewRing(nodes, 0)
+			owned := map[string]int{}
+			for _, k := range keys {
+				owned[r.Owner(k)]++
+			}
+			fair := float64(len(keys)) / float64(size)
+			for _, n := range nodes {
+				if share := float64(owned[n]) / fair; share < 0.5 || share > 1.6 {
+					t.Errorf("%d nodes from :%d: %s owns %.2fx its fair share", size, base, n, share)
+				}
+			}
 		}
 	}
 }

@@ -47,18 +47,31 @@ func (s *stubExec) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, b
 	return s.spillRes, true, nil
 }
 
+// countKind counts the recorded events of one kind: the watchdog's aborts
+// and escapes are read from the stream it records into.
+func countKind(rec *telemetry.Recorder, kind telemetry.Kind) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
+
 func TestWatchdogArmsCeilingWithSlack(t *testing.T) {
 	stub := &stubExec{execRes: engine.Result{Completed: true, Spent: 50}}
 	w := New(stub, Policy{Slack: 0.25})
-	res, err := w.ExecuteCtx(context.Background(), nil, 100)
+	rec := telemetry.NewRecorder()
+	res, err := w.ExecuteCtx(telemetry.With(context.Background(), rec), nil, 100)
 	if err != nil || !res.Completed {
 		t.Fatalf("clean run should pass through: res=%+v err=%v", res, err)
 	}
 	if !stub.hadCeiling || stub.gotCeiling != 125 {
 		t.Fatalf("ceiling = (%g,%v), want (125,true)", stub.gotCeiling, stub.hadCeiling)
 	}
-	if w.Aborts() != 0 {
-		t.Fatalf("clean run recorded %d aborts", w.Aborts())
+	if n := countKind(rec, telemetry.BudgetAbort); n != 0 {
+		t.Fatalf("clean run recorded %d aborts", n)
 	}
 }
 
@@ -78,8 +91,8 @@ func TestWatchdogClampsNonCooperativeOverrun(t *testing.T) {
 	if !engine.Terminal(err) {
 		t.Fatalf("budget abort must classify terminal")
 	}
-	if w.Aborts() != 1 {
-		t.Fatalf("Aborts() = %d, want 1", w.Aborts())
+	if n := countKind(rec, telemetry.BudgetAbort); n != 1 {
+		t.Fatalf("budget_abort events = %d, want 1", n)
 	}
 	evs := rec.Events()
 	if len(evs) != 1 || evs[0].Kind != telemetry.BudgetAbort || math.Abs(evs[0].Spent-110) > 1e-9 {
@@ -90,7 +103,8 @@ func TestWatchdogClampsNonCooperativeOverrun(t *testing.T) {
 func TestWatchdogPropagatesCooperativeAbort(t *testing.T) {
 	stub := &stubExec{spillRes: engine.SpillResult{Completed: false, Spent: 300, Learned: 0.2}, honorCeiling: true}
 	w := New(stub, Policy{})
-	res, ok, err := w.ExecuteSpillCtx(context.Background(), nil, 0, 100)
+	rec := telemetry.NewRecorder()
+	res, ok, err := w.ExecuteSpillCtx(telemetry.With(context.Background(), rec), nil, 0, 100)
 	if !ok || !engine.IsBudgetAbort(err) {
 		t.Fatalf("ok=%v err=%v, want cooperative budget abort", ok, err)
 	}
@@ -100,8 +114,8 @@ func TestWatchdogPropagatesCooperativeAbort(t *testing.T) {
 	if res.Learned != 0.2 {
 		t.Fatalf("partial learned bound must survive the abort, got %g", res.Learned)
 	}
-	if w.Aborts() != 1 {
-		t.Fatalf("Aborts() = %d, want 1", w.Aborts())
+	if n := countKind(rec, telemetry.BudgetAbort); n != 1 {
+		t.Fatalf("budget_abort events = %d, want 1", n)
 	}
 }
 
@@ -118,8 +132,8 @@ func TestWatchdogDetectsESSEscape(t *testing.T) {
 	if !engine.Terminal(err) {
 		t.Fatalf("escape must classify terminal so the retry layer never re-runs it")
 	}
-	if w.Escapes() != 1 {
-		t.Fatalf("Escapes() = %d, want 1", w.Escapes())
+	if n := countKind(rec, telemetry.ESSEscape); n != 1 {
+		t.Fatalf("ess_escape events = %d, want 1", n)
 	}
 	evs := rec.Events()
 	if len(evs) != 1 || evs[0].Kind != telemetry.ESSEscape || evs[0].Dim != 1 || evs[0].Learned != 42 {

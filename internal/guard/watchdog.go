@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/plan"
@@ -84,37 +83,20 @@ func IsEscape(err error) bool {
 // Watchdog wraps a ContextExecutor with ledger enforcement: every budgeted
 // call runs under a cost ceiling of budget·(1+Slack), overruns hard-abort
 // with engine.ErrBudgetAborted, and spill-mode learned selectivities are
-// validated against the ESS. It implements engine.ContextExecutor, so it
-// slots between the discovery runners and the retry layer transparently.
+// validated against the ESS. Aborts and escapes are recorded only as
+// budget_abort and ess_escape events on the context's recorder. It
+// implements engine.ContextExecutor, so it slots between the discovery
+// runners and the retry layer transparently.
 type Watchdog struct {
 	// Exec is the wrapped substrate.
 	Exec engine.ContextExecutor
 	// Policy is the enforcement configuration.
 	Policy Policy
-
-	mu      sync.Mutex
-	aborts  int
-	escapes int
 }
 
 // New wraps the executor with the given policy.
 func New(e engine.ContextExecutor, p Policy) *Watchdog {
 	return &Watchdog{Exec: e, Policy: p}
-}
-
-// Aborts reports how many executions the watchdog hard-aborted at the
-// ceiling.
-func (w *Watchdog) Aborts() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.aborts
-}
-
-// Escapes reports how many ESS escapes the watchdog detected.
-func (w *Watchdog) Escapes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.escapes
 }
 
 // ceiling returns the enforcement ceiling for the budget, and whether the
@@ -131,11 +113,8 @@ func (w *Watchdog) ceiling(budget float64) (float64, bool) {
 	return budget * (1 + slack), true
 }
 
-// recordAbort counts the abort and emits the budget_abort event.
-func (w *Watchdog) recordAbort(ctx context.Context, dim int, budget, spent float64, mode string) {
-	w.mu.Lock()
-	w.aborts++
-	w.mu.Unlock()
+// recordAbort emits the budget_abort event.
+func recordAbort(ctx context.Context, dim int, budget, spent float64, mode string) {
 	telemetry.From(ctx).Record(telemetry.Event{
 		Kind: telemetry.BudgetAbort, Dim: dim, Budget: budget, Spent: spent, Mode: mode,
 	})
@@ -165,7 +144,7 @@ func (w *Watchdog) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64)
 			ceil, budget, engine.ErrBudgetAborted)
 	}
 	if engine.IsBudgetAbort(err) {
-		w.recordAbort(ctx, -1, budget, res.Spent, "exec")
+		recordAbort(ctx, -1, budget, res.Spent, "exec")
 	}
 	return res, err
 }
@@ -190,7 +169,7 @@ func (w *Watchdog) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, b
 	}
 	aborted := engine.IsBudgetAbort(err)
 	if aborted {
-		w.recordAbort(ctx, dim, budget, res.Spent, "spill")
+		recordAbort(ctx, dim, budget, res.Spent, "spill")
 	}
 	// Validate the observation whenever monitoring produced one — aborted
 	// spills included: their partial lower bound still feeds checkpoint state
@@ -198,9 +177,6 @@ func (w *Watchdog) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, b
 	// The escape outranks the abort (both are terminal; only the escape
 	// reroutes the run).
 	if (err == nil || aborted) && ok && !inESS(res.Learned) {
-		w.mu.Lock()
-		w.escapes++
-		w.mu.Unlock()
 		telemetry.From(ctx).Record(telemetry.Event{
 			Kind: telemetry.ESSEscape, Dim: dim, Budget: budget, Spent: res.Spent,
 			Learned: res.Learned,

@@ -13,10 +13,12 @@
 // failures (total spend ≤ uninterrupted spend + one contour's executions).
 //
 // A Tracker travels on the context, exactly like telemetry.Recorder and
-// faults.Plan: the discovery runners (bouquet, spillbound, aligned) report
-// state transitions through nil-safe package helpers, and the tracker
-// persists a versioned snapshot atomically (temp file + rename) at each
-// checkpoint. Runs that carry no tracker pay one context lookup per contour.
+// faults.Plan: the discovery runners (bouquet, spillbound, aligned) call
+// Checkpoint at each contour boundary, and the tracker folds the run's
+// event stream — charged executions, incomplete spills, half-space prunes —
+// into the discovery state and persists a versioned snapshot atomically
+// (temp file + rename). Runs that carry no tracker pay one context lookup
+// per contour.
 package runstate
 
 import (
@@ -107,15 +109,19 @@ type RunState struct {
 	Discovery Discovery `json:"discovery"`
 }
 
-// Tracker accumulates the discovery state of one in-flight durable run and
-// persists it at checkpoint boundaries. It is safe for concurrent use and a
-// nil *Tracker is a valid no-op sink (mirroring telemetry.Recorder).
+// Tracker folds the event stream of one in-flight durable run into its
+// discovery state and persists it at checkpoint boundaries. The stream is
+// the run's only ledger: at each checkpoint (and in Finish) the tracker
+// absorbs the events recorded since its last fold, so a snapshot is the
+// loaded base state plus a fold of this incarnation's events. It is safe for
+// concurrent use and a nil *Tracker is a valid no-op sink (mirroring
+// telemetry.Recorder).
 type Tracker struct {
 	store *Store
 
-	mu          sync.Mutex
-	rs          RunState
-	checkpoints int
+	mu     sync.Mutex
+	rs     RunState
+	folded int // events of this incarnation's stream absorbed so far
 }
 
 // NewTracker returns a tracker persisting into store. rs seeds the state:
@@ -141,70 +147,52 @@ func (t *Tracker) State() RunState {
 	return out
 }
 
-// Checkpoints reports how many snapshots this tracker has persisted.
-func (t *Tracker) Checkpoints() int {
-	if t == nil {
-		return 0
+// absorb folds events — the stream from index t.folded on — into the
+// discovery state: a charged execution adds to the ledger, an incomplete
+// spill raises its dimension's monitoring bound (keeping the maximum,
+// unless the dimension is already learnt), and a half-space prune learns
+// the dimension exactly and drops its bound. Callers hold t.mu.
+func (t *Tracker) absorb(evs []telemetry.Event) {
+	d := &t.rs.Discovery
+	for _, ev := range evs {
+		switch {
+		case ev.Charged():
+			d.Spent += ev.Spent
+			d.Executions++
+			if _, exact := d.Learned[ev.Dim]; ev.Kind == telemetry.SpillExec && !ev.Completed &&
+				!exact && ev.Learned > d.Bounds[ev.Dim] {
+				d.Bounds[ev.Dim] = ev.Learned
+			}
+		case ev.Kind == telemetry.HalfSpacePrune:
+			d.Learned[ev.Dim] = ev.Learned
+			delete(d.Bounds, ev.Dim)
+		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.checkpoints
+	t.folded += len(evs)
 }
 
-// learn records an exact selectivity for a dimension (half-space prune).
-func (t *Tracker) learn(dim int, sel float64) {
-	if t == nil {
-		return
-	}
+// checkpoint folds the events recorded since the last fold and persists the
+// state as a restart point for the given contour.
+func (t *Tracker) checkpoint(contour int, rec *telemetry.Recorder) (RunState, error) {
 	t.mu.Lock()
-	t.rs.Discovery.Learned[dim] = sel
-	delete(t.rs.Discovery.Bounds, dim)
-	t.mu.Unlock()
-}
-
-// bound records a monitoring lower bound for a dimension, keeping the max.
-func (t *Tracker) bound(dim int, sel float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	if _, exact := t.rs.Discovery.Learned[dim]; !exact && sel > t.rs.Discovery.Bounds[dim] {
-		t.rs.Discovery.Bounds[dim] = sel
-	}
-	t.mu.Unlock()
-}
-
-// spend advances the budget ledger by one execution's charged cost.
-func (t *Tracker) spend(cost float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.rs.Discovery.Spent += cost
-	t.rs.Discovery.Executions++
-	t.mu.Unlock()
-}
-
-// checkpoint persists the current state as a restart point for the given
-// contour. events is the telemetry stream length at the boundary.
-func (t *Tracker) checkpoint(contour, events int) (RunState, error) {
-	t.mu.Lock()
+	t.absorb(rec.EventsFrom(t.folded))
 	t.rs.Discovery.Contour = contour
-	t.rs.Discovery.Events = events
+	t.rs.Discovery.Events = t.folded
 	snap := t.rs
 	snap.Discovery = t.rs.Discovery.clone()
-	t.checkpoints++
 	t.mu.Unlock()
 	return snap, t.store.SaveRun(&snap)
 }
 
-// Finish persists the terminal snapshot, marking the run complete (and thus
-// not resumable). Nil-safe.
-func (t *Tracker) Finish() error {
+// Finish folds the rest of the run's final event stream and persists the
+// terminal snapshot, marking the run complete (and thus not resumable).
+// Nil-safe.
+func (t *Tracker) Finish(events []telemetry.Event) error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
+	t.absorb(events[t.folded:])
 	t.rs.Completed = true
 	snap := t.rs
 	snap.Discovery = t.rs.Discovery.clone()
@@ -215,8 +203,8 @@ func (t *Tracker) Finish() error {
 // ctxKey keys the tracker on a context.
 type ctxKey struct{}
 
-// With attaches the tracker to the context; the discovery runners pick it
-// up through the package-level helpers below.
+// With attaches the tracker to the context; the discovery runners reach it
+// through Checkpoint.
 func With(ctx context.Context, t *Tracker) context.Context {
 	if t == nil {
 		return ctx
@@ -228,21 +216,6 @@ func With(ctx context.Context, t *Tracker) context.Context {
 func From(ctx context.Context) *Tracker {
 	t, _ := ctx.Value(ctxKey{}).(*Tracker)
 	return t
-}
-
-// Learn reports an exact learnt selectivity (half-space prune) for dim.
-func Learn(ctx context.Context, dim int, sel float64) {
-	From(ctx).learn(dim, sel)
-}
-
-// Bound reports a monitoring lower bound for dim.
-func Bound(ctx context.Context, dim int, sel float64) {
-	From(ctx).bound(dim, sel)
-}
-
-// Spend reports one execution's charged cost into the budget ledger.
-func Spend(ctx context.Context, cost float64) {
-	From(ctx).spend(cost)
 }
 
 // Checkpoint marks a contour boundary: the crash-point injector (if a fault
@@ -261,7 +234,7 @@ func Checkpoint(ctx context.Context, contour int) error {
 		return nil
 	}
 	rec := telemetry.From(ctx)
-	snap, err := t.checkpoint(contour, rec.Len())
+	snap, err := t.checkpoint(contour, rec)
 	if err != nil {
 		return err
 	}

@@ -122,17 +122,41 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 }
 
+// spill is a charged spill-mode execution event on dim: an incomplete one
+// carries its monitoring lower bound in learned.
+func spill(dim int, spent float64, completed bool, learned float64) telemetry.Event {
+	return telemetry.Event{Kind: telemetry.SpillExec, Dim: dim, Spent: spent, Completed: completed, Learned: learned}
+}
+
+// countSaves counts the checkpoint_save events: one per persisted snapshot.
+func countSaves(evs []telemetry.Event) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == telemetry.CheckpointSave {
+			n++
+		}
+	}
+	return n
+}
+
 func TestTrackerMonotoneState(t *testing.T) {
 	st := newStore(t)
 	tr := NewTracker(st, RunState{RunID: "r1", Algorithm: "spillbound"})
-	tr.spend(10)
-	tr.bound(0, 0.05)
-	tr.bound(0, 0.02) // lower bound never regresses
-	tr.spend(5)
-	tr.learn(1, 0.3)
-	tr.bound(1, 0.9) // exact value wins over later bounds
+	rec := telemetry.NewRecorder()
+	rec.EnterContour(1)
+	rec.Record(spill(0, 10, false, 0.05))
+	rec.Record(spill(0, 3, false, 0.02)) // lower bound never regresses
+	rec.Record(telemetry.Event{Kind: telemetry.HalfSpacePrune, Dim: 1, Learned: 0.3})
+	rec.EnterContour(2)
+	rec.Record(spill(1, 2, false, 0.9)) // exact value wins over later bounds
+	// The guard's safe-path execution is outside the ledger.
+	rec.Record(telemetry.Event{Kind: telemetry.PlanExec, Dim: -1, Mode: "guard", Spent: 100, Completed: true})
+
+	if _, err := tr.checkpoint(2, rec); err != nil {
+		t.Fatal(err)
+	}
 	d := tr.State().Discovery
-	if d.Spent != 15 || d.Executions != 2 {
+	if d.Spent != 15 || d.Executions != 3 {
 		t.Errorf("ledger = %+v", d)
 	}
 	if d.Bounds[0] != 0.05 {
@@ -144,10 +168,6 @@ func TestTrackerMonotoneState(t *testing.T) {
 	if _, ok := d.Bounds[1]; ok {
 		t.Error("learnt dimension should drop its bound")
 	}
-
-	if _, err := tr.checkpoint(2, 7); err != nil {
-		t.Fatal(err)
-	}
 	got, err := st.LoadRun("r1")
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +178,12 @@ func TestTrackerMonotoneState(t *testing.T) {
 	if got.Completed {
 		t.Error("checkpoint must not be terminal")
 	}
-	if err := tr.Finish(); err != nil {
+
+	// Finish folds what was recorded after the last checkpoint, once: the
+	// events the checkpoint already absorbed are not charged again.
+	rec.Record(telemetry.Event{Kind: telemetry.PlanExec, Dim: -1, Spent: 1, Completed: true})
+	rec.Record(telemetry.Event{Kind: telemetry.HalfSpacePrune, Dim: 0, Learned: 0.07})
+	if err := tr.Finish(rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	got, err = st.LoadRun("r1")
@@ -168,6 +193,9 @@ func TestTrackerMonotoneState(t *testing.T) {
 	if !got.Completed {
 		t.Error("Finish should mark the snapshot terminal")
 	}
+	if d := got.Discovery; d.Spent != 16 || d.Executions != 4 || d.Learned[0] != 0.07 || len(d.Bounds) != 0 {
+		t.Errorf("terminal ledger = %+v, want spent 16 over 4 executions, dim 0 learnt", d)
+	}
 }
 
 func TestCheckpointContextHelpers(t *testing.T) {
@@ -176,35 +204,40 @@ func TestCheckpointContextHelpers(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	ctx := telemetry.With(With(context.Background(), tr), rec)
 
-	Spend(ctx, 3)
-	Learn(ctx, 0, 0.2)
+	rec.Record(telemetry.Event{Kind: telemetry.PlanExec, Dim: -1, Spent: 3})
+	rec.Record(telemetry.Event{Kind: telemetry.HalfSpacePrune, Dim: 0, Learned: 0.2})
 	if err := Checkpoint(ctx, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Checkpoints() != 1 {
-		t.Errorf("checkpoints = %d", tr.Checkpoints())
-	}
 	evs := rec.Events()
-	if len(evs) != 1 || evs[0].Kind != telemetry.CheckpointSave || evs[0].Detail != "r1" {
+	if n := countSaves(evs); n != 1 {
+		t.Errorf("checkpoints = %d", n)
+	}
+	last := evs[len(evs)-1]
+	if len(evs) != 3 || last.Kind != telemetry.CheckpointSave || last.Detail != "r1" || last.Spent != 3 {
 		t.Errorf("events = %+v", evs)
+	}
+	if d := tr.State().Discovery; d.Learned[0] != 0.2 || d.Executions != 1 {
+		t.Errorf("checkpoint did not fold the stream: %+v", d)
 	}
 
 	// A context without a tracker is a no-op sink, not a failure.
 	if err := Checkpoint(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
-	Spend(context.Background(), 1)
 }
 
 func TestCheckpointCrashFiresBeforeSave(t *testing.T) {
 	st := newStore(t)
 	tr := NewTracker(st, RunState{RunID: "r1"})
+	rec := telemetry.NewRecorder()
 	ctx := faults.With(With(context.Background(), tr), &faults.Plan{CrashAtCheckpoint: 2})
+	ctx = telemetry.With(ctx, rec)
 
 	if err := Checkpoint(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	Spend(ctx, 10)
+	rec.Record(telemetry.Event{Kind: telemetry.PlanExec, Dim: -1, Spent: 10})
 	err := Checkpoint(ctx, 1)
 	if !faults.IsCrash(err) {
 		t.Fatalf("checkpoint 2 should crash, got %v", err)
@@ -218,7 +251,7 @@ func TestCheckpointCrashFiresBeforeSave(t *testing.T) {
 	if got.Discovery.Contour != 0 || got.Discovery.Spent != 0 {
 		t.Errorf("durable state advanced past the crash: %+v", got.Discovery)
 	}
-	if tr.Checkpoints() != 1 {
-		t.Errorf("persisted checkpoints = %d, want 1", tr.Checkpoints())
+	if n := countSaves(rec.Events()); n != 1 {
+		t.Errorf("persisted checkpoints = %d, want 1", n)
 	}
 }

@@ -145,7 +145,6 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			spilled |= 1 << sp.Dim
 			out.Executions = append(out.Executions, x)
 			out.TotalCost += res.Spent
-			runstate.Spend(ctx, res.Spent)
 			rec.Record(telemetry.Event{
 				Kind: telemetry.SpillExec, Contour: i + 1, Dim: sp.Dim, PlanID: x.PlanID,
 				Budget: x.Budget, Spent: x.Spent, Completed: x.Completed,
@@ -156,14 +155,12 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 				// space and re-explore the same contour with the reduced
 				// EPP set (Algorithm 1's break).
 				learn(sp.Dim, res.Learned)
-				runstate.Learn(ctx, sp.Dim, res.Learned)
 				rec.Record(telemetry.Event{
 					Kind: telemetry.HalfSpacePrune, Contour: i + 1, Dim: sp.Dim, Learned: res.Learned,
 				})
 				progressed = true
 				break
 			}
-			runstate.Bound(ctx, sp.Dim, res.Learned)
 		}
 		if !progressed {
 			i++ // quantum progress: jump to the next contour (Lemma 4.3)
@@ -187,7 +184,6 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 		Budget: res.Spent, Spent: res.Spent, Completed: true,
 	})
 	out.TotalCost += res.Spent
-	runstate.Spend(ctx, res.Spent)
 	out.Completed = true
 	return out, nil
 }

@@ -150,6 +150,16 @@ type Event struct {
 	CellHi int `json:"cellHi,omitempty"`
 }
 
+// Charged reports whether the event is one execution charged to the run's
+// budget ledger: a plan_exec or spill_exec with no Mode. The native
+// baseline's unbudgeted execution ("native") and the guard's safe-path
+// terminal plan ("guard") are outside the ledger. RunResult.Steps and every
+// durable snapshot's Spent and Executions are folds of the charged events,
+// so each execution is recorded once, here.
+func (e Event) Charged() bool {
+	return (e.Kind == PlanExec || e.Kind == SpillExec) && e.Mode == ""
+}
+
 // Recorder accumulates the event stream of one run. It is safe for
 // concurrent use (the resilience layer and the engine may record from the
 // same step), and a nil *Recorder is a valid no-op sink.
@@ -191,13 +201,21 @@ func (r *Recorder) EnterContour(contour int) {
 }
 
 // Events returns a copy of the stream recorded so far.
-func (r *Recorder) Events() []Event {
+func (r *Recorder) Events() []Event { return r.EventsFrom(0) }
+
+// EventsFrom returns a copy of the events recorded from index i on (nil
+// when i is past the end), so an incremental fold reads only what it has
+// not seen yet.
+func (r *Recorder) EventsFrom(i int) []Event {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
+	if i >= len(r.events) {
+		return nil
+	}
+	return append([]Event(nil), r.events[i:]...)
 }
 
 // Len reports the number of events recorded so far.

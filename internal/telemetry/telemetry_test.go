@@ -25,6 +25,42 @@ func TestRecorderSequencesEvents(t *testing.T) {
 	}
 }
 
+func TestEventsFromReadsTheSuffix(t *testing.T) {
+	r := NewRecorder()
+	for i := 0; i < 3; i++ {
+		r.Record(Event{Kind: PlanExec, Dim: -1, PlanID: i})
+	}
+	if evs := r.EventsFrom(1); len(evs) != 2 || evs[0].Seq != 1 || evs[1].PlanID != 2 {
+		t.Fatalf("EventsFrom(1) = %+v", evs)
+	}
+	if evs := r.EventsFrom(3); evs != nil {
+		t.Fatalf("EventsFrom past the end = %+v, want nil", evs)
+	}
+	var nilRec *Recorder
+	if nilRec.EventsFrom(0) != nil {
+		t.Error("nil recorder should have no events")
+	}
+}
+
+func TestChargedExecutions(t *testing.T) {
+	for _, c := range []struct {
+		ev   Event
+		want bool
+	}{
+		{Event{Kind: PlanExec}, true},
+		{Event{Kind: SpillExec, Dim: 0}, true},
+		{Event{Kind: PlanExec, Mode: "native"}, false},
+		{Event{Kind: PlanExec, Mode: "guard"}, false},
+		{Event{Kind: BudgetSpend, Mode: "exec"}, false},
+		{Event{Kind: BudgetAbort}, false},
+		{Event{Kind: Degrade}, false},
+	} {
+		if got := c.ev.Charged(); got != c.want {
+			t.Errorf("%s/%q Charged() = %v, want %v", c.ev.Kind, c.ev.Mode, got, c.want)
+		}
+	}
+}
+
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: Done})

@@ -231,10 +231,6 @@ func runLadder(ctx context.Context, r *StrategyRun, name string, choose func(*Se
 			return out, err
 		}
 		out.TotalCost += spent
-		out.Steps = append(out.Steps, ExecutionStep{
-			Contour: step + 1, SpillDim: -1, PlanID: ch.planID,
-			Budget: budget, Spent: spent, Completed: completed,
-		})
 		if completed {
 			return out, nil
 		}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/runstate"
-	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -319,8 +318,10 @@ type ExecutionStep struct {
 type RunResult struct {
 	// Algorithm is the strategy used.
 	Algorithm Algorithm
-	// Steps lists the budgeted executions (empty for the native baseline,
-	// which runs one plan without budget).
+	// Steps lists the budgeted executions: the charged events of Events
+	// (telemetry.Event.Charged), in order. It is nil when no execution was
+	// charged — the native baseline, which runs one plan without budget,
+	// and a run that crashed before its first execution.
 	Steps []ExecutionStep
 	// TotalCost is the strategy's total charged cost.
 	TotalCost float64
@@ -331,7 +332,8 @@ type RunResult struct {
 	// Events is the typed run-event stream recorded during the run: contour
 	// entries, budgeted executions, half-space prunes, budget accounting,
 	// retries, degradation, and the terminal summary, in emission order.
-	// Trace, Retries, Degraded and DegradedReason are all derived from it.
+	// It is the run's only ledger: Steps, Trace, Retries, Degraded,
+	// DegradedReason and GuardVerdict are all derived from it.
 	Events []telemetry.Event
 	// Trace is a human-readable execution transcript — the deterministic
 	// rendering of Events (telemetry.RenderTrace).
@@ -434,10 +436,7 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 	if err != nil {
 		return RunResult{}, err
 	}
-	opt, err := s.optimalCost(truth)
-	if err != nil {
-		return RunResult{}, err
-	}
+	opt := s.optimalCost(truth)
 	res := RunResult{Algorithm: a, OptimalCost: opt}
 	e, err := engine.NewChecked(s.model, truth)
 	if err != nil {
@@ -485,9 +484,7 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 	}
 
 	out, runErr := st.Run(ctx, &StrategyRun{sess: s, rex: rex, truth: truth, resume: resume, rec: rec})
-	res.TotalCost = out.TotalCost
-	res.Steps = out.Steps
-	res.TotalCost += base
+	res.TotalCost = out.TotalCost + base
 	if runErr != nil {
 		if faults.IsCrash(runErr) {
 			// An injected checkpoint crash models the process dying: no
@@ -519,13 +516,22 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 
 // finishRun seals the run's event stream (the terminal Done summary) and
 // derives every event-sourced RunResult field from it in one place, so the
-// trace, retry count and degradation flags cannot drift from the events.
+// steps, trace, retry count and degradation flags cannot drift from the
+// events.
 func finishRun(rec *telemetry.Recorder, res RunResult, completed bool) RunResult {
 	rec.Record(telemetry.Event{
 		Kind: telemetry.Done, Dim: -1, Algorithm: res.Algorithm.String(),
 		TotalCost: res.TotalCost, SubOpt: res.SubOpt, Completed: completed,
 	})
 	res.Events = rec.Events()
+	for _, ev := range res.Events {
+		if ev.Charged() {
+			res.Steps = append(res.Steps, ExecutionStep{
+				Contour: ev.Contour, SpillDim: ev.Dim, PlanID: ev.PlanID,
+				Budget: ev.Budget, Spent: ev.Spent, Completed: ev.Completed, Learned: ev.Learned,
+			})
+		}
+	}
 	res.Trace = telemetry.RenderTrace(res.Events)
 	res.Retries = telemetry.CountRetries(res.Events)
 	res.Degraded, res.DegradedReason = telemetry.Degradation(res.Events)
@@ -555,9 +561,9 @@ func (s *Session) safePath(rec *telemetry.Recorder, res RunResult, truth Locatio
 // nativePlan optimizes at the statistics estimate — the traditional plan
 // and the bottom rung of the degradation ladder. The session's shared
 // optimizer memoizes the result, so repeated runs pay one optimization.
-func (s *Session) nativePlan() (*plan.Plan, error) {
+func (s *Session) nativePlan() *plan.Plan {
 	p, _ := s.opt.Optimize(s.EstimateLocation())
-	return p, nil
+	return p
 }
 
 // degrade completes a failed robust run with the Native plan: the partial
@@ -565,11 +571,7 @@ func (s *Session) nativePlan() (*plan.Plan, error) {
 // plan's cost at the truth is added, and a Degrade event records that the
 // MSO guarantee no longer holds for this run.
 func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, truth Location, cause error) (RunResult, error) {
-	p, err := s.nativePlan()
-	if err != nil {
-		return RunResult{}, fmt.Errorf("repro: degraded run failed to build native plan: %w (cause: %v)", err, cause)
-	}
-	nat := s.model.Eval(p, truth)
+	nat := s.model.Eval(s.nativePlan(), truth)
 	res.TotalCost += nat
 	res.SubOpt = res.TotalCost / res.OptimalCost
 	// Strategies without an MSO bound (the selection family) degrade with
@@ -587,22 +589,11 @@ func (s *Session) degrade(rec *telemetry.Recorder, res RunResult, a Algorithm, t
 	return finishRun(rec, res, true), nil
 }
 
-func convertSteps(xs []spillbound.Execution) []ExecutionStep {
-	out := make([]ExecutionStep, len(xs))
-	for i, x := range xs {
-		out[i] = ExecutionStep{
-			Contour: x.Contour + 1, SpillDim: x.Dim, PlanID: x.PlanID,
-			Budget: x.Budget, Spent: x.Spent, Completed: x.Completed, Learned: x.Learned,
-		}
-	}
-	return out
-}
-
 // optimalCost optimizes at the exact (possibly off-grid) truth through the
 // session's shared memoized optimizer.
-func (s *Session) optimalCost(truth Location) (float64, error) {
+func (s *Session) optimalCost(truth Location) float64 {
 	_, c := s.opt.Optimize(truth)
-	return c, nil
+	return c
 }
 
 // SweepSummary aggregates a whole-ESS robustness evaluation.

@@ -60,15 +60,13 @@ type StrategyInfo struct {
 }
 
 // StrategyOutcome is what a strategy's Run reports back to the session
-// driver: the charged cost ledger and the budgeted executions behind it.
-// The driver derives SubOpt, the trace and the degradation bookkeeping.
+// driver: the charged cost. The budgeted executions behind it are the
+// charged events of the run's stream, from which the driver derives Steps,
+// SubOpt, the trace and the degradation bookkeeping.
 type StrategyOutcome struct {
 	// TotalCost is the strategy's total charged cost (this incarnation;
 	// the driver adds any resumed ledger base).
 	TotalCost float64
-	// Steps lists the budgeted executions in order (empty for unbudgeted
-	// baselines).
-	Steps []ExecutionStep
 }
 
 // StrategyRun is the execution context handed to Strategy.Run: the session,
@@ -105,7 +103,7 @@ func (r *StrategyRun) Resume() (step int, ok bool) {
 
 // Execute runs one budgeted step of the POSP plan with the given 1-based
 // step index through the resilient executor stack, recording the plan_exec
-// event and the durable budget ledger. It returns the charged cost and
+// event that charges it to the run's ledger. It returns the charged cost and
 // whether the plan completed within budget; errors (cancellation, injected
 // faults past the retry policy, watchdog aborts) propagate to the driver's
 // degradation ladder.
@@ -114,7 +112,6 @@ func (r *StrategyRun) Execute(ctx context.Context, step, planID int, budget floa
 	if err != nil {
 		return res.Spent, false, err
 	}
-	runstate.Spend(ctx, res.Spent)
 	r.rec.Record(telemetry.Event{
 		Kind: telemetry.PlanExec, Contour: step, Dim: -1, PlanID: planID,
 		Budget: budget, Spent: res.Spent, Completed: res.Completed,
@@ -123,8 +120,9 @@ func (r *StrategyRun) Execute(ctx context.Context, step, planID int, budget floa
 }
 
 // Checkpoint marks a step boundary for durable runs: the runstate tracker
-// (if any) persists a restart snapshot for the 0-based step about to run.
-// Plain runs pay two context lookups.
+// (if any) folds the events recorded since its last checkpoint and persists
+// a restart snapshot for the 0-based step about to run. Plain runs pay two
+// context lookups.
 func (r *StrategyRun) Checkpoint(ctx context.Context, step int) error {
 	return runstate.Checkpoint(ctx, step)
 }
@@ -251,11 +249,7 @@ func (nativeStrategy) Guarantee(*Session) float64 { return math.Inf(1) }
 
 func (nativeStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
-	p, err := s.nativePlan()
-	if err != nil {
-		return StrategyOutcome{}, err
-	}
-	total := s.model.Eval(p, r.truth)
+	total := s.model.Eval(s.nativePlan(), r.truth)
 	r.rec.Record(telemetry.Event{
 		Kind: telemetry.PlanExec, Dim: -1, Mode: "native",
 		Location: s.EstimateLocation(), Spent: total, Completed: true,
@@ -294,14 +288,7 @@ func (planBouquetStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOut
 	}
 	out, rerr := bouquet.RunSubspaceContext(ctx, s.space, s.diag, r.rex,
 		s.space.ContourCosts(s.opts.ContourRatio), startContour, s.space.Full(), 1+s.opts.ReductionLambda)
-	res := StrategyOutcome{TotalCost: out.TotalCost}
-	for _, st := range out.Steps {
-		res.Steps = append(res.Steps, ExecutionStep{
-			Contour: st.Contour + 1, SpillDim: -1, PlanID: st.PlanID,
-			Budget: st.Budget, Spent: st.Spent, Completed: st.Completed,
-		})
-	}
-	return res, rerr
+	return StrategyOutcome{TotalCost: out.TotalCost}, rerr
 }
 
 func (st planBouquetStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
@@ -321,7 +308,7 @@ func (spillBoundStrategy) Guarantee(s *Session) float64 { return spillbound.Guar
 func (spillBoundStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
 	out, rerr := (&spillbound.Runner{Space: s.space, Ratio: s.opts.ContourRatio, Resume: r.resume}).RunContext(ctx, r.rex)
-	return StrategyOutcome{TotalCost: out.TotalCost, Steps: convertSteps(out.Executions)}, rerr
+	return StrategyOutcome{TotalCost: out.TotalCost}, rerr
 }
 
 func (st spillBoundStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
@@ -342,7 +329,7 @@ func (alignedBoundStrategy) Guarantee(s *Session) float64 { return aligned.Guara
 func (alignedBoundStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
 	out, rerr := (&aligned.Runner{Space: s.space, Ratio: s.opts.ContourRatio, Resume: r.resume}).RunContext(ctx, r.rex)
-	return StrategyOutcome{TotalCost: out.TotalCost, Steps: convertSteps(out.Executions)}, rerr
+	return StrategyOutcome{TotalCost: out.TotalCost}, rerr
 }
 
 func (st alignedBoundStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
