@@ -308,8 +308,15 @@ func (s *Server) HasSession(id string) bool {
 
 // RecordTrace stores a span tree in the server's bounded trace store, making
 // it retrievable via GET /v1/runs/{traceId}/trace. The fleet layer uses it
-// to publish its membership-timeline trace next to run traces.
-func (s *Server) RecordTrace(t *trace.Tree) { s.recordTrace(t) }
+// to publish its membership-timeline trace next to run traces. The fleet
+// timeline is exempt from sampling and the brownout drop: it is one bounded
+// singleton tree, not per-request volume, and it is exactly the trace that
+// explains a brownout episode after the fact.
+func (s *Server) RecordTrace(t *trace.Tree) {
+	if t != nil && (t.Kind == trace.KindFleet || s.keepTrace(t.TraceID)) {
+		s.storeTrace(t)
+	}
+}
 
 // Metrics exposes the server's telemetry registry, so embedders (cmd/rqpd)
 // can register their own process-level instruments alongside.
@@ -685,7 +692,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		sess, err := buildSession(telemetry.With(ctx, buildRec), sp, opts)
 		s.metrics.buildDuration.ObserveTrace(time.Since(start).Seconds(), tp.TraceID)
 		if err == nil {
-			s.recordTrace(trace.FromBuild(tp.TraceID, buildRec.Events()))
+			s.recordTrace(tp.TraceID, trace.FromBuild, buildRec.Events())
 		}
 		s.buildLimiter.Release(err == nil)
 		s.metrics.setInflight("build", s.buildLimiter.Inflight())
@@ -980,7 +987,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	release(true)
 	s.metrics.observeRun(algo.String(), res.Degraded, res.Retries, res.SubOpt, res.TraceID)
 	s.metrics.observeGuard(res.GuardVerdict)
-	s.recordTrace(trace.FromRun(res.TraceID, res.Events))
+	s.recordTrace(res.TraceID, trace.FromRun, res.Events)
 	resp := s.buildRunResponse(sess, algo, res)
 	resp.Scenario = req.Scenario
 	if req.Durable {

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"sync"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/viz"
 )
@@ -86,16 +87,17 @@ func (s *Server) keepTrace(traceID string) bool {
 	return trace.Sample(traceID, s.sampleRate())
 }
 
-// recordTrace derives nothing — it stores an already-derived tree, counts
-// its spans, and is a no-op for unsampled traces. The fleet membership
-// timeline is exempt from sampling and the brownout drop: it is one
-// bounded singleton tree, not per-request volume, and it is exactly the
-// trace that explains a brownout episode after the fact.
-func (s *Server) recordTrace(t *trace.Tree) {
-	if t == nil {
-		return
+// recordTrace stores the span tree derive builds from a request's events
+// and counts its spans. Retention is decided first, so an unsampled trace
+// (and every trace under brownout) never pays for its tree.
+func (s *Server) recordTrace(traceID string, derive func(string, []telemetry.Event) *trace.Tree, events []telemetry.Event) {
+	if s.keepTrace(traceID) {
+		s.storeTrace(derive(traceID, events))
 	}
-	if t.Kind != trace.KindFleet && !s.keepTrace(t.TraceID) {
+}
+
+func (s *Server) storeTrace(t *trace.Tree) {
+	if t == nil {
 		return
 	}
 	s.traces.put(t)
