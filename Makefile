@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet examples chaos resume-chaos drills bench bench-check experiments experiments-check replay-smoke atlas fuzz clean
+.PHONY: all build test race vet examples chaos resume-chaos drills bench bench-check experiments experiments-check atlas fuzz clean
 
 all: vet build test
 
@@ -42,8 +42,9 @@ resume-chaos:
 	$(GO) test -race ./internal/fleet/ -v
 
 # drills runs every end-to-end daemon drill (cmd/drill: metrics, overload,
-# trace, fleet, brownout) against freshly built rqpd processes; each drill's
-# Go doc comment states what it checks. `make <name>-smoke` runs one drill.
+# trace, fleet, brownout, replay) against freshly built rqpd processes; each
+# drill's Go doc comment states what it checks. `make <name>-smoke` runs one
+# drill (`make replay-smoke` writes replay-report.json).
 drills:
 	$(GO) run ./cmd/drill
 
@@ -83,15 +84,6 @@ experiments:
 # on purpose re-records the file.
 experiments-check:
 	{ $(GO) run ./cmd/experiments && $(GO) run ./cmd/experiments -summary; } | diff - results_full.txt
-
-# replay-smoke boots rqpd with tight admission limits and replays a seeded
-# 30s open-loop mixed trace (clean runs, adversarial / regret-correlated
-# scenario runs, sweeps, builds) followed by a shed burst and a
-# circuit-breaker drill. Writes replay-report.json (per-class p50/p95/p99,
-# status counts, guardrail census) and -check asserts every guardrail class
-# fired — watchdog abort, ESS escape, shed, breaker — with no goroutine leak.
-replay-smoke:
-	$(GO) run ./cmd/replay -duration 30s -rate 20 -check -o replay-report.json
 
 # atlas renders the per-regime robustness atlas for the motivating example
 # query (suboptimality heat over the ESS with guardrail-intervention

@@ -276,9 +276,8 @@ func brownoutStage(addr string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	fam, ok := fams["rqp_brownout_stage"]
-	if !ok || len(fam.Samples) == 0 {
+	if _, ok := fams["rqp_brownout_stage"]; !ok {
 		return 0, fmt.Errorf("%s exposes no rqp_brownout_stage", addr)
 	}
-	return int(fam.Samples[0].Value), nil
+	return int(smoke.Sum(fams, "rqp_brownout_stage", "", "")), nil
 }

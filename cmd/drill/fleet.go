@@ -1,8 +1,6 @@
 package main
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -16,6 +14,7 @@ import (
 	"repro/internal/runstate"
 	"repro/internal/smoke"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 const (
@@ -84,7 +83,7 @@ func fleetDrill(bin, data string) error {
 	if err != nil {
 		return err
 	}
-	if err := checkCorrelated(hdr); err != nil {
+	if err := smoke.CheckCorrelated(hdr); err != nil {
 		return fmt.Errorf("create session response: %w", err)
 	}
 	owner, err := routeOwner(addrs[0], id)
@@ -119,7 +118,7 @@ func fleetDrill(bin, data string) error {
 	if status != http.StatusOK {
 		return fmt.Errorf("golden run: status %d: %s", status, body)
 	}
-	if err := checkCorrelated(hdr); err != nil {
+	if err := smoke.CheckCorrelated(hdr); err != nil {
 		return fmt.Errorf("golden run response: %w", err)
 	}
 	var golden runDoc
@@ -137,20 +136,17 @@ func fleetDrill(bin, data string) error {
 	if err != nil {
 		return err
 	}
-	victimTrace, err := mintTraceParent()
-	if err != nil {
-		return err
-	}
+	victim := trace.New()
 	status, hdr, body, err = smoke.Do(http.MethodPost, runURL,
 		fmt.Sprintf(`{"strategy":"spillbound","truth":%s,"durable":true,"runId":"victim","scenario":"adversarial-4","scenarioSeed":%d}`, truth, seed),
-		map[string]string{"Traceparent": victimTrace})
+		map[string]string{"Traceparent": victim.Header()})
 	if err != nil {
 		return err
 	}
 	if status != http.StatusBadRequest || !strings.Contains(string(body), "crash") {
 		return fmt.Errorf("victim run: want 400 with injected crash, got %d: %s", status, body)
 	}
-	victimID := strings.Split(victimTrace, "-")[1]
+	victimID := victim.TraceID
 	if got := hdr.Get("X-Request-ID"); got != victimID {
 		return fmt.Errorf("victim run: X-Request-ID %q does not echo the request traceparent %q", got, victimID)
 	}
@@ -412,16 +408,6 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / den
 }
 
-// checkCorrelated enforces the correlation contract on a response: every
-// fleet-fronted response must carry a Traceparent and X-Request-ID.
-func checkCorrelated(h http.Header) error {
-	if h.Get("Traceparent") == "" || h.Get("X-Request-ID") == "" {
-		return fmt.Errorf("response lacks trace identity (Traceparent=%q, X-Request-ID=%q)",
-			h.Get("Traceparent"), h.Get("X-Request-ID"))
-	}
-	return nil
-}
-
 // routeOwner asks addr which node owns key under its current ring view.
 func routeOwner(addr, key string) (string, error) {
 	var doc struct {
@@ -460,13 +446,4 @@ func awaitRunStatus(addr, session, runID, want string, timeout time.Duration) er
 		}
 		return doc.Status == want, nil
 	})
-}
-
-// mintTraceParent generates a fresh W3C traceparent header value.
-func mintTraceParent() (string, error) {
-	b := make([]byte, 24)
-	if _, err := rand.Read(b); err != nil {
-		return "", err
-	}
-	return "00-" + hex.EncodeToString(b[:16]) + "-" + hex.EncodeToString(b[16:]) + "-01", nil
 }

@@ -7,7 +7,10 @@
 // drills (all of them when none are named) in table order. Each drill boots
 // its own fresh daemons and gets its own data subdir. It prints PASS or
 // FAIL per drill and exits non-zero if any drill failed or a name is
-// unknown. `make drills` runs them all; `make <name>-smoke` runs one.
+// unknown. Drills take positional names only, no flags or env vars: each
+// one's parameters are fixed in its file, and the replay drill also writes
+// replay-report.json to the working directory. `make drills` runs them all;
+// `make <name>-smoke` runs one.
 package main
 
 import (
@@ -31,6 +34,7 @@ var drills = []struct {
 	{"trace", traceDrill},
 	{"fleet", fleetDrill},
 	{"brownout", brownoutDrill},
+	{"replay", replayDrill},
 }
 
 func main() {

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"sync"
@@ -22,69 +21,37 @@ import (
 // non-zero shed count, and the goroutine count settles back to its
 // pre-burst baseline (no leaked request handlers).
 func overloadDrill(bin, _ string) error {
-	d, err := smoke.Boot(bin, "-max-runs", "1", "-session-max-runs", "1", "-max-builds", "2")
+	d, id, baseline, err := bootOverloaded(bin)
 	if err != nil {
 		return err
 	}
 	defer d.Stop()
 	base := d.Base()
 
-	// A denser grid plus exhaustive sweeps makes every request heavy enough
-	// that the burst genuinely overlaps in the server.
-	id, _, err := smoke.CreateSession(base, `{"query":"2D_EQ","gridRes":16}`, nil)
-	if err != nil {
-		return err
-	}
-	if err := smoke.AwaitReady(base, id, 60*time.Second); err != nil {
-		return err
-	}
-
-	baseline, err := smoke.Goroutines(base)
-	if err != nil {
-		return err
-	}
-
 	// The burst: with a run ceiling of 1, concurrent sweeps past the limit
 	// must be shed, not queued.
 	const burst = 24
-	sweepURL := base + "/v1/sessions/" + id + "/sweep?strategy=spillbound&max=0"
 	var (
-		mu            sync.Mutex
 		okCount       int
 		shedCount     int
 		missingHeader int
 		unexpected    []string
 	)
-	var wg sync.WaitGroup
-	for i := 0; i < burst; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Get(sweepURL)
-			if err != nil {
-				mu.Lock()
-				unexpected = append(unexpected, err.Error())
-				mu.Unlock()
-				return
+	for _, s := range sweepBurst(base, id, burst) {
+		switch {
+		case s.err != nil:
+			unexpected = append(unexpected, s.err.Error())
+		case s.status == http.StatusOK:
+			okCount++
+		case s.status == http.StatusTooManyRequests:
+			shedCount++
+			if s.header.Get("Retry-After") == "" {
+				missingHeader++
 			}
-			defer resp.Body.Close()
-			io.Copy(io.Discard, resp.Body)
-			mu.Lock()
-			defer mu.Unlock()
-			switch resp.StatusCode {
-			case http.StatusOK:
-				okCount++
-			case http.StatusTooManyRequests:
-				shedCount++
-				if resp.Header.Get("Retry-After") == "" {
-					missingHeader++
-				}
-			default:
-				unexpected = append(unexpected, fmt.Sprintf("status %d", resp.StatusCode))
-			}
-		}()
+		default:
+			unexpected = append(unexpected, fmt.Sprintf("status %d", s.status))
+		}
 	}
-	wg.Wait()
 	if len(unexpected) > 0 {
 		return fmt.Errorf("burst produced unexpected outcomes: %v", unexpected)
 	}
@@ -135,4 +102,67 @@ func scrapeGuards(base string, wantShed float64) error {
 	}
 	log.Printf("guard families present, rqp_shed_total{run} = %g, breaker closed", shed)
 	return nil
+}
+
+// bootOverloaded boots rqpd with the tight admission limits of the overload
+// and replay drills (a run ceiling of one that a sweep burst must overflow)
+// plus flags, builds the anchor session every burst targets, and reads the
+// goroutine baseline. On error the daemon is stopped.
+func bootOverloaded(bin string, flags ...string) (*smoke.Daemon, string, int, error) {
+	d, err := smoke.Boot(bin, append([]string{"-max-runs", "1", "-session-max-runs", "1", "-max-builds", "2"}, flags...)...)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	// A denser grid plus exhaustive sweeps makes every request heavy enough
+	// that the burst genuinely overlaps in the server.
+	id, _, err := smoke.CreateSession(d.Base(), `{"query":"2D_EQ","gridRes":16}`, nil)
+	if err == nil {
+		err = smoke.AwaitReady(d.Base(), id, 60*time.Second)
+	}
+	var baseline int
+	if err == nil {
+		baseline, err = smoke.Goroutines(d.Base())
+	}
+	if err != nil {
+		d.Stop()
+		return nil, "", 0, err
+	}
+	return d, id, baseline, nil
+}
+
+// shot is one request's outcome and its wire latency.
+type shot struct {
+	status  int
+	header  http.Header
+	body    []byte
+	latency time.Duration
+	err     error
+}
+
+func do(method, url, body string) shot {
+	start := time.Now()
+	status, h, b, err := smoke.Do(method, url, body, nil)
+	return shot{status: status, header: h, body: b, latency: time.Since(start), err: err}
+}
+
+// sweep runs a SpillBound sweep of session id over max locations (0 =
+// exhaustive).
+func sweep(base, id string, max int) shot {
+	return do(http.MethodGet, fmt.Sprintf("%s/v1/sessions/%s/sweep?strategy=spillbound&max=%d", base, id, max), "")
+}
+
+// sweepBurst fires n concurrent exhaustive sweeps of session id and returns
+// their outcomes.
+func sweepBurst(base, id string, n int) []shot {
+	shots := make([]shot, n)
+	var wg sync.WaitGroup
+	for i := range shots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shots[i] = sweep(base, id, 0)
+		}()
+	}
+	wg.Wait()
+	return shots
 }

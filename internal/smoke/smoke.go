@@ -1,8 +1,9 @@
 // Package smoke is the shared toolkit of the end-to-end daemon drills
-// (cmd/drill, cmd/replay): build and boot rqpd singly or as a fleet, poll
-// with a deadline, drive the /v1 session lifecycle, scrape the metrics
-// exposition, and check goroutine hygiene after load. Every helper is a
-// plain function returning errors — the drills decide what is fatal.
+// (cmd/drill): build and boot rqpd singly or as a fleet, poll with a
+// deadline, drive the /v1 session lifecycle, check a response's trace
+// identity, scrape the metrics exposition, and check goroutine hygiene
+// after load. Every helper is a plain function returning errors — the
+// drills decide what is fatal.
 package smoke
 
 import (
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Poll drives fn immediately and then every interval until it reports done,
@@ -234,17 +236,11 @@ func CreateSession(base, body string, hdr map[string]string) (string, http.Heade
 // build is a permanent error.
 func AwaitReady(base, id string, timeout time.Duration) error {
 	return Poll("session "+id+" ready", timeout, 50*time.Millisecond, func() (bool, error) {
-		resp, err := http.Get(base + "/v1/sessions/" + id)
-		if err != nil {
-			return false, err
-		}
 		var doc struct {
 			Status     string `json:"status"`
 			BuildError string `json:"buildError"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&doc)
-		resp.Body.Close()
-		if err != nil {
+		if err := GetJSON(base+"/v1/sessions/"+id, &doc); err != nil {
 			return false, err
 		}
 		switch doc.Status {
@@ -312,6 +308,17 @@ func Do(method, url, body string, hdr map[string]string) (int, http.Header, []by
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, resp.Header, b, err
+}
+
+// CheckCorrelated enforces the correlation contract on one response: every
+// response, sheds and breaker rejections included, must carry a parseable
+// W3C Traceparent and a non-empty X-Request-ID.
+func CheckCorrelated(h http.Header) error {
+	if _, err := trace.Parse(h.Get("Traceparent")); err != nil || h.Get("X-Request-ID") == "" {
+		return fmt.Errorf("response lacks trace identity (Traceparent=%q, X-Request-ID=%q)",
+			h.Get("Traceparent"), h.Get("X-Request-ID"))
+	}
+	return nil
 }
 
 // Flavor is a /v1/metrics exposition format, named by the Content-Type
@@ -387,17 +394,12 @@ func AwaitGoroutineSettle(base string, baseline, slack int, timeout time.Duratio
 
 // Goroutines reads the live goroutine count from /v1/debug/stats.
 func Goroutines(base string) (int, error) {
-	resp, err := http.Get(base + "/v1/debug/stats")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
 	var doc struct {
 		Runtime struct {
 			Goroutines int `json:"goroutines"`
 		} `json:"runtime"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := GetJSON(base+"/v1/debug/stats", &doc); err != nil {
 		return 0, err
 	}
 	if doc.Runtime.Goroutines <= 0 {

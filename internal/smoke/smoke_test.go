@@ -178,3 +178,32 @@ func TestFreeAddrsDistinct(t *testing.T) {
 		seen[a] = true
 	}
 }
+
+// TestCheckCorrelated: the trace identity must parse as a W3C traceparent
+// and come with an X-Request-ID. A present but garbled Traceparent fails.
+func TestCheckCorrelated(t *testing.T) {
+	const tp = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	cases := []struct {
+		name        string
+		traceparent string
+		requestID   string
+		ok          bool
+	}{
+		{"good", tp, "4bf92f3577b34da6a3ce929d0e0e4736", true},
+		{"garbled traceparent", "not-a-traceparent", "4bf92f3577b34da6a3ce929d0e0e4736", false},
+		{"missing request id", tp, "", false},
+		{"empty header", "", "", false},
+	}
+	for _, tc := range cases {
+		h := http.Header{}
+		if tc.traceparent != "" {
+			h.Set("Traceparent", tc.traceparent)
+		}
+		if tc.requestID != "" {
+			h.Set("X-Request-ID", tc.requestID)
+		}
+		if err := CheckCorrelated(h); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckCorrelated = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
