@@ -348,6 +348,22 @@ func BenchmarkMetricsSweepSB(b *testing.B) {
 	}
 }
 
+// BenchmarkMetricsSweepAB is BenchmarkMetricsSweepSB for AlignedBound,
+// whose partition planning the contour memo answers after the first sweep.
+func BenchmarkMetricsSweepAB(b *testing.B) {
+	microSetup(b)
+	r := aligned.NewRunner(microSpace)
+	run := func(truth cost.Location) float64 {
+		return r.Run(engine.New(microSpace.Model, truth)).TotalCost
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := metrics.SweepContext(context.Background(), microSpace, run, metrics.SweepOptions{MaxLocations: 32, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRowEngineFullRun(b *testing.B) {
 	microSetup(b)
 	re := &rowexec.Engine{Query: microSpace.Query, Params: cost.PostgresLike(), RowCap: 3000}

@@ -85,7 +85,7 @@ func replayDrill(bin, _ string) error {
 	// with 429, not queue it.
 	log.Printf("shed drill: %d concurrent exhaustive sweeps", replayBurst)
 	for _, s := range sweepBurst(base, id, replayBurst) {
-		rec.fired("sweep:burst", "", s, nil, "")
+		rec.fired("sweep:burst", "", s, runReply{})
 	}
 
 	// Phase 3 — breaker drill.
@@ -110,8 +110,8 @@ func replayDrill(bin, _ string) error {
 		Classes: classes, Strategies: strategies, Guardrails: guard, Daemon: daemon,
 		Goroutines: leakCheck{Baseline: baseline, Final: final, Settled: settleErr == nil},
 	}
-	log.Printf("census: %d watchdog aborts, %d escapes, %d sheds, %d breaker rejections, %d crashes",
-		guard.WatchdogAborts, guard.ESSEscapes, guard.Sheds, guard.BreakerRejections, guard.Crashes)
+	log.Printf("census: %d watchdog aborts, %d escapes, %d sheds, %d breaker rejections, %d degraded fallbacks",
+		guard.WatchdogAborts, guard.ESSEscapes, guard.Sheds, guard.BreakerRejections, guard.DegradedFallbacks)
 	payload, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -150,8 +150,9 @@ type guardrails struct {
 	Sheds             int  `json:"sheds"`
 	BreakerRejections int  `json:"breaker_rejections"`
 	BreakerOpened     bool `json:"breaker_opened"`
-	Crashes           int  `json:"crashes"`
-	DegradedFallbacks int  `json:"degraded_fallbacks"`
+	// DegradedFallbacks counts run replies flagged degraded: the strategy
+	// failed past its retries and the run fell back to the native plan.
+	DegradedFallbacks int `json:"degraded_fallbacks"`
 	// TraceparentViolations counts responses — sheds and breaker rejections
 	// included — that failed smoke.CheckCorrelated.
 	TraceparentViolations int `json:"traceparent_violations"`
@@ -301,22 +302,30 @@ func statsFor(m map[string]*classStats, key string) *classStats {
 	return cs
 }
 
+// runReply is the part of a run response the census reads; non-run traffic
+// and failed runs observe the zero value.
+type runReply struct {
+	GuardVerdict string            `json:"guardVerdict"`
+	Degraded     bool              `json:"degraded"`
+	Events       []telemetry.Event `json:"events"`
+}
+
 // observe records one finished request: its class, the strategy it ran (""
-// for non-run traffic), coarse outcome label, wire latency, the run's event
-// stream (nil for non-run traffic; folded into the class's phase
-// breakdown), and (for runs) the guard verdict.
-func (rec *recorder) observe(class, strategy, outcome string, latency time.Duration, events []telemetry.Event, verdict string) {
+// for non-run traffic), coarse outcome label, wire latency, and the run
+// reply: its event stream is folded into the class's phase breakdown, its
+// guard verdict and degraded flag into the guardrail census.
+func (rec *recorder) observe(class, strategy, outcome string, latency time.Duration, reply runReply) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	record := func(cs *classStats) {
 		cs.Count++
 		cs.Statuses[outcome]++
 		cs.lat = append(cs.lat, float64(latency)/float64(time.Millisecond))
-		if len(events) > 0 {
+		if len(reply.Events) > 0 {
 			if cs.Phases == nil {
 				cs.Phases = &phaseStats{}
 			}
-			cs.Phases.fold(events)
+			cs.Phases.fold(reply.Events)
 		}
 	}
 	record(statsFor(rec.classes, class))
@@ -331,13 +340,14 @@ func (rec *recorder) observe(class, strategy, outcome string, latency time.Durat
 	case "error":
 		rec.guard.UnexpectedFailures++
 	}
-	switch verdict {
+	switch reply.GuardVerdict {
 	case "budget_abort":
 		rec.guard.WatchdogAborts++
 	case "ess_escape":
 		rec.guard.ESSEscapes++
-	case "crashed":
-		rec.guard.Crashes++
+	}
+	if reply.Degraded {
+		rec.guard.DegradedFallbacks++
 	}
 }
 
@@ -356,7 +366,7 @@ func (rec *recorder) observeTraceparent(h http.Header) {
 // failure. Every response's correlation headers are checked regardless of
 // outcome, and a shed or breaker response's Retry-After joins its class's
 // backoff distribution.
-func (rec *recorder) fired(class, strategy string, s shot, events []telemetry.Event, verdict string) {
+func (rec *recorder) fired(class, strategy string, s shot, reply runReply) {
 	outcome := "error"
 	if s.err == nil {
 		rec.observeTraceparent(s.header)
@@ -377,7 +387,7 @@ func (rec *recorder) fired(class, strategy string, s shot, events []telemetry.Ev
 		cs.ra = append(cs.ra, float64(v))
 		rec.mu.Unlock()
 	}
-	rec.observe(class, strategy, outcome, s.latency, events, verdict)
+	rec.observe(class, strategy, outcome, s.latency, reply)
 }
 
 func (rec *recorder) snapshot() (classes, strategies map[string]*classStats, guard guardrails) {
@@ -480,9 +490,8 @@ func pick(rng *rand.Rand, seed int64, mix []string) trafficEvent {
 // its outcome.
 func fire(base, sessionID string, ev trafficEvent, rec *recorder) {
 	var (
-		s       shot
-		verdict string
-		events  []telemetry.Event
+		s     shot
+		reply runReply
 	)
 	switch {
 	case ev.build:
@@ -494,20 +503,13 @@ func fire(base, sessionID string, ev trafficEvent, rec *recorder) {
 		}
 	case ev.body != "":
 		s = do(http.MethodPost, base+"/v1/sessions/"+sessionID+"/run", ev.body)
-		if s.status == http.StatusOK {
-			var doc struct {
-				GuardVerdict string            `json:"guardVerdict"`
-				Events       []telemetry.Event `json:"events"`
-			}
-			if json.Unmarshal(s.body, &doc) == nil {
-				verdict = doc.GuardVerdict
-				events = doc.Events
-			}
+		if s.status == http.StatusOK && json.Unmarshal(s.body, &reply) != nil {
+			reply = runReply{}
 		}
 	default:
 		s = sweep(base, sessionID, ev.sweepMax)
 	}
-	rec.fired(ev.class, ev.strategy, s, events, verdict)
+	rec.fired(ev.class, ev.strategy, s, reply)
 }
 
 // breakerDrill runs breakerThreshold consecutive CHAOS_FAIL builds (each
@@ -531,7 +533,7 @@ func breakerDrill(base string, rec *recorder) error {
 		}); err != nil {
 			return err
 		}
-		rec.observe("build:chaos", "", "build_failed", time.Since(start), nil, "")
+		rec.observe("build:chaos", "", "build_failed", time.Since(start), runReply{})
 	}
 	s := do(http.MethodPost, base+"/v1/sessions", `{"query":"CHAOS_FAIL"}`)
 	if s.err != nil {
@@ -541,11 +543,11 @@ func breakerDrill(base string, rec *recorder) error {
 	// stamping headers in the outermost middleware.
 	rec.observeTraceparent(s.header)
 	if s.status != http.StatusServiceUnavailable {
-		rec.observe("build:chaos", "", "error", s.latency, nil, "")
+		rec.observe("build:chaos", "", "error", s.latency, runReply{})
 		return fmt.Errorf("create after %d consecutive build failures: status %d (want 503 from the open breaker): %s",
 			breakerThreshold, s.status, s.body)
 	}
-	rec.observe("build:chaos", "", "breaker", s.latency, nil, "")
+	rec.observe("build:chaos", "", "breaker", s.latency, runReply{})
 	return nil
 }
 

@@ -133,14 +133,14 @@ func TestRecorderCensus(t *testing.T) {
 		{Kind: telemetry.BudgetAbort},
 		{Kind: telemetry.Done},
 	}
-	rec.observe("run", "spillbound", "ok", 5*time.Millisecond, events, "budget_abort")
-	rec.observe("run", "penaltyaware", "ok", 10*time.Millisecond, nil, "ess_escape")
-	rec.observe("run", "spillbound", "shed", time.Millisecond, nil, "")
-	rec.observe("build:chaos", "", "breaker", time.Millisecond, nil, "")
-	rec.observe("sweep", "", "error", time.Millisecond, nil, "")
+	rec.observe("run", "spillbound", "ok", 5*time.Millisecond, runReply{GuardVerdict: "budget_abort", Events: events})
+	rec.observe("run", "penaltyaware", "ok", 10*time.Millisecond, runReply{GuardVerdict: "ess_escape"})
+	rec.observe("run", "spillbound", "shed", time.Millisecond, runReply{})
+	rec.observe("build:chaos", "", "breaker", time.Millisecond, runReply{})
+	rec.observe("sweep", "", "error", time.Millisecond, runReply{})
 	classes, strategies, guard := rec.snapshot()
 	if guard.WatchdogAborts != 1 || guard.ESSEscapes != 1 || guard.Sheds != 1 ||
-		guard.BreakerRejections != 1 || guard.UnexpectedFailures != 1 {
+		guard.BreakerRejections != 1 || guard.UnexpectedFailures != 1 || guard.DegradedFallbacks != 0 {
 		t.Errorf("census off: %+v", guard)
 	}
 	cs := classes["run"]
@@ -168,6 +168,29 @@ func TestRecorderCensus(t *testing.T) {
 	}
 	if len(strategies) != 2 {
 		t.Errorf("strategies = %d keys, want 2", len(strategies))
+	}
+}
+
+// TestRecorderDegraded feeds the recorder run replies as fire decodes them
+// from the wire: only a reply flagged degraded counts as a fallback.
+func TestRecorderDegraded(t *testing.T) {
+	rec := newRecorder()
+	for _, body := range []string{
+		`{"guardVerdict":"budget_abort","degraded":true,"events":[{"kind":"degrade","spent":7}]}`,
+		`{"guardVerdict":"ok"}`,
+	} {
+		var reply runReply
+		if err := json.Unmarshal([]byte(body), &reply); err != nil {
+			t.Fatal(err)
+		}
+		rec.observe("run", "spillbound", "ok", time.Millisecond, reply)
+	}
+	classes, _, guard := rec.snapshot()
+	if guard.DegradedFallbacks != 1 || guard.WatchdogAborts != 1 {
+		t.Errorf("census off: %+v", guard)
+	}
+	if p := classes["run"].Phases; p == nil || p.DegradeCost != 7 {
+		t.Errorf("degraded run's phase breakdown off: %+v", p)
 	}
 }
 

@@ -12,6 +12,7 @@ package aligned
 import (
 	"context"
 	"math"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/ess"
@@ -46,14 +47,10 @@ func NewRunner(s *ess.Space) *Runner {
 	return &Runner{Space: s, Ratio: ess.CostDoublingRatio}
 }
 
-// Outcome is a full AlignedBound run: the shared discovery outcome plus
-// the partition penalties met on the way.
-type Outcome struct {
-	spillbound.Outcome
-	// MaxPartitionPenalty is the largest per-partition total penalty π*
-	// encountered across explored contours (paper Table 4).
-	MaxPartitionPenalty float64
-}
+// Outcome is a full AlignedBound run: the shared discovery outcome, whose
+// MaxPartitionPenalty is the largest per-partition total penalty π*
+// encountered across explored contours (paper Table 4).
+type Outcome = spillbound.Outcome
 
 // partExec is the single spill-mode execution chosen for one part of a
 // partition cover: the leader dimension's (possibly replacement) plan, the
@@ -88,10 +85,38 @@ func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourSt
 	return &contourState{
 		s: s, cells: cells,
 		scan:    spillbound.ScanContour(s, cells, learned),
-		pools:   spillPools(s, learned),
+		pools:   learntPools(s, learned),
 		memo:    map[[2]int]memo{},
 		indMemo: map[[2]int]memo{},
 	}
+}
+
+// poolTable is AlignedBound's planner state on a Space: the spill pools of
+// each learnt set, indexed by the bitmask of learnt dimensions and computed
+// on first use. There are at most 2^D learnt sets, against one planned
+// contour per (sub-ESS, budget).
+type poolTable struct {
+	mu     sync.Mutex
+	byMask []map[int][]int
+}
+
+// learntPools returns spillPools(s, learned) through the Space's pool table.
+func learntPools(s *ess.Space, learned map[int]bool) map[int][]int {
+	t := s.PlannerState(ess.AlignedBoundSlot, func() any {
+		return &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
+	}).(*poolTable)
+	mask := 0
+	for d, id := range s.Query.EPPs {
+		if learned[id] {
+			mask |= 1 << uint(d)
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byMask[mask] == nil {
+		t.byMask[mask] = spillPools(s, learned)
+	}
+	return t.byMask[mask]
 }
 
 // spillPools groups the POSP plan IDs by the dimension each spills on
@@ -262,20 +287,21 @@ func (r *Runner) Run(e engine.Executor) Outcome {
 // shared discovery driver (spillbound.Drive) runs the contours, taking
 // each one's spills from the minimum-penalty partition cover.
 func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, error) {
-	var out Outcome
-	var err error
-	out.Outcome, err = spillbound.Drive(ctx, r.Space, r.Ratio, r.Resume, func(c spillbound.Contour) []spillbound.Spill {
-		execs, penalty := newContourState(r.Space, c.Cells, c.Learned).bestPartition(c.Free)
-		if penalty > out.MaxPartitionPenalty {
-			out.MaxPartitionPenalty = penalty
-		}
+	return spillbound.Drive(ctx, r.Space, r.Ratio, r.Resume, partitionPlanner(r.Space), e)
+}
+
+// partitionPlanner is AlignedBound's planner: one spill per non-empty part
+// of the contour's minimum-penalty partition cover, the cover's total
+// penalty as the plan's.
+func partitionPlanner(s *ess.Space) spillbound.Planner {
+	return spillbound.Planner{Slot: ess.AlignedBoundSlot, Plan: func(c spillbound.Contour) spillbound.Plan {
+		execs, penalty := newContourState(s, c.Cells, c.Learned).bestPartition(c.Free)
 		spills := make([]spillbound.Spill, 0, len(execs))
 		for _, pe := range execs {
 			if !pe.empty {
 				spills = append(spills, pe.Spill)
 			}
 		}
-		return spills
-	}, e)
-	return out, err
+		return spillbound.Plan{Spills: spills, Penalty: penalty}
+	}}
 }

@@ -3,6 +3,7 @@ package ess
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -360,17 +361,100 @@ func TestContourCellsCached(t *testing.T) {
 			}
 		}
 	}
-	// Distinct subspaces get distinct cache entries.
-	fixed := sub.Fix(0, 2)
-	if fixed.Key() == sub.Key() {
-		t.Error("subspace keys should differ")
+	// Distinct subspaces get distinct memo keys.
+	keys := map[uint64]string{}
+	for name, u := range map[string]Subspace{
+		"full": sub, "0=2": sub.Fix(0, 2), "0=3": sub.Fix(0, 3),
+		"1=2": sub.Fix(1, 2), "0=2,1=2": sub.Fix(0, 2).Fix(1, 2),
+	} {
+		if prev, dup := keys[u.key()]; dup {
+			t.Errorf("subspaces %s and %s share memo key %d", prev, name, u.key())
+		}
+		keys[u.key()] = name
 	}
-	a := fixed.ContourCellsCached(costs[2])
-	b := fixed.ContourCells(costs[2])
-	if len(a) != len(b) {
-		t.Error("fixed-subspace cached frontier differs")
+	// Subspaces with one free dimension bypass the memo: the uncached path
+	// returns what ContourCells returns and stores nothing.
+	entries := len(s.memo)
+	for gi := 0; gi < s.Grid.Res(0); gi++ {
+		fixed := sub.Fix(0, gi)
+		for _, cc := range costs {
+			a := fixed.ContourCellsCached(cc)
+			b := fixed.ContourCells(cc)
+			if !slices.Equal(a, b) {
+				t.Fatalf("1-D subspace 0=%d at %g: uncached frontier %v, want %v", gi, cc, a, b)
+			}
+		}
 	}
-	if fixed.Space() != s {
+	if len(s.memo) != entries {
+		t.Errorf("1-D contours entered the memo: %d entries, was %d", len(s.memo), entries)
+	}
+	if sub.Fix(0, 2).Space() != s {
 		t.Error("Space accessor broken")
+	}
+}
+
+// TestContourMemoBound fills a Space's contour memo past its limit: it is
+// reset wholesale, and the cells and planner choices recomputed after the
+// reset equal those before it.
+func TestContourMemoBound(t *testing.T) {
+	s := buildSpace(t, 8)
+	sub := s.Full()
+	costs := s.ContourCosts(2)
+	calls := 0
+	// A stand-in planner, a pure function of the contour: per dimension,
+	// the contour cell with the largest coordinate along it.
+	plan := func(cells []int) func() any {
+		return func() any {
+			calls++
+			best := make([]int, s.Grid.D)
+			for d := range best {
+				for _, ci := range cells {
+					if s.Grid.Coord(ci, d) >= s.Grid.Coord(best[d], d) {
+						best[d] = ci
+					}
+				}
+			}
+			return best
+		}
+	}
+	type choice struct {
+		cells []int
+		plan  []int
+	}
+	before := make([]choice, len(costs))
+	for i, cc := range costs {
+		c := sub.CachedContour(cc)
+		before[i] = choice{c.Cells, c.Plan(SpillBoundSlot, plan(c.Cells)).([]int)}
+	}
+	if calls != len(costs) || len(s.memo) != len(costs) {
+		t.Fatalf("%d plan calls, %d entries; want %d each", calls, len(s.memo), len(costs))
+	}
+	// Hits do not plan again.
+	for _, cc := range costs {
+		c := sub.CachedContour(cc)
+		c.Plan(SpillBoundSlot, plan(c.Cells))
+	}
+	if calls != len(costs) {
+		t.Fatalf("memo hits planned again: %d calls", calls)
+	}
+	// Fill to the limit with budgets between the contours'; the next miss
+	// resets the memo.
+	for k := 0; len(s.memo) < contourMemoLimit; k++ {
+		sub.CachedContour(costs[0] * (1 + float64(k+1)*1e-9))
+	}
+	sub.CachedContour(costs[len(costs)-1] * 2)
+	if len(s.memo) != 1 {
+		t.Fatalf("memo past its limit holds %d entries, want 1 after a reset", len(s.memo))
+	}
+	calls = 0
+	for i, cc := range costs {
+		c := sub.CachedContour(cc)
+		got := choice{c.Cells, c.Plan(SpillBoundSlot, plan(c.Cells)).([]int)}
+		if !slices.Equal(got.cells, before[i].cells) || !slices.Equal(got.plan, before[i].plan) {
+			t.Errorf("contour %d after reset: %+v, before %+v", i, got, before[i])
+		}
+	}
+	if calls != len(costs) {
+		t.Errorf("after the reset %d contours planned, want %d", calls, len(costs))
 	}
 }

@@ -2,10 +2,8 @@ package ess
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -31,8 +29,9 @@ type Space struct {
 	planIdx []int32
 	plans   []*plan.Plan
 
-	mu           sync.Mutex
-	contourCache map[string][]int
+	memoMu sync.Mutex
+	memo   map[contourKey]*Contour
+	state  [numPlanSlots]any
 }
 
 // BuildProgress observes an in-flight build: done of total grid cells have
@@ -336,38 +335,122 @@ func (u Subspace) ContourCells(cc float64) []int {
 	return out
 }
 
-// Key returns a canonical string identifying the subspace's fixed
-// dimensions, used as a cache key.
-func (u Subspace) Key() string {
-	var b strings.Builder
+// key packs the fixed coordinates into one integer: mixed radix Res(d)+1
+// per dimension, digit gi+1 for a pinned dimension and 0 for a free one.
+// The packed range is at most 1.5^D times the grid size, far inside 64 bits
+// for any grid that fits in memory.
+func (u Subspace) key() uint64 {
+	var k uint64
 	for d, gi := range u.fixed {
-		if gi >= 0 {
-			fmt.Fprintf(&b, "%d=%d;", d, gi)
-		}
+		k = k*uint64(u.s.Grid.Res(d)+1) + uint64(gi+1)
 	}
-	return b.String()
+	return k
 }
 
-// ContourCellsCached is ContourCells with memoization on the underlying
-// Space, safe for concurrent use. Discovery sweeps re-explore the same
-// contours for every candidate true location; the frontier depends only on
-// the subspace and the budget, so caching removes the dominant cost.
-func (u Subspace) ContourCellsCached(cc float64) []int {
-	key := fmt.Sprintf("%s|%x", u.Key(), math.Float64bits(cc))
-	u.s.mu.Lock()
-	if u.s.contourCache == nil {
-		u.s.contourCache = make(map[string][]int)
+// contourKey identifies one contour of one subspace in a Space's memo.
+type contourKey struct {
+	fixed  uint64 // Subspace.key
+	budget uint64 // math.Float64bits of the contour budget
+}
+
+// contourMemoLimit bounds a Space's contour memo. Exhaustive SpillBound and
+// AlignedBound sweeps at the benchmark resolutions fill about 1.7k entries
+// on 4D_Q91, 4.8k on 5D_Q84 and over 16k on 6D_Q18. Past the limit the memo
+// is reset wholesale, as optimizer.Shared does, which costs only
+// recomputation.
+const contourMemoLimit = 1 << 15
+
+// PlanSlot is a contour planner's slot in a memo entry and in a Space's
+// planner state: each discovery planner that memoizes its choices owns one.
+type PlanSlot int
+
+// The planner slots.
+const (
+	SpillBoundSlot PlanSlot = iota
+	AlignedBoundSlot
+	numPlanSlots
+)
+
+// Contour is one iso-cost contour of a subspace as the Space's memo holds
+// it: its cells and, per planner slot, the planner's choice on it.
+type Contour struct {
+	// Cells are the contour's cells, as ContourCells returns them; callers
+	// must not modify them.
+	Cells []int
+
+	mu    sync.Mutex
+	plans [numPlanSlots]any
+}
+
+// Plan returns the choice memoized in slot, computing it with plan on the
+// first ask. Concurrent first asks may each compute; plan must be a pure
+// function of the contour, so whichever result is kept equals the others.
+func (c *Contour) Plan(slot PlanSlot, plan func() any) any {
+	c.mu.Lock()
+	v := c.plans[slot]
+	c.mu.Unlock()
+	if v != nil {
+		return v
 	}
-	cells, ok := u.s.contourCache[key]
-	u.s.mu.Unlock()
+	v = plan()
+	c.mu.Lock()
+	c.plans[slot] = v
+	c.mu.Unlock()
+	return v
+}
+
+// CachedContour returns the contour with budget cc inside the subspace from
+// the Space's memo, computing its cells on a miss; safe for concurrent use.
+// Discovery sweeps re-explore the same contours for every candidate true
+// location, and the cells and each planner's choice depend only on the
+// subspace and the budget, so a hit equals a fresh computation. Subspaces
+// with fewer than two free dimensions are not memoized: the terminal 1-D
+// contour of a PlanBouquet phase holds about one cell, a scan of at most
+// Res cells costs less than the entry, and those subspaces would otherwise
+// make up most of the memo. They get a fresh, unshared entry.
+func (u Subspace) CachedContour(cc float64) *Contour {
+	if len(u.FreeDims()) < 2 {
+		return &Contour{Cells: u.ContourCells(cc)}
+	}
+	key := contourKey{fixed: u.key(), budget: math.Float64bits(cc)}
+	s := u.s
+	s.memoMu.Lock()
+	c, ok := s.memo[key]
+	s.memoMu.Unlock()
 	if ok {
-		return cells
+		return c
 	}
-	cells = u.ContourCells(cc)
-	u.s.mu.Lock()
-	u.s.contourCache[key] = cells
-	u.s.mu.Unlock()
-	return cells
+	c = &Contour{Cells: u.ContourCells(cc)}
+	s.memoMu.Lock()
+	if prev, ok := s.memo[key]; ok {
+		c = prev // a concurrent miss stored it first; share its plans
+	} else {
+		if s.memo == nil || len(s.memo) >= contourMemoLimit {
+			s.memo = make(map[contourKey]*Contour)
+		}
+		s.memo[key] = c
+	}
+	s.memoMu.Unlock()
+	return c
+}
+
+// ContourCellsCached is ContourCells through the Space's contour memo:
+// memoized for subspaces with two or more free dimensions, a plain scan for
+// the 1-D subspaces of the terminal PlanBouquet phase (see CachedContour).
+// Safe for concurrent use.
+func (u Subspace) ContourCellsCached(cc float64) []int { return u.CachedContour(cc).Cells }
+
+// PlannerState returns slot's per-Space planner state, creating it with
+// init on first use; safe for concurrent use. It holds what a planner
+// derives from the Space alone, beside the per-contour memo, and is never
+// reset.
+func (s *Space) PlannerState(slot PlanSlot, init func() any) any {
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if s.state[slot] == nil {
+		s.state[slot] = init()
+	}
+	return s.state[slot]
 }
 
 // CoveringContour returns the index (into costs) of the first contour whose

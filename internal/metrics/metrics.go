@@ -35,7 +35,7 @@ type SweepOptions struct {
 	// Workers > 1 evaluates locations concurrently; Workers <= 1 evaluates
 	// them one at a time. With more than one worker the RunFunc must be
 	// safe for concurrent use: the discovery runners over a shared Space
-	// are (the contour cache is mutex-protected, engines are per-call), but
+	// are (the contour memo is mutex-protected, engines are per-call), but
 	// a shared *optimizer.Optimizer is not — its DP scratch is reused
 	// across calls. Results are deterministic regardless of worker count.
 	Workers int

@@ -27,11 +27,12 @@ type Spill struct {
 	Native  bool
 }
 
-// Contour is one contour iteration as a Planner sees it.
+// Contour is one contour iteration as a Planner sees it. It holds only what
+// the sub-ESS and the budget determine — no contour index, no truth — so a
+// plan memoized for one run serves every run that reaches the same contour.
 type Contour struct {
-	// Index is the 0-based contour index and Cost its budget CC_i.
-	Index int
-	Cost  float64
+	// Cost is the contour budget CC_i.
+	Cost float64
 	// Cells are the contour's cells in the current sub-ESS (never empty).
 	Cells []int
 	// Free are the unlearnt dimensions, ascending (at least two).
@@ -41,20 +42,34 @@ type Contour struct {
 	Learned map[int]bool
 }
 
-// Planner returns one contour's spill executions in order. Drive runs them
-// until one completes — its dimension is learnt and the same contour is
-// planned again with the smaller free set — or all have run, and discovery
-// moves to the next contour (quantum progress, Lemma 4.3).
-type Planner func(c Contour) []Spill
+// Plan is a planner's choice on one contour.
+type Plan struct {
+	// Spills are the contour's spill executions, in order.
+	Spills []Spill
+	// Penalty is the choice's total penalty: AlignedBound's partition
+	// penalty π, zero for SpillBound.
+	Penalty float64
+}
+
+// Planner chooses one contour's spill executions. Drive runs them until
+// one completes — its dimension is learnt and the same contour is planned
+// again with the smaller free set — or all have run, and discovery moves to
+// the next contour (quantum progress, Lemma 4.3). Plan must be a pure
+// function of its Contour: Drive memoizes its result in the Space's
+// contour memo under Slot and calls Plan only on a miss.
+type Planner struct {
+	Slot ess.PlanSlot
+	Plan func(c Contour) Plan
+}
 
 // Drive runs contour-wise discovery (Algorithms 1 and 2) against the
 // executor's hidden true location, taking each contour's spills from
-// planner. It owns everything the two algorithms share: the resume
-// restore, contour checkpoints, repeat labelling, budget-abort handling,
-// half-space pruning (Lemma 3.1), the terminal 1-D PlanBouquet phase and
-// the max-corner fallback. The context is checked at every contour
-// iteration and spill boundary; on abort the partial outcome is returned
-// with the error.
+// planner through the Space's contour memo. It owns everything the two
+// algorithms share: the resume restore, contour checkpoints, repeat
+// labelling, budget-abort handling, half-space pruning (Lemma 3.1), the
+// terminal 1-D PlanBouquet phase and the max-corner fallback. The context
+// is checked at every contour iteration and spill boundary; on abort the
+// partial outcome is returned with the error.
 func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Discovery, planner Planner, e engine.Executor) (Outcome, error) {
 	ce := engine.AsContextExecutor(e)
 	rec := telemetry.From(ctx)
@@ -118,13 +133,17 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 		}
 		rec.EnterContour(i + 1)
 
-		cells := sub.ContourCellsCached(costs[i])
-		if len(cells) == 0 {
+		ct := sub.CachedContour(costs[i])
+		if len(ct.Cells) == 0 {
 			i++
 			continue
 		}
+		plan := ct.Plan(planner.Slot, func() any {
+			return planner.Plan(Contour{Cost: costs[i], Cells: ct.Cells, Free: free, Learned: learned})
+		}).(Plan)
+		out.MaxPartitionPenalty = max(out.MaxPartitionPenalty, plan.Penalty)
 		progressed := false
-		for _, sp := range planner(Contour{Index: i, Cost: costs[i], Cells: cells, Free: free, Learned: learned}) {
+		for _, sp := range plan.Spills {
 			res, ok, err := ce.ExecuteSpillCtx(ctx, s.Plans()[sp.PlanID], sp.Dim, sp.Budget)
 			if err != nil && !engine.IsBudgetAbort(err) {
 				return out, err

@@ -24,7 +24,7 @@ var runners = []struct {
 	}},
 	{"alignedbound", func(ctx context.Context, s *ess.Space, truth cost.Location) spillbound.Outcome {
 		out, _ := aligned.NewRunner(s).RunContext(ctx, engine.New(s.Model, truth))
-		return out.Outcome
+		return out
 	}},
 }
 

@@ -85,6 +85,10 @@ type Outcome struct {
 	// (or restored on resume), indexed by dimension; the dimension resolved
 	// by the terminal 1-D phase has no entry.
 	LearnedSel map[int]float64
+	// MaxPartitionPenalty is the largest Plan.Penalty over the contours
+	// planned: AlignedBound's per-partition total penalty π* (paper Table
+	// 4), zero under SpillBound.
+	MaxPartitionPenalty float64
 }
 
 // Trace renders the execution list, one line each.
@@ -139,7 +143,7 @@ func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, er
 // under the contour budget. Dimensions no contour plan spills on are
 // skipped.
 func maxCellPlanner(s *ess.Space) Planner {
-	return func(c Contour) []Spill {
+	return Planner{Slot: ess.SpillBoundSlot, Plan: func(c Contour) Plan {
 		jmax := ScanContour(s, c.Cells, c.Learned).JMaxCell
 		spills := make([]Spill, 0, len(c.Free))
 		for _, dim := range c.Free {
@@ -149,6 +153,6 @@ func maxCellPlanner(s *ess.Space) Planner {
 				})
 			}
 		}
-		return spills
-	}
+		return Plan{Spills: spills}
+	}}
 }
