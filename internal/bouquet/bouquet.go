@@ -9,6 +9,8 @@
 package bouquet
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -168,19 +170,42 @@ func (d *Diagram) Stats() ReductionStats {
 
 // ContourDensities returns, for each contour budget, the number of distinct
 // plans the assignment places on the contour's cells, plus the maximum —
-// the ρ of the MSO guarantee.
+// the ρ of the MSO guarantee. costs must ascend, as ContourCosts returns
+// them.
+//
+// It is one pass over the grid. Cell ci lies on the contour with budget cc
+// exactly when Cost(ci) <= cc < Cost(Step(ci,d)) for every successor (the
+// maximality test of ess.Subspace.ContourCells), so the contours holding ci
+// are those whose budget falls in [Cost(ci), min over d of Cost(Step(ci,d))):
+// a contiguous index range of the ascending budgets, whose plan bitsets all
+// gain the cell's plan.
 func ContourDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
-	full := s.Full()
+	if !sort.Float64sAreSorted(costs) {
+		panic("bouquet: contour budgets must ascend")
+	}
+	g := s.Grid
+	words := (len(s.Plans()) + 63) / 64
+	planBits := make([]uint64, len(costs)*words) // contour i's plans at [i*words, (i+1)*words)
+	for ci := 0; ci < g.Size(); ci++ {
+		next := math.Inf(1) // cheapest successor: the budget the cell stops being maximal at
+		for d := 0; d < g.D; d++ {
+			if up, ok := g.Step(ci, d); ok && s.CostAt(up) < next {
+				next = s.CostAt(up)
+			}
+		}
+		lo := sort.SearchFloat64s(costs, s.CostAt(ci)) // first budget >= Cost(ci)
+		hi := sort.SearchFloat64s(costs, next)         // first budget >= next
+		id := a.PlanIDAt(ci)
+		for i := lo; i < hi; i++ {
+			planBits[i*words+id/64] |= 1 << (id % 64)
+		}
+	}
 	densities = make([]int, len(costs))
-	for i, cc := range costs {
-		seen := map[int]bool{}
-		for _, ci := range full.ContourCells(cc) {
-			seen[a.PlanIDAt(ci)] = true
+	for i := range densities {
+		for _, w := range planBits[i*words : (i+1)*words] {
+			densities[i] += bits.OnesCount64(w)
 		}
-		densities[i] = len(seen)
-		if len(seen) > rho {
-			rho = len(seen)
-		}
+		rho = max(rho, densities[i])
 	}
 	return densities, rho
 }

@@ -314,25 +314,46 @@ func (u Subspace) MaxCorner() int {
 
 // ContourCells returns the cells of the iso-cost contour with budget cc
 // inside the subspace: the maximal cells (under the dominance order over
-// free dimensions) of the hypograph {q : Cost(Pq,q) <= cc}. Plan cost
-// monotonicity makes the single-step successor test sufficient. The result
-// is empty when the hypograph does not intersect the subspace.
+// free dimensions) of the hypograph {q : Cost(Pq,q) <= cc}, in ascending
+// flat order. Plan cost monotonicity makes the single-step successor test
+// sufficient. The result is empty when the hypograph does not intersect the
+// subspace. The walk is an odometer over the free dimensions' grid indices
+// that moves the flat index by the grid strides, so a cell costs one
+// comparison per free dimension and no index conversion.
 func (u Subspace) ContourCells(cc float64) []int {
 	g := u.s.Grid
+	cost := u.s.optCost
 	free := u.FreeDims()
+	idx := make([]int, len(free)) // odometer digits, one per free dimension
 	var out []int
-	u.Each(func(ci int) {
-		if u.s.optCost[ci] > cc {
-			return
-		}
-		for _, d := range free {
-			if next, ok := g.Step(ci, d); ok && u.s.optCost[next] <= cc {
-				return // a dominating cell is still inside: not maximal
+	for ci := u.MinCorner(); ; {
+		if cost[ci] <= cc {
+			maximal := true
+			for k, d := range free {
+				if idx[k] < g.Res(d)-1 && cost[ci+g.strides[d]] <= cc {
+					maximal = false // a dominating cell is still inside
+					break
+				}
+			}
+			if maximal {
+				out = append(out, ci)
 			}
 		}
-		out = append(out, ci)
-	})
-	return out
+		// Advance: the last free dimension varies fastest, as in flat order.
+		k := len(free) - 1
+		for ; k >= 0; k-- {
+			d := free[k]
+			if idx[k]++; idx[k] < g.Res(d) {
+				ci += g.strides[d]
+				break
+			}
+			ci -= (idx[k] - 1) * g.strides[d]
+			idx[k] = 0
+		}
+		if k < 0 {
+			return out
+		}
+	}
 }
 
 // key packs the fixed coordinates into one integer: mixed radix Res(d)+1

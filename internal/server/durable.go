@@ -283,7 +283,7 @@ func (s *Server) resumeInterrupted(ctx context.Context, e *session, sess *repro.
 		// The resumed incarnation reuses the original trace ID (persisted in
 		// the run snapshot), so the recovered tree replaces any partial one:
 		// one trace spanning daemon restarts.
-		s.recordTrace(res.TraceID, trace.FromRun, res.Events)
+		s.recordTrace(res.TraceID, trace.KindRun, res.Events)
 		resp := s.buildRunResponse(sess, algo, res)
 		s.recordRun(e, res, resp)
 	}

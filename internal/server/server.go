@@ -314,7 +314,8 @@ func (s *Server) HasSession(id string) bool {
 // explains a brownout episode after the fact.
 func (s *Server) RecordTrace(t *trace.Tree) {
 	if t != nil && (t.Kind == trace.KindFleet || s.keepTrace(t.TraceID)) {
-		s.storeTrace(t)
+		s.traces.put(t)
+		s.metrics.traceSpans.Add(float64(t.Spans))
 	}
 }
 
@@ -679,8 +680,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The build belongs to the create request's trace: its per-chunk events
-	// record into a dedicated recorder, and the finished build's span tree
-	// is stored under the request's trace ID.
+	// record into a dedicated recorder, and the finished build's event
+	// stream is retained under the request's trace ID.
 	tp, _ := trace.FromContext(r.Context())
 	buildRec := telemetry.NewRecorder()
 
@@ -692,7 +693,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		sess, err := buildSession(telemetry.With(ctx, buildRec), sp, opts)
 		s.metrics.buildDuration.ObserveTrace(time.Since(start).Seconds(), tp.TraceID)
 		if err == nil {
-			s.recordTrace(tp.TraceID, trace.FromBuild, buildRec.Events())
+			s.recordTrace(tp.TraceID, trace.KindBuild, buildRec.Events())
 		}
 		s.buildLimiter.Release(err == nil)
 		s.metrics.setInflight("build", s.buildLimiter.Inflight())
@@ -987,7 +988,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	release(true)
 	s.metrics.observeRun(algo.String(), res.Degraded, res.Retries, res.SubOpt, res.TraceID)
 	s.metrics.observeGuard(res.GuardVerdict)
-	s.recordTrace(res.TraceID, trace.FromRun, res.Events)
+	s.recordTrace(res.TraceID, trace.KindRun, res.Events)
 	resp := s.buildRunResponse(sess, algo, res)
 	resp.Scenario = req.Scenario
 	if req.Durable {

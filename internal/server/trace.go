@@ -2,6 +2,7 @@
 // starts a W3C trace; the response echoes the traceparent and an
 // X-Request-ID so even 429/503/504 sheds are correlatable), the bounded
 // in-memory trace store behind GET /v1/runs/{id}/trace, and head sampling.
+// The store keeps event streams and derives a span tree when one is read.
 
 package server
 
@@ -21,48 +22,78 @@ import (
 // without letting a long-lived daemon grow without bound.
 const traceStoreCap = 512
 
-// traceStore is the bounded trace-ID → span-tree map.
+// traceEntry is one retained trace: a request's event stream, from which a
+// read derives the span tree of kind, or a tree stored as built.
+type traceEntry struct {
+	kind   string
+	events []telemetry.Event
+	tree   *trace.Tree
+}
+
+// traceStore is the bounded trace-ID → trace map. It keeps event streams
+// rather than span trees: a tree is several times the size of its stream,
+// and most retained traces are never read.
 type traceStore struct {
-	mu    sync.Mutex
-	cap   int
-	order []string // insertion order for FIFO eviction
-	trees map[string]*trace.Tree
+	mu      sync.Mutex
+	cap     int
+	order   []string // insertion order for FIFO eviction
+	entries map[string]traceEntry
 }
 
 func newTraceStore(capacity int) *traceStore {
-	return &traceStore{cap: capacity, trees: make(map[string]*trace.Tree)}
+	return &traceStore{cap: capacity, entries: make(map[string]traceEntry)}
 }
 
-// put stores (or, for a resumed run's incarnation, replaces) a trace.
+// put stores (or replaces) a built tree.
 func (ts *traceStore) put(t *trace.Tree) {
 	if t == nil || t.TraceID == "" {
 		return
 	}
+	ts.store(t.TraceID, traceEntry{tree: t})
+}
+
+// putEvents stores (or, for a resumed run's incarnation, replaces) the event
+// stream of a trace whose tree of kind is derived on read.
+func (ts *traceStore) putEvents(id, kind string, events []telemetry.Event) {
+	if id == "" {
+		return
+	}
+	ts.store(id, traceEntry{kind: kind, events: events})
+}
+
+// store inserts or replaces id's entry, evicting the oldest past the cap.
+func (ts *traceStore) store(id string, e traceEntry) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	if _, exists := ts.trees[t.TraceID]; !exists {
-		ts.order = append(ts.order, t.TraceID)
+	if _, exists := ts.entries[id]; !exists {
+		ts.order = append(ts.order, id)
 		for len(ts.order) > ts.cap {
-			delete(ts.trees, ts.order[0])
+			delete(ts.entries, ts.order[0])
 			ts.order = ts.order[1:]
 		}
 	}
-	ts.trees[t.TraceID] = t
+	ts.entries[id] = e
 }
 
-// get looks a trace up by ID.
+// get looks a trace up by ID, deriving its tree from a retained stream.
 func (ts *traceStore) get(id string) (*trace.Tree, bool) {
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t, ok := ts.trees[id]
-	return t, ok
+	e, ok := ts.entries[id]
+	ts.mu.Unlock()
+	switch {
+	case !ok:
+		return nil, false
+	case e.tree != nil:
+		return e.tree, true
+	}
+	return trace.Derive(e.kind, id, e.events), true
 }
 
 // len reports the stored trace count.
 func (ts *traceStore) len() int {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	return len(ts.trees)
+	return len(ts.entries)
 }
 
 // sampleRate resolves the configured head-sampling rate: the zero Config
@@ -87,21 +118,16 @@ func (s *Server) keepTrace(traceID string) bool {
 	return trace.Sample(traceID, s.sampleRate())
 }
 
-// recordTrace stores the span tree derive builds from a request's events
-// and counts its spans. Retention is decided first, so an unsampled trace
-// (and every trace under brownout) never pays for its tree.
-func (s *Server) recordTrace(traceID string, derive func(string, []telemetry.Event) *trace.Tree, events []telemetry.Event) {
+// recordTrace retains a request's event stream for GET /v1/runs/{id}/trace
+// to derive its span tree of kind (trace.KindRun or trace.KindBuild), and
+// counts the tree's spans from the events. Retention is decided first, so an
+// unsampled trace (and every trace under brownout) costs nothing; a kept one
+// costs a pass over its events, and no tree is built until one is read.
+func (s *Server) recordTrace(traceID, kind string, events []telemetry.Event) {
 	if s.keepTrace(traceID) {
-		s.storeTrace(derive(traceID, events))
+		s.traces.putEvents(traceID, kind, events)
+		s.metrics.traceSpans.Add(float64(trace.SpanCount(kind, events)))
 	}
-}
-
-func (s *Server) storeTrace(t *trace.Tree) {
-	if t == nil {
-		return
-	}
-	s.traces.put(t)
-	s.metrics.traceSpans.Add(float64(t.Spans))
 }
 
 // traceMiddleware gives every request a trace identity before any handler

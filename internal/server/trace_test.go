@@ -2,15 +2,20 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	repro "repro"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 const testTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
@@ -278,5 +283,143 @@ func TestTraceMiddlewareUnit(t *testing.T) {
 	h.ServeHTTP(httptest.NewRecorder(), req)
 	if !ok || got.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" || !got.Sampled {
 		t.Errorf("context traceparent = %+v, %v", got, ok)
+	}
+}
+
+// replyEvents decodes a run reply's event stream.
+func replyEvents(t *testing.T, reply map[string]any) []telemetry.Event {
+	t.Helper()
+	b, err := json.Marshal(reply["events"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []telemetry.Event
+	if err := json.Unmarshal(b, &events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatalf("reply carries no events: %v", reply)
+	}
+	return events
+}
+
+// requireTraceRead fails unless GET /v1/runs/{traceId}/trace serves want's
+// JSON byte for byte, and returns want's span count.
+func requireTraceRead(t *testing.T, baseURL string, want *trace.Tree) int {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/v1/runs/" + want.TraceID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := want.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, wantJSON) {
+		t.Fatalf("trace %s (status %d) is not the %s tree derived from its events:\n%s\nwant:\n%s",
+			want.TraceID, resp.StatusCode, want.Kind, got, wantJSON)
+	}
+	return want.Spans
+}
+
+// TestTraceReadDerivesFromEvents checks that the trace store's trees, built
+// when read, equal FromRun and FromBuild over the events the request
+// produced (the run replies' events, the build's recorder), for every
+// discovery strategy, a degraded run and a session build; and that
+// rqp_trace_spans_total, counted from the events at record time, moves by
+// exactly the served trees' spans.
+func TestTraceReadDerivesFromEvents(t *testing.T) {
+	built := make(chan []telemetry.Event, 1)
+	orig := buildSession
+	buildSession = func(ctx context.Context, bq workload.Spec, o repro.Options) (*repro.Session, error) {
+		// No retries: a scenario's injected exec failure degrades the run.
+		o.Retry = &repro.RetryPolicy{}
+		sess, err := orig(ctx, bq, o)
+		built <- telemetry.From(ctx).Events()
+		return sess, err
+	}
+	t.Cleanup(func() { buildSession = orig })
+	srv, ts := overloadServer(t, Config{})
+	before := srv.metrics.traceSpans.Value()
+
+	resp, created := postTraced(t, ts.URL+"/v1/sessions", testTraceparent, map[string]any{
+		"query": "2D_EQ", "gridRes": 6,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create status %d: %v", resp.StatusCode, created)
+	}
+	id := created["id"].(string)
+	awaitReady(t, ts.URL, id)
+	buildID, _ := trace.Parse(testTraceparent)
+	spans := requireTraceRead(t, ts.URL, trace.FromBuild(buildID.TraceID, <-built))
+
+	degraded := false
+	for _, req := range []map[string]any{
+		{"strategy": "spillbound", "truth": []float64{0.02, 0.3}},
+		{"strategy": "planbouquet", "truth": []float64{0.02, 0.3}},
+		{"strategy": "alignedbound", "truth": []float64{0.5, 0.001}},
+		{"strategy": "spillbound", "truth": []float64{0.9, 0.9}, "scenario": "adversarial-2"},
+	} {
+		resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %v: status %d: %v", req, resp.StatusCode, run)
+		}
+		degraded = degraded || run["degraded"] == true
+		traceID := run["traceId"].(string)
+		spans += requireTraceRead(t, ts.URL, trace.FromRun(traceID, replyEvents(t, run)))
+	}
+	if !degraded {
+		t.Error("the adversarial-2 run did not degrade")
+	}
+	if got := srv.metrics.traceSpans.Value() - before; got != float64(spans) {
+		t.Errorf("rqp_trace_spans_total moved by %g, served trees hold %d spans", got, spans)
+	}
+}
+
+// TestTraceReadResumedRun checks the tree of a crash-resumed durable run:
+// the recovering server retains the resumed incarnation's events, and the
+// tree it serves is FromRun over the run resource's events.
+func TestTraceReadResumedRun(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := overloadServer(t, Config{DataDir: dir})
+	resp, created := postJSON(t, ts1.URL+"/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create status %d: %v", resp.StatusCode, created)
+	}
+	sid := created["id"].(string)
+	awaitReady(t, ts1.URL, sid)
+	ts1.Close()
+	srv1.Close()
+
+	opts := repro.BenchmarkOptions()
+	opts.GridRes = 6
+	opts.DataDir = filepath.Join(dir, sid)
+	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.RunDurableWithFaults(context.Background(), repro.PlanBouquet,
+		repro.Location{0.04, 0.1}, "r1", &repro.FaultPlan{CrashAtCheckpoint: 2})
+	if !repro.ErrRunCrashed(err) {
+		t.Fatalf("want crash, got %v", err)
+	}
+
+	srv2, ts2 := overloadServer(t, Config{DataDir: dir})
+	if err := srv2.Recover(context.Background()); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	resumed := awaitRunResumed(t, ts2.URL, sid, "r1")
+	tree := trace.FromRun(resumed["traceId"].(string), replyEvents(t, resumed))
+	if tree.Root.Attrs["resumed"] != "true" {
+		t.Fatalf("resumed run's tree has no run_resume marker: %v", tree.Root.Attrs)
+	}
+	spans := requireTraceRead(t, ts2.URL, tree)
+	if got := srv2.metrics.traceSpans.Value(); got != float64(spans) {
+		t.Errorf("rqp_trace_spans_total = %g on the recovering server, resumed tree holds %d spans", got, spans)
 	}
 }

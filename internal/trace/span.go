@@ -375,6 +375,53 @@ func FromFleet(traceID string, events []telemetry.Event) *Tree {
 	return t
 }
 
+// Derive builds the span tree of kind (KindRun or KindBuild) from a
+// telemetry event stream: FromRun or FromBuild.
+func Derive(kind, traceID string, events []telemetry.Event) *Tree {
+	switch kind {
+	case KindRun:
+		return FromRun(traceID, events)
+	case KindBuild:
+		return FromBuild(traceID, events)
+	}
+	panic("trace: no derivation for tree kind " + kind)
+}
+
+// SpanCount returns Derive(kind, traceID, events).Spans without building the
+// tree: the root plus one span per event of the kinds the derivation renders.
+// A run's budget_spend is one span whether it attaches to its execution or
+// stands as an aborted step's marker; a build's optimizer_memo span appears
+// once however many build_memo events there are.
+func SpanCount(kind string, events []telemetry.Event) int {
+	n := 1
+	switch kind {
+	case KindRun:
+		for _, ev := range events {
+			switch ev.Kind {
+			case telemetry.RunResume, telemetry.ContourEnter, telemetry.PlanExec, telemetry.SpillExec,
+				telemetry.BudgetSpend, telemetry.BudgetAbort, telemetry.ESSEscape, telemetry.HalfSpacePrune,
+				telemetry.Retry, telemetry.Degrade, telemetry.CheckpointSave, telemetry.Failover,
+				telemetry.PeerDown, telemetry.PeerUp:
+				n++
+			}
+		}
+	case KindBuild:
+		memo := 0
+		for _, ev := range events {
+			switch ev.Kind {
+			case telemetry.BuildChunk:
+				n++
+			case telemetry.BuildMemo:
+				memo = 1
+			}
+		}
+		n += memo
+	default:
+		panic("trace: no derivation for tree kind " + kind)
+	}
+	return n
+}
+
 // seal assigns deterministic span and parent IDs over the finished tree
 // (SpanIDFor over each span's structural path) and counts the spans. It
 // runs after any normalization sorting, so concurrent emission order can

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -218,5 +219,43 @@ func TestSealIDsAndRenderText(t *testing.T) {
 	}
 	if RenderText(tree) != text {
 		t.Error("RenderText is not deterministic")
+	}
+}
+
+// TestSpanCountMatchesDerivedTree pins SpanCount to the Spans of the tree
+// Derive builds, for run and build trees, over random streams drawn from
+// every event kind: stray budget_spend events, repeated build_memo events
+// and kinds a derivation ignores included.
+func TestSpanCountMatchesDerivedTree(t *testing.T) {
+	kinds := []telemetry.Kind{
+		telemetry.ContourEnter, telemetry.PlanExec, telemetry.SpillExec, telemetry.HalfSpacePrune,
+		telemetry.BudgetSpend, telemetry.BudgetAbort, telemetry.ESSEscape, telemetry.Retry,
+		telemetry.Degrade, telemetry.CheckpointSave, telemetry.RunResume, telemetry.Done,
+		telemetry.BuildChunk, telemetry.BuildMemo, telemetry.PeerDown, telemetry.PeerUp,
+		telemetry.Failover, telemetry.BrownoutStage,
+	}
+	rng := rand.New(rand.NewSource(3))
+	streams := [][]telemetry.Event{nil, runEvents()}
+	for i := 0; i < 200; i++ {
+		ev := make([]telemetry.Event, rng.Intn(40))
+		for j := range ev {
+			lo := rng.Intn(100)
+			ev[j] = telemetry.Event{
+				Kind: kinds[rng.Intn(len(kinds))], Dim: rng.Intn(3) - 1, Spent: float64(rng.Intn(5)),
+				CellLo: lo, CellHi: lo + 1 + rng.Intn(8),
+			}
+		}
+		streams = append(streams, ev)
+	}
+	for i, ev := range streams {
+		for _, kind := range []string{KindRun, KindBuild} {
+			tree := Derive(kind, testTraceID, ev)
+			if tree.Kind != kind {
+				t.Fatalf("Derive(%s) built a %s tree", kind, tree.Kind)
+			}
+			if got := SpanCount(kind, ev); got != tree.Spans {
+				t.Fatalf("stream %d, %s: SpanCount %d, tree has %d spans", i, kind, got, tree.Spans)
+			}
+		}
 	}
 }

@@ -132,6 +132,10 @@ type Session struct {
 	opt   *optimizer.Shared
 	store *runstate.Store // non-nil iff Options.DataDir was set
 
+	// pbGuarantee is PlanBouquet's 4(1+λ)ρ over diag, fixed once the
+	// diagram exists: runs, degrades and session info read it.
+	pbGuarantee float64
+
 	// selMu guards selections, the per-session memo of the selection
 	// strategies' plan choices (see selection.go): registered strategy
 	// values are shared across sessions, so their per-session state lives
@@ -157,6 +161,9 @@ func NewSession(cat *Catalog, sql string, epps []string, opts Options) (*Session
 func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
 	if opts.GridRes < 2 {
 		return nil, fmt.Errorf("repro: grid resolution %d too small", opts.GridRes)
+	}
+	if err := checkContourRatio(opts); err != nil {
+		return nil, err
 	}
 	q, err := sqlmini.Parse(cat, sql)
 	if err != nil {
@@ -206,6 +213,15 @@ func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []str
 	return s, nil
 }
 
+// checkContourRatio rejects a contour ratio the session could not build its
+// contours with; a session fixes PlanBouquet's guarantee from them up front.
+func checkContourRatio(opts Options) error {
+	if opts.ContourRatio <= 1 {
+		return fmt.Errorf("repro: contour ratio %g must exceed 1", opts.ContourRatio)
+	}
+	return nil
+}
+
 // loadSpaceFile loads a persisted ESS and validates it against the requested
 // grid, returning nil (build from scratch) on any failure — durability must
 // never wedge session construction on a stale artifact.
@@ -252,19 +268,21 @@ func gridsEqual(a, b ess.Grid) bool {
 }
 
 // newSession assembles a Session around a built space: the PlanBouquet
-// diagram and the session-lifetime shared optimizer.
+// diagram with its guarantee and the session-lifetime shared optimizer.
 func newSession(opts Options, q *query.Query, m *cost.Model, sp *ess.Space) (*Session, error) {
 	o, err := optimizer.NewShared(m)
 	if err != nil {
 		return nil, err
 	}
+	diag := bouquet.Reduce(sp, opts.ReductionLambda)
 	return &Session{
-		opts:  opts,
-		query: q,
-		model: m,
-		space: sp,
-		diag:  bouquet.Reduce(sp, opts.ReductionLambda),
-		opt:   o,
+		opts:        opts,
+		query:       q,
+		model:       m,
+		space:       sp,
+		diag:        diag,
+		opt:         o,
+		pbGuarantee: diag.Guarantee(sp.ContourCosts(opts.ContourRatio)),
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package repro
 import (
 	"math"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 // paperEQ is the paper's motivating example query EQ (Fig. 1), expressed
@@ -56,6 +58,7 @@ func TestNewSessionErrors(t *testing.T) {
 		{paperEQ, []string{"a.b = c.d"}, DefaultOptions()},
 		{paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile()}},
 		{paperEQ, paperEPPs, Options{GridRes: 1, Params: PostgresProfile(), Workers: 2}},
+		{paperEQ, paperEPPs, Options{GridRes: 4, Params: PostgresProfile(), ContourRatio: 1}},
 	}
 	for i, tc := range cases {
 		if _, err := NewSession(cat, tc.sql, tc.epps, tc.opts); err == nil {
@@ -80,6 +83,30 @@ func TestGuarantees(t *testing.T) {
 	}
 	if !math.IsInf(sess.Guarantee(Native), 1) {
 		t.Error("native guarantee should be unbounded")
+	}
+}
+
+// TestPlanBouquetGuaranteeFixedAtBuild pins the guarantee a session fixes
+// when it is built to the formula it replaced, 4(1+λ)ρ with ρ counted
+// contour by contour from ContourCells, bit for bit on every listed query.
+func TestPlanBouquetGuaranteeFixedAtBuild(t *testing.T) {
+	for _, bq := range workload.All() {
+		s, err := NewBenchmarkSession(bq, BenchmarkOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", bq.Name, err)
+		}
+		rho := 0
+		for _, cc := range s.space.ContourCosts(s.opts.ContourRatio) {
+			seen := map[int]bool{}
+			for _, ci := range s.space.Full().ContourCells(cc) {
+				seen[s.diag.PlanIDAt(ci)] = true
+			}
+			rho = max(rho, len(seen))
+		}
+		want := 4 * (1 + s.diag.Lambda) * float64(rho)
+		if got := s.Guarantee(PlanBouquet); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: PlanBouquet guarantee %v, want %v (rho %d)", bq.Name, got, want, rho)
+		}
 	}
 }
 

@@ -271,9 +271,7 @@ func (planBouquetStrategy) Info() StrategyInfo {
 	}
 }
 
-func (planBouquetStrategy) Guarantee(s *Session) float64 {
-	return s.diag.Guarantee(s.space.ContourCosts(s.opts.ContourRatio))
-}
+func (planBouquetStrategy) Guarantee(s *Session) float64 { return s.pbGuarantee }
 
 func (planBouquetStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
 	s := r.sess
