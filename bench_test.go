@@ -285,6 +285,21 @@ func BenchmarkBuildParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSession measures NewBenchmarkSession of 6D_Q18: the
+// parallel DP build, the anorexic reduction and PlanBouquet's guarantee,
+// the slowest of the offline workload's session builds.
+func BenchmarkBuildSession(b *testing.B) {
+	bq, ok := BenchmarkQueryByName("6D_Q18")
+	if !ok {
+		b.Fatal("6D_Q18 missing from the benchmark workload")
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := NewBenchmarkSession(bq, BenchmarkOptions()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEngineSpillExecution(b *testing.B) {
 	microSetup(b)
 	truth := cost.Location{0.01, 0.1}

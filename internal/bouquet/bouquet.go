@@ -11,8 +11,11 @@ package bouquet
 import (
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
@@ -57,8 +60,10 @@ func (d *Diagram) PlanCount() int { return len(d.kept) }
 // function of the space. The resulting diagram retains near-optimality
 // everywhere while typically shrinking the plan count dramatically.
 //
-// The survivors are costed at each cell through one cost.PlanSet over the
+// The survivors are costed at each cell through a cost.PlanSet over the
 // POSP, which evaluates every subtree shared between plans once per cell.
+// A victim's cells are re-homed across GOMAXPROCS workers, each with its
+// own PlanSet; see rehome for why the diagram does not depend on them.
 func Reduce(s *ess.Space, lambda float64) *Diagram {
 	g := s.Grid
 	n := g.Size()
@@ -84,27 +89,63 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		return len(cellsOf[order[i]]) < len(cellsOf[order[j]])
 	})
 
-	type move struct {
-		ci int
-		to int32
+	evs := make([]*cost.PlanSet, runtime.GOMAXPROCS(0))
+	evs[0] = cost.NewPlanSet(s.Model, s.Plans())
+	for w := 1; w < len(evs); w++ {
+		evs[w] = evs[0].Clone()
 	}
-	var moves []move
-	ev := cost.NewPlanSet(s.Model, s.Plans())
+	var cells []int
+	var to []int32
 	for _, victim := range order {
 		if len(d.kept) == 1 {
 			break
 		}
-		// Try to re-home every cell of the victim within threshold.
-		moves = moves[:0]
-		ok := true
+		cells = cells[:0]
 		for _, ci := range cellsOf[victim] {
-			if int(d.planIdx[ci]) != victim {
-				continue // already re-homed by an earlier swallow
+			if int(d.planIdx[ci]) == victim { // not re-homed by an earlier swallow
+				cells = append(cells, ci)
 			}
-			ev.At(g.Location(ci))
+		}
+		var ok bool
+		if to, ok = rehome(evs, s, d.kept, victim, cells, lambda, to); !ok {
+			continue
+		}
+		for i, ci := range cells {
+			d.planIdx[ci] = to[i]
+			// Track the moved cell under its new owner so a later swallow
+			// of that owner re-homes it again instead of stranding it.
+			cellsOf[to[i]] = append(cellsOf[to[i]], ci)
+		}
+		i, _ := slices.BinarySearch(d.kept, victim)
+		d.kept = slices.Delete(d.kept, i, i+1)
+	}
+	return d
+}
+
+// rehome finds a new owner for each of the victim's cells, into to[i] for
+// cells[i]: the cheapest plan of kept other than the victim whose cost at
+// the cell is within (1+lambda) of optimal, the lowest POSP index among
+// equal costs. It reports false when some cell has no such plan. Workers,
+// one per PlanSet of evs (at most one per cell), claim cells in turn and
+// stop early once one fails. A cell's owner depends only on the kept set,
+// the victim and the cell, and the caller applies the moves in cell order
+// after every worker is done, so the diagram is the serial one whatever
+// the worker count or schedule.
+func rehome(evs []*cost.PlanSet, s *ess.Space, kept []int, victim int, cells []int, lambda float64, to []int32) ([]int32, bool) {
+	to = slices.Grow(to[:0], len(cells))[:len(cells)]
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(ev *cost.PlanSet) {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(cells) {
+				return
+			}
+			ci := cells[i]
+			ev.At(s.Grid.Location(ci))
 			limit := s.CostAt(ci) * (1 + lambda)
 			bestID, bestCost := -1, limit
-			for _, id := range d.kept {
+			for _, id := range kept {
 				if id == victim {
 					continue
 				}
@@ -113,24 +154,23 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 				}
 			}
 			if bestID < 0 {
-				ok = false
-				break
+				failed.Store(true)
+				return
 			}
-			moves = append(moves, move{ci, int32(bestID)})
+			to[i] = int32(bestID)
 		}
-		if !ok {
-			continue
-		}
-		for _, mv := range moves {
-			d.planIdx[mv.ci] = mv.to
-			// Track the moved cell under its new owner so a later swallow
-			// of that owner re-homes it again instead of stranding it.
-			cellsOf[mv.to] = append(cellsOf[mv.to], mv.ci)
-		}
-		i, _ := slices.BinarySearch(d.kept, victim)
-		d.kept = slices.Delete(d.kept, i, i+1)
 	}
-	return d
+	var wg sync.WaitGroup
+	for w := 1; w < min(len(evs), len(cells)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(evs[w])
+		}()
+	}
+	work(evs[0])
+	wg.Wait()
+	return to, !failed.Load()
 }
 
 // ReductionStats quantifies an anorexic reduction's effect (Harish et al.'s

@@ -3,6 +3,7 @@ package bouquet
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -216,6 +217,126 @@ func TestReduceBreaksTiesByLowestIndex(t *testing.T) {
 		d := requireMatchesReference(t, "tie", s, 0.2)
 		if d.PlanIDAt(0) != 0 || !slices.Equal(d.kept, []int{0, 1}) {
 			t.Fatalf("reduction %d: cell 0 -> P%d, kept %v; want P0, [0 1]", i, d.PlanIDAt(0), d.kept)
+		}
+	}
+}
+
+// reduceReference is the serial form of Reduce: one PlanSet, each victim's
+// cells re-homed in cell order, stopping at the first that cannot be.
+// Unlike referenceReduce it costs plans exactly as Reduce does, so it
+// isolates the parallel re-homing: Reduce must give its diagram at any
+// GOMAXPROCS.
+func reduceReference(s *ess.Space, lambda float64) *Diagram {
+	g := s.Grid
+	n := g.Size()
+	d := &Diagram{Space: s, Lambda: lambda, planIdx: make([]int32, n)}
+	// Cells per plan, for area ordering and re-assignment.
+	cellsOf := make([][]int, len(s.Plans()))
+	for ci := 0; ci < n; ci++ {
+		id := s.PlanIDAt(ci)
+		d.planIdx[ci] = int32(id)
+		cellsOf[id] = append(cellsOf[id], ci)
+	}
+	for id, cells := range cellsOf {
+		if len(cells) > 0 {
+			d.kept = append(d.kept, id)
+		}
+	}
+	if lambda <= 0 {
+		return d
+	}
+
+	order := slices.Clone(d.kept)
+	sort.SliceStable(order, func(i, j int) bool {
+		return len(cellsOf[order[i]]) < len(cellsOf[order[j]])
+	})
+
+	type move struct {
+		ci int
+		to int32
+	}
+	var moves []move
+	ev := cost.NewPlanSet(s.Model, s.Plans())
+	for _, victim := range order {
+		if len(d.kept) == 1 {
+			break
+		}
+		// Try to re-home every cell of the victim within threshold.
+		moves = moves[:0]
+		ok := true
+		for _, ci := range cellsOf[victim] {
+			if int(d.planIdx[ci]) != victim {
+				continue // already re-homed by an earlier swallow
+			}
+			ev.At(g.Location(ci))
+			limit := s.CostAt(ci) * (1 + lambda)
+			bestID, bestCost := -1, limit
+			for _, id := range d.kept {
+				if id == victim {
+					continue
+				}
+				if c := ev.Cost(id); c <= limit && (bestID < 0 || c < bestCost) {
+					bestID, bestCost = id, c
+				}
+			}
+			if bestID < 0 {
+				ok = false
+				break
+			}
+			moves = append(moves, move{ci, int32(bestID)})
+		}
+		if !ok {
+			continue
+		}
+		for _, mv := range moves {
+			d.planIdx[mv.ci] = mv.to
+			// Track the moved cell under its new owner so a later swallow
+			// of that owner re-homes it again instead of stranding it.
+			cellsOf[mv.to] = append(cellsOf[mv.to], mv.ci)
+		}
+		i, _ := slices.BinarySearch(d.kept, victim)
+		d.kept = slices.Delete(d.kept, i, i+1)
+	}
+	return d
+}
+
+// TestReduceParallelMatchesSerialReference requires the parallel re-homing
+// to give the serial diagram, cell for cell, on the benchmark spaces, with
+// one worker and with two.
+func TestReduceParallelMatchesSerialReference(t *testing.T) {
+	type tc struct {
+		query  string
+		lambda float64
+	}
+	cases := []tc{
+		{"4D_Q91", 0}, {"4D_Q91", 0.2}, {"4D_Q91", 1},
+		{"5D_Q84", 0}, {"5D_Q84", 0.2}, {"5D_Q84", 1},
+	}
+	if !testing.Short() {
+		cases = append(cases, tc{"6D_Q18", 0.2})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	spaces := map[string]*ess.Space{}
+	for _, c := range cases {
+		s := spaces[c.query]
+		if s == nil {
+			s = benchmarkSpace(t, c.query)
+			spaces[c.query] = s
+		}
+		want := reduceReference(s, c.lambda)
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			got := Reduce(s, c.lambda)
+			if got.PlanCount() != want.PlanCount() {
+				t.Fatalf("%s λ=%g GOMAXPROCS=%d: %d plans, reference %d",
+					c.query, c.lambda, procs, got.PlanCount(), want.PlanCount())
+			}
+			for ci := 0; ci < s.Grid.Size(); ci++ {
+				if got.PlanIDAt(ci) != want.PlanIDAt(ci) {
+					t.Fatalf("%s λ=%g GOMAXPROCS=%d: cell %d assigned P%d, reference P%d",
+						c.query, c.lambda, procs, ci, got.PlanIDAt(ci), want.PlanIDAt(ci))
+				}
+			}
 		}
 	}
 }

@@ -61,10 +61,20 @@ func (m *Model) JoinRowsFor(joinIDs []int, lrows, rrows float64, at Location) fl
 // probed base relation: its scan cost is not paid (r should be its ScanNC;
 // only its cardinality is used). For other kinds innerRel is ignored.
 func (m *Model) JoinNC(kind plan.OpKind, joinIDs []int, l, r NodeCost, innerRel int, at Location) NodeCost {
+	rrows := r.Rows
+	if kind == plan.IndexNestLoop {
+		rrows = m.baseRows[innerRel]
+	}
+	return m.JoinNCOut(kind, m.JoinRowsFor(joinIDs, l.Rows, rrows, at), l, r)
+}
+
+// JoinNCOut is JoinNC given the join's output cardinality out, as
+// JoinRowsFor returns it: a caller costing several physical alternatives of
+// one join computes out once. For IndexNestLoop, r is ignored.
+func (m *Model) JoinNCOut(kind plan.OpKind, out float64, l, r NodeCost) NodeCost {
 	p := &m.Params
 	switch kind {
 	case plan.HashJoin:
-		out := m.JoinRowsFor(joinIDs, l.Rows, r.Rows, at)
 		self := r.Rows*(p.CPUOperCost+p.HashQualCost) +
 			l.Rows*p.HashQualCost +
 			out*p.CPUTupleCost
@@ -73,18 +83,14 @@ func (m *Model) JoinNC(kind plan.OpKind, joinIDs []int, l, r NodeCost, innerRel 
 		}
 		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
 	case plan.MergeJoin:
-		out := m.JoinRowsFor(joinIDs, l.Rows, r.Rows, at)
 		self := (l.Rows+r.Rows)*p.CPUOperCost + out*p.CPUTupleCost
 		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
 	case plan.NestLoop:
-		out := m.JoinRowsFor(joinIDs, l.Rows, r.Rows, at)
 		self := r.Rows*p.MaterializeCost +
 			l.Rows*r.Rows*p.NLPairCost +
 			out*p.CPUTupleCost
 		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
 	case plan.IndexNestLoop:
-		innerRows := m.baseRows[innerRel]
-		out := m.JoinRowsFor(joinIDs, l.Rows, innerRows, at)
 		self := l.Rows*p.IndexProbeCost +
 			out*(p.RandPageCost+p.CPUTupleCost)
 		return NodeCost{Rows: out, Self: self, Total: l.Total + self}

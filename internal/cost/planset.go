@@ -14,7 +14,8 @@ import (
 // AggNC and JoinNC calls on the same inputs as Model.Eval, so Cost is
 // bit-identical to Model.Eval.
 //
-// A PlanSet is not safe for concurrent use.
+// A PlanSet is not safe for concurrent use; Clone gives each goroutine its
+// own.
 type PlanSet struct {
 	m     *Model
 	nodes []setNode
@@ -85,6 +86,16 @@ func NewPlanSet(m *Model, plans []*plan.Plan) *PlanSet {
 	ps.stamp = make([]uint64, len(ps.nodes))
 	ps.memo = make([]NodeCost, len(ps.nodes))
 	return ps
+}
+
+// Clone returns a PlanSet over the same plans with its own memo, sharing
+// the node table: one clone per goroutine costs the set concurrently.
+func (ps *PlanSet) Clone() *PlanSet {
+	return &PlanSet{
+		m: ps.m, nodes: ps.nodes, roots: ps.roots,
+		stamp: make([]uint64, len(ps.nodes)),
+		memo:  make([]NodeCost, len(ps.nodes)),
+	}
 }
 
 // At moves the set to a new location, invalidating every memoized cost.

@@ -25,10 +25,12 @@ func enumerateAll(o *Optimizer, set int) []*plan.Node {
 	for s1 := (set - 1) & set; s1 > 0; s1 = (s1 - 1) & set {
 		s2 := set &^ s1
 		var cross []int
-		for _, id := range o.internalJoins[set] {
-			j := &o.q.Joins[id]
+		for _, j := range o.q.Joins {
+			if o.internalMask[set]&(1<<uint(j.ID)) == 0 {
+				continue
+			}
 			if (s1&(1<<uint(j.LeftRel)) != 0) != (s1&(1<<uint(j.RightRel)) != 0) {
-				cross = append(cross, id)
+				cross = append(cross, j.ID)
 			}
 		}
 		if len(cross) == 0 {
@@ -61,7 +63,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 	o := exampleOptimizer(t)
 	m := o.Model()
 	full := (1 << uint(o.n)) - 1
-	// The enumeration reuses the DP's internalJoins table, which is
+	// The enumeration reuses the DP's internalMask table, which is
 	// location-independent.
 	all := enumerateAll(o, full)
 	if len(all) < 20 {

@@ -20,22 +20,37 @@ import (
 // Optimizer finds optimal plans for one query under one cost model.
 // It is safe for sequential reuse across many locations; the DP scratch
 // tables are retained between calls to avoid reallocation.
+//
+// Equal plans are returned as one *plan.Plan: the optimizer interns every
+// subtree the DP chooses, and builds a plan tree only for a root it has
+// not returned before. Plans are immutable, so sharing them is safe.
 type Optimizer struct {
 	model *cost.Model
 	q     *query.Query
 	n     int
 
-	// Static per-subset precomputation.
-	internalJoins [][]int // joins with both sides inside the subset
+	// Static per-subset precomputation: internalMask[s] has bit j set for
+	// each join j with both sides inside subset s, and connected[s] reports
+	// whether s's join graph is connected — exactly the subsets the DP
+	// finds a plan for, since it builds no cross products.
+	internalMask []uint64
+	connected    []bool
 
 	// Per-call scratch, reused across Optimize calls.
 	entries []dpEntry
+	joinBuf []int // the crossing joins of one split, ascending ID
+
+	// The intern table: an id per distinct chosen subtree, and the plan
+	// returned for each id that was a root. Reset wholesale rather than
+	// grow past internCap ids (internLimit; tests shrink it).
+	internIDs   map[internKey]int32
+	internPlans []*plan.Plan
+	internCap   int
 }
 
 // dpEntry is the DP table slot for one relation subset.
 type dpEntry struct {
-	valid bool
-	nc    cost.NodeCost
+	nc cost.NodeCost
 	// sorted is SortNC(nc), the subset sorted as a merge-join input,
 	// computed once when the entry is finalised.
 	sorted cost.NodeCost
@@ -43,12 +58,32 @@ type dpEntry struct {
 	kind     plan.OpKind
 	leftSet  uint64
 	rightSet uint64
-	joinIDs  []int
-	rel      int // scan relation for singletons
+	joins    uint64 // joins applied at the node, as a bitmask of join IDs
+	rel      int    // scan relation for singletons
 }
+
+// internKey identifies a chosen subtree exactly: a scan by its relation, a
+// join by its operator, its join mask and its children's intern ids. The
+// children's ids identify their subtrees by induction, so equal keys mean
+// equal trees and no tiebreak is needed.
+type internKey struct {
+	kind        plan.OpKind
+	rel         int
+	joins       uint64
+	left, right int32
+}
+
+// internLimit bounds an optimizer's intern table. The benchmark builds'
+// worker optimizers hold at most a few thousand ids; a Session's
+// long-lived shared optimizer resets past the limit, as Shared's memo does,
+// which costs only rebuilding plan trees.
+const internLimit = 1 << 14
 
 // maxRelations bounds the DP table size (2^16 subsets).
 const maxRelations = 16
+
+// maxJoins bounds the join predicates to the bits of a join mask.
+const maxJoins = 64
 
 // New builds an optimizer for the model's query.
 func New(m *cost.Model) (*Optimizer, error) {
@@ -60,17 +95,36 @@ func New(m *cost.Model) (*Optimizer, error) {
 	if n > maxRelations {
 		return nil, fmt.Errorf("optimizer: %d relations exceeds the %d-relation limit", n, maxRelations)
 	}
-	o := &Optimizer{model: m, q: q, n: n}
+	if len(q.Joins) > maxJoins {
+		return nil, fmt.Errorf("optimizer: %d joins exceeds the %d-join limit", len(q.Joins), maxJoins)
+	}
+	o := &Optimizer{model: m, q: q, n: n, internCap: internLimit}
 	size := 1 << uint(n)
-	o.internalJoins = make([][]int, size)
+	adj := make([]int, n) // relations joined to each relation
+	for _, j := range q.Joins {
+		adj[j.LeftRel] |= 1 << uint(j.RightRel)
+		adj[j.RightRel] |= 1 << uint(j.LeftRel)
+	}
+	o.internalMask = make([]uint64, size)
+	o.connected = make([]bool, size)
 	for s := 1; s < size; s++ {
 		for _, j := range q.Joins {
 			if s&(1<<uint(j.LeftRel)) != 0 && s&(1<<uint(j.RightRel)) != 0 {
-				o.internalJoins[s] = append(o.internalJoins[s], j.ID)
+				o.internalMask[s] |= 1 << uint(j.ID)
 			}
 		}
+		// Flood s from its lowest relation along the joins inside it.
+		reach, next := 0, s&-s
+		for next != reach {
+			reach = next
+			for r := reach; r != 0; r &= r - 1 {
+				next |= adj[bits.TrailingZeros(uint(r))] & s
+			}
+		}
+		o.connected[s] = reach == s
 	}
 	o.entries = make([]dpEntry, size)
+	o.resetIntern()
 	return o, nil
 }
 
@@ -93,84 +147,127 @@ func (o *Optimizer) Optimize(at cost.Location) (*plan.Plan, float64) {
 		panic(fmt.Sprintf("optimizer: location has %d dims, query has %d epps", len(at), o.q.D()))
 	}
 	size := 1 << uint(o.n)
-	for i := range o.entries {
-		o.entries[i].valid = false
-	}
 
 	// Singletons.
 	for r := 0; r < o.n; r++ {
 		s := 1 << uint(r)
 		nc := o.model.ScanNC(r)
-		o.entries[s] = dpEntry{valid: true, nc: nc, sorted: o.model.SortNC(nc), kind: plan.SeqScan, rel: r}
+		o.entries[s] = dpEntry{nc: nc, sorted: o.model.SortNC(nc), kind: plan.SeqScan, rel: r}
 	}
 
-	// Subsets by increasing population count. Iterating masks in numeric
-	// order already guarantees every proper submask precedes its superset.
-	var crossBuf []int
+	// Connected subsets by increasing population count. Iterating masks in
+	// numeric order already guarantees every proper submask precedes its
+	// superset.
 	for s := 3; s < size; s++ {
-		if bits.OnesCount64(uint64(s)) < 2 {
+		if s&(s-1) == 0 || !o.connected[s] {
 			continue
 		}
-		best := dpEntry{}
+		var best dpEntry
 		bestCost := math.Inf(1)
-		inS := o.internalJoins[s]
+		inS := o.internalMask[s]
 		// Enumerate ordered splits (s1 = probe/outer, s2 = build/inner).
 		for s1 := (s - 1) & s; s1 > 0; s1 = (s1 - 1) & s {
 			s2 := s &^ s1
-			e1, e2 := &o.entries[s1], &o.entries[s2]
-			if !e1.valid || !e2.valid {
+			if !o.connected[s1] || !o.connected[s2] {
 				continue
 			}
 			// Join predicates crossing the split: internal to s but not to
 			// either side.
-			crossBuf = crossBuf[:0]
-			for _, id := range inS {
-				j := &o.q.Joins[id]
-				b1 := uint64(1) << uint(j.LeftRel)
-				if (s1&int(b1) != 0) != (s1&(1<<uint(j.RightRel)) != 0) {
-					crossBuf = append(crossBuf, id)
-				}
-			}
-			if len(crossBuf) == 0 {
+			cross := inS &^ (o.internalMask[s1] | o.internalMask[s2])
+			if cross == 0 {
 				continue // no cross product plans
 			}
-			consider := func(kind plan.OpKind, l, r cost.NodeCost, innerRel int) {
-				nc := o.model.JoinNC(kind, crossBuf, l, r, innerRel, at)
+			e1, e2 := &o.entries[s1], &o.entries[s2]
+			// Every alternative produces the same rows: sorting keeps a
+			// row count, and an index nested loop's inner side, a single
+			// relation, has its base rows.
+			o.joinBuf = appendJoinIDs(o.joinBuf[:0], cross)
+			out := o.model.JoinRowsFor(o.joinBuf, e1.nc.Rows, e2.nc.Rows, at)
+			consider := func(kind plan.OpKind, l, r cost.NodeCost) {
+				nc := o.model.JoinNCOut(kind, out, l, r)
 				if nc.Total < bestCost {
 					bestCost = nc.Total
 					best = dpEntry{
-						valid: true, nc: nc, kind: kind,
-						leftSet: uint64(s1), rightSet: uint64(s2),
-						joinIDs: append([]int(nil), crossBuf...),
+						nc: nc, kind: kind,
+						leftSet: uint64(s1), rightSet: uint64(s2), joins: cross,
 					}
 				}
 			}
-			consider(plan.HashJoin, e1.nc, e2.nc, -1)
-			consider(plan.MergeJoin, e1.sorted, e2.sorted, -1)
-			consider(plan.NestLoop, e1.nc, e2.nc, -1)
-			if bits.OnesCount64(uint64(s2)) == 1 {
-				rel := bits.TrailingZeros64(uint64(s2))
-				consider(plan.IndexNestLoop, e1.nc, cost.NodeCost{}, rel)
+			consider(plan.HashJoin, e1.nc, e2.nc)
+			consider(plan.MergeJoin, e1.sorted, e2.sorted)
+			consider(plan.NestLoop, e1.nc, e2.nc)
+			if s2&(s2-1) == 0 {
+				consider(plan.IndexNestLoop, e1.nc, e2.nc)
 			}
 		}
-		if best.valid {
-			best.sorted = o.model.SortNC(best.nc)
-			o.entries[s] = best
-		}
+		best.sorted = o.model.SortNC(best.nc)
+		o.entries[s] = best
 	}
 
 	full := size - 1
-	if !o.entries[full].valid {
+	if !o.connected[full] {
 		panic("optimizer: no plan for the full relation set (disconnected query?)")
 	}
-	root := o.reconstruct(uint64(full))
 	total := o.entries[full].nc.Total
 	if len(o.q.GroupBy) > 0 {
-		nc := o.model.AggNC(o.entries[full].nc)
-		root = &plan.Node{Kind: plan.Aggregate, Rel: -1, Left: root}
-		total = nc.Total
+		total = o.model.AggNC(o.entries[full].nc).Total
 	}
-	return plan.New(root), total
+	return o.planFor(uint64(full)), total
+}
+
+// appendJoinIDs appends the join IDs set in mask to buf, in ascending ID
+// order: the order the cost model multiplies their selectivities in.
+func appendJoinIDs(buf []int, mask uint64) []int {
+	for ; mask != 0; mask &= mask - 1 {
+		buf = append(buf, bits.TrailingZeros64(mask))
+	}
+	return buf
+}
+
+// planFor returns the plan the DP chose for the full relation set: the
+// interned plan when this optimizer has returned the same tree before, a
+// freshly reconstructed one otherwise.
+func (o *Optimizer) planFor(full uint64) *plan.Plan {
+	// A plan interns at most 2n-1 subtrees; reset first if they might not
+	// fit, so the ids of one walk are never split across a reset.
+	if len(o.internPlans)+2*o.n-1 > o.internCap {
+		o.resetIntern()
+	}
+	id := o.intern(full)
+	if p := o.internPlans[id]; p != nil {
+		return p
+	}
+	root := o.reconstruct(full)
+	if len(o.q.GroupBy) > 0 {
+		root = &plan.Node{Kind: plan.Aggregate, Rel: -1, Left: root}
+	}
+	p := plan.New(root)
+	o.internPlans[id] = p
+	return p
+}
+
+// intern returns the intern id of the subtree the DP chose for set,
+// assigning ids to it and its descendants on first sight.
+func (o *Optimizer) intern(set uint64) int32 {
+	e := &o.entries[set]
+	k := internKey{kind: e.kind, rel: e.rel, left: -1, right: -1}
+	if e.kind != plan.SeqScan {
+		k.rel, k.joins = -1, e.joins
+		k.left, k.right = o.intern(e.leftSet), o.intern(e.rightSet)
+	}
+	id, ok := o.internIDs[k]
+	if !ok {
+		id = int32(len(o.internPlans))
+		o.internIDs[k] = id
+		o.internPlans = append(o.internPlans, nil)
+	}
+	return id
+}
+
+// resetIntern empties the intern table.
+func (o *Optimizer) resetIntern() {
+	o.internIDs = make(map[internKey]int32)
+	o.internPlans = nil
 }
 
 // reconstruct rebuilds the plan tree for a DP subset.
@@ -185,5 +282,5 @@ func (o *Optimizer) reconstruct(set uint64) *plan.Node {
 		left = &plan.Node{Kind: plan.Sort, Rel: -1, Left: left}
 		right = &plan.Node{Kind: plan.Sort, Rel: -1, Left: right}
 	}
-	return &plan.Node{Kind: e.kind, Rel: -1, JoinIDs: e.joinIDs, Left: left, Right: right}
+	return &plan.Node{Kind: e.kind, Rel: -1, JoinIDs: appendJoinIDs(nil, e.joins), Left: left, Right: right}
 }

@@ -2,7 +2,8 @@
 // starts a W3C trace; the response echoes the traceparent and an
 // X-Request-ID so even 429/503/504 sheds are correlatable), the bounded
 // in-memory trace store behind GET /v1/runs/{id}/trace, and head sampling.
-// The store keeps event streams and derives a span tree when one is read.
+// The store keeps event streams and derives a span tree when one is first
+// read.
 
 package server
 
@@ -22,8 +23,9 @@ import (
 // without letting a long-lived daemon grow without bound.
 const traceStoreCap = 512
 
-// traceEntry is one retained trace: a request's event stream, from which a
-// read derives the span tree of kind, or a tree stored as built.
+// traceEntry is one retained trace: a request's event stream, from which the
+// first read derives the span tree of kind, or a tree stored as built or
+// already derived.
 type traceEntry struct {
 	kind   string
 	events []telemetry.Event
@@ -32,7 +34,8 @@ type traceEntry struct {
 
 // traceStore is the bounded trace-ID → trace map. It keeps event streams
 // rather than span trees: a tree is several times the size of its stream,
-// and most retained traces are never read.
+// and most retained traces are never read. A read trace keeps its tree in
+// place of its stream, so later reads do not derive it again.
 type traceStore struct {
 	mu      sync.Mutex
 	cap     int
@@ -75,18 +78,22 @@ func (ts *traceStore) store(id string, e traceEntry) {
 	ts.entries[id] = e
 }
 
-// get looks a trace up by ID, deriving its tree from a retained stream.
+// get looks a trace up by ID, deriving its tree from a retained stream on
+// the first read. The derivation runs under the store lock, so a resumed
+// run's putEvents either precedes it, and the tree is the new
+// incarnation's, or follows it and replaces the derived tree.
 func (ts *traceStore) get(id string) (*trace.Tree, bool) {
 	ts.mu.Lock()
+	defer ts.mu.Unlock()
 	e, ok := ts.entries[id]
-	ts.mu.Unlock()
-	switch {
-	case !ok:
+	if !ok {
 		return nil, false
-	case e.tree != nil:
-		return e.tree, true
 	}
-	return trace.Derive(e.kind, id, e.events), true
+	if e.tree == nil {
+		e = traceEntry{tree: trace.Derive(e.kind, id, e.events)}
+		ts.entries[id] = e
+	}
+	return e.tree, true
 }
 
 // len reports the stored trace count.

@@ -243,6 +243,64 @@ func TestTraceStoreFIFOAndReplacement(t *testing.T) {
 	}
 }
 
+// TestTraceStoreDerivesOnce reads a stream-backed trace twice: the first
+// read derives the tree and keeps it, so the second serves the same tree
+// and a byte-identical reply. A resumed incarnation's stream then replaces
+// the kept tree, and the next read shows the new incarnation.
+func TestTraceStoreDerivesOnce(t *testing.T) {
+	srv := &Server{traces: newTraceStore(2)}
+	id := strings.Repeat("0", 30) + "42"
+	read := func() []byte {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, "/v1/runs/"+id+"/trace", nil)
+		req.SetPathValue("id", id)
+		rec := httptest.NewRecorder()
+		srv.handleGetTrace(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("get trace status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	treeJSON := func(events []telemetry.Event) []byte {
+		t.Helper()
+		b, err := trace.FromRun(id, events).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	first := []telemetry.Event{
+		{Kind: telemetry.ContourEnter, Contour: 1, Budget: 4, Dim: -1},
+		{Kind: telemetry.Done, Algorithm: "spillbound", TotalCost: 3, Dim: -1},
+	}
+	srv.traces.putEvents(id, trace.KindRun, first)
+	a := read()
+	kept, _ := srv.traces.get(id)
+	b := read()
+	if again, _ := srv.traces.get(id); again != kept {
+		t.Error("second read derived the tree again")
+	}
+	if !bytes.Equal(a, b) || !bytes.Equal(a, treeJSON(first)) {
+		t.Errorf("reads differ or are not the derived tree:\n%s\n%s", a, b)
+	}
+	if e := srv.traces.entries[id]; e.events != nil {
+		t.Error("entry kept its stream beside the derived tree")
+	}
+
+	resumed := []telemetry.Event{
+		{Kind: telemetry.RunResume, Detail: "r1", Spent: 5, Dim: -1},
+		{Kind: telemetry.Done, Algorithm: "spillbound", TotalCost: 9, Dim: -1},
+	}
+	srv.traces.putEvents(id, trace.KindRun, resumed)
+	if got := read(); !bytes.Equal(got, treeJSON(resumed)) {
+		t.Errorf("read after resume served %s, want the new incarnation", got)
+	}
+	if len(srv.traces.order) != 1 {
+		t.Errorf("FIFO order has %d entries, want 1", len(srv.traces.order))
+	}
+}
+
 func TestShedCarriesRequestID(t *testing.T) {
 	srv, ts := overloadServer(t, Config{MaxConcurrentRuns: 1})
 	id := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
