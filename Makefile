@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet examples chaos resume-chaos drills bench bench-check experiments experiments-check atlas fuzz clean
+.PHONY: all build test race vet loc examples chaos resume-chaos drills bench bench-check experiments experiments-check atlas fuzz clean
 
 all: vet build test
 
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the number of non-test Go lines outside perfbench/, the figure
+# a change's line delta is quoted in.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} + | wc -l
 
 # examples runs every program under examples/ end to end: they drive the
 # public API (sessions, sweeps, physical runs, rendering, the service), and

@@ -27,6 +27,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/rowexec"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/workload"
 )
@@ -430,10 +431,14 @@ func BenchmarkReduce(b *testing.B) {
 func BenchmarkVizFig7(b *testing.B) {
 	microSetup(b)
 	truth := cost.Location{0.04, 0.1}
-	out := spillbound.NewRunner(microSpace).Run(engine.New(microSpace.Model, truth))
+	rec := telemetry.NewRecorder()
+	if _, err := spillbound.NewRunner(microSpace).RunContext(telemetry.With(context.Background(), rec), engine.New(microSpace.Model, truth)); err != nil {
+		b.Fatal(err)
+	}
+	events := rec.Events()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := viz.Fig7(microSpace, 2, out, truth); err != nil {
+		if _, err := viz.Fig7(microSpace, 2, events, truth); err != nil {
 			b.Fatal(err)
 		}
 	}

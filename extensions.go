@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/aligned"
 	"repro/internal/engine"
@@ -87,8 +88,8 @@ func LoadSession(cat *Catalog, sql string, epps []string, opts Options, saved io
 // deterministic factor in [1/(1+delta), 1+delta] keyed by (plan, seed).
 // Per paper Sec 7, guarantees inflate by at most (1+delta)².
 func (s *Session) RunWithCostError(a Algorithm, truth Location, delta float64, seed uint64) (RunResult, error) {
-	if delta < 0 {
-		return RunResult{}, fmt.Errorf("repro: negative delta %g", delta)
+	if !(delta >= 0) || math.IsInf(delta, 1) {
+		return RunResult{}, fmt.Errorf("repro: negative or non-finite delta %g", delta)
 	}
 	return s.run(a, truth, engine.DeterministicCostError(delta, seed))
 }
@@ -106,11 +107,7 @@ func (s *Session) RenderRun(a Algorithm, truth Location) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var out spillbound.Outcome
-	for _, st := range res.Steps {
-		out.Executions = append(out.Executions, spillbound.Execution{Dim: st.SpillDim, Learned: st.Learned})
-	}
-	return viz.Fig7(s.space, s.opts.ContourRatio, out, truth)
+	return viz.Fig7(s.space, s.opts.ContourRatio, res.Events, truth)
 }
 
 // GuaranteeRangeAB returns AlignedBound's [2D+2, D²+3D] guarantee range.

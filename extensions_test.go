@@ -101,8 +101,10 @@ func TestRunWithCostError(t *testing.T) {
 	if perturbed.TotalCost == clean.TotalCost {
 		t.Log("note: perturbation happened to leave the trace cost unchanged")
 	}
-	if _, err := sess.RunWithCostError(SpillBound, truth, -0.1, 1); err == nil {
-		t.Error("negative delta should error")
+	for _, delta := range []float64{-0.1, math.NaN(), math.Inf(1)} {
+		if _, err := sess.RunWithCostError(SpillBound, truth, delta, 1); err == nil {
+			t.Errorf("delta %g should error", delta)
+		}
 	}
 }
 

@@ -169,7 +169,7 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 	// leader itself (Sec 3.2). Native PSA holds when it attains memberMax.
 	if ci := st.scan.JMaxCell[leader]; ci >= 0 && st.scan.MaxCoord[leader][leader] >= memberMax {
 		return partExec{Spill: spillbound.Spill{
-			PlanID: s.PlanIDAt(ci), Dim: leader, Cell: ci,
+			PlanID: s.PlanIDAt(ci), Dim: leader,
 			Budget: s.CostAt(ci), Penalty: 1, Native: true,
 		}}, true
 	}
@@ -201,7 +201,7 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 			c := s.Model.Eval(s.Plans()[id], loc)
 			if pen := c / opt; pen < best.Penalty {
 				best = spillbound.Spill{
-					PlanID: id, Dim: leader, Cell: ci,
+					PlanID: id, Dim: leader,
 					Budget: c, Penalty: pen,
 				}
 			}
@@ -279,14 +279,14 @@ func (st *contourState) bestPartition(free []int) ([]partExec, float64) {
 // Run performs AlignedBound discovery (Algorithm 2) against the engine's
 // hidden true location.
 func (r *Runner) Run(e engine.Executor) Outcome {
-	out, _ := r.RunContext(context.Background(), e)
+	out, _ := r.RunContext(context.Background(), engine.AsContextExecutor(e))
 	return out
 }
 
 // RunContext is Run with cancellation and error-aware execution: the
 // shared discovery driver (spillbound.Drive) runs the contours, taking
 // each one's spills from the minimum-penalty partition cover.
-func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, error) {
+func (r *Runner) RunContext(ctx context.Context, e engine.ContextExecutor) (Outcome, error) {
 	return spillbound.Drive(ctx, r.Space, r.Ratio, r.Resume, partitionPlanner(r.Space), e)
 }
 

@@ -3,6 +3,7 @@ package aligned
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -11,7 +12,16 @@ import (
 	"repro/internal/ess"
 	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
+	"repro/internal/telemetry"
 )
+
+// run runs r against e under a recorder and returns the outcome with the
+// recorded events, the run's only execution record.
+func run(r *Runner, e engine.ContextExecutor) (Outcome, []telemetry.Event) {
+	rec := telemetry.NewRecorder()
+	out, _ := r.RunContext(telemetry.With(context.Background(), rec), e)
+	return out, rec.Events()
+}
 
 func testCatalog() *catalog.Catalog {
 	c := catalog.New("test")
@@ -97,9 +107,9 @@ func TestRunCompletes(t *testing.T) {
 		{1e-6, 1e-6}, {1e-3, 1e-5}, {1, 1}, {1e-6, 1}, {0.03, 0.1},
 	} {
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		if !out.Completed {
-			t.Fatalf("truth %v: did not complete\n%s", truth, out.Trace())
+			t.Fatalf("truth %v: did not complete\n%s", truth, telemetry.RenderTrace(events))
 		}
 	}
 }
@@ -115,13 +125,13 @@ func TestMSOWithinUpperBound(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		subOpt := out.TotalCost / s.CostAt(ci)
 		if subOpt > worst {
 			worst = subOpt
 		}
 		if subOpt > bound {
-			t.Fatalf("truth %v: SubOpt %.2f exceeds %g\n%s", truth, subOpt, bound, out.Trace())
+			t.Fatalf("truth %v: SubOpt %.2f exceeds %g\n%s", truth, subOpt, bound, telemetry.RenderTrace(events))
 		}
 	}
 	t.Logf("2D AB empirical MSO = %.2f (range [%g, %g])", worst, GuaranteeLower(2), bound)
@@ -136,37 +146,59 @@ func TestMSOWithinUpperBound3D(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		subOpt := out.TotalCost / s.CostAt(ci)
 		if subOpt > worst {
 			worst = subOpt
 		}
 		if subOpt > bound {
-			t.Fatalf("truth %v: SubOpt %.2f exceeds %g\n%s", truth, subOpt, bound, out.Trace())
+			t.Fatalf("truth %v: SubOpt %.2f exceeds %g\n%s", truth, subOpt, bound, telemetry.RenderTrace(events))
 		}
 	}
 	t.Logf("3D AB empirical MSO = %.2f (range [%g, %g])", worst, GuaranteeLower(3), bound)
 }
 
-// TestPenaltiesRecorded checks that induced executions carry their penalty
-// and that π* tracking reports at least the executed parts' penalties.
+// TestPenaltiesRecorded checks that every spill the planner schedules
+// carries a penalty of at least 1 (exactly 1 when natively aligned), that
+// executed spills carry theirs onto their SpillExec events, and that π*
+// tracking reports at least the executed parts' penalties.
 func TestPenaltiesRecorded(t *testing.T) {
 	s := build3D(t, 6)
-	r := NewRunner(s)
-	e := engine.New(s.Model, cost.Location{1e-3, 1e-2, 1e-4})
-	out := r.Run(e)
-	for _, x := range out.Executions {
-		if x.Dim < 0 {
-			continue // 1-D phase
+	inner := partitionPlanner(s)
+	var planned []spillbound.Spill
+	planner := spillbound.Planner{Slot: inner.Slot, Plan: func(c spillbound.Contour) spillbound.Plan {
+		p := inner.Plan(c)
+		planned = append(planned, p.Spills...)
+		return p
+	}}
+	rec := telemetry.NewRecorder()
+	out, err := spillbound.Drive(telemetry.With(context.Background(), rec), s, ess.CostDoublingRatio, nil,
+		planner, engine.New(s.Model, cost.Location{1e-3, 1e-2, 1e-4}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(planned) == 0 {
+		t.Fatal("the planner scheduled no spill")
+	}
+	for _, sp := range planned {
+		if sp.Penalty < 1-1e-9 {
+			t.Errorf("planned spill with penalty %g < 1: %+v", sp.Penalty, sp)
 		}
-		if x.Penalty < 1-1e-9 {
-			t.Errorf("spill execution with penalty %g < 1: %+v", x.Penalty, x)
-		}
-		if x.Native && math.Abs(x.Penalty-1) > 1e-9 {
-			t.Errorf("native execution with penalty %g", x.Penalty)
+		if sp.Native && math.Abs(sp.Penalty-1) > 1e-9 {
+			t.Errorf("native spill with penalty %g", sp.Penalty)
 		}
 	}
-	if out.MaxPartitionPenalty < 1 && len(out.Executions) > 1 {
+	execs := 0
+	for _, ev := range rec.Events() {
+		if !ev.Charged() {
+			continue
+		}
+		execs++
+		if ev.Kind == telemetry.SpillExec && ev.Penalty < 1-1e-9 {
+			t.Errorf("spill execution with penalty %g < 1: %+v", ev.Penalty, ev)
+		}
+	}
+	if out.MaxPartitionPenalty < 1 && execs > 1 {
 		t.Errorf("MaxPartitionPenalty = %g", out.MaxPartitionPenalty)
 	}
 }
@@ -202,9 +234,9 @@ func TestDeterminism(t *testing.T) {
 	s := build3D(t, 6)
 	r := NewRunner(s)
 	truth := cost.Location{1e-4, 1e-3, 1e-2}
-	a := r.Run(engine.New(s.Model, truth))
-	b := r.Run(engine.New(s.Model, truth))
-	if a.Trace() != b.Trace() || a.TotalCost != b.TotalCost {
+	a, aEvents := run(r, engine.New(s.Model, truth))
+	b, bEvents := run(r, engine.New(s.Model, truth))
+	if !reflect.DeepEqual(aEvents, bEvents) || a.TotalCost != b.TotalCost {
 		t.Error("AlignedBound is not deterministic")
 	}
 }

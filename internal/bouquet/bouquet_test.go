@@ -10,7 +10,23 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/sqlmini"
+	"repro/internal/telemetry"
 )
+
+// runRecorded runs the PlanBouquet protocol like Run, under a recorder,
+// and returns the outcome with the run's charged executions.
+func runRecorded(d *Diagram, e engine.ContextExecutor, ratio float64) (Outcome, []telemetry.Event) {
+	rec := telemetry.NewRecorder()
+	out, _ := RunSubspaceContext(telemetry.With(context.Background(), rec), d.Space, d, e,
+		d.Space.ContourCosts(ratio), 0, d.Space.Full(), 1+d.Lambda)
+	var execs []telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Charged() {
+			execs = append(execs, ev)
+		}
+	}
+	return out, execs
+}
 
 func buildSpace(t *testing.T, res int) *ess.Space {
 	t.Helper()
@@ -159,21 +175,22 @@ func TestRunCompletes(t *testing.T) {
 		{1e-6, 1e-6}, {1e-3, 1e-4}, {1, 1}, {1e-5, 0.9},
 	} {
 		e := engine.New(s.Model, truth)
-		out := Run(d, e, ess.CostDoublingRatio)
+		out, steps := runRecorded(d, e, ess.CostDoublingRatio)
 		if !out.Completed {
 			t.Fatalf("truth %v: bouquet did not complete", truth)
 		}
 		if out.TotalCost <= 0 {
 			t.Errorf("truth %v: total cost %g", truth, out.TotalCost)
 		}
-		last := out.Steps[len(out.Steps)-1]
-		if !last.Completed || last.PlanID != out.FinalPlanID {
+		// The final step completes the query at its plan's full cost, and
+		// it is the only step that completes.
+		last := steps[len(steps)-1]
+		if !last.Completed || last.Kind != telemetry.PlanExec || last.Spent != s.Model.Eval(s.Plans()[last.PlanID], truth) {
 			t.Errorf("truth %v: final step inconsistent: %+v", truth, last)
 		}
-		// Only the final step completes.
-		for _, st := range out.Steps[:len(out.Steps)-1] {
+		for _, st := range steps[:len(steps)-1] {
 			if st.Completed {
-				t.Errorf("truth %v: non-final step completed: %v", truth, st)
+				t.Errorf("truth %v: non-final step completed: %+v", truth, st)
 			}
 		}
 	}
@@ -209,9 +226,9 @@ func TestBudgetsDoubleAcrossContours(t *testing.T) {
 	s := buildSpace(t, 10)
 	d := Reduce(s, 0.2)
 	e := engine.New(s.Model, cost.Location{0.5, 0.5})
-	out := Run(d, e, 2)
-	for i := 1; i < len(out.Steps); i++ {
-		prev, cur := out.Steps[i-1], out.Steps[i]
+	_, steps := runRecorded(d, e, 2)
+	for i := 1; i < len(steps); i++ {
+		prev, cur := steps[i-1], steps[i]
 		if cur.Contour == prev.Contour && cur.Budget != prev.Budget {
 			t.Errorf("same contour, different budgets: %v vs %v", prev, cur)
 		}
@@ -227,27 +244,18 @@ func TestRunSubspace1D(t *testing.T) {
 	e := engine.New(s.Model, truth)
 	sub := s.Full().Fix(0, 4) // dimension 0 fully learnt
 	costs := s.ContourCosts(2)
-	out, err := RunSubspaceContext(context.Background(), s, s, e, costs, 2, sub, 1)
+	rec := telemetry.NewRecorder()
+	out, err := RunSubspaceContext(telemetry.With(context.Background(), rec), s, s, e, costs, 2, sub, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Completed {
 		t.Fatal("1D subspace run did not complete")
 	}
-	for _, st := range out.Steps {
-		if st.Contour < 2 {
-			t.Errorf("step before the starting contour: %v", st)
+	for _, st := range rec.Events() {
+		// Event contours are 1-based: starting contour index 2 is IC3.
+		if st.Charged() && st.Contour < 3 {
+			t.Errorf("step before the starting contour: %+v", st)
 		}
-	}
-}
-
-func TestStepString(t *testing.T) {
-	st := Step{Contour: 2, PlanID: 7, Budget: 2048, Completed: false}
-	if got := st.String(); got != "IC3: P7|2048 ✗" {
-		t.Errorf("String = %q", got)
-	}
-	st.Completed = true
-	if got := st.String(); got != "IC3: P7|2048 ✓" {
-		t.Errorf("String = %q", got)
 	}
 }

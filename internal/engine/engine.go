@@ -35,13 +35,12 @@ type Executor interface {
 	ExecuteSpill(p *plan.Plan, dim int, budget float64) (SpillResult, bool)
 }
 
-// ContextExecutor is an Executor that additionally supports cancellable,
-// fault-aware execution: the context carries the caller's deadline and any
-// injected fault plan (internal/faults), and errors — injected or real —
-// surface instead of panicking. The discovery runners prefer this interface
-// when the substrate provides it.
+// ContextExecutor is the execution contract of the discovery runners:
+// cancellable, fault-aware execution. The context carries the caller's
+// deadline, any injected fault plan (internal/faults) and the run's
+// telemetry recorder, and errors — injected or real — surface instead of
+// panicking. A plain Executor becomes one through AsContextExecutor.
 type ContextExecutor interface {
-	Executor
 	// ExecuteCtx is Execute honouring cancellation and fault injection.
 	ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (Result, error)
 	// ExecuteSpillCtx is ExecuteSpill honouring cancellation and fault

@@ -154,17 +154,4 @@ func (r *Resilient) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, 
 	return res, ok, err
 }
 
-// Execute implements the plain Executor interface (no cancellation, no
-// faults) by delegating with a background context.
-func (r *Resilient) Execute(p *plan.Plan, budget float64) Result {
-	res, _ := r.ExecuteCtx(context.Background(), p, budget)
-	return res
-}
-
-// ExecuteSpill implements the plain Executor interface.
-func (r *Resilient) ExecuteSpill(p *plan.Plan, dim int, budget float64) (SpillResult, bool) {
-	res, ok, _ := r.ExecuteSpillCtx(context.Background(), p, dim, budget)
-	return res, ok
-}
-
 var _ ContextExecutor = (*Resilient)(nil)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 	"repro/internal/viz"
 	"repro/internal/workload"
 )
@@ -23,9 +25,14 @@ func (l *Lab) Fig7() (string, error) {
 		return "", err
 	}
 	truth := cost.Location{0.04, 0.1} // the paper's example location
+	rec := telemetry.NewRecorder()
 	r := &spillbound.Runner{Space: s, Ratio: l.Config.Ratio}
-	out := r.Run(engine.New(s.Model, truth))
-	m, err := viz.Fig7(s, l.Config.Ratio, out, truth)
+	out, err := r.RunContext(telemetry.With(context.Background(), rec), engine.New(s.Model, truth))
+	if err != nil {
+		return "", err
+	}
+	events := rec.Events()
+	m, err := viz.Fig7(s, l.Config.Ratio, events, truth)
 	if err != nil {
 		return "", err
 	}
@@ -33,7 +40,7 @@ func (l *Lab) Fig7() (string, error) {
 	fmt.Fprintf(&b, "Figure 7 — SpillBound execution trace (%s, q_a=%v)\n\n", sp.Name, truth)
 	b.WriteString(m)
 	b.WriteString("\nbudgeted executions:\n")
-	b.WriteString(out.Trace())
+	b.WriteString(telemetry.RenderTrace(events))
 	// The covering grid cell's optimum stands in for the oracle cost (exact
 	// when the truth is on the grid).
 	fmt.Fprintf(&b, "sub-optimality: %.2f (bound %.0f)\n",

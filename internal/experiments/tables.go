@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/native"
 	"repro/internal/optimizer"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -122,17 +124,20 @@ func (l *Lab) Table3() (Table3Result, error) {
 
 	e := engine.New(s.Model, truth)
 	e.TimeScale = timeScale
-	sb := (&spillbound.Runner{Space: s, Ratio: l.Config.Ratio}).Run(e)
+	rec := telemetry.NewRecorder()
+	sb, err := (&spillbound.Runner{Space: s, Ratio: l.Config.Ratio}).RunContext(telemetry.With(context.Background(), rec), e)
+	if err != nil {
+		return Table3Result{}, err
+	}
 
 	res := Table3Result{
 		Query: sp.Name, Truth: truth,
-		OptSeconds:   paperOptSeconds,
-		SBSeconds:    optCost / timeScale * (sb.TotalCost / optCost),
-		SBSubOpt:     sb.TotalCost / optCost,
-		SBExecutions: len(sb.Executions),
+		OptSeconds: paperOptSeconds,
+		SBSeconds:  optCost / timeScale * (sb.TotalCost / optCost),
+		SBSubOpt:   sb.TotalCost / optCost,
 	}
 
-	// Drill-down rows: fold the execution list per contour.
+	// Drill-down rows: fold the charged executions per contour.
 	d := s.Query.D()
 	sel := make([]float64, d)
 	cum := 0.0
@@ -143,29 +148,33 @@ func (l *Lab) Table3() (Table3Result, error) {
 			cur = nil
 		}
 	}
-	for _, x := range sb.Executions {
-		if cur == nil || cur.Contour != x.Contour+1 {
+	for _, ev := range rec.Events() {
+		if !ev.Charged() {
+			continue
+		}
+		res.SBExecutions++
+		if cur == nil || cur.Contour != ev.Contour {
 			flush()
 			cur = &Table3Row{
-				Contour: x.Contour + 1,
+				Contour: ev.Contour,
 				SelPct:  append([]float64(nil), sel...),
 				Plans:   make([]string, d),
 			}
 		}
-		cum += x.Spent
+		cum += ev.Spent
 		cur.CumSeconds = cum / timeScale
-		if x.Dim >= 0 {
-			if x.Learned*100 > cur.SelPct[x.Dim] {
-				cur.SelPct[x.Dim] = x.Learned * 100
-				sel[x.Dim] = x.Learned * 100
+		if ev.Dim >= 0 {
+			if ev.Learned*100 > cur.SelPct[ev.Dim] {
+				cur.SelPct[ev.Dim] = ev.Learned * 100
+				sel[ev.Dim] = ev.Learned * 100
 			}
-			cur.Plans[x.Dim] = fmt.Sprintf("p%d", x.PlanID)
+			cur.Plans[ev.Dim] = fmt.Sprintf("p%d", ev.PlanID)
 		} else if len(cur.Plans) > 0 {
 			// Terminal 1-D phase: attribute to the single unlearned dim.
 			for dim := 0; dim < d; dim++ {
 				if sel[dim] < truth[dim]*100 {
-					cur.Plans[dim] = fmt.Sprintf("P%d", x.PlanID)
-					if x.Completed {
+					cur.Plans[dim] = fmt.Sprintf("P%d", ev.PlanID)
+					if ev.Completed {
 						cur.SelPct[dim] = truth[dim] * 100
 						sel[dim] = truth[dim] * 100
 					}

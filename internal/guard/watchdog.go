@@ -186,18 +186,4 @@ func (w *Watchdog) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, b
 	return res, ok, err
 }
 
-// Execute implements the plain Executor interface by delegating through the
-// guarded path with a background context; an abort surfaces as the clamped,
-// incomplete result.
-func (w *Watchdog) Execute(p *plan.Plan, budget float64) engine.Result {
-	res, _ := w.ExecuteCtx(context.Background(), p, budget)
-	return res
-}
-
-// ExecuteSpill implements the plain Executor interface.
-func (w *Watchdog) ExecuteSpill(p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool) {
-	res, ok, _ := w.ExecuteSpillCtx(context.Background(), p, dim, budget)
-	return res, ok
-}
-
 var _ engine.ContextExecutor = (*Watchdog)(nil)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ess"
 	"repro/internal/plan"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 )
 
 // TestSpillBoundOnRealRows is the end-to-end physical run: the full
@@ -27,9 +28,14 @@ func TestSpillBoundOnRealRows(t *testing.T) {
 	}
 	r := spillbound.NewRunner(s)
 
-	out := r.Run(&Adapter{E: e})
+	rec := telemetry.NewRecorder()
+	out, err := r.RunContext(telemetry.With(context.Background(), rec), &Adapter{E: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := rec.Events()
 	if !out.Completed {
-		t.Fatalf("physical SpillBound did not complete\n%s", out.Trace())
+		t.Fatalf("physical SpillBound did not complete\n%s", telemetry.RenderTrace(events))
 	}
 	if out.TotalCost <= 0 {
 		t.Fatal("no cost accounted")
@@ -53,19 +59,23 @@ func TestSpillBoundOnRealRows(t *testing.T) {
 	// Generous inflation factor for model↔engine discrepancy.
 	if bound := spillbound.Guarantee(2) * 4; subOpt > bound {
 		t.Errorf("physical sub-optimality %.2f exceeds inflated bound %.2f\n%s",
-			subOpt, bound, out.Trace())
+			subOpt, bound, telemetry.RenderTrace(events))
 	}
-	t.Logf("physical SpillBound: %d executions, sub-optimality %.2f vs best physical plan",
-		len(out.Executions), subOpt)
-
-	// Learned selectivities from real rows must match the data's ground
-	// truth (1/NDV) when fully learnt.
-	for dim, sel := range out.LearnedSel {
-		want := []float64{1.0 / 400, 1.0 / 1000}[dim]
-		if sel < want/2 || sel > want*2 {
-			t.Errorf("dim %d: learnt %g from rows, ground truth ≈%g", dim, sel, want)
+	execs := 0
+	for _, ev := range events {
+		if ev.Charged() {
+			execs++
+		}
+		// Learned selectivities from real rows must match the data's
+		// ground truth (1/NDV) when fully learnt.
+		if ev.Kind == telemetry.HalfSpacePrune {
+			want := []float64{1.0 / 400, 1.0 / 1000}[ev.Dim]
+			if ev.Learned < want/2 || ev.Learned > want*2 {
+				t.Errorf("dim %d: learnt %g from rows, ground truth ≈%g", ev.Dim, ev.Learned, want)
+			}
 		}
 	}
+	t.Logf("physical SpillBound: %d executions, sub-optimality %.2f vs best physical plan", execs, subOpt)
 }
 
 // TestPlanBouquetOnRealRows drives the PB protocol physically.
@@ -93,9 +103,13 @@ func TestAlignedBoundOnRealRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := aligned.NewRunner(s)
-	out := r.Run(&Adapter{E: e})
+	rec := telemetry.NewRecorder()
+	out, err := r.RunContext(telemetry.With(context.Background(), rec), &Adapter{E: e})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !out.Completed {
-		t.Fatalf("physical AlignedBound did not complete\n%s", out.Trace())
+		t.Fatalf("physical AlignedBound did not complete\n%s", telemetry.RenderTrace(rec.Events()))
 	}
 }
 

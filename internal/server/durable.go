@@ -379,7 +379,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]runInfo, 0, len(ids))
 	for _, rid := range ids {
-		if info, ok := s.runInfoFor(e, sess, rid); ok {
+		if info, _, ok := s.runInfoFor(e, sess, rid); ok {
 			out = append(out, info)
 		}
 	}
@@ -400,14 +400,11 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rid := r.PathValue("rid")
-	s.mu.Lock()
-	rec := e.runs[rid]
-	s.mu.Unlock()
-	if rec != nil && rec.resp != nil {
-		writeJSON(w, http.StatusOK, rec.resp)
+	info, resp, ok := s.runInfoFor(e, sess, rid)
+	if resp != nil {
+		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	info, ok := s.runInfoFor(e, sess, rid)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no run %q in session %s", rid, e.id))
 		return
@@ -415,27 +412,34 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, info)
 }
 
-// runInfoFor merges a run's durable snapshot with the in-memory record.
-func (s *Server) runInfoFor(e *session, sess *repro.Session, rid string) (runInfo, bool) {
+// runInfoFor merges a run's durable snapshot with the in-memory record and
+// returns the record's completed result, if any. The record is read once,
+// after the snapshot: a resume that finishes in between is seen with its
+// result, never as a resumed run without one.
+func (s *Server) runInfoFor(e *session, sess *repro.Session, rid string) (info runInfo, resp *runResponse, ok bool) {
 	contour, spent, completed, err := sess.DurableRunState(rid)
-	if err != nil {
-		return runInfo{}, false
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := e.runs[rid]
+	if rec != nil {
+		resp = rec.resp
 	}
-	info := runInfo{RunID: rid, Contour: contour + 1, Spent: spent, Status: runInterrupted}
+	if err != nil {
+		return runInfo{}, resp, false
+	}
+	info = runInfo{RunID: rid, Contour: contour + 1, Spent: spent, Status: runInterrupted}
 	if completed {
 		info.Status = runCompleted
 	}
-	s.mu.Lock()
-	if rec := e.runs[rid]; rec != nil {
+	if rec != nil {
 		info.Resumed = rec.resumed
 		info.Error = rec.err
 		if rec.status != "" {
 			info.Status = rec.status
 		}
-		if rec.resp != nil {
-			info.SubOpt = rec.resp.SubOpt
+		if resp != nil {
+			info.SubOpt = resp.SubOpt
 		}
 	}
-	s.mu.Unlock()
-	return info, true
+	return info, resp, true
 }

@@ -38,6 +38,62 @@ func awaitRunResumed(t *testing.T, baseURL, sid, rid string) map[string]any {
 	return nil
 }
 
+// TestGetRunRacingRecord checks that a run resource read while the run's
+// result is being recorded is consistent: the checkpoint info of a run not
+// yet recorded, or the full result, never a resumed run without its result.
+// The record flips between absent and a resumed run's while GETs read it,
+// the way a recovering server records a resume that completes mid-read.
+func TestGetRunRacingRecord(t *testing.T) {
+	srv, ts := overloadServer(t, Config{DataDir: t.TempDir()})
+	resp, created := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create status %d: %v", resp.StatusCode, created)
+	}
+	sid := created["id"].(string)
+	awaitReady(t, ts.URL, sid)
+	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+sid+"/run",
+		map[string]any{"strategy": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
+	if resp.StatusCode != http.StatusOK || run["runId"] != "r1" {
+		t.Fatalf("durable run status %d: %v", resp.StatusCode, run)
+	}
+
+	srv.mu.Lock()
+	e := srv.sessions[sid]
+	rec := *e.runs["r1"]
+	srv.mu.Unlock()
+	rec.resumed = true
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			srv.mu.Lock()
+			delete(e.runs, "r1")
+			srv.mu.Unlock()
+			time.Sleep(50 * time.Microsecond)
+			r := rec
+			srv.mu.Lock()
+			e.runs["r1"] = &r
+			srv.mu.Unlock()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			t.Logf("%d consistent reads", reads)
+			return
+		default:
+		}
+		var body map[string]any
+		if resp := getJSON(t, ts.URL+"/v1/sessions/"+sid+"/runs/r1", &body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("get r1 status %d: %v", resp.StatusCode, body)
+		}
+		if body["resumed"] == true && body["totalCost"] == nil {
+			t.Fatalf("read %d: resumed run served without its result: %v", reads, body)
+		}
+	}
+}
+
 // TestDurableServerRecovery is the end-to-end restart drill: a durable
 // server hosts a session with one completed run, the process "dies" leaving
 // a second run crashed mid-contour, and a fresh server over the same data

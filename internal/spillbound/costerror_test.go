@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/plan"
+	"repro/internal/telemetry"
 )
 
 // TestMSOUnderCostModelError validates paper Sec 7: with cost-model errors
@@ -58,9 +59,9 @@ func TestCostErrorExercisesFallbacks(t *testing.T) {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
 		e.CostError = func(_ *plan.Plan) float64 { return 3.0 } // 3× slower than modeled
-		out := r.Run(e)
+		out, events := run(r, e)
 		if !out.Completed {
-			t.Fatalf("truth %v: severely pessimistic run did not complete\n%s", truth, out.Trace())
+			t.Fatalf("truth %v: severely pessimistic run did not complete\n%s", truth, telemetry.RenderTrace(events))
 		}
 		if out.TotalCost <= 0 {
 			t.Fatalf("truth %v: unaccounted cost", truth)

@@ -18,13 +18,15 @@ type Spill struct {
 	PlanID int
 	// Dim is the ESS dimension spilled on.
 	Dim int
-	// Cell is the contour cell the plan was chosen at.
-	Cell int
 	// Budget is the execution's cost budget.
 	Budget float64
-	// Penalty and Native are carried onto the Execution unchanged.
+	// Penalty is AlignedBound's Cost(P,q)/Cost(Pq,q) for the (replacement)
+	// plan, 1 for a natively aligned one, zero for SpillBound; it is
+	// carried onto the SpillExec event.
 	Penalty float64
-	Native  bool
+	// Native reports an AlignedBound spill whose alignment is native
+	// rather than induced.
+	Native bool
 }
 
 // Contour is one contour iteration as a Planner sees it. It holds only what
@@ -67,21 +69,19 @@ type Planner struct {
 // planner through the Space's contour memo. It owns everything the two
 // algorithms share: the resume restore, contour checkpoints, repeat
 // labelling, budget-abort handling, half-space pruning (Lemma 3.1), the
-// terminal 1-D PlanBouquet phase and the max-corner fallback. The context
-// is checked at every contour iteration and spill boundary; on abort the
-// partial outcome is returned with the error.
-func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Discovery, planner Planner, e engine.Executor) (Outcome, error) {
-	ce := engine.AsContextExecutor(e)
+// terminal 1-D PlanBouquet phase and the max-corner fallback. Every
+// execution and prune is recorded on the context's recorder, the run's
+// only ledger. The context is checked at every contour iteration and spill
+// boundary; on abort the partial outcome is returned with the error.
+func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Discovery, planner Planner, e engine.ContextExecutor) (Outcome, error) {
 	rec := telemetry.From(ctx)
-	g := s.Grid
 	costs := s.ContourCosts(ratio)
 	learned := make(map[int]bool) // by join ID (plan.SpillTarget keys)
 	sub := s.Full()
-	out := Outcome{LearnedSel: make(map[int]float64)}
+	var out Outcome
 	learn := func(dim int, sel float64) {
 		learned[s.Query.EPPs[dim]] = true
-		out.LearnedSel[dim] = sel
-		sub = sub.Fix(dim, g.CeilIndex(dim, sel))
+		sub = sub.Fix(dim, s.Grid.CeilIndex(dim, sel))
 	}
 
 	start := 0
@@ -109,13 +109,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			// Terminal 1-D phase: plain PlanBouquet over the remaining
 			// dimension, starting from the current contour, in regular
 			// (non-spill) mode — spilling in 1-D weakens the bound.
-			tail, err := bouquet.RunSubspaceContext(ctx, s, s, ce, costs, i, sub, 1)
-			for _, st := range tail.Steps {
-				out.Executions = append(out.Executions, Execution{
-					Contour: st.Contour, Dim: -1, PlanID: st.PlanID,
-					Budget: st.Budget, Spent: st.Spent, Completed: st.Completed,
-				})
-			}
+			tail, err := bouquet.RunSubspaceContext(ctx, s, s, e, costs, i, sub, 1)
 			out.TotalCost += tail.TotalCost
 			out.Completed = tail.Completed
 			return out, err
@@ -144,7 +138,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 		out.MaxPartitionPenalty = max(out.MaxPartitionPenalty, plan.Penalty)
 		progressed := false
 		for _, sp := range plan.Spills {
-			res, ok, err := ce.ExecuteSpillCtx(ctx, s.Plans()[sp.PlanID], sp.Dim, sp.Budget)
+			res, ok, err := e.ExecuteSpillCtx(ctx, s.Plans()[sp.PlanID], sp.Dim, sp.Budget)
 			if err != nil && !engine.IsBudgetAbort(err) {
 				return out, err
 			}
@@ -155,20 +149,13 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			// run: the clamped charge and the partial monitoring bound are
 			// recorded below and discovery moves on (next spill, then next
 			// contour per Lemma 4.3).
-			x := Execution{
-				Contour: i, Dim: sp.Dim, PlanID: sp.PlanID,
-				CellLoc: g.Location(sp.Cell), Budget: sp.Budget,
-				Spent: res.Spent, Completed: res.Completed, Learned: res.Learned,
-				Repeat: spilled&(1<<sp.Dim) != 0, Penalty: sp.Penalty, Native: sp.Native,
-			}
-			spilled |= 1 << sp.Dim
-			out.Executions = append(out.Executions, x)
-			out.TotalCost += res.Spent
 			rec.Record(telemetry.Event{
-				Kind: telemetry.SpillExec, Contour: i + 1, Dim: sp.Dim, PlanID: x.PlanID,
-				Budget: x.Budget, Spent: x.Spent, Completed: x.Completed,
-				Learned: x.Learned, Penalty: x.Penalty, Repeat: x.Repeat,
+				Kind: telemetry.SpillExec, Contour: i + 1, Dim: sp.Dim, PlanID: sp.PlanID,
+				Budget: sp.Budget, Spent: res.Spent, Completed: res.Completed,
+				Learned: res.Learned, Penalty: sp.Penalty, Repeat: spilled&(1<<sp.Dim) != 0,
 			})
+			spilled |= 1 << sp.Dim
+			out.TotalCost += res.Spent
 			if res.Completed {
 				// Selectivity fully learnt: restrict the effective search
 				// space and re-explore the same contour with the reduced
@@ -190,16 +177,12 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 	// to the 1-D phase); kept as a defensive fallback mirroring
 	// bouquet.RunSubspaceContext's guard.
 	ci := sub.MaxCorner()
-	res, err := ce.ExecuteCtx(ctx, s.PlanAt(ci), math.Inf(1))
+	res, err := e.ExecuteCtx(ctx, s.PlanAt(ci), math.Inf(1))
 	if err != nil {
 		return out, err
 	}
 	rec.Record(telemetry.Event{
 		Kind: telemetry.PlanExec, Contour: len(costs), Dim: -1, PlanID: s.PlanIDAt(ci),
-		Budget: res.Spent, Spent: res.Spent, Completed: true,
-	})
-	out.Executions = append(out.Executions, Execution{
-		Contour: len(costs) - 1, Dim: -1, PlanID: s.PlanIDAt(ci),
 		Budget: res.Spent, Spent: res.Spent, Completed: true,
 	})
 	out.TotalCost += res.Spent

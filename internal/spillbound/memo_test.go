@@ -15,27 +15,32 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/runstate"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// memoRunners run SpillBound and AlignedBound to completion, optionally
-// resumed from a checkpointed discovery state.
+// memoRunners run SpillBound and AlignedBound to completion under a
+// recorder, optionally resumed from a checkpointed discovery state.
 var memoRunners = []struct {
 	name string
-	run  func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) spillbound.Outcome
+	run  func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) (spillbound.Outcome, []telemetry.Event)
 }{
-	{"spillbound", func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) spillbound.Outcome {
-		return (&spillbound.Runner{Space: s, Ratio: ess.CostDoublingRatio, Resume: resume}).Run(engine.New(s.Model, truth))
+	{"spillbound", func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) (spillbound.Outcome, []telemetry.Event) {
+		return spillbound.Record(func(ctx context.Context) (spillbound.Outcome, error) {
+			return (&spillbound.Runner{Space: s, Ratio: ess.CostDoublingRatio, Resume: resume}).RunContext(ctx, engine.New(s.Model, truth))
+		})
 	}},
-	{"alignedbound", func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) spillbound.Outcome {
-		return (&aligned.Runner{Space: s, Ratio: ess.CostDoublingRatio, Resume: resume}).Run(engine.New(s.Model, truth))
+	{"alignedbound", func(s *ess.Space, truth cost.Location, resume *runstate.Discovery) (spillbound.Outcome, []telemetry.Event) {
+		return spillbound.Record(func(ctx context.Context) (spillbound.Outcome, error) {
+			return (&aligned.Runner{Space: s, Ratio: ess.CostDoublingRatio, Resume: resume}).RunContext(ctx, engine.New(s.Model, truth))
+		})
 	}},
 }
 
 // TestMemoHitEqualsColdRun pins the contract of the Space's contour memo: a
 // run on a Space whose memo a 2-worker sweep of both planners has warmed
-// equals, execution for execution, a run on a freshly built Space over the
-// same surface, whose memo is empty. Truths are grid cells and seeded
+// records, event for event, the same stream as a run on a freshly built
+// Space over the same surface, whose memo is empty. Truths are grid cells and seeded
 // log-uniform off-grid locations; one run per query and planner resumes
 // from a mid-run discovery state.
 func TestMemoHitEqualsColdRun(t *testing.T) {
@@ -61,7 +66,8 @@ func TestMemoHitEqualsColdRun(t *testing.T) {
 			}
 			for _, r := range memoRunners {
 				_, err := metrics.SweepContext(context.Background(), warm, func(truth cost.Location) float64 {
-					return r.run(warm, truth, nil).TotalCost
+					out, _ := r.run(warm, truth, nil)
+					return out.TotalCost
 				}, metrics.SweepOptions{MaxLocations: 256, Seed: 1, Workers: 2})
 				if err != nil {
 					t.Fatal(err)
@@ -85,13 +91,16 @@ func TestMemoHitEqualsColdRun(t *testing.T) {
 			for _, r := range memoRunners {
 				resumed := false
 				for _, truth := range truths {
-					cold := r.run(fresh(), truth, nil)
-					sameOutcome(t, r.name+" run", truth, r.run(warm, truth, nil), cold)
+					cold, coldEvents := r.run(fresh(), truth, nil)
+					warmOut, warmEvents := r.run(warm, truth, nil)
+					sameOutcome(t, r.name+" run", truth, warmOut, cold, warmEvents, coldEvents)
 					if resumed {
 						continue
 					}
-					if resume, ok := midRun(cold); ok {
-						sameOutcome(t, r.name+" resume", truth, r.run(warm, truth, resume), r.run(fresh(), truth, resume))
+					if resume, ok := midRun(coldEvents); ok {
+						warmOut, warmEvents := r.run(warm, truth, resume)
+						coldOut, coldEvents := r.run(fresh(), truth, resume)
+						sameOutcome(t, r.name+" resume", truth, warmOut, coldOut, warmEvents, coldEvents)
 						resumed = true
 					}
 				}
@@ -103,16 +112,18 @@ func TestMemoHitEqualsColdRun(t *testing.T) {
 	}
 }
 
-// midRun returns the discovery state a checkpoint takes before an
-// outcome's middle spill, when that spill follows a completed one: its
-// contour and the selectivities learnt before it.
-func midRun(out spillbound.Outcome) (*runstate.Discovery, bool) {
-	k := len(out.Executions) / 2
-	if out.Executions[k].Dim < 0 {
+// midRun returns the discovery state a checkpoint takes before a run's
+// middle execution, when that is a spill following a completed one: its
+// contour (0-based, as runstate keeps it) and the selectivities learnt
+// before it.
+func midRun(events []telemetry.Event) (*runstate.Discovery, bool) {
+	execs := spillbound.Executions(events)
+	k := len(execs) / 2
+	if execs[k].Dim < 0 {
 		return nil, false
 	}
 	learned := map[int]float64{}
-	for _, x := range out.Executions[:k] {
+	for _, x := range execs[:k] {
 		if x.Dim >= 0 && x.Completed {
 			learned[x.Dim] = x.Learned
 		}
@@ -120,15 +131,13 @@ func midRun(out spillbound.Outcome) (*runstate.Discovery, bool) {
 	if len(learned) == 0 {
 		return nil, false
 	}
-	return &runstate.Discovery{Contour: out.Executions[k].Contour, Learned: learned}, true
+	return &runstate.Discovery{Contour: execs[k].Contour - 1, Learned: learned}, true
 }
 
-func sameOutcome(t *testing.T, what string, truth cost.Location, warm, cold spillbound.Outcome) {
+func sameOutcome(t *testing.T, what string, truth cost.Location, warm, cold spillbound.Outcome, warmEvents, coldEvents []telemetry.Event) {
 	t.Helper()
-	if !reflect.DeepEqual(warm.Executions, cold.Executions) || warm.TotalCost != cold.TotalCost ||
-		warm.MaxPartitionPenalty != cold.MaxPartitionPenalty {
-		t.Errorf("%s at %v: memo-warm run differs from cold run\nwarm: cost %v π* %v\n%s\ncold: cost %v π* %v\n%s",
-			what, truth, warm.TotalCost, warm.MaxPartitionPenalty, warm.Trace(),
-			cold.TotalCost, cold.MaxPartitionPenalty, cold.Trace())
+	if !reflect.DeepEqual(warmEvents, coldEvents) || warm != cold {
+		t.Errorf("%s at %v: memo-warm run differs from cold run\nwarm: %+v\n%s\ncold: %+v\n%s",
+			what, truth, warm, telemetry.RenderTrace(warmEvents), cold, telemetry.RenderTrace(coldEvents))
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -47,14 +48,14 @@ func TestStructuralBoundOnRandomQueries(t *testing.T) {
 		g := s.Grid
 		for ci := 0; ci < g.Size(); ci++ {
 			truth := g.Location(ci)
-			out := r.Run(engine.New(s.Model, truth))
+			out, events := run(r, engine.New(s.Model, truth))
 			if !out.Completed {
 				t.Fatalf("trial %d (%s) truth %v: did not complete",
 					trial, workload.Describe(q), truth)
 			}
 			if so := out.TotalCost / s.CostAt(ci); so > bound {
 				t.Fatalf("trial %d (%s) truth %v: SubOpt %.2f exceeds D²+3D=%g\n%s",
-					trial, workload.Describe(q), truth, so, bound, out.Trace())
+					trial, workload.Describe(q), truth, so, bound, telemetry.RenderTrace(events))
 			}
 		}
 	}

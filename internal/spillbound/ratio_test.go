@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/engine"
+	"repro/internal/telemetry"
 )
 
 func TestGuaranteeWithRatioReducesToTheorem(t *testing.T) {
@@ -98,7 +99,7 @@ func TestRunWithNonDoublingRatio(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		if !out.Completed {
 			t.Fatalf("truth %v: did not complete", truth)
 		}
@@ -107,7 +108,7 @@ func TestRunWithNonDoublingRatio(t *testing.T) {
 			worst = so
 		}
 		if so > bound {
-			t.Fatalf("truth %v: SubOpt %.2f exceeds r=1.8 bound %.2f\n%s", truth, so, bound, out.Trace())
+			t.Fatalf("truth %v: SubOpt %.2f exceeds r=1.8 bound %.2f\n%s", truth, so, bound, telemetry.RenderTrace(events))
 		}
 	}
 	t.Logf("2D MSOe at r=1.8: %.2f (bound %.2f)", worst, bound)

@@ -12,26 +12,40 @@ import (
 	"repro/internal/telemetry"
 )
 
-// runners are the two planners of the shared discovery driver. Tests over
-// this table pin behaviour the driver owns for both algorithms.
+// runners are the two planners of the shared discovery driver, each run
+// under a recorder. Tests over this table pin behaviour the driver owns for
+// both algorithms.
 var runners = []struct {
 	name string
-	run  func(ctx context.Context, s *ess.Space, truth cost.Location) spillbound.Outcome
+	run  func(s *ess.Space, truth cost.Location) (spillbound.Outcome, []telemetry.Event)
 }{
-	{"spillbound", func(ctx context.Context, s *ess.Space, truth cost.Location) spillbound.Outcome {
-		out, _ := spillbound.NewRunner(s).RunContext(ctx, engine.New(s.Model, truth))
-		return out
+	{"spillbound", func(s *ess.Space, truth cost.Location) (spillbound.Outcome, []telemetry.Event) {
+		return spillbound.Record(func(ctx context.Context) (spillbound.Outcome, error) {
+			return spillbound.NewRunner(s).RunContext(ctx, engine.New(s.Model, truth))
+		})
 	}},
-	{"alignedbound", func(ctx context.Context, s *ess.Space, truth cost.Location) spillbound.Outcome {
-		out, _ := aligned.NewRunner(s).RunContext(ctx, engine.New(s.Model, truth))
-		return out
+	{"alignedbound", func(s *ess.Space, truth cost.Location) (spillbound.Outcome, []telemetry.Event) {
+		return spillbound.Record(func(ctx context.Context) (spillbound.Outcome, error) {
+			return aligned.NewRunner(s).RunContext(ctx, engine.New(s.Model, truth))
+		})
 	}},
 }
 
-// TestRepeatLabels checks the Lemma 3.2 repeat counter: a spill, and its
-// SpillExec event, is marked Repeat exactly when its dimension was already
-// spilled earlier on the same contour. Both grids hold runs of both
-// algorithms that re-spill a dimension, so the rule is exercised.
+// spills returns the run's SpillExec events.
+func spills(events []telemetry.Event) []telemetry.Event {
+	var out []telemetry.Event
+	for _, ev := range events {
+		if ev.Kind == telemetry.SpillExec {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// TestRepeatLabels checks the Lemma 3.2 repeat counter: a SpillExec event
+// is marked Repeat exactly when its dimension was already spilled earlier
+// on the same contour. Both grids hold runs of both algorithms that
+// re-spill a dimension, so the rule is exercised.
 func TestRepeatLabels(t *testing.T) {
 	spaces := []struct {
 		name string
@@ -46,35 +60,17 @@ func TestRepeatLabels(t *testing.T) {
 				g := sp.s.Grid
 				repeats := 0
 				for ci := 0; ci < g.Size(); ci++ {
-					rec := telemetry.NewRecorder()
-					out := r.run(telemetry.With(context.Background(), rec), sp.s, g.Location(ci))
-					var events []telemetry.Event
-					for _, ev := range rec.Events() {
-						if ev.Kind == telemetry.SpillExec {
-							events = append(events, ev)
-						}
-					}
+					_, events := r.run(sp.s, g.Location(ci))
 					seen := map[[2]int]bool{}
-					k := 0
-					for _, x := range out.Executions {
-						if x.Dim < 0 {
-							continue
-						}
+					for _, x := range spills(events) {
 						key := [2]int{x.Contour, x.Dim}
 						if x.Repeat != seen[key] {
-							t.Fatalf("cell %d: Repeat=%v on %v, want %v\n%s", ci, x.Repeat, x, seen[key], out.Trace())
-						}
-						if k >= len(events) || events[k].Repeat != x.Repeat {
-							t.Fatalf("cell %d: spill %d's event does not carry Repeat=%v", ci, k, x.Repeat)
+							t.Fatalf("cell %d: Repeat=%v on %+v, want %v\n%s", ci, x.Repeat, x, seen[key], telemetry.RenderTrace(events))
 						}
 						seen[key] = true
-						k++
 						if x.Repeat {
 							repeats++
 						}
-					}
-					if k != len(events) {
-						t.Fatalf("cell %d: %d spills but %d SpillExec events", ci, k, len(events))
 					}
 				}
 				if repeats == 0 {
@@ -96,13 +92,10 @@ func TestLemma44RepeatBound4D(t *testing.T) {
 	for _, r := range runners {
 		t.Run(r.name, func(t *testing.T) {
 			for ci := 0; ci < g.Size(); ci += 2 {
-				out := r.run(context.Background(), s, g.Location(ci))
+				_, events := r.run(s, g.Location(ci))
 				repeats := 0
 				perContourFresh := map[int]int{}
-				for _, x := range out.Executions {
-					if x.Dim < 0 {
-						continue
-					}
+				for _, x := range spills(events) {
 					if x.Repeat {
 						repeats++
 					} else {
@@ -110,7 +103,7 @@ func TestLemma44RepeatBound4D(t *testing.T) {
 					}
 				}
 				if repeats > bound {
-					t.Fatalf("cell %d: %d repeats exceed D(D-1)/2=%d\n%s", ci, repeats, bound, out.Trace())
+					t.Fatalf("cell %d: %d repeats exceed D(D-1)/2=%d\n%s", ci, repeats, bound, telemetry.RenderTrace(events))
 				}
 				for contour, n := range perContourFresh {
 					if n > 4 {
@@ -124,20 +117,26 @@ func TestLemma44RepeatBound4D(t *testing.T) {
 
 // TestMonotoneDiscovery verifies that the learned running location only
 // moves toward the truth: every spill's Learned value is a valid lower
-// bound, completed spills learn the exact coordinate, and LearnedSel
-// reports exactly what the completed spills learnt.
+// bound, completed spills learn the exact coordinate, and the HalfSpacePrune
+// events record exactly what the completed spills learnt.
 func TestMonotoneDiscovery(t *testing.T) {
 	s := spillbound.Build2D(t, 10)
 	truth := cost.Location{0.01, 0.2}
 	for _, r := range runners {
 		t.Run(r.name, func(t *testing.T) {
-			out := r.run(context.Background(), s, truth)
+			_, events := r.run(s, truth)
+			pruned := map[int]float64{}
+			for _, ev := range events {
+				if ev.Kind == telemetry.HalfSpacePrune {
+					if _, dup := pruned[ev.Dim]; dup {
+						t.Errorf("dim %d pruned twice", ev.Dim)
+					}
+					pruned[ev.Dim] = ev.Learned
+				}
+			}
 			qrun := cost.Location{0, 0}
 			completed := 0
-			for _, x := range out.Executions {
-				if x.Dim < 0 {
-					continue
-				}
+			for _, x := range spills(events) {
 				if x.Learned < qrun[x.Dim]-1e-12 {
 					t.Errorf("learning went backwards on dim %d: %g after %g", x.Dim, x.Learned, qrun[x.Dim])
 				}
@@ -149,20 +148,20 @@ func TestMonotoneDiscovery(t *testing.T) {
 					if x.Learned != truth[x.Dim] {
 						t.Errorf("completed spill learned %g, want exact %g", x.Learned, truth[x.Dim])
 					}
-					if got, ok := out.LearnedSel[x.Dim]; !ok || got != x.Learned {
-						t.Errorf("LearnedSel[%d] = %g (present %v), want %g", x.Dim, got, ok, x.Learned)
+					if got, ok := pruned[x.Dim]; !ok || got != x.Learned {
+						t.Errorf("pruned[%d] = %g (present %v), want %g", x.Dim, got, ok, x.Learned)
 					}
 				}
 				if x.Learned > qrun[x.Dim] {
 					qrun[x.Dim] = x.Learned
 				}
 			}
-			if len(out.LearnedSel) != completed {
-				t.Errorf("LearnedSel has %d entries, %d spills completed", len(out.LearnedSel), completed)
+			if len(pruned) != completed {
+				t.Errorf("%d dimensions pruned, %d spills completed", len(pruned), completed)
 			}
-			for d, sel := range out.LearnedSel {
+			for d, sel := range pruned {
 				if sel != truth[d] {
-					t.Errorf("LearnedSel[%d] = %g, want %g", d, sel, truth[d])
+					t.Errorf("pruned[%d] = %g, want %g", d, sel, truth[d])
 				}
 			}
 		})

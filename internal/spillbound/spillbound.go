@@ -9,10 +9,7 @@ package spillbound
 
 import (
 	"context"
-	"fmt"
-	"strings"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/runstate"
@@ -22,83 +19,18 @@ import (
 // computable by query inspection alone.
 func Guarantee(d int) float64 { return float64(d*d + 3*d) }
 
-// Execution records one budgeted execution of a contour-wise discovery run
-// (SpillBound or AlignedBound): a spill-mode execution on some dimension,
-// or a regular execution during the terminal 1-D PlanBouquet phase.
-type Execution struct {
-	// Contour is the contour index explored.
-	Contour int
-	// Dim is the ESS dimension spilled on, or -1 for a regular execution.
-	Dim int
-	// PlanID is the executed plan's POSP index.
-	PlanID int
-	// CellLoc is the contour location whose plan was chosen.
-	CellLoc cost.Location
-	// Budget and Spent are the assigned and charged costs.
-	Budget, Spent float64
-	// Completed reports full completion (of the subtree for spills, of the
-	// query for regular executions).
-	Completed bool
-	// Learned is the selectivity information gained on Dim (exact value or
-	// monitoring lower bound); zero for regular executions.
-	Learned float64
-	// Repeat marks a repeat execution: the dimension had already been
-	// spilled on this contour, and its P^j_max changed after another epp
-	// was fully learnt (paper Sec 4.2).
-	Repeat bool
-	// Penalty is AlignedBound's Cost(P,q)/Cost(Pq,q) for the executed
-	// (replacement) plan, 1 for natively aligned executions; zero for
-	// SpillBound and for regular executions.
-	Penalty float64
-	// Native reports an AlignedBound execution whose alignment was native
-	// rather than induced.
-	Native bool
-}
-
-// String renders the execution in the paper's trace notation (lowercase p
-// for spill-mode).
-func (x Execution) String() string {
-	if x.Dim < 0 {
-		mark := "✗"
-		if x.Completed {
-			mark = "✓"
-		}
-		return fmt.Sprintf("IC%d: P%d|%.4g %s", x.Contour+1, x.PlanID, x.Budget, mark)
-	}
-	tag := ""
-	if x.Repeat {
-		tag = " (repeat)"
-	}
-	return fmt.Sprintf("IC%d: p%d|%.4g spill dim %d → %.3g%s",
-		x.Contour+1, x.PlanID, x.Budget, x.Dim, x.Learned, tag)
-}
-
-// Outcome is a full discovery run.
+// Outcome is what a discovery run returns beside its events. Every
+// execution, learnt selectivity and half-space prune is recorded only on
+// the context's telemetry.Recorder.
 type Outcome struct {
-	// Executions lists every budgeted execution in order.
-	Executions []Execution
 	// TotalCost is the summed charged cost — the numerator of Eq. (3).
 	TotalCost float64
 	// Completed reports whether the query finished (always true under PCM).
 	Completed bool
-	// LearnedSel holds the exact selectivities learnt by completed spills
-	// (or restored on resume), indexed by dimension; the dimension resolved
-	// by the terminal 1-D phase has no entry.
-	LearnedSel map[int]float64
 	// MaxPartitionPenalty is the largest Plan.Penalty over the contours
 	// planned: AlignedBound's per-partition total penalty π* (paper Table
 	// 4), zero under SpillBound.
 	MaxPartitionPenalty float64
-}
-
-// Trace renders the execution list, one line each.
-func (o Outcome) Trace() string {
-	var b strings.Builder
-	for _, x := range o.Executions {
-		b.WriteString(x.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Runner executes SpillBound over a prebuilt ESS.
@@ -110,9 +42,9 @@ type Runner struct {
 	// Resume, when non-nil, restarts the discovery from a checkpointed
 	// state instead of from scratch: the contour index and the learnt
 	// selectivities (and hence the pruned half-spaces, Lemma 3.1) are
-	// restored before the first execution. The outcome then reports only
-	// the resumed incarnation's new executions and spend; the caller owns
-	// the carried-over budget ledger (Resume.Spent).
+	// restored before the first execution. The outcome and the recorded
+	// events then cover only the resumed incarnation's new executions; the
+	// caller owns the carried-over budget ledger (Resume.Spent).
 	Resume *runstate.Discovery
 }
 
@@ -123,17 +55,17 @@ func NewRunner(s *ess.Space) *Runner {
 }
 
 // Run performs SpillBound discovery against the engine's hidden true
-// location and returns the full outcome (Algorithm 1).
+// location and returns the outcome (Algorithm 1).
 func (r *Runner) Run(e engine.Executor) Outcome {
-	out, _ := r.RunContext(context.Background(), e)
+	out, _ := r.RunContext(context.Background(), engine.AsContextExecutor(e))
 	return out
 }
 
-// RunContext is Run with cancellation and error-aware execution (see
-// Drive): on abort the partial outcome is returned with the error so the
-// caller can degrade (fall back to the Native plan) or propagate the
-// cancellation.
-func (r *Runner) RunContext(ctx context.Context, e engine.Executor) (Outcome, error) {
+// RunContext is Run with cancellation, error-aware execution and the
+// context's recorder (see Drive): on abort the partial outcome is returned
+// with the error so the caller can degrade (fall back to the Native plan)
+// or propagate the cancellation.
+func (r *Runner) RunContext(ctx context.Context, e engine.ContextExecutor) (Outcome, error) {
 	return Drive(ctx, r.Space, r.Ratio, r.Resume, maxCellPlanner(r.Space), e)
 }
 
@@ -149,7 +81,7 @@ func maxCellPlanner(s *ess.Space) Planner {
 		for _, dim := range c.Free {
 			if cell := jmax[dim]; cell >= 0 {
 				spills = append(spills, Spill{
-					PlanID: s.PlanIDAt(cell), Dim: dim, Cell: cell, Budget: c.Cost,
+					PlanID: s.PlanIDAt(cell), Dim: dim, Budget: c.Cost,
 				})
 			}
 		}

@@ -2,7 +2,7 @@ package spillbound
 
 import (
 	"context"
-	"strings"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/sqlmini"
+	"repro/internal/telemetry"
 )
 
 func testCatalog() *catalog.Catalog {
@@ -96,9 +97,9 @@ func TestRunCompletes(t *testing.T) {
 		{1e-6, 1e-6}, {1e-3, 1e-5}, {1, 1}, {1e-6, 1}, {0.03, 0.1},
 	} {
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		if !out.Completed {
-			t.Fatalf("truth %v: did not complete\n%s", truth, out.Trace())
+			t.Fatalf("truth %v: did not complete\n%s", truth, telemetry.RenderTrace(events))
 		}
 		if out.TotalCost <= 0 {
 			t.Errorf("truth %v: non-positive cost", truth)
@@ -118,14 +119,14 @@ func TestMSOWithinStructuralBound(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		subOpt := out.TotalCost / s.CostAt(ci)
 		if subOpt > worst {
 			worst = subOpt
 		}
 		if subOpt > bound {
 			t.Fatalf("truth %v: SubOpt %.2f exceeds D²+3D = %g\n%s",
-				truth, subOpt, bound, out.Trace())
+				truth, subOpt, bound, telemetry.RenderTrace(events))
 		}
 	}
 	t.Logf("2D empirical MSO = %.2f (bound %g)", worst, bound)
@@ -142,11 +143,11 @@ func TestMSOWithinStructuralBound3D(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		out, events := run(r, e)
 		subOpt := out.TotalCost / s.CostAt(ci)
 		if subOpt > bound {
 			t.Fatalf("truth %v: SubOpt %.2f exceeds D²+3D = %g\n%s",
-				truth, subOpt, bound, out.Trace())
+				truth, subOpt, bound, telemetry.RenderTrace(events))
 		}
 	}
 }
@@ -162,10 +163,10 @@ func TestCDIExecution(t *testing.T) {
 	for ci := 0; ci < g.Size(); ci += 3 {
 		truth := g.Location(ci)
 		e := engine.New(s.Model, truth)
-		out := r.Run(e)
+		_, events := run(r, e)
 		fresh := map[int]int{}
 		repeats := 0
-		for _, x := range out.Executions {
+		for _, x := range Executions(events) {
 			if x.Dim < 0 {
 				continue
 			}
@@ -178,12 +179,12 @@ func TestCDIExecution(t *testing.T) {
 		for contour, n := range fresh {
 			if n > 3 {
 				t.Fatalf("truth %v: contour %d has %d fresh spills (> D=3)\n%s",
-					truth, contour, n, out.Trace())
+					truth, contour, n, telemetry.RenderTrace(events))
 			}
 		}
 		if repeats > 3 { // D(D-1)/2 = 3 for D=3
 			t.Fatalf("truth %v: %d repeat executions (> D(D-1)/2 = 3)\n%s",
-				truth, repeats, out.Trace())
+				truth, repeats, telemetry.RenderTrace(events))
 		}
 	}
 }
@@ -198,16 +199,16 @@ func TestLemma41ExecutionCounts(t *testing.T) {
 	g := s.Grid
 	for ci := 0; ci < g.Size(); ci++ {
 		truth := g.Location(ci)
-		out := r.Run(engine.New(s.Model, truth))
+		_, events := run(r, engine.New(s.Model, truth))
 		perContour := map[int]int{}
-		for _, x := range out.Executions {
+		for _, x := range Executions(events) {
 			perContour[x.Contour]++
 		}
 		three := 0
 		for contour, n := range perContour {
 			if n > 3 {
 				t.Fatalf("truth %v: contour %d has %d executions (>3)\n%s",
-					truth, contour, n, out.Trace())
+					truth, contour, n, telemetry.RenderTrace(events))
 			}
 			if n == 3 {
 				three++
@@ -215,7 +216,7 @@ func TestLemma41ExecutionCounts(t *testing.T) {
 		}
 		if three > 1 {
 			t.Fatalf("truth %v: %d contours with three executions (Lemma 4.1 allows one)\n%s",
-				truth, three, out.Trace())
+				truth, three, telemetry.RenderTrace(events))
 		}
 	}
 }
@@ -224,9 +225,9 @@ func TestTerminal1DPhaseIsRegularMode(t *testing.T) {
 	s := build2D(t, 10)
 	r := NewRunner(s)
 	e := engine.New(s.Model, cost.Location{0.04, 0.1})
-	out := r.Run(e)
+	_, events := run(r, e)
 	sawSpill, saw1D := false, false
-	for _, x := range out.Executions {
+	for _, x := range Executions(events) {
 		if x.Dim >= 0 {
 			sawSpill = true
 			if saw1D {
@@ -237,10 +238,11 @@ func TestTerminal1DPhaseIsRegularMode(t *testing.T) {
 		}
 	}
 	if !sawSpill || !saw1D {
-		t.Errorf("expected both phases: spill=%v 1D=%v\n%s", sawSpill, saw1D, out.Trace())
+		t.Errorf("expected both phases: spill=%v 1D=%v\n%s", sawSpill, saw1D, telemetry.RenderTrace(events))
 	}
 	// The final execution completes the query in regular mode.
-	last := out.Executions[len(out.Executions)-1]
+	execs := Executions(events)
+	last := execs[len(execs)-1]
 	if last.Dim != -1 || !last.Completed {
 		t.Errorf("last execution should be a completing regular run: %+v", last)
 	}
@@ -250,11 +252,11 @@ func TestContoursNondecreasing(t *testing.T) {
 	s := build3D(t, 6)
 	r := NewRunner(s)
 	e := engine.New(s.Model, cost.Location{1e-3, 1e-3, 1e-2})
-	out := r.Run(e)
+	_, events := run(r, e)
 	prev := 0
-	for _, x := range out.Executions {
+	for _, x := range Executions(events) {
 		if x.Contour < prev {
-			t.Fatalf("contour decreased: %d after %d\n%s", x.Contour, prev, out.Trace())
+			t.Fatalf("contour decreased: %d after %d\n%s", x.Contour, prev, telemetry.RenderTrace(events))
 		}
 		prev = x.Contour
 	}
@@ -264,25 +266,10 @@ func TestDeterminism(t *testing.T) {
 	s := build2D(t, 10)
 	r := NewRunner(s)
 	truth := cost.Location{2e-4, 3e-3}
-	a := r.Run(engine.New(s.Model, truth))
-	b := r.Run(engine.New(s.Model, truth))
-	if a.Trace() != b.Trace() || a.TotalCost != b.TotalCost {
+	a, aEvents := run(r, engine.New(s.Model, truth))
+	b, bEvents := run(r, engine.New(s.Model, truth))
+	if !reflect.DeepEqual(aEvents, bEvents) || a.TotalCost != b.TotalCost {
 		t.Error("SpillBound is not deterministic")
-	}
-}
-
-func TestExecutionString(t *testing.T) {
-	x := Execution{Contour: 1, Dim: 0, PlanID: 6, Budget: 4, Learned: 8e-4}
-	if s := x.String(); !strings.Contains(s, "p6") || !strings.Contains(s, "IC2") {
-		t.Errorf("spill String = %q", s)
-	}
-	x.Repeat = true
-	if s := x.String(); !strings.Contains(s, "repeat") {
-		t.Errorf("repeat String = %q", s)
-	}
-	reg := Execution{Contour: 0, Dim: -1, PlanID: 2, Budget: 10, Completed: true}
-	if s := reg.String(); !strings.Contains(s, "P2") || !strings.Contains(s, "✓") {
-		t.Errorf("regular String = %q", s)
 	}
 }
 

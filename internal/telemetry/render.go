@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// RenderTrace renders the event stream into the legacy human-readable run
-// transcript, byte-compatible with the trace strings the session layer used
-// to assemble by hand: execution lines first in recorded order, then the
-// resilience notes, then the degradation record. Purely diagnostic events
+// RenderTrace renders the event stream into the human-readable run
+// transcript: execution lines first in recorded order, then the resilience
+// notes, then the degradation record. It is the only renderer of a run's
+// executions. Purely diagnostic events
 // (ContourEnter, HalfSpacePrune, BudgetSpend, Done) render nothing — they
 // exist for machine consumption.
 func RenderTrace(events []Event) string {
@@ -42,8 +42,8 @@ func RenderTrace(events []Event) string {
 	return b.String()
 }
 
-// renderExec writes the trace line of one execution event, in the exact
-// notation of bouquet.Step.String and spillbound.Execution.String.
+// renderExec writes the trace line of one execution event, in the paper's
+// notation (lowercase p for spill-mode).
 func renderExec(b *strings.Builder, ev Event) {
 	switch ev.Kind {
 	case PlanExec:

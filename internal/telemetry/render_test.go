@@ -99,3 +99,22 @@ func TestRenderTraceResumeThenDegrade(t *testing.T) {
 		t.Errorf("resume+degrade:\n%q\nwant:\n%q", got, want)
 	}
 }
+
+// TestRenderTraceExecutionLines pins the paper's trace notation of the
+// execution events: lowercase p for a spill-mode execution (with its
+// repeat tag), uppercase P with the completion mark for a regular one.
+func TestRenderTraceExecutionLines(t *testing.T) {
+	events := []Event{
+		{Kind: SpillExec, Contour: 2, Dim: 0, PlanID: 6, Budget: 4, Learned: 8e-4},
+		{Kind: SpillExec, Contour: 2, Dim: 1, PlanID: 6, Budget: 4, Learned: 0.25, Repeat: true},
+		{Kind: PlanExec, Contour: 3, Dim: -1, PlanID: 7, Budget: 2048},
+		{Kind: PlanExec, Contour: 3, Dim: -1, PlanID: 2, Budget: 2048, Completed: true},
+	}
+	want := "IC2: p6|4 spill dim 0 → 0.0008\n" +
+		"IC2: p6|4 spill dim 1 → 0.25 (repeat)\n" +
+		"IC3: P7|2048 ✗\n" +
+		"IC3: P2|2048 ✓\n"
+	if got := RenderTrace(events); got != want {
+		t.Errorf("execution lines:\n%q\nwant:\n%q", got, want)
+	}
+}

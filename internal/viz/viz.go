@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/ess"
-	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 )
 
 // bandChars maps a contour index to its display rune: digits, then
@@ -59,19 +59,19 @@ func PlanDiagram(s *ess.Space, a interface{ PlanIDAt(int) int }) (string, error)
 // Fig7 renders the contour map with a SpillBound run's Manhattan profile
 // overlaid: '*' marks the running location's path from the origin, 'X' the
 // true location q_a.
-func Fig7(s *ess.Space, ratio float64, out spillbound.Outcome, truth cost.Location) (string, error) {
-	path, err := manhattanPath(s, out, truth)
+func Fig7(s *ess.Space, ratio float64, events []telemetry.Event, truth cost.Location) (string, error) {
+	path, err := manhattanPath(s, events, truth)
 	if err != nil {
 		return "", err
 	}
 	return render(s, ratio, path, truth)
 }
 
-// manhattanPath converts a run's executions into the sequence of grid
-// vertices the running location q_run visits: axis-parallel moves from the
-// origin, each spill execution advancing its dimension to the learnt value
-// (paper Sec 4.1.1).
-func manhattanPath(s *ess.Space, out spillbound.Outcome, truth cost.Location) ([][2]int, error) {
+// manhattanPath converts a run's spill executions (its SpillExec events)
+// into the sequence of grid vertices the running location q_run visits:
+// axis-parallel moves from the origin, each spill advancing its dimension
+// to the learnt value (paper Sec 4.1.1).
+func manhattanPath(s *ess.Space, events []telemetry.Event, truth cost.Location) ([][2]int, error) {
 	g := s.Grid
 	if g.D != 2 {
 		return nil, fmt.Errorf("viz: Manhattan profile needs a 2D space, have %dD", g.D)
@@ -83,13 +83,13 @@ func manhattanPath(s *ess.Space, out spillbound.Outcome, truth cost.Location) ([
 			path = append(path, p)
 		}
 	}
-	for _, x := range out.Executions {
-		if x.Dim < 0 || x.Learned <= 0 {
+	for _, ev := range events {
+		if ev.Kind != telemetry.SpillExec || ev.Learned <= 0 {
 			continue
 		}
-		idx := g.CeilIndex(x.Dim, x.Learned)
-		if idx > cur[x.Dim] {
-			cur[x.Dim] = idx
+		idx := g.CeilIndex(ev.Dim, ev.Learned)
+		if idx > cur[ev.Dim] {
+			cur[ev.Dim] = idx
 			push(cur)
 		}
 	}

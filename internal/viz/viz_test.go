@@ -10,6 +10,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/spillbound"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -101,8 +102,11 @@ func TestContourMapBandsMonotone(t *testing.T) {
 func TestFig7Overlay(t *testing.T) {
 	s := build2D(t, 16)
 	truth := cost.Location{0.04, 0.1}
-	run := spillbound.NewRunner(s).Run(engine.New(s.Model, truth))
-	out, err := Fig7(s, 2, run, truth)
+	rec := telemetry.NewRecorder()
+	if _, err := spillbound.NewRunner(s).RunContext(telemetry.With(context.Background(), rec), engine.New(s.Model, truth)); err != nil {
+		t.Fatal(err)
+	}
+	out, err := Fig7(s, 2, rec.Events(), truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,7 @@ func TestRenderRejectsNon2D(t *testing.T) {
 	if _, err := ContourMap(s, 2); err == nil {
 		t.Error("3D map should be rejected")
 	}
-	if _, err := Fig7(s, 2, spillbound.Outcome{}, cost.Location{1, 1, 1}); err == nil {
+	if _, err := Fig7(s, 2, nil, cost.Location{1, 1, 1}); err == nil {
 		t.Error("3D Fig7 should be rejected")
 	}
 }
