@@ -2,7 +2,9 @@ package bouquet
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -192,6 +194,39 @@ func TestRunCompletes(t *testing.T) {
 			if st.Completed {
 				t.Errorf("truth %v: non-final step completed: %+v", truth, st)
 			}
+		}
+	}
+}
+
+// TestStepString pins the trace notation of a bouquet step: its plan_exec
+// event renders as "IC<contour>: P<plan>|<budget> ✗/✓", one line per step,
+// with only the completing step marked ✓.
+func TestStepString(t *testing.T) {
+	st := telemetry.Event{Kind: telemetry.PlanExec, Contour: 3, Dim: -1, PlanID: 7, Budget: 2048}
+	if got := telemetry.RenderTrace([]telemetry.Event{st}); got != "IC3: P7|2048 ✗\n" {
+		t.Errorf("String = %q", got)
+	}
+	st.Completed = true
+	if got := telemetry.RenderTrace([]telemetry.Event{st}); got != "IC3: P7|2048 ✓\n" {
+		t.Errorf("String = %q", got)
+	}
+
+	s := buildSpace(t, 10)
+	d := Reduce(s, 0.2)
+	truth := cost.Location{1e-3, 1e-4}
+	_, steps := runRecorded(d, engine.New(s.Model, truth), ess.CostDoublingRatio)
+	lines := strings.Split(strings.TrimSuffix(telemetry.RenderTrace(steps), "\n"), "\n")
+	if len(lines) != len(steps) {
+		t.Fatalf("%d lines for %d steps:\n%s", len(lines), len(steps), strings.Join(lines, "\n"))
+	}
+	for i, st := range steps {
+		prefix := fmt.Sprintf("IC%d: P%d|", st.Contour, st.PlanID)
+		mark := "✗"
+		if i == len(steps)-1 {
+			mark = "✓"
+		}
+		if !strings.HasPrefix(lines[i], prefix) || !strings.HasSuffix(lines[i], " "+mark) {
+			t.Errorf("step %d: line %q, want prefix %q and mark %s", i, lines[i], prefix, mark)
 		}
 	}
 }

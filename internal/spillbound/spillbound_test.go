@@ -2,7 +2,9 @@ package spillbound
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -104,6 +106,56 @@ func TestRunCompletes(t *testing.T) {
 		if out.TotalCost <= 0 {
 			t.Errorf("truth %v: non-positive cost", truth)
 		}
+	}
+}
+
+// TestExecutionString pins the trace notation of SpillBound's executions:
+// spill-mode lines name the plan in lowercase with the spilled dimension, a
+// repeat is tagged, and a regular execution is "IC<contour>: P<plan>|<budget> ✓".
+func TestExecutionString(t *testing.T) {
+	render := func(ev telemetry.Event) string { return telemetry.RenderTrace([]telemetry.Event{ev}) }
+	x := telemetry.Event{Kind: telemetry.SpillExec, Contour: 2, Dim: 0, PlanID: 6, Budget: 4, Learned: 8e-4}
+	if s := render(x); !strings.Contains(s, "p6") || !strings.Contains(s, "IC2") {
+		t.Errorf("spill String = %q", s)
+	}
+	x.Repeat = true
+	if s := render(x); !strings.Contains(s, "repeat") {
+		t.Errorf("repeat String = %q", s)
+	}
+	reg := telemetry.Event{Kind: telemetry.PlanExec, Contour: 1, Dim: -1, PlanID: 2, Budget: 10, Completed: true}
+	if s := render(reg); !strings.Contains(s, "P2") || !strings.Contains(s, "✓") {
+		t.Errorf("regular String = %q", s)
+	}
+
+	// The events a run records render the same way.
+	s := build2D(t, 10)
+	_, events := run(NewRunner(s), engine.New(s.Model, cost.Location{0.03, 0.1}))
+	sawSpill := false
+	for _, ev := range events {
+		line := render(ev)
+		switch ev.Kind {
+		case telemetry.SpillExec:
+			sawSpill = true
+			if !strings.HasPrefix(line, fmt.Sprintf("IC%d: p%d|", ev.Contour, ev.PlanID)) ||
+				!strings.Contains(line, fmt.Sprintf("spill dim %d", ev.Dim)) {
+				t.Errorf("spill line %q for %+v", line, ev)
+			}
+		case telemetry.PlanExec:
+			mark := "✗"
+			if ev.Completed {
+				mark = "✓"
+			}
+			if !strings.HasPrefix(line, fmt.Sprintf("IC%d: P%d|", ev.Contour, ev.PlanID)) ||
+				!strings.HasSuffix(line, " "+mark+"\n") {
+				t.Errorf("regular line %q for %+v", line, ev)
+			}
+		}
+	}
+	if last := events[len(events)-1]; last.Kind != telemetry.PlanExec || !last.Completed {
+		t.Errorf("run did not end on a completing regular execution: %+v", last)
+	}
+	if !sawSpill {
+		t.Errorf("run recorded no spill execution:\n%s", telemetry.RenderTrace(events))
 	}
 }
 
