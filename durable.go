@@ -117,19 +117,22 @@ func (s *Session) ResumeRun(ctx context.Context, runID string) (RunResult, error
 	// ownership epoch — after a failover advanced it, the previous owner's
 	// still-running incarnation is fenced out of the store (see epoch.go).
 	rs.Epoch = s.store.Epoch()
+	rs.Resumed = true
 	resume := rs.Discovery.Clone()
 	return s.runDurable(ctx, Algorithm(rs.Algorithm), Location(rs.Truth), runstate.NewTracker(s.store, *rs), &resume)
 }
 
-// runDurable drives a tracked run and seals the terminal snapshot on any
-// completed outcome (success or degraded completion); crashed and aborted
-// runs keep their last checkpoint so they stay resumable.
+// runDurable drives a tracked run and seals the terminal snapshot, with the
+// run's result, on any completed outcome (success or degraded completion);
+// crashed and aborted runs keep their last checkpoint so they stay
+// resumable.
 func (s *Session) runDurable(ctx context.Context, a Algorithm, truth Location, tr *runstate.Tracker, resume *runstate.Discovery) (RunResult, error) {
 	res, err := s.runFull(ctx, a, truth, nil, tr, resume)
 	if err != nil {
 		return res, err
 	}
-	if ferr := tr.Finish(res.Events); ferr != nil {
+	sum := runstate.Summary{TotalCost: res.TotalCost, OptimalCost: res.OptimalCost, SubOpt: res.SubOpt, Degraded: res.Degraded}
+	if ferr := tr.Finish(res.Events, sum); ferr != nil {
 		return res, fmt.Errorf("repro: run %s finished but its terminal snapshot failed: %w", res.RunID, ferr)
 	}
 	return res, nil
@@ -148,31 +151,18 @@ func (s *Session) DurableRuns() ([]string, error) {
 	return ids, nil
 }
 
-// InterruptedRuns lists the durable runs whose last snapshot is not terminal
-// — the runs a recovering process should ResumeRun (sorted by run ID).
-func (s *Session) InterruptedRuns() ([]string, error) {
+// DurableRunState loads a durable run's last snapshot: its checkpointed
+// discovery state (restart contour, budget ledger across incarnations),
+// whether it was resumed, and, once Completed, the run's result.
+func (s *Session) DurableRunState(runID string) (*runstate.RunState, error) {
 	if err := s.requireStore(); err != nil {
 		return nil, err
 	}
-	ids, err := s.store.Interrupted()
+	rs, err := s.store.LoadRun(runID)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return ids, nil
-}
-
-// DurableRunState reports a durable run's checkpointed progress: the restart
-// contour, the budget ledger accumulated across incarnations, and whether
-// the run reached a terminal snapshot.
-func (s *Session) DurableRunState(runID string) (contour int, spent float64, completed bool, err error) {
-	if err := s.requireStore(); err != nil {
-		return 0, 0, false, err
-	}
-	rs, err := s.store.LoadRun(runID)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("repro: %w", err)
-	}
-	return rs.Discovery.Contour, rs.Discovery.Spent, rs.Completed, nil
+	return rs, nil
 }
 
 // DeleteRun removes a durable run's snapshot (missing snapshots are not an

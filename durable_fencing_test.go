@@ -77,8 +77,8 @@ func TestDurableEpochFencing(t *testing.T) {
 	}
 
 	// The last pre-fence checkpoint is intact and resumable.
-	if _, _, completed, err := sess.DurableRunState("fence-victim"); err != nil || completed {
-		t.Fatalf("fenced run snapshot: completed=%v err=%v; want a resumable checkpoint", completed, err)
+	if rs, err := sess.DurableRunState("fence-victim"); err != nil || rs.Completed {
+		t.Fatalf("fenced run snapshot: %+v err=%v; want a resumable checkpoint", rs, err)
 	}
 
 	// The zombie's direct checkpoint write is rejected with the sentinel.
@@ -118,7 +118,7 @@ func TestDurableEpochFencing(t *testing.T) {
 	if relDiff(resumed.TotalCost, base.TotalCost) > 1e-9 {
 		t.Errorf("resumed total %g != baseline %g", resumed.TotalCost, base.TotalCost)
 	}
-	if _, _, completed, err := owner.DurableRunState("fence-victim"); err != nil || !completed {
+	if rs, err := owner.DurableRunState("fence-victim"); err != nil || !rs.Completed {
 		t.Errorf("resumed run's snapshot not terminal (err=%v)", err)
 	}
 }

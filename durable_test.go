@@ -58,8 +58,8 @@ func TestCrashResumeChaos(t *testing.T) {
 	if K < 3 {
 		t.Fatalf("baseline hit only %d checkpoints; the chaos sweep needs a multi-contour run", K)
 	}
-	if c, _, completed, err := sess.DurableRunState("base"); err != nil || !completed {
-		t.Fatalf("baseline snapshot not terminal: contour=%d completed=%v err=%v", c, completed, err)
+	if rs, err := sess.DurableRunState("base"); err != nil || !rs.Completed || rs.TotalCost != base.TotalCost {
+		t.Fatalf("baseline snapshot not terminal with its result: %+v err=%v", rs, err)
 	}
 
 	// An execution's charge never exceeds its budget, and one SpillBound
@@ -83,20 +83,14 @@ func TestCrashResumeChaos(t *testing.T) {
 
 		// The crash fired before checkpoint k persisted: the durable state is
 		// the previous boundary's snapshot, still resumable.
-		_, spentCk, completed, err := sess.DurableRunState(rid)
+		ck, err := sess.DurableRunState(rid)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if completed {
-			t.Fatalf("k=%d: crashed run marked completed", k)
+		if ck.Completed || ck.Resumed || ck.TotalCost != 0 {
+			t.Fatalf("k=%d: crashed run's snapshot %+v, want an interrupted first incarnation without a result", k, ck)
 		}
-		interrupted, err := sess.InterruptedRuns()
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if !containsString(interrupted, rid) {
-			t.Fatalf("k=%d: %s missing from interrupted runs %v", k, rid, interrupted)
-		}
+		spentCk := ck.Discovery.Spent
 
 		resumed, err := sess.ResumeRun(ctx, rid)
 		if err != nil {
@@ -142,18 +136,22 @@ func TestCrashResumeChaos(t *testing.T) {
 				k, total, base.TotalCost, redoBound)
 		}
 
-		if _, _, completed, err := sess.DurableRunState(rid); err != nil || !completed {
-			t.Errorf("k=%d: resumed run's snapshot not terminal (err=%v)", k, err)
+		rs, err := sess.DurableRunState(rid)
+		if err != nil || !rs.Completed || !rs.Resumed || rs.TotalCost != resumed.TotalCost || rs.SubOpt != resumed.SubOpt {
+			t.Errorf("k=%d: resumed run's snapshot %+v (err=%v), want terminal and resumed with total %g, subOpt %g",
+				k, rs, err, resumed.TotalCost, resumed.SubOpt)
 		}
 	}
 
 	// Every crashed run was driven to completion: nothing is left interrupted.
-	interrupted, err := sess.InterruptedRuns()
+	ids, err := sess.DurableRuns()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(interrupted) != 0 {
-		t.Errorf("interrupted runs remain after the sweep: %v", interrupted)
+	for _, id := range ids {
+		if rs, err := sess.DurableRunState(id); err != nil || !rs.Completed {
+			t.Errorf("run %s left interrupted after the sweep (err=%v)", id, err)
+		}
 	}
 }
 
@@ -332,7 +330,7 @@ func TestDurableAPIGuards(t *testing.T) {
 	if err := sess.DeleteRun("done"); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := sess.DurableRunState("done"); err == nil {
+	if _, err := sess.DurableRunState("done"); err == nil {
 		t.Error("deleted run still loads")
 	}
 }

@@ -23,6 +23,16 @@ func FuzzDecodeRunState(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	terminal, err := json.Marshal(RunState{
+		SchemaVersion: Version, RunID: "r3", Algorithm: "planbouquet",
+		Truth: []float64{0.04, 0.1}, TraceID: "4bf92f3577b34da6a3ce929d0e0e4736",
+		Completed: true, Resumed: true,
+		Summary:   Summary{TotalCost: 30.5, OptimalCost: 7.25, SubOpt: 4.2068965517241379, Degraded: true},
+		Discovery: Discovery{Contour: 5, Spent: 30.5, Executions: 9, Events: 40, Learned: map[int]float64{0: 0.04}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add([]byte(`{"version":99,"runId":"r2"}`))
 	f.Add([]byte(`{"version":1}`))
@@ -31,6 +41,7 @@ func FuzzDecodeRunState(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`[]`))
+	f.Add(terminal)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := Decode(data)

@@ -103,10 +103,24 @@ type RunState struct {
 	// unless the session has actually failed over.
 	Epoch int64 `json:"epoch,omitempty"`
 	// Completed marks a terminal snapshot: the run finished and is not
-	// resumable (kept for inspection; InterruptedRuns skips it).
+	// resumable. A terminal snapshot is the run's complete record.
 	Completed bool `json:"completed,omitempty"`
+	// Resumed marks a state written by a resumed incarnation (one that
+	// started from a crash checkpoint rather than from scratch).
+	Resumed bool `json:"resumed,omitempty"`
+	// Summary is the completed run's result; zero until Finish (and in
+	// terminal snapshots written before the summary was recorded).
+	Summary
 	// Discovery is the checkpointed discovery state.
 	Discovery Discovery `json:"discovery"`
+}
+
+// Summary is a completed run's result as its terminal snapshot records it.
+type Summary struct {
+	TotalCost   float64 `json:"totalCost,omitempty"`
+	OptimalCost float64 `json:"optimalCost,omitempty"`
+	SubOpt      float64 `json:"subOpt,omitempty"`
+	Degraded    bool    `json:"degraded,omitempty"`
 }
 
 // Tracker folds the event stream of one in-flight durable run into its
@@ -185,15 +199,16 @@ func (t *Tracker) checkpoint(contour int, rec *telemetry.Recorder) (RunState, er
 }
 
 // Finish folds the rest of the run's final event stream and persists the
-// terminal snapshot, marking the run complete (and thus not resumable).
-// Nil-safe.
-func (t *Tracker) Finish(events []telemetry.Event) error {
+// terminal snapshot with the run's result, marking the run complete (and
+// thus not resumable). Nil-safe.
+func (t *Tracker) Finish(events []telemetry.Event, sum Summary) error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	t.absorb(events[t.folded:])
 	t.rs.Completed = true
+	t.rs.Summary = sum
 	snap := t.rs
 	snap.Discovery = t.rs.Discovery.clone()
 	t.mu.Unlock()

@@ -72,7 +72,10 @@ func TestStoreRejectsVersionSkew(t *testing.T) {
 	}
 }
 
-func TestInterruptedSkipsCompletedAndCorrupt(t *testing.T) {
+// TestRunsListsEverySnapshot: the run listing names every snapshot file,
+// terminal, live and unreadable alike; telling them apart is the loader's
+// job (recovery skips a snapshot that fails to load).
+func TestRunsListsEverySnapshot(t *testing.T) {
 	st := newStore(t)
 	if err := st.SaveRun(&RunState{RunID: "live"}); err != nil {
 		t.Fatal(err)
@@ -83,19 +86,34 @@ func TestInterruptedSkipsCompletedAndCorrupt(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(st.Dir(), "runs", "torn.json"), []byte("{junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := st.Interrupted()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ids, []string{"live"}) {
-		t.Errorf("interrupted = %v, want [live]", ids)
-	}
 	all, err := st.Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(all, []string{"done", "live", "torn"}) {
 		t.Errorf("runs = %v", all)
+	}
+	if _, err := st.LoadRun("torn"); err == nil {
+		t.Error("a torn snapshot loaded")
+	}
+}
+
+// TestLoadTerminalSnapshotWithoutSummary: a terminal snapshot written before
+// the result summary was recorded still loads, as completed with a zero
+// summary.
+func TestLoadTerminalSnapshotWithoutSummary(t *testing.T) {
+	st := newStore(t)
+	old := `{"version":1,"runId":"old","algorithm":"spillbound","truth":[0.04,0.1],"seed":1,` +
+		`"completed":true,"discovery":{"contour":3,"spent":12.5,"executions":4,"events":20}}`
+	if err := WriteFileAtomic(filepath.Join(st.Dir(), "runs", "old.json"), []byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := st.LoadRun("old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.Completed || rs.Resumed || rs.Summary != (Summary{}) || rs.Discovery.Spent != 12.5 {
+		t.Errorf("old terminal snapshot loaded as %+v", rs)
 	}
 }
 
@@ -183,15 +201,16 @@ func TestTrackerMonotoneState(t *testing.T) {
 	// events the checkpoint already absorbed are not charged again.
 	rec.Record(telemetry.Event{Kind: telemetry.PlanExec, Dim: -1, Spent: 1, Completed: true})
 	rec.Record(telemetry.Event{Kind: telemetry.HalfSpacePrune, Dim: 0, Learned: 0.07})
-	if err := tr.Finish(rec.Events()); err != nil {
+	sum := Summary{TotalCost: 16, OptimalCost: 4, SubOpt: 4, Degraded: true}
+	if err := tr.Finish(rec.Events(), sum); err != nil {
 		t.Fatal(err)
 	}
 	got, err = st.LoadRun("r1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Completed {
-		t.Error("Finish should mark the snapshot terminal")
+	if !got.Completed || got.Summary != sum {
+		t.Errorf("terminal snapshot completed=%v summary=%+v, want completed with %+v", got.Completed, got.Summary, sum)
 	}
 	if d := got.Discovery; d.Spent != 16 || d.Executions != 4 || d.Learned[0] != 0.07 || len(d.Bounds) != 0 {
 		t.Errorf("terminal ledger = %+v, want spent 16 over 4 executions, dim 0 learnt", d)

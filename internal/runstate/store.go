@@ -144,26 +144,6 @@ func (st *Store) Runs() ([]string, error) {
 	return out, nil
 }
 
-// Interrupted lists the runs whose last snapshot is not terminal — the runs
-// a recovering process should resume (or fail over). Snapshots that fail to
-// load (torn by a crash predating atomic writes, or version-skewed) are
-// skipped rather than wedging recovery.
-func (st *Store) Interrupted() ([]string, error) {
-	ids, err := st.Runs()
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, id := range ids {
-		rs, err := st.LoadRun(id)
-		if err != nil || rs.Completed {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 // WriteFileAtomic writes data to path via a temp file in the same directory
 // followed by a rename, so concurrent readers and post-crash recovery never
 // observe a partially written file.

@@ -20,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -178,7 +176,7 @@ func (s *Server) recoverSession(meta sessionMeta, adopt *AdoptOptions) error {
 		id: meta.ID, query: sp.Name, d: sp.D, dataDir: dir,
 		status: statusBuilding, lastUsed: time.Now(), cancel: cancel,
 		bulkhead: guard.NewBulkhead(s.cfg.SessionMaxRuns),
-		runs:     map[string]*runRecord{},
+		failed:   map[string]string{},
 	}
 	s.mu.Lock()
 	if _, exists := s.sessions[e.id]; exists {
@@ -241,51 +239,49 @@ func (s *Server) recoverSession(meta sessionMeta, adopt *AdoptOptions) error {
 
 // resumeInterrupted drives every interrupted durable run of a recovered
 // session to completion from its last checkpoint. A run whose resume fails
-// (corrupt snapshot, dimensionality skew, cancellation at shutdown) is
-// failed over: the error lands on its run resource instead of wedging
-// recovery, and its checkpoint stays on disk for inspection.
+// (dimensionality skew, cancellation at shutdown) is failed over: the error
+// lands on its run resource instead of wedging recovery, and its checkpoint
+// stays on disk for inspection. A snapshot that does not load (torn by a
+// crash predating atomic writes, or version-skewed) is skipped.
 func (s *Server) resumeInterrupted(ctx context.Context, e *session, sess *repro.Session, adopt *AdoptOptions) {
-	// Advance the run-ID allocator past EVERY durable run on disk, not just
-	// the interrupted ones: with a shared fleet data directory, another
-	// node's incarnation of this session may have completed runs this
-	// process never saw, and reissuing their IDs would clobber terminal
-	// snapshots.
-	if all, err := sess.DurableRuns(); err == nil {
-		for _, rid := range all {
-			s.noteRunSeq(e, rid)
-		}
-	}
-	ids, err := sess.InterruptedRuns()
+	all, err := sess.DurableRuns()
 	if err != nil {
 		return
 	}
-	for _, rid := range ids {
+	var interrupted []string
+	for _, rid := range all {
+		// Advance the run-ID allocator past EVERY durable run on disk, not
+		// just the interrupted ones: with a shared fleet data directory,
+		// another node's incarnation of this session may have completed runs
+		// this process never saw, and reissuing their IDs would clobber
+		// terminal snapshots.
+		s.noteRunSeq(e, rid)
+		if rs, err := sess.DurableRunState(rid); err == nil && !rs.Completed {
+			interrupted = append(interrupted, rid)
+		}
+	}
+	for _, rid := range interrupted {
 		res, err := sess.ResumeRun(ctx, rid)
 		if adopt != nil && adopt.OnFailover != nil {
 			adopt.OnFailover(rid, err)
 		}
-		s.mu.Lock()
 		if err != nil {
-			e.runs[rid] = &runRecord{status: runFailed, resumed: true, err: err.Error()}
+			s.mu.Lock()
+			e.failed[rid] = err.Error()
 			s.mu.Unlock()
 			continue
 		}
-		s.mu.Unlock()
 		if adopt != nil {
 			// Stamp the failover into the resumed stream (a zero-width
 			// marker at the resume ledger) so the adoption is visible in
 			// the run's events, span tree, and flamegraph.
 			res.Events = injectFailover(res.Events, adopt.Node, rid)
 		}
-		algo := res.Algorithm
 		s.metrics.resumes.Inc()
-		s.metrics.observeRun(algo.String(), res.Degraded, res.Retries, res.SubOpt, res.TraceID)
 		// The resumed incarnation reuses the original trace ID (persisted in
 		// the run snapshot), so the recovered tree replaces any partial one:
 		// one trace spanning daemon restarts.
-		s.recordTrace(res.TraceID, trace.KindRun, res.Events)
-		resp := s.buildRunResponse(sess, algo, res)
-		s.recordRun(e, res, resp)
+		s.accountRun(res.Algorithm, res)
 	}
 }
 
@@ -337,10 +333,10 @@ func (s *Server) retryAfterSeconds() int {
 	return 1
 }
 
-// runInfo is one durable run resource: the on-disk checkpoint state merged
-// with what the serving process remembers about the run.
+// runInfo is one durable run resource, read from the run's last snapshot.
 type runInfo struct {
-	RunID string `json:"runId"`
+	RunID     string `json:"runId"`
+	Algorithm string `json:"algorithm"`
 	// Status is completed, interrupted, or failed (resume fail-over).
 	Status string `json:"status"`
 	// Resumed reports the run was rehydrated from a crash checkpoint.
@@ -350,14 +346,23 @@ type runInfo struct {
 	Contour int `json:"contour"`
 	// Spent is the checkpointed budget ledger across incarnations.
 	Spent float64 `json:"spent"`
-	// SubOpt is the final sub-optimality (completed runs only).
-	SubOpt float64 `json:"subOpt,omitempty"`
+	// TotalCost, OptimalCost, SubOpt and Degraded are the result of a
+	// completed run (absent from snapshots that predate them).
+	TotalCost   float64 `json:"totalCost,omitempty"`
+	OptimalCost float64 `json:"optimalCost,omitempty"`
+	SubOpt      float64 `json:"subOpt,omitempty"`
+	Degraded    bool    `json:"degraded,omitempty"`
+	TraceID     string  `json:"traceId,omitempty"`
 	// Error is the terminal fail-over error, if any.
 	Error string `json:"error,omitempty"`
+	// Events is the run's event stream while the trace store holds it
+	// under TraceID (GET of one run only).
+	Events []telemetry.Event `json:"events,omitempty"`
 }
 
 // handleListRuns serves GET /v1/sessions/{id}/runs: every durable run of the
-// session, recovered or started by this process, sorted by run ID.
+// session with a readable snapshot, recovered or started by this process,
+// sorted by run ID, without events.
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(w, r)
 	if !ok {
@@ -379,17 +384,16 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]runInfo, 0, len(ids))
 	for _, rid := range ids {
-		if info, _, ok := s.runInfoFor(e, sess, rid); ok {
+		if info, ok := s.runInfoFor(e, sess, rid); ok {
 			out = append(out, info)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].RunID < out[j].RunID })
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleGetRun serves GET /v1/sessions/{id}/runs/{rid}: the full run result
-// when this process holds one (completed durable run), otherwise the
-// checkpoint-level run info.
+// handleGetRun serves GET /v1/sessions/{id}/runs/{rid}: the run's snapshot
+// state and result summary, with its events while the trace store holds
+// them.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(w, r)
 	if !ok {
@@ -400,46 +404,38 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rid := r.PathValue("rid")
-	info, resp, ok := s.runInfoFor(e, sess, rid)
-	if resp != nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
+	info, ok := s.runInfoFor(e, sess, rid)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no run %q in session %s", rid, e.id))
 		return
 	}
+	info.Events = s.traces.runEvents(info.TraceID, rid)
 	writeJSON(w, http.StatusOK, info)
 }
 
-// runInfoFor merges a run's durable snapshot with the in-memory record and
-// returns the record's completed result, if any. The record is read once,
-// after the snapshot: a resume that finishes in between is seen with its
-// result, never as a resumed run without one.
-func (s *Server) runInfoFor(e *session, sess *repro.Session, rid string) (info runInfo, resp *runResponse, ok bool) {
-	contour, spent, completed, err := sess.DurableRunState(rid)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := e.runs[rid]
-	if rec != nil {
-		resp = rec.resp
-	}
+// runInfoFor reads a run resource from one load of the run's snapshot; a
+// failed resume, which leaves no terminal snapshot, is marked from the
+// session's failed table.
+func (s *Server) runInfoFor(e *session, sess *repro.Session, rid string) (runInfo, bool) {
+	rs, err := sess.DurableRunState(rid)
 	if err != nil {
-		return runInfo{}, resp, false
+		return runInfo{}, false
 	}
-	info = runInfo{RunID: rid, Contour: contour + 1, Spent: spent, Status: runInterrupted}
-	if completed {
+	info := runInfo{
+		RunID: rid, Algorithm: rs.Algorithm, Status: runInterrupted, Resumed: rs.Resumed,
+		Contour: rs.Discovery.Contour + 1, Spent: rs.Discovery.Spent,
+		TotalCost: rs.TotalCost, OptimalCost: rs.OptimalCost, SubOpt: rs.SubOpt,
+		Degraded: rs.Degraded, TraceID: rs.TraceID,
+	}
+	if rs.Completed {
 		info.Status = runCompleted
+		return info, true
 	}
-	if rec != nil {
-		info.Resumed = rec.resumed
-		info.Error = rec.err
-		if rec.status != "" {
-			info.Status = rec.status
-		}
-		if resp != nil {
-			info.SubOpt = resp.SubOpt
-		}
+	s.mu.Lock()
+	msg, failed := e.failed[rid]
+	s.mu.Unlock()
+	if failed {
+		info.Status, info.Resumed, info.Error = runFailed, true, msg
 	}
-	return info, resp, true
+	return info, true
 }

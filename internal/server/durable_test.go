@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -17,8 +19,9 @@ import (
 )
 
 // awaitRunResumed polls the durable run resource until it reports a
-// completed, resumed run (deadline-bounded; recovery runs in the background
-// after the session build).
+// completed, resumed run with its events (deadline-bounded; recovery runs in
+// the background after the session build, and the events appear once the
+// server has recorded the resumed run's trace).
 func awaitRunResumed(t *testing.T, baseURL, sid, rid string) map[string]any {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -28,7 +31,7 @@ func awaitRunResumed(t *testing.T, baseURL, sid, rid string) map[string]any {
 		resp := getJSON(t, baseURL+"/v1/sessions/"+sid+"/runs/"+rid, &body)
 		if resp.StatusCode == http.StatusOK {
 			last = body
-			if body["resumed"] == true && body["status"] != "failed" && body["status"] != "interrupted" {
+			if body["resumed"] == true && body["status"] == "completed" && body["events"] != nil {
 				return body
 			}
 		}
@@ -38,59 +41,190 @@ func awaitRunResumed(t *testing.T, baseURL, sid, rid string) map[string]any {
 	return nil
 }
 
-// TestGetRunRacingRecord checks that a run resource read while the run's
-// result is being recorded is consistent: the checkpoint info of a run not
-// yet recorded, or the full result, never a resumed run without its result.
-// The record flips between absent and a resumed run's while GETs read it,
-// the way a recovering server records a resume that completes mid-read.
-func TestGetRunRacingRecord(t *testing.T) {
-	srv, ts := overloadServer(t, Config{DataDir: t.TempDir()})
+// readRun issues one GET and decodes its JSON body, closing it at once.
+func readRun(t *testing.T, url string) (int, map[string]any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// crashRun opens a server-created durable session with the library (the
+// way a second process would, rehydrating the persisted ESS) and leaves a
+// run crashed at its second checkpoint, its last snapshot interrupted.
+func crashRun(t *testing.T, dir, sid string, a repro.Algorithm, rid string) {
+	t.Helper()
+	opts := repro.BenchmarkOptions()
+	opts.GridRes = 6
+	opts.DataDir = filepath.Join(dir, sid)
+	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sess.RunDurableWithFaults(context.Background(), a,
+		repro.Location{0.04, 0.1}, rid, &repro.FaultPlan{CrashAtCheckpoint: 2})
+	if !repro.ErrRunCrashed(err) {
+		t.Fatalf("want crash, got %v", err)
+	}
+}
+
+// newDurableSession starts a durable server on dir, builds one 2D_EQ
+// session on it, and stops the server, leaving the session on disk.
+func newDurableSession(t *testing.T, dir string) string {
+	t.Helper()
+	srv, ts := overloadServer(t, Config{DataDir: dir})
 	resp, created := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("create status %d: %v", resp.StatusCode, created)
 	}
 	sid := created["id"].(string)
 	awaitReady(t, ts.URL, sid)
-	resp, run := postJSON(t, ts.URL+"/v1/sessions/"+sid+"/run",
-		map[string]any{"strategy": "spillbound", "truth": []float64{0.04, 0.1}, "durable": true})
-	if resp.StatusCode != http.StatusOK || run["runId"] != "r1" {
-		t.Fatalf("durable run status %d: %v", resp.StatusCode, run)
+	ts.Close()
+	srv.Close()
+	return sid
+}
+
+// TestDurableRunReadDuringResume races run-resource reads against a
+// recovering server's resume of a crashed run. Every read comes from one
+// snapshot load, so it shows the run interrupted or completed with its
+// result, never completed without its totalCost and traceId.
+func TestDurableRunReadDuringResume(t *testing.T) {
+	dir := t.TempDir()
+	sid := newDurableSession(t, dir)
+	crashRun(t, dir, sid, repro.SpillBound, "r1")
+
+	srv, ts := overloadServer(t, Config{DataDir: dir})
+	if err := srv.Recover(context.Background()); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	url := ts.URL + "/v1/sessions/" + sid + "/runs/r1"
+	seen := map[any]int{}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatalf("r1 never completed with its events; reads by status %v", seen)
+		}
+		status, body := readRun(t, url)
+		if status == http.StatusConflict {
+			continue // the session is still rebuilding
+		}
+		if status != http.StatusOK {
+			t.Fatalf("get r1 status %d: %v", status, body)
+		}
+		seen[body["status"]]++
+		switch body["status"] {
+		case "interrupted":
+		case "completed":
+			if body["totalCost"] == nil || body["traceId"] == nil || body["subOpt"] == nil || body["resumed"] != true {
+				t.Fatalf("completed run served without its result: %v", body)
+			}
+		default:
+			t.Fatalf("run resource: %v", body)
+		}
+		if body["events"] != nil {
+			t.Logf("reads by status %v", seen)
+			return
+		}
+	}
+}
+
+// TestRunEventsAreTheRunsOwn: two durable runs under one traceparent share
+// a trace-store slot, which the later run's stream takes. The later run's
+// resource serves its own events, and the earlier one's serves none rather
+// than its neighbour's.
+func TestRunEventsAreTheRunsOwn(t *testing.T) {
+	_, ts := overloadServer(t, Config{DataDir: t.TempDir()})
+	sid := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
+	var runs []map[string]any
+	for _, truth := range [][]float64{{0.04, 0.1}, {0.9, 0.9}} {
+		resp, run := postTraced(t, ts.URL+"/v1/sessions/"+sid+"/run", testTraceparent,
+			map[string]any{"strategy": "spillbound", "truth": truth, "durable": true})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("durable run status %d: %v", resp.StatusCode, run)
+		}
+		runs = append(runs, run)
+	}
+	_, first := readRun(t, ts.URL+"/v1/sessions/"+sid+"/runs/"+runs[0]["runId"].(string))
+	if first["events"] != nil || first["totalCost"] != runs[0]["totalCost"] {
+		t.Errorf("earlier run's resource: events %v, totalCost %v (its reply: %v)",
+			first["events"] != nil, first["totalCost"], runs[0]["totalCost"])
+	}
+	_, second := readRun(t, ts.URL+"/v1/sessions/"+sid+"/runs/"+runs[1]["runId"].(string))
+	got, _ := json.Marshal(second["events"])
+	want, _ := json.Marshal(runs[1]["events"])
+	if string(got) != string(want) {
+		t.Errorf("later run's resource serves events %s, its reply carried %s", got, want)
+	}
+}
+
+// TestRecoveryReadsOldAndTornSnapshots: recovery skips a snapshot that does
+// not load instead of failing its resume over, fails over a run whose resume
+// fails, and serves a terminal snapshot written before the result summary
+// was recorded as completed without one.
+func TestRecoveryReadsOldAndTornSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	sid := newDurableSession(t, dir)
+	runs := filepath.Join(dir, sid, "runs")
+	old := `{"version":1,"runId":"old","algorithm":"spillbound","truth":[0.04,0.1],"seed":1,` +
+		`"completed":true,"discovery":{"contour":3,"spent":12.5,"executions":4,"events":20}}`
+	if err := os.WriteFile(filepath.Join(runs, "old.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(runs, "torn.json"), []byte("{junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// An interrupted run of a 3-dimensional query cannot resume on 2D_EQ.
+	skew := `{"version":1,"runId":"skew","algorithm":"spillbound","truth":[0.1,0.2,0.3],"discovery":{"contour":1,"spent":2,"executions":1,"events":3}}`
+	if err := os.WriteFile(filepath.Join(runs, "skew.json"), []byte(skew), 0o644); err != nil {
+		t.Fatal(err)
 	}
 
-	srv.mu.Lock()
-	e := srv.sessions[sid]
-	rec := *e.runs["r1"]
-	srv.mu.Unlock()
-	rec.resumed = true
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			srv.mu.Lock()
-			delete(e.runs, "r1")
-			srv.mu.Unlock()
-			time.Sleep(50 * time.Microsecond)
-			r := rec
-			srv.mu.Lock()
-			e.runs["r1"] = &r
-			srv.mu.Unlock()
-			time.Sleep(50 * time.Microsecond)
+	srv, ts := overloadServer(t, Config{DataDir: dir})
+	var resumed []string
+	err := srv.AdoptSession(sid, AdoptOptions{Node: "n2", OnFailover: func(rid string, err error) {
+		resumed = append(resumed, rid)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.buildWG.Wait() // the rebuild and its resumes, which call OnFailover
+	if len(resumed) != 1 || resumed[0] != "skew" {
+		t.Errorf("recovery resumed %v; want [skew] alone, not the terminal or the unreadable snapshot", resumed)
+	}
+	status, body := readRun(t, ts.URL+"/v1/sessions/"+sid+"/runs/skew")
+	if status != http.StatusOK || body["status"] != "failed" || body["resumed"] != true ||
+		!strings.Contains(fmt.Sprint(body["error"]), "dims") {
+		t.Errorf("failed-over run resource (status %d): %v", status, body)
+	}
+
+	status, body = readRun(t, ts.URL+"/v1/sessions/"+sid+"/runs/old")
+	if status != http.StatusOK {
+		t.Fatalf("get old status %d: %v", status, body)
+	}
+	if body["status"] != "completed" || body["algorithm"] != "spillbound" || body["contour"] != 4.0 || body["spent"] != 12.5 {
+		t.Errorf("old run resource: %v", body)
+	}
+	for _, k := range []string{"resumed", "totalCost", "optimalCost", "subOpt", "degraded", "traceId", "events", "error"} {
+		if v, ok := body[k]; ok {
+			t.Errorf("old run resource has %s = %v; its snapshot has none", k, v)
 		}
-	}()
-	for reads := 0; ; reads++ {
-		select {
-		case <-done:
-			t.Logf("%d consistent reads", reads)
-			return
-		default:
-		}
-		var body map[string]any
-		if resp := getJSON(t, ts.URL+"/v1/sessions/"+sid+"/runs/r1", &body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("get r1 status %d: %v", resp.StatusCode, body)
-		}
-		if body["resumed"] == true && body["totalCost"] == nil {
-			t.Fatalf("read %d: resumed run served without its result: %v", reads, body)
-		}
+	}
+	if status, body := readRun(t, ts.URL+"/v1/sessions/"+sid+"/runs/torn"); status != http.StatusNotFound {
+		t.Errorf("get torn status %d: %v", status, body)
+	}
+	var list []map[string]any
+	if resp := getJSON(t, ts.URL+"/v1/sessions/"+sid+"/runs", &list); resp.StatusCode != http.StatusOK {
+		t.Fatalf("list runs status %d", resp.StatusCode)
+	}
+	if len(list) != 2 || list[0]["runId"] != "old" || list[1]["runId"] != "skew" {
+		t.Errorf("run list: %v", list)
 	}
 }
 
@@ -124,21 +258,9 @@ func TestDurableServerRecovery(t *testing.T) {
 	ts1.Close()
 	srv1.Close()
 
-	// Simulate the process dying mid-run: attach to the session's directory
-	// with the library (rehydrating the ESS the server persisted) and kill a
-	// run at its second contour checkpoint. The torn run state stays on disk.
-	opts := repro.BenchmarkOptions()
-	opts.GridRes = 6
-	opts.DataDir = filepath.Join(dir, sid)
-	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sess.RunDurableWithFaults(context.Background(), repro.SpillBound,
-		repro.Location{0.04, 0.1}, "r2", &repro.FaultPlan{CrashAtCheckpoint: 2})
-	if !repro.ErrRunCrashed(err) {
-		t.Fatalf("want crash, got %v", err)
-	}
+	// Simulate the process dying mid-run: a run killed at its second contour
+	// checkpoint leaves its interrupted state on disk.
+	crashRun(t, dir, sid, repro.SpillBound, "r2")
 
 	// Restart over the same data directory.
 	srv2 := NewWithConfig(Config{DataDir: dir})
@@ -170,8 +292,19 @@ func TestDurableServerRecovery(t *testing.T) {
 	if resp := getJSON(t, ts2.URL+"/v1/sessions/"+sid+"/runs/r1", &r1); resp.StatusCode != http.StatusOK {
 		t.Fatalf("get r1 status %d: %v", resp.StatusCode, r1)
 	}
-	if r1["status"] != "completed" || r1["resumed"] == true {
+	if r1["status"] != "completed" || r1["resumed"] == true || r1["algorithm"] != "spillbound" {
 		t.Errorf("r1 resource: %v", r1)
+	}
+	// Its result is read from the terminal snapshot, so it outlives the
+	// process that served the run; its events lived in that process's trace
+	// store only.
+	for _, k := range []string{"totalCost", "optimalCost", "subOpt", "traceId"} {
+		if r1[k] == nil || r1[k] != run[k] {
+			t.Errorf("r1 %s after the restart = %v, the run returned %v", k, r1[k], run[k])
+		}
+	}
+	if r1["events"] != nil {
+		t.Errorf("r1 serves events the restarted trace store never held: %v", r1["events"])
 	}
 	var list []map[string]any
 	if resp := getJSON(t, ts2.URL+"/v1/sessions/"+sid+"/runs", &list); resp.StatusCode != http.StatusOK {

@@ -16,7 +16,7 @@
 //	POST /v1/sessions/{id}/run         {"strategy":"spillbound","truth":[0.8,0.008,0.05,0.6]}
 //	GET  /v1/sessions/{id}/sweep?strategy=spillbound&max=200
 //	GET  /v1/sessions/{id}/runs        durable run resources (servers started with a data directory)
-//	GET  /v1/sessions/{id}/runs/{rid}  one durable run: full result, or checkpoint state if interrupted
+//	GET  /v1/sessions/{id}/runs/{rid}  one durable run, read from its last snapshot: status, checkpoint and result summary
 //	GET  /v1/strategies                registered strategy listing (name, kind, guarantee, params)
 //	GET  /v1/queries                   benchmark query list
 //	GET  /v1/healthz
@@ -223,21 +223,13 @@ type session struct {
 	lastUsed time.Time
 	cancel   context.CancelFunc // aborts the in-flight build
 	runSeq   int                // durable run ID allocator
-	runs     map[string]*runRecord
+	// failed maps a durable run whose resume failed to its error: such a
+	// run has no terminal snapshot to say so.
+	failed map[string]string
 
 	// Build progress, updated lock-free from build workers.
 	cellsDone  atomic.Int64
 	cellsTotal atomic.Int64
-}
-
-// runRecord is the in-memory state of one durable run, complementing the
-// on-disk checkpoint snapshot with what only the serving process knows: the
-// full result of a completed incarnation and whether it was resumed.
-type runRecord struct {
-	status  string // runCompleted, runInterrupted, runFailed
-	resumed bool
-	resp    *runResponse // non-nil once a completed result exists
-	err     string       // terminal resume/fail-over error, if any
 }
 
 // Durable run lifecycle states reported by the run resources.
@@ -598,7 +590,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	e := &session{query: sp.Name, d: sp.D, status: statusBuilding, lastUsed: time.Now(), cancel: cancel,
-		bulkhead: guard.NewBulkhead(s.cfg.SessionMaxRuns), runs: map[string]*runRecord{}}
+		bulkhead: guard.NewBulkhead(s.cfg.SessionMaxRuns), failed: map[string]string{}}
 	total := 1
 	for i := 0; i < sp.D; i++ {
 		total *= res
@@ -986,20 +978,29 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release(true)
-	s.metrics.observeRun(algo.String(), res.Degraded, res.Retries, res.SubOpt, res.TraceID)
-	s.metrics.observeGuard(res.GuardVerdict)
-	s.recordTrace(res.TraceID, trace.KindRun, res.Events)
-	resp := s.buildRunResponse(sess, algo, res)
+	s.accountRun(algo, res)
+	resp := buildRunResponse(sess, algo, res)
 	resp.Scenario = req.Scenario
-	if req.Durable {
-		s.recordRun(e, res, resp)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// buildRunResponse converts a library run result to the wire form and
-// accounts its durable checkpoint events.
-func (s *Server) buildRunResponse(sess *repro.Session, algo repro.Algorithm, res repro.RunResult) *runResponse {
+// accountRun does a completed run's bookkeeping, for served and resumed
+// runs alike: the run and guard metrics, the count of its checkpoint saves,
+// and the retention of its trace. The trace goes last, so a reader that
+// sees the run's events on its run resource sees its metrics too.
+func (s *Server) accountRun(algo repro.Algorithm, res repro.RunResult) {
+	s.metrics.observeRun(algo.String(), res.Degraded, res.Retries, res.SubOpt, res.TraceID)
+	s.metrics.observeGuard(res.GuardVerdict)
+	for _, ev := range res.Events {
+		if ev.Kind == telemetry.CheckpointSave {
+			s.metrics.checkpoints.Inc()
+		}
+	}
+	s.recordTrace(res.TraceID, trace.KindRun, res.Events)
+}
+
+// buildRunResponse converts a library run result to the wire form.
+func buildRunResponse(sess *repro.Session, algo repro.Algorithm, res repro.RunResult) *runResponse {
 	resp := &runResponse{
 		Algorithm: algo.String(), TotalCost: res.TotalCost,
 		OptimalCost: res.OptimalCost, SubOpt: res.SubOpt,
@@ -1013,20 +1014,7 @@ func (s *Server) buildRunResponse(sess *repro.Session, algo repro.Algorithm, res
 	if g := sess.Guarantee(algo); g < 1e300 && !res.Degraded {
 		resp.Guarantee = g
 	}
-	for _, ev := range res.Events {
-		if ev.Kind == telemetry.CheckpointSave {
-			s.metrics.checkpoints.Inc()
-		}
-	}
 	return resp
-}
-
-// recordRun retains a durable run's completed result in the session's
-// in-memory run table, backing the run resources.
-func (s *Server) recordRun(e *session, res repro.RunResult, resp *runResponse) {
-	s.mu.Lock()
-	e.runs[res.RunID] = &runRecord{status: runCompleted, resumed: res.Resumed, resp: resp}
-	s.mu.Unlock()
 }
 
 // sweepResponse mirrors repro.SweepSummary.

@@ -3,7 +3,7 @@
 // X-Request-ID so even 429/503/504 sheds are correlatable), the bounded
 // in-memory trace store behind GET /v1/runs/{id}/trace, and head sampling.
 // The store keeps event streams and derives a span tree when one is first
-// read.
+// read; a run's stream also backs the events of its durable run resource.
 
 package server
 
@@ -24,8 +24,8 @@ import (
 const traceStoreCap = 512
 
 // traceEntry is one retained trace: a request's event stream, from which the
-// first read derives the span tree of kind, or a tree stored as built or
-// already derived.
+// first read derives the span tree of kind, and that tree once derived; or
+// a tree stored as built.
 type traceEntry struct {
 	kind   string
 	events []telemetry.Event
@@ -34,8 +34,9 @@ type traceEntry struct {
 
 // traceStore is the bounded trace-ID → trace map. It keeps event streams
 // rather than span trees: a tree is several times the size of its stream,
-// and most retained traces are never read. A read trace keeps its tree in
-// place of its stream, so later reads do not derive it again.
+// and most retained traces are never read. A read trace keeps its tree
+// beside its stream, so later reads do not derive it again and the stream
+// still serves its run resource.
 type traceStore struct {
 	mu      sync.Mutex
 	cap     int
@@ -90,10 +91,30 @@ func (ts *traceStore) get(id string) (*trace.Tree, bool) {
 		return nil, false
 	}
 	if e.tree == nil {
-		e = traceEntry{tree: trace.Derive(e.kind, id, e.events)}
+		e.tree = trace.Derive(e.kind, id, e.events)
 		ts.entries[id] = e
 	}
 	return e.tree, true
+}
+
+// runEvents returns the retained event stream of durable run runID under
+// trace id: nil when the store never kept it (unsampled, brownout), has
+// evicted it, or holds a later run's stream under the same trace ID. Every
+// durable run checkpoints before its first execution, and its checkpoint
+// saves name it.
+func (ts *traceStore) runEvents(id, runID string) []telemetry.Event {
+	ts.mu.Lock()
+	e := ts.entries[id]
+	ts.mu.Unlock()
+	if e.kind != trace.KindRun {
+		return nil
+	}
+	for _, ev := range e.events {
+		if ev.Kind == telemetry.CheckpointSave && ev.Detail == runID {
+			return e.events
+		}
+	}
+	return nil
 }
 
 // len reports the stored trace count.

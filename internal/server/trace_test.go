@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -244,9 +243,10 @@ func TestTraceStoreFIFOAndReplacement(t *testing.T) {
 }
 
 // TestTraceStoreDerivesOnce reads a stream-backed trace twice: the first
-// read derives the tree and keeps it, so the second serves the same tree
-// and a byte-identical reply. A resumed incarnation's stream then replaces
-// the kept tree, and the next read shows the new incarnation.
+// read derives the tree and keeps it beside the stream, so the second serves
+// the same tree and a byte-identical reply, and the stream still serves the
+// run resource. A resumed incarnation's stream then replaces the kept tree,
+// and the next read shows the new incarnation.
 func TestTraceStoreDerivesOnce(t *testing.T) {
 	srv := &Server{traces: newTraceStore(2)}
 	id := strings.Repeat("0", 30) + "42"
@@ -284,8 +284,8 @@ func TestTraceStoreDerivesOnce(t *testing.T) {
 	if !bytes.Equal(a, b) || !bytes.Equal(a, treeJSON(first)) {
 		t.Errorf("reads differ or are not the derived tree:\n%s\n%s", a, b)
 	}
-	if e := srv.traces.entries[id]; e.events != nil {
-		t.Error("entry kept its stream beside the derived tree")
+	if e := srv.traces.entries[id]; len(e.events) != len(first) {
+		t.Errorf("a read dropped the stream its run resource serves: %v", e.events)
 	}
 
 	resumed := []telemetry.Event{
@@ -444,28 +444,8 @@ func TestTraceReadDerivesFromEvents(t *testing.T) {
 // tree it serves is FromRun over the run resource's events.
 func TestTraceReadResumedRun(t *testing.T) {
 	dir := t.TempDir()
-	srv1, ts1 := overloadServer(t, Config{DataDir: dir})
-	resp, created := postJSON(t, ts1.URL+"/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 6})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("create status %d: %v", resp.StatusCode, created)
-	}
-	sid := created["id"].(string)
-	awaitReady(t, ts1.URL, sid)
-	ts1.Close()
-	srv1.Close()
-
-	opts := repro.BenchmarkOptions()
-	opts.GridRes = 6
-	opts.DataDir = filepath.Join(dir, sid)
-	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sess.RunDurableWithFaults(context.Background(), repro.PlanBouquet,
-		repro.Location{0.04, 0.1}, "r1", &repro.FaultPlan{CrashAtCheckpoint: 2})
-	if !repro.ErrRunCrashed(err) {
-		t.Fatalf("want crash, got %v", err)
-	}
+	sid := newDurableSession(t, dir)
+	crashRun(t, dir, sid, repro.PlanBouquet, "r1")
 
 	srv2, ts2 := overloadServer(t, Config{DataDir: dir})
 	if err := srv2.Recover(context.Background()); err != nil {

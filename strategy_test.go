@@ -197,7 +197,7 @@ func TestSelectionLadderCrashResume(t *testing.T) {
 	if last := resumed.Steps[len(resumed.Steps)-1]; !last.Completed {
 		t.Errorf("resumed ladder did not complete: %+v", last)
 	}
-	if c, _, completed, err := sess.DurableRunState("sel-crash"); err != nil || !completed {
-		t.Errorf("resumed snapshot not terminal: contour=%d completed=%v err=%v", c, completed, err)
+	if rs, err := sess.DurableRunState("sel-crash"); err != nil || !rs.Completed {
+		t.Errorf("resumed snapshot not terminal: %+v err=%v", rs, err)
 	}
 }
