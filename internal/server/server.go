@@ -981,6 +981,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.accountRun(algo, res)
 	resp := buildRunResponse(sess, algo, res)
 	resp.Scenario = req.Scenario
+	writeRunReply(w, resp)
+}
+
+// writeRunReply writes a 200 run reply.
+func writeRunReply(w http.ResponseWriter, resp *runResponse) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
