@@ -114,11 +114,40 @@ func (p *Plan) SpillTarget(epps []int, learned map[int]bool) (EPPNode, bool) {
 // Subtree returns the plan consisting only of the subtree rooted at the
 // node applying joinID — the modified plan that spill-mode execution runs
 // (paper Sec 3.1.2). It returns nil if the predicate is not applied by
-// this plan.
+// this plan. The result is memoized on the plan: every call for one join
+// ID returns the same immutable *Plan, from any goroutine.
 func (p *Plan) Subtree(joinID int) *Plan {
-	n := p.FindJoinNode(joinID)
-	if n == nil {
-		return nil
+	if sub, ok := lookupSubtree(p.subtrees.Load(), joinID); ok {
+		return sub
 	}
-	return New(n)
+	p.subtreeMu.Lock()
+	defer p.subtreeMu.Unlock()
+	old := p.subtrees.Load()
+	if sub, ok := lookupSubtree(old, joinID); ok {
+		return sub
+	}
+	var sub *Plan
+	if n := p.FindJoinNode(joinID); n != nil {
+		sub = New(n)
+	}
+	var next []subtree
+	if old != nil {
+		next = append(make([]subtree, 0, len(*old)+1), *old...)
+	}
+	next = append(next, subtree{joinID: joinID, sub: sub})
+	p.subtrees.Store(&next)
+	return sub
+}
+
+// lookupSubtree finds joinID among the memoized subtrees.
+func lookupSubtree(memo *[]subtree, joinID int) (*Plan, bool) {
+	if memo == nil {
+		return nil, false
+	}
+	for _, e := range *memo {
+		if e.joinID == joinID {
+			return e.sub, true
+		}
+	}
+	return nil, false
 }

@@ -7,7 +7,10 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // OpKind enumerates the physical operators.
@@ -85,13 +88,25 @@ type Plan struct {
 	fingerprint string
 	pipelines   []Pipeline
 	relSet      uint64
+
+	// subtrees memoizes Subtree: an immutable slice, replaced (never
+	// mutated) under subtreeMu when a join ID is first asked for.
+	subtrees  atomic.Pointer[[]subtree]
+	subtreeMu sync.Mutex
+}
+
+// subtree is one memoized Subtree result; sub is nil when the plan does
+// not apply the join.
+type subtree struct {
+	joinID int
+	sub    *Plan
 }
 
 // New constructs a Plan around the given root and precomputes its
 // fingerprint and pipeline decomposition.
 func New(root *Node) *Plan {
 	p := &Plan{Root: root}
-	p.fingerprint = fingerprint(root)
+	p.fingerprint = string(appendFingerprint(nil, root))
 	p.pipelines = decompose(root)
 	root.walk(func(n *Node) {
 		if n.Kind == SeqScan {
@@ -139,24 +154,33 @@ func (p *Plan) FindJoinNode(joinID int) *Node {
 	return found
 }
 
-func fingerprint(n *Node) string {
+// appendFingerprint appends the canonical fingerprint of the subtree
+// rooted at n: S<rel> for a scan, σ(…) and γ(…) for Sort and Aggregate, and
+// <kind><id>+<id>…(<left>,<right>) for a join.
+func appendFingerprint(b []byte, n *Node) []byte {
 	if n == nil {
-		return ""
+		return b
 	}
 	switch n.Kind {
 	case SeqScan:
-		return fmt.Sprintf("S%d", n.Rel)
+		b = append(b, 'S')
+		return strconv.AppendInt(b, int64(n.Rel), 10)
 	case Sort:
-		return "σ(" + fingerprint(n.Left) + ")"
+		b = append(b, "σ("...)
+		return append(appendFingerprint(b, n.Left), ')')
 	case Aggregate:
-		return "γ(" + fingerprint(n.Left) + ")"
+		b = append(b, "γ("...)
+		return append(appendFingerprint(b, n.Left), ')')
 	default:
-		ids := make([]string, len(n.JoinIDs))
+		b = append(b, n.Kind.String()...)
 		for i, id := range n.JoinIDs {
-			ids[i] = fmt.Sprint(id)
+			if i > 0 {
+				b = append(b, '+')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
 		}
-		return fmt.Sprintf("%s%s(%s,%s)", n.Kind, strings.Join(ids, "+"),
-			fingerprint(n.Left), fingerprint(n.Right))
+		b = append(appendFingerprint(append(b, '('), n.Left), ',')
+		return append(appendFingerprint(b, n.Right), ')')
 	}
 }
 
