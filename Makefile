@@ -97,11 +97,13 @@ atlas:
 	$(GO) run ./cmd/rqp atlas -query 2D_EQ -res 16 -max 64 -o atlas.svg
 
 # fuzz runs the fuzz targets briefly: the runstate snapshot decoder (the
-# bytes crash recovery trusts least) and the Prometheus exposition parser.
+# bytes crash recovery trusts least), the Prometheus exposition parser and
+# the hand-written event JSON encoder against encoding/json.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRunState -fuzztime=$(FUZZTIME) ./internal/runstate/
 	$(GO) test -fuzz=FuzzParseProm -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/telemetry/
 
 clean:
 	$(GO) clean ./...
