@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -291,8 +292,13 @@ func TestProxyHedgeSuppressedDuringBrownout(t *testing.T) {
 	defer owner.Close()
 	ownerAddr := strings.TrimPrefix(owner.URL, "http://")
 
+	// A dwell no test outlives: once the stage is up, no run of calm ticks
+	// can step it down, so it is held while the request is proxied (with
+	// the default three 1 ms ticks it could fall back to 0 before the
+	// proxy decided whether to hedge).
 	srv := server.NewWithConfig(server.Config{
 		DataDir: t.TempDir(), Brownout: true, BrownoutInterval: time.Millisecond,
+		BrownoutConfig: guard.BrownoutConfig{DwellTicks: math.MaxInt32},
 	})
 	t.Cleanup(func() { srv.Close() })
 	n, err := New(Config{
@@ -321,6 +327,7 @@ func TestProxyHedgeSuppressedDuringBrownout(t *testing.T) {
 	// stage (not owner pressure) can be suppressing the hedge. The controller
 	// holds stage ≥ 1 for DwellTicks after pressure recedes.
 	n.membership.setPeerVitals(ownerAddr, guard.Vitals{})
+	held := srv.Stage()
 
 	id := keyOwnedBy(t, n, ownerAddr)
 	w := httptest.NewRecorder()
@@ -330,6 +337,9 @@ func TestProxyHedgeSuppressedDuringBrownout(t *testing.T) {
 	}
 	if v := n.metrics.hedges.Value(); v != 0 {
 		t.Fatalf("rqp_hedges_total = %v, want 0 during brownout", v)
+	}
+	if st := srv.Stage(); st < held {
+		t.Fatalf("brownout stage fell from %d to %d while the request was proxied", held, st)
 	}
 }
 

@@ -984,9 +984,96 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeRunReply(w, resp)
 }
 
-// writeRunReply writes a 200 run reply.
+// replyBufs recycles run reply buffers: a PlanBouquet reply is ~100 KB.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeRunReply writes a 200 run reply in one Write from one presized
+// buffer. The bytes are those json.NewEncoder(w).Encode(resp) writes; as
+// there, a NaN or infinite float leaves the body empty.
 func writeRunReply(w http.ResponseWriter, resp *runResponse) {
-	writeJSON(w, http.StatusOK, resp)
+	buf := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(buf)
+	if n := resp.sizeHint(); cap(*buf) < n {
+		*buf = make([]byte, 0, n)
+	}
+	b, err := resp.appendJSON((*buf)[:0])
+	*buf = b[:0]
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if err == nil {
+		_, _ = w.Write(b)
+	}
+}
+
+// sizeHint bounds the reply's encoded size from above for typical streams:
+// the trace with room for its escapes, and 128 bytes an event (they
+// average about 110).
+func (r *runResponse) sizeHint() int {
+	return 512 + len(r.Trace) + len(r.Trace)/8 + 128*len(r.Events)
+}
+
+// appendJSON appends the reply as json.Encoder.Encode writes it, the
+// trailing newline and the fields' omitempty rules included, through the
+// telemetry package's encoding/json-exact helpers. It fails only on a NaN
+// or infinite float.
+func (r *runResponse) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"algorithm":`...)
+	b = telemetry.AppendJSONString(b, r.Algorithm)
+	b, err := telemetry.AppendJSONFloat(append(b, `,"totalCost":`...), r.TotalCost)
+	if err == nil {
+		b, err = telemetry.AppendJSONFloat(append(b, `,"optimalCost":`...), r.OptimalCost)
+	}
+	if err == nil {
+		b, err = telemetry.AppendJSONFloat(append(b, `,"subOpt":`...), r.SubOpt)
+	}
+	if err == nil && r.Guarantee != 0 {
+		b, err = telemetry.AppendJSONFloat(append(b, `,"guarantee":`...), r.Guarantee)
+	}
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"steps":`...)
+	b = strconv.AppendInt(b, int64(r.Steps), 10)
+	b = append(b, `,"trace":`...)
+	b = telemetry.AppendJSONString(b, r.Trace)
+	b = append(b, `,"events":`...)
+	if r.Events == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range r.Events {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b, err = r.Events[i].AppendJSON(b); err != nil {
+				return b, err
+			}
+		}
+		b = append(b, ']')
+	}
+	if r.Retries != 0 {
+		b = strconv.AppendInt(append(b, `,"retries":`...), int64(r.Retries), 10)
+	}
+	if r.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	b = appendOmitString(b, `,"degradedReason":`, r.DegradedReason)
+	b = appendOmitString(b, `,"guardVerdict":`, r.GuardVerdict)
+	b = appendOmitString(b, `,"scenario":`, r.Scenario)
+	b = appendOmitString(b, `,"runId":`, r.RunID)
+	if r.Resumed {
+		b = append(b, `,"resumed":true`...)
+	}
+	b = appendOmitString(b, `,"traceId":`, r.TraceID)
+	return append(b, "}\n"...), nil
+}
+
+// appendOmitString appends an omitempty string field.
+func appendOmitString(b []byte, key, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return telemetry.AppendJSONString(append(b, key...), v)
 }
 
 // accountRun does a completed run's bookkeeping, for served and resumed

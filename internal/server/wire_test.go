@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -32,11 +35,11 @@ type wireCase struct {
 	Body    string `json:"body"`
 }
 
-// wireServer boots a durable in-process server with one ready 4D_Q91
-// session and returns its handler and the session.
-func wireServer(t testing.TB) (*Server, http.Handler, string) {
+// wireServer boots an in-process server with one ready 4D_Q91 session
+// and returns its handler and the session ID.
+func wireServer(t testing.TB, cfg Config) (*Server, http.Handler, string) {
 	t.Helper()
-	srv := NewWithConfig(Config{DataDir: t.TempDir()})
+	srv := NewWithConfig(cfg)
 	t.Cleanup(srv.Close)
 	h := srv.Handler()
 	w := serveWire(h, http.MethodPost, "/v1/sessions", `{"query":"4D_Q91"}`)
@@ -74,7 +77,7 @@ func serveWire(h http.Handler, method, path, body string) *httptest.ResponseReco
 // its second checkpoint, resumes it and writes that result as a run reply.
 func buildWireGolden(t *testing.T) []wireCase {
 	t.Helper()
-	srv, h, id := wireServer(t)
+	srv, h, id := wireServer(t, Config{DataDir: t.TempDir()})
 	path := "/v1/sessions/" + id + "/run"
 	var doc []wireCase
 	post := func(name, body string) {
@@ -169,4 +172,72 @@ func TestWireGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("golden mismatch: %d replies generated, %d pinned", len(doc), len(wantDoc))
+}
+
+// TestRunReplyMatchesEncodingJSON holds the hand-written run reply to
+// encoding/json, the independent reference: for a few hundred seeded runs
+// (every strategy, clean and under latency-free fault scenarios, at
+// log-uniform truths) writeRunReply must write exactly what
+// json.NewEncoder(w).Encode(resp) writes. A reply carrying a non-finite
+// float is empty under both.
+func TestRunReplyMatchesEncodingJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 4D session and runs it a few hundred times; skipped in -short")
+	}
+	srv, _, id := wireServer(t, Config{})
+	srv.mu.Lock()
+	sess := srv.sessions[id].sess
+	srv.mu.Unlock()
+	var algos []repro.Algorithm
+	for _, info := range repro.Strategies() {
+		algos = append(algos, repro.Algorithm(info.Name))
+	}
+	scenarios := []string{"", "", "benign-1", "benign-2", "regret-correlated-1", "regret-correlated-2",
+		"adversarial-1", "adversarial-2", "adversarial-6"}
+	rng := rand.New(rand.NewSource(32))
+	check := func(name string, resp *runResponse) {
+		t.Helper()
+		var want bytes.Buffer
+		_ = json.NewEncoder(&want).Encode(resp)
+		w := httptest.NewRecorder()
+		writeRunReply(w, resp)
+		if w.Code != http.StatusOK || w.Body.String() != want.String() {
+			t.Fatalf("%s: status %d, reply differs from encoding/json:\n got: %s\nwant: %s", name, w.Code, w.Body, want.String())
+		}
+	}
+	for i := 0; i < 300; i++ {
+		algo := algos[rng.Intn(len(algos))]
+		truth := make(repro.Location, 4)
+		for d := range truth {
+			truth[d] = math.Exp(math.Log(1e-6) * (1 - rng.Float64()))
+		}
+		name := scenarios[rng.Intn(len(scenarios))]
+		var res repro.RunResult
+		var err error
+		if name == "" {
+			res, err = sess.RunContext(context.Background(), algo, truth)
+		} else {
+			sc, ok := repro.ScenarioByName(1, name)
+			if !ok {
+				t.Fatalf("no scenario %s", name)
+			}
+			res, err = sess.RunWithFaults(context.Background(), algo, truth, &sc.Faults)
+		}
+		if err != nil {
+			t.Fatalf("run %d (%s %v %s): %v", i, algo, truth, name, err)
+		}
+		resp := buildRunResponse(sess, algo, res)
+		resp.Scenario = name
+		check(fmt.Sprintf("run %d (%s %v %s)", i, algo, truth, name), resp)
+	}
+	// Strings that need escaping, and floats at the exponent-form edges.
+	odd := &runResponse{Algorithm: "a<b>&c", TotalCost: 1e21, OptimalCost: 1e-7, SubOpt: 5e-324,
+		Trace: "line \xff\x01\n", Events: []telemetry.Event{}, DegradedReason: "\"q\"\\", Degraded: true}
+	check("escapes", odd)
+	odd.Events = nil
+	check("nil events", odd)
+	odd.SubOpt = math.NaN()
+	check("NaN", odd)
+	odd.SubOpt, odd.Events = 1, []telemetry.Event{{Kind: telemetry.Done, Budget: math.Inf(1)}}
+	check("infinite event field", odd)
 }

@@ -12,7 +12,7 @@ import (
 // (ContourEnter, HalfSpacePrune, BudgetSpend, Done) render nothing — they
 // exist for machine consumption.
 func RenderTrace(events []Event) string {
-	return string(AppendTrace(make([]byte, 0, 32*len(events)), events))
+	return string(AppendTrace(make([]byte, 0, 16*len(events)), events))
 }
 
 // AppendTrace appends RenderTrace's transcript to b.
@@ -123,9 +123,9 @@ func appendLocation(b []byte, loc []float64) []byte {
 	return append(b, ')')
 }
 
-// CountRetries counts the actual retry attempts in the stream — the single
-// source of truth for RunResult.Retries. Final ("giving up") notes are
-// records of exhaustion, not attempts, and are excluded.
+// CountRetries counts the actual retry attempts in the stream. Final
+// ("giving up") notes are records of exhaustion, not attempts, and are
+// excluded.
 func CountRetries(events []Event) int {
 	n := 0
 	for _, ev := range events {
@@ -136,27 +136,8 @@ func CountRetries(events []Event) int {
 	return n
 }
 
-// GuardVerdict derives the runtime-guard verdict from the stream — the
-// single source of truth for RunResult.GuardVerdict. An ESS escape (the
-// guard abandoned discovery for the safe path) dominates budget aborts
-// (discovery continued and completed under the enforced ledger); a clean
-// stream yields "".
-func GuardVerdict(events []Event) string {
-	verdict := ""
-	for _, ev := range events {
-		switch ev.Kind {
-		case ESSEscape:
-			return string(ESSEscape)
-		case BudgetAbort:
-			verdict = string(BudgetAbort)
-		}
-	}
-	return verdict
-}
-
 // Degradation reports whether the stream records a Native-plan fallback and
-// the terminal failure that forced it — the single source of truth for
-// RunResult.Degraded / DegradedReason.
+// the terminal failure that forced it.
 func Degradation(events []Event) (degraded bool, reason string) {
 	for _, ev := range events {
 		if ev.Kind == Degrade {

@@ -535,25 +535,46 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 // finishRun seals the run's event stream (the terminal Done summary) and
 // derives every event-sourced RunResult field from it in one place, so the
 // steps, trace, retry count and degradation flags cannot drift from the
-// events.
+// events: one pass folds them, into a Steps slice sized to the charged
+// events. Retries counts the actual retry attempts (a Final "giving up"
+// note records exhaustion, not an attempt); the first Degrade event gives
+// the degradation and its reason; an ESS escape (the guard abandoned
+// discovery for the safe path) dominates budget aborts (discovery went on
+// under the enforced ledger) in GuardVerdict.
 func finishRun(rec *telemetry.Recorder, res RunResult, completed bool) RunResult {
 	rec.Record(telemetry.Event{
 		Kind: telemetry.Done, Dim: -1, Algorithm: res.Algorithm.String(),
 		TotalCost: res.TotalCost, SubOpt: res.SubOpt, Completed: completed,
 	})
 	res.Events = rec.Events()
-	for _, ev := range res.Events {
-		if ev.Charged() {
+	charged := 0
+	for i := range res.Events {
+		if res.Events[i].Charged() {
+			charged++
+		}
+	}
+	if charged > 0 {
+		res.Steps = make([]ExecutionStep, 0, charged)
+	}
+	for i := range res.Events {
+		ev := &res.Events[i]
+		switch {
+		case ev.Charged():
 			res.Steps = append(res.Steps, ExecutionStep{
 				Contour: ev.Contour, SpillDim: ev.Dim, PlanID: ev.PlanID,
 				Budget: ev.Budget, Spent: ev.Spent, Completed: ev.Completed, Learned: ev.Learned,
 			})
+		case ev.Kind == telemetry.Retry && !ev.Final:
+			res.Retries++
+		case ev.Kind == telemetry.Degrade && !res.Degraded:
+			res.Degraded, res.DegradedReason = true, ev.Detail
+		case ev.Kind == telemetry.ESSEscape:
+			res.GuardVerdict = string(telemetry.ESSEscape)
+		case ev.Kind == telemetry.BudgetAbort && res.GuardVerdict == "":
+			res.GuardVerdict = string(telemetry.BudgetAbort)
 		}
 	}
 	res.Trace = telemetry.RenderTrace(res.Events)
-	res.Retries = telemetry.CountRetries(res.Events)
-	res.Degraded, res.DegradedReason = telemetry.Degradation(res.Events)
-	res.GuardVerdict = telemetry.GuardVerdict(res.Events)
 	return res
 }
 
