@@ -12,16 +12,16 @@ import (
 // (json.Encoder's defaults: HTML escaping on); FuzzEventJSON holds them to
 // it. Decoding stays on encoding/json.
 
-// ErrNonFinite reports a NaN or infinite float, which JSON cannot carry;
+// errNonFinite reports a NaN or infinite float, which JSON cannot carry;
 // encoding/json fails on it the same way.
-var ErrNonFinite = errors.New("telemetry: json: unsupported value: NaN or ±Inf")
+var errNonFinite = errors.New("telemetry: json: unsupported value: NaN or ±Inf")
 
 // AppendJSONFloat appends f as encoding/json writes a float64: the shortest
 // decimal that round-trips, in exponent form below 1e-6 and from 1e21 up,
 // with a single-digit negative exponent written as e-7, not e-07.
 func AppendJSONFloat(b []byte, f float64) ([]byte, error) {
 	if !finite(f) {
-		return b, ErrNonFinite
+		return b, errNonFinite
 	}
 	return appendFloat(b, f), nil
 }
@@ -105,7 +105,7 @@ func AppendJSONString(b []byte, s string) []byte {
 
 // AppendJSON appends the event exactly as encoding/json marshals it, its
 // struct tags' omitempty rules included. Like encoding/json, it fails on a
-// NaN or infinite float (ErrNonFinite), appending nothing.
+// NaN or infinite float (errNonFinite), appending nothing.
 func (e *Event) AppendJSON(b []byte) ([]byte, error) {
 	ok := finite(e.Budget) && finite(e.Spent) && finite(e.Learned) && finite(e.Penalty) &&
 		finite(e.TotalCost) && finite(e.SubOpt) && finite(e.Guarantee)
@@ -113,7 +113,7 @@ func (e *Event) AppendJSON(b []byte) ([]byte, error) {
 		ok = ok && finite(v)
 	}
 	if !ok {
-		return b, ErrNonFinite
+		return b, errNonFinite
 	}
 	b = append(b, `{"seq":`...)
 	b = strconv.AppendInt(b, int64(e.Seq), 10)
