@@ -98,12 +98,14 @@ atlas:
 
 # fuzz runs the fuzz targets briefly: the runstate snapshot decoder (the
 # bytes crash recovery trusts least), the Prometheus exposition parser and
-# the hand-written event JSON encoder against encoding/json.
+# the hand-written event JSON encoder against encoding/json, one event and
+# a stream through its float memo.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRunState -fuzztime=$(FUZZTIME) ./internal/runstate/
 	$(GO) test -fuzz=FuzzParseProm -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -fuzz=FuzzEventStreamJSON -fuzztime=$(FUZZTIME) ./internal/telemetry/
 
 clean:
 	$(GO) clean ./...

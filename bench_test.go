@@ -380,6 +380,26 @@ func BenchmarkMetricsSweepAB(b *testing.B) {
 	}
 }
 
+// BenchmarkMetricsSweepPB sweeps PlanBouquet over 400 locations of a
+// 4D_Q91 benchmark session through Session.SweepContext, the offline
+// workload's sweep: every run executes the diagram's contour plan lists.
+func BenchmarkMetricsSweepPB(b *testing.B) {
+	bq, ok := BenchmarkQueryByName("4D_Q91")
+	if !ok {
+		b.Fatal("4D_Q91 missing from the benchmark workload")
+	}
+	sess, err := NewBenchmarkSession(bq, BenchmarkOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.SweepContext(context.Background(), PlanBouquet, 400); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRowEngineFullRun(b *testing.B) {
 	microSetup(b)
 	re := &rowexec.Engine{Query: microSpace.Query, Params: cost.PostgresLike(), RowCap: 3000}

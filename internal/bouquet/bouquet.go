@@ -10,7 +10,6 @@ package bouquet
 
 import (
 	"math"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -40,6 +39,15 @@ type Diagram struct {
 
 	planIdx []int32
 	kept    []int // POSP indices of the surviving plans, ascending
+
+	schedMu sync.Mutex
+	scheds  []schedule // one per contour budget list asked of Schedule
+}
+
+// schedule is the diagram's plan bouquet under one contour budget list.
+type schedule struct {
+	costs []float64
+	plans [][]int
 }
 
 // PlanIDAt returns the plan assigned to cell ci after reduction.
@@ -212,20 +220,36 @@ func (d *Diagram) Stats() ReductionStats {
 // plans the assignment places on the contour's cells, plus the maximum —
 // the ρ of the MSO guarantee. costs must ascend, as ContourCosts returns
 // them.
+func ContourDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
+	plans := contourPlans(s, a, costs)
+	densities = make([]int, len(plans))
+	for i, ids := range plans {
+		densities[i] = len(ids)
+		rho = max(rho, len(ids))
+	}
+	return densities, rho
+}
+
+// contourPlans returns, for each contour budget, the distinct plans the
+// assignment places on the contour's cells, in first-appearance order over
+// ascending cell index: distinctPlans of the contour's ContourCells. costs
+// must ascend.
 //
 // It is one pass over the grid. Cell ci lies on the contour with budget cc
 // exactly when Cost(ci) <= cc < Cost(Step(ci,d)) for every successor (the
 // maximality test of ess.Subspace.ContourCells), so the contours holding ci
 // are those whose budget falls in [Cost(ci), min over d of Cost(Step(ci,d))):
-// a contiguous index range of the ascending budgets, whose plan bitsets all
-// gain the cell's plan.
-func ContourDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
+// a contiguous index range of the ascending budgets, each of whose lists
+// gains the cell's plan unless its bitset already holds it. Cells are
+// visited in ascending order, so each list is in first-appearance order.
+func contourPlans(s *ess.Space, a Assignment, costs []float64) [][]int {
 	if !sort.Float64sAreSorted(costs) {
 		panic("bouquet: contour budgets must ascend")
 	}
 	g := s.Grid
 	words := (len(s.Plans()) + 63) / 64
 	planBits := make([]uint64, len(costs)*words) // contour i's plans at [i*words, (i+1)*words)
+	plans := make([][]int, len(costs))
 	for ci := 0; ci < g.Size(); ci++ {
 		next := math.Inf(1) // cheapest successor: the budget the cell stops being maximal at
 		for d := 0; d < g.D; d++ {
@@ -236,24 +260,45 @@ func ContourDensities(s *ess.Space, a Assignment, costs []float64) (densities []
 		lo := sort.SearchFloat64s(costs, s.CostAt(ci)) // first budget >= Cost(ci)
 		hi := sort.SearchFloat64s(costs, next)         // first budget >= next
 		id := a.PlanIDAt(ci)
+		w, bit := id/64, uint64(1)<<(id%64)
 		for i := lo; i < hi; i++ {
-			planBits[i*words+id/64] |= 1 << (id % 64)
+			if seen := &planBits[i*words+w]; *seen&bit == 0 {
+				*seen |= bit
+				plans[i] = append(plans[i], id)
+			}
 		}
 	}
-	densities = make([]int, len(costs))
-	for i := range densities {
-		for _, w := range planBits[i*words : (i+1)*words] {
-			densities[i] += bits.OnesCount64(w)
+	return plans
+}
+
+// Schedule returns the diagram's plan bouquet under the contour budgets
+// costs (ascending, as ContourCosts returns them): for each contour, the
+// distinct plans the diagram assigns to its cells, in first-appearance
+// order over ascending cell index. These are the plans PlanBouquet
+// executes on the contour, in execution order, and ρ is the longest list,
+// so they are fixed once the diagram exists: the lists are built in one
+// grid pass on the first ask for a budget list and shared by every later
+// ask. Callers must not modify them. Safe for concurrent use.
+func (d *Diagram) Schedule(costs []float64) [][]int {
+	d.schedMu.Lock()
+	defer d.schedMu.Unlock()
+	for _, sc := range d.scheds {
+		if slices.Equal(sc.costs, costs) {
+			return sc.plans
 		}
-		rho = max(rho, densities[i])
 	}
-	return densities, rho
+	plans := contourPlans(d.Space, d, costs)
+	d.scheds = append(d.scheds, schedule{costs: slices.Clone(costs), plans: plans})
+	return plans
 }
 
 // Guarantee returns PlanBouquet's MSO guarantee 4·(1+λ)·ρ for the reduced
-// diagram under the given contour budgets.
+// diagram under the given contour budgets, ρ read from its schedule.
 func (d *Diagram) Guarantee(costs []float64) float64 {
-	_, rho := ContourDensities(d.Space, d, costs)
+	rho := 0
+	for _, ids := range d.Schedule(costs) {
+		rho = max(rho, len(ids))
+	}
 	return 4 * (1 + d.Lambda) * float64(rho)
 }
 

@@ -48,10 +48,26 @@ func DeterministicCostError(delta float64, seed uint64) CostErrorFn {
 // execCost returns the plan's true execution cost at the engine's hidden
 // location, including any injected cost-model error.
 func (e *Engine) execCost(p *plan.Plan) float64 {
-	c := e.Model.Eval(p, e.Truth)
+	c := e.truthCost(p)
 	if e.CostError != nil {
 		c *= e.CostError(p)
 	}
+	return c
+}
+
+// truthCost returns the model's cost of the plan at the truth, evaluated
+// on the plan's first execution and memoized for the engine's run. The
+// memo holds the model's cost alone, so the injected error above still
+// applies to every execution.
+func (e *Engine) truthCost(p *plan.Plan) float64 {
+	if c, ok := e.evals[p]; ok {
+		return c
+	}
+	c := e.Model.Eval(p, e.Truth)
+	if e.evals == nil {
+		e.evals = make(map[*plan.Plan]float64)
+	}
+	e.evals[p] = c
 	return c
 }
 

@@ -77,6 +77,14 @@ func (w plainCtxExecutor) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim
 }
 
 // Engine executes plans against a fixed true selectivity location q_a.
+//
+// An engine serves one run from one goroutine: it memoizes the model's
+// cost of each plan at the truth, Model.Eval(p, Truth), on the plan's first
+// regular or spill execution, and every later execution of that plan (at
+// any budget) reuses it. Model and Truth must therefore stay fixed after
+// the first execution. Only the model's cost is memoized: CostError, the
+// fault plan's hooks and overrun factor, and the cost ceiling act on every
+// execution.
 type Engine struct {
 	// Model is the shared cost model.
 	Model *cost.Model
@@ -90,6 +98,8 @@ type Engine struct {
 	// execution's true cost is the model's prediction times this factor
 	// (see DeterministicCostError and paper Sec 7). Nil disables injection.
 	CostError CostErrorFn
+
+	evals map[*plan.Plan]float64 // Model.Eval(p, Truth) per executed plan
 }
 
 // New returns an engine executing at the given true location. It panics on
@@ -258,7 +268,7 @@ func (e *Engine) executeSpill(p *plan.Plan, dim int, budget float64, overrun flo
 		return SpillResult{}, false
 	}
 	factor := e.errorFactor(p) * overrun
-	full := e.Model.Eval(sub, e.Truth) * factor
+	full := e.truthCost(sub) * factor
 	if full <= budget {
 		return SpillResult{Completed: true, Spent: full, Learned: e.Truth[dim]}, true
 	}

@@ -981,16 +981,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.accountRun(algo, res)
 	resp := buildRunResponse(sess, algo, res)
 	resp.Scenario = req.Scenario
-	writeRunReply(w, resp)
+	s.writeRunReply(w, resp)
 }
 
 // replyBufs recycles run reply buffers: a PlanBouquet reply is ~100 KB.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeRunReply writes a 200 run reply in one Write from one presized
-// buffer. The bytes are those json.NewEncoder(w).Encode(resp) writes; as
-// there, a NaN or infinite float leaves the body empty.
-func writeRunReply(w http.ResponseWriter, resp *runResponse) {
+// buffer. The bytes are those json.NewEncoder(w).Encode(resp) writes. A
+// reply holding a NaN or infinite float, which JSON cannot carry, is sent
+// as a 500 error envelope instead.
+func (s *Server) writeRunReply(w http.ResponseWriter, resp *runResponse) {
 	buf := replyBufs.Get().(*[]byte)
 	defer replyBufs.Put(buf)
 	if n := resp.sizeHint(); cap(*buf) < n {
@@ -998,11 +999,13 @@ func writeRunReply(w http.ResponseWriter, resp *runResponse) {
 	}
 	b, err := resp.appendJSON((*buf)[:0])
 	*buf = b[:0]
+	if err != nil {
+		s.writeError(w, http.StatusInternalServerError, codeInternal, fmt.Errorf("encode run reply: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	if err == nil {
-		_, _ = w.Write(b)
-	}
+	_, _ = w.Write(b)
 }
 
 // sizeHint bounds the reply's encoded size from above for typical streams:
@@ -1041,11 +1044,12 @@ func (r *runResponse) appendJSON(b []byte) ([]byte, error) {
 		b = append(b, "null"...)
 	} else {
 		b = append(b, '[')
+		var enc telemetry.EventEncoder // one float memo across the reply's events
 		for i := range r.Events {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			if b, err = r.Events[i].AppendJSON(b); err != nil {
+			if b, err = enc.Append(b, &r.Events[i]); err != nil {
 				return b, err
 			}
 		}

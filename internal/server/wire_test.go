@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -123,7 +124,7 @@ func buildWireGolden(t *testing.T) []wireCase {
 		t.Fatal(err)
 	}
 	w := httptest.NewRecorder()
-	writeRunReply(w, buildRunResponse(sess, res.Algorithm, res))
+	srv.writeRunReply(w, buildRunResponse(sess, res.Algorithm, res))
 	doc = append(doc, wireCase{Name: "spillbound/resumed", Request: "ResumeRun(wire-resumed)", Status: w.Code, Body: w.Body.String()})
 	return doc
 }
@@ -179,7 +180,7 @@ func TestWireGolden(t *testing.T) {
 // (every strategy, clean and under latency-free fault scenarios, at
 // log-uniform truths) writeRunReply must write exactly what
 // json.NewEncoder(w).Encode(resp) writes. A reply carrying a non-finite
-// float is empty under both.
+// float, which encoding/json rejects too, is a 500 error envelope.
 func TestRunReplyMatchesEncodingJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4D session and runs it a few hundred times; skipped in -short")
@@ -200,7 +201,7 @@ func TestRunReplyMatchesEncodingJSON(t *testing.T) {
 		var want bytes.Buffer
 		_ = json.NewEncoder(&want).Encode(resp)
 		w := httptest.NewRecorder()
-		writeRunReply(w, resp)
+		srv.writeRunReply(w, resp)
 		if w.Code != http.StatusOK || w.Body.String() != want.String() {
 			t.Fatalf("%s: status %d, reply differs from encoding/json:\n got: %s\nwant: %s", name, w.Code, w.Body, want.String())
 		}
@@ -237,7 +238,50 @@ func TestRunReplyMatchesEncodingJSON(t *testing.T) {
 	odd.Events = nil
 	check("nil events", odd)
 	odd.SubOpt = math.NaN()
-	check("NaN", odd)
+	checkNonFinite(t, srv, "NaN", odd)
 	odd.SubOpt, odd.Events = 1, []telemetry.Event{{Kind: telemetry.Done, Budget: math.Inf(1)}}
-	check("infinite event field", odd)
+	checkNonFinite(t, srv, "infinite event field", odd)
+}
+
+// checkNonFinite requires that encoding/json rejects the reply and that
+// writeRunReply sends it as a 500 error envelope with code "internal".
+func checkNonFinite(t *testing.T, srv *Server, name string, resp *runResponse) {
+	t.Helper()
+	if err := json.NewEncoder(io.Discard).Encode(resp); err == nil {
+		t.Fatalf("%s: encoding/json accepted the reply", name)
+	}
+	w := httptest.NewRecorder()
+	srv.writeRunReply(w, resp)
+	var env map[string]apiError
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("%s: body %q is not a JSON envelope: %v", name, w.Body, err)
+	}
+	if w.Code != http.StatusInternalServerError || env["error"].Code != codeInternal ||
+		w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("%s: status %d, content type %q, envelope %+v; want 500 %q", name, w.Code,
+			w.Header().Get("Content-Type"), env, codeInternal)
+	}
+}
+
+// TestWriteRunReplyNonFinite sends replies holding a NaN and an infinite
+// event float through writeRunReply, and the replies of its neighbours
+// without them: the former become 500 error envelopes, the latter 200s.
+func TestWriteRunReplyNonFinite(t *testing.T) {
+	srv := New()
+	defer srv.Close()
+	ok := func() *runResponse {
+		return &runResponse{Algorithm: "planbouquet", TotalCost: 10, OptimalCost: 5, SubOpt: 2, Steps: 1,
+			Events: []telemetry.Event{{Kind: telemetry.PlanExec, Dim: -1, Budget: 8, Spent: 8}}}
+	}
+	w := httptest.NewRecorder()
+	srv.writeRunReply(w, ok())
+	if w.Code != http.StatusOK || !json.Valid(w.Body.Bytes()) {
+		t.Fatalf("finite reply: status %d, body %q", w.Code, w.Body)
+	}
+	nan := ok()
+	nan.Events[0].Spent = math.NaN()
+	checkNonFinite(t, srv, "NaN event field", nan)
+	inf := ok()
+	inf.Events = append(inf.Events, telemetry.Event{Kind: telemetry.Done, Dim: -1, TotalCost: math.Inf(-1)})
+	checkNonFinite(t, srv, "infinite event field", inf)
 }

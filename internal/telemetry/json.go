@@ -107,6 +107,24 @@ func AppendJSONString(b []byte, s string) []byte {
 // struct tags' omitempty rules included. Like encoding/json, it fails on a
 // NaN or infinite float (errNonFinite), appending nothing.
 func (e *Event) AppendJSON(b []byte) ([]byte, error) {
+	var enc EventEncoder
+	return enc.Append(b, e)
+}
+
+// EventEncoder appends a sequence of events, each as AppendJSON does, and
+// formats a float only when its bits differ from those of the float it
+// appended last. A run's stream repeats its floats: the executions of a
+// PlanBouquet contour share one budget, and a failed execution spends
+// exactly its budget, so most of a reply's floats equal the one before.
+// The zero value is ready to use; one encoder serves one stream.
+type EventEncoder struct {
+	bits uint64   // the last float's bits
+	n    int      // the length of its encoding in last; 0 when none
+	last [32]byte // its encoding (at most 25 bytes)
+}
+
+// Append appends the event exactly as AppendJSON does.
+func (enc *EventEncoder) Append(b []byte, e *Event) ([]byte, error) {
 	ok := finite(e.Budget) && finite(e.Spent) && finite(e.Learned) && finite(e.Penalty) &&
 		finite(e.TotalCost) && finite(e.SubOpt) && finite(e.Guarantee)
 	for _, v := range e.Location {
@@ -123,12 +141,12 @@ func (e *Event) AppendJSON(b []byte) ([]byte, error) {
 	b = append(b, `,"dim":`...)
 	b = strconv.AppendInt(b, int64(e.Dim), 10)
 	b = appendInt(b, `,"planID":`, e.PlanID)
-	b = appendFloatField(b, `,"budget":`, e.Budget)
-	b = appendFloatField(b, `,"spent":`, e.Spent)
+	b = enc.field(b, `,"budget":`, e.Budget)
+	b = enc.field(b, `,"spent":`, e.Spent)
 	b = appendTrue(b, `,"completed":true`, e.Completed)
-	b = appendFloatField(b, `,"learned":`, e.Learned)
+	b = enc.field(b, `,"learned":`, e.Learned)
 	b = appendTrue(b, `,"repeat":true`, e.Repeat)
-	b = appendFloatField(b, `,"penalty":`, e.Penalty)
+	b = enc.field(b, `,"penalty":`, e.Penalty)
 	b = appendString(b, `,"mode":`, e.Mode)
 	if len(e.Location) > 0 {
 		b = append(b, `,"location":[`...)
@@ -136,27 +154,43 @@ func (e *Event) AppendJSON(b []byte) ([]byte, error) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendFloat(b, v)
+			b = enc.float(b, v)
 		}
 		b = append(b, ']')
 	}
 	b = appendString(b, `,"detail":`, e.Detail)
 	b = appendTrue(b, `,"final":true`, e.Final)
-	b = appendFloatField(b, `,"totalCost":`, e.TotalCost)
-	b = appendFloatField(b, `,"subOpt":`, e.SubOpt)
-	b = appendFloatField(b, `,"guarantee":`, e.Guarantee)
+	b = enc.field(b, `,"totalCost":`, e.TotalCost)
+	b = enc.field(b, `,"subOpt":`, e.SubOpt)
+	b = enc.field(b, `,"guarantee":`, e.Guarantee)
 	b = appendString(b, `,"algorithm":`, e.Algorithm)
 	b = appendInt(b, `,"cellLo":`, e.CellLo)
 	b = appendInt(b, `,"cellHi":`, e.CellHi)
 	return append(b, '}'), nil
 }
 
-// appendFloatField appends an omitempty float field (f finite).
-func appendFloatField(b []byte, key string, f float64) []byte {
+// field appends an omitempty float field (f finite).
+func (enc *EventEncoder) field(b []byte, key string, f float64) []byte {
 	if f == 0 {
 		return b
 	}
-	return appendFloat(append(b, key...), f)
+	return enc.float(append(b, key...), f)
+}
+
+// float appends the finite f as appendFloat does, copying the last float's
+// bytes when f has its bits.
+func (enc *EventEncoder) float(b []byte, f float64) []byte {
+	bits := math.Float64bits(f)
+	if enc.n > 0 && bits == enc.bits {
+		return append(b, enc.last[:enc.n]...)
+	}
+	at := len(b)
+	b = appendFloat(b, f)
+	enc.bits, enc.n = bits, 0
+	if len(b)-at <= len(enc.last) {
+		enc.n = copy(enc.last[:], b[at:])
+	}
+	return b
 }
 
 // appendInt appends an omitempty int field.

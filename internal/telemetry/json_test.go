@@ -162,3 +162,66 @@ func FuzzEventJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEventStreamJSON holds EventEncoder to encoding/json over a stream of
+// events appended into one buffer. Every float field of every event draws
+// from zero and three fuzzed values in the order the pattern bytes pick,
+// so a float often has the bits of the one appended before it (the memo
+// reuses its bytes), and sometimes only the value (−0 after 0, which an
+// omitempty field drops either way). A NaN or infinite value must fail
+// both encoders, the encoder appending nothing for the failing event.
+func FuzzEventStreamJSON(f *testing.F) {
+	f.Add(4096.0, 1024.0, 0.25, []byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(1e-7, 1e21, 5e-324, []byte{1, 1, 1, 2, 2, 3, 3, 1, 1, 1, 2, 3})
+	f.Add(math.Copysign(0, -1), 8e-4, 8e-4, []byte{1, 2, 3, 1, 2, 3, 0, 1, 1})
+	f.Add(123456789012345678.0, -1.5e-7, 9.999999999999999e20, []byte("\x01\x01\x02\x02\x03\x03"))
+	f.Add(math.NaN(), 1.0, 2.0, []byte{2, 2, 1})
+	f.Add(3.0, math.Inf(1), 3.0, []byte{1, 3, 1, 3, 2})
+
+	f.Fuzz(func(t *testing.T, x, y, z float64, pattern []byte) {
+		vals := [...]float64{0, x, y, z}
+		k := 0
+		next := func() float64 {
+			if len(pattern) == 0 {
+				return 0
+			}
+			k++
+			return vals[pattern[(k-1)%len(pattern)]%4]
+		}
+		events := make([]Event, min(1+len(pattern)/10, 64))
+		for i := range events {
+			ev := &events[i]
+			ev.Seq, ev.Kind, ev.Contour, ev.Dim, ev.PlanID = i, PlanExec, 1+i/3, -1, i%5
+			ev.Budget, ev.Spent, ev.Learned, ev.Penalty = next(), next(), next(), next()
+			ev.Completed = i == len(events)-1
+			ev.Location = []float64{next(), next(), next()}[:i%4%3]
+			ev.TotalCost, ev.SubOpt, ev.Guarantee = next(), next(), next()
+		}
+		want, werr := json.Marshal(events)
+		var enc EventEncoder
+		got := []byte("x[")
+		for i := range events {
+			if i > 0 {
+				got = append(got, ',')
+			}
+			n := len(got)
+			var err error
+			if got, err = enc.Append(got, &events[i]); err != nil {
+				if werr == nil {
+					t.Fatalf("event %d: EventEncoder error %v, encoding/json none", i, err)
+				}
+				if len(got) != n {
+					t.Fatalf("event %d: EventEncoder failed but appended %q", i, got[n:])
+				}
+				return
+			}
+		}
+		got = append(got, ']')
+		if werr != nil {
+			t.Fatalf("encoding/json error %v, EventEncoder none", werr)
+		}
+		if string(got[1:]) != string(want) {
+			t.Fatalf("EventEncoder:\n got %s\nwant %s", got[1:], want)
+		}
+	})
+}

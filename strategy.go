@@ -277,15 +277,12 @@ func (planBouquetStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOut
 	s := r.sess
 	// PlanBouquet's monotone state is the contour index alone (no
 	// half-space pruning), so resume reduces to a later start contour.
+	costs := s.space.ContourCosts(s.opts.ContourRatio)
 	startContour := 0
 	if r.resume != nil {
-		startContour = r.resume.Contour
-		if n := len(s.space.ContourCosts(s.opts.ContourRatio)); startContour > n-1 {
-			startContour = n - 1
-		}
+		startContour = min(r.resume.Contour, len(costs)-1)
 	}
-	out, rerr := bouquet.RunSubspaceContext(ctx, s.space, s.diag, r.rex,
-		s.space.ContourCosts(s.opts.ContourRatio), startContour, s.space.Full(), 1+s.opts.ReductionLambda)
+	out, rerr := bouquet.RunContext(ctx, s.diag, r.rex, costs, startContour)
 	return StrategyOutcome{TotalCost: out.TotalCost}, rerr
 }
 
