@@ -31,7 +31,7 @@ examples:
 # injected errors, operator panics, cost-eval failures and latency faults
 # must end in retried or cleanly degraded runs, never a crash or hang.
 chaos:
-	$(GO) test -race -run 'Chaos|Fault|Resilient|Degrad' ./... -v
+	$(GO) test -race -run 'Chaos|Fault|Scenario|Resilient|Degrad' ./... -v
 	$(GO) test -race ./internal/faults/ -v
 
 # resume-chaos runs the crash-tolerance suite under the race detector: a 3D

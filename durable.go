@@ -54,6 +54,11 @@ func (s *Session) RunDurable(ctx context.Context, a Algorithm, truth Location, r
 		// non-resumable registered strategy is rejected the same way.
 		return RunResult{}, fmt.Errorf("repro: durable runs need a resumable (contour- or ladder-budgeted) strategy; got %v", a)
 	}
+	// A rejected truth must not leave a snapshot behind: validate it before
+	// the first save, or a bad request would list as an interrupted run.
+	if err := s.checkTruth(truth); err != nil {
+		return RunResult{}, err
+	}
 	// Pin the run's trace identity before the first checkpoint: the
 	// context's traceparent if one is attached, a fresh one otherwise. A
 	// crash-resumed incarnation reads it back, so the whole run — across
@@ -212,11 +217,4 @@ func (s *Session) requireStore() error {
 		return fmt.Errorf("repro: session is not durable (set Options.DataDir)")
 	}
 	return nil
-}
-
-// RunDurableWithFaults is RunDurable with a fault plan attached — the chaos
-// entry point for crash-tolerance testing (FaultPlan.CrashAtCheckpoint kills
-// the run loop at a chosen contour boundary; see ErrRunCrashed).
-func (s *Session) RunDurableWithFaults(ctx context.Context, a Algorithm, truth Location, runID string, fp *FaultPlan) (RunResult, error) {
-	return s.RunDurable(faults.With(ctx, fp.internal()), a, truth, runID)
 }

@@ -59,8 +59,8 @@ func TestDurableEpochFencing(t *testing.T) {
 		advanced <- err
 	}()
 
-	victim, err := sess.RunDurableWithFaults(ctx, SpillBound, truth, "fence-victim",
-		&FaultPlan{Latency: 3 * time.Millisecond})
+	slow := WithFaults(ctx, &FaultPlan{Latency: 3 * time.Millisecond})
+	victim, err := sess.RunDurable(slow, SpillBound, truth, "fence-victim")
 	if aerr := <-advanced; aerr != nil {
 		t.Fatal(aerr)
 	}
@@ -133,7 +133,7 @@ func TestDurableEpochFencingInertWithoutFailover(t *testing.T) {
 	ctx := context.Background()
 	truth := Location{0.8, 0.01, 0.3}
 
-	_, err := sess.RunDurableWithFaults(ctx, SpillBound, truth, "inert", &FaultPlan{CrashAtCheckpoint: 1})
+	_, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: 1}), SpillBound, truth, "inert")
 	if !ErrRunCrashed(err) {
 		t.Fatalf("want crash, got %v", err)
 	}

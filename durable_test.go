@@ -73,7 +73,7 @@ func TestCrashResumeChaos(t *testing.T) {
 
 	for k := 1; k <= K; k++ {
 		rid := fmt.Sprintf("crash%d", k)
-		crashed, err := sess.RunDurableWithFaults(ctx, SpillBound, truth, rid, &FaultPlan{CrashAtCheckpoint: k})
+		crashed, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: k}), SpillBound, truth, rid)
 		if !ErrRunCrashed(err) {
 			t.Fatalf("k=%d: want crash, got err=%v", k, err)
 		}
@@ -175,7 +175,7 @@ func TestResumeMatchesForAllAlgorithms(t *testing.T) {
 			}
 			// Crash at a mid-run boundary, then resume to completion.
 			rid := "crash-" + a.String()
-			_, err = sess.RunDurableWithFaults(ctx, a, truth, rid, &FaultPlan{CrashAtCheckpoint: (K + 1) / 2})
+			_, err = sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: (K + 1) / 2}), a, truth, rid)
 			if !ErrRunCrashed(err) {
 				t.Fatalf("want crash, got %v", err)
 			}
@@ -276,6 +276,29 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	}
 	if recovered.POSPSize() != first.POSPSize() {
 		t.Errorf("rebuilt session POSP %d != %d", recovered.POSPSize(), first.POSPSize())
+	}
+}
+
+// TestRejectedDurableRunLeavesNoSnapshot: a durable run whose truth the
+// session rejects (out-of-range selectivity, wrong dimensionality) fails
+// before its first snapshot, so no interrupted run is listed for Recover to
+// resume.
+func TestRejectedDurableRunLeavesNoSnapshot(t *testing.T) {
+	opts := BenchmarkOptions()
+	opts.GridRes = 8
+	opts.DataDir = t.TempDir()
+	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, truth := range []Location{{0.5, 2}, {0, 0.5}, {0.5}, {0.1, 0.1, 0.1}} {
+		rid := fmt.Sprintf("bad%d", i)
+		if _, err := sess.RunDurable(context.Background(), SpillBound, truth, rid); err == nil {
+			t.Fatalf("truth %v accepted", truth)
+		}
+		if runs, err := sess.DurableRuns(); err != nil || len(runs) != 0 {
+			t.Fatalf("after rejecting truth %v: runs %v (err %v), want none", truth, runs, err)
+		}
 	}
 }
 

@@ -91,7 +91,7 @@ func (s *Session) RunWithCostError(a Algorithm, truth Location, delta float64, s
 	if !(delta >= 0) || math.IsInf(delta, 1) {
 		return RunResult{}, fmt.Errorf("repro: negative or non-finite delta %g", delta)
 	}
-	return s.run(a, truth, engine.DeterministicCostError(delta, seed))
+	return s.runFull(context.Background(), a, truth, engine.DeterministicCostError(delta, seed), nil, nil)
 }
 
 // ContourMap renders the session's 2D ESS as a textual contour-band map.

@@ -39,7 +39,7 @@ func countKind(events []telemetry.Event, k telemetry.Kind) int {
 func TestBudgetAbortGolden(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth, &FaultPlan{BudgetOverrun: 2})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 2}), SpillBound, truth)
 	if err != nil {
 		t.Fatalf("overrun run should complete under the watchdog: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestBudgetAbortGolden(t *testing.T) {
 func TestBudgetAbortRespectsSlack(t *testing.T) {
 	sess := guardTestSession(t, &GuardPolicy{BudgetSlack: 0.25})
 	truth := Location{0.02, 0.3}
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth, &FaultPlan{BudgetOverrun: 3})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 3}), SpillBound, truth)
 	if err != nil {
 		t.Fatalf("overrun run should complete under the watchdog: %v", err)
 	}
@@ -116,8 +116,8 @@ func TestBudgetAbortRespectsSlack(t *testing.T) {
 func TestESSEscapeGolden(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth,
-		&FaultPlan{SkewLearnedAt: 1, SkewLearnedFactor: 1e9})
+	ctx := WithFaults(context.Background(), &FaultPlan{SkewLearnedAt: 1, SkewLearnedFactor: 1e9})
+	res, err := sess.RunContext(ctx, SpillBound, truth)
 	if err != nil {
 		t.Fatalf("escape run should complete via the safe path: %v", err)
 	}
@@ -147,8 +147,8 @@ func TestESSEscapeGolden(t *testing.T) {
 // escape still wins the run-level verdict (it is the stronger intervention).
 func TestESSEscapeDominatesVerdict(t *testing.T) {
 	sess := newTestSession(t)
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, Location{0.02, 0.3},
-		&FaultPlan{BudgetOverrun: 2, SkewLearnedAt: 2, SkewLearnedFactor: 1e9})
+	ctx := WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 2, SkewLearnedAt: 2, SkewLearnedFactor: 1e9})
+	res, err := sess.RunContext(ctx, SpillBound, Location{0.02, 0.3})
 	if err != nil {
 		t.Fatalf("guarded run errored: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestMSOGuaranteeUnderOverrun(t *testing.T) {
 	aborts, worst := 0, 0.0
 	for ci := 0; ci < g.Size(); ci += 7 {
 		truth := Location(g.Location(ci))
-		res, err := sess.RunWithFaults(context.Background(), PlanBouquet, truth, &FaultPlan{BudgetOverrun: factor})
+		res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: factor}), PlanBouquet, truth)
 		if err != nil {
 			t.Fatalf("truth %v: %v", truth, err)
 		}

@@ -95,7 +95,7 @@ func TestMemoKeepsPerExecutionFactors(t *testing.T) {
 	}
 
 	e.CostError = nil
-	ctx := faults.With(context.Background(), &faults.Plan{BudgetOverrun: 2})
+	ctx := faults.With(context.Background(), faults.Knobs{BudgetOverrun: 2}.Plan())
 	for i := 0; i < 3; i++ {
 		res, err := e.ExecuteCtx(ctx, p, c/4)
 		if err != nil || res.Completed || res.Spent != c/2 {
@@ -116,7 +116,8 @@ func TestMemoKeepsFaultHooksPerExecution(t *testing.T) {
 	m := testModel(t)
 	truth := cost.Location{1e-3, 1e-3}
 	p, c := optimalPlanAt(t, m, truth)
-	for _, fp := range []*faults.Plan{{FailExecAt: 3}, {FailCostEvalAt: 3}} {
+	for _, k := range []faults.Knobs{{FailExecAt: 3}, {FailCostEvalAt: 3}} {
+		fp := k.Plan()
 		e := New(m, truth)
 		ctx := faults.With(context.Background(), fp)
 		for i := 1; i <= 4; i++ {
@@ -127,11 +128,11 @@ func TestMemoKeepsFaultHooksPerExecution(t *testing.T) {
 				_, err = e.ExecuteCtx(ctx, p, c)
 			}
 			if injected := errors.Is(err, faults.ErrInjected); injected != (i == 3) {
-				t.Errorf("%+v: execution %d error %v", fp, i, err)
+				t.Errorf("%+v: execution %d error %v", k, i, err)
 			}
 		}
 		if fp.Execs() != 4 || fp.Injected() != 1 {
-			t.Errorf("%+v: %d executions, %d injected; want 4 and 1", fp, fp.Execs(), fp.Injected())
+			t.Errorf("%+v: %d executions, %d injected; want 4 and 1", k, fp.Execs(), fp.Injected())
 		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Policy configures step-level retry with exponential backoff.
+// Policy configures step-level retry with exponential backoff (the public
+// repro.RetryPolicy). The zero value disables retries.
 type Policy struct {
 	// MaxRetries is the number of re-attempts after the first failure of a
 	// single execution step. Past it the step error propagates.

@@ -35,19 +35,24 @@ var ErrCrashed = errors.New("faults: injected crash")
 // IsCrash reports whether the error is an injected checkpoint crash.
 func IsCrash(err error) bool { return errors.Is(err, ErrCrashed) }
 
-// Plan describes which faults to inject and when. Counters are 1-based over
-// the executions observed by the consulted layer; the zero value injects
-// nothing. A Plan is safe for concurrent use.
-type Plan struct {
+// Knobs describes which faults to inject and when: the one fault
+// description shared by the public API (repro.FaultPlan), the seeded
+// scenarios and the run-time Plan. Counters are 1-based over the
+// executions observed by the consulted layer; the zero value injects
+// nothing. Knobs is a plain comparable value: instantiate a Plan from it
+// per run, since injection counters are per-run state.
+type Knobs struct {
 	// FailExecAt injects ErrInjected on the Nth execution (1-based).
 	// 0 disables.
 	FailExecAt int
 	// FailExecCount is how many consecutive executions fail starting at
-	// FailExecAt. 0 means 1 when FailExecAt is set. A count larger than any
-	// retry budget forces the degradation ladder all the way down.
+	// FailExecAt. 0 means 1 when FailExecAt is set. A count past the retry
+	// budget forces the degradation ladder all the way down, to the Native
+	// fallback.
 	FailExecCount int
-	// PanicExecAt panics on the Nth execution (1-based) — simulating an
-	// operator bug rather than a clean error. 0 disables.
+	// PanicExecAt panics on the Nth execution (1-based), simulating an
+	// operator bug rather than a clean error; the resilience layer recovers
+	// it into an error. 0 disables.
 	PanicExecAt int
 	// FailCostEvalAt injects ErrInjected on the Nth cost evaluation
 	// (1-based). 0 disables.
@@ -73,8 +78,22 @@ type Plan struct {
 	// checkpoint boundary (1-based) — a process-internal "kill" that fires
 	// *before* the snapshot is persisted, so the last durable state is the
 	// previous checkpoint and the resume path must redo the in-flight
-	// contour (the bounded-redo case). 0 disables.
+	// contour (the bounded-redo case). Unlike the other faults it bypasses
+	// the retry/degradation ladder: the run ends in an error matched by
+	// repro.ErrRunCrashed, and repro's ResumeRun recovers it. Only durable
+	// runs pass checkpoints. 0 disables.
 	CrashAtCheckpoint int
+}
+
+// Plan instantiates a fresh fault plan from the knobs, with zeroed
+// injection counters.
+func (k Knobs) Plan() *Plan { return &Plan{Knobs: k} }
+
+// Plan is the run-time form of Knobs: the knobs plus the injection
+// counters one run advances. The zero value injects nothing. A Plan is
+// safe for concurrent use.
+type Plan struct {
+	Knobs
 
 	mu             sync.Mutex
 	execs          int
@@ -293,30 +312,30 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Scenario returns a deterministic seeded fault plan for chaos suites: the
+// Scenario returns deterministic seeded fault knobs for chaos suites: the
 // seed picks a fault class (clean error, transient error burst, panic,
 // cost-eval error, budget overrun, or monitoring skew) and its trigger
-// point. Identical seeds yield identical plans, so failures found by
+// point. Identical seeds yield identical knobs, so failures found by
 // `make chaos` replay exactly.
-func Scenario(seed int64) *Plan {
+func Scenario(seed int64) Knobs {
 	rng := rand.New(rand.NewSource(seed))
-	p := &Plan{}
+	var k Knobs
 	switch rng.Intn(6) {
 	case 0: // single clean failure early in discovery
-		p.FailExecAt = 1 + rng.Intn(3)
+		k.FailExecAt = 1 + rng.Intn(3)
 	case 1: // transient burst: fails, then recovers under retry
-		p.FailExecAt = 1 + rng.Intn(3)
-		p.FailExecCount = 1 + rng.Intn(2)
+		k.FailExecAt = 1 + rng.Intn(3)
+		k.FailExecCount = 1 + rng.Intn(2)
 	case 2: // operator panic
-		p.PanicExecAt = 1 + rng.Intn(4)
+		k.PanicExecAt = 1 + rng.Intn(4)
 	case 3: // cost-model evaluation failure
-		p.FailCostEvalAt = 1 + rng.Intn(4)
+		k.FailCostEvalAt = 1 + rng.Intn(4)
 	case 4: // budget overrun: the watchdog must abort and keep discovering
-		p.BudgetOverrun = 1.5 + rng.Float64()*2
+		k.BudgetOverrun = 1.5 + rng.Float64()*2
 	case 5: // monitoring skew past the ESS boundary: guard escape fallback
-		p.SkewLearnedAt = 1 + rng.Intn(3)
+		k.SkewLearnedAt = 1 + rng.Intn(3)
 		// Large enough to push any positive observation past 1.
-		p.SkewLearnedFactor = 1e9
+		k.SkewLearnedFactor = 1e9
 	}
-	return p
+	return k
 }

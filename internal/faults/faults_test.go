@@ -27,7 +27,7 @@ func TestContextThreading(t *testing.T) {
 	if From(context.Background()) != nil {
 		t.Fatal("background context carries a plan")
 	}
-	p := &Plan{FailExecAt: 1}
+	p := Knobs{FailExecAt: 1}.Plan()
 	ctx := With(context.Background(), p)
 	if From(ctx) != p {
 		t.Fatal("plan not recovered from context")
@@ -38,7 +38,7 @@ func TestContextThreading(t *testing.T) {
 }
 
 func TestFailWindow(t *testing.T) {
-	p := &Plan{FailExecAt: 2, FailExecCount: 2}
+	p := Knobs{FailExecAt: 2, FailExecCount: 2}.Plan()
 	ctx := context.Background()
 	if err := p.BeforeExec(ctx); err != nil {
 		t.Fatalf("exec 1 should pass: %v", err)
@@ -57,7 +57,7 @@ func TestFailWindow(t *testing.T) {
 }
 
 func TestFailCountDefaultsToOne(t *testing.T) {
-	p := &Plan{FailExecAt: 1}
+	p := Knobs{FailExecAt: 1}.Plan()
 	if err := p.BeforeExec(context.Background()); !IsInjected(err) {
 		t.Fatalf("exec 1: want injected, got %v", err)
 	}
@@ -67,7 +67,7 @@ func TestFailCountDefaultsToOne(t *testing.T) {
 }
 
 func TestPanicInjection(t *testing.T) {
-	p := &Plan{PanicExecAt: 1}
+	p := Knobs{PanicExecAt: 1}.Plan()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -77,7 +77,7 @@ func TestPanicInjection(t *testing.T) {
 }
 
 func TestCostEvalInjection(t *testing.T) {
-	p := &Plan{FailCostEvalAt: 2}
+	p := Knobs{FailCostEvalAt: 2}.Plan()
 	if err := p.OnCostEval(); err != nil {
 		t.Fatalf("eval 1: %v", err)
 	}
@@ -90,7 +90,7 @@ func TestCostEvalInjection(t *testing.T) {
 }
 
 func TestLatencyHonoursDeadline(t *testing.T) {
-	p := &Plan{Latency: 5 * time.Second}
+	p := Knobs{Latency: 5 * time.Second}.Plan()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -104,42 +104,35 @@ func TestLatencyHonoursDeadline(t *testing.T) {
 }
 
 func TestOverrunFactor(t *testing.T) {
-	if f := (&Plan{BudgetOverrun: 2.5}).OverrunFactor(); f != 2.5 {
+	if f := (Knobs{BudgetOverrun: 2.5}).Plan().OverrunFactor(); f != 2.5 {
 		t.Fatalf("factor = %g", f)
 	}
-	if f := (&Plan{BudgetOverrun: 0.5}).OverrunFactor(); f != 1 {
+	if f := (Knobs{BudgetOverrun: 0.5}).Plan().OverrunFactor(); f != 1 {
 		t.Fatalf("sub-1 factor = %g, want disabled", f)
 	}
 }
 
 func TestScenarioDeterminism(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		a, b := Scenario(seed), Scenario(seed)
-		if *aConf(a) != *aConf(b) {
+		k := Scenario(seed)
+		if k != Scenario(seed) {
 			t.Fatalf("seed %d: scenarios differ", seed)
 		}
-		if c := aConf(a); c.FailExecAt == 0 && c.PanicExecAt == 0 && c.FailCostEvalAt == 0 &&
-			c.BudgetOverrun == 0 && c.SkewLearnedAt == 0 {
+		if k.FailExecAt == 0 && k.PanicExecAt == 0 && k.FailCostEvalAt == 0 &&
+			k.BudgetOverrun == 0 && k.SkewLearnedAt == 0 {
 			t.Fatalf("seed %d: scenario injects nothing", seed)
 		}
 	}
 }
 
-// aConf extracts the comparable configuration of a plan (counters and mutex
-// excluded).
-func aConf(p *Plan) *struct {
-	FailExecAt, FailExecCount, PanicExecAt, FailCostEvalAt int
-	Latency                                                time.Duration
-	BudgetOverrun                                          float64
-	SkewLearnedAt                                          int
-	SkewLearnedFactor                                      float64
-} {
-	return &struct {
-		FailExecAt, FailExecCount, PanicExecAt, FailCostEvalAt int
-		Latency                                                time.Duration
-		BudgetOverrun                                          float64
-		SkewLearnedAt                                          int
-		SkewLearnedFactor                                      float64
-	}{p.FailExecAt, p.FailExecCount, p.PanicExecAt, p.FailCostEvalAt, p.Latency, p.BudgetOverrun,
-		p.SkewLearnedAt, p.SkewLearnedFactor}
+func TestKnobsPlanIsFresh(t *testing.T) {
+	k := Knobs{SkewLearnedAt: 1, SkewLearnedFactor: 2}
+	p1, p2 := k.Plan(), k.Plan()
+	if p1 == p2 {
+		t.Fatal("Plan returned a shared instance")
+	}
+	p1.OnLearned(0.5)
+	if got := p2.Injected(); got != 0 {
+		t.Errorf("counters leaked across Plan instances: %d", got)
+	}
 }

@@ -61,7 +61,7 @@ func countKind(rec *telemetry.Recorder, kind telemetry.Kind) int {
 
 func TestWatchdogArmsCeilingWithSlack(t *testing.T) {
 	stub := &stubExec{execRes: engine.Result{Completed: true, Spent: 50}}
-	w := New(stub, Policy{Slack: 0.25})
+	w := New(stub, Policy{BudgetSlack: 0.25})
 	rec := telemetry.NewRecorder()
 	res, err := w.ExecuteCtx(telemetry.With(context.Background(), rec), nil, 100)
 	if err != nil || !res.Completed {
@@ -77,7 +77,7 @@ func TestWatchdogArmsCeilingWithSlack(t *testing.T) {
 
 func TestWatchdogClampsNonCooperativeOverrun(t *testing.T) {
 	stub := &stubExec{execRes: engine.Result{Completed: false, Spent: 200}}
-	w := New(stub, Policy{Slack: 0.1})
+	w := New(stub, Policy{BudgetSlack: 0.1})
 	rec := telemetry.NewRecorder()
 	ctx := telemetry.With(context.Background(), rec)
 
@@ -121,7 +121,7 @@ func TestWatchdogPropagatesCooperativeAbort(t *testing.T) {
 
 func TestWatchdogDetectsESSEscape(t *testing.T) {
 	stub := &stubExec{spillRes: engine.SpillResult{Completed: true, Spent: 10, Learned: 42}}
-	w := New(stub, Policy{Slack: 1})
+	w := New(stub, Policy{BudgetSlack: 1})
 	rec := telemetry.NewRecorder()
 	ctx := telemetry.With(context.Background(), rec)
 

@@ -6,7 +6,7 @@
 // into runtime invariants:
 //
 //   - The budget watchdog (this file) caps what any single budgeted
-//     execution may charge at budget·(1+Slack), with the λ-style slack
+//     execution may charge at budget·(1+BudgetSlack), with the λ-style slack
 //     explicit. An execution that would charge past the ceiling is
 //     hard-aborted via cooperative cancellation (engine.WithCostCeiling),
 //     the clamped charge stands in the ledger, a budget_abort event is
@@ -43,18 +43,20 @@ import (
 // magnitude).
 const essEps = 1e-9
 
-// Policy configures the budget watchdog.
+// Policy configures the budget watchdog and the ESS-escape check (the
+// public repro.GuardPolicy). The zero value enables both with zero slack.
 type Policy struct {
-	// Slack is the tolerated overshoot fraction above the assigned budget
-	// before the watchdog aborts: the enforcement ceiling is
-	// budget·(1+Slack). It plays the same role as the paper's λ cost-model
-	// slack — an explicit, bounded allowance rather than silent trust — and
-	// enters the effective guarantee the same way. Negative values are
-	// treated as 0 (abort at exactly the budget).
-	Slack float64
 	// Disabled turns the watchdog and the ESS-escape check off entirely,
 	// restoring the unguarded pre-guard behaviour.
 	Disabled bool
+	// BudgetSlack is the tolerated overshoot fraction above the assigned
+	// budget before the watchdog aborts: the enforcement ceiling is
+	// budget·(1+BudgetSlack). It plays the same role as the paper's λ
+	// cost-model slack — an explicit, bounded allowance rather than silent
+	// trust — and enters the effective guarantee the same way:
+	// PlanBouquet's enforced MSO becomes 4·(1+λ)·(1+BudgetSlack)·ρ.
+	// Negative values are treated as 0 (abort at exactly the budget).
+	BudgetSlack float64
 }
 
 // escapeError is the terminal error returned when a learned selectivity
@@ -81,7 +83,7 @@ func IsEscape(err error) bool {
 }
 
 // Watchdog wraps a ContextExecutor with ledger enforcement: every budgeted
-// call runs under a cost ceiling of budget·(1+Slack), overruns hard-abort
+// call runs under a cost ceiling of budget·(1+BudgetSlack), overruns hard-abort
 // with engine.ErrBudgetAborted, and spill-mode learned selectivities are
 // validated against the ESS. Aborts and escapes are recorded only as
 // budget_abort and ess_escape events on the context's recorder. It
@@ -106,7 +108,7 @@ func (w *Watchdog) ceiling(budget float64) (float64, bool) {
 	if w.Policy.Disabled || math.IsInf(budget, 1) || budget <= 0 {
 		return 0, false
 	}
-	slack := w.Policy.Slack
+	slack := w.Policy.BudgetSlack
 	if slack < 0 {
 		slack = 0
 	}

@@ -250,7 +250,7 @@ func TestCheckpointCrashFiresBeforeSave(t *testing.T) {
 	st := newStore(t)
 	tr := NewTracker(st, RunState{RunID: "r1"})
 	rec := telemetry.NewRecorder()
-	ctx := faults.With(With(context.Background(), tr), &faults.Plan{CrashAtCheckpoint: 2})
+	ctx := faults.With(With(context.Background(), tr), faults.Knobs{CrashAtCheckpoint: 2}.Plan())
 	ctx = telemetry.With(ctx, rec)
 
 	if err := Checkpoint(ctx, 0); err != nil {

@@ -73,38 +73,6 @@ func ParseRegime(name string) (Regime, error) {
 	return 0, fmt.Errorf("scenario: unknown regime %q", name)
 }
 
-// Knobs is the copyable fault configuration of one scenario — the same
-// fields as faults.Plan without its runtime counters, so a suite can be
-// stored, serialized and re-instantiated per run (fault counters are
-// per-run state).
-type Knobs struct {
-	FailExecAt        int
-	FailExecCount     int
-	PanicExecAt       int
-	FailCostEvalAt    int
-	Latency           time.Duration
-	BudgetOverrun     float64
-	SkewLearnedAt     int
-	SkewLearnedFactor float64
-	CrashAtCheckpoint int
-}
-
-// Plan instantiates a fresh fault plan from the knobs. Every run needs its
-// own plan: the injection counters are per-run state.
-func (k Knobs) Plan() *faults.Plan {
-	return &faults.Plan{
-		FailExecAt:        k.FailExecAt,
-		FailExecCount:     k.FailExecCount,
-		PanicExecAt:       k.PanicExecAt,
-		FailCostEvalAt:    k.FailCostEvalAt,
-		Latency:           k.Latency,
-		BudgetOverrun:     k.BudgetOverrun,
-		SkewLearnedAt:     k.SkewLearnedAt,
-		SkewLearnedFactor: k.SkewLearnedFactor,
-		CrashAtCheckpoint: k.CrashAtCheckpoint,
-	}
-}
-
 // Scenario is one named error-regime composition.
 type Scenario struct {
 	// Name is "<regime>-<n>" with n 1-based within the regime.
@@ -112,7 +80,7 @@ type Scenario struct {
 	// Regime is the error regime the scenario exercises.
 	Regime Regime
 	// Knobs is the fault composition; instantiate with Knobs.Plan() per run.
-	Knobs Knobs
+	Knobs faults.Knobs
 }
 
 // Suite generates perRegime scenarios for each of the three regimes,
@@ -156,8 +124,8 @@ func scenarioRNG(seed int64, r Regime, i int) *rand.Rand {
 // knobsFor draws one scenario's fault composition. i is the 0-based index
 // within the regime; the class rotation is a function of i alone so suites
 // of different sizes agree on their leading scenarios' classes.
-func knobsFor(r Regime, i int, rng *rand.Rand) Knobs {
-	var k Knobs
+func knobsFor(r Regime, i int, rng *rand.Rand) faults.Knobs {
+	var k faults.Knobs
 	switch r {
 	case Benign:
 		// Skew that stays well inside the unit selectivity range: the

@@ -100,18 +100,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestKnobsPlanIsFresh(t *testing.T) {
-	k := Knobs{SkewLearnedAt: 1, SkewLearnedFactor: 2}
-	p1, p2 := k.Plan(), k.Plan()
-	if p1 == p2 {
-		t.Fatal("Plan returned a shared instance")
-	}
-	p1.OnLearned(0.5)
-	if got := p2.Injected(); got != 0 {
-		t.Errorf("counters leaked across Plan instances: %d", got)
-	}
-}
-
 func TestParseRegime(t *testing.T) {
 	for _, r := range Regimes() {
 		got, err := ParseRegime(r.String())

@@ -68,8 +68,8 @@ func crashRun(t *testing.T, dir, sid string, a repro.Algorithm, rid string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.RunDurableWithFaults(context.Background(), a,
-		repro.Location{0.04, 0.1}, rid, &repro.FaultPlan{CrashAtCheckpoint: 2})
+	ctx := repro.WithFaults(context.Background(), &repro.FaultPlan{CrashAtCheckpoint: 2})
+	_, err = sess.RunDurable(ctx, a, repro.Location{0.04, 0.1}, rid)
 	if !repro.ErrRunCrashed(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
@@ -353,6 +353,25 @@ func TestDurableRunNeedsDataDir(t *testing.T) {
 	var list any
 	if resp := getJSON(t, ts.URL+"/v1/sessions/"+sid+"/runs", &list); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("runs listing without -data: status %d", resp.StatusCode)
+	}
+}
+
+// TestRejectedDurableRunIsNotListed: a durable run with a truth the session
+// rejects gets a 400 and leaves nothing on disk, so the runs listing stays
+// empty and a restart has nothing to resume.
+func TestRejectedDurableRunIsNotListed(t *testing.T) {
+	_, ts := overloadServer(t, Config{DataDir: t.TempDir()})
+	sid := createSession(t, ts.URL, map[string]any{"query": "2D_EQ", "gridRes": 6})
+	for _, truth := range [][]float64{{0.5, 2}, {0.5}} {
+		resp, body := postJSON(t, ts.URL+"/v1/sessions/"+sid+"/run",
+			map[string]any{"strategy": "spillbound", "truth": truth, "durable": true})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("truth %v: status %d: %v", truth, resp.StatusCode, body)
+		}
+		var list []any
+		if resp := getJSON(t, ts.URL+"/v1/sessions/"+sid+"/runs", &list); resp.StatusCode != http.StatusOK || len(list) != 0 {
+			t.Fatalf("after rejecting truth %v: runs status %d, %v; want none", truth, resp.StatusCode, list)
+		}
 	}
 }
 

@@ -956,17 +956,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !admitted {
 		return
 	}
+	ctx := repro.WithFaults(r.Context(), fp)
 	var res repro.RunResult
 	var err error
-	switch {
-	case req.Durable && fp != nil:
-		res, err = sess.RunDurableWithFaults(r.Context(), algo, repro.Location(req.Truth), runID, fp)
-	case req.Durable:
-		res, err = sess.RunDurable(r.Context(), algo, repro.Location(req.Truth), runID)
-	case fp != nil:
-		res, err = sess.RunWithFaults(r.Context(), algo, repro.Location(req.Truth), fp)
-	default:
-		res, err = sess.RunContext(r.Context(), algo, repro.Location(req.Truth))
+	if req.Durable {
+		res, err = sess.RunDurable(ctx, algo, repro.Location(req.Truth), runID)
+	} else {
+		res, err = sess.RunContext(ctx, algo, repro.Location(req.Truth))
 	}
 	if err != nil {
 		s.metrics.runs.With(algo.String(), "error").Inc()

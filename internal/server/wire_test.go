@@ -114,8 +114,8 @@ func buildWireGolden(t *testing.T) []wireCase {
 		t.Fatal(err)
 	}
 	ctx := trace.WithContext(context.Background(), tp)
-	_, err = sess.RunDurableWithFaults(ctx, "spillbound", repro.Location{0.0123, 0.234, 0.00456, 0.5678},
-		"wire-resumed", &repro.FaultPlan{CrashAtCheckpoint: 2})
+	_, err = sess.RunDurable(repro.WithFaults(ctx, &repro.FaultPlan{CrashAtCheckpoint: 2}),
+		"spillbound", repro.Location{0.0123, 0.234, 0.00456, 0.5678}, "wire-resumed")
 	if !repro.ErrRunCrashed(err) {
 		t.Fatalf("want a crash at checkpoint 2, got %v", err)
 	}
@@ -222,7 +222,7 @@ func TestRunReplyMatchesEncodingJSON(t *testing.T) {
 			if !ok {
 				t.Fatalf("no scenario %s", name)
 			}
-			res, err = sess.RunWithFaults(context.Background(), algo, truth, &sc.Faults)
+			res, err = sess.RunContext(repro.WithFaults(context.Background(), &sc.Faults), algo, truth)
 		}
 		if err != nil {
 			t.Fatalf("run %d (%s %v %s): %v", i, algo, truth, name, err)

@@ -329,8 +329,9 @@ func JOB1a() Spec {
 // ChaosFail returns a spec whose build always fails: the query references
 // tables absent from every catalog, so binding errors out immediately. It is
 // deliberately excluded from All(), and so from every query listing — it
-// exists for resilience drills (cmd/replay's circuit-breaker phase) that
-// need a session build to fail on demand against a real daemon.
+// exists for resilience drills (the replay drill's circuit-breaker phase,
+// cmd/drill) that need a session build to fail on demand against a real
+// daemon.
 func ChaosFail() Spec {
 	return Spec{
 		Name: "CHAOS_FAIL", D: 2, Catalog: "tpcds",

@@ -70,7 +70,7 @@ func buildLedgerGolden(t *testing.T) []ledgerEntry {
 			add("clean", "clean")
 			for k := 1; ; k++ {
 				rid := fmt.Sprintf("crash%d", k)
-				_, err := sess.RunDurableWithFaults(ctx, a, c.truth, rid, &FaultPlan{CrashAtCheckpoint: k})
+				_, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: k}), a, c.truth, rid)
 				if err == nil {
 					break
 				}

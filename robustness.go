@@ -2,8 +2,8 @@ package repro
 
 import (
 	"context"
-	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/guard"
 )
@@ -20,96 +20,33 @@ import (
 // RetryPolicy configures step-level retry with exponential backoff (the
 // middle rung of the degradation ladder). The zero value disables retries;
 // Options.Retry = nil uses the default (2 retries from 1ms, capped at 50ms).
-type RetryPolicy struct {
-	// MaxRetries is the number of re-attempts after a step's first failure.
-	MaxRetries int
-	// BaseBackoff is the delay before the first retry; each retry doubles
-	// it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling (0 = uncapped).
-	MaxBackoff time.Duration
-}
+type RetryPolicy = engine.Policy
 
 // GuardPolicy configures the runtime guarantee guardrails: the budget
 // watchdog that hard-aborts any execution charging past its contour budget,
 // and the ESS-escape fallback that reroutes a run whose monitored
 // selectivity leaves the enumerated space. Options.Guard = nil enables both
 // with zero slack; set Disabled to restore the unguarded behaviour.
-type GuardPolicy struct {
-	// Disabled turns the watchdog and the ESS-escape check off.
-	Disabled bool
-	// BudgetSlack is the tolerated overshoot fraction above each assigned
-	// budget before the watchdog aborts (the enforcement ceiling is
-	// budget·(1+BudgetSlack)) — the λ-style allowance made explicit. It
-	// enters the effective worst-case bound multiplicatively: PlanBouquet's
-	// enforced MSO becomes 4·(1+λ)·(1+BudgetSlack)·ρ.
-	BudgetSlack float64
-}
-
-// guardPolicy resolves the session's guard configuration.
-func (s *Session) guardPolicy() guard.Policy {
-	if g := s.opts.Guard; g != nil {
-		return guard.Policy{Slack: g.BudgetSlack, Disabled: g.Disabled}
-	}
-	return guard.Policy{}
-}
+type GuardPolicy = guard.Policy
 
 // FaultPlan describes operational faults to inject into a run — the chaos
 // half of the resilience harness. Counters are 1-based over the executions
-// the engine performs; the zero value injects nothing.
-type FaultPlan struct {
-	// FailExecAt makes the Nth execution fail with an injected error
-	// (0 = never).
-	FailExecAt int
-	// FailExecCount is how many consecutive executions fail from
-	// FailExecAt on (0 means 1 when FailExecAt is set). Set it beyond the
-	// retry budget to force the Native fallback.
-	FailExecCount int
-	// PanicExecAt makes the Nth execution panic, simulating an operator
-	// bug; the resilience layer recovers it into an error (0 = never).
-	PanicExecAt int
-	// FailCostEvalAt makes the Nth cost evaluation fail (0 = never).
-	FailCostEvalAt int
-	// Latency adds an artificial delay to every execution, to exercise
-	// deadline enforcement.
-	Latency time.Duration
-	// BudgetOverrun > 1 multiplies every execution's charged cost, like an
-	// operator spending past its assigned budget.
-	BudgetOverrun float64
-	// SkewLearnedAt corrupts the Nth spill-mode learned selectivity
-	// (1-based) by multiplying it with SkewLearnedFactor — run-time
-	// monitoring gone wrong. A factor pushing the value past 1 drives the
-	// discovery outside the ESS, triggering the guard's safe-path fallback
-	// (0 = never).
-	SkewLearnedAt int
-	// SkewLearnedFactor is the multiplier applied at SkewLearnedAt
-	// (values <= 0 are treated as 1).
-	SkewLearnedFactor float64
-	// CrashAtCheckpoint kills the run loop at the Nth contour-boundary
-	// checkpoint (1-based), *before* the snapshot lands — simulating the
-	// process dying there. Unlike the other faults it bypasses the
-	// retry/degradation ladder: the run aborts with an error matched by
-	// ErrRunCrashed, and ResumeRun recovers from the previous durable
-	// snapshot (0 = never).
-	CrashAtCheckpoint int
-}
+// the engine performs; the zero value injects nothing. Attach a plan to a
+// run's context with WithFaults.
+type FaultPlan = faults.Knobs
 
-// internal converts the public plan to the context-threaded form.
-func (fp *FaultPlan) internal() *faults.Plan {
+// WithFaults returns a context that injects the plan's faults into the runs
+// it is passed to (RunContext, RunDurable, ResumeRun). Injected failures
+// ride the same degradation ladder as real ones: step retry with
+// exponential backoff, then Native-plan fallback with the downgrade
+// recorded in the trace (RunResult.Degraded). The context carries its own
+// injection counters: one plan can seed many contexts, and runs sharing
+// one context share its counters. A nil plan returns ctx unchanged.
+func WithFaults(ctx context.Context, fp *FaultPlan) context.Context {
 	if fp == nil {
-		return nil
+		return ctx
 	}
-	return &faults.Plan{
-		FailExecAt:        fp.FailExecAt,
-		FailExecCount:     fp.FailExecCount,
-		PanicExecAt:       fp.PanicExecAt,
-		FailCostEvalAt:    fp.FailCostEvalAt,
-		Latency:           fp.Latency,
-		BudgetOverrun:     fp.BudgetOverrun,
-		SkewLearnedAt:     fp.SkewLearnedAt,
-		SkewLearnedFactor: fp.SkewLearnedFactor,
-		CrashAtCheckpoint: fp.CrashAtCheckpoint,
-	}
+	return faults.With(ctx, fp.Plan())
 }
 
 // FaultScenario returns a deterministic seeded fault plan: the seed selects
@@ -117,23 +54,22 @@ func (fp *FaultPlan) internal() *faults.Plan {
 // budget overrun, or monitoring skew) and its trigger point. Identical seeds
 // produce identical plans, so chaos findings replay exactly.
 func FaultScenario(seed int64) *FaultPlan {
-	p := faults.Scenario(seed)
-	return &FaultPlan{
-		FailExecAt:        p.FailExecAt,
-		FailExecCount:     p.FailExecCount,
-		PanicExecAt:       p.PanicExecAt,
-		FailCostEvalAt:    p.FailCostEvalAt,
-		Latency:           p.Latency,
-		BudgetOverrun:     p.BudgetOverrun,
-		SkewLearnedAt:     p.SkewLearnedAt,
-		SkewLearnedFactor: p.SkewLearnedFactor,
-	}
+	k := faults.Scenario(seed)
+	return &k
 }
 
-// RunWithFaults is RunContext with the fault plan injected into the
-// execution engine. Injected failures ride the same degradation ladder as
-// real ones: step retry with exponential backoff, then Native-plan fallback
-// with the downgrade recorded in the trace (RunResult.Degraded).
-func (s *Session) RunWithFaults(ctx context.Context, a Algorithm, truth Location, fp *FaultPlan) (RunResult, error) {
-	return s.RunContext(faults.With(ctx, fp.internal()), a, truth)
+// retryPolicy resolves the session's step-retry configuration.
+func (s *Session) retryPolicy() engine.Policy {
+	if r := s.opts.Retry; r != nil {
+		return *r
+	}
+	return engine.DefaultPolicy()
+}
+
+// guardPolicy resolves the session's guard configuration.
+func (s *Session) guardPolicy() guard.Policy {
+	if g := s.opts.Guard; g != nil {
+		return *g
+	}
+	return guard.Policy{}
 }

@@ -37,7 +37,7 @@ func TestRunContextAbortsWithinDeadline(t *testing.T) {
 	// The latency fault parks every execution, so only the deadline can end
 	// the run; the assertion is that it does, promptly.
 	start := time.Now()
-	_, err := sess.RunWithFaults(ctx, SpillBound, Location{0.02, 0.3}, &FaultPlan{Latency: 10 * time.Second})
+	_, err := sess.RunContext(WithFaults(ctx, &FaultPlan{Latency: 10 * time.Second}), SpillBound, Location{0.02, 0.3})
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
@@ -65,7 +65,7 @@ func TestTransientFaultAbsorbedByRetry(t *testing.T) {
 	}
 	// One injected failure on the second execution: the backoff retry
 	// re-runs the step and the discovery completes unchanged.
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth, &FaultPlan{FailExecAt: 2})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{FailExecAt: 2}), SpillBound, truth)
 	if err != nil {
 		t.Fatalf("transient fault should not error: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestPersistentFaultDegradesToNative(t *testing.T) {
 	truth := Location{0.02, 0.3}
 	// Fail from the second execution onward, far past the retry budget:
 	// mid-contour failure → backoff retries → Native-plan fallback.
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth, &FaultPlan{FailExecAt: 2, FailExecCount: 1000})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{FailExecAt: 2, FailExecCount: 1000}), SpillBound, truth)
 	if err != nil {
 		t.Fatalf("degraded run should complete, got error: %v", err)
 	}
@@ -120,11 +120,45 @@ func TestPersistentFaultDegradesToNative(t *testing.T) {
 	}
 }
 
+// TestFaultPlanReusedAcrossContexts: each WithFaults context carries fresh
+// injection counters, so one plan attached to two contexts degrades both
+// runs, while two runs sharing one context share its counters: the first
+// exhausts the failure window and the second runs clean.
+func TestFaultPlanReusedAcrossContexts(t *testing.T) {
+	sess := newTestSession(t)
+	truth := Location{0.02, 0.3}
+	// One first attempt plus the default policy's two retries.
+	fp := &FaultPlan{FailExecAt: 1, FailExecCount: 3}
+	run := func(ctx context.Context) RunResult {
+		t.Helper()
+		res, err := sess.RunContext(ctx, SpillBound, truth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 2; i++ {
+		if res := run(WithFaults(context.Background(), fp)); !res.Degraded {
+			t.Errorf("run %d under its own context not degraded:\n%s", i, res.Trace)
+		}
+	}
+	shared := WithFaults(context.Background(), fp)
+	if res := run(shared); !res.Degraded {
+		t.Errorf("first run on the shared context not degraded:\n%s", res.Trace)
+	}
+	if res := run(shared); res.Degraded {
+		t.Errorf("second run on the shared context degraded:\n%s", res.Trace)
+	}
+	if ctx := context.Background(); WithFaults(ctx, nil) != ctx {
+		t.Error("WithFaults(ctx, nil) did not return ctx")
+	}
+}
+
 func TestPanicFaultRecovered(t *testing.T) {
 	sess := newTestSession(t)
 	// An injected operator panic is recovered into an error and retried;
 	// the next attempt does not panic, so the run completes undegraded.
-	res, err := sess.RunWithFaults(context.Background(), AlignedBound, Location{0.02, 0.3}, &FaultPlan{PanicExecAt: 1})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{PanicExecAt: 1}), AlignedBound, Location{0.02, 0.3})
 	if err != nil {
 		t.Fatalf("panic should be recovered: %v", err)
 	}
@@ -143,7 +177,7 @@ func TestBudgetOverrunStillCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, truth, &FaultPlan{BudgetOverrun: 2})
+	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 2}), SpillBound, truth)
 	if err != nil {
 		t.Fatalf("overrun run failed: %v", err)
 	}
@@ -166,7 +200,7 @@ func TestChaosScenarios(t *testing.T) {
 	degraded := 0
 	for seed := int64(1); seed <= 24; seed++ {
 		a := algos[seed%int64(len(algos))]
-		res, err := sess.RunWithFaults(context.Background(), a, truth, FaultScenario(seed))
+		res, err := sess.RunContext(WithFaults(context.Background(), FaultScenario(seed)), a, truth)
 		if err != nil {
 			t.Fatalf("seed %d (%v): %v", seed, a, err)
 		}
@@ -208,7 +242,7 @@ func TestConcurrentFaultRuns(t *testing.T) {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			_, err := sess.RunWithFaults(context.Background(), SpillBound, truth, FaultScenario(seed))
+			_, err := sess.RunContext(WithFaults(context.Background(), FaultScenario(seed)), SpillBound, truth)
 			if err != nil {
 				errc <- err
 			}

@@ -78,22 +78,7 @@ func ScenarioByName(seed int64, name string) (Scenario, bool) {
 }
 
 func fromInternal(sc scenario.Scenario) Scenario {
-	k := sc.Knobs
-	return Scenario{
-		Name:   sc.Name,
-		Regime: sc.Regime.String(),
-		Faults: FaultPlan{
-			FailExecAt:        k.FailExecAt,
-			FailExecCount:     k.FailExecCount,
-			PanicExecAt:       k.PanicExecAt,
-			FailCostEvalAt:    k.FailCostEvalAt,
-			Latency:           k.Latency,
-			BudgetOverrun:     k.BudgetOverrun,
-			SkewLearnedAt:     k.SkewLearnedAt,
-			SkewLearnedFactor: k.SkewLearnedFactor,
-			CrashAtCheckpoint: k.CrashAtCheckpoint,
-		},
-	}
+	return Scenario{Name: sc.Name, Regime: sc.Regime.String(), Faults: sc.Knobs}
 }
 
 // RegimeSummary aggregates one algorithm's robustness within one error
@@ -166,8 +151,7 @@ func (s *Session) scenarioSweep(ctx context.Context, a Algorithm, suite []Scenar
 		regimeOf[i] = sc.Regime
 	}
 	run := func(idx int, truth Location) metrics.ScenarioOutcome {
-		fctx := faults.With(ctx, suite[idx].Faults.internal())
-		res, err := s.runContext(fctx, a, truth, nil)
+		res, err := s.runFull(WithFaults(ctx, &suite[idx].Faults), a, truth, nil, nil, nil)
 		if err != nil {
 			if faults.IsCrash(err) {
 				// The crash left a partial (but real) ledger: account the

@@ -401,51 +401,43 @@ func newModel(q *query.Query, p CostParams) (*cost.Model, error) {
 // selectivity location (unknown to the algorithm; used only by the
 // simulated executor) and reports cost and sub-optimality.
 func (s *Session) Run(a Algorithm, truth Location) (RunResult, error) {
-	return s.runContext(context.Background(), a, truth, nil)
+	return s.runFull(context.Background(), a, truth, nil, nil, nil)
 }
 
 // RunContext is Run with cancellation and resilience: the context's
 // deadline/cancel aborts the discovery at the next contour or execution
 // boundary (returning the context's error), fault plans attached via
-// RunWithFaults inject failures, and a step that keeps failing past the
+// WithFaults inject failures, and a step that keeps failing past the
 // retry policy degrades the run to the Native plan instead of erroring out
 // (see RunResult.Degraded).
 func (s *Session) RunContext(ctx context.Context, a Algorithm, truth Location) (RunResult, error) {
-	return s.runContext(ctx, a, truth, nil)
+	return s.runFull(ctx, a, truth, nil, nil, nil)
 }
 
-// run is Run with an optional injected cost-model error.
-func (s *Session) run(a Algorithm, truth Location, costErr engine.CostErrorFn) (RunResult, error) {
-	return s.runContext(context.Background(), a, truth, costErr)
-}
-
-// retryPolicy resolves the session's step-retry configuration.
-func (s *Session) retryPolicy() engine.Policy {
-	if r := s.opts.Retry; r != nil {
-		return engine.Policy{MaxRetries: r.MaxRetries, BaseBackoff: r.BaseBackoff, MaxBackoff: r.MaxBackoff}
-	}
-	return engine.DefaultPolicy()
-}
-
-// runContext drives one robust processing run with the full degradation
-// ladder: algorithm → step retry with exponential backoff → Native-plan
-// fallback.
-func (s *Session) runContext(ctx context.Context, a Algorithm, truth Location, costErr engine.CostErrorFn) (RunResult, error) {
-	return s.runFull(ctx, a, truth, costErr, nil, nil)
-}
-
-// runFull is the full-generality run driver: runContext plus optional
-// durability. A non-nil tracker checkpoints the discovery state at contour
-// boundaries; a non-nil resume restores a checkpointed state (restart
-// contour, learnt selectivities, budget ledger) before the first execution.
-func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, costErr engine.CostErrorFn, tr *runstate.Tracker, resume *runstate.Discovery) (RunResult, error) {
+// checkTruth rejects a truth location the session cannot run: one with the
+// wrong dimensionality or a selectivity outside (0,1].
+func (s *Session) checkTruth(truth Location) error {
 	if len(truth) != s.D() {
-		return RunResult{}, fmt.Errorf("repro: truth has %d dims, query has %d epps", len(truth), s.D())
+		return fmt.Errorf("repro: truth has %d dims, query has %d epps", len(truth), s.D())
 	}
 	for _, v := range truth {
 		if v <= 0 || v > 1 {
-			return RunResult{}, fmt.Errorf("repro: selectivity %g outside (0,1]", v)
+			return fmt.Errorf("repro: selectivity %g outside (0,1]", v)
 		}
+	}
+	return nil
+}
+
+// runFull is the one run driver: one robust processing run with the full
+// degradation ladder (algorithm → step retry with exponential backoff →
+// Native-plan fallback), an optional injected cost-model error, and
+// optional durability. A non-nil tracker checkpoints the discovery state at
+// contour boundaries; a non-nil resume restores a checkpointed state
+// (restart contour, learnt selectivities, budget ledger) before the first
+// execution.
+func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, costErr engine.CostErrorFn, tr *runstate.Tracker, resume *runstate.Discovery) (RunResult, error) {
+	if err := s.checkTruth(truth); err != nil {
+		return RunResult{}, err
 	}
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err

@@ -168,7 +168,7 @@ func TestSelectionLadderCrashResume(t *testing.T) {
 		t.Fatalf("baseline ladder has %d steps; the crash drill needs a multi-attempt run", len(base.Steps))
 	}
 
-	crashed, err := sess.RunDurableWithFaults(ctx, a, truth, "sel-crash", &FaultPlan{CrashAtCheckpoint: 2})
+	crashed, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: 2}), a, truth, "sel-crash")
 	if !ErrRunCrashed(err) {
 		t.Fatalf("want crash, got err=%v (result %+v)", err, crashed)
 	}

@@ -184,8 +184,8 @@ func TestNativeRunEvents(t *testing.T) {
 // give-up note, the Degrade record, and the derived RunResult fields.
 func TestDegradedRunEventGolden(t *testing.T) {
 	sess := newTestSession(t)
-	res, err := sess.RunWithFaults(context.Background(), SpillBound, Location{0.02, 0.3},
-		&FaultPlan{FailExecAt: 2, FailExecCount: 1000})
+	ctx := WithFaults(context.Background(), &FaultPlan{FailExecAt: 2, FailExecCount: 1000})
+	res, err := sess.RunContext(ctx, SpillBound, Location{0.02, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,8 +256,7 @@ func TestConcurrentRunRecorders(t *testing.T) {
 			if i%2 == 0 {
 				res, err = sess.RunContext(context.Background(), a, Location{0.02, 0.3})
 			} else {
-				res, err = sess.RunWithFaults(context.Background(), a, Location{0.02, 0.3},
-					&FaultPlan{FailExecAt: 1})
+				res, err = sess.RunContext(WithFaults(context.Background(), &FaultPlan{FailExecAt: 1}), a, Location{0.02, 0.3})
 			}
 			if err != nil {
 				t.Errorf("run %d (%v): %v", i, a, err)

@@ -67,8 +67,8 @@ func buildTraceGolden(t *testing.T) []goldenTraceEntry {
 		t.Fatal(err)
 	}
 
-	degraded, err := sess.RunWithFaults(tracedCtx(t), SpillBound, Location{0.001, 0.05},
-		&FaultPlan{FailExecAt: 2, FailExecCount: 1000})
+	degradeCtx := WithFaults(tracedCtx(t), &FaultPlan{FailExecAt: 2, FailExecCount: 1000})
+	degraded, err := sess.RunContext(degradeCtx, SpillBound, Location{0.001, 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func buildTraceGolden(t *testing.T) []goldenTraceEntry {
 	}
 
 	durable := goldenSession(t, "2D_EQ", 8, t.TempDir())
-	crashed, err := durable.RunDurableWithFaults(tracedCtx(t), SpillBound, Location{0.9, 0.9},
-		"golden-crash", &FaultPlan{CrashAtCheckpoint: 2})
+	crashCtx := WithFaults(tracedCtx(t), &FaultPlan{CrashAtCheckpoint: 2})
+	crashed, err := durable.RunDurable(crashCtx, SpillBound, Location{0.9, 0.9}, "golden-crash")
 	if !ErrRunCrashed(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
@@ -220,8 +220,8 @@ func TestTraceResumeReplayDeterministic(t *testing.T) {
 	}
 	resumeTree := func() []byte {
 		sess := goldenSession(t, "2D_EQ", 8, t.TempDir())
-		_, err := sess.RunDurableWithFaults(tracedCtx(t), SpillBound, Location{0.9, 0.9},
-			"replay", &FaultPlan{CrashAtCheckpoint: 2})
+		ctx := WithFaults(tracedCtx(t), &FaultPlan{CrashAtCheckpoint: 2})
+		_, err := sess.RunDurable(ctx, SpillBound, Location{0.9, 0.9}, "replay")
 		if !ErrRunCrashed(err) {
 			t.Fatalf("want crash, got %v", err)
 		}
