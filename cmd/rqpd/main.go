@@ -32,13 +32,14 @@
 // (in-flight session builds are canceled).
 //
 // In fleet mode (-peers) nodes also gossip load vitals on their heartbeats:
-// the proxy sheds traffic bound for a saturated owner at the edge
-// (-shed-pressure) quoting the owner's own Retry-After hint, hedging is
-// suppressed near saturation (-hedge-pressure), a per-request retry budget
-// (-retry-budget, threaded via X-Rqp-Retry-Budget) caps cross-fleet
-// fan-out, and a staged brownout controller (-brownout) progressively
-// disables hedging and trace sampling, then sheds expensive reads, builds,
-// and finally runs under sustained fleet-wide pressure.
+// the proxy sheds traffic bound for an owner whose pressure reaches 0.9 at
+// the edge, quoting the owner's own Retry-After hint, suppresses hedging
+// from pressure 0.6, and caps each request at 3 wire attempts across the
+// fleet (threaded via X-Rqp-Retry-Budget). A staged brownout controller,
+// on in every fleet node, progressively disables hedging and trace
+// sampling, then sheds expensive reads, builds, and finally runs under
+// sustained fleet-wide pressure. These thresholds are fixed, and each
+// heartbeat probe times out at half of -heartbeat-interval.
 package main
 
 import (
@@ -75,15 +76,10 @@ func main() {
 	peers := flag.String("peers", "", "comma-separated fleet peer addresses (host:port), this node included: enables the multi-node session fabric (consistent-hash routing, transparent proxying, any-node failover); requires -data on a shared filesystem")
 	advertise := flag.String("advertise", "", "address peers reach this node at (default: -addr)")
 	hbInterval := flag.Duration("heartbeat-interval", time.Second, "fleet heartbeat probe cadence")
-	hbTimeout := flag.Duration("heartbeat-timeout", 0, "per-probe timeout (0 = half the interval)")
 	hbDown := flag.Int("heartbeat-down", 3, "consecutive probe failures that mark a peer down")
 	hbUp := flag.Int("heartbeat-up", 2, "consecutive probe successes that mark a down peer back up")
 	hedgeDelay := flag.Duration("hedge-delay", 150*time.Millisecond, "delay before hedging a slow proxied idempotent read (negative disables)")
-	brownout := flag.Bool("brownout", true, "staged brownout under fleet pressure: progressively disable hedging/trace sampling, then shed expensive reads, builds, and finally runs (fleet mode only; single-node rqpd never browns out)")
-	brownoutInterval := flag.Duration("brownout-interval", time.Second, "brownout controller tick cadence")
-	shedPressure := flag.Float64("shed-pressure", 0.9, "gossiped owner pressure at which the proxy sheds at the edge instead of forwarding (≥1 disables)")
-	hedgePressure := flag.Float64("hedge-pressure", 0.6, "gossiped owner pressure at which proxied-read hedging is suppressed")
-	retryBudget := flag.Int("retry-budget", 3, "wire attempts (primary+retry+hedge) one proxied request may spend across the fleet; threaded via X-Rqp-Retry-Budget")
+	brownoutInterval := flag.Duration("brownout-interval", time.Second, "brownout controller tick cadence (fleet mode only; single-node rqpd never browns out)")
 	flag.Parse()
 
 	api := server.NewWithConfig(server.Config{
@@ -101,7 +97,7 @@ func main() {
 		// Brownout is a fleet behavior: a single node has no gossip to steer
 		// by, and the single-node API must stay byte-identical. The controller
 		// is only constructed (and its loop only started) in fleet mode.
-		Brownout:         *peers != "" && *brownout,
+		Brownout:         *peers != "",
 		BrownoutInterval: *brownoutInterval,
 	})
 	api.StartEviction()
@@ -122,14 +118,10 @@ func main() {
 			Peers:             strings.Split(*peers, ","),
 			DataDir:           *dataDir,
 			HeartbeatInterval: *hbInterval,
-			ProbeTimeout:      *hbTimeout,
 			MarkDown:          *hbDown,
 			MarkUp:            *hbUp,
 			ProxyTimeout:      *reqTimeout,
 			HedgeDelay:        *hedgeDelay,
-			ShedPressure:      *shedPressure,
-			HedgePressure:     *hedgePressure,
-			RetryBudget:       *retryBudget,
 		}, api)
 		if err != nil {
 			log.Fatalf("rqpd fleet: %v", err)

@@ -7,7 +7,7 @@
 // cooperatively and abort with ErrBudgetAborted the moment charged cost
 // would cross it.
 //
-// Classification answers the retry layer's only question: is an error worth
+// Terminal answers the retry layer's only question: is an error worth
 // re-attempting? Watchdog aborts, injected checkpoint crashes and context
 // cancellation are terminal — re-running the step cannot change the outcome
 // and would double-charge the ledger — while everything else (injected
@@ -37,29 +37,12 @@ func IsBudgetAbort(err error) bool { return errors.Is(err, ErrBudgetAborted) }
 // ESS-escape) declare themselves terminal without an import cycle.
 type terminalError interface{ Terminal() bool }
 
-// Class partitions execution-step errors for the retry policy.
-type Class int
-
-const (
-	// Transient errors are worth re-attempting under backoff.
-	Transient Class = iota
-	// TerminalClass errors propagate immediately: retrying cannot succeed
-	// and may double-charge the budget ledger.
-	TerminalClass
-)
-
-// Classify buckets an execution-step error: context cancellation and
-// deadline expiry, watchdog budget aborts, injected checkpoint crashes
-// (faults.ErrCrashed / repro.ErrRunCrashed) and any error implementing
-// Terminal() true are terminal; everything else is transient.
-func Classify(err error) Class {
-	if Terminal(err) {
-		return TerminalClass
-	}
-	return Transient
-}
-
-// Terminal reports whether the error must not be retried.
+// Terminal reports whether an execution-step error must not be retried:
+// context cancellation and deadline expiry, watchdog budget aborts,
+// injected checkpoint crashes (faults.ErrCrashed / repro.ErrRunCrashed) and
+// any error implementing Terminal() true are terminal — retrying cannot
+// succeed and may double-charge the budget ledger; everything else is
+// transient.
 func Terminal(err error) bool {
 	if err == nil {
 		return false

@@ -87,7 +87,7 @@ func attempt(fn func() error) (err error) {
 
 // retry drives fn through the policy's backoff schedule. fn is re-invoked
 // until it succeeds, the retry budget is exhausted (→ *StepError), or the
-// failure is terminal (Classify): cancellation, a watchdog budget abort, or
+// failure is Terminal: cancellation, a watchdog budget abort, or
 // an injected checkpoint crash propagate immediately — re-attempting cannot
 // change the outcome and would double-charge the budget ledger.
 func (r *Resilient) retry(ctx context.Context, kind string, fn func() error) error {
@@ -97,7 +97,7 @@ func (r *Resilient) retry(ctx context.Context, kind string, fn func() error) err
 		if last == nil {
 			return nil
 		}
-		if Classify(last) == TerminalClass {
+		if Terminal(last) {
 			return last
 		}
 		if n >= r.Policy.MaxRetries {

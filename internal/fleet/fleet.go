@@ -20,6 +20,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
@@ -34,7 +35,11 @@ import (
 )
 
 // Config wires one node into the fabric. Zero durations and counts take the
-// defaults noted per field.
+// defaults noted per field. The rest of the fabric's tuning is fixed: each
+// probe times out at half the heartbeat interval, a down peer's probe
+// backoff caps at 8 intervals, and the ring, retry budget and pressure
+// thresholds are the constants replicas, retryBudget, shedPressure and
+// hedgePressure.
 type Config struct {
 	// Self is the address peers reach this node at (host:port); it must
 	// appear in Peers.
@@ -46,16 +51,11 @@ type Config struct {
 	DataDir string
 	// HeartbeatInterval is the probe cadence (default 1s).
 	HeartbeatInterval time.Duration
-	// ProbeTimeout is the per-probe HTTP budget (default interval/2).
-	ProbeTimeout time.Duration
 	// MarkDown / MarkUp are the hysteresis thresholds: consecutive probe
 	// failures to take a peer down (default 3) and consecutive successes
 	// to bring it back (default 2).
 	MarkDown int
 	MarkUp   int
-	// MaxBackoff caps the probe backoff while a peer is down (default
-	// 8×interval).
-	MaxBackoff time.Duration
 	// ProxyTimeout bounds one proxied request, hedges included (default
 	// 30s).
 	ProxyTimeout time.Duration
@@ -63,23 +63,6 @@ type Config struct {
 	// launching its single hedge request (default 150ms; negative disables
 	// hedging).
 	HedgeDelay time.Duration
-	// Replicas is the virtual-node count per ring member (default 64).
-	Replicas int
-	// ShedPressure is the owner-pressure threshold at or above which the
-	// proxy rejects at the edge instead of forwarding — the cheapest
-	// rejection point, sparing the saturated owner the request entirely
-	// (default 0.9; ≥ 1 never edge-sheds on pressure alone).
-	ShedPressure float64
-	// HedgePressure is the owner-pressure threshold at or above which
-	// hedging is suppressed: a hedge against a struggling owner is pure
-	// load amplification (default 0.6).
-	HedgePressure float64
-	// RetryBudget caps the wire attempts (primary + retry + hedge) one
-	// request may spend across the fleet, and is threaded through the
-	// X-Rqp-Retry-Budget header so client-side retry storms cannot fan out
-	// unboundedly (default 3). An incoming header may lower the cap for a
-	// given request, never raise it.
-	RetryBudget int
 }
 
 // withDefaults returns the config with unset knobs defaulted.
@@ -87,35 +70,17 @@ func (c Config) withDefaults() Config {
 	if c.HeartbeatInterval <= 0 {
 		c.HeartbeatInterval = time.Second
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.HeartbeatInterval / 2
-	}
 	if c.MarkDown < 1 {
 		c.MarkDown = 3
 	}
 	if c.MarkUp < 1 {
 		c.MarkUp = 2
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 8 * c.HeartbeatInterval
-	}
 	if c.ProxyTimeout <= 0 {
 		c.ProxyTimeout = 30 * time.Second
 	}
 	if c.HedgeDelay == 0 {
 		c.HedgeDelay = 150 * time.Millisecond
-	}
-	if c.Replicas < 1 {
-		c.Replicas = defaultReplicas
-	}
-	if c.ShedPressure <= 0 {
-		c.ShedPressure = 0.9
-	}
-	if c.HedgePressure <= 0 {
-		c.HedgePressure = 0.6
-	}
-	if c.RetryBudget < 1 {
-		c.RetryBudget = 3
 	}
 	return c
 }
@@ -223,8 +188,7 @@ func New(cfg Config, srv *server.Server) (*Node, error) {
 		n.rec.Record(telemetry.Event{Kind: telemetry.BrownoutStage, Contour: to, Dim: from, Detail: n.cfg.Self})
 		n.publishFleetTrace()
 	})
-	n.membership = newMembership(cfg.Self, cfg.Peers, cfg.HeartbeatInterval, cfg.ProbeTimeout,
-		cfg.MaxBackoff, cfg.MarkDown, cfg.MarkUp, n.onTransition)
+	n.membership = newMembership(cfg.Self, cfg.Peers, cfg.HeartbeatInterval, cfg.MarkDown, cfg.MarkUp, n.onTransition)
 	n.metrics.peersLive.Set(float64(n.membership.LiveCount()))
 	n.rebuildRing()
 	return n, nil
@@ -296,7 +260,7 @@ func (n *Node) publishFleetTrace() {
 
 // rebuildRing recomputes the consistent-hash ring over the live peer set.
 func (n *Node) rebuildRing() {
-	ring := NewRing(n.membership.Live(), n.cfg.Replicas)
+	ring := NewRing(n.membership.Live())
 	n.ringMu.Lock()
 	n.ring = ring
 	n.ringMu.Unlock()
@@ -333,14 +297,30 @@ func (n *Node) Handler() http.Handler {
 // fleetJSON writes a fleet-endpoint JSON response (the fleet surface sits
 // outside the server's middleware, so it stamps its own trace identity).
 func (n *Node) fleetJSON(w http.ResponseWriter, status int, v any) {
-	if w.Header().Get("X-Request-ID") == "" {
-		tp := trace.New()
-		w.Header().Set("Traceparent", tp.Header())
-		w.Header().Set("X-Request-ID", tp.TraceID)
-	}
+	requestID(w)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// fleetError writes an error the fleet layer answers itself in the server's
+// uniform envelope, {"error":{"code","message","traceId"}}.
+func (n *Node) fleetError(w http.ResponseWriter, status int, code string, err error) {
+	n.fleetJSON(w, status, map[string]map[string]string{"error": {
+		"code": code, "message": err.Error(), "traceId": requestID(w),
+	}})
+}
+
+// requestID returns the response's X-Request-ID, first stamping a fresh
+// trace identity when the response has none yet.
+func requestID(w http.ResponseWriter) string {
+	if id := w.Header().Get("X-Request-ID"); id != "" {
+		return id
+	}
+	tp := trace.New()
+	w.Header().Set("Traceparent", tp.Header())
+	w.Header().Set("X-Request-ID", tp.TraceID)
+	return tp.TraceID
 }
 
 // handleHealth answers heartbeat probes. It consults the node's chaos plan
@@ -421,7 +401,7 @@ func (n *Node) handlePeers(w http.ResponseWriter, r *http.Request) {
 func (n *Node) handleRoute(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
-		n.fleetJSON(w, http.StatusBadRequest, map[string]string{"error": "missing key parameter"})
+		n.fleetError(w, http.StatusBadRequest, codeBadRequest, errors.New("missing key parameter"))
 		return
 	}
 	owner := n.owner(key)
@@ -439,7 +419,7 @@ type fleetFaultsRequest struct {
 func (n *Node) handleFaults(w http.ResponseWriter, r *http.Request) {
 	var req fleetFaultsRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		n.fleetJSON(w, http.StatusBadRequest, map[string]string{"error": "bad payload: " + err.Error()})
+		n.fleetError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("bad payload: %w", err))
 		return
 	}
 	if req.DropHeartbeats != nil {

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -15,11 +16,11 @@ import (
 
 func TestRingDeterministicAcrossViews(t *testing.T) {
 	nodes := []string{"10.0.0.1:80", "10.0.0.2:80", "10.0.0.3:80"}
-	a := NewRing(nodes, 0)
+	a := NewRing(nodes)
 	// A permuted (and duplicated) peer list is the same ring: every node
 	// computes placement independently from its own -peers flag, and the
 	// views must agree.
-	b := NewRing([]string{"10.0.0.3:80", "10.0.0.1:80", "10.0.0.2:80", "10.0.0.1:80"}, 0)
+	b := NewRing([]string{"10.0.0.3:80", "10.0.0.1:80", "10.0.0.2:80", "10.0.0.1:80"})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("f%04d", i)
 		if a.Owner(key) != b.Owner(key) {
@@ -30,8 +31,8 @@ func TestRingDeterministicAcrossViews(t *testing.T) {
 
 func TestRingRebalanceMovesOnlyDeadOwnersKeys(t *testing.T) {
 	nodes := []string{"10.0.0.1:80", "10.0.0.2:80", "10.0.0.3:80"}
-	full := NewRing(nodes, 0)
-	shrunk := NewRing([]string{"10.0.0.1:80", "10.0.0.3:80"}, 0)
+	full := NewRing(nodes)
+	shrunk := NewRing([]string{"10.0.0.1:80", "10.0.0.3:80"})
 
 	perOwner := map[string]int{}
 	for i := 0; i < 3000; i++ {
@@ -70,7 +71,7 @@ func TestRingBalance(t *testing.T) {
 			for i := range nodes {
 				nodes[i] = fmt.Sprintf("127.0.0.1:%d", base+i)
 			}
-			r := NewRing(nodes, 0)
+			r := NewRing(nodes)
 			owned := map[string]int{}
 			for _, k := range keys {
 				owned[r.Owner(k)]++
@@ -86,7 +87,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingSingleNodeOwnsAll(t *testing.T) {
-	r := NewRing([]string{"10.0.0.1:80"}, 0)
+	r := NewRing([]string{"10.0.0.1:80"})
 	for i := 0; i < 50; i++ {
 		if o := r.Owner(fmt.Sprintf("k%d", i)); o != "10.0.0.1:80" {
 			t.Fatalf("sole member does not own key: %s", o)
@@ -95,8 +96,7 @@ func TestRingSingleNodeOwnsAll(t *testing.T) {
 }
 
 func TestMembershipHysteresis(t *testing.T) {
-	m := newMembership("self:1", []string{"peer:1"}, 10*time.Millisecond, 5*time.Millisecond,
-		80*time.Millisecond, 3, 2, nil)
+	m := newMembership("self:1", []string{"peer:1"}, 10*time.Millisecond, 3, 2, nil)
 	var transitions []string
 	m.onTransition = func(addr string, live bool) {
 		transitions = append(transitions, fmt.Sprintf("%s=%v", addr, live))
@@ -169,8 +169,7 @@ func TestMembershipProbesRealListeners(t *testing.T) {
 	addr := strings.TrimPrefix(peer.URL, "http://")
 
 	downc := make(chan bool, 8)
-	m := newMembership("self:1", []string{addr}, 5*time.Millisecond, 3*time.Millisecond,
-		20*time.Millisecond, 2, 2, func(_ string, live bool) { downc <- live })
+	m := newMembership("self:1", []string{addr}, 5*time.Millisecond, 2, 2, func(_ string, live bool) { downc <- live })
 	m.start()
 	defer m.close()
 
@@ -278,6 +277,37 @@ func TestProxyUnreachableOwnerAdvertisesHeartbeat(t *testing.T) {
 	}
 	if v := n.metrics.proxy.With("error").Value(); v != 1 {
 		t.Fatalf("rqp_proxy_requests_total{outcome=error} = %v, want 1", v)
+	}
+}
+
+// TestFleetBadRequestsAnswerTheEnvelope: the fleet's own 400s use the
+// server's uniform error envelope, {"error":{"code","message","traceId"}},
+// with the trace ID the response's X-Request-ID carries.
+func TestFleetBadRequestsAnswerTheEnvelope(t *testing.T) {
+	n := testNode(t, "127.0.0.1:1", -1)
+	for _, req := range []*http.Request{
+		httptest.NewRequest(http.MethodGet, "/v1/fleet/route", nil),
+		httptest.NewRequest(http.MethodPost, "/v1/fleet/faults", strings.NewReader("{")),
+	} {
+		w := httptest.NewRecorder()
+		n.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s: status %d, want 400", req.Method, req.URL, w.Code)
+		}
+		var body struct {
+			Error struct {
+				Code    string `json:"code"`
+				Message string `json:"message"`
+				TraceID string `json:"traceId"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatalf("%s %s: body %q is not the envelope: %v", req.Method, req.URL, w.Body.String(), err)
+		}
+		e := body.Error
+		if e.Code != "bad_request" || e.Message == "" || e.TraceID == "" || e.TraceID != w.Header().Get("X-Request-ID") {
+			t.Errorf("%s %s: envelope %+v (X-Request-ID %q)", req.Method, req.URL, e, w.Header().Get("X-Request-ID"))
+		}
 	}
 }
 

@@ -82,18 +82,19 @@ type PeerStatus struct {
 }
 
 // newMembership wires a membership tracker for self over the static peer
-// list; probing starts with start().
-func newMembership(self string, peers []string, interval, timeout, maxBack time.Duration,
+// list; probing starts with start(). Each probe times out at half the
+// interval, and a down peer's probe backoff caps at 8 intervals.
+func newMembership(self string, peers []string, interval time.Duration,
 	markDown, markUp int, onTransition func(addr string, live bool)) *Membership {
 	m := &Membership{
 		self:     self,
 		interval: interval,
-		timeout:  timeout,
+		timeout:  interval / 2,
 		markDown: markDown,
 		markUp:   markUp,
-		maxBack:  maxBack,
+		maxBack:  8 * interval,
 		client: &http.Client{
-			Timeout: timeout,
+			Timeout: interval / 2,
 			// Heartbeats are tiny and latency-sensitive: don't let a wedged
 			// keep-alive connection stand in for the peer's actual health.
 			Transport: &http.Transport{DisableKeepAlives: true},

@@ -52,8 +52,7 @@ func TestMembershipCachesGossipedVitals(t *testing.T) {
 	defer peer.Close()
 	addr := strings.TrimPrefix(peer.URL, "http://")
 
-	m := newMembership("self:1", []string{addr}, 5*time.Millisecond, 3*time.Millisecond,
-		20*time.Millisecond, 2, 2, nil)
+	m := newMembership("self:1", []string{addr}, 5*time.Millisecond, 2, 2, nil)
 	m.start()
 	defer m.close()
 
@@ -79,8 +78,7 @@ func TestMembershipCachesGossipedVitals(t *testing.T) {
 }
 
 func TestPeerVitalsGoStale(t *testing.T) {
-	m := newMembership("self:1", []string{"peer:1"}, 5*time.Millisecond, 3*time.Millisecond,
-		20*time.Millisecond, 2, 2, nil)
+	m := newMembership("self:1", []string{"peer:1"}, 5*time.Millisecond, 2, 2, nil)
 	if _, ok := m.PeerVitals("peer:1"); ok {
 		t.Fatal("never-probed peer reported fresh vitals")
 	}
@@ -264,7 +262,7 @@ func TestProxyHedgeSuppressedByOwnerPressure(t *testing.T) {
 	n := testNode(t, ownerAddr, 5*time.Millisecond)
 	id := keyOwnedBy(t, n, ownerAddr)
 
-	// Owner pressure 0.75: above HedgePressure (0.6) but below ShedPressure
+	// Owner pressure 0.75: above hedgePressure (0.6) but below shedPressure
 	// (0.9) — forwarded, not shed, but never hedged.
 	n.membership.setPeerVitals(ownerAddr, guard.Vitals{RunInflight: 6, RunLimit: 8})
 	w := httptest.NewRecorder()
@@ -323,7 +321,7 @@ func TestProxyHedgeSuppressedDuringBrownout(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Drop the gossiped pressure below HedgePressure so only the brownout
+	// Drop the gossiped pressure below hedgePressure so only the brownout
 	// stage (not owner pressure) can be suppressing the hedge. The controller
 	// holds stage ≥ 1 for DwellTicks after pressure recedes.
 	n.membership.setPeerVitals(ownerAddr, guard.Vitals{})

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -37,6 +36,27 @@ const DeadlineHeader = "X-Rqp-Deadline"
 // before it touches the wire, which is what stops a retry storm from
 // amplifying through the fleet.
 const RetryBudgetHeader = "X-Rqp-Retry-Budget"
+
+// The proxy's fixed tuning. retryBudget caps the wire attempts (primary +
+// retry + hedge) one request may spend across the fleet. At or above
+// shedPressure, an owner's gossiped pressure makes the proxy reject at the
+// edge instead of forwarding: the cheapest rejection point, sparing the
+// saturated owner the request entirely. At or above hedgePressure, hedging
+// is suppressed: a hedge against a struggling owner is pure load
+// amplification.
+const (
+	retryBudget   = 3
+	shedPressure  = 0.9
+	hedgePressure = 0.6
+)
+
+// Envelope codes of the errors the fleet layer answers itself.
+const (
+	codeBadRequest      = "bad_request"
+	codePeerUnreachable = "peer_unreachable"
+	codeBudgetExhausted = "retry_budget_exhausted"
+	codeOwnerOverloaded = "owner_overloaded"
+)
 
 // errBudgetExhausted reports a wire attempt suppressed because the request's
 // retry-budget pool ran dry.
@@ -106,12 +126,12 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, proxyMaxBody+1))
 	if err != nil {
 		n.metrics.proxy.With("error").Inc()
-		n.proxyError(w, http.StatusBadGateway, fmt.Errorf("fleet: read request body: %w", err))
+		n.fleetError(w, http.StatusBadGateway, codePeerUnreachable, fmt.Errorf("fleet: read request body: %w", err))
 		return
 	}
 	if len(body) > proxyMaxBody {
 		n.metrics.proxy.With("client_error").Inc()
-		n.proxyError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("fleet: request body exceeds %d bytes", proxyMaxBody))
+		n.fleetError(w, http.StatusRequestEntityTooLarge, codePeerUnreachable, fmt.Errorf("fleet: request body exceeds %d bytes", proxyMaxBody))
 		return
 	}
 
@@ -119,7 +139,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 	// raised) by an incoming X-Rqp-Retry-Budget. A request arriving with no
 	// budget left is rejected here, before any wire attempt — the
 	// anti-amplification backstop against client retry storms.
-	budgetCap := n.cfg.RetryBudget
+	budgetCap := retryBudget
 	if h := r.Header.Get(RetryBudgetHeader); h != "" {
 		if v, err := strconv.Atoi(h); err == nil && v < budgetCap {
 			budgetCap = v
@@ -128,9 +148,9 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 	if budgetCap <= 0 {
 		n.metrics.proxySheds.With("retry_budget").Inc()
 		n.metrics.proxy.With("shed").Inc()
-		n.setShedRetryAfter(w, ceilSeconds(n.cfg.HeartbeatInterval))
-		n.proxyShed(w, http.StatusTooManyRequests, "retry_budget_exhausted",
-			fmt.Sprintf("fleet: retry budget exhausted for peer %s; back off before retrying", owner))
+		n.setShedRetryAfter(w, guard.RetryAfterSeconds(n.cfg.HeartbeatInterval))
+		n.fleetError(w, http.StatusTooManyRequests, codeBudgetExhausted,
+			fmt.Errorf("fleet: retry budget exhausted for peer %s; back off before retrying", owner))
 		return
 	}
 	tokens := newRetryTokens(budgetCap)
@@ -143,12 +163,12 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 	ownerPressure := 0.0
 	if v, ok := n.membership.PeerVitals(owner); ok {
 		ownerPressure = v.Pressure()
-		if ownerPressure >= n.cfg.ShedPressure {
+		if ownerPressure >= shedPressure {
 			n.metrics.proxySheds.With("pressure").Inc()
 			n.metrics.proxy.With("shed").Inc()
 			n.setShedRetryAfter(w, v.RetryAfterHint)
-			n.proxyShed(w, http.StatusServiceUnavailable, "owner_overloaded",
-				fmt.Sprintf("fleet: peer %s is shedding load (pressure %.2f); retry after the advertised delay", owner, ownerPressure))
+			n.fleetError(w, http.StatusServiceUnavailable, codeOwnerOverloaded,
+				fmt.Errorf("fleet: peer %s is shedding load (pressure %.2f); retry after the advertised delay", owner, ownerPressure))
 			return
 		}
 	}
@@ -174,7 +194,7 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 	// wrong reflex under pressure. Suppress it when this node is itself
 	// browning out (stage ≥ 1) or when gossip puts the owner anywhere near
 	// saturation — tail latency is the acceptable casualty of an overload.
-	hedge := idempotent && n.srv.Stage() < 1 && ownerPressure < n.cfg.HedgePressure
+	hedge := idempotent && n.srv.Stage() < 1 && ownerPressure < hedgePressure
 
 	resp, release, err := n.forward(ctx, r, owner, body, deadline, idempotent, hedge, tokens)
 	if err != nil {
@@ -182,8 +202,8 @@ func (n *Node) proxy(w http.ResponseWriter, r *http.Request, owner string) {
 		// The owner is unreachable (or the budget expired). Tell the client
 		// when routing plausibly changes: one heartbeat interval from now
 		// the owner is either probed back or marked down and re-hashed.
-		w.Header().Set("Retry-After", strconv.Itoa(ceilSeconds(n.cfg.HeartbeatInterval)))
-		n.proxyError(w, http.StatusBadGateway, fmt.Errorf("fleet: peer %s unreachable: %w", owner, err))
+		w.Header().Set("Retry-After", strconv.Itoa(guard.RetryAfterSeconds(n.cfg.HeartbeatInterval)))
+		n.fleetError(w, http.StatusBadGateway, codePeerUnreachable, fmt.Errorf("fleet: peer %s unreachable: %w", owner, err))
 		return
 	}
 	// release (when non-nil) cancels the winning attempt's context; it must
@@ -407,42 +427,10 @@ func (n *Node) stampTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// proxyError writes a fleet-level error in the server's envelope shape,
-// trace-correlated via the request's (ensured) traceparent.
-func (n *Node) proxyError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]map[string]string{"error": {
-		"code":    "peer_unreachable",
-		"message": err.Error(),
-		"traceId": w.Header().Get("X-Request-ID"),
-	}})
-}
-
 // setShedRetryAfter stamps a shed response's Retry-After: the advertised
 // base plus the deterministic per-request jitter that de-synchronizes the
 // herd of rejected clients (same discipline as the server's own sheds).
 func (n *Node) setShedRetryAfter(w http.ResponseWriter, base int) {
 	w.Header().Set("Retry-After",
 		strconv.Itoa(guard.JitterRetryAfter(w.Header().Get("X-Request-ID"), base)))
-}
-
-// proxyShed writes an edge-shed rejection in the server's envelope shape.
-func (n *Node) proxyShed(w http.ResponseWriter, status int, code, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]map[string]string{"error": {
-		"code":    code,
-		"message": msg,
-		"traceId": w.Header().Get("X-Request-ID"),
-	}})
-}
-
-// ceilSeconds converts a duration to whole seconds, floor 1.
-func ceilSeconds(d time.Duration) int {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return s
 }

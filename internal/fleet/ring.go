@@ -7,7 +7,7 @@ import (
 )
 
 // Ring is a consistent-hash ring over the fleet's live nodes: each node
-// contributes Replicas virtual points (hash64 of "addr#i") on a 64-bit
+// contributes replicas virtual points (hash64 of "addr#i") on a 64-bit
 // circle, and a key's owner is the first virtual point at or after the
 // key's hash. Consistent hashing gives the two placement properties the
 // failover design leans on: removing a node moves only the keys it owned
@@ -24,21 +24,17 @@ type point struct {
 	addr string
 }
 
-// defaultReplicas is the virtual-node count per node, cheap to rebuild on
+// replicas is the virtual-node count per node, cheap to rebuild on
 // every membership transition. Over 300 random loopback fleets of 2-8
 // nodes with 4,000 session keys each, the least-loaded node got at worst
 // 0.60x of its fair share and the most-loaded at worst 1.36x (raw FNV
 // without hash64's finalizer: 0.05x and 3.7x). TestRingBalance pins every
 // share within [0.5, 1.6]x.
-const defaultReplicas = 64
+const replicas = 64
 
-// NewRing builds a ring over the node addresses (duplicates are collapsed;
-// replicas < 1 uses the default). An empty node list yields an empty ring
-// whose Owner is always "".
-func NewRing(nodes []string, replicas int) *Ring {
-	if replicas < 1 {
-		replicas = defaultReplicas
-	}
+// NewRing builds a ring over the node addresses (duplicates are collapsed).
+// An empty node list yields an empty ring whose Owner is always "".
+func NewRing(nodes []string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	r := &Ring{points: make([]point, 0, len(nodes)*replicas)}
 	for _, addr := range nodes {

@@ -149,6 +149,17 @@ func TestJitterRetryAfterFloorsBase(t *testing.T) {
 	}
 }
 
+func TestRetryAfterSecondsRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int
+	}{{1500 * time.Millisecond, 2}, {0, 1}, {3 * time.Second, 3}, {time.Nanosecond, 1}, {-time.Second, 1}} {
+		if got := RetryAfterSeconds(c.d); got != c.want {
+			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+}
+
 func TestBreakerRetryAfterVitalsHintShape(t *testing.T) {
 	// The RetryAfterHint pipeline: an open breaker's remaining cooldown is
 	// what an owner advertises; sanity-check the plumbing pieces agree.

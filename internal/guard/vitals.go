@@ -7,6 +7,7 @@ package guard
 import (
 	"hash/fnv"
 	"math"
+	"time"
 )
 
 // Vitals is one node's load snapshot. Zero values mean "unknown/disabled"
@@ -82,6 +83,16 @@ func clamp01(x float64) float64 {
 		return 1
 	}
 	return x
+}
+
+// RetryAfterSeconds converts a wait into a Retry-After base in whole
+// seconds: rounded up, so the header never undercuts the wait it reports
+// (an open breaker with 1.9s of cooldown left advertises 2), floor 1.
+func RetryAfterSeconds(d time.Duration) int {
+	if s := int((d + time.Second - 1) / time.Second); s > 1 {
+		return s
+	}
+	return 1
 }
 
 // JitterRetryAfter spreads a base Retry-After (seconds) deterministically

@@ -60,7 +60,7 @@ type Policy struct {
 }
 
 // escapeError is the terminal error returned when a learned selectivity
-// leaves the ESS. It implements the Terminal method engine.Classify probes
+// leaves the ESS. It implements the Terminal method engine.Terminal probes
 // for, so the resilience layer never retries it and the session layer can
 // detect it with IsEscape without the engine package importing guard.
 type escapeError struct {
@@ -72,7 +72,7 @@ func (e *escapeError) Error() string {
 	return fmt.Sprintf("guard: learned selectivity %g on dim %d escapes the ESS", e.learned, e.dim)
 }
 
-// Terminal marks the error as never-retryable for engine.Classify.
+// Terminal marks the error as never-retryable for engine.Terminal.
 func (e *escapeError) Terminal() bool { return true }
 
 // IsEscape reports whether the error records an ESS escape detected by the

@@ -49,9 +49,9 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if e.d != 2 {
+	if e.spec.D != 2 {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest,
-			fmt.Errorf("the robustness atlas needs a 2D session; %s is %dD", e.id, e.d))
+			fmt.Errorf("the robustness atlas needs a 2D session; %s is %dD", e.id, e.spec.D))
 		return
 	}
 
@@ -107,7 +107,7 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 	release(true)
 	// The session was built through the SQL parse path, which leaves the
 	// query unnamed; label the atlas with the benchmark name clients know.
-	atlas.Query = e.query
+	atlas.Query = e.spec.Name
 	switch format {
 	case "svg":
 		w.Header().Set("Content-Type", "image/svg+xml")

@@ -122,7 +122,7 @@ func (s *Server) Vitals() guard.Vitals {
 func (s *Server) retryAfterHint() int {
 	hint := 1
 	if ra := s.breaker.RetryAfter(); ra > 0 {
-		hint = cooldownSeconds(ra)
+		hint = guard.RetryAfterSeconds(ra)
 	}
 	if st := s.Stage(); st > 0 && hint < st+1 {
 		hint = st + 1

@@ -22,22 +22,20 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"time"
 
 	repro "repro"
 	"repro/internal/guard"
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
-	"repro/internal/workload"
 )
 
-// sessionMeta is the versioned creation record persisted per durable
-// session, enough to replay handleCreateSession's work after a restart.
+// sessionMeta is a session's creation record: its ID and the create
+// request's parameters. Persisted as session.json per durable session, it
+// is what restart recovery and fleet adoption resolve the session from, the
+// way handleCreateSession does.
 type sessionMeta struct {
-	ID      string `json:"id"`
-	Query   string `json:"query"`
-	GridRes int    `json:"gridRes,omitempty"`
-	Profile string `json:"profile,omitempty"`
+	ID string `json:"id"`
+	createRequest
 }
 
 // claimSessionDir creates a pinned session's directory as an exclusive
@@ -153,65 +151,17 @@ func (s *Server) AdoptSession(id string, opts AdoptOptions) error {
 // rebuild + run-resume pipeline in the background. A non-nil adopt marks a
 // fleet failover adoption rather than own-restart recovery.
 func (s *Server) recoverSession(meta sessionMeta, adopt *AdoptOptions) error {
-	sp, ok := workload.ByName(meta.Query)
-	if !ok {
-		return fmt.Errorf("server: recover %s: unknown query %q", meta.ID, meta.Query)
+	e, opts, err := s.newEntry(meta)
+	if err == nil {
+		err = s.register(e)
 	}
-	opts := repro.BenchmarkOptions()
-	opts.Workers = s.cfg.BuildWorkers
-	if meta.Profile == "commercial" {
-		opts.Params = repro.CommercialProfile()
+	if err != nil {
+		return fmt.Errorf("server: recover %s: %w", meta.ID, err)
 	}
-	if meta.GridRes != 0 {
-		opts.GridRes = meta.GridRes
-	}
-	dir := filepath.Join(s.cfg.DataDir, meta.ID)
-	opts.DataDir = dir
-
-	ctx, cancel := context.WithCancel(context.Background())
 	// Recovery bypasses the build limiter and breaker: these sessions were
 	// admitted before the crash, and refusing their rehydration would turn a
 	// restart into data loss. The bulkhead still applies to new runs.
-	e := &session{
-		id: meta.ID, query: sp.Name, d: sp.D, dataDir: dir,
-		status: statusBuilding, lastUsed: time.Now(), cancel: cancel,
-		bulkhead: guard.NewBulkhead(s.cfg.SessionMaxRuns),
-		failed:   map[string]string{},
-	}
-	s.mu.Lock()
-	if _, exists := s.sessions[e.id]; exists {
-		s.mu.Unlock()
-		cancel()
-		return fmt.Errorf("server: recover: duplicate session id %q", e.id)
-	}
-	s.sessions[e.id] = e
-	// Advance the ID allocator past recovered sessions so new creations
-	// cannot collide with recovered directories.
-	if n, err := strconv.Atoi(strings.TrimPrefix(e.id, "s")); err == nil && n > s.nextID {
-		s.nextID = n
-	}
-	s.mu.Unlock()
-
-	s.buildWG.Add(1)
-	go func() {
-		defer s.buildWG.Done()
-		defer cancel()
-		start := time.Now()
-		sess, err := buildSession(ctx, sp, opts)
-		s.metrics.buildDuration.Observe(time.Since(start).Seconds())
-		s.mu.Lock()
-		e.lastUsed = time.Now()
-		if err != nil {
-			e.status = statusFailed
-			e.buildErr = err
-			s.mu.Unlock()
-			s.metrics.builds.With("failed").Inc()
-			return
-		}
-		e.sess = sess
-		e.status = statusReady
-		s.mu.Unlock()
-		s.metrics.builds.With("ok").Inc()
+	s.startBuild(e, opts, "", false, func(ctx context.Context, sess *repro.Session) {
 		if adopt != nil {
 			// Fence before the first resume: once the epoch advances, any
 			// checkpoint the previous owner's still-running incarnations
@@ -233,7 +183,7 @@ func (s *Server) recoverSession(meta sessionMeta, adopt *AdoptOptions) error {
 			}
 		}
 		s.resumeInterrupted(ctx, e, sess, adopt)
-	}()
+	})
 	return nil
 }
 
@@ -317,20 +267,13 @@ func (s *Server) noteRunSeq(e *session, rid string) {
 }
 
 // retryAfterSeconds estimates when session capacity plausibly frees up: the
-// next idle-eviction sweep, floored at one second, or a conservative default
+// next idle-eviction sweep (every SessionTTL/4), or a conservative default
 // when eviction is disabled.
 func (s *Server) retryAfterSeconds() int {
-	interval := s.cfg.EvictInterval
-	if interval <= 0 && s.cfg.SessionTTL > 0 {
-		interval = s.cfg.SessionTTL / 4
-	}
-	if interval <= 0 {
+	if s.cfg.SessionTTL <= 0 {
 		return 30
 	}
-	if secs := int(interval / time.Second); secs >= 1 {
-		return secs
-	}
-	return 1
+	return guard.RetryAfterSeconds(s.cfg.SessionTTL / 4)
 }
 
 // runInfo is one durable run resource, read from the run's last snapshot.

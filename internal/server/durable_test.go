@@ -380,7 +380,7 @@ func TestRejectedDurableRunIsNotListed(t *testing.T) {
 // as the base, plus the deterministic per-request jitter that keeps
 // synchronized clients from herding back on the same second.
 func TestOverloadResponsesCarryRetryAfter(t *testing.T) {
-	srv := NewWithConfig(Config{MaxSessions: 1, SessionTTL: time.Minute, EvictInterval: 10 * time.Second})
+	srv := NewWithConfig(Config{MaxSessions: 1, SessionTTL: 40 * time.Second})
 	t.Cleanup(srv.Close)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -464,4 +464,86 @@ func TestPinnedCreateClaimsSessionDirOnDisk(t *testing.T) {
 		t.Fatalf("duplicate pinned create: status %d, want 409", resp.StatusCode)
 	}
 	awaitReady(t, ts.URL, "ffresh")
+}
+
+// TestPinnedIDAdvancesTheAllocator: a create pinned to "s1" and a later
+// unpinned create must both stay registered. The allocator steps past a
+// pinned "s<N>", so the unpinned create cannot take "s1" again and orphan
+// the first entry's build.
+func TestPinnedIDAdvancesTheAllocator(t *testing.T) {
+	srv, ts := overloadServer(t, Config{})
+	if resp := postPinned(t, ts.URL, "s1", `{"query":"2D_EQ","gridRes":4}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("pinned create: status %d", resp.StatusCode)
+	}
+	resp, created := postJSON(t, ts.URL+"/v1/sessions", map[string]any{"query": "2D_EQ", "gridRes": 4})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("unpinned create: status %d: %v", resp.StatusCode, created)
+	}
+	if created["id"] == "s1" {
+		t.Errorf("unpinned create reused the pinned ID s1")
+	}
+	if n := srv.SessionCount(); n != 2 {
+		t.Errorf("registry holds %d sessions after two creates, want 2", n)
+	}
+	awaitReady(t, ts.URL, "s1")
+	awaitReady(t, ts.URL, created["id"].(string))
+}
+
+// TestRecoveredSessionResolvesLikeItsCreate: a durable session created with
+// a profile and a grid resolution is recovered with both. While its rebuild
+// runs, its progress reports the grid's cell total, and once ready it
+// serves the original's plan diagram and guarantees.
+func TestRecoveredSessionResolvesLikeItsCreate(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := overloadServer(t, Config{DataDir: dir})
+	resp, created := postJSON(t, ts1.URL+"/v1/sessions",
+		map[string]any{"query": "2D_EQ", "gridRes": 5, "profile": "commercial"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create status %d: %v", resp.StatusCode, created)
+	}
+	sid := created["id"].(string)
+	want := awaitReady(t, ts1.URL, sid)
+	ts1.Close()
+	srv1.Close()
+
+	// The creation record keeps its on-disk bytes.
+	meta, err := os.ReadFile(filepath.Join(dir, sid, "session.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, wantMeta := string(meta), `{"id":"s1","query":"2D_EQ","gridRes":5,"profile":"commercial"}`; got != wantMeta {
+		t.Errorf("session.json = %s, want %s", got, wantMeta)
+	}
+
+	gate := make(chan struct{})
+	orig := buildSession
+	buildSession = func(ctx context.Context, bq workload.Spec, o repro.Options) (*repro.Session, error) {
+		if o.BuildProgress == nil {
+			t.Error("recovery build has no progress hook")
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return orig(ctx, bq, o)
+	}
+	t.Cleanup(func() { buildSession = orig })
+	srv2, ts2 := overloadServer(t, Config{DataDir: dir})
+	if err := srv2.Recover(context.Background()); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	var building map[string]any
+	getJSON(t, ts2.URL+"/v1/sessions/"+sid, &building)
+	prog, _ := building["progress"].(map[string]any)
+	if building["status"] != "building" || prog == nil || prog["cellsTotal"] != 25.0 {
+		t.Errorf("recovering session %v, want building with cellsTotal 25 (5^2)", building)
+	}
+	close(gate)
+	got := awaitReady(t, ts2.URL, sid)
+	for _, k := range []string{"pospSize", "contours", "pbGuarantee", "sbGuarantee", "abGuaranteeLow", "abGuaranteeHigh"} {
+		if got[k] != want[k] {
+			t.Errorf("recovered %s = %v, created %v", k, got[k], want[k])
+		}
+	}
 }

@@ -121,7 +121,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, code string, err 
 // honest and the per-request jitter supplies the spread.
 func (s *Server) retryAfterBase() int {
 	if ra := s.breaker.RetryAfter(); ra > 0 {
-		return cooldownSeconds(ra)
+		return guard.RetryAfterSeconds(ra)
 	}
 	return 1
 }

@@ -54,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,13 +75,11 @@ type Config struct {
 	// bounded by it — they run asynchronously on a background context.
 	// 0 disables.
 	RequestTimeout time.Duration
-	// SessionTTL evicts sessions idle for longer than this. Sessions still
-	// building are never evicted. 0 disables eviction (the map then grows
-	// without bound, as before).
+	// SessionTTL evicts sessions idle for longer than this; the eviction
+	// sweep runs every SessionTTL/4. Sessions still building are never
+	// evicted. 0 disables eviction (the map then grows without bound, as
+	// before).
 	SessionTTL time.Duration
-	// EvictInterval is how often the eviction sweep runs (defaults to
-	// SessionTTL/4 when unset and a TTL is configured).
-	EvictInterval time.Duration
 	// MaxSessions rejects new session creation past this registry size
 	// (0 = unlimited), bounding the memory a burst of builds can pin.
 	MaxSessions int
@@ -208,9 +207,13 @@ type Server struct {
 
 type session struct {
 	id      string
-	query   string
-	d       int
+	spec    workload.Spec
 	dataDir string // per-session durable directory ("" = not durable)
+
+	// ctx scopes the build and the run resumes that follow it; cancel
+	// aborts them.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// bulkhead caps this session's concurrent run/sweep requests
 	// (nil = uncapped).
@@ -221,8 +224,7 @@ type session struct {
 	sess     *repro.Session // nil until status == ready
 	buildErr error          // set when status == failed
 	lastUsed time.Time
-	cancel   context.CancelFunc // aborts the in-flight build
-	runSeq   int                // durable run ID allocator
+	runSeq   int // durable run ID allocator
 	// failed maps a durable run whose resume failed to its error: such a
 	// run has no terminal snapshot to say so.
 	failed map[string]string
@@ -355,15 +357,11 @@ func (s *Server) StartEviction() {
 	if s.cfg.SessionTTL <= 0 || s.evictQ != nil {
 		return
 	}
-	interval := s.cfg.EvictInterval
-	if interval <= 0 {
-		interval = s.cfg.SessionTTL / 4
-	}
 	s.evictQ = make(chan struct{})
 	s.evictWG.Add(1)
 	go func() {
 		defer s.evictWG.Done()
-		t := time.NewTicker(interval)
+		t := time.NewTicker(s.cfg.SessionTTL / 4)
 		defer t.Stop()
 		for {
 			select {
@@ -477,10 +475,10 @@ type createRequest struct {
 	// Query names a benchmark query (see /v1/queries).
 	Query string `json:"query"`
 	// GridRes overrides the recommended grid resolution (0 = default).
-	GridRes int `json:"gridRes"`
+	GridRes int `json:"gridRes,omitempty"`
 	// Profile selects the cost profile: "postgres" (default) or
 	// "commercial".
-	Profile string `json:"profile"`
+	Profile string `json:"profile,omitempty"`
 }
 
 // buildProgress reports how far an asynchronous session build has come.
@@ -518,51 +516,31 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("bad payload: %w", err))
 		return
 	}
-	sp, ok := workload.ByName(req.Query)
-	if !ok {
-		s.writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("unknown query %q", req.Query))
-		return
-	}
 	// A fleet front door pins the session ID it hashed the placement from;
 	// without the header the server allocates its own sequential ID.
-	pinned := r.Header.Get(FleetSessionHeader)
-	if pinned != "" {
-		if err := validSessionID(pinned); err != nil {
+	meta := sessionMeta{ID: r.Header.Get(FleetSessionHeader), createRequest: req}
+	if meta.ID != "" {
+		if err := validSessionID(meta.ID); err != nil {
 			s.writeError(w, http.StatusBadRequest, codeBadRequest, err)
 			return
 		}
 	}
-	opts := repro.BenchmarkOptions()
-	opts.Workers = s.cfg.BuildWorkers
-	switch req.Profile {
-	case "", "postgres":
-	case "commercial":
-		opts.Params = repro.CommercialProfile()
-	default:
-		s.writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("unknown profile %q", req.Profile))
+	e, opts, err := s.newEntry(meta)
+	if err != nil {
+		if errors.Is(err, errUnknownQuery) {
+			s.writeError(w, http.StatusNotFound, codeNotFound, err)
+		} else {
+			s.writeError(w, http.StatusBadRequest, codeBadRequest, err)
+		}
 		return
 	}
-	res := sp.GridRes
-	if req.GridRes != 0 {
-		if req.GridRes < 2 || req.GridRes > 64 {
-			s.writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("gridRes %d outside [2,64]", req.GridRes))
-			return
-		}
-		opts.GridRes = req.GridRes
-		res = req.GridRes
-	}
-	if s.cfg.MaxSessions > 0 {
-		s.mu.Lock()
-		full := len(s.sessions) >= s.cfg.MaxSessions
-		s.mu.Unlock()
-		if full {
-			// Retry-After tells well-behaved clients when capacity plausibly
-			// frees up: the next eviction sweep (see README, API errors),
-			// jittered per request so a synchronized burst fans back out.
-			s.setRetryAfter(w, s.retryAfterSeconds())
-			s.writeError(w, http.StatusTooManyRequests, codeTooManySessions, fmt.Errorf("session limit %d reached; retry after idle sessions expire", s.cfg.MaxSessions))
-			return
-		}
+	if s.cfg.MaxSessions > 0 && s.SessionCount() >= s.cfg.MaxSessions {
+		// Retry-After tells well-behaved clients when capacity plausibly
+		// frees up: the next eviction sweep (see README, API errors),
+		// jittered per request so a synchronized burst fans back out.
+		s.setRetryAfter(w, s.retryAfterSeconds())
+		s.writeError(w, http.StatusTooManyRequests, codeTooManySessions, fmt.Errorf("session limit %d reached; retry after idle sessions expire", s.cfg.MaxSessions))
+		return
 	}
 	// Overload control for the expensive build path: the adaptive build
 	// limiter first (a shed there must not consume a breaker probe), then
@@ -580,7 +558,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// the cooldown expired between the two calls — the floor keeps the
 		// header honest (retry immediately-ish). Jittered per request so the
 		// herd waiting out the cooldown doesn't return as one.
-		s.setRetryAfter(w, cooldownSeconds(s.breaker.RetryAfter()))
+		s.setRetryAfter(w, guard.RetryAfterSeconds(s.breaker.RetryAfter()))
 		s.countShed("build", "breaker")
 		s.writeError(w, http.StatusServiceUnavailable, codeOverloaded,
 			fmt.Errorf("session builds are failing; circuit open, retry after cooldown"))
@@ -588,8 +566,93 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.setInflight("build", s.buildLimiter.Inflight())
 
-	ctx, cancel := context.WithCancel(context.Background())
-	e := &session{query: sp.Name, d: sp.D, status: statusBuilding, lastUsed: time.Now(), cancel: cancel,
+	// undo rolls back an admitted create that never started its build: its
+	// registry entry, its limiter slot and its breaker admission. A 409 (the
+	// ID is taken) never exercised the build dependency, so the admission is
+	// released without an outcome; anything else records a failure.
+	undo := func(status int, err error) {
+		s.mu.Lock()
+		if s.sessions[e.id] == e {
+			delete(s.sessions, e.id)
+			e.cancel()
+		}
+		s.mu.Unlock()
+		s.buildLimiter.Cancel()
+		s.metrics.setInflight("build", s.buildLimiter.Inflight())
+		code := codeBadRequest
+		if status == http.StatusConflict {
+			s.breaker.Forget()
+		} else {
+			s.breaker.Record(false)
+			code = codeInternal
+		}
+		s.writeError(w, status, code, err)
+	}
+	if err := s.register(e); err != nil {
+		undo(http.StatusConflict, err)
+		return
+	}
+	if e.dataDir != "" {
+		// Durable session: persist the creation metadata before the build
+		// starts, so a crashed process can recover the session (Recover)
+		// even if it dies mid-build.
+		if meta.ID != "" {
+			// register's duplicate check only covers THIS process. With a
+			// shared fleet data dir, two nodes whose ring views diverged can
+			// both accept a create (or a create can race an adoption on
+			// another node) for the same pinned ID — so the session
+			// directory itself is the cross-node claim: exclusive Mkdir, 409
+			// on EEXIST.
+			if err := claimSessionDir(e.dataDir); os.IsExist(err) {
+				undo(http.StatusConflict, fmt.Errorf("session %q already exists in the shared data directory", e.id))
+				return
+			} else if err != nil {
+				undo(http.StatusInternalServerError, fmt.Errorf("claim session directory: %v", err))
+				return
+			}
+		}
+		meta.ID = e.id
+		if err := saveSessionMeta(e.dataDir, meta); err != nil {
+			undo(http.StatusInternalServerError, fmt.Errorf("persist session metadata: %v", err))
+			return
+		}
+	}
+	// The build belongs to the create request's trace.
+	tp, _ := trace.FromContext(r.Context())
+	s.startBuild(e, opts, tp.TraceID, true, nil)
+	writeJSON(w, http.StatusAccepted, s.info(e))
+}
+
+// errUnknownQuery marks a creation record that names no benchmark query.
+var errUnknownQuery = errors.New("unknown query")
+
+// newEntry resolves a session's creation record into its registry entry,
+// building, with its progress total and the BuildProgress hook that feeds
+// it, and the options its build runs with. It holds the only checks of the
+// record's parameters: create, restart recovery and fleet adoption all
+// resolve through it.
+func (s *Server) newEntry(meta sessionMeta) (*session, repro.Options, error) {
+	opts := repro.BenchmarkOptions()
+	sp, ok := workload.ByName(meta.Query)
+	if !ok {
+		return nil, opts, fmt.Errorf("%w %q", errUnknownQuery, meta.Query)
+	}
+	opts.Workers = s.cfg.BuildWorkers
+	switch meta.Profile {
+	case "", "postgres":
+	case "commercial":
+		opts.Params = repro.CommercialProfile()
+	default:
+		return nil, opts, fmt.Errorf("unknown profile %q", meta.Profile)
+	}
+	res := sp.GridRes
+	if meta.GridRes != 0 {
+		if meta.GridRes < 2 || meta.GridRes > 64 {
+			return nil, opts, fmt.Errorf("gridRes %d outside [2,64]", meta.GridRes)
+		}
+		opts.GridRes, res = meta.GridRes, meta.GridRes
+	}
+	e := &session{id: meta.ID, spec: sp, status: statusBuilding, lastUsed: time.Now(),
 		bulkhead: guard.NewBulkhead(s.cfg.SessionMaxRuns), failed: map[string]string{}}
 	total := 1
 	for i := 0; i < sp.D; i++ {
@@ -603,122 +666,82 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		// callbacks from concurrent build workers can produce.
 		s.metrics.buildCells.Add(float64(int64(done) - prev))
 	}
+	return e, opts, nil
+}
 
+// register adds an entry to the registry under the next "s<N>" ID when its
+// ID is empty, or else under its given ID, which must be free. A given
+// "s<N>" advances the allocator past N, so a later allocation cannot take
+// it again. Registration gives the entry the context its build runs under
+// (Close cancels it) and, on a durable server, its data directory.
+func (s *Server) register(e *session) error {
 	s.mu.Lock()
-	if pinned != "" {
-		if _, exists := s.sessions[pinned]; exists {
-			s.mu.Unlock()
-			cancel()
-			s.buildLimiter.Cancel()
-			s.metrics.setInflight("build", s.buildLimiter.Inflight())
-			// The build dependency was never exercised: release the breaker
-			// admission without recording an outcome.
-			s.breaker.Forget()
-			s.writeError(w, http.StatusConflict, codeBadRequest, fmt.Errorf("session %q already exists", pinned))
-			return
-		}
-		e.id = pinned
-	} else {
+	defer s.mu.Unlock()
+	if e.id == "" {
 		s.nextID++
 		e.id = fmt.Sprintf("s%d", s.nextID)
+	} else if _, exists := s.sessions[e.id]; exists {
+		return fmt.Errorf("session %q already exists", e.id)
+	} else if rest, ok := strings.CutPrefix(e.id, "s"); ok {
+		if n, err := strconv.Atoi(rest); err == nil && n > s.nextID {
+			s.nextID = n
+		}
 	}
-	s.sessions[e.id] = e
-	s.mu.Unlock()
-
 	if s.cfg.DataDir != "" {
-		// Durable session: pin its data directory and persist the creation
-		// metadata before the build starts, so a crashed process can recover
-		// the session (Recover) even if it dies mid-build.
 		e.dataDir = filepath.Join(s.cfg.DataDir, e.id)
-		opts.DataDir = e.dataDir
-		if pinned != "" {
-			// The in-memory duplicate check above only covers THIS process.
-			// With a shared fleet data dir, two nodes whose ring views
-			// diverged can both accept a create (or a create can race an
-			// adoption on another node) for the same pinned ID — so the
-			// session directory itself is the cross-node claim: exclusive
-			// Mkdir, 409 on EEXIST.
-			if err := claimSessionDir(e.dataDir); err != nil {
-				s.mu.Lock()
-				delete(s.sessions, e.id)
-				s.mu.Unlock()
-				cancel()
-				s.buildLimiter.Cancel()
-				s.metrics.setInflight("build", s.buildLimiter.Inflight())
-				if os.IsExist(err) {
-					// The build dependency was never exercised: release the
-					// breaker admission without recording an outcome.
-					s.breaker.Forget()
-					s.writeError(w, http.StatusConflict, codeBadRequest,
-						fmt.Errorf("session %q already exists in the shared data directory", pinned))
-					return
-				}
-				s.breaker.Record(false)
-				s.writeError(w, http.StatusInternalServerError, codeInternal, fmt.Errorf("claim session directory: %v", err))
-				return
-			}
-		}
-		if err := saveSessionMeta(e.dataDir, sessionMeta{ID: e.id, Query: sp.Name, GridRes: req.GridRes, Profile: req.Profile}); err != nil {
-			s.mu.Lock()
-			delete(s.sessions, e.id)
-			s.mu.Unlock()
-			cancel()
-			s.buildLimiter.Cancel()
-			s.metrics.setInflight("build", s.buildLimiter.Inflight())
-			s.breaker.Record(false)
-			s.writeError(w, http.StatusInternalServerError, codeInternal, fmt.Errorf("persist session metadata: %v", err))
-			return
-		}
 	}
+	e.ctx, e.cancel = context.WithCancel(context.Background())
+	s.sessions[e.id] = e
+	return nil
+}
 
-	// The build belongs to the create request's trace: its per-chunk events
-	// record into a dedicated recorder, and the finished build's event
-	// stream is retained under the request's trace ID.
-	tp, _ := trace.FromContext(r.Context())
-	buildRec := telemetry.NewRecorder()
-
+// startBuild runs a registered entry's build in the background under the
+// entry's context, observes its duration and publishes the entry ready or
+// failed. With a trace ID, the build's events are retained under it as a
+// span tree. An admitted build (a create; recovery is exempt) returns its
+// limiter slot and feeds the breaker before the entry is published. then,
+// when non-nil, continues a successful build under the same context.
+func (s *Server) startBuild(e *session, opts repro.Options, traceID string, admitted bool, then func(context.Context, *repro.Session)) {
+	opts.DataDir = e.dataDir
 	s.buildWG.Add(1)
 	go func() {
 		defer s.buildWG.Done()
-		defer cancel()
-		start := time.Now()
-		sess, err := buildSession(telemetry.With(ctx, buildRec), sp, opts)
-		s.metrics.buildDuration.ObserveTrace(time.Since(start).Seconds(), tp.TraceID)
-		if err == nil {
-			s.recordTrace(tp.TraceID, trace.KindBuild, buildRec.Events())
+		defer e.cancel()
+		ctx := e.ctx
+		var rec *telemetry.Recorder
+		if traceID != "" {
+			rec = telemetry.NewRecorder()
+			ctx = telemetry.With(ctx, rec)
 		}
-		s.buildLimiter.Release(err == nil)
-		s.metrics.setInflight("build", s.buildLimiter.Inflight())
-		if err == nil || !errors.Is(err, context.Canceled) {
-			// A build aborted by server shutdown says nothing about the
-			// dependency's health; everything else feeds the breaker.
-			s.breaker.Record(err == nil)
+		start := time.Now()
+		sess, err := buildSession(ctx, e.spec, opts)
+		s.metrics.buildDuration.ObserveTrace(time.Since(start).Seconds(), traceID)
+		if err == nil && rec != nil {
+			s.recordTrace(traceID, trace.KindBuild, rec.Events())
+		}
+		if admitted {
+			s.buildLimiter.Release(err == nil)
+			s.metrics.setInflight("build", s.buildLimiter.Inflight())
+			if err == nil || !errors.Is(err, context.Canceled) {
+				// A build aborted by server shutdown says nothing about the
+				// dependency's health; everything else feeds the breaker.
+				s.breaker.Record(err == nil)
+			}
 		}
 		s.mu.Lock()
-		defer s.mu.Unlock()
 		e.lastUsed = time.Now()
 		if err != nil {
-			e.status = statusFailed
-			e.buildErr = err
+			e.status, e.buildErr = statusFailed, err
 			s.metrics.builds.With("failed").Inc()
-			return
+		} else {
+			e.status, e.sess = statusReady, sess
+			s.metrics.builds.With("ok").Inc()
 		}
-		e.sess = sess
-		e.status = statusReady
-		s.metrics.builds.With("ok").Inc()
+		s.mu.Unlock()
+		if err == nil && then != nil {
+			then(e.ctx, sess)
+		}
 	}()
-
-	writeJSON(w, http.StatusAccepted, s.info(e))
-}
-
-// cooldownSeconds converts the breaker cooldown into a Retry-After value:
-// whole seconds, floor 1 so clients always back off at least briefly.
-func cooldownSeconds(d time.Duration) int {
-	sec := int(d / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return sec
 }
 
 // shed rejects a request refused by overload control: counts it into
@@ -760,7 +783,7 @@ func (s *Server) info(e *session) sessionInfo {
 	s.mu.Lock()
 	status, sess, buildErr := e.status, e.sess, e.buildErr
 	s.mu.Unlock()
-	out := sessionInfo{ID: e.id, Query: e.query, D: e.d, Status: status}
+	out := sessionInfo{ID: e.id, Query: e.spec.Name, D: e.spec.D, Status: status}
 	switch status {
 	case statusReady:
 		lo, hi := sess.GuaranteeRangeAB()

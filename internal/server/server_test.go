@@ -554,7 +554,7 @@ func TestEvictionSkipsBuildingSessions(t *testing.T) {
 // TestEvictionLoopLifecycle starts and stops the background sweep (the
 // -race run guards the registry's concurrent access).
 func TestEvictionLoopLifecycle(t *testing.T) {
-	srv := NewWithConfig(Config{SessionTTL: 20 * time.Millisecond, EvictInterval: 5 * time.Millisecond})
+	srv := NewWithConfig(Config{SessionTTL: 20 * time.Millisecond})
 	srv.StartEviction()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
