@@ -14,6 +14,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/runstate"
@@ -62,10 +63,11 @@ type partExec struct {
 }
 
 // contourState caches the per-contour analysis AlignedBound needs: the
-// contour cells, their per-spill-dimension extremes, and the pool of plans
-// per spill dimension.
+// contour cells, their per-spill-dimension extremes, the pool of plans
+// per spill dimension, and the Space's planner state.
 type contourState struct {
 	s       *ess.Space
+	t       *poolTable
 	cells   []int
 	scan    spillbound.ContourScan
 	pools   map[int][]int   // dim -> POSP plan IDs spilling on dim
@@ -82,10 +84,11 @@ type memo struct {
 // precomputing the per-dimension extreme coordinates that make partition
 // penalty queries O(D) instead of O(|contour|).
 func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourState {
+	t := table(s)
 	return &contourState{
-		s: s, cells: cells,
+		s: s, t: t, cells: cells,
 		scan:    spillbound.ScanContour(s, cells, learned),
-		pools:   learntPools(s, learned),
+		pools:   t.learntPools(s, learned),
 		memo:    map[[2]int]memo{},
 		indMemo: map[[2]int]memo{},
 	}
@@ -93,18 +96,30 @@ func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourSt
 
 // poolTable is AlignedBound's planner state on a Space: the spill pools of
 // each learnt set, indexed by the bitmask of learnt dimensions and computed
-// on first use. There are at most 2^D learnt sets, against one planned
-// contour per (sub-ESS, budget).
+// on first use, and the cost.PlanSet that prices replacement candidates.
+// There are at most 2^D learnt sets, against one planned contour per
+// (sub-ESS, budget).
 type poolTable struct {
 	mu     sync.Mutex
 	byMask []map[int][]int
+
+	// sets hands each planning goroutine its own clone of one PlanSet over
+	// the POSP, whose node table is built on the first induced replacement.
+	sets sync.Pool
 }
 
-// learntPools returns spillPools(s, learned) through the Space's pool table.
-func learntPools(s *ess.Space, learned map[int]bool) map[int][]int {
-	t := s.PlannerState(ess.AlignedBoundSlot, func() any {
-		return &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
+// table returns the Space's pool table.
+func table(s *ess.Space) *poolTable {
+	return s.PlannerState(ess.AlignedBoundSlot, func() any {
+		t := &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
+		base := sync.OnceValue(func() *cost.PlanSet { return cost.NewPlanSet(s.Model, s.Plans()) })
+		t.sets.New = func() any { return base().Clone() }
+		return t
 	}).(*poolTable)
+}
+
+// learntPools returns spillPools(s, learned) through the pool table.
+func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) map[int][]int {
 	mask := 0
 	for d, id := range s.Query.EPPs {
 		if learned[id] {
@@ -179,9 +194,10 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 // inducedReplacement finds the minimum-penalty (plan, location) pair that
 // induces PSA with the given leader at the given extreme coordinate:
 // S = contour cells whose leader coordinate equals coord, candidates are
-// the POSP plans spilling on the leader (Sec 5.2.1). Memoized per
-// (leader, coord) — the coordinate can only be one of D precomputed
-// extremes.
+// the POSP plans spilling on the leader (Sec 5.2.1), costed through the
+// Space's PlanSet so subtrees shared by the pool are costed once per cell.
+// Memoized per (leader, coord) — the coordinate can only be one of D
+// precomputed extremes.
 func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 	key := [2]int{leader, coord}
 	if m, ok := st.indMemo[key]; ok {
@@ -190,15 +206,17 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 	s := st.s
 	g := s.Grid
 	pool := st.pools[leader]
+	ps := st.t.sets.Get().(*cost.PlanSet)
+	defer st.t.sets.Put(ps)
 	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
 	for _, ci := range st.cells {
 		if g.Coord(ci, leader) != coord {
 			continue
 		}
-		loc := g.Location(ci)
+		ps.At(g.Location(ci))
 		opt := s.CostAt(ci)
 		for _, id := range pool {
-			c := s.Model.Eval(s.Plans()[id], loc)
+			c := ps.Cost(id)
 			if pen := c / opt; pen < best.Penalty {
 				best = spillbound.Spill{
 					PlanID: id, Dim: leader,

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/engine"
 	"repro/internal/ess"
+	"repro/internal/metrics"
 	"repro/internal/spillbound"
 	"repro/internal/workload"
 )
@@ -106,4 +108,84 @@ func TestAnalyzeAlignmentMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// referenceReplacement is inducedReplacement with every candidate costed by
+// Model.Eval: the minimum-penalty pool plan at the contour cells whose
+// leader coordinate is coord.
+func referenceReplacement(st *contourState, leader, coord int) (spillbound.Spill, bool) {
+	s, g := st.s, st.s.Grid
+	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
+	for _, ci := range st.cells {
+		if g.Coord(ci, leader) != coord {
+			continue
+		}
+		loc := g.Location(ci)
+		opt := s.CostAt(ci)
+		for _, id := range st.pools[leader] {
+			c := s.Model.Eval(s.Plans()[id], loc)
+			if pen := c / opt; pen < best.Penalty {
+				best = spillbound.Spill{PlanID: id, Dim: leader, Budget: c, Penalty: pen}
+			}
+		}
+	}
+	return best, !math.IsInf(best.Penalty, 1)
+}
+
+// TestInducedReplacementMatchesEval plans every contour of a cold 400-location
+// AlignedBound sweep of 4D_Q91 a second time and requires each induced
+// replacement the partition search prices through the Space's PlanSet to
+// pick the plan, budget and penalty, bit for bit, that Model.Eval picks.
+func TestInducedReplacementMatchesEval(t *testing.T) {
+	sp, ok := workload.ByName("4D_Q91")
+	if !ok {
+		t.Fatal("4D_Q91 missing from the suite")
+	}
+	q, err := sp.Build(catalog.TPCDS(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := cost.MustNewModel(q, cost.PostgresLike())
+	s, err := ess.BuildParallelContext(context.Background(), m, ess.NewGrid(q.D(), sp.GridRes, sp.GridLo), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := partitionPlanner(s)
+	contours, replacements := 0, 0
+	planner := spillbound.Planner{Slot: base.Slot, Plan: func(c spillbound.Contour) spillbound.Plan {
+		contours++
+		st := newContourState(s, c.Cells, c.Learned)
+		st.bestPartition(c.Free)
+		for key, got := range st.indMemo {
+			want, feasible := referenceReplacement(st, key[0], key[1])
+			replacements++
+			if got.feasible != feasible {
+				t.Errorf("contour %g leader %d coord %d: feasible %v, Model.Eval %v", c.Cost, key[0], key[1], got.feasible, feasible)
+			}
+			if !feasible {
+				continue
+			}
+			g := got.exec.Spill
+			if g.PlanID != want.PlanID || math.Float64bits(g.Budget) != math.Float64bits(want.Budget) ||
+				math.Float64bits(g.Penalty) != math.Float64bits(want.Penalty) {
+				t.Errorf("contour %g leader %d coord %d: PlanSet picks plan %d budget %v penalty %v, Model.Eval plan %d budget %v penalty %v",
+					c.Cost, key[0], key[1], g.PlanID, g.Budget, g.Penalty, want.PlanID, want.Budget, want.Penalty)
+			}
+		}
+		return base.Plan(c)
+	}}
+	_, err = metrics.SweepContext(context.Background(), s, func(truth cost.Location) float64 {
+		out, err := spillbound.Drive(context.Background(), s, ess.CostDoublingRatio, nil, planner, engine.New(m, truth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.TotalCost
+	}, metrics.SweepOptions{MaxLocations: 400, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replacements == 0 {
+		t.Fatalf("%d planned contours priced no induced replacement", contours)
+	}
+	t.Logf("%d planned contours, %d induced replacements", contours, replacements)
 }

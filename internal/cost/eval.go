@@ -43,6 +43,44 @@ func (m *Model) EvalTree(p *plan.Plan, at Location) map[*plan.Node]NodeCost {
 	return out
 }
 
+// RootCost costs one plan at locations that differ only in dimensions
+// read by its root's own predicates: its root's children are costed once,
+// and each Eval recomputes only the root operator, on the inputs Model.Eval
+// passes it. It is how a spilled subtree, rooted at the one node applying
+// the spilled epp, is re-costed along that epp's dimension.
+type RootCost struct {
+	m    *Model
+	root *plan.Node
+	kids [2]NodeCost // the left and right child's NodeCost
+}
+
+// RootEval costs p's root's children at at, for RootCost.Eval.
+func (m *Model) RootEval(p *plan.Plan, at Location) RootCost {
+	rc := RootCost{m: m, root: p.Root}
+	m.evalNodeWith(rc.root, at, func(c *plan.Node) NodeCost {
+		nc := m.evalNode(c, at)
+		rc.kids[rc.slot(c)] = nc
+		return nc
+	})
+	return rc
+}
+
+// Eval returns Model.Eval(p, at), bit for bit, when at differs from the
+// location given to RootEval only in dimensions that p's root's children
+// do not read.
+func (rc *RootCost) Eval(at Location) float64 {
+	return rc.m.evalNodeWith(rc.root, at, rc.child).Total
+}
+
+func (rc *RootCost) child(c *plan.Node) NodeCost { return rc.kids[rc.slot(c)] }
+
+func (rc *RootCost) slot(c *plan.Node) int {
+	if c == rc.root.Left {
+		return 0
+	}
+	return 1
+}
+
 // evalNode computes the NodeCost of the subtree rooted at n.
 func (m *Model) evalNode(n *plan.Node, at Location) NodeCost {
 	if n == nil {

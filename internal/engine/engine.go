@@ -285,12 +285,16 @@ func (e *Engine) executeSpill(p *plan.Plan, dim int, budget float64, overrun flo
 // monitorBound inverts the (monotone) subtree cost along dimension dim:
 // the largest selectivity s <= truth[dim] with Cost(subtree, truth[dim:=s])
 // <= budget. This simulates counting the rows the spilled operator produced
-// before the budget expired.
+// before the budget expired. sub is rooted at the one node applying the
+// dimension's predicate, so its children's cost is the same at every probe:
+// they are costed once, and each probe re-costs only the root
+// (cost.RootCost), bit-identical to a full Model.Eval.
 func (e *Engine) monitorBound(sub *plan.Plan, dim int, budget float64) float64 {
 	probe := e.Truth.Clone()
+	root := e.Model.RootEval(sub, e.Truth)
 	eval := func(s float64) float64 {
 		probe[dim] = s
-		return e.Model.Eval(sub, probe)
+		return root.Eval(probe)
 	}
 	lo, hi := 0.0, e.Truth[dim]
 	if eval(lo) > budget {

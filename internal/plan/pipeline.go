@@ -1,5 +1,7 @@
 package plan
 
+import "slices"
+
 // Pipeline is a maximal set of concurrently executing operators under the
 // demand-driven iterator model. Nodes appear in upstream-to-downstream
 // order: Nodes[0] is the deepest producer, the last entry is the operator
@@ -101,14 +103,21 @@ func (p *Plan) EPPOrder(epps []int, learned map[int]bool) []EPPNode {
 }
 
 // SpillTarget returns the predicate and node this plan would spill on given
-// the unlearned epp set: the first entry of EPPOrder. ok is false when the
-// plan contains no spillable epp node.
+// the unlearned epp set: the first entry of EPPOrder, found by the same
+// scan without building the order. ok is false when the plan contains no
+// spillable epp node.
 func (p *Plan) SpillTarget(epps []int, learned map[int]bool) (EPPNode, bool) {
-	order := p.EPPOrder(epps, learned)
-	if len(order) == 0 {
-		return EPPNode{}, false
+	for pi, pl := range p.pipelines {
+		for pos, n := range pl.Nodes {
+			if n.Kind == SeqScan || n.Kind == Sort || n.Kind == Aggregate || len(n.JoinIDs) == 0 {
+				continue
+			}
+			if id := n.JoinIDs[0]; !learned[id] && slices.Contains(epps, id) {
+				return EPPNode{JoinID: id, Node: n, Pipeline: pi, Position: pos}, true
+			}
+		}
 	}
-	return order[0], true
+	return EPPNode{}, false
 }
 
 // Subtree returns the plan consisting only of the subtree rooted at the

@@ -160,3 +160,41 @@ func TestSubtreeMemoConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestSpillTargetMatchesEPPOrder checks SpillTarget against the first entry
+// of EPPOrder, ok included, on every POSP plan of three suite queries under
+// every subset of their epps as the learned set, and that it allocates
+// nothing.
+func TestSpillTargetMatchesEPPOrder(t *testing.T) {
+	for _, name := range []string{"4D_Q91", "5D_Q84", "6D_Q18"} {
+		sp, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("%s missing from the suite", name)
+		}
+		m, posp := suitePOSP(t, sp)
+		epps := m.Query.EPPs
+		for mask := 0; mask < 1<<len(epps); mask++ {
+			learned := map[int]bool{}
+			for d, id := range epps {
+				if mask&(1<<d) != 0 {
+					learned[id] = true
+				}
+			}
+			for i, p := range posp {
+				got, gotOK := p.SpillTarget(epps, learned)
+				var want plan.EPPNode
+				order := p.EPPOrder(epps, learned)
+				if len(order) > 0 {
+					want = order[0]
+				}
+				if got != want || gotOK != (len(order) > 0) {
+					t.Fatalf("%s plan %d learned %v: SpillTarget %+v, %v; EPPOrder %+v", name, i, learned, got, gotOK, order)
+				}
+			}
+			p := posp[mask%len(posp)]
+			if allocs := testing.AllocsPerRun(100, func() { p.SpillTarget(epps, learned) }); allocs != 0 {
+				t.Fatalf("%s learned %v: SpillTarget allocates %v times per call", name, learned, allocs)
+			}
+		}
+	}
+}

@@ -20,19 +20,24 @@ import (
 // RetryPolicy configures step-level retry with exponential backoff (the
 // middle rung of the degradation ladder). The zero value disables retries;
 // Options.Retry = nil uses the default (2 retries from 1ms, capped at 50ms).
+// It is an alias of engine.Policy, which documents its fields:
+// go doc repro/internal/engine.Policy.
 type RetryPolicy = engine.Policy
 
 // GuardPolicy configures the runtime guarantee guardrails: the budget
 // watchdog that hard-aborts any execution charging past its contour budget,
 // and the ESS-escape fallback that reroutes a run whose monitored
 // selectivity leaves the enumerated space. Options.Guard = nil enables both
-// with zero slack; set Disabled to restore the unguarded behaviour.
+// with zero slack; set Disabled to restore the unguarded behaviour. It is
+// an alias of guard.Policy, which documents its fields:
+// go doc repro/internal/guard.Policy.
 type GuardPolicy = guard.Policy
 
 // FaultPlan describes operational faults to inject into a run — the chaos
 // half of the resilience harness. Counters are 1-based over the executions
 // the engine performs; the zero value injects nothing. Attach a plan to a
-// run's context with WithFaults.
+// run's context with WithFaults. It is an alias of faults.Knobs, which
+// documents its fields: go doc repro/internal/faults.Knobs.
 type FaultPlan = faults.Knobs
 
 // WithFaults returns a context that injects the plan's faults into the runs
