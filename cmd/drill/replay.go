@@ -34,7 +34,8 @@ var replayMix = []string{"spillbound"}
 // rqpd with deliberately tight admission limits and drives a seeded
 // open-loop arrival process of mixed traffic — clean runs, scenario-tagged
 // runs from the error-regime suite (adversarial-1 forces ESS escapes,
-// regret-correlated-1 forces watchdog aborts), sweeps, and session builds
+// regret-correlated-1 forces budget aborts, adversarial-6 fails one
+// execution past its retries and degrades), sweeps, and session builds
 // — followed by a concentrated sweep burst past the run ceiling (shed
 // drill) and a run of consecutive CHAOS_FAIL session builds
 // (circuit-breaker drill).
@@ -43,10 +44,10 @@ var replayMix = []string{"spillbound"}
 // phase breakdown derived from each run response's typed event stream
 // (exec vs spill vs degraded cost units, checkpoint and retry counts), the
 // per-class distribution of advertised Retry-After values, and a guardrail
-// census (watchdog aborts, ESS escapes, sheds, breaker rejections),
-// cross-checks the census against the daemon's own /v1/metrics exposition,
-// and writes the machine-readable report to replay-report.json. Every
-// response — successes and sheds alike — must carry a valid W3C
+// census (budget aborts, ESS escapes, degraded fallbacks, sheds, breaker
+// rejections), cross-checks the census against the daemon's own /v1/metrics
+// exposition, and writes the machine-readable report to replay-report.json.
+// Every response — successes and sheds alike — must carry a valid W3C
 // Traceparent and an X-Request-ID; violations are counted. The drill fails
 // unless every guardrail class fired at least once, p99 latency was
 // recorded for the run class, zero traceparent violations were seen, and
@@ -110,8 +111,8 @@ func replayDrill(bin, _ string) error {
 		Classes: classes, Strategies: strategies, Guardrails: guard, Daemon: daemon,
 		Goroutines: leakCheck{Baseline: baseline, Final: final, Settled: settleErr == nil},
 	}
-	log.Printf("census: %d watchdog aborts, %d escapes, %d sheds, %d breaker rejections, %d degraded fallbacks",
-		guard.WatchdogAborts, guard.ESSEscapes, guard.Sheds, guard.BreakerRejections, guard.DegradedFallbacks)
+	log.Printf("census: %d budget aborts, %d escapes, %d sheds, %d breaker rejections, %d degraded fallbacks",
+		guard.BudgetAborts, guard.ESSEscapes, guard.Sheds, guard.BreakerRejections, guard.DegradedFallbacks)
 	payload, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
@@ -145,7 +146,7 @@ type report struct {
 }
 
 type guardrails struct {
-	WatchdogAborts    int  `json:"watchdog_aborts"`
+	BudgetAborts      int  `json:"budget_aborts"`
 	ESSEscapes        int  `json:"ess_escapes"`
 	Sheds             int  `json:"sheds"`
 	BreakerRejections int  `json:"breaker_rejections"`
@@ -249,15 +250,18 @@ func (p *phaseStats) fold(events []telemetry.Event) {
 }
 
 // problems lists every violation (empty = pass). The required guardrail
-// classes are the acceptance bar: watchdog abort, ESS escape, shed,
-// breaker.
+// classes are the acceptance bar: budget abort, ESS escape, degraded
+// fallback, shed, breaker.
 func (r *report) problems() []string {
 	var out []string
-	if r.Guardrails.WatchdogAborts < 1 {
-		out = append(out, "no watchdog abort (budget_abort) observed")
+	if r.Guardrails.BudgetAborts < 1 {
+		out = append(out, "no budget abort (budget_abort) observed")
 	}
 	if r.Guardrails.ESSEscapes < 1 {
 		out = append(out, "no ESS escape (ess_escape) observed")
+	}
+	if r.Guardrails.DegradedFallbacks < 1 {
+		out = append(out, "no run degraded to the native plan")
 	}
 	if r.Guardrails.Sheds < 1 {
 		out = append(out, "nothing was shed (429) despite the burst past -max-runs")
@@ -342,7 +346,7 @@ func (rec *recorder) observe(class, strategy, outcome string, latency time.Durat
 	}
 	switch reply.GuardVerdict {
 	case "budget_abort":
-		rec.guard.WatchdogAborts++
+		rec.guard.BudgetAborts++
 	case "ess_escape":
 		rec.guard.ESSEscapes++
 	}
@@ -453,10 +457,12 @@ func arrivals() []arrival {
 }
 
 // pick draws the next event from the class mix: 40% clean runs (strategy
-// drawn uniformly from mix), 15% adversarial scenario runs, 15%
-// regret-correlated scenario runs, 20% sweeps, 10% session builds. The
-// scenario drills stay pinned to spillbound so the guardrail census is
-// independent of the mix under test. The strategy draw consumes a random
+// drawn uniformly from mix), 10% adversarial scenario runs, 10%
+// regret-correlated scenario runs, 10% degrade scenario runs, 20% sweeps,
+// 10% session builds. The scenario drills stay pinned to spillbound so the
+// guardrail census is independent of the mix under test. The degrade class
+// runs adversarial-6 at scenario seed 1, whose three consecutive injected
+// failures of the first execution outlast the two retries. The strategy draw consumes a random
 // number even for a one-strategy mix, and the pinned arrival stream
 // (testdata/replay_arrivals.json) depends on it.
 func pick(rng *rand.Rand, seed int64, mix []string) trafficEvent {
@@ -473,12 +479,15 @@ func pick(rng *rand.Rand, seed int64, mix []string) trafficEvent {
 		st := mix[rng.Intn(len(mix))]
 		return trafficEvent{class: "run", strategy: st,
 			body: fmt.Sprintf(`{"strategy":%q,"truth":%s}`, st, truth())}
-	case r < 0.55:
+	case r < 0.50:
 		return trafficEvent{class: "run:adversarial",
 			body: fmt.Sprintf(`{"strategy":"spillbound","truth":%s,"scenario":"adversarial-1","scenarioSeed":%d}`, truth(), seed)}
-	case r < 0.70:
+	case r < 0.60:
 		return trafficEvent{class: "run:correlated",
 			body: fmt.Sprintf(`{"strategy":"spillbound","truth":%s,"scenario":"regret-correlated-1","scenarioSeed":%d}`, truth(), seed)}
+	case r < 0.70:
+		return trafficEvent{class: "run:degrade",
+			body: fmt.Sprintf(`{"strategy":"spillbound","truth":%s,"scenario":"adversarial-6","scenarioSeed":1}`, truth())}
 	case r < 0.90:
 		return trafficEvent{class: "sweep", sweepMax: 16}
 	default:

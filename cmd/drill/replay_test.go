@@ -116,7 +116,7 @@ func TestPickIsSeedDeterministic(t *testing.T) {
 	}
 	// Every traffic class must appear in a 200-event trace; the scenario
 	// classes are what make the guardrail census non-vacuous.
-	for _, class := range []string{"run", "run:adversarial", "run:correlated", "sweep", "build"} {
+	for _, class := range []string{"run", "run:adversarial", "run:correlated", "run:degrade", "sweep", "build"} {
 		if counts[class] == 0 {
 			t.Errorf("class %s absent from a 200-event trace", class)
 		}
@@ -139,7 +139,7 @@ func TestRecorderCensus(t *testing.T) {
 	rec.observe("build:chaos", "", "breaker", time.Millisecond, runReply{})
 	rec.observe("sweep", "", "error", time.Millisecond, runReply{})
 	classes, strategies, guard := rec.snapshot()
-	if guard.WatchdogAborts != 1 || guard.ESSEscapes != 1 || guard.Sheds != 1 ||
+	if guard.BudgetAborts != 1 || guard.ESSEscapes != 1 || guard.Sheds != 1 ||
 		guard.BreakerRejections != 1 || guard.UnexpectedFailures != 1 || guard.DegradedFallbacks != 0 {
 		t.Errorf("census off: %+v", guard)
 	}
@@ -186,7 +186,7 @@ func TestRecorderDegraded(t *testing.T) {
 		rec.observe("run", "spillbound", "ok", time.Millisecond, reply)
 	}
 	classes, _, guard := rec.snapshot()
-	if guard.DegradedFallbacks != 1 || guard.WatchdogAborts != 1 {
+	if guard.DegradedFallbacks != 1 || guard.BudgetAborts != 1 {
 		t.Errorf("census off: %+v", guard)
 	}
 	if p := classes["run"].Phases; p == nil || p.DegradeCost != 7 {
@@ -217,7 +217,7 @@ func TestReportProblems(t *testing.T) {
 	good := &report{
 		Classes: map[string]*classStats{"run": {P99Ms: 12}},
 		Guardrails: guardrails{
-			WatchdogAborts: 1, ESSEscapes: 2, Sheds: 3,
+			BudgetAborts: 1, ESSEscapes: 2, DegradedFallbacks: 1, Sheds: 3,
 			BreakerRejections: 1, BreakerOpened: true,
 		},
 		Goroutines: leakCheck{Settled: true},
@@ -226,7 +226,14 @@ func TestReportProblems(t *testing.T) {
 		t.Errorf("good report flagged: %v", p)
 	}
 	bad := &report{Classes: map[string]*classStats{}}
-	if p := bad.problems(); len(p) < 5 {
+	if p := bad.problems(); len(p) < 6 {
 		t.Errorf("empty report should trip every check, got %v", p)
+	}
+	// Every guardrail class is required on its own: a report missing only
+	// the degraded fallback fails on exactly that.
+	noDegrade := *good
+	noDegrade.Guardrails.DegradedFallbacks = 0
+	if p := noDegrade.problems(); len(p) != 1 || !strings.Contains(p[0], "degraded") {
+		t.Errorf("report without a degraded fallback: problems %v", p)
 	}
 }

@@ -8,19 +8,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// guardTestSession builds the EQ test session with an explicit guard policy.
-func guardTestSession(t *testing.T, g *GuardPolicy) *Session {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.GridRes = 10
-	opts.Guard = g
-	sess, err := NewSession(TPCDSCatalog(10), paperEQ, paperEPPs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess
-}
-
 // countKind tallies events of one kind.
 func countKind(events []telemetry.Event, k telemetry.Kind) int {
 	n := 0
@@ -74,31 +61,11 @@ func TestBudgetAbortGolden(t *testing.T) {
 	}
 }
 
-// TestBudgetAbortRespectsSlack checks the λ-style allowance: with
-// BudgetSlack 0.25 the enforcement ceiling is budget·1.25 and charges land
-// within it (and a clean run is byte-identical to the unguarded trace shape,
-// i.e. no guard lines appear).
-func TestBudgetAbortRespectsSlack(t *testing.T) {
-	sess := guardTestSession(t, &GuardPolicy{BudgetSlack: 0.25})
-	truth := Location{0.02, 0.3}
-	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 3}), SpillBound, truth)
-	if err != nil {
-		t.Fatalf("overrun run should complete under the watchdog: %v", err)
-	}
-	if n := countKind(res.Events, telemetry.BudgetAbort); n < 1 {
-		t.Fatalf("no budget_abort events at overrun factor 3:\n%s", res.Trace)
-	}
-	const eps = 1e-9
-	for _, ev := range res.Events {
-		switch ev.Kind {
-		case telemetry.BudgetSpend, telemetry.BudgetAbort:
-			if ev.Budget > 0 && ev.Spent > ev.Budget*1.25*(1+eps) {
-				t.Errorf("%s charged %g past ceiling %g", ev.Kind, ev.Spent, ev.Budget*1.25)
-			}
-		}
-	}
-
-	clean, err := sess.Run(SpillBound, truth)
+// TestCleanRunCarriesNoGuardLines checks that a run without faults leaves
+// the guard silent: no guard lines in its trace and no verdict.
+func TestCleanRunCarriesNoGuardLines(t *testing.T) {
+	sess := newTestSession(t)
+	clean, err := sess.Run(SpillBound, Location{0.02, 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func run(ctx context.Context, s *ess.Space, a Assignment, e engine.ContextExecut
 			if err != nil && !engine.IsBudgetAbort(err) {
 				return out, err
 			}
-			// A watchdog budget abort is a failed step, not a failed run: the
+			// A budget abort is a failed step, not a failed run: the
 			// clamped charge stands in the ledger and discovery moves to the
 			// next plan, then the next contour — the shape the MSO analysis
 			// already accounts for.

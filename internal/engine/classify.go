@@ -1,48 +1,76 @@
-// Error classification and the cost-ceiling contract of the budget
-// watchdog (internal/guard). The paper's ledger analysis (Sec 3, MSO ≤
-// 4(1+λ)ρ) assumes every budgeted execution is forcibly terminated at its
-// contour budget; the watchdog enforces that assumption at run time by
-// attaching a hard cost ceiling to the execution context. Substrates that
-// meter their own work (this engine, internal/rowexec) consult the ceiling
-// cooperatively and abort with ErrBudgetAborted the moment charged cost
-// would cross it.
+// Error classification. The paper's ledger analysis (Sec 3, MSO ≤ 4(1+λ)ρ)
+// assumes every budgeted execution is forcibly terminated at its contour
+// budget; the engine enforces that at the point where it charges cost, and
+// reports the two ways an execution can break the paper's premises as
+// typed errors: ErrBudgetAborted (the charge would have passed the budget)
+// and an ESS escape (run-time monitoring learned a selectivity the space
+// cannot contain).
 //
 // Terminal answers the retry layer's only question: is an error worth
-// re-attempting? Watchdog aborts, injected checkpoint crashes and context
-// cancellation are terminal — re-running the step cannot change the outcome
-// and would double-charge the ledger — while everything else (injected
-// failures, panics recovered into errors, transient substrate trouble) is
-// transient and rides the backoff schedule.
+// re-attempting? Budget aborts, ESS escapes, injected checkpoint crashes and
+// context cancellation are terminal — re-running the step cannot change the
+// outcome and would double-charge the ledger — while everything else
+// (injected failures, panics recovered into errors, transient substrate
+// trouble) is transient and rides the backoff schedule.
 package engine
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 
 	"repro/internal/faults"
 )
 
-// ErrBudgetAborted marks an execution hard-aborted by the budget watchdog:
-// its charged cost reached the guard's ceiling (budget plus the explicit λ
-// slack) and the plan was cooperatively cancelled mid-flight. The partial
-// charge up to the ceiling stands in the ledger; the discovery loops treat
-// the execution as a failed (incomplete) step and continue at the next
-// plan/contour. Terminal: never retried.
+// ErrBudgetAborted marks an execution the engine cut off at its budget: an
+// overrunning operator's charge would have passed the assigned budget, so
+// the charge is clamped to the budget and the partial result discarded. The
+// discovery loops treat the execution as a failed (incomplete) step and
+// continue at the next plan/contour. Terminal: never retried.
 var ErrBudgetAborted = errors.New("engine: execution aborted at budget ceiling")
 
-// IsBudgetAbort reports whether the error is a watchdog budget abort.
+// IsBudgetAbort reports whether the error is a budget abort.
 func IsBudgetAbort(err error) bool { return errors.Is(err, ErrBudgetAborted) }
 
-// terminalError lets error types outside this package (e.g. the guard's
-// ESS-escape) declare themselves terminal without an import cycle.
-type terminalError interface{ Terminal() bool }
+// essEps is the tolerance above 1 before a learned selectivity counts as
+// outside the ESS — absorbs float noise from the monitoring bisection
+// without masking real escapes (injected skews overshoot by orders of
+// magnitude).
+const essEps = 1e-9
+
+// inESS reports whether a fully- or partially-learned selectivity is a value
+// the ESS can contain. Partial learns (monitoring lower bounds) are ≤ the
+// true value, so the same axioms apply.
+func inESS(learned float64) bool {
+	return !math.IsNaN(learned) && !math.IsInf(learned, 0) &&
+		learned >= 0 && learned <= 1+essEps
+}
+
+// escapeError is the terminal error returned when a learned selectivity
+// leaves the ESS: the discovery index would leave the enumerated space, so
+// the session layer abandons discovery for the safe path (the max-corner
+// terminal plan, which Lemma 3.2 guarantees completes at any ESS location).
+type escapeError struct {
+	dim     int
+	learned float64
+}
+
+func (e *escapeError) Error() string {
+	return fmt.Sprintf("engine: learned selectivity %g on dim %d escapes the ESS", e.learned, e.dim)
+}
+
+// IsEscape reports whether the error records an ESS escape.
+func IsEscape(err error) bool {
+	var ee *escapeError
+	return errors.As(err, &ee)
+}
 
 // Terminal reports whether an execution-step error must not be retried:
-// context cancellation and deadline expiry, watchdog budget aborts,
-// injected checkpoint crashes (faults.ErrCrashed / repro.ErrRunCrashed) and
-// any error implementing Terminal() true are terminal — retrying cannot
-// succeed and may double-charge the budget ledger; everything else is
-// transient.
+// context cancellation and deadline expiry, budget aborts, ESS escapes and
+// injected checkpoint crashes (faults.ErrCrashed / repro.ErrRunCrashed) are
+// terminal — retrying cannot succeed and may double-charge the budget
+// ledger; everything else is transient.
 func Terminal(err error) bool {
 	if err == nil {
 		return false
@@ -50,26 +78,5 @@ func Terminal(err error) bool {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
-	if errors.Is(err, ErrBudgetAborted) || faults.IsCrash(err) {
-		return true
-	}
-	var te terminalError
-	return errors.As(err, &te) && te.Terminal()
-}
-
-// ceilingKey is the private context key for the watchdog's cost ceiling.
-type ceilingKey struct{}
-
-// WithCostCeiling attaches a hard charged-cost ceiling to the context. The
-// metering substrates stop the execution and return ErrBudgetAborted once
-// their charge reaches the ceiling; the charge is clamped to it.
-func WithCostCeiling(ctx context.Context, ceiling float64) context.Context {
-	return context.WithValue(ctx, ceilingKey{}, ceiling)
-}
-
-// CostCeiling extracts the active cost ceiling; ok is false when no
-// watchdog guards the execution.
-func CostCeiling(ctx context.Context) (float64, bool) {
-	c, ok := ctx.Value(ceilingKey{}).(float64)
-	return c, ok
+	return errors.Is(err, ErrBudgetAborted) || IsEscape(err) || faults.IsCrash(err)
 }

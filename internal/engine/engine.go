@@ -83,8 +83,8 @@ func (w plainCtxExecutor) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim
 // regular or spill execution, and every later execution of that plan (at
 // any budget) reuses it. Model and Truth must therefore stay fixed after
 // the first execution. Only the model's cost is memoized: CostError, the
-// fault plan's hooks and overrun factor, and the cost ceiling act on every
-// execution.
+// fault plan's hooks and overrun factor, and the budget cut-off act on
+// every execution.
 type Engine struct {
 	// Model is the shared cost model.
 	Model *cost.Model
@@ -134,9 +134,9 @@ type Result struct {
 	Completed bool
 	// Spent is the cost charged: the plan's full cost when completed, the
 	// entire budget otherwise (partial results are discarded, per the
-	// PlanBouquet protocol). Under an injected budget-overrun fault the
-	// incomplete charge exceeds the budget by the overrun factor, and under
-	// a watchdog ceiling it is clamped at the ceiling (see classify.go).
+	// PlanBouquet protocol). It never passes the budget: ExecuteCtx cuts an
+	// execution that an injected overrun would carry past its budget off
+	// there, with ErrBudgetAborted (see classify.go).
 	Spent float64
 }
 
@@ -149,10 +149,14 @@ func (e *Engine) Execute(p *plan.Plan, budget float64) Result {
 	return Result{Completed: false, Spent: budget}
 }
 
-// ExecuteCtx is Execute with cancellation and fault injection: it checks the
-// context before doing work, consults any fault plan attached to the context
-// (latency, injected error or panic, cost-eval failure, budget overrun), and
-// returns the failure instead of silently proceeding.
+// ExecuteCtx is Execute with cancellation, fault injection and forced
+// termination: it checks the context before doing work, consults any fault
+// plan attached to the context (latency, injected error or panic, cost-eval
+// failure, budget overrun), and returns the failure instead of silently
+// proceeding. An execution whose fault-inflated charge would pass its budget
+// is cut off there: the charge is clamped to the budget, a budget_abort
+// event follows its budget_spend, and the terminal ErrBudgetAborted is
+// returned.
 func (e *Engine) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -170,19 +174,14 @@ func (e *Engine) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (
 	if !res.Completed {
 		// Forced termination at budget expiry. A well-behaved operator is
 		// charged exactly the budget; a misbehaving one (injected overrun
-		// factor > 1) spends past its assigned budget before the termination
-		// lands, and the ledger records the real, inflated charge — this is
-		// what the budget watchdog detects and hard-stops.
+		// factor > 1) would spend past it before the termination lands.
 		res.Spent = math.Min(c, budget*factor)
 	}
-	if ceil, guarded := CostCeiling(ctx); guarded && res.Spent > ceil {
-		// Cooperative cancellation at the watchdog's ceiling: the charge is
-		// clamped there, the partial result discarded, and the abort
-		// surfaces as a terminal (never-retried) error.
-		res = Result{Completed: false, Spent: ceil}
+	if res.Spent > budget {
+		res.Spent = budget
 		recordSpend(ctx, "exec", -1, budget, res.Spent, false, 0)
-		return res, fmt.Errorf("engine: charge would exceed cost ceiling %.4g (budget %.4g): %w",
-			ceil, budget, ErrBudgetAborted)
+		recordAbort(ctx, "exec", -1, budget)
+		return res, fmt.Errorf("engine: charge would exceed budget %.4g: %w", budget, ErrBudgetAborted)
 	}
 	recordSpend(ctx, "exec", -1, budget, res.Spent, res.Completed, 0)
 	return res, nil
@@ -205,7 +204,22 @@ func recordSpend(ctx context.Context, mode string, dim int, budget, spent float6
 	})
 }
 
-// ExecuteSpillCtx is ExecuteSpill with cancellation and fault injection.
+// recordAbort emits the BudgetAbort event of an execution cut off at its
+// budget; the clamped charge is the budget itself.
+func recordAbort(ctx context.Context, mode string, dim int, budget float64) {
+	telemetry.From(ctx).Record(telemetry.Event{
+		Kind: telemetry.BudgetAbort, Dim: dim, Budget: budget, Spent: budget, Mode: mode,
+	})
+}
+
+// ExecuteSpillCtx is ExecuteSpill with cancellation, fault injection and
+// forced termination (see ExecuteCtx), and it checks every learned
+// selectivity against the ESS. A value the space cannot contain (negative,
+// non-finite, or past 1) records an ess_escape event and returns a terminal
+// escape error (IsEscape). Aborted spills are checked too: their partial
+// lower bound still feeds checkpoint state and Lemma 3.1 pruning, so a
+// corrupted value must escape, not linger. The escape outranks the abort
+// (both are terminal; only the escape reroutes the run).
 func (e *Engine) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, budget float64) (SpillResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return SpillResult{}, false, err
@@ -218,22 +232,30 @@ func (e *Engine) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, bud
 		return SpillResult{}, false, err
 	}
 	res, ok := e.executeSpill(p, dim, budget, fp.OverrunFactor())
-	if ok {
-		res.Learned = fp.OnLearned(res.Learned)
-		if ceil, guarded := CostCeiling(ctx); guarded && res.Spent > ceil {
-			// Cooperative cancellation mid-spill: the monitoring lower bound
-			// gathered so far is still valid (Lemma 3.1 is monotone in the
-			// budget), but the charge is clamped at the ceiling and the
-			// abort surfaces as a terminal error.
-			res.Completed = false
-			res.Spent = ceil
-			recordSpend(ctx, "spill", dim, budget, res.Spent, false, res.Learned)
-			return res, true, fmt.Errorf("engine: spill charge would exceed cost ceiling %.4g (budget %.4g): %w",
-				ceil, budget, ErrBudgetAborted)
-		}
+	if !ok {
+		return res, false, nil
+	}
+	res.Learned = fp.OnLearned(res.Learned)
+	var err error
+	if res.Spent > budget {
+		// Cut off mid-spill: the monitoring lower bound gathered so far is
+		// still valid (Lemma 3.1 is monotone in the budget), but the charge
+		// is clamped to the budget.
+		res.Spent = budget
+		recordSpend(ctx, "spill", dim, budget, res.Spent, false, res.Learned)
+		recordAbort(ctx, "spill", dim, budget)
+		err = fmt.Errorf("engine: spill charge would exceed budget %.4g: %w", budget, ErrBudgetAborted)
+	} else {
 		recordSpend(ctx, "spill", dim, budget, res.Spent, res.Completed, res.Learned)
 	}
-	return res, ok, nil
+	if !inESS(res.Learned) {
+		telemetry.From(ctx).Record(telemetry.Event{
+			Kind: telemetry.ESSEscape, Dim: dim, Budget: budget, Spent: res.Spent,
+			Learned: res.Learned,
+		})
+		return res, true, &escapeError{dim: dim, learned: res.Learned}
+	}
+	return res, true, err
 }
 
 // SpillResult reports one spill-mode execution.

@@ -94,16 +94,22 @@ func TestMemoKeepsPerExecutionFactors(t *testing.T) {
 		}
 	}
 
+	// At 1.5× the plan's cost a clean execution completes, and one under a
+	// 2× overrun is cut off at the budget: each execution applies the
+	// overrun in force for it to the memoized cost.
 	e.CostError = nil
 	ctx := faults.With(context.Background(), faults.Knobs{BudgetOverrun: 2}.Plan())
 	for i := 0; i < 3; i++ {
-		res, err := e.ExecuteCtx(ctx, p, c/4)
-		if err != nil || res.Completed || res.Spent != c/2 {
-			t.Errorf("overrun execution %d: %+v (%v), want spent %g", i, res, err, c/2)
+		res, err := e.ExecuteCtx(ctx, p, 1.5*c)
+		if !IsBudgetAbort(err) || res.Completed || res.Spent != 1.5*c {
+			t.Errorf("overrun execution %d: %+v (%v), want an abort at %g", i, res, err, 1.5*c)
 		}
-		sres, _, err := e.ExecuteSpillCtx(ctx, p, 0, subCost/4)
-		if err != nil || sres.Completed || sres.Spent != subCost/2 {
-			t.Errorf("overrun spill %d: %+v (%v), want spent %g", i, sres, err, subCost/2)
+		sres, _, err := e.ExecuteSpillCtx(ctx, p, 0, 1.5*subCost)
+		if !IsBudgetAbort(err) || sres.Completed || sres.Spent != 1.5*subCost {
+			t.Errorf("overrun spill %d: %+v (%v), want an abort at %g", i, sres, err, 1.5*subCost)
+		}
+		if res, err := e.ExecuteCtx(context.Background(), p, 1.5*c); err != nil || !res.Completed || res.Spent != c {
+			t.Errorf("clean execution %d: %+v (%v), want spent %g", i, res, err, c)
 		}
 	}
 }

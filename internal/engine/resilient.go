@@ -1,7 +1,7 @@
 // Degradation-aware execution (operational robustness). The paper bounds the
 // damage of adversarial selectivity estimates; this file bounds the damage
 // of operational failures with a fixed ladder: a failing execution step is
-// retried with exponential backoff, and a step that keeps failing aborts the
+// retried with a doubling backoff, and a step that keeps failing aborts the
 // discovery run with a typed error so the session layer can fall back to the
 // Native (estimate-optimal) plan and report the downgraded guarantee —
 // instead of panicking or hanging.
@@ -16,33 +16,17 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Policy configures step-level retry with exponential backoff (the public
-// repro.RetryPolicy). The zero value disables retries.
-type Policy struct {
-	// MaxRetries is the number of re-attempts after the first failure of a
+// The retry schedule: a failed step is re-attempted twice, after 1ms and
+// then 2ms — enough to absorb transient faults without stretching a
+// simulated run.
+const (
+	// maxRetries is the number of re-attempts after the first failure of a
 	// single execution step. Past it the step error propagates.
-	MaxRetries int
-	// BaseBackoff is the delay before the first retry; each subsequent
+	maxRetries = 2
+	// baseBackoff is the delay before the first retry; each subsequent
 	// retry doubles it.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the doubling. 0 means no cap.
-	MaxBackoff time.Duration
-}
-
-// DefaultPolicy returns the standard ladder: two retries starting at 1ms —
-// enough to absorb transient faults without stretching a simulated run.
-func DefaultPolicy() Policy {
-	return Policy{MaxRetries: 2, BaseBackoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-}
-
-// backoff returns the delay before retry attempt n (1-based).
-func (p Policy) backoff(n int) time.Duration {
-	d := p.BaseBackoff << uint(n-1)
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
-}
+	baseBackoff = time.Millisecond
+)
 
 // StepError wraps the terminal failure of one execution step after the
 // retry budget is exhausted, so callers can distinguish "this step is
@@ -62,15 +46,13 @@ func (e *StepError) Unwrap() error { return e.Err }
 
 // Resilient wraps a ContextExecutor with the retry half of the degradation
 // ladder: panics in the substrate are recovered into errors, failed steps
-// are retried with exponential backoff, and cancellation is never retried.
-// Each retry and give-up is recorded only as a retry event on the context's
-// recorder (telemetry.CountRetries counts them). It implements
+// are retried on the fixed schedule above, and terminal errors are never
+// retried. Each retry and give-up is recorded only as a retry event on the
+// context's recorder (telemetry.CountRetries counts them). It implements
 // ContextExecutor, so discovery runners use it transparently.
 type Resilient struct {
 	// Exec is the wrapped substrate.
 	Exec ContextExecutor
-	// Policy is the retry configuration (zero value: no retries).
-	Policy Policy
 	// Sleep replaces time.Sleep in tests; nil uses a context-aware sleep.
 	Sleep func(context.Context, time.Duration) error
 }
@@ -85,11 +67,11 @@ func attempt(fn func() error) (err error) {
 	return fn()
 }
 
-// retry drives fn through the policy's backoff schedule. fn is re-invoked
-// until it succeeds, the retry budget is exhausted (→ *StepError), or the
-// failure is Terminal: cancellation, a watchdog budget abort, or
-// an injected checkpoint crash propagate immediately — re-attempting cannot
-// change the outcome and would double-charge the budget ledger.
+// retry drives fn through the backoff schedule. fn is re-invoked until it
+// succeeds, the retries are exhausted (→ *StepError), or the failure is
+// Terminal: cancellation, a budget abort, an ESS escape or an injected
+// checkpoint crash propagate immediately — re-attempting cannot change the
+// outcome and would double-charge the budget ledger.
 func (r *Resilient) retry(ctx context.Context, kind string, fn func() error) error {
 	var last error
 	for n := 0; ; n++ {
@@ -100,14 +82,14 @@ func (r *Resilient) retry(ctx context.Context, kind string, fn func() error) err
 		if Terminal(last) {
 			return last
 		}
-		if n >= r.Policy.MaxRetries {
+		if n >= maxRetries {
 			note := fmt.Sprintf("%s: giving up after %d attempts: %v", kind, n+1, last)
 			telemetry.From(ctx).Record(telemetry.Event{
 				Kind: telemetry.Retry, Dim: -1, Detail: note, Final: true,
 			})
 			return &StepError{Attempts: n + 1, Err: last}
 		}
-		d := r.Policy.backoff(n + 1)
+		d := baseBackoff << n
 		note := fmt.Sprintf("%s: attempt %d failed (%v), retrying in %s", kind, n+1, last, d)
 		telemetry.From(ctx).Record(telemetry.Event{Kind: telemetry.Retry, Dim: -1, Detail: note})
 		sleep := r.Sleep

@@ -64,7 +64,7 @@ func recorded(ctx context.Context) (context.Context, *telemetry.Recorder) {
 
 func TestResilientRetriesTransientFailure(t *testing.T) {
 	ex := &scriptedExec{failures: 2, succeedAs: Result{Completed: true, Spent: 7}}
-	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 2, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
+	r := &Resilient{Exec: ex, Sleep: noSleep}
 	ctx, rec := recorded(context.Background())
 	res, err := r.ExecuteCtx(ctx, nil, 100)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestResilientRetriesTransientFailure(t *testing.T) {
 
 func TestResilientGivesUpAfterBudget(t *testing.T) {
 	ex := &scriptedExec{failures: 10}
-	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 2, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
+	r := &Resilient{Exec: ex, Sleep: noSleep}
 	_, err := r.ExecuteCtx(context.Background(), nil, 100)
 	var se *StepError
 	if !errors.As(err, &se) {
@@ -100,7 +100,7 @@ func TestResilientGivesUpAfterBudget(t *testing.T) {
 
 func TestResilientRecoversPanic(t *testing.T) {
 	ex := &scriptedExec{panics: 1, succeedAs: Result{Completed: true}}
-	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 1, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
+	r := &Resilient{Exec: ex, Sleep: noSleep}
 	res, err := r.ExecuteCtx(context.Background(), nil, 100)
 	if err != nil {
 		t.Fatalf("panic should be recovered and retried: %v", err)
@@ -112,7 +112,7 @@ func TestResilientRecoversPanic(t *testing.T) {
 
 func TestResilientPersistentPanicBecomesError(t *testing.T) {
 	ex := &scriptedExec{panics: 5}
-	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 1, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
+	r := &Resilient{Exec: ex, Sleep: noSleep}
 	_, err := r.ExecuteCtx(context.Background(), nil, 100)
 	var se *StepError
 	if !errors.As(err, &se) {
@@ -124,7 +124,7 @@ func TestResilientDoesNotRetryCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ex := &scriptedExec{succeedAs: Result{Completed: true}}
-	r := &Resilient{Exec: AsContextExecutor(plainOnly{ex}), Policy: DefaultPolicy(), Sleep: noSleep}
+	r := &Resilient{Exec: AsContextExecutor(plainOnly{ex}), Sleep: noSleep}
 	ctx, rec := recorded(ctx)
 	_, err := r.ExecuteCtx(ctx, nil, 100)
 	if !errors.Is(err, context.Canceled) {
@@ -137,20 +137,30 @@ func TestResilientDoesNotRetryCancellation(t *testing.T) {
 
 func TestResilientSpillRetry(t *testing.T) {
 	ex := &scriptedExec{failures: 1}
-	r := &Resilient{Exec: ex, Policy: Policy{MaxRetries: 1, BaseBackoff: time.Nanosecond}, Sleep: noSleep}
+	r := &Resilient{Exec: ex, Sleep: noSleep}
 	res, ok, err := r.ExecuteSpillCtx(context.Background(), nil, 0, 100)
 	if err != nil || !ok || !res.Completed {
 		t.Fatalf("spill retry: res=%+v ok=%v err=%v", res, ok, err)
 	}
 }
 
+// TestPolicyBackoffDoublesAndCaps pins the fixed retry schedule: the
+// backoff doubles from 1ms, and the step gives up after two retries.
 func TestPolicyBackoffDoublesAndCaps(t *testing.T) {
-	p := Policy{MaxRetries: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35}
-	for i, w := range want {
-		if d := p.backoff(i + 1); d != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, d, w*time.Millisecond)
-		}
+	ex := &scriptedExec{failures: 10}
+	var slept []time.Duration
+	r := &Resilient{Exec: ex, Sleep: func(ctx context.Context, d time.Duration) error {
+		slept = append(slept, d)
+		return nil
+	}}
+	_, err := r.ExecuteCtx(context.Background(), nil, 100)
+	var se *StepError
+	if !errors.As(err, &se) || se.Attempts != 3 {
+		t.Fatalf("want a StepError after 3 attempts, got %v", err)
+	}
+	want := []time.Duration{time.Millisecond, 2 * time.Millisecond}
+	if len(slept) != len(want) || slept[0] != want[0] || slept[1] != want[1] {
+		t.Fatalf("backoffs = %v, want %v", slept, want)
 	}
 }
 

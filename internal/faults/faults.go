@@ -60,9 +60,11 @@ type Knobs struct {
 	// Latency is artificial delay added to every execution, to exercise
 	// deadline enforcement. 0 disables.
 	Latency time.Duration
-	// BudgetOverrun, when > 1, multiplies every execution's charged cost —
-	// the engine spends past its assigned budget, as a misbehaving operator
-	// would. Values <= 1 disable.
+	// BudgetOverrun, when > 1, multiplies every execution's charged cost,
+	// as a misbehaving operator would. A budgeted execution the factor
+	// carries past its budget is cut off there (engine.ErrBudgetAborted);
+	// an unbudgeted one completes at the inflated charge. Values <= 1
+	// disable.
 	BudgetOverrun float64
 	// SkewLearnedAt corrupts the Nth learned-selectivity observation
 	// (1-based over spill-mode learns) by multiplying it with
@@ -330,7 +332,7 @@ func Scenario(seed int64) Knobs {
 		k.PanicExecAt = 1 + rng.Intn(4)
 	case 3: // cost-model evaluation failure
 		k.FailCostEvalAt = 1 + rng.Intn(4)
-	case 4: // budget overrun: the watchdog must abort and keep discovering
+	case 4: // budget overrun: the engine must abort and keep discovering
 		k.BudgetOverrun = 1.5 + rng.Float64()*2
 	case 5: // monitoring skew past the ESS boundary: guard escape fallback
 		k.SkewLearnedAt = 1 + rng.Intn(3)

@@ -1,173 +1,9 @@
 package guard
 
 import (
-	"context"
-	"math"
 	"testing"
 	"time"
-
-	"repro/internal/engine"
-	"repro/internal/plan"
-	"repro/internal/telemetry"
 )
-
-// stubExec is a scriptable substrate: execRes/spillRes are returned as-is,
-// and honorCeiling makes it cooperate with the watchdog's cost ceiling the
-// way the real engine does.
-type stubExec struct {
-	execRes      engine.Result
-	spillRes     engine.SpillResult
-	honorCeiling bool
-	gotCeiling   float64
-	hadCeiling   bool
-}
-
-func (s *stubExec) Execute(p *plan.Plan, budget float64) engine.Result { return s.execRes }
-
-func (s *stubExec) ExecuteSpill(p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool) {
-	return s.spillRes, true
-}
-
-func (s *stubExec) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (engine.Result, error) {
-	s.gotCeiling, s.hadCeiling = engine.CostCeiling(ctx)
-	if s.honorCeiling && s.hadCeiling && s.execRes.Spent > s.gotCeiling {
-		return engine.Result{Completed: false, Spent: s.gotCeiling}, engine.ErrBudgetAborted
-	}
-	return s.execRes, nil
-}
-
-func (s *stubExec) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool, error) {
-	s.gotCeiling, s.hadCeiling = engine.CostCeiling(ctx)
-	if s.honorCeiling && s.hadCeiling && s.spillRes.Spent > s.gotCeiling {
-		res := s.spillRes
-		res.Completed = false
-		res.Spent = s.gotCeiling
-		return res, true, engine.ErrBudgetAborted
-	}
-	return s.spillRes, true, nil
-}
-
-// countKind counts the recorded events of one kind: the watchdog's aborts
-// and escapes are read from the stream it records into.
-func countKind(rec *telemetry.Recorder, kind telemetry.Kind) int {
-	n := 0
-	for _, ev := range rec.Events() {
-		if ev.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-func TestWatchdogArmsCeilingWithSlack(t *testing.T) {
-	stub := &stubExec{execRes: engine.Result{Completed: true, Spent: 50}}
-	w := New(stub, Policy{BudgetSlack: 0.25})
-	rec := telemetry.NewRecorder()
-	res, err := w.ExecuteCtx(telemetry.With(context.Background(), rec), nil, 100)
-	if err != nil || !res.Completed {
-		t.Fatalf("clean run should pass through: res=%+v err=%v", res, err)
-	}
-	if !stub.hadCeiling || stub.gotCeiling != 125 {
-		t.Fatalf("ceiling = (%g,%v), want (125,true)", stub.gotCeiling, stub.hadCeiling)
-	}
-	if n := countKind(rec, telemetry.BudgetAbort); n != 0 {
-		t.Fatalf("clean run recorded %d aborts", n)
-	}
-}
-
-func TestWatchdogClampsNonCooperativeOverrun(t *testing.T) {
-	stub := &stubExec{execRes: engine.Result{Completed: false, Spent: 200}}
-	w := New(stub, Policy{BudgetSlack: 0.1})
-	rec := telemetry.NewRecorder()
-	ctx := telemetry.With(context.Background(), rec)
-
-	res, err := w.ExecuteCtx(ctx, nil, 100)
-	if !engine.IsBudgetAbort(err) {
-		t.Fatalf("err = %v, want budget abort", err)
-	}
-	if res.Completed || math.Abs(res.Spent-110) > 1e-9 {
-		t.Fatalf("res = %+v, want incomplete spent at ceiling 110", res)
-	}
-	if !engine.Terminal(err) {
-		t.Fatalf("budget abort must classify terminal")
-	}
-	if n := countKind(rec, telemetry.BudgetAbort); n != 1 {
-		t.Fatalf("budget_abort events = %d, want 1", n)
-	}
-	evs := rec.Events()
-	if len(evs) != 1 || evs[0].Kind != telemetry.BudgetAbort || math.Abs(evs[0].Spent-110) > 1e-9 {
-		t.Fatalf("events = %+v, want one budget_abort at 110", evs)
-	}
-}
-
-func TestWatchdogPropagatesCooperativeAbort(t *testing.T) {
-	stub := &stubExec{spillRes: engine.SpillResult{Completed: false, Spent: 300, Learned: 0.2}, honorCeiling: true}
-	w := New(stub, Policy{})
-	rec := telemetry.NewRecorder()
-	res, ok, err := w.ExecuteSpillCtx(telemetry.With(context.Background(), rec), nil, 0, 100)
-	if !ok || !engine.IsBudgetAbort(err) {
-		t.Fatalf("ok=%v err=%v, want cooperative budget abort", ok, err)
-	}
-	if res.Spent != 100 {
-		t.Fatalf("spent = %g, want clamped at ceiling 100 (slack 0)", res.Spent)
-	}
-	if res.Learned != 0.2 {
-		t.Fatalf("partial learned bound must survive the abort, got %g", res.Learned)
-	}
-	if n := countKind(rec, telemetry.BudgetAbort); n != 1 {
-		t.Fatalf("budget_abort events = %d, want 1", n)
-	}
-}
-
-func TestWatchdogDetectsESSEscape(t *testing.T) {
-	stub := &stubExec{spillRes: engine.SpillResult{Completed: true, Spent: 10, Learned: 42}}
-	w := New(stub, Policy{BudgetSlack: 1})
-	rec := telemetry.NewRecorder()
-	ctx := telemetry.With(context.Background(), rec)
-
-	_, ok, err := w.ExecuteSpillCtx(ctx, nil, 1, 100)
-	if !ok || !IsEscape(err) {
-		t.Fatalf("ok=%v err=%v, want ESS escape", ok, err)
-	}
-	if !engine.Terminal(err) {
-		t.Fatalf("escape must classify terminal so the retry layer never re-runs it")
-	}
-	if n := countKind(rec, telemetry.ESSEscape); n != 1 {
-		t.Fatalf("ess_escape events = %d, want 1", n)
-	}
-	evs := rec.Events()
-	if len(evs) != 1 || evs[0].Kind != telemetry.ESSEscape || evs[0].Dim != 1 || evs[0].Learned != 42 {
-		t.Fatalf("events = %+v, want one ess_escape on dim 1", evs)
-	}
-}
-
-func TestWatchdogValidLearnedPassesThrough(t *testing.T) {
-	for _, learned := range []float64{0, 0.5, 1} {
-		stub := &stubExec{spillRes: engine.SpillResult{Completed: true, Spent: 10, Learned: learned}}
-		w := New(stub, Policy{})
-		_, _, err := w.ExecuteSpillCtx(context.Background(), nil, 0, 100)
-		if err != nil {
-			t.Fatalf("learned %g flagged as escape: %v", learned, err)
-		}
-	}
-}
-
-func TestWatchdogDisabledAndUnbudgetedPassThrough(t *testing.T) {
-	stub := &stubExec{execRes: engine.Result{Completed: false, Spent: 1e6}}
-	w := New(stub, Policy{Disabled: true})
-	if _, err := w.ExecuteCtx(context.Background(), nil, 1); err != nil {
-		t.Fatalf("disabled watchdog must not abort: %v", err)
-	}
-	w = New(stub, Policy{})
-	if _, err := w.ExecuteCtx(context.Background(), nil, inf()); err != nil {
-		t.Fatalf("unbudgeted execution must not be guarded: %v", err)
-	}
-	if stub.hadCeiling {
-		t.Fatalf("unbudgeted execution saw a ceiling")
-	}
-}
-
-func inf() float64 { var z float64; return 1 / z }
 
 func TestAIMDGrowsAndShrinks(t *testing.T) {
 	l := NewAIMD(2, 1, 8)

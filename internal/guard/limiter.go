@@ -1,7 +1,16 @@
-// Adaptive overload control: an AIMD concurrency limiter and a fixed-cap
-// bulkhead. Both are nil-safe — a nil limiter admits everything — so the
-// server can leave overload control disabled by simply not constructing
-// them.
+// Package guard holds the serving layer's overload controls: bound
+// concurrent work, shed the excess early, and stop hammering a failing
+// dependency. This file has the AIMD concurrency limiter and the fixed-cap
+// bulkhead; breaker.go the session-build circuit breaker; brownout.go the
+// staged load-shedding ladder; vitals.go the per-node load vitals and
+// pressure score those controls steer by. The run-time side of the paper's
+// guarantees — cutting every budgeted execution off at its budget and
+// checking learned selectivities against the ESS — is not here: the engine
+// enforces it where it charges cost (internal/engine).
+//
+// The limiter and the bulkhead are nil-safe — a nil limiter admits
+// everything — so the server can leave overload control disabled by simply
+// not constructing them.
 package guard
 
 import (

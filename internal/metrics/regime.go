@@ -63,7 +63,7 @@ type RegimeResult struct {
 }
 
 // verdictRank orders guard verdicts by severity for the per-cell overlay:
-// an escape (the guarantee's last resort) dominates a watchdog abort, which
+// an escape (the guarantee's last resort) dominates a budget abort, which
 // dominates a crash (recoverable by design), which dominates degradation.
 func verdictRank(v string) int {
 	switch v {

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/plan"
 	"repro/internal/telemetry"
 )
@@ -29,21 +28,12 @@ func (a *Adapter) Execute(p *plan.Plan, budget float64) engine.Result {
 }
 
 // ExecuteCtx runs the plan on real rows with cancellation (the row loop
-// polls the context) and fault injection from any plan on the context.
+// polls the context).
 func (a *Adapter) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (engine.Result, error) {
-	if err := faults.From(ctx).BeforeExec(ctx); err != nil {
-		return engine.Result{}, err
-	}
 	res, err := a.E.RunContext(ctx, p, budget)
 	if err != nil {
 		if ctx.Err() != nil {
 			return engine.Result{}, err
-		}
-		if engine.IsBudgetAbort(err) {
-			// Watchdog ceiling hit mid-execution: the clamped charge stands
-			// in the ledger and the terminal abort propagates.
-			a.recordSpend(ctx, -1, budget, res.Spent, false, 0)
-			return engine.Result{Completed: false, Spent: res.Spent}, err
 		}
 		// Non-budget, non-cancellation errors surface as incomplete
 		// executions charged their budget; the discovery loops treat them
@@ -73,11 +63,8 @@ func (a *Adapter) ExecuteSpill(p *plan.Plan, dim int, budget float64) (engine.Sp
 	return res, ok
 }
 
-// ExecuteSpillCtx is ExecuteSpill with cancellation and fault injection.
+// ExecuteSpillCtx is ExecuteSpill with cancellation.
 func (a *Adapter) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool, error) {
-	if err := faults.From(ctx).BeforeExec(ctx); err != nil {
-		return engine.SpillResult{}, false, err
-	}
 	joinID := a.E.Query.EPPs[dim]
 	if p.FindJoinNode(joinID) == nil {
 		return engine.SpillResult{}, false, nil
@@ -86,16 +73,6 @@ func (a *Adapter) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, bu
 	if err != nil {
 		if ctx.Err() != nil {
 			return engine.SpillResult{}, false, err
-		}
-		if engine.IsBudgetAbort(err) {
-			// Watchdog abort mid-spill: keep the partial monitoring bound —
-			// it is still a valid lower bound — and propagate the terminal
-			// error with the clamped charge.
-			out := engine.SpillResult{Completed: false, Spent: res.Spent,
-				Learned: partialLearned(res, p, joinID)}
-			out.Learned = faults.From(ctx).OnLearned(out.Learned)
-			a.recordSpend(ctx, dim, budget, out.Spent, false, out.Learned)
-			return out, true, err
 		}
 		return engine.SpillResult{}, false, nil
 	}
@@ -108,9 +85,6 @@ func (a *Adapter) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, bu
 	} else {
 		out.Learned = partialLearned(res, p, joinID)
 	}
-	// Run-time monitoring is the layer an injected skew corrupts, so the
-	// fault applies to the observed value regardless of completion.
-	out.Learned = faults.From(ctx).OnLearned(out.Learned)
 	a.recordSpend(ctx, dim, budget, out.Spent, out.Completed, out.Learned)
 	return out, true, nil
 }

@@ -9,8 +9,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
-	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/plan"
 	"repro/internal/query"
 )
@@ -52,17 +50,12 @@ func (s schema) find(rel int, col string) int {
 
 // meter accumulates work in cost-model units and enforces the budget, and —
 // when a context is attached — polls for cancellation at operator-row
-// granularity so a deadline aborts a long scan or join mid-stream. An
-// injected budget overrun moves the forced-termination point (stop) past the
-// assigned budget; the watchdog's cost ceiling, when armed, aborts the run
-// terminally before the overrun can spend further.
+// granularity so a deadline aborts a long scan or join mid-stream.
 type meter struct {
-	spent   float64
-	stop    float64 // forced-termination point: budget · overrun factor
-	ceiling float64 // watchdog hard-abort point (engine.CostCeiling)
-	guarded bool
-	ctx     context.Context
-	ops     int
+	spent float64
+	stop  float64 // forced-termination point: the budget
+	ctx   context.Context
+	ops   int
 }
 
 // ctxPollMask controls how often the meter polls the context: every
@@ -72,10 +65,6 @@ const ctxPollMask = 1023
 
 func (m *meter) charge(units float64) error {
 	m.spent += units
-	if m.guarded && m.spent > m.ceiling {
-		return fmt.Errorf("rowexec: metered work %.4g exceeds guard ceiling %.4g: %w",
-			m.spent, m.ceiling, engine.ErrBudgetAborted)
-	}
 	if m.spent > m.stop {
 		return ErrBudget
 	}
@@ -161,22 +150,13 @@ func (e *Engine) runNode(ctx context.Context, root *plan.Node, budget float64) (
 	if budget <= 0 {
 		budget = math.Inf(1)
 	}
-	m := &meter{stop: budget * faults.From(ctx).OverrunFactor(), ctx: ctx}
-	if ceil, ok := engine.CostCeiling(ctx); ok {
-		m.ceiling, m.guarded = ceil, true
-	}
+	m := &meter{stop: budget, ctx: ctx}
 	stats := map[*plan.Node]*NodeStats{}
 	_, rows, err := e.exec(root, m, stats)
 	res := Result{
 		Completed: err == nil,
-		// An injected overrun spends past the assigned budget before the
-		// forced termination lands; the ledger records the real charge so the
-		// watchdog can detect it.
-		Spent: math.Min(m.spent, m.stop),
-		Stats: stats,
-	}
-	if m.guarded {
-		res.Spent = math.Min(res.Spent, m.ceiling)
+		Spent:     math.Min(m.spent, m.stop),
+		Stats:     stats,
 	}
 	if err == nil {
 		res.OutRows = int64(len(rows))

@@ -9,7 +9,7 @@
 //   - regret-correlated: the error magnitude predicts the damage — operators
 //     overrun their assigned budgets proportionally and moderate skew
 //     perturbs the discovery path, so cost grows with the error and the
-//     budget watchdog is the guardrail under test.
+//     engine's budget cut-off is the guardrail under test.
 //   - adversarial: regret is decoupled from the error magnitude — monitoring
 //     produces selectivities the ESS cannot contain (the guard's escape
 //     fallback fires), execution steps fail transiently, or the process dies
@@ -40,7 +40,7 @@ const (
 	// Benign error perturbs monitoring without changing plan quality.
 	Benign Regime = iota
 	// Correlated error causes damage proportional to its magnitude
-	// (budget overruns; the watchdog's regime).
+	// (budget overruns; the budget cut-off's regime).
 	Correlated
 	// Adversarial error causes damage decoupled from its magnitude
 	// (ESS escapes, transient failures, checkpoint crashes).
@@ -138,8 +138,8 @@ func knobsFor(r Regime, i int, rng *rand.Rand) faults.Knobs {
 		}
 	case Correlated:
 		// Damage proportional to the drawn error: the overrun factor is the
-		// error, so bigger error means bigger charged cost until the watchdog
-		// claws it back at the ceiling.
+		// error, so bigger error means bigger charged cost until the engine
+		// cuts the execution off at its budget.
 		err := 1.3 + rng.Float64()*1.7
 		k.BudgetOverrun = err
 		if i%2 == 1 {

@@ -395,8 +395,6 @@ func TestTraceReadDerivesFromEvents(t *testing.T) {
 	built := make(chan []telemetry.Event, 1)
 	orig := buildSession
 	buildSession = func(ctx context.Context, bq workload.Spec, o repro.Options) (*repro.Session, error) {
-		// No retries: a scenario's injected exec failure degrades the run.
-		o.Retry = &repro.RetryPolicy{}
 		sess, err := orig(ctx, bq, o)
 		built <- telemetry.From(ctx).Events()
 		return sess, err
@@ -421,7 +419,9 @@ func TestTraceReadDerivesFromEvents(t *testing.T) {
 		{"strategy": "spillbound", "truth": []float64{0.02, 0.3}},
 		{"strategy": "planbouquet", "truth": []float64{0.02, 0.3}},
 		{"strategy": "alignedbound", "truth": []float64{0.5, 0.001}},
-		{"strategy": "spillbound", "truth": []float64{0.9, 0.9}, "scenario": "adversarial-2"},
+		// At scenario seed 1, adversarial-6 fails the first execution three
+		// times in a row, one failure past the two retries: the run degrades.
+		{"strategy": "spillbound", "truth": []float64{0.9, 0.9}, "scenario": "adversarial-6"},
 	} {
 		resp, run := postJSON(t, ts.URL+"/v1/sessions/"+id+"/run", req)
 		if resp.StatusCode != http.StatusOK {
@@ -432,7 +432,7 @@ func TestTraceReadDerivesFromEvents(t *testing.T) {
 		spans += requireTraceRead(t, ts.URL, trace.FromRun(traceID, replyEvents(t, run)))
 	}
 	if !degraded {
-		t.Error("the adversarial-2 run did not degrade")
+		t.Error("the adversarial-6 run did not degrade")
 	}
 	if got := srv.metrics.traceSpans.Value() - before; got != float64(spans) {
 		t.Errorf("rqp_trace_spans_total moved by %g, served trees hold %d spans", got, spans)

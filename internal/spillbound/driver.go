@@ -145,7 +145,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			if !ok {
 				continue
 			}
-			// A watchdog budget abort is an incomplete spill, not a failed
+			// A budget abort is an incomplete spill, not a failed
 			// run: the clamped charge and the partial monitoring bound are
 			// recorded below and discovery moves on (next spill, then next
 			// contour per Lemma 4.3).

@@ -87,7 +87,7 @@ func appendExec(b []byte, ev *Event) []byte {
 		return fmt.Appendf(b, "resumed: run %s from checkpoint at IC%d, ledger %.4g\n",
 			ev.Detail, ev.Contour, ev.Spent)
 	case BudgetAbort:
-		// Guard events appear only on watchdog-aborted (faulted) runs, so
+		// Guard events appear only on budget-aborted (faulted) runs, so
 		// clean traces stay byte-identical.
 		return fmt.Appendf(b, "guard: budget abort at ceiling %.4g (budget %.4g)\n", ev.Spent, ev.Budget)
 	case ESSEscape:

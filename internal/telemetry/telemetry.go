@@ -44,10 +44,10 @@ const (
 	// assigned vs cost charged, emitted by the cost-model simulator and the
 	// row engine adapter.
 	BudgetSpend Kind = "budget_spend"
-	// BudgetAbort records the budget watchdog hard-aborting an execution
-	// whose charged cost reached the guard ceiling (budget plus the explicit
-	// λ slack); discovery resumes at the next plan/contour and the clamped
-	// charge stands in the ledger.
+	// BudgetAbort records the engine cutting an execution off at its budget:
+	// an overrunning operator's charge would have passed it, so the charge is
+	// clamped to the budget and stands in the ledger, and discovery resumes
+	// at the next plan/contour.
 	BudgetAbort Kind = "budget_abort"
 	// ESSEscape records run-time monitoring driving a learned selectivity
 	// past the ESS boundary; the guard escalates to the safe path (the

@@ -71,7 +71,7 @@ func verdictColor(v string) string {
 	case "ess_escape":
 		return "#7b2d8b" // purple: the guarantee's last resort
 	case "budget_abort":
-		return "#d97706" // amber: the watchdog clawed the run back
+		return "#d97706" // amber: the engine cut an overrun off at its budget
 	case "crashed":
 		return "#2563eb" // blue: recoverable by design
 	case "degraded":

@@ -22,7 +22,7 @@ const (
 	// RegimeBenign: estimation error present, plan regret absent.
 	RegimeBenign = "benign"
 	// RegimeCorrelated: damage proportional to the error magnitude (budget
-	// overruns; the watchdog's regime).
+	// overruns; the budget cut-off's regime).
 	RegimeCorrelated = "regret-correlated"
 	// RegimeAdversarial: damage decoupled from the error magnitude (ESS
 	// escapes, transient failures, checkpoint crashes).
@@ -54,7 +54,7 @@ type Scenario struct {
 // regimes, deterministically from the seed. Knob values depend only on
 // (seed, regime, index), so suites of different sizes agree on their common
 // scenarios, and the leading scenario of each regime has a pinned fault
-// class: "regret-correlated-1" always overruns budgets (watchdog drill),
+// class: "regret-correlated-1" always overruns budgets (budget-abort drill),
 // "adversarial-1" always skews monitoring past the ESS boundary (escape
 // drill).
 func ScenarioSuite(seed int64, perRegime int) []Scenario {
@@ -114,12 +114,12 @@ type RegimeSummary struct {
 // SweepScenarios evaluates the algorithm under every scenario of the suite
 // at (a sample of) every ESS grid cell and aggregates per regime, in
 // canonical regime order. Each (scenario, location) evaluation is a full
-// guarded run — fault injection, watchdog, escape fallback, retry ladder —
-// so the summaries report the operational robustness of the strategy, not
-// just its clean-path cost. maxLocations caps the per-scenario location
-// sample (0 = exhaustive); the sample is shared across scenarios and
-// algorithms (Options.SweepSeed), so strategies are compared on identical
-// ground truth.
+// guarded run — fault injection, budget cut-off, escape fallback, retry
+// ladder — so the summaries report the operational robustness of the
+// strategy, not just its clean-path cost. maxLocations caps the
+// per-scenario location sample (0 = exhaustive); the sample is shared
+// across scenarios and algorithms (Options.SweepSeed), so strategies are
+// compared on identical ground truth.
 func (s *Session) SweepScenarios(ctx context.Context, a Algorithm, suite []Scenario, maxLocations int) ([]RegimeSummary, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("repro: empty scenario suite")

@@ -16,7 +16,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/faults"
-	"repro/internal/guard"
 	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/optimizer"
@@ -64,13 +63,6 @@ type Options struct {
 	ContourRatio float64
 	// ReductionLambda is PlanBouquet's anorexic reduction threshold.
 	ReductionLambda float64
-	// Retry configures the degradation ladder's step retry (see
-	// RetryPolicy); nil uses the default (2 retries, 1ms base backoff).
-	Retry *RetryPolicy
-	// Guard configures the runtime guarantee guardrails (budget watchdog and
-	// ESS-escape fallback, see GuardPolicy); nil enables them with zero
-	// budget slack.
-	Guard *GuardPolicy
 	// Workers bounds the parallelism of ESS construction and whole-space
 	// sweeps: 0 uses GOMAXPROCS, 1 forces serial execution. Results are
 	// identical regardless of the worker count.
@@ -368,8 +360,8 @@ type RunResult struct {
 	// (empty when Degraded is false).
 	DegradedReason string
 	// GuardVerdict reports runtime-guard interventions during the run:
-	// "budget_abort" when the watchdog hard-aborted at least one execution at
-	// its cost ceiling (discovery continued under the enforced ledger),
+	// "budget_abort" when the engine cut at least one execution off at its
+	// budget (discovery continued under the enforced ledger),
 	// "ess_escape" when monitoring left the ESS and the run completed via the
 	// safe path, "" for unguarded or clean runs.
 	GuardVerdict string
@@ -453,10 +445,11 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 		return RunResult{}, fmt.Errorf("repro: %w", err)
 	}
 	e.CostError = costErr
-	// The executor stack, innermost out: engine → budget watchdog (ledger
-	// enforcement + ESS validation) → retry. The watchdog sits inside the
-	// retry layer so its aborts — classified terminal — are never re-run.
-	rex := &engine.Resilient{Exec: guard.New(e, s.guardPolicy()), Policy: s.retryPolicy()}
+	// The executor stack, innermost out: engine → retry. The engine cuts
+	// every execution off at its budget and checks every learned
+	// selectivity against the ESS; its aborts and escapes are classified
+	// terminal, so the retry layer never re-runs them.
+	rex := &engine.Resilient{Exec: e}
 
 	// Every run records into a fresh context-carried recorder: the discovery
 	// layers (bouquet, spillbound, aligned, engine, rowexec) emit typed
@@ -515,7 +508,7 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
 			return RunResult{}, fmt.Errorf("repro: run aborted: %w", runErr)
 		}
-		if guard.IsEscape(runErr) {
+		if engine.IsEscape(runErr) {
 			return s.safePath(rec, res, truth)
 		}
 		return s.degrade(rec, res, a, truth, runErr)

@@ -24,11 +24,11 @@ import (
 )
 
 // runExecutor is the resilient executor stack handed to strategies
-// (engine → budget watchdog → retry).
+// (engine → retry).
 type runExecutor = engine.ContextExecutor
 
 // sweepByRun is every built-in strategy's SweepRun: the strategy's own Run
-// at the truth over the bare cost-model engine, with no watchdog, retry,
+// at the truth over the bare cost-model engine, with no fault plan, retry,
 // telemetry or durability (sweeps measure the strategy, not the resilience
 // ladder). A sweep therefore costs exactly what a clean run costs.
 func sweepByRun(st Strategy, s *Session) func(Location) float64 {
@@ -70,11 +70,11 @@ type StrategyOutcome struct {
 }
 
 // StrategyRun is the execution context handed to Strategy.Run: the session,
-// the hidden truth, the resilient executor stack (engine → budget watchdog →
-// retry), the run's telemetry recorder, and any crash-resume state. Budget
-// semantics: every execution must go through Execute (or the internal
-// runners), which charges min(cost, budget) — never run plans outside the
-// ledger, or MSO accounting breaks.
+// the hidden truth, the resilient executor stack (engine → retry), the
+// run's telemetry recorder, and any crash-resume state. Budget semantics:
+// every execution must go through Execute (or the internal runners), which
+// charges min(cost, budget) — never run plans outside the ledger, or MSO
+// accounting breaks.
 type StrategyRun struct {
 	sess   *Session
 	rex    runExecutor
@@ -105,7 +105,7 @@ func (r *StrategyRun) Resume() (step int, ok bool) {
 // step index through the resilient executor stack, recording the plan_exec
 // event that charges it to the run's ledger. It returns the charged cost and
 // whether the plan completed within budget; errors (cancellation, injected
-// faults past the retry policy, watchdog aborts) propagate to the driver's
+// faults past the retries, budget aborts) propagate to the driver's
 // degradation ladder.
 func (r *StrategyRun) Execute(ctx context.Context, step, planID int, budget float64) (spent float64, completed bool, err error) {
 	res, err := r.rex.ExecuteCtx(ctx, r.sess.space.Plans()[planID], budget)
