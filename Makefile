@@ -27,9 +27,11 @@ loc:
 examples:
 	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
-# chaos runs the seeded fault-injection scenarios under the race detector:
-# injected errors, operator panics, cost-eval failures and latency faults
-# must end in retried or cleanly degraded runs, never a crash or hang.
+# chaos runs the fault-injection tests under the race detector: the
+# fault-class table (errors, bursts, operator panics, cost-eval failures,
+# budget overruns, escape skew, each at an early and a late trigger) and the
+# error-regime scenario sweeps must end in retried, guarded or cleanly
+# degraded runs, never a crash or hang.
 chaos:
 	$(GO) test -race -run 'Chaos|Fault|Scenario|Resilient|Degrad' ./... -v
 	$(GO) test -race ./internal/faults/ -v
@@ -97,15 +99,17 @@ atlas:
 	$(GO) run ./cmd/rqp atlas -query 2D_EQ -res 16 -max 64 -o atlas.svg
 
 # fuzz runs the fuzz targets briefly: the runstate snapshot decoder (the
-# bytes crash recovery trusts least), the Prometheus exposition parser and
-# the hand-written event JSON encoder against encoding/json, one event and
-# a stream through its float memo.
+# bytes crash recovery trusts least), the Prometheus exposition parser, the
+# hand-written event JSON encoder against encoding/json, one event and a
+# stream through its float memo, and the scenario-name lookup a run request
+# reaches from the wire.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz=FuzzDecodeRunState -fuzztime=$(FUZZTIME) ./internal/runstate/
 	$(GO) test -fuzz=FuzzParseProm -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -fuzz=FuzzEventJSON -fuzztime=$(FUZZTIME) ./internal/telemetry/
 	$(GO) test -fuzz=FuzzEventStreamJSON -fuzztime=$(FUZZTIME) ./internal/telemetry/
+	$(GO) test -run '^FuzzScenarioByName$$' -fuzz=FuzzScenarioByName -fuzztime=$(FUZZTIME) .
 
 clean:
 	$(GO) clean ./...

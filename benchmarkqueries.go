@@ -48,7 +48,9 @@ func NewBenchmarkSession(bq BenchmarkQuery, opts Options) (*Session, error) {
 
 // NewBenchmarkSessionContext is NewBenchmarkSession with cancellation: the
 // parallel ESS construction aborts with the context's error on cancel or
-// deadline expiry (see NewSessionContext).
+// deadline expiry (see NewSessionContext). The session's query carries the
+// benchmark's name, so artifacts such as the robustness atlas are labelled
+// with it.
 func NewBenchmarkSessionContext(ctx context.Context, bq BenchmarkQuery, opts Options) (*Session, error) {
 	var cat *Catalog
 	switch bq.Catalog {
@@ -67,5 +69,10 @@ func NewBenchmarkSessionContext(ctx context.Context, bq BenchmarkQuery, opts Opt
 	if opts.GridLo == 0 {
 		opts.GridLo = bq.GridLo
 	}
-	return NewSessionContext(ctx, cat, bq.SQL, bq.EPPs, opts)
+	s, err := NewSessionContext(ctx, cat, bq.SQL, bq.EPPs, opts)
+	if err != nil {
+		return nil, err
+	}
+	s.query.Name = bq.Name
+	return s, nil
 }

@@ -77,9 +77,6 @@ func atlasMain(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Benchmark sessions are built through the SQL parse path, which leaves
-	// the query unnamed; label the atlas with the spec name the user asked for.
-	atlas.Query = sp.Name
 	var payload []byte
 	if *format == "svg" {
 		payload = []byte(atlas.SVG())

@@ -62,17 +62,7 @@ func (s *Session) SaveESS(w io.Writer) error { return s.space.Save(w) }
 // skipping the grid enumeration. The query and options must match the ones
 // the space was built with (dimensionality is validated; costs are trusted).
 func LoadSession(cat *Catalog, sql string, epps []string, opts Options, saved io.Reader) (*Session, error) {
-	if err := checkContourRatio(opts); err != nil {
-		return nil, err
-	}
-	q, err := sqlmini.Parse(cat, sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.MarkEPPs(epps...); err != nil {
-		return nil, err
-	}
-	m, err := newModel(q, opts.Params)
+	q, m, err := bindQuery(cat, sql, epps, opts)
 	if err != nil {
 		return nil, err
 	}

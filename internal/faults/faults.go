@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 )
@@ -312,32 +311,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Scenario returns deterministic seeded fault knobs for chaos suites: the
-// seed picks a fault class (clean error, transient error burst, panic,
-// cost-eval error, budget overrun, or monitoring skew) and its trigger
-// point. Identical seeds yield identical knobs, so failures found by
-// `make chaos` replay exactly.
-func Scenario(seed int64) Knobs {
-	rng := rand.New(rand.NewSource(seed))
-	var k Knobs
-	switch rng.Intn(6) {
-	case 0: // single clean failure early in discovery
-		k.FailExecAt = 1 + rng.Intn(3)
-	case 1: // transient burst: fails, then recovers under retry
-		k.FailExecAt = 1 + rng.Intn(3)
-		k.FailExecCount = 1 + rng.Intn(2)
-	case 2: // operator panic
-		k.PanicExecAt = 1 + rng.Intn(4)
-	case 3: // cost-model evaluation failure
-		k.FailCostEvalAt = 1 + rng.Intn(4)
-	case 4: // budget overrun: the engine must abort and keep discovering
-		k.BudgetOverrun = 1.5 + rng.Float64()*2
-	case 5: // monitoring skew past the ESS boundary: guard escape fallback
-		k.SkewLearnedAt = 1 + rng.Intn(3)
-		// Large enough to push any positive observation past 1.
-		k.SkewLearnedFactor = 1e9
-	}
-	return k
 }

@@ -112,19 +112,6 @@ func TestOverrunFactor(t *testing.T) {
 	}
 }
 
-func TestScenarioDeterminism(t *testing.T) {
-	for seed := int64(0); seed < 50; seed++ {
-		k := Scenario(seed)
-		if k != Scenario(seed) {
-			t.Fatalf("seed %d: scenarios differ", seed)
-		}
-		if k.FailExecAt == 0 && k.PanicExecAt == 0 && k.FailCostEvalAt == 0 &&
-			k.BudgetOverrun == 0 && k.SkewLearnedAt == 0 {
-			t.Fatalf("seed %d: scenario injects nothing", seed)
-		}
-	}
-}
-
 func TestKnobsPlanIsFresh(t *testing.T) {
 	k := Knobs{SkewLearnedAt: 1, SkewLearnedFactor: 2}
 	p1, p2 := k.Plan(), k.Plan()

@@ -8,11 +8,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Adapter exposes the row engine through the engine.Executor interface, so
-// PlanBouquet, SpillBound and AlignedBound can drive real tuple-at-a-time
-// executions instead of the cost-model simulation: budgets are enforced by
-// the work meter, and spill-mode learning comes from counting actual join
-// output rows. This is the closest analogue of the paper's modified
+// Adapter exposes the row engine through the engine.ContextExecutor
+// interface, so PlanBouquet, SpillBound and AlignedBound can drive real
+// tuple-at-a-time executions instead of the cost-model simulation: budgets
+// are enforced by the work meter, and spill-mode learning comes from
+// counting actual join output rows. This is the closest analogue of the paper's modified
 // PostgreSQL engine.
 type Adapter struct {
 	// E is the underlying row engine.

@@ -105,9 +105,6 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	release(true)
-	// The session was built through the SQL parse path, which leaves the
-	// query unnamed; label the atlas with the benchmark name clients know.
-	atlas.Query = e.spec.Name
 	switch format {
 	case "svg":
 		w.Header().Set("Content-Type", "image/svg+xml")

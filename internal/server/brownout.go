@@ -116,18 +116,12 @@ func (s *Server) Vitals() guard.Vitals {
 }
 
 // retryAfterHint is the Retry-After (seconds) the node advertises for edge
-// sheds performed on its behalf: the breaker's remaining cooldown when the
-// build circuit is open, otherwise the brownout depth (deeper stages take
-// dwell ticks to unwind, so clients should stay away longer), floor 1.
+// sheds performed on its behalf: the larger of retryAfterBase (the
+// breaker's remaining cooldown, floor 1) and the brownout depth plus one
+// (deeper stages take dwell ticks to unwind, so clients should stay away
+// longer).
 func (s *Server) retryAfterHint() int {
-	hint := 1
-	if ra := s.breaker.RetryAfter(); ra > 0 {
-		hint = guard.RetryAfterSeconds(ra)
-	}
-	if st := s.Stage(); st > 0 && hint < st+1 {
-		hint = st + 1
-	}
-	return hint
+	return max(s.retryAfterBase(), s.Stage()+1)
 }
 
 // countShed accounts one overload rejection into both the labeled metric

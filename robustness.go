@@ -37,12 +37,3 @@ func WithFaults(ctx context.Context, fp *FaultPlan) context.Context {
 	}
 	return faults.With(ctx, fp.Plan())
 }
-
-// FaultScenario returns a deterministic seeded fault plan: the seed selects
-// a fault class (clean error, transient burst, panic, cost-eval failure,
-// budget overrun, or monitoring skew) and its trigger point. Identical seeds
-// produce identical plans, so chaos findings replay exactly.
-func FaultScenario(seed int64) *FaultPlan {
-	k := faults.Scenario(seed)
-	return &k
-}

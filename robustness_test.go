@@ -189,32 +189,65 @@ func TestBudgetOverrunStillCompletes(t *testing.T) {
 	}
 }
 
-// TestChaosScenarios is the seeded fault-injection suite (`make chaos`):
-// every seeded scenario — clean errors, transient bursts, operator panics,
-// cost-eval failures — must end in a completed run (degraded at worst),
-// never a panic, hang, or error.
+// chaosFaults is the fault-injection table (`make chaos`): every fault
+// class a run's executor stack must absorb, each at an early and a late
+// trigger — a clean error, a transient burst, an operator panic, a
+// cost-eval failure, a budget overrun (its factor stands in for the
+// trigger) and monitoring skew past the ESS boundary — with the retries
+// and guard verdict each class leaves on the run.
+var chaosFaults = []struct {
+	name    string
+	fp      FaultPlan
+	retries int
+	verdict string
+}{
+	{"error/early", FaultPlan{FailExecAt: 1}, 1, ""},
+	{"error/late", FaultPlan{FailExecAt: 3}, 1, ""},
+	{"burst/early", FaultPlan{FailExecAt: 1, FailExecCount: 2}, 2, ""},
+	{"burst/late", FaultPlan{FailExecAt: 3, FailExecCount: 2}, 2, ""},
+	{"panic/early", FaultPlan{PanicExecAt: 1}, 1, ""},
+	{"panic/late", FaultPlan{PanicExecAt: 4}, 1, ""},
+	{"costeval/early", FaultPlan{FailCostEvalAt: 1}, 1, ""},
+	{"costeval/late", FaultPlan{FailCostEvalAt: 4}, 1, ""},
+	{"overrun/early", FaultPlan{BudgetOverrun: 1.5}, 0, "budget_abort"},
+	{"overrun/late", FaultPlan{BudgetOverrun: 3.5}, 0, "budget_abort"},
+	{"escape/early", FaultPlan{SkewLearnedAt: 1, SkewLearnedFactor: 1e9}, 0, "ess_escape"},
+	{"escape/late", FaultPlan{SkewLearnedAt: 3, SkewLearnedFactor: 1e9}, 0, "ess_escape"},
+}
+
+// TestChaosScenarios runs every fault class of chaosFaults under each discovery
+// strategy: each run must complete (degraded at worst, and then saying so)
+// with the class's retries and verdict, never panic, hang or fail.
 func TestChaosScenarios(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
-	algos := []Algorithm{PlanBouquet, SpillBound, AlignedBound}
 	degraded := 0
-	for seed := int64(1); seed <= 24; seed++ {
-		a := algos[seed%int64(len(algos))]
-		res, err := sess.RunContext(WithFaults(context.Background(), FaultScenario(seed)), a, truth)
-		if err != nil {
-			t.Fatalf("seed %d (%v): %v", seed, a, err)
-		}
-		if res.TotalCost <= 0 {
-			t.Errorf("seed %d (%v): no work charged", seed, a)
-		}
-		if res.Degraded {
-			degraded++
-			if !strings.Contains(res.Trace, "guarantee downgraded") {
-				t.Errorf("seed %d: degraded run hides the downgrade:\n%s", seed, res.Trace)
+	for _, c := range chaosFaults {
+		for _, a := range []Algorithm{PlanBouquet, SpillBound, AlignedBound} {
+			res, err := sess.RunContext(WithFaults(context.Background(), &c.fp), a, truth)
+			if err != nil {
+				t.Fatalf("%s (%v): %v", c.name, a, err)
+			}
+			if res.TotalCost <= 0 {
+				t.Errorf("%s (%v): no work charged", c.name, a)
+			}
+			verdict := c.verdict
+			if a == PlanBouquet && c.fp.SkewLearnedAt > 0 {
+				verdict = "" // PlanBouquet never spills, so nothing is learned to skew
+			}
+			if res.Retries != c.retries || res.GuardVerdict != verdict {
+				t.Errorf("%s (%v): retries %d, verdict %q; want %d, %q",
+					c.name, a, res.Retries, res.GuardVerdict, c.retries, verdict)
+			}
+			if res.Degraded {
+				degraded++
+				if !strings.Contains(res.Trace, "guarantee downgraded") {
+					t.Errorf("%s (%v): degraded run hides the downgrade:\n%s", c.name, a, res.Trace)
+				}
 			}
 		}
 	}
-	t.Logf("chaos: %d/24 scenarios degraded to native", degraded)
+	t.Logf("chaos: %d/%d runs degraded to native", degraded, 3*len(chaosFaults))
 }
 
 func TestSweepContextCancellation(t *testing.T) {
@@ -231,22 +264,22 @@ func TestSweepContextCancellation(t *testing.T) {
 	}
 }
 
-// TestConcurrentFaultRuns exercises the new concurrent paths under -race:
-// many goroutines share one session, each with its own fault plan.
+// TestConcurrentFaultRuns exercises the concurrent paths under -race:
+// goroutines share one session, each running one chaosFaults entry under
+// its own fault plan.
 func TestConcurrentFaultRuns(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
 	var wg sync.WaitGroup
-	errc := make(chan error, 16)
-	for i := 0; i < 16; i++ {
+	errc := make(chan error, len(chaosFaults))
+	for _, c := range chaosFaults {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(fp FaultPlan) {
 			defer wg.Done()
-			_, err := sess.RunContext(WithFaults(context.Background(), FaultScenario(seed)), SpillBound, truth)
-			if err != nil {
+			if _, err := sess.RunContext(WithFaults(context.Background(), &fp), SpillBound, truth); err != nil {
 				errc <- err
 			}
-		}(int64(i))
+		}(c.fp)
 	}
 	wg.Wait()
 	close(errc)

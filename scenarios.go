@@ -3,10 +3,12 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"strconv"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/scenario"
 	"repro/internal/viz"
 )
 
@@ -15,6 +17,9 @@ import (
 // adversarial — see PAPERS.md "When Does q-error Predict Plan Regret?"),
 // per-regime MSO/ASO sweeps with a guardrail-intervention census, and the
 // Graefe-style robustness atlas built from them.
+// A scenario composes the fault knobs (SkewLearnedAt/Factor, Latency,
+// BudgetOverrun, exec failures, crash points) into a deterministic,
+// replayable plan.
 
 // The three error regimes, as reported by Scenario.Regime and
 // RegimeSummary.Regime.
@@ -29,13 +34,10 @@ const (
 	RegimeAdversarial = "adversarial"
 )
 
-// Regimes returns the regime labels in canonical sweep order.
+// Regimes returns the regime labels in canonical sweep order. A regime's
+// index in this order seeds its scenarios' random streams.
 func Regimes() []string {
-	out := make([]string, 0, 3)
-	for _, r := range scenario.Regimes() {
-		out = append(out, r.String())
-	}
-	return out
+	return []string{RegimeBenign, RegimeCorrelated, RegimeAdversarial}
 }
 
 // Scenario is one named error-regime composition of fault knobs.
@@ -53,32 +55,104 @@ type Scenario struct {
 // ScenarioSuite generates perRegime scenarios for each of the three q-error
 // regimes, deterministically from the seed. Knob values depend only on
 // (seed, regime, index), so suites of different sizes agree on their common
-// scenarios, and the leading scenario of each regime has a pinned fault
-// class: "regret-correlated-1" always overruns budgets (budget-abort drill),
-// "adversarial-1" always skews monitoring past the ESS boundary (escape
-// drill).
+// scenarios. Scenario classes within a regime follow a fixed rotation, so
+// the leading scenario of each regime has a pinned fault class:
+//
+//   - benign-1..n: within-ESS monitoring skew (factor in [1/4, 4]); every
+//     third adds injection latency.
+//   - regret-correlated-1..n: a budget overrun whose factor grows with the
+//     scenario's drawn error, composed with moderate skew on every second.
+//     "regret-correlated-1" always overruns budgets (budget-abort drill).
+//   - adversarial-1 (and every odd n): escape-scale skew driving the
+//     learned selectivity past the ESS boundary (escape drill).
+//     adversarial-2 (and every even n) alternates transient exec-failure
+//     bursts with checkpoint crashes (crash knobs only fire on durable runs;
+//     elsewhere they are inert).
 func ScenarioSuite(seed int64, perRegime int) []Scenario {
-	suite := scenario.Suite(seed, perRegime)
-	out := make([]Scenario, len(suite))
-	for i, sc := range suite {
-		out[i] = fromInternal(sc)
+	if perRegime < 1 {
+		perRegime = 1
+	}
+	var out []Scenario
+	for r, regime := range Regimes() {
+		for i := 0; i < perRegime; i++ {
+			out = append(out, newScenario(seed, r, i, fmt.Sprintf("%s-%d", regime, i+1)))
+		}
 	}
 	return out
 }
 
-// ScenarioByName regenerates the named scenario from the seed
+// ScenarioByName derives the named scenario "<regime>-<n>" from the seed
 // ("adversarial-2" resolves identically in every process using the same
-// seed) — the lookup backing the daemon's scenario-tagged run requests.
+// seed) — the lookup backing the daemon's scenario-tagged run requests. It
+// costs the same for every n: only the named scenario is drawn. Names
+// ScenarioSuite would not produce (n < 1, a sign, leading zeros) resolve to
+// nothing.
 func ScenarioByName(seed int64, name string) (Scenario, bool) {
-	sc, ok := scenario.ByName(seed, name)
-	if !ok {
-		return Scenario{}, false
+	for r, regime := range Regimes() {
+		if len(name) <= len(regime) || name[:len(regime)] != regime || name[len(regime)] != '-' {
+			continue
+		}
+		digits := name[len(regime)+1:]
+		n, err := strconv.Atoi(digits)
+		if err != nil || digits[0] < '1' || digits[0] > '9' {
+			return Scenario{}, false
+		}
+		return newScenario(seed, r, n-1, name), true
 	}
-	return fromInternal(sc), true
+	return Scenario{}, false
 }
 
-func fromInternal(sc scenario.Scenario) Scenario {
-	return Scenario{Name: sc.Name, Regime: sc.Regime.String(), Faults: sc.Knobs}
+// newScenario draws the i-th (0-based) scenario of the regime at index r of
+// Regimes(). Its random stream derives from (seed, r, i) alone, so a
+// scenario's knobs are identical regardless of the suite size it was
+// generated in — "adversarial-1" means the same faults in a 1-per-regime
+// drill and a 10-per-regime atlas sweep. The class rotation is a function
+// of i alone, so suites of different sizes agree on their leading
+// scenarios' classes.
+func newScenario(seed int64, r, i int, name string) Scenario {
+	rng := rand.New(rand.NewSource(seed*1000003 + int64(r)*8191 + int64(i)*31 + 7))
+	sc := Scenario{Name: name, Regime: Regimes()[r]}
+	k := &sc.Faults
+	switch sc.Regime {
+	case RegimeBenign:
+		// Skew that stays well inside the unit selectivity range: the
+		// monitoring observation is wrong but the discovery still converges
+		// on a competitive plan (q-error without regret).
+		k.SkewLearnedAt = 1 + rng.Intn(3)
+		k.SkewLearnedFactor = 0.25 + rng.Float64()*3.75
+		if i%3 == 2 {
+			k.Latency = time.Duration(1+rng.Intn(3)) * time.Millisecond
+		}
+	case RegimeCorrelated:
+		// Damage proportional to the drawn error: the overrun factor is the
+		// error, so bigger error means bigger charged cost until the engine
+		// cuts the execution off at its budget.
+		k.BudgetOverrun = 1.3 + rng.Float64()*1.7
+		if i%2 == 1 {
+			k.SkewLearnedAt = 1 + rng.Intn(2)
+			k.SkewLearnedFactor = 2 + rng.Float64()*6
+		}
+	case RegimeAdversarial:
+		switch {
+		case i%2 == 0:
+			// Escape-scale skew: any positive observation is pushed past 1,
+			// outside the enumerated space — the guard's safe-path fallback
+			// must complete the run (regret decoupled from error size).
+			k.SkewLearnedAt = 1 + rng.Intn(3)
+			k.SkewLearnedFactor = 1e6 * (1 + rng.Float64()*1e6)
+		case i%4 == 1:
+			// Transient failure burst: exec errors the retry ladder must
+			// absorb (or degrade past).
+			k.FailExecAt = 1 + rng.Intn(3)
+			k.FailExecCount = 1 + rng.Intn(3)
+		default:
+			// Checkpoint crash: the process "dies" at a contour boundary.
+			// Only durable runs observe checkpoints, so this knob is inert
+			// on plain runs — replay drills pair it with durable requests.
+			k.CrashAtCheckpoint = 1 + rng.Intn(2)
+		}
+	}
+	return sc
 }
 
 // RegimeSummary aggregates one algorithm's robustness within one error

@@ -154,17 +154,7 @@ func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []str
 	if opts.GridRes < 2 {
 		return nil, fmt.Errorf("repro: grid resolution %d too small", opts.GridRes)
 	}
-	if err := checkContourRatio(opts); err != nil {
-		return nil, err
-	}
-	q, err := sqlmini.Parse(cat, sql)
-	if err != nil {
-		return nil, err
-	}
-	if err := q.MarkEPPs(epps...); err != nil {
-		return nil, err
-	}
-	m, err := cost.NewModel(q, opts.Params)
+	q, m, err := bindQuery(cat, sql, epps, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -205,13 +195,27 @@ func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []str
 	return s, nil
 }
 
-// checkContourRatio rejects a contour ratio the session could not build its
-// contours with; a session fixes PlanBouquet's guarantee from them up front.
-func checkContourRatio(opts Options) error {
+// bindQuery is the bind step both session constructors (NewSessionContext
+// and LoadSession) share: it parses the SQL against the catalog, marks the
+// error-prone join predicates and builds the query's cost model. It first
+// rejects a contour ratio the session could not build its contours with; a
+// session fixes PlanBouquet's guarantee from them up front.
+func bindQuery(cat *Catalog, sql string, epps []string, opts Options) (*query.Query, *cost.Model, error) {
 	if opts.ContourRatio <= 1 {
-		return fmt.Errorf("repro: contour ratio %g must exceed 1", opts.ContourRatio)
+		return nil, nil, fmt.Errorf("repro: contour ratio %g must exceed 1", opts.ContourRatio)
 	}
-	return nil
+	q, err := sqlmini.Parse(cat, sql)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := q.MarkEPPs(epps...); err != nil {
+		return nil, nil, err
+	}
+	m, err := cost.NewModel(q, opts.Params)
+	if err != nil {
+		return nil, nil, err
+	}
+	return q, m, nil
 }
 
 // loadSpaceFile loads a persisted ESS and validates it against the requested
@@ -381,12 +385,6 @@ type RunResult struct {
 	// caches) must stay deterministic — carriers that want it in-band (the
 	// server's run response) surface it under their own key.
 	TraceID string `json:"-"`
-}
-
-// newModel builds the cost model for a bound query (shared by the session
-// constructors in this file and extensions.go).
-func newModel(q *query.Query, p CostParams) (*cost.Model, error) {
-	return cost.NewModel(q, p)
 }
 
 // Run processes the query with the chosen algorithm against a true
