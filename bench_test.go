@@ -455,21 +455,26 @@ func BenchmarkAnorexicReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkReduce measures anorexic reduction of the 5D_Q84 benchmark
-// space at λ=0.2, the reduction every benchmark session build runs. The
-// space is built once, outside the timer.
+// BenchmarkReduce measures anorexic reduction at λ=0.2, the reduction
+// every benchmark session build runs, on 4D_Q91 (the serve workload's
+// session), 5D_Q84 and 6D_Q18 (the slowest). Each space is built outside
+// the timer.
 func BenchmarkReduce(b *testing.B) {
-	bq, ok := BenchmarkQueryByName("5D_Q84")
-	if !ok {
-		b.Fatal("5D_Q84 missing from the benchmark workload")
-	}
-	s, err := NewBenchmarkSession(bq, BenchmarkOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bouquet.Reduce(s.space, s.opts.ReductionLambda)
+	for _, name := range []string{"4D_Q91", "5D_Q84", "6D_Q18"} {
+		b.Run(name, func(b *testing.B) {
+			bq, ok := BenchmarkQueryByName(name)
+			if !ok {
+				b.Fatalf("%s missing from the benchmark workload", name)
+			}
+			s, err := NewBenchmarkSession(bq, BenchmarkOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bouquet.Reduce(s.space, s.opts.ReductionLambda)
+			}
+		})
 	}
 }
 

@@ -19,16 +19,16 @@ func countKind(events []telemetry.Event, k telemetry.Kind) int {
 	return n
 }
 
-// TestBudgetAbortGolden drives a budget-overrunning engine under the default
-// watchdog (zero slack) and pins the guard's observable surface: budget_abort
-// events, the trace rendering, the run-level verdict, and the invariant that
-// no execution ever charged past its enforcement ceiling.
+// TestBudgetAbortGolden runs with every execution overrunning its budget,
+// which the engine cuts off at that budget, and pins the guard's observable
+// surface: budget_abort events, the trace rendering, the run-level verdict,
+// and the invariant that no execution ever charged past its budget.
 func TestBudgetAbortGolden(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
 	res, err := sess.RunContext(WithFaults(context.Background(), &FaultPlan{BudgetOverrun: 2}), SpillBound, truth)
 	if err != nil {
-		t.Fatalf("overrun run should complete under the watchdog: %v", err)
+		t.Fatalf("overrun run should complete under the engine's budget cut-off: %v", err)
 	}
 	if n := countKind(res.Events, telemetry.BudgetAbort); n < 1 {
 		t.Fatalf("no budget_abort events in an overrun run:\n%s", res.Trace)
@@ -37,7 +37,7 @@ func TestBudgetAbortGolden(t *testing.T) {
 		t.Errorf("GuardVerdict = %q, want %q", res.GuardVerdict, telemetry.BudgetAbort)
 	}
 	if res.Degraded {
-		t.Errorf("watchdog aborts must not degrade the run:\n%s", res.Trace)
+		t.Errorf("budget aborts must not degrade the run:\n%s", res.Trace)
 	}
 	if res.Retries != 0 {
 		t.Errorf("retries = %d; budget aborts are terminal and must never be re-run", res.Retries)
@@ -45,8 +45,8 @@ func TestBudgetAbortGolden(t *testing.T) {
 	if !strings.Contains(res.Trace, "guard: budget abort at ceiling") {
 		t.Errorf("trace missing guard abort line:\n%s", res.Trace)
 	}
-	// Zero slack: every charge the run accounted is capped by its assigned
-	// budget, abort events included.
+	// Every charge the run accounted is capped by its assigned budget,
+	// abort events included.
 	const eps = 1e-9
 	for _, ev := range res.Events {
 		switch ev.Kind {
@@ -128,8 +128,8 @@ func TestESSEscapeDominatesVerdict(t *testing.T) {
 // with a uniformly overrunning engine and checks the enforced worst-case
 // bound: the overrun factor scales the whole cost surface, so the effective
 // oracle cost is factor·opt and TotalCost/(factor·opt) must stay within
-// 4·(1+λ)·(1+slack)·ρ — the paper's Theorem 3.4 bound with the watchdog's
-// slack made explicit (zero here).
+// 4·(1+λ)·ρ — the paper's Theorem 3.4 bound, which holds because the engine
+// cuts every execution off at its budget.
 func TestMSOGuaranteeUnderOverrun(t *testing.T) {
 	sess := newTestSession(t)
 	const factor = 2.0
@@ -155,7 +155,7 @@ func TestMSOGuaranteeUnderOverrun(t *testing.T) {
 		}
 	}
 	if aborts == 0 {
-		t.Error("sweep never triggered the watchdog; the bound was not exercised")
+		t.Error("sweep never triggered a budget abort; the bound was not exercised")
 	}
 	t.Logf("enforced MSO over sweep = %.3g (guarantee %.3g, %d aborts)", worst, bound, aborts)
 }

@@ -68,10 +68,18 @@ func (d *Diagram) PlanCount() int { return len(d.kept) }
 // function of the space. The resulting diagram retains near-optimality
 // everywhere while typically shrinking the plan count dramatically.
 //
-// The survivors are costed at each cell through a cost.PlanSet over the
-// POSP, which evaluates every subtree shared between plans once per cell.
-// A victim's cells are re-homed across GOMAXPROCS workers, each with its
-// own PlanSet; see rehome for why the diagram does not depend on them.
+// Each plan is costed at a cell at most once, through a cost.PlanSet over
+// the POSP, which evaluates every subtree shared between plans once per
+// cell. A cell is first re-homed when its optimal plan is the victim. The
+// survivors then are the plans after that owner in swallow order and the
+// plans before it whose swallow failed, and a plan's cost at a cell never
+// changes, so every later re-homing of the cell picks from a subset of
+// those costs. Reduce therefore begins with one parallel pass over the
+// grid (feasiblePlans) that lists, for each cell, the plans after its
+// owner within (1+lambda) of optimal, with their costs. The greedy loop
+// then costs only the failed survivors before the owner, at a cell's first
+// visit (see owner), and reads everything else from the cell's list. The
+// lists live in per-worker slabs that are dropped when Reduce returns.
 func Reduce(s *ess.Space, lambda float64) *Diagram {
 	g := s.Grid
 	n := g.Size()
@@ -88,7 +96,7 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 			d.kept = append(d.kept, id)
 		}
 	}
-	if lambda <= 0 {
+	if lambda <= 0 || len(d.kept) == 1 {
 		return d
 	}
 
@@ -97,13 +105,28 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		return len(cellsOf[order[i]]) < len(cellsOf[order[j]])
 	})
 
-	evs := make([]*cost.PlanSet, runtime.GOMAXPROCS(0))
-	evs[0] = cost.NewPlanSet(s.Model, s.Plans())
-	for w := 1; w < len(evs); w++ {
-		evs[w] = evs[0].Clone()
+	ev := cost.NewPlanSet(s.Model, s.Plans())
+	ws := make([]worker, runtime.GOMAXPROCS(0))
+	for w := range ws {
+		if w > 0 {
+			ev = ev.Clone()
+		}
+		ws[w] = worker{ev: ev, loc: make(cost.Location, g.D)}
 	}
+	r := &rehomer{
+		s:        s,
+		lambda:   lambda,
+		ws:       ws,
+		rank:     make([]int, len(s.Plans())),
+		live:     make([]bool, len(s.Plans())),
+		fallback: make([]entry, n),
+	}
+	for i, id := range order {
+		r.rank[id] = i
+		r.live[id] = true
+	}
+	r.lists = feasiblePlans(ws, s, order, r.rank, lambda)
 	var cells []int
-	var to []int32
 	for _, victim := range order {
 		if len(d.kept) == 1 {
 			break
@@ -114,71 +137,241 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 				cells = append(cells, ci)
 			}
 		}
-		var ok bool
-		if to, ok = rehome(evs, s, d.kept, victim, cells, lambda, to); !ok {
+		if !r.rehome(victim, cells) {
+			r.failed = append(r.failed, victim)
 			continue
 		}
 		for i, ci := range cells {
-			d.planIdx[ci] = to[i]
+			to := r.to[i]
+			d.planIdx[ci] = to
 			// Track the moved cell under its new owner so a later swallow
 			// of that owner re-homes it again instead of stranding it.
-			cellsOf[to[i]] = append(cellsOf[to[i]], ci)
+			cellsOf[to] = append(cellsOf[to], ci)
 		}
+		r.live[victim] = false
 		i, _ := slices.BinarySearch(d.kept, victim)
 		d.kept = slices.Delete(d.kept, i, i+1)
 	}
 	return d
 }
 
-// rehome finds a new owner for each of the victim's cells, into to[i] for
-// cells[i]: the cheapest plan of kept other than the victim whose cost at
-// the cell is within (1+lambda) of optimal, the lowest POSP index among
-// equal costs. It reports false when some cell has no such plan. Workers,
-// one per PlanSet of evs (at most one per cell), claim cells in turn and
-// stop early once one fails. A cell's owner depends only on the kept set,
-// the victim and the cell, and the caller applies the moves in cell order
-// after every worker is done, so the diagram is the serial one whatever
-// the worker count or schedule.
-func rehome(evs []*cost.PlanSet, s *ess.Space, kept []int, victim int, cells []int, lambda float64, to []int32) ([]int32, bool) {
-	to = slices.Grow(to[:0], len(cells))[:len(cells)]
+// worker is one goroutine's costing state: its own PlanSet, and the buffer
+// it places that PlanSet at a cell with.
+type worker struct {
+	ev  *cost.PlanSet
+	loc cost.Location
+}
+
+// at moves the worker's PlanSet to cell ci of g.
+func (w *worker) at(g *ess.Grid, ci int) {
+	for d := range w.loc {
+		w.loc[d] = g.Points[d][g.Coord(ci, d)]
+	}
+	w.ev.At(w.loc)
+}
+
+// entry is a plan that can take a cell: its POSP index, -1 for none, and
+// its cost there. In a cell's list, ahead is the distance to the best entry
+// from this one on. Entries hold no pointers, so the garbage collector
+// never scans a slab of them.
+type entry struct {
+	id, ahead int32
+	cost      float64
+}
+
+// beats reports whether e is a better owner than o: cheaper, or as cheap
+// with a lower POSP index. Every entry beats an id of -1.
+func (e entry) beats(o entry) bool {
+	return o.id < 0 || e.cost < o.cost || e.cost == o.cost && e.id < o.id
+}
+
+// rehomer is the greedy loop's state: the survivors and each cell's
+// candidates.
+type rehomer struct {
+	s      *ess.Space
+	lambda float64
+	ws     []worker
+	rank   []int  // by POSP index: the position in swallow order
+	live   []bool // by POSP index: not swallowed
+	lists  *cellLists
+	// failed holds the plans whose swallow failed, in swallow order. They
+	// survive for good and are never a victim again, so a cell keeps only
+	// the cheapest one known to take it: fallback[ci], id -1 for none.
+	failed   []int
+	fallback []entry
+	to       []int32 // the last rehome's owners, to[i] for its cells[i]
+}
+
+// rehome finds a new owner for each of the victim's cells, into r.to[i]
+// for cells[i], and reports false when some cell has none. Workers (at
+// most one per cell) claim cells in turn and stop early once one fails. A
+// cell's owner depends only on the survivors, the victim and the cell,
+// and the caller applies the moves in cell order after every worker is
+// done, so the diagram is the serial one whatever the worker count or
+// schedule.
+func (r *rehomer) rehome(victim int, cells []int) bool {
+	r.to = slices.Grow(r.to[:0], len(cells))[:len(cells)]
 	var next atomic.Int64
 	var failed atomic.Bool
-	work := func(ev *cost.PlanSet) {
+	work := func(w *worker) {
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= len(cells) {
 				return
 			}
-			ci := cells[i]
-			ev.At(s.Grid.Location(ci))
-			limit := s.CostAt(ci) * (1 + lambda)
-			bestID, bestCost := -1, limit
-			for _, id := range kept {
-				if id == victim {
-					continue
-				}
-				if c := ev.Cost(id); c <= limit && (bestID < 0 || c < bestCost) {
-					bestID, bestCost = id, c
-				}
-			}
-			if bestID < 0 {
+			best := r.owner(w, cells[i], victim)
+			if best.id < 0 {
 				failed.Store(true)
 				return
 			}
-			to[i] = int32(bestID)
+			r.to[i] = best.id
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < min(len(evs), len(cells)); w++ {
+	for w := 1; w < min(len(r.ws), len(cells)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(evs[w])
+			work(&r.ws[w])
 		}()
 	}
-	work(evs[0])
+	work(&r.ws[0])
 	wg.Wait()
-	return to, !failed.Load()
+	return !failed.Load()
+}
+
+// owner returns the new owner of cell ci, which the victim owns: the
+// cheapest survivor other than the victim within (1+lambda) of optimal,
+// the lowest POSP index among equal costs, or id -1 when there is none.
+// On the cell's first visit, the victim being its optimal plan, the failed
+// survivors are costed there. The plans up to the victim in swallow order
+// are settled by now, so they are dropped from the front of the cell's
+// list, the failed ones folded into its fallback; every plan left in the
+// list is a survivor, and the first entry's ahead names the best of them.
+func (r *rehomer) owner(w *worker, ci, victim int) entry {
+	if r.s.PlanIDAt(ci) == victim {
+		r.fallback[ci] = r.cheapestFailed(w, ci)
+	}
+	list := r.lists.of(ci)
+	q := 0
+	for ; q < len(list) && r.rank[list[q].id] <= r.rank[victim]; q++ {
+		if e := list[q]; int(e.id) != victim && r.live[e.id] && e.beats(r.fallback[ci]) {
+			r.fallback[ci] = e
+		}
+	}
+	r.lists.spans[ci].lo += int32(q)
+	best := r.fallback[ci]
+	if q < len(list) {
+		if e := list[q+int(list[q].ahead)]; e.beats(best) {
+			best = e
+		}
+	}
+	return best
+}
+
+// cheapestFailed returns the cheapest failed survivor at cell ci within
+// (1+lambda) of optimal, the lowest POSP index among equal costs, or id -1.
+func (r *rehomer) cheapestFailed(w *worker, ci int) entry {
+	best := entry{id: -1}
+	if len(r.failed) == 0 {
+		return best
+	}
+	w.at(&r.s.Grid, ci)
+	limit := r.s.CostAt(ci) * (1 + r.lambda)
+	for _, id := range r.failed {
+		if c := w.ev.Cost(id); c <= limit {
+			if e := (entry{id: int32(id), cost: c}); e.beats(best) {
+				best = e
+			}
+		}
+	}
+	return best
+}
+
+// cellLists holds, for every cell, the plans after its owner in swallow
+// order whose cost there is within (1+lambda) of optimal, in swallow
+// order. Each worker fills its own slab, a run of blocks that are never
+// grown or copied, and a cell's list lies in one block.
+type cellLists struct {
+	slabs [][][]entry // slabs[w][b] is block b of worker w
+	spans []span      // by cell
+}
+
+// span places a cell's list at entries [lo, hi) of block b of slab w.
+type span struct{ w, b, lo, hi int32 }
+
+func (l *cellLists) of(ci int) []entry {
+	sp := l.spans[ci]
+	return l.slabs[sp.w][sp.b][sp.lo:sp.hi]
+}
+
+const (
+	// feasibleChunk is the number of consecutive cells a worker claims at
+	// once.
+	feasibleChunk = 64
+	// listBlock is the least number of entries in a slab block (256 KiB).
+	listBlock = 1 << 14
+)
+
+// feasiblePlans builds every cell's list in one pass over the grid, each
+// entry's ahead included. Workers, one per state of ws (at most one per
+// chunk), claim chunks of cells from an atomic counter and append to their
+// own slab. A block holds at least the longest list a cell can have, and a
+// new one is started when the next cell's list might not fit. A cell's
+// list depends only on the cell, so the lists, and the diagram the greedy
+// loop draws from them, are the same whatever the worker count or
+// schedule.
+func feasiblePlans(ws []worker, s *ess.Space, order, rank []int, lambda float64) *cellLists {
+	n := s.Grid.Size()
+	workers := min(len(ws), (n+feasibleChunk-1)/feasibleChunk)
+	l := &cellLists{slabs: make([][][]entry, workers), spans: make([]span, n)}
+	var next atomic.Int64
+	work := func(w int) {
+		var slab [][]entry
+		for {
+			lo := int(next.Add(feasibleChunk)) - feasibleChunk
+			if lo >= n {
+				break
+			}
+			for ci := lo; ci < min(lo+feasibleChunk, n); ci++ {
+				after := order[rank[s.PlanIDAt(ci)]+1:]
+				if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(after) {
+					slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
+				}
+				b := len(slab) - 1
+				block := slab[b]
+				start := len(block)
+				if len(after) > 0 {
+					ws[w].at(&s.Grid, ci)
+					limit := s.CostAt(ci) * (1 + lambda)
+					for _, id := range after {
+						if c := ws[w].ev.Cost(id); c <= limit {
+							block = append(block, entry{id: int32(id), cost: c})
+						}
+					}
+					for i := len(block) - 2; i >= start; i-- {
+						if j := i + 1 + int(block[i+1].ahead); block[j].beats(block[i]) {
+							block[i].ahead = int32(j - i)
+						}
+					}
+				}
+				slab[b] = block
+				l.spans[ci] = span{int32(w), int32(b), int32(start), int32(len(block))}
+			}
+		}
+		l.slabs[w] = slab
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return l
 }
 
 // ReductionStats quantifies an anorexic reduction's effect (Harish et al.'s

@@ -221,6 +221,115 @@ func TestReduceBreaksTiesByLowestIndex(t *testing.T) {
 	}
 }
 
+// TestReduceBreaksTiesAcrossSwallowOrder is the tie test with the twins
+// swallowed out of index order: the lower-index twin owns the larger
+// region, so it is the later victim and follows its twin among the plans
+// that can take the victim's cell. The cell must still go to the lower
+// index.
+func TestReduceBreaksTiesAcrossSwallowOrder(t *testing.T) {
+	base := buildSpace(t, 4)
+	root := base.PlanAt(0).Root
+	twinA, twinB := plan.New(root), plan.New(root)
+	victim := base.PlanAt(base.Grid.Size() - 1)
+	plans := []*plan.Plan{twinA, twinB, victim}
+	g := ess.NewGrid(2, 3, 1e-6)
+	m := base.Model
+	// Cell 0 belongs to the victim, cells 1-5 to P0 and cells 6-8 to P1;
+	// the twins' recorded optimum is set too low for either to swallow the
+	// other.
+	planAt := func(ci int) int {
+		switch {
+		case ci == 0:
+			return 2
+		case ci <= 5:
+			return 0
+		}
+		return 1
+	}
+	costAt := func(ci int) float64 {
+		c := m.Eval(twinA, g.Location(ci))
+		if ci == 0 {
+			return c
+		}
+		return c / 2
+	}
+	s := ess.FromSurface(m, g, plans, costAt, planAt)
+	d := requireMatchesReferences(t, "tie across swallow order", s, 0.2)
+	if d.PlanIDAt(0) != 0 || !slices.Equal(d.kept, []int{0, 1}) {
+		t.Fatalf("cell 0 -> P%d, kept %v; want P0, [0 1]", d.PlanIDAt(0), d.kept)
+	}
+}
+
+// TestReduceRehomesToFailedSurvivor builds a diagram in which the first
+// victim, P1, cannot be swallowed, and the second, P2, can be swallowed
+// only by moving its cell to P1: a failed survivor before the cell's owner
+// in swallow order must be costed at the cell.
+func TestReduceRehomesToFailedSurvivor(t *testing.T) {
+	base := buildSpace(t, 10)
+	g := ess.NewGrid(2, 3, 1e-6)
+	m := base.Model
+	at := g.Location(1)
+	// Pick P1 and P0 with P0 well over (1+λ) times P1's cost at cell 1,
+	// and any third plan as P2.
+	posp := base.Plans()
+	i0, i1, i2 := -1, -1, -1
+	for a := range posp {
+		for b := range posp {
+			if i1 < 0 && m.Eval(posp[b], at) > 1.5*m.Eval(posp[a], at) {
+				i1, i0 = a, b
+			}
+		}
+	}
+	for c := range posp {
+		if i2 < 0 && c != i0 && c != i1 {
+			i2 = c
+		}
+	}
+	if i1 < 0 || i2 < 0 {
+		t.Fatal("base space lacks three plans with the cost spread needed")
+	}
+	p0, p1, p2 := posp[i0], posp[i1], posp[i2]
+	// P1 owns cell 0, P2 cell 1 and P0 the rest. Only cell 1's recorded
+	// optimum leaves room for any plan: P1 there, at exactly its cost.
+	planAt := func(ci int) int {
+		switch ci {
+		case 0:
+			return 1
+		case 1:
+			return 2
+		}
+		return 0
+	}
+	costAt := func(ci int) float64 {
+		if ci == 1 {
+			return m.Eval(p1, at)
+		}
+		return 1e-9
+	}
+	s := ess.FromSurface(m, g, []*plan.Plan{p0, p1, p2}, costAt, planAt)
+	d := requireMatchesReferences(t, "failed survivor", s, 0.2)
+	if d.PlanIDAt(1) != 1 || !slices.Equal(d.kept, []int{0, 1}) {
+		t.Fatalf("cell 1 -> P%d, kept %v; want P1, [0 1]", d.PlanIDAt(1), d.kept)
+	}
+}
+
+// requireMatchesReferences fails unless Reduce, at GOMAXPROCS 1 and 2,
+// gives the diagram of both referenceReduce and reduceReference.
+func requireMatchesReferences(t *testing.T, name string, s *ess.Space, lambda float64) *Diagram {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := reduceReference(s, lambda)
+	var d *Diagram
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		d = requireMatchesReference(t, name, s, lambda)
+		if !slices.Equal(d.planIdx, want.planIdx) || !slices.Equal(d.kept, want.kept) {
+			t.Fatalf("%s GOMAXPROCS=%d: Reduce kept %v, serial reference %v", name, procs, d.kept, want.kept)
+		}
+	}
+	return d
+}
+
 // reduceReference is the serial form of Reduce: one PlanSet, each victim's
 // cells re-homed in cell order, stopping at the first that cannot be.
 // Unlike referenceReduce it costs plans exactly as Reduce does, so it
