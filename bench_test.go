@@ -254,8 +254,9 @@ func BenchmarkESSBuild(b *testing.B) {
 	}
 }
 
-// buildBenchModel constructs the 3D/GridRes-12 workload used by the
-// serial-vs-parallel build benchmarks (the ISSUE's speedup target).
+// buildBenchModel constructs the 3D/GridRes-12 workload of
+// BenchmarkBuildSerial and BenchmarkBuildParallel, which compare a
+// one-worker build with a GOMAXPROCS-worker one.
 func buildBenchModel(b *testing.B) (*cost.Model, ess.Grid) {
 	b.Helper()
 	sp := workload.Q91(3)
@@ -283,6 +284,35 @@ func BenchmarkBuildParallel(b *testing.B) {
 		if _, err := ess.BuildParallelContext(context.Background(), m, g, 0, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildESS times the ESS build alone of 6D_Q18, the offline
+// workload's largest grid (15,625 cells): the whole-grid DP, plan
+// numbering and nothing else, with the cost model built outside the timer.
+// workers=1 is the serial build, workers=N uses GOMAXPROCS workers.
+func BenchmarkBuildESS(b *testing.B) {
+	bq, ok := BenchmarkQueryByName("6D_Q18")
+	if !ok {
+		b.Fatal("6D_Q18 missing from the benchmark workload")
+	}
+	q, err := bq.Build(TPCDSCatalog(100))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := cost.MustNewModel(q, BenchmarkOptions().Params)
+	g := ess.NewGrid(q.D(), bq.GridRes, bq.GridLo)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=N", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := ess.BuildParallelContext(context.Background(), m, g, bc.workers, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package ess implements the error-prone selectivity space machinery of the
 // paper (Sec 2): the discretized D-dimensional selectivity grid, the
 // parametric optimal set of plans (POSP) and optimal cost surface obtained
-// by exhaustive optimizer calls over the grid, the doubling iso-cost
+// by optimizing every grid cell, the doubling iso-cost
 // contours realized as dominance frontiers of cost hypographs, and the
 // sub-ESS restriction applied as selectivities become fully learnt.
 package ess

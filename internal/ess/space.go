@@ -28,129 +28,89 @@ type Space struct {
 	optCost []float64
 	planIdx []int32
 	plans   []*plan.Plan
+	splits  int
 
 	memoMu sync.Mutex
 	memo   map[contourKey]*Contour
 	state  [numPlanSlots]any
 }
 
-// BuildProgress observes an in-flight build: done of total grid cells have
-// been optimized. It is invoked concurrently from worker goroutines, so
-// implementations must be safe for concurrent use (an atomic store or a
-// mutex suffices). done is monotone nondecreasing per observer call site
-// only in aggregate; treat each call as "at least done cells finished".
+// BuildProgress observes an in-flight build. It is called once per grid
+// cell, after the cell's optimal plan and cost are final; done counts the
+// cells finished so far, of total. Calls come from the build's worker
+// goroutines, concurrently, so implementations must be safe for concurrent
+// use (an atomic store or a mutex suffices), and calls from different
+// workers may arrive out of order: a call with a smaller done can follow
+// one with a larger.
 type BuildProgress func(done, total int)
 
-// buildChunkCells is the fixed work-unit size of a parallel build: workers
-// pull chunks of this many contiguous cells from a shared queue. The chunk
-// geometry depends only on the grid — never on the worker count — so the
-// build_chunk event set (and hence the session-build span tree) is
-// byte-identical across serial and parallel builds; parallelism only changes
-// which worker claims which chunk, and span derivation sorts chunks by
-// CellLo, so scheduling never shows in the tree.
+// buildChunkCells is the fixed work-unit size of a build: workers claim
+// chunks of at most this many entries of one DP table, and the full
+// relation set's table is indexed by flat cell, so its chunks are runs of
+// this many contiguous cells. The chunk geometry depends only on the grid —
+// never on the worker count — so the build_chunk event set (and hence the
+// session-build span tree) is byte-identical across serial and parallel
+// builds; parallelism only changes which worker claims which chunk, and
+// span derivation sorts chunks by CellLo, so scheduling never shows in the
+// tree.
 const buildChunkCells = 32
 
-// BuildParallelContext enumerates the whole grid through the optimizer,
-// recording the optimal plan and cost of every cell. This is the
-// preprocessing step whose expense the paper notes (Sec 7), and it is the
-// only way to build a Space from a cost model. The grid is partitioned
-// across workers — the paper's Sec 7 observation that "the contour
-// constructions can be carried out in parallel since they do not have any
-// dependence on each other" — with cancellation and progress reporting: the
-// context is polled between optimizer calls (an expired deadline or cancel
-// abandons the build and returns the context's error), and progress, when
-// non-nil, observes the running cell count. workers <= 0 uses GOMAXPROCS
-// and workers == 1 builds serially; the grid is split into fixed-size
-// chunks pulled by the workers, one optimizer instance per worker over the
-// shared cost model. Plan numbering follows first appearance in flat cell
-// order, so the resulting Space is identical whatever the worker count.
+// BuildParallelContext finds the optimal plan and cost of every grid cell.
+// This is the preprocessing step whose expense the paper notes (Sec 7), and
+// it is the only way to build a Space from a cost model. It runs the
+// optimizer's DP once over the whole grid (optimizer.OptimizeGrid): each
+// connected relation subset is costed once per grid point of its own epps,
+// which gives every cell exactly the plan and cost Optimize gives it. The
+// DP tables are filled level by level, workers sharing out fixed-size
+// chunks of each table — the paper's Sec 7 observation that the
+// constructions "can be carried out in parallel". Each chunk of cells of
+// the final table records a build_chunk event and reports its cells to
+// progress, when non-nil. The context is checked before every chunk: a
+// cancel or an expired deadline abandons the build and returns the
+// context's error. workers <= 0 uses GOMAXPROCS. Plan numbering follows
+// first appearance in flat cell order, so the resulting Space is identical
+// whatever the worker count.
 func BuildParallelContext(ctx context.Context, m *cost.Model, g Grid, workers int, progress BuildProgress) (*Space, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > g.Size() {
-		workers = g.Size()
+	o, err := optimizer.New(m)
+	if err != nil {
+		return nil, err
 	}
-	s := &Space{
+	total := g.Size()
+	var done atomic.Int64
+	rec := telemetry.From(ctx)
+	r, err := o.OptimizeGrid(ctx, g.Points, workers, buildChunkCells, func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			n := done.Add(1)
+			if progress != nil {
+				progress(int(n), total)
+			}
+		}
+		// One build_chunk event per finished chunk of cells: the
+		// per-chunk spans of a session-build trace. The recorder is
+		// concurrency-safe.
+		rec.Record(telemetry.Event{Kind: telemetry.BuildChunk, Dim: -1, CellLo: lo, CellHi: hi})
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Space{
 		Grid:    g,
 		Query:   m.Query,
 		Model:   m,
-		optCost: make([]float64, g.Size()),
-		planIdx: make([]int32, g.Size()),
-	}
-	type cellPlan struct {
-		fp   string
-		plan *plan.Plan
-	}
-	fps := make([]cellPlan, g.Size())
-
-	var wg sync.WaitGroup
-	var done atomic.Int64
-	var nextChunk atomic.Int64
-	total := g.Size()
-	numChunks := (total + buildChunkCells - 1) / buildChunkCells
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			o, err := optimizer.New(m)
-			if err != nil {
-				errs[w] = err
-				return
-			}
-			for {
-				k := int(nextChunk.Add(1)) - 1
-				if k >= numChunks || ctx.Err() != nil {
-					return
-				}
-				lo, hi := k*buildChunkCells, (k+1)*buildChunkCells
-				if hi > total {
-					hi = total
-				}
-				for ci := lo; ci < hi; ci++ {
-					if ctx.Err() != nil {
-						return
-					}
-					p, c := o.Optimize(g.Location(ci))
-					s.optCost[ci] = c
-					fps[ci] = cellPlan{fp: p.Fingerprint(), plan: p}
-					n := done.Add(1)
-					if progress != nil {
-						progress(int(n), total)
-					}
-				}
-				// One build_chunk event per completed work unit: the
-				// per-chunk spans of a session-build trace. The recorder is
-				// concurrency-safe.
-				telemetry.From(ctx).Record(telemetry.Event{
-					Kind: telemetry.BuildChunk, Dim: -1, CellLo: lo, CellHi: hi,
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Deterministic plan numbering: first appearance in cell order.
-	byFP := make(map[string]int32)
-	for ci := 0; ci < g.Size(); ci++ {
-		id, ok := byFP[fps[ci].fp]
-		if !ok {
-			id = int32(len(s.plans))
-			s.plans = append(s.plans, fps[ci].plan)
-			byFP[fps[ci].fp] = id
-		}
-		s.planIdx[ci] = id
-	}
-	return s, nil
+		optCost: r.Costs,
+		planIdx: r.PlanIdx,
+		plans:   r.Plans,
+		splits:  r.Splits,
+	}, nil
 }
+
+// Splits returns the split evaluations the build of s made (the layer
+// count optimizer.splits): one per (split, DP table entry) costed. It is 0
+// for a loaded or synthetic Space.
+func (s *Space) Splits() int { return s.splits }
 
 // FromSurface constructs a Space from an explicit optimal-cost surface and
 // plan assignment, bypassing the optimizer. It exists for adversarial and

@@ -9,7 +9,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"repro/internal/cost"
@@ -35,31 +34,51 @@ type Optimizer struct {
 	// finds a plan for, since it builds no cross products.
 	internalMask []uint64
 	connected    []bool
+	// splits[splitAt[s]:splitAt[s+1]] lists the ordered splits of subset s
+	// that the DP costs: both sides connected and at least one join
+	// crossing, in the order the submask walk of s meets them.
+	splits  []split
+	splitAt []int32
 
-	// Per-call scratch, reused across Optimize calls.
+	// Per-call scratch, reused across Optimize calls: Optimize is the DP
+	// over the one-point grid {at}, so each subset's table is the single
+	// entry entries[s].
 	entries []dpEntry
-	joinBuf []int // the crossing joins of one split, ascending ID
+	point   filler
 
-	// The intern table: an id per distinct chosen subtree, and the plan
-	// returned for each id that was a root. Reset wholesale rather than
-	// grow past internCap ids (internLimit; tests shrink it).
+	// The intern table: an id per distinct chosen subtree, its plan node,
+	// and the plan returned for each id that was a root. Optimize resets it
+	// wholesale rather than grow past internCap ids (internLimit; tests
+	// shrink it).
 	internIDs   map[internKey]int32
+	internNodes []*plan.Node
 	internPlans []*plan.Plan
 	internCap   int
 }
 
-// dpEntry is the DP table slot for one relation subset.
+// split is one ordered split of a subset: s1 is the probe (outer) side and
+// s2 the build (inner) side; cross holds the joins crossing it, as a
+// bitmask of join IDs.
+type split struct {
+	s1, s2 int32
+	cross  uint64
+}
+
+// dpEntry is the DP table slot for one relation subset at one grid point of
+// its epps.
 type dpEntry struct {
 	nc cost.NodeCost
 	// sorted is SortNC(nc), the subset sorted as a merge-join input,
 	// computed once when the entry is finalised.
 	sorted cost.NodeCost
-	// Decision record for plan reconstruction.
-	kind     plan.OpKind
-	leftSet  uint64
-	rightSet uint64
-	joins    uint64 // joins applied at the node, as a bitmask of join IDs
-	rel      int    // scan relation for singletons
+	// Decision record for plan reconstruction: the joins applied at the
+	// node, as a bitmask of join IDs; the outer (left) and inner (right)
+	// child subsets, and the children's entries in their tables.
+	joins       uint64
+	kind        plan.OpKind
+	left, right int32
+	li, ri      int32
+	rel         int32 // scan relation for singletons
 }
 
 // internKey identifies a chosen subtree exactly: a scan by its relation, a
@@ -68,15 +87,15 @@ type dpEntry struct {
 // equal trees and no tiebreak is needed.
 type internKey struct {
 	kind        plan.OpKind
-	rel         int
+	rel         int32
 	joins       uint64
 	left, right int32
 }
 
-// internLimit bounds an optimizer's intern table. The benchmark builds'
-// worker optimizers hold at most a few thousand ids; a Session's
-// long-lived shared optimizer resets past the limit, as Shared's memo does,
-// which costs only rebuilding plan trees.
+// internLimit bounds the intern table of an optimizer's Optimize calls.
+// A Session's long-lived shared optimizer resets past the limit, as
+// Shared's memo does, which costs only rebuilding plan trees. OptimizeGrid
+// does not reset it: its ids die with the build's optimizer.
 const internLimit = 1 << 14
 
 // maxRelations bounds the DP table size (2^16 subsets).
@@ -123,7 +142,36 @@ func New(m *cost.Model) (*Optimizer, error) {
 		}
 		o.connected[s] = reach == s
 	}
+	o.splitAt = make([]int32, size+1)
+	for s := 1; s < size; s++ {
+		o.splitAt[s] = int32(len(o.splits))
+		if s&(s-1) == 0 || !o.connected[s] {
+			continue
+		}
+		for s1 := (s - 1) & s; s1 > 0; s1 = (s1 - 1) & s {
+			s2 := s &^ s1
+			if !o.connected[s1] || !o.connected[s2] {
+				continue
+			}
+			// Join predicates crossing the split: internal to s but not to
+			// either side. A split none crosses would be a cross product,
+			// which the DP does not build.
+			if cross := o.internalMask[s] &^ (o.internalMask[s1] | o.internalMask[s2]); cross != 0 {
+				o.splits = append(o.splits, split{s1: int32(s1), s2: int32(s2), cross: cross})
+			}
+		}
+	}
+	o.splitAt[size] = int32(len(o.splits))
 	o.entries = make([]dpEntry, size)
+	tabs := make([]table, size)
+	for s := range tabs {
+		tabs[s].entries = o.entries[s : s+1 : s+1]
+	}
+	// A scan reads no location, so the singletons' entries are fixed.
+	for r := 0; r < n; r++ {
+		o.entries[1<<uint(r)] = o.scanEntry(r)
+	}
+	o.point = filler{o: o, tabs: tabs}
 	o.resetIntern()
 	return o, nil
 }
@@ -147,72 +195,37 @@ func (o *Optimizer) Optimize(at cost.Location) (*plan.Plan, float64) {
 		panic(fmt.Sprintf("optimizer: location has %d dims, query has %d epps", len(at), o.q.D()))
 	}
 	size := 1 << uint(o.n)
-
-	// Singletons.
-	for r := 0; r < o.n; r++ {
-		s := 1 << uint(r)
-		nc := o.model.ScanNC(r)
-		o.entries[s] = dpEntry{nc: nc, sorted: o.model.SortNC(nc), kind: plan.SeqScan, rel: r}
-	}
-
+	o.point.at = at
 	// Connected subsets by increasing population count. Iterating masks in
 	// numeric order already guarantees every proper submask precedes its
 	// superset.
 	for s := 3; s < size; s++ {
-		if s&(s-1) == 0 || !o.connected[s] {
-			continue
+		if s&(s-1) != 0 && o.connected[s] {
+			o.point.fill(s, 0, 1)
 		}
-		var best dpEntry
-		bestCost := math.Inf(1)
-		inS := o.internalMask[s]
-		// Enumerate ordered splits (s1 = probe/outer, s2 = build/inner).
-		for s1 := (s - 1) & s; s1 > 0; s1 = (s1 - 1) & s {
-			s2 := s &^ s1
-			if !o.connected[s1] || !o.connected[s2] {
-				continue
-			}
-			// Join predicates crossing the split: internal to s but not to
-			// either side.
-			cross := inS &^ (o.internalMask[s1] | o.internalMask[s2])
-			if cross == 0 {
-				continue // no cross product plans
-			}
-			e1, e2 := &o.entries[s1], &o.entries[s2]
-			// Every alternative produces the same rows: sorting keeps a
-			// row count, and an index nested loop's inner side, a single
-			// relation, has its base rows.
-			o.joinBuf = appendJoinIDs(o.joinBuf[:0], cross)
-			out := o.model.JoinRowsFor(o.joinBuf, e1.nc.Rows, e2.nc.Rows, at)
-			consider := func(kind plan.OpKind, l, r cost.NodeCost) {
-				nc := o.model.JoinNCOut(kind, out, l, r)
-				if nc.Total < bestCost {
-					bestCost = nc.Total
-					best = dpEntry{
-						nc: nc, kind: kind,
-						leftSet: uint64(s1), rightSet: uint64(s2), joins: cross,
-					}
-				}
-			}
-			consider(plan.HashJoin, e1.nc, e2.nc)
-			consider(plan.MergeJoin, e1.sorted, e2.sorted)
-			consider(plan.NestLoop, e1.nc, e2.nc)
-			if s2&(s2-1) == 0 {
-				consider(plan.IndexNestLoop, e1.nc, e2.nc)
-			}
-		}
-		best.sorted = o.model.SortNC(best.nc)
-		o.entries[s] = best
 	}
+	o.point.at = nil
 
 	full := size - 1
 	if !o.connected[full] {
 		panic("optimizer: no plan for the full relation set (disconnected query?)")
 	}
-	total := o.entries[full].nc.Total
+	return o.planFor(full), o.rootCost(&o.entries[full])
+}
+
+// scanEntry is the DP entry of relation r alone: its scan.
+func (o *Optimizer) scanEntry(r int) dpEntry {
+	nc := o.model.ScanNC(r)
+	return dpEntry{nc: nc, sorted: o.model.SortNC(nc), kind: plan.SeqScan, rel: int32(r)}
+}
+
+// rootCost is the cost of the plan whose join tree is the full set's entry
+// e: the join tree's, aggregated when the query groups.
+func (o *Optimizer) rootCost(e *dpEntry) float64 {
 	if len(o.q.GroupBy) > 0 {
-		total = o.model.AggNC(o.entries[full].nc).Total
+		return o.model.AggNC(e.nc).Total
 	}
-	return o.planFor(uint64(full)), total
+	return e.nc.Total
 }
 
 // appendJoinIDs appends the join IDs set in mask to buf, in ascending ID
@@ -226,40 +239,39 @@ func appendJoinIDs(buf []int, mask uint64) []int {
 
 // planFor returns the plan the DP chose for the full relation set: the
 // interned plan when this optimizer has returned the same tree before, a
-// freshly reconstructed one otherwise.
-func (o *Optimizer) planFor(full uint64) *plan.Plan {
+// new one otherwise.
+func (o *Optimizer) planFor(full int) *plan.Plan {
 	// A plan interns at most 2n-1 subtrees; reset first if they might not
 	// fit, so the ids of one walk are never split across a reset.
 	if len(o.internPlans)+2*o.n-1 > o.internCap {
 		o.resetIntern()
 	}
-	id := o.intern(full)
-	if p := o.internPlans[id]; p != nil {
-		return p
-	}
-	root := o.reconstruct(full)
-	if len(o.q.GroupBy) > 0 {
-		root = &plan.Node{Kind: plan.Aggregate, Rel: -1, Left: root}
-	}
-	p := plan.New(root)
-	o.internPlans[id] = p
-	return p
+	return o.rootPlan(o.intern(o.point.tabs, nil, int32(full), 0))
 }
 
-// intern returns the intern id of the subtree the DP chose for set,
-// assigning ids to it and its descendants on first sight.
-func (o *Optimizer) intern(set uint64) int32 {
-	e := &o.entries[set]
+// intern returns the intern id of the subtree chosen for entry i of subset
+// s's table, assigning ids to it and its descendants, and building each
+// one's plan node, on first sight. memo, when non-nil, holds each entry's
+// id (-1 until interned), so an entry under many trees is walked once.
+func (o *Optimizer) intern(tabs []table, memo [][]int32, s, i int32) int32 {
+	if memo != nil && memo[s][i] >= 0 {
+		return memo[s][i]
+	}
+	e := &tabs[s].entries[i]
 	k := internKey{kind: e.kind, rel: e.rel, left: -1, right: -1}
 	if e.kind != plan.SeqScan {
 		k.rel, k.joins = -1, e.joins
-		k.left, k.right = o.intern(e.leftSet), o.intern(e.rightSet)
+		k.left, k.right = o.intern(tabs, memo, e.left, e.li), o.intern(tabs, memo, e.right, e.ri)
 	}
 	id, ok := o.internIDs[k]
 	if !ok {
-		id = int32(len(o.internPlans))
+		id = int32(len(o.internNodes))
 		o.internIDs[k] = id
+		o.internNodes = append(o.internNodes, o.node(e, k))
 		o.internPlans = append(o.internPlans, nil)
+	}
+	if memo != nil {
+		memo[s][i] = id
 	}
 	return id
 }
@@ -267,20 +279,34 @@ func (o *Optimizer) intern(set uint64) int32 {
 // resetIntern empties the intern table.
 func (o *Optimizer) resetIntern() {
 	o.internIDs = make(map[internKey]int32)
-	o.internPlans = nil
+	o.internNodes, o.internPlans = nil, nil
 }
 
-// reconstruct rebuilds the plan tree for a DP subset.
-func (o *Optimizer) reconstruct(set uint64) *plan.Node {
-	e := &o.entries[set]
+// node builds the plan node of the DP entry e, whose intern key is k, over
+// its children's interned nodes: a merge join sorts both inputs.
+func (o *Optimizer) node(e *dpEntry, k internKey) *plan.Node {
 	if e.kind == plan.SeqScan {
-		return &plan.Node{Kind: plan.SeqScan, Rel: e.rel}
+		return &plan.Node{Kind: plan.SeqScan, Rel: int(e.rel)}
 	}
-	left := o.reconstruct(e.leftSet)
-	right := o.reconstruct(e.rightSet)
+	left, right := o.internNodes[k.left], o.internNodes[k.right]
 	if e.kind == plan.MergeJoin {
 		left = &plan.Node{Kind: plan.Sort, Rel: -1, Left: left}
 		right = &plan.Node{Kind: plan.Sort, Rel: -1, Left: right}
 	}
 	return &plan.Node{Kind: e.kind, Rel: -1, JoinIDs: appendJoinIDs(nil, e.joins), Left: left, Right: right}
+}
+
+// rootPlan returns the plan of the full set's interned join tree id, made
+// on the first ask: under an aggregate when the query groups.
+func (o *Optimizer) rootPlan(id int32) *plan.Plan {
+	if p := o.internPlans[id]; p != nil {
+		return p
+	}
+	root := o.internNodes[id]
+	if len(o.q.GroupBy) > 0 {
+		root = &plan.Node{Kind: plan.Aggregate, Rel: -1, Left: root}
+	}
+	p := plan.New(root)
+	o.internPlans[id] = p
+	return p
 }

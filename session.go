@@ -72,8 +72,9 @@ type Options struct {
 	// sampled sweeps are reproducible unless explicitly varied.
 	SweepSeed int64
 	// BuildProgress, when non-nil, observes ESS construction progress as
-	// (cells optimized, total cells). It is invoked concurrently from
-	// build workers; implementations must be safe for concurrent use.
+	// (cells optimized, total cells), once per cell (ess.BuildProgress). It
+	// is invoked concurrently from build workers, whose calls may arrive
+	// out of order; implementations must be safe for concurrent use.
 	BuildProgress func(done, total int)
 	// DataDir, when non-empty, makes the session durable: the built ESS is
 	// persisted under the directory (and rehydrated on the next start,
@@ -138,7 +139,7 @@ type Session struct {
 
 // NewSession parses and binds the SQL against the catalog, marks the given
 // join predicates (rendered "alias.col = alias.col") as error-prone, and
-// builds the ESS by exhaustive optimizer calls over the grid, parallelized
+// builds the ESS by one optimizer DP over the whole grid, parallelized
 // across Options.Workers (GOMAXPROCS by default). It is NewSessionContext
 // with a background context.
 func NewSession(cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
@@ -146,8 +147,8 @@ func NewSession(cat *Catalog, sql string, epps []string, opts Options) (*Session
 }
 
 // NewSessionContext is NewSession with cancellation: the ESS construction —
-// the session's long-running offline phase — polls the context between
-// optimizer calls and abandons the build with the context's error on
+// the session's long-running offline phase — checks the context between
+// chunks of its work and abandons the build with the context's error on
 // cancel or deadline expiry. Options.BuildProgress, when set, observes the
 // build as it runs.
 func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
