@@ -243,50 +243,6 @@ func BenchmarkCostEval(b *testing.B) {
 	}
 }
 
-func BenchmarkESSBuild(b *testing.B) {
-	microSetup(b)
-	g := ess.NewGrid(2, 8, 1e-6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ess.BuildParallelContext(context.Background(), microSpace.Model, g, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// buildBenchModel constructs the 3D/GridRes-12 workload of
-// BenchmarkBuildSerial and BenchmarkBuildParallel, which compare a
-// one-worker build with a GOMAXPROCS-worker one.
-func buildBenchModel(b *testing.B) (*cost.Model, ess.Grid) {
-	b.Helper()
-	sp := workload.Q91(3)
-	q, err := sp.Build(TPCDSCatalog(100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return cost.MustNewModel(q, cost.PostgresLike()), ess.NewGrid(3, 12, 1e-6)
-}
-
-func BenchmarkBuildSerial(b *testing.B) {
-	m, g := buildBenchModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ess.BuildParallelContext(context.Background(), m, g, 1, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildParallel(b *testing.B) {
-	m, g := buildBenchModel(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ess.BuildParallelContext(context.Background(), m, g, 0, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBuildESS times the ESS build alone of 6D_Q18, the offline
 // workload's largest grid (15,625 cells): the whole-grid DP, plan
 // numbering and nothing else, with the cost model built outside the timer.
@@ -474,14 +430,6 @@ func BenchmarkRowEngineSpillBound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.Run(&rowexec.Adapter{E: re})
-	}
-}
-
-func BenchmarkAnorexicReduction(b *testing.B) {
-	microSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bouquet.Reduce(microSpace, 0.2)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"math"
 	"sync"
 
-	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/runstate"
@@ -63,11 +62,10 @@ type partExec struct {
 }
 
 // contourState caches the per-contour analysis AlignedBound needs: the
-// contour cells, their per-spill-dimension extremes, the pool of plans
-// per spill dimension, and the Space's planner state.
+// contour cells, their per-spill-dimension extremes and the pool of plans
+// per spill dimension.
 type contourState struct {
 	s       *ess.Space
-	t       *poolTable
 	cells   []int
 	scan    spillbound.ContourScan
 	pools   map[int][]int   // dim -> POSP plan IDs spilling on dim
@@ -84,11 +82,10 @@ type memo struct {
 // precomputing the per-dimension extreme coordinates that make partition
 // penalty queries O(D) instead of O(|contour|).
 func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourState {
-	t := table(s)
 	return &contourState{
-		s: s, t: t, cells: cells,
+		s: s, cells: cells,
 		scan:    spillbound.ScanContour(s, cells, learned),
-		pools:   t.learntPools(s, learned),
+		pools:   table(s).learntPools(s, learned),
 		memo:    map[[2]int]memo{},
 		indMemo: map[[2]int]memo{},
 	}
@@ -96,25 +93,17 @@ func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourSt
 
 // poolTable is AlignedBound's planner state on a Space: the spill pools of
 // each learnt set, indexed by the bitmask of learnt dimensions and computed
-// on first use, and the cost.PlanSet that prices replacement candidates.
-// There are at most 2^D learnt sets, against one planned contour per
-// (sub-ESS, budget).
+// on first use. There are at most 2^D learnt sets, against one planned
+// contour per (sub-ESS, budget).
 type poolTable struct {
 	mu     sync.Mutex
 	byMask []map[int][]int
-
-	// sets hands each planning goroutine its own clone of one PlanSet over
-	// the POSP, whose node table is built on the first induced replacement.
-	sets sync.Pool
 }
 
 // table returns the Space's pool table.
 func table(s *ess.Space) *poolTable {
 	return s.PlannerState(ess.AlignedBoundSlot, func() any {
-		t := &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
-		base := sync.OnceValue(func() *cost.PlanSet { return cost.NewPlanSet(s.Model, s.Plans()) })
-		t.sets.New = func() any { return base().Clone() }
-		return t
+		return &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
 	}).(*poolTable)
 }
 
@@ -194,8 +183,9 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 // inducedReplacement finds the minimum-penalty (plan, location) pair that
 // induces PSA with the given leader at the given extreme coordinate:
 // S = contour cells whose leader coordinate equals coord, candidates are
-// the POSP plans spilling on the leader (Sec 5.2.1), costed through the
-// Space's PlanSet so subtrees shared by the pool are costed once per cell.
+// the POSP plans spilling on the leader (Sec 5.2.1), costed through a cost
+// table borrowed from the Space so subtrees shared by the pool are costed
+// once per cell.
 // Memoized per (leader, coord) — the coordinate can only be one of D
 // precomputed extremes.
 func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
@@ -204,19 +194,18 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 		return m.exec, m.feasible
 	}
 	s := st.s
-	g := s.Grid
 	pool := st.pools[leader]
-	ps := st.t.sets.Get().(*cost.PlanSet)
-	defer st.t.sets.Put(ps)
+	costs := s.BorrowCosts()
+	defer s.ReturnCosts(costs)
 	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
 	for _, ci := range st.cells {
-		if g.Coord(ci, leader) != coord {
+		if s.Grid.Coord(ci, leader) != coord {
 			continue
 		}
-		ps.At(g.Location(ci))
+		costs.At(ci)
 		opt := s.CostAt(ci)
 		for _, id := range pool {
-			c := ps.Cost(id)
+			c := costs.Cost(id)
 			if pen := c / opt; pen < best.Penalty {
 				best = spillbound.Spill{
 					PlanID: id, Dim: leader,

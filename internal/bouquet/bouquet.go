@@ -9,6 +9,7 @@
 package bouquet
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"slices"
@@ -16,8 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/par"
 )
 
 // Assignment maps ESS cells to plan identities; *ess.Space is the identity
@@ -68,18 +69,18 @@ func (d *Diagram) PlanCount() int { return len(d.kept) }
 // function of the space. The resulting diagram retains near-optimality
 // everywhere while typically shrinking the plan count dramatically.
 //
-// Each plan is costed at a cell at most once, through a cost.PlanSet over
-// the POSP, which evaluates every subtree shared between plans once per
-// cell. A cell is first re-homed when its optimal plan is the victim. The
-// survivors then are the plans after that owner in swallow order and the
-// plans before it whose swallow failed, and a plan's cost at a cell never
-// changes, so every later re-homing of the cell picks from a subset of
-// those costs. Reduce therefore begins with one parallel pass over the
-// grid (feasiblePlans) that lists, for each cell, the plans after its
-// owner within (1+lambda) of optimal, with their costs. The greedy loop
-// then costs only the failed survivors before the owner, at a cell's first
-// visit (see owner), and reads everything else from the cell's list. The
-// lists live in per-worker slabs that are dropped when Reduce returns.
+// Each plan is costed at a cell at most once, through the Space's POSP cost
+// table (ess.PlanCosts), which evaluates every subtree shared between plans
+// once per cell. A cell is first re-homed when its optimal plan is the
+// victim. The survivors then are the plans after that owner in swallow
+// order and the plans before it whose swallow failed, and a plan's cost at
+// a cell never changes, so every later re-homing of the cell picks from a
+// subset of those costs. Reduce therefore begins with one parallel pass
+// over the grid (feasiblePlans) that lists, for each cell, the plans after
+// its owner within (1+lambda) of optimal, with their costs. The greedy
+// loop then costs only the failed survivors before the owner, at a cell's
+// first visit (see owner), and reads everything else from the cell's list.
+// The lists live in per-worker slabs that are dropped when Reduce returns.
 func Reduce(s *ess.Space, lambda float64) *Diagram {
 	g := s.Grid
 	n := g.Size()
@@ -105,18 +106,15 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		return len(cellsOf[order[i]]) < len(cellsOf[order[j]])
 	})
 
-	ev := cost.NewPlanSet(s.Model, s.Plans())
-	ws := make([]worker, runtime.GOMAXPROCS(0))
-	for w := range ws {
-		if w > 0 {
-			ev = ev.Clone()
-		}
-		ws[w] = worker{ev: ev, loc: make(cost.Location, g.D)}
+	costs := make([]*ess.PlanCosts, runtime.GOMAXPROCS(0))
+	for w := range costs {
+		costs[w] = s.BorrowCosts()
+		defer s.ReturnCosts(costs[w])
 	}
 	r := &rehomer{
 		s:        s,
 		lambda:   lambda,
-		ws:       ws,
+		costs:    costs,
 		rank:     make([]int, len(s.Plans())),
 		live:     make([]bool, len(s.Plans())),
 		fallback: make([]entry, n),
@@ -125,7 +123,7 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		r.rank[id] = i
 		r.live[id] = true
 	}
-	r.lists = feasiblePlans(ws, s, order, r.rank, lambda)
+	r.lists = feasiblePlans(costs, s, order, r.rank, lambda)
 	var cells []int
 	for _, victim := range order {
 		if len(d.kept) == 1 {
@@ -155,21 +153,6 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 	return d
 }
 
-// worker is one goroutine's costing state: its own PlanSet, and the buffer
-// it places that PlanSet at a cell with.
-type worker struct {
-	ev  *cost.PlanSet
-	loc cost.Location
-}
-
-// at moves the worker's PlanSet to cell ci of g.
-func (w *worker) at(g *ess.Grid, ci int) {
-	for d := range w.loc {
-		w.loc[d] = g.Points[d][g.Coord(ci, d)]
-	}
-	w.ev.At(w.loc)
-}
-
 // entry is a plan that can take a cell: its POSP index, -1 for none, and
 // its cost there. In a cell's list, ahead is the distance to the best entry
 // from this one on. Entries hold no pointers, so the garbage collector
@@ -190,9 +173,9 @@ func (e entry) beats(o entry) bool {
 type rehomer struct {
 	s      *ess.Space
 	lambda float64
-	ws     []worker
-	rank   []int  // by POSP index: the position in swallow order
-	live   []bool // by POSP index: not swallowed
+	costs  []*ess.PlanCosts // one per worker
+	rank   []int            // by POSP index: the position in swallow order
+	live   []bool           // by POSP index: not swallowed
 	lists  *cellLists
 	// failed holds the plans whose swallow failed, in swallow order. They
 	// survive for good and are never a victim again, so a cell keeps only
@@ -203,40 +186,25 @@ type rehomer struct {
 }
 
 // rehome finds a new owner for each of the victim's cells, into r.to[i]
-// for cells[i], and reports false when some cell has none. Workers (at
-// most one per cell) claim cells in turn and stop early once one fails. A
-// cell's owner depends only on the survivors, the victim and the cell,
-// and the caller applies the moves in cell order after every worker is
-// done, so the diagram is the serial one whatever the worker count or
-// schedule.
+// for cells[i], and reports false when some cell has none. Workers claim
+// cells in turn and skip the rest once one fails. A cell's owner depends
+// only on the survivors, the victim and the cell, and the caller applies
+// the moves in cell order after every worker is done, so the diagram is
+// the serial one whatever the worker count or schedule.
 func (r *rehomer) rehome(victim int, cells []int) bool {
 	r.to = slices.Grow(r.to[:0], len(cells))[:len(cells)]
-	var next atomic.Int64
 	var failed atomic.Bool
-	work := func(w *worker) {
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= len(cells) {
-				return
-			}
-			best := r.owner(w, cells[i], victim)
-			if best.id < 0 {
-				failed.Store(true)
-				return
-			}
-			r.to[i] = best.id
+	par.Each(context.Background(), len(cells), len(r.costs), func(w, i int) {
+		if failed.Load() {
+			return
 		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(len(r.ws), len(cells)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(&r.ws[w])
-		}()
-	}
-	work(&r.ws[0])
-	wg.Wait()
+		best := r.owner(r.costs[w], cells[i], victim)
+		if best.id < 0 {
+			failed.Store(true)
+			return
+		}
+		r.to[i] = best.id
+	})
 	return !failed.Load()
 }
 
@@ -248,9 +216,9 @@ func (r *rehomer) rehome(victim int, cells []int) bool {
 // are settled by now, so they are dropped from the front of the cell's
 // list, the failed ones folded into its fallback; every plan left in the
 // list is a survivor, and the first entry's ahead names the best of them.
-func (r *rehomer) owner(w *worker, ci, victim int) entry {
+func (r *rehomer) owner(costs *ess.PlanCosts, ci, victim int) entry {
 	if r.s.PlanIDAt(ci) == victim {
-		r.fallback[ci] = r.cheapestFailed(w, ci)
+		r.fallback[ci] = r.cheapestFailed(costs, ci)
 	}
 	list := r.lists.of(ci)
 	q := 0
@@ -271,15 +239,15 @@ func (r *rehomer) owner(w *worker, ci, victim int) entry {
 
 // cheapestFailed returns the cheapest failed survivor at cell ci within
 // (1+lambda) of optimal, the lowest POSP index among equal costs, or id -1.
-func (r *rehomer) cheapestFailed(w *worker, ci int) entry {
+func (r *rehomer) cheapestFailed(costs *ess.PlanCosts, ci int) entry {
 	best := entry{id: -1}
 	if len(r.failed) == 0 {
 		return best
 	}
-	w.at(&r.s.Grid, ci)
+	costs.At(ci)
 	limit := r.s.CostAt(ci) * (1 + r.lambda)
 	for _, id := range r.failed {
-		if c := w.ev.Cost(id); c <= limit {
+		if c := costs.Cost(id); c <= limit {
 			if e := (entry{id: int32(id), cost: c}); e.beats(best) {
 				best = e
 			}
@@ -314,63 +282,44 @@ const (
 )
 
 // feasiblePlans builds every cell's list in one pass over the grid, each
-// entry's ahead included. Workers, one per state of ws (at most one per
-// chunk), claim chunks of cells from an atomic counter and append to their
-// own slab. A block holds at least the longest list a cell can have, and a
-// new one is started when the next cell's list might not fit. A cell's
-// list depends only on the cell, so the lists, and the diagram the greedy
-// loop draws from them, are the same whatever the worker count or
-// schedule.
-func feasiblePlans(ws []worker, s *ess.Space, order, rank []int, lambda float64) *cellLists {
+// entry's ahead included. Workers, one per cost table (at most one per
+// chunk), claim chunks of cells in turn and append to their own slab. A
+// block holds at least the longest list a cell can have, and a new one is
+// started when the next cell's list might not fit. A cell's list depends
+// only on the cell, so the lists, and the diagram the greedy loop draws
+// from them, are the same whatever the worker count or schedule.
+func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, lambda float64) *cellLists {
 	n := s.Grid.Size()
-	workers := min(len(ws), (n+feasibleChunk-1)/feasibleChunk)
-	l := &cellLists{slabs: make([][][]entry, workers), spans: make([]span, n)}
-	var next atomic.Int64
-	work := func(w int) {
-		var slab [][]entry
-		for {
-			lo := int(next.Add(feasibleChunk)) - feasibleChunk
-			if lo >= n {
-				break
+	l := &cellLists{slabs: make([][][]entry, len(costs)), spans: make([]span, n)}
+	par.Each(context.Background(), (n+feasibleChunk-1)/feasibleChunk, len(costs), func(w, k int) {
+		slab := l.slabs[w]
+		for ci := k * feasibleChunk; ci < min((k+1)*feasibleChunk, n); ci++ {
+			after := order[rank[s.PlanIDAt(ci)]+1:]
+			if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(after) {
+				slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
 			}
-			for ci := lo; ci < min(lo+feasibleChunk, n); ci++ {
-				after := order[rank[s.PlanIDAt(ci)]+1:]
-				if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(after) {
-					slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
-				}
-				b := len(slab) - 1
-				block := slab[b]
-				start := len(block)
-				if len(after) > 0 {
-					ws[w].at(&s.Grid, ci)
-					limit := s.CostAt(ci) * (1 + lambda)
-					for _, id := range after {
-						if c := ws[w].ev.Cost(id); c <= limit {
-							block = append(block, entry{id: int32(id), cost: c})
-						}
-					}
-					for i := len(block) - 2; i >= start; i-- {
-						if j := i + 1 + int(block[i+1].ahead); block[j].beats(block[i]) {
-							block[i].ahead = int32(j - i)
-						}
+			b := len(slab) - 1
+			block := slab[b]
+			start := len(block)
+			if len(after) > 0 {
+				costs[w].At(ci)
+				limit := s.CostAt(ci) * (1 + lambda)
+				for _, id := range after {
+					if c := costs[w].Cost(id); c <= limit {
+						block = append(block, entry{id: int32(id), cost: c})
 					}
 				}
-				slab[b] = block
-				l.spans[ci] = span{int32(w), int32(b), int32(start), int32(len(block))}
+				for i := len(block) - 2; i >= start; i-- {
+					if j := i + 1 + int(block[i+1].ahead); block[j].beats(block[i]) {
+						block[i].ahead = int32(j - i)
+					}
+				}
 			}
+			slab[b] = block
+			l.spans[ci] = span{int32(w), int32(b), int32(start), int32(len(block))}
 		}
 		l.slabs[w] = slab
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
+	})
 	return l
 }
 

@@ -37,16 +37,6 @@ func (l Location) Dominates(m Location) bool {
 	return true
 }
 
-// StrictlyDominates reports whether l > m in every dimension (paper's ≻).
-func (l Location) StrictlyDominates(m Location) bool {
-	for d := range l {
-		if l[d] <= m[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the location compactly in scientific notation.
 func (l Location) String() string {
 	s := "("

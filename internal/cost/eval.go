@@ -21,11 +21,6 @@ func (m *Model) Eval(p *plan.Plan, at Location) float64 {
 	return nc.Total
 }
 
-// EvalRows returns the plan's output cardinality at the location.
-func (m *Model) EvalRows(p *plan.Plan, at Location) float64 {
-	return m.evalNode(p.Root, at).Rows
-}
-
 // EvalTree evaluates the plan and returns the per-node breakdown, keyed by
 // node pointer; useful for traces and tests.
 func (m *Model) EvalTree(p *plan.Plan, at Location) map[*plan.Node]NodeCost {

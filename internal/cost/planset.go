@@ -12,7 +12,8 @@ import (
 // single node, and a generation-stamped memo evaluates every node at most
 // once per location. Each node is costed through the same ScanNC, SortNC,
 // AggNC and JoinNC calls on the same inputs as Model.Eval, so Cost is
-// bit-identical to Model.Eval.
+// bit-identical to Model.Eval. The memo is allocated on the first At, so a
+// set that is only cloned holds none.
 //
 // A PlanSet is not safe for concurrent use; Clone gives each goroutine its
 // own.
@@ -83,25 +84,23 @@ func NewPlanSet(m *Model, plans []*plan.Plan) *PlanSet {
 	for i, p := range plans {
 		ps.roots[i] = intern(p.Root)
 	}
-	ps.stamp = make([]uint64, len(ps.nodes))
-	ps.memo = make([]NodeCost, len(ps.nodes))
 	return ps
 }
 
 // Clone returns a PlanSet over the same plans with its own memo, sharing
 // the node table: one clone per goroutine costs the set concurrently.
 func (ps *PlanSet) Clone() *PlanSet {
-	return &PlanSet{
-		m: ps.m, nodes: ps.nodes, roots: ps.roots,
-		stamp: make([]uint64, len(ps.nodes)),
-		memo:  make([]NodeCost, len(ps.nodes)),
-	}
+	return &PlanSet{m: ps.m, nodes: ps.nodes, roots: ps.roots}
 }
 
 // At moves the set to a new location, invalidating every memoized cost.
 // The set reads at until the next At call; the caller must not modify it
 // in between.
 func (ps *PlanSet) At(at Location) {
+	if ps.memo == nil {
+		ps.stamp = make([]uint64, len(ps.nodes))
+		ps.memo = make([]NodeCost, len(ps.nodes))
+	}
 	ps.at = at
 	ps.gen++
 }

@@ -33,6 +33,10 @@ type Space struct {
 	memoMu sync.Mutex
 	memo   map[contourKey]*Contour
 	state  [numPlanSlots]any
+
+	tableOnce sync.Once
+	table     *cost.PlanSet // the POSP's node table; it holds no memo
+	lent      sync.Pool     // *PlanCosts given back by borrowers
 }
 
 // BuildProgress observes an in-flight build. It is called once per grid
@@ -433,6 +437,43 @@ func (s *Space) PlannerState(slot PlanSlot, init func() any) any {
 	}
 	return s.state[slot]
 }
+
+// PlanCosts prices every POSP plan at one grid cell at a time, each bit for
+// bit Model.Eval: a clone of the Space's node table with its own memo, so a
+// subtree shared by many plans is costed once per cell. Space.BorrowCosts
+// lends one. A PlanCosts is not safe for concurrent use.
+type PlanCosts struct {
+	ps  *cost.PlanSet
+	g   *Grid
+	loc cost.Location
+}
+
+// At moves the table to cell ci, invalidating every memoized cost.
+func (c *PlanCosts) At(ci int) {
+	for d := range c.loc {
+		c.loc[d] = c.g.Points[d][c.g.Coord(ci, d)]
+	}
+	c.ps.At(c.loc)
+}
+
+// Cost returns the cost of POSP plan id at the cell of the last At call.
+func (c *PlanCosts) Cost(id int) float64 { return c.ps.Cost(id) }
+
+// BorrowCosts lends the caller a PlanCosts over the POSP, to give back with
+// ReturnCosts once done. The Space owns the one node table (cost.PlanSet)
+// over its POSP, hash-consed on the first borrow; every PlanCosts is a clone
+// of it, which a later borrower may reuse. Safe for concurrent use.
+func (s *Space) BorrowCosts() *PlanCosts {
+	if c, ok := s.lent.Get().(*PlanCosts); ok {
+		return c
+	}
+	s.tableOnce.Do(func() { s.table = cost.NewPlanSet(s.Model, s.plans) })
+	return &PlanCosts{ps: s.table.Clone(), g: &s.Grid, loc: make(cost.Location, s.Grid.D)}
+}
+
+// ReturnCosts takes back a PlanCosts lent by BorrowCosts; the caller must
+// not use it afterwards.
+func (s *Space) ReturnCosts(c *PlanCosts) { s.lent.Put(c) }
 
 // CoveringContour returns the index (into costs) of the first contour whose
 // hypograph contains the subspace cell ci — the contour an execution at ci

@@ -12,11 +12,10 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/par"
 )
 
 // RunFunc executes a processing strategy against the given true location
@@ -65,7 +64,7 @@ func SweepContext(ctx context.Context, s *ess.Space, run RunFunc, opts SweepOpti
 	g := s.Grid
 	cells := pickCells(g.Size(), opts)
 	res := SweepResult{Cells: cells, SubOpt: make([]float64, len(cells)), MSOCell: -1}
-	forEach(ctx, len(cells), opts.Workers, func(i int) {
+	par.Each(ctx, len(cells), opts.Workers, func(_, i int) {
 		ci := cells[i]
 		res.SubOpt[i] = run(g.Location(ci)) / s.CostAt(ci)
 	})
@@ -101,30 +100,6 @@ func (r *SweepResult) aggregate(weight func(ci int) float64) {
 	if wsum > 0 {
 		r.ASO = sum / wsum
 	}
-}
-
-// forEach calls fn for every index in [0, n) from workers goroutines that
-// claim indices off one shared counter; workers <= 1 means one worker. fn
-// must be safe for concurrent use when workers > 1. Workers stop claiming
-// once ctx is done, so a canceled loop leaves some indices unvisited.
-func forEach(ctx context.Context, n, workers int, fn func(i int)) {
-	workers = max(1, min(workers, n))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // SweepManyContext evaluates several named strategies over one shared cell

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/ess"
+	"repro/internal/par"
 )
 
 // ScenarioOutcome is one strategy run at one true location under one fault
@@ -122,7 +123,7 @@ func ScenarioSweepContext(ctx context.Context, s *ess.Space, regimeOf []string, 
 	}
 	evals := make([]eval, len(units))
 
-	forEach(ctx, len(units), opts.Workers, func(i int) {
+	par.Each(ctx, len(units), opts.Workers, func(_, i int) {
 		u := units[i]
 		out := run(u.sc, g.Location(cells[u.cell]))
 		evals[i] = eval{out: out, subOpt: out.TotalCost / s.CostAt(cells[u.cell]), done: true}

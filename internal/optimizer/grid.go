@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cost"
+	"repro/internal/par"
 	"repro/internal/plan"
 )
 
@@ -149,10 +148,10 @@ type Optima struct {
 // bit, and costs each connected subset once per grid point of its own epps
 // rather than once per cell.
 //
-// The tables are filled level by level, by subset size; within a level,
-// workers goroutines claim chunks of at most chunk entries of one table. The
-// full set's table is indexed by flat cell, so its chunks are chunk
-// contiguous cells; after each, chunkDone(lo, hi) is called from the worker
+// The tables are filled level by level, by subset size; within a level, at
+// most workers workers (par.Each) claim chunks of at most chunk entries of
+// one table. The full set's table is indexed by flat cell, so its chunks
+// are chunk contiguous cells; after each, chunkDone(lo, hi) is called from the worker
 // that finished it, concurrently with other workers. The context is checked
 // before every chunk, and a canceled build returns the context's error.
 // The tables live only for the call. Plans are numbered through o's intern
@@ -193,29 +192,16 @@ func (o *Optimizer) OptimizeGrid(ctx context.Context, points [][]float64, worker
 				items = append(items, item{s, lo, min(lo+chunk, n)})
 			}
 		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := range fillers {
-			wg.Add(1)
-			go func(f *filler) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(items) || ctx.Err() != nil {
-						return
-					}
-					it := items[k]
-					f.fill(it.s, it.lo, it.hi)
-					if it.s == full {
-						for ci := it.lo; ci < it.hi; ci++ {
-							res.Costs[ci] = o.rootCost(&tabs[full].entries[ci])
-						}
-						chunkDone(it.lo, it.hi)
-					}
+		par.Each(ctx, len(items), len(fillers), func(w, k int) {
+			it := items[k]
+			fillers[w].fill(it.s, it.lo, it.hi)
+			if it.s == full {
+				for ci := it.lo; ci < it.hi; ci++ {
+					res.Costs[ci] = o.rootCost(&tabs[full].entries[ci])
 				}
-			}(fillers[w])
-		}
-		wg.Wait()
+				chunkDone(it.lo, it.hi)
+			}
+		})
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
