@@ -429,7 +429,9 @@ func BenchmarkRowEngineSpillBound(b *testing.B) {
 	r := spillbound.NewRunner(microSpace)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Run(&rowexec.Adapter{E: re})
+		if _, err := r.RunContext(context.Background(), &rowexec.Adapter{E: re}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

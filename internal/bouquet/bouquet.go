@@ -443,16 +443,3 @@ func (d *Diagram) Guarantee(costs []float64) float64 {
 	}
 	return 4 * (1 + d.Lambda) * float64(rho)
 }
-
-// GuaranteeWithRatio returns PlanBouquet's bound (1+λ)·ρ·r²/(r-1) under a
-// geometric contour ratio r: executing all ρ plans on every contour up to
-// k+1 costs at most (1+λ)ρ·sum r^{i-1} <= (1+λ)ρ·r²·r^{k-1}/(r-1), against
-// an oracle floor of r^{k-1}·CC1. The expression is minimized at exactly
-// r=2 — the paper's footnote 3: "a doubling factor minimizes the MSO
-// guarantee" for PlanBouquet (unlike SpillBound, whose optimum is ≈1.8).
-func GuaranteeWithRatio(rho int, lambda, r float64) float64 {
-	if r <= 1 {
-		panic("bouquet: contour ratio must exceed 1")
-	}
-	return (1 + lambda) * float64(rho) * r * r / (r - 1)
-}

@@ -215,13 +215,6 @@ func MustNewModel(q *query.Query, p Params) *Model {
 	return m
 }
 
-// BaseRows returns the filtered cardinality of relation rel.
-func (m *Model) BaseRows(rel int) float64 { return m.baseRows[rel] }
-
-// DefaultSelectivity returns the statistics-derived selectivity of the join
-// predicate — what a traditional optimizer would estimate (paper's q_e).
-func (m *Model) DefaultSelectivity(joinID int) float64 { return m.joinSel[joinID] }
-
 // Selectivity returns the selectivity of the join predicate at the given
 // ESS location: the injected coordinate for an epp, the statistics default
 // otherwise.

@@ -71,11 +71,11 @@ func leftDeepHJ() *plan.Plan {
 func TestBaseRowsApplyFilters(t *testing.T) {
 	m := exampleModel(t)
 	// part has 20000 rows and a < 1000 filter over [0,2000]: sel 0.5.
-	if got := m.BaseRows(0); math.Abs(got-10000) > 1 {
-		t.Errorf("BaseRows(part) = %g, want 10000", got)
+	if got := m.baseRows[0]; math.Abs(got-10000) > 1 {
+		t.Errorf("baseRows[part] = %g, want 10000", got)
 	}
-	if got := m.BaseRows(1); got != 600000 {
-		t.Errorf("BaseRows(lineitem) = %g, want 600000", got)
+	if got := m.baseRows[1]; got != 600000 {
+		t.Errorf("baseRows[lineitem] = %g, want 600000", got)
 	}
 }
 
@@ -92,11 +92,11 @@ func TestSelectivityInjection(t *testing.T) {
 
 func TestDefaultSelectivityFromNDV(t *testing.T) {
 	m := exampleModel(t)
-	if got := m.DefaultSelectivity(0); math.Abs(got-1.0/20000) > 1e-12 {
-		t.Errorf("DefaultSelectivity(j0) = %g, want 1/20000", got)
+	if got := m.joinSel[0]; math.Abs(got-1.0/20000) > 1e-12 {
+		t.Errorf("joinSel[j0] = %g, want 1/20000", got)
 	}
 	est := m.EstimateLocation()
-	if len(est) != 2 || est[0] != m.DefaultSelectivity(0) || est[1] != m.DefaultSelectivity(1) {
+	if len(est) != 2 || est[0] != m.joinSel[0] || est[1] != m.joinSel[1] {
 		t.Errorf("EstimateLocation = %v", est)
 	}
 }
@@ -384,8 +384,8 @@ func TestSelectivityDefaultPath(t *testing.T) {
 	m2 := MustNewModel(q, PostgresLike())
 	q.EPPs = saved
 	got := m2.Selectivity(1, Location{0.5})
-	if got != m2.DefaultSelectivity(1) {
-		t.Errorf("non-epp selectivity %g != default %g", got, m2.DefaultSelectivity(1))
+	if got != m2.joinSel[1] {
+		t.Errorf("non-epp selectivity %g != default %g", got, m2.joinSel[1])
 	}
 }
 

@@ -165,8 +165,8 @@ func TestResilientDoesNotRetryAbortOrEscape(t *testing.T) {
 	if _, err := r.ExecuteCtx(ctx, p, 1.5*c); !IsBudgetAbort(err) {
 		t.Fatalf("err = %v, want the budget abort", err)
 	}
-	if fp.Execs() != 1 || telemetry.CountRetries(rec.Events()) != 0 {
-		t.Fatalf("abort retried: %d executions, %d retries", fp.Execs(), telemetry.CountRetries(rec.Events()))
+	if fp.Execs() != 1 || retries(rec) != 0 {
+		t.Fatalf("abort retried: %d executions, %d retries", fp.Execs(), retries(rec))
 	}
 
 	fp = faults.Knobs{SkewLearnedAt: 1, SkewLearnedFactor: 1e9}.Plan()
@@ -174,7 +174,7 @@ func TestResilientDoesNotRetryAbortOrEscape(t *testing.T) {
 	if _, _, err := r.ExecuteSpillCtx(ctx, p, 0, math.Inf(1)); !IsEscape(err) {
 		t.Fatalf("err = %v, want the ESS escape", err)
 	}
-	if fp.Execs() != 1 || telemetry.CountRetries(rec.Events()) != 0 {
-		t.Fatalf("escape retried: %d executions, %d retries", fp.Execs(), telemetry.CountRetries(rec.Events()))
+	if fp.Execs() != 1 || retries(rec) != 0 {
+		t.Fatalf("escape retried: %d executions, %d retries", fp.Execs(), retries(rec))
 	}
 }

@@ -91,9 +91,6 @@ type Engine struct {
 	// Truth is the actual selectivity location q_a, unknown to the
 	// algorithms and only consulted by the simulated executor.
 	Truth cost.Location
-	// TimeScale converts cost units to simulated seconds for wall-clock
-	// reports (cost units per second). Zero disables conversion.
-	TimeScale float64
 	// CostError optionally injects bounded cost-model error: every
 	// execution's true cost is the model's prediction times this factor
 	// (see DeterministicCostError and paper Sec 7). Nil disables injection.
@@ -125,7 +122,7 @@ func NewChecked(m *cost.Model, truth cost.Location) (*Engine, error) {
 			return nil, fmt.Errorf("engine: truth[%d] = %g outside (0,1]", d, v)
 		}
 	}
-	return &Engine{Model: m, Truth: truth, TimeScale: 0}, nil
+	return &Engine{Model: m, Truth: truth}, nil
 }
 
 // Result reports one budgeted (non-spill) execution.
@@ -333,13 +330,4 @@ func (e *Engine) monitorBound(sub *plan.Plan, dim int, budget float64) float64 {
 		}
 	}
 	return lo
-}
-
-// Seconds converts cost units to simulated wall-clock seconds under the
-// engine's TimeScale; it returns the raw units when no scale is set.
-func (e *Engine) Seconds(costUnits float64) float64 {
-	if e.TimeScale <= 0 {
-		return costUnits
-	}
-	return costUnits / e.TimeScale
 }

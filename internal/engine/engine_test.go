@@ -188,18 +188,6 @@ func TestExecuteSpillMissingPredicate(t *testing.T) {
 	}
 }
 
-func TestSeconds(t *testing.T) {
-	m := testModel(t)
-	e := New(m, cost.Location{1e-4, 1e-4})
-	if e.Seconds(500) != 500 {
-		t.Error("without TimeScale Seconds should be identity")
-	}
-	e.TimeScale = 100
-	if e.Seconds(500) != 5 {
-		t.Errorf("Seconds(500) = %g, want 5", e.Seconds(500))
-	}
-}
-
 func TestNewPanicsOnDimMismatch(t *testing.T) {
 	m := testModel(t)
 	defer func() {

@@ -8,16 +8,10 @@ import (
 	"repro/internal/plan"
 )
 
-// Explain renders an EXPLAIN-ANALYZE-style view of a plan at the engine's
-// true location: the operator tree annotated with each node's estimated
-// output cardinality and cumulative cost under the model, resolving
-// relation names through the query. Spill-mode views (Subtree) render the
-// same way.
-func (e *Engine) Explain(p *plan.Plan) string {
-	return ExplainAt(e.Model, p, e.Truth)
-}
-
-// ExplainAt renders the annotated plan at an arbitrary location.
+// ExplainAt renders an EXPLAIN-ANALYZE-style view of a plan at location
+// at: the operator tree annotated with each node's estimated output
+// cardinality and cumulative cost under the model, resolving relation names
+// through the query. Spill-mode views (Subtree) render the same way.
 func ExplainAt(m *cost.Model, p *plan.Plan, at cost.Location) string {
 	detail := m.EvalTree(p, at)
 	names := make([]string, len(m.Query.Relations))

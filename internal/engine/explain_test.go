@@ -12,9 +12,8 @@ import (
 func TestExplainAnnotatesNodes(t *testing.T) {
 	m := testModel(t)
 	truth := cost.Location{1e-4, 1e-3}
-	e := New(m, truth)
-	p, c := optimalPlanAt(t, m, truth)
-	out := e.Explain(p)
+	p, _ := optimalPlanAt(t, m, truth)
+	out := ExplainAt(m, p, truth)
 	for _, want := range []string{"Scan", "rows=", "cost="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
@@ -25,7 +24,6 @@ func TestExplainAnnotatesNodes(t *testing.T) {
 	if !strings.Contains(first, "cost=") {
 		t.Errorf("root line unannotated: %q", first)
 	}
-	_ = c
 	// All three relations appear by alias.
 	for _, alias := range []string{"p", "l", "o"} {
 		if !strings.Contains(out, " "+alias) && !strings.Contains(out, alias+"\n") && !strings.Contains(out, alias+" ") {

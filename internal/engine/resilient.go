@@ -48,7 +48,7 @@ func (e *StepError) Unwrap() error { return e.Err }
 // ladder: panics in the substrate are recovered into errors, failed steps
 // are retried on the fixed schedule above, and terminal errors are never
 // retried. Each retry and give-up is recorded only as a retry event on the
-// context's recorder (telemetry.CountRetries counts them). It implements
+// context's recorder (a run's RunResult.Retries counts them). It implements
 // ContextExecutor, so discovery runners use it transparently.
 type Resilient struct {
 	// Exec is the wrapped substrate.

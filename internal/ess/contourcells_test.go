@@ -14,15 +14,15 @@ import (
 // inside the hypograph with no successor inside it, in Each's flat order.
 // ContourCells must return exactly these cells in this order.
 func referenceContourCells(u Subspace, cc float64) []int {
-	g := u.Space().Grid
+	g := u.s.Grid
 	free := u.FreeDims()
 	var out []int
 	u.Each(func(ci int) {
-		if u.Space().CostAt(ci) > cc {
+		if u.s.CostAt(ci) > cc {
 			return
 		}
 		for _, d := range free {
-			if next, ok := g.Step(ci, d); ok && u.Space().CostAt(next) <= cc {
+			if next, ok := g.Step(ci, d); ok && u.s.CostAt(next) <= cc {
 				return
 			}
 		}

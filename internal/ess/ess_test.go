@@ -268,8 +268,8 @@ func TestContourFrontier(t *testing.T) {
 func TestSubspaceFixAndEach(t *testing.T) {
 	s := buildSpace(t, 6)
 	sub := s.Full().Fix(0, 3)
-	if gi, ok := sub.Fixed(0); !ok || gi != 3 {
-		t.Errorf("Fixed(0) = %d, %v", gi, ok)
+	if gi := sub.fixed[0]; gi != 3 {
+		t.Errorf("fixed[0] = %d", gi)
 	}
 	if free := sub.FreeDims(); len(free) != 1 || free[0] != 1 {
 		t.Errorf("FreeDims = %v", free)
@@ -329,15 +329,6 @@ func TestCoveringContour(t *testing.T) {
 	}
 }
 
-func TestNearlyEqual(t *testing.T) {
-	if !NearlyEqual(100, 100.000001, 1e-6) {
-		t.Error("NearlyEqual false negative")
-	}
-	if NearlyEqual(100, 101, 1e-6) {
-		t.Error("NearlyEqual false positive")
-	}
-}
-
 func TestContourCellsCached(t *testing.T) {
 	s := buildSpace(t, 8)
 	sub := s.Full()
@@ -388,8 +379,8 @@ func TestContourCellsCached(t *testing.T) {
 	if len(s.memo) != entries {
 		t.Errorf("1-D contours entered the memo: %d entries, was %d", len(s.memo), entries)
 	}
-	if sub.Fix(0, 2).Space() != s {
-		t.Error("Space accessor broken")
+	if sub.Fix(0, 2).s != s {
+		t.Error("Fix lost the subspace's space")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Loaded plans must re-evaluate to the recorded surface.
 	for ci := 0; ci < s.Grid.Size(); ci += 5 {
 		ev := loaded.Model.Eval(loaded.PlanAt(ci), loaded.Grid.Location(ci))
-		if !NearlyEqual(ev, loaded.CostAt(ci), 1e-9) {
+		if math.Abs(ev-loaded.CostAt(ci)) > 1e-9*math.Max(ev, loaded.CostAt(ci)) {
 			t.Fatalf("cell %d: eval %g vs recorded %g", ci, ev, loaded.CostAt(ci))
 		}
 	}

@@ -194,9 +194,6 @@ func (s *Space) Full() Subspace {
 	return Subspace{s: s, fixed: f}
 }
 
-// Space returns the underlying space.
-func (u Subspace) Space() *Space { return u.s }
-
 // Fix returns a copy of the subspace with dimension d pinned to grid index
 // gi.
 func (u Subspace) Fix(d, gi int) Subspace {
@@ -204,12 +201,6 @@ func (u Subspace) Fix(d, gi int) Subspace {
 	copy(nf, u.fixed)
 	nf[d] = gi
 	return Subspace{s: u.s, fixed: nf}
-}
-
-// Fixed reports whether dimension d is pinned, and to which grid index.
-func (u Subspace) Fixed(d int) (int, bool) {
-	gi := u.fixed[d]
-	return gi, gi >= 0
 }
 
 // FreeDims returns the unpinned dimensions in ascending order.
@@ -485,11 +476,4 @@ func CoveringContour(costs []float64, c float64) int {
 		}
 	}
 	return len(costs) - 1
-}
-
-// NearlyEqual reports approximate float equality with relative tolerance.
-func NearlyEqual(a, b, rel float64) bool {
-	diff := math.Abs(a - b)
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= rel*scale
 }

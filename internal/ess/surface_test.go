@@ -104,12 +104,12 @@ func TestSubspaceContourOnRandomSurfaces(t *testing.T) {
 		}
 		fixedDim := -1
 		for dd := 0; dd < d; dd++ {
-			if _, ok := sub.Fixed(dd); ok {
+			if sub.fixed[dd] >= 0 {
 				fixedDim = dd
 			}
 		}
 		for _, ci := range cells {
-			if gi, _ := sub.Fixed(fixedDim); g.Coord(ci, fixedDim) != gi {
+			if g.Coord(ci, fixedDim) != sub.fixed[fixedDim] {
 				t.Fatalf("trial %d: contour cell escapes the fixed dimension", trial)
 			}
 			if s.CostAt(ci) > cc {

@@ -1,17 +1,15 @@
 // Package estimate implements the selectivity estimation substrate whose
 // failure modes motivate the whole paper: the textbook NDV-based (AVI)
-// estimates a traditional optimizer derives from catalog statistics,
-// equi-depth histograms, and sampling-based estimation over the synthetic
-// row generators. On uniform data all three agree with ground truth; on
-// skewed data the statistics-only estimates err systematically — the
-// "significantly in error" selectivities of the paper's introduction —
-// while the robust algorithms remain indifferent (their guarantees are
-// selectivity-free).
+// estimates a traditional optimizer derives from catalog statistics and
+// sampling-based estimation over the synthetic row generators. On uniform
+// data both agree with ground truth; on skewed data the statistics-only
+// estimates err systematically — the "significantly in error"
+// selectivities of the paper's introduction — while the robust algorithms
+// remain indifferent (their guarantees are selectivity-free).
 package estimate
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/query"
@@ -97,80 +95,6 @@ func SampledJoinSelectivity(q *query.Query, joinID int, sampleRows int64) (float
 		matches += lvals[rowexec.ColumnValue(rc, 2*offset+r)]
 	}
 	return float64(matches) / (float64(sampleRows) * float64(sampleRows)), nil
-}
-
-// Histogram is an equi-depth histogram over a column's synthetic values.
-type Histogram struct {
-	// Bounds are the bucket upper bounds (inclusive), ascending.
-	Bounds []rowexec.Value
-	// Depth is the per-bucket row count (equi-depth).
-	Depth int64
-	// Total is the number of rows summarized.
-	Total int64
-
-	col catalog.Column
-}
-
-// BuildHistogram samples the column's generator and builds an equi-depth
-// histogram with the given number of buckets.
-func BuildHistogram(col catalog.Column, rows int64, buckets int) (*Histogram, error) {
-	if buckets < 1 || rows < int64(buckets) {
-		return nil, fmt.Errorf("estimate: need rows >= buckets >= 1, got %d/%d", rows, buckets)
-	}
-	vals := make([]rowexec.Value, rows)
-	for r := int64(0); r < rows; r++ {
-		vals[r] = rowexec.ColumnValue(col, r)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	h := &Histogram{Total: rows, Depth: rows / int64(buckets), col: col}
-	for b := 1; b <= buckets; b++ {
-		idx := int64(b)*rows/int64(buckets) - 1
-		h.Bounds = append(h.Bounds, vals[idx])
-	}
-	return h, nil
-}
-
-// SelectivityLE estimates P(value <= v) from the histogram, with linear
-// interpolation inside the covering bucket. v is in raw generator-domain
-// units (1..NDV).
-func (h *Histogram) SelectivityLE(v rowexec.Value) float64 {
-	lo := rowexec.Value(1)
-	covered := int64(0)
-	for _, hi := range h.Bounds {
-		if v >= hi {
-			covered += h.Depth
-			lo = hi
-			continue
-		}
-		// Interpolate within [lo, hi].
-		span := float64(hi - lo)
-		if span <= 0 {
-			span = 1
-		}
-		frac := float64(v-lo) / span
-		if frac < 0 {
-			frac = 0
-		}
-		covered += int64(frac * float64(h.Depth))
-		break
-	}
-	sel := float64(covered) / float64(h.Total)
-	if sel > 1 {
-		sel = 1
-	}
-	return sel
-}
-
-// UniformSelectivityLE is the statistics-only counterpart: assumes values
-// uniform over 1..NDV.
-func UniformSelectivityLE(col catalog.Column, v rowexec.Value) float64 {
-	if v < 1 {
-		return 0
-	}
-	if v >= col.Distinct {
-		return 1
-	}
-	return float64(v) / float64(col.Distinct)
 }
 
 // ErrorFactor returns the multiplicative estimation error max(t/e, e/t):

@@ -1,12 +1,10 @@
 package estimate
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/query"
-	"repro/internal/rowexec"
 )
 
 // skewedQuery builds a two-table join whose columns carry the given skew.
@@ -95,64 +93,6 @@ func TestSampledBeatsAVIOnSkew(t *testing.T) {
 	if ErrorFactor(truth, sampled) >= ErrorFactor(truth, avi) {
 		t.Errorf("sampling (%.2g, err %.2f×) should beat AVI (%.2g, err %.2f×) against truth %.2g",
 			sampled, ErrorFactor(truth, sampled), avi, ErrorFactor(truth, avi), truth)
-	}
-}
-
-func TestHistogramRangeEstimation(t *testing.T) {
-	col := catalog.Column{Name: "c", Distinct: 1000, Min: 0, Max: 1000, Skew: 2}
-	h, err := BuildHistogram(col, 20000, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ground truth by brute force.
-	truthLE := func(v rowexec.Value) float64 {
-		n := int64(0)
-		const rows = 20000
-		for r := int64(0); r < rows; r++ {
-			if rowexec.ColumnValue(col, r) <= v {
-				n++
-			}
-		}
-		return float64(n) / rows
-	}
-	for _, v := range []rowexec.Value{10, 50, 200, 600} {
-		hist := h.SelectivityLE(v)
-		truth := truthLE(v)
-		uni := UniformSelectivityLE(col, v)
-		if math.Abs(hist-truth) > 0.08 {
-			t.Errorf("v=%d: histogram %.3f vs truth %.3f", v, hist, truth)
-		}
-		// On skewed data the histogram must beat the uniform assumption.
-		if math.Abs(hist-truth) > math.Abs(uni-truth) {
-			t.Errorf("v=%d: histogram (%.3f) worse than uniform (%.3f) against %.3f", v, hist, uni, truth)
-		}
-	}
-	// Extremes.
-	if h.SelectivityLE(0) > 0.1 {
-		t.Error("LE(0) should be near zero")
-	}
-	if h.SelectivityLE(100000) != 1 {
-		t.Error("LE(max) should be 1")
-	}
-}
-
-func TestBuildHistogramErrors(t *testing.T) {
-	col := catalog.Column{Name: "c", Distinct: 10, Min: 0, Max: 10}
-	if _, err := BuildHistogram(col, 5, 10); err == nil {
-		t.Error("rows < buckets should fail")
-	}
-	if _, err := BuildHistogram(col, 5, 0); err == nil {
-		t.Error("zero buckets should fail")
-	}
-}
-
-func TestUniformSelectivityLE(t *testing.T) {
-	col := catalog.Column{Name: "c", Distinct: 100}
-	if UniformSelectivityLE(col, 0) != 0 || UniformSelectivityLE(col, 100) != 1 {
-		t.Error("endpoints wrong")
-	}
-	if got := UniformSelectivityLE(col, 25); got != 0.25 {
-		t.Errorf("LE(25) = %g", got)
 	}
 }
 

@@ -22,9 +22,6 @@ import (
 // it with errors.Is.
 var ErrInjected = errors.New("faults: injected failure")
 
-// IsInjected reports whether the error originates from a fault plan.
-func IsInjected(err error) bool { return errors.Is(err, ErrInjected) }
-
 // ErrCrashed marks a process-internal "kill" injected at a checkpoint
 // boundary: the run loop aborts as if the process had died there, without
 // the retry/degradation ladder absorbing it — recovery is the resume path's

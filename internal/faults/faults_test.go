@@ -58,7 +58,7 @@ func TestFailWindow(t *testing.T) {
 
 func TestFailCountDefaultsToOne(t *testing.T) {
 	p := Knobs{FailExecAt: 1}.Plan()
-	if err := p.BeforeExec(context.Background()); !IsInjected(err) {
+	if err := p.BeforeExec(context.Background()); !errors.Is(err, ErrInjected) {
 		t.Fatalf("exec 1: want injected, got %v", err)
 	}
 	if err := p.BeforeExec(context.Background()); err != nil {
@@ -81,7 +81,7 @@ func TestCostEvalInjection(t *testing.T) {
 	if err := p.OnCostEval(); err != nil {
 		t.Fatalf("eval 1: %v", err)
 	}
-	if err := p.OnCostEval(); !IsInjected(err) {
+	if err := p.OnCostEval(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("eval 2: want injected, got %v", err)
 	}
 	if err := p.OnCostEval(); err != nil {

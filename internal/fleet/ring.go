@@ -72,20 +72,6 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].addr
 }
 
-// Nodes returns the distinct node addresses on the ring, sorted.
-func (r *Ring) Nodes() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range r.points {
-		if !seen[p.addr] {
-			seen[p.addr] = true
-			out = append(out, p.addr)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // hash64 is FNV-64a — the repo's standard dependency-free hash (same family
 // as trace.SpanIDFor), deterministic across processes so every node derives
 // the same placement — finished with murmur3's fmix64. Raw FNV barely

@@ -154,13 +154,3 @@ func (b *Bulkhead) Release() {
 	}
 	b.mu.Unlock()
 }
-
-// Inflight reports the current holder count; 0 on a nil bulkhead.
-func (b *Bulkhead) Inflight() int {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inflight
-}

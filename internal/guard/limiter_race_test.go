@@ -105,10 +105,15 @@ func TestBulkheadConcurrencyInvariants(t *testing.T) {
 		rounds   = 2000
 	)
 	b := NewBulkhead(capacity)
+	inflight := func() int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.inflight
+	}
 
 	var violations sync.Map
 	check := func() {
-		if n := b.Inflight(); n < 0 {
+		if n := inflight(); n < 0 {
 			violations.Store("negative inflight", n)
 		} else if n > capacity {
 			violations.Store("inflight above cap", n)
@@ -161,7 +166,7 @@ func TestBulkheadConcurrencyInvariants(t *testing.T) {
 		t.Errorf("invariant violated: %v = %v", k, v)
 		return true
 	})
-	if n := b.Inflight(); n != 0 {
+	if n := inflight(); n != 0 {
 		t.Fatalf("inflight %d after all workers released, want 0", n)
 	}
 	if admitted == 0 {

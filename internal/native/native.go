@@ -9,29 +9,10 @@
 package native
 
 import (
-	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
 )
-
-// SubOpt returns the native optimizer's sub-optimality when the true
-// location is the grid cell truthCell and the estimate is the model's
-// statistics-derived location (Eq. 1).
-func SubOpt(s *ess.Space, truthCell int) float64 {
-	est := s.Model.EstimateLocation()
-	return SubOptAt(s, est, truthCell)
-}
-
-// SubOptAt returns the sub-optimality of executing the plan optimal at the
-// estimate location est when the truth is the grid cell truthCell.
-func SubOptAt(s *ess.Space, est cost.Location, truthCell int) float64 {
-	// Snap the estimate to its covering grid cell and take that cell's
-	// optimal plan — the plan the native optimizer would pick.
-	p := s.PlanAt(s.Grid.CoveringCell(est))
-	actual := s.Model.Eval(p, s.Grid.Location(truthCell))
-	return actual / s.CostAt(truthCell)
-}
 
 // MSO returns the native optimizer's maximum sub-optimality per Eq. (2):
 // the maximum of SubOpt(q_e, q_a) over all estimate/actual grid-cell pairs
@@ -62,17 +43,4 @@ func MSO(s *ess.Space, stride int) float64 {
 		eval(p)
 	}
 	return worst
-}
-
-// ASO returns the native optimizer's average sub-optimality per Eq. (8)
-// with the estimate fixed at the statistics-derived location and all q_a
-// equally likely.
-func ASO(s *ess.Space) float64 {
-	g := s.Grid
-	p := s.PlanAt(g.CoveringCell(s.Model.EstimateLocation()))
-	sum := 0.0
-	for qa := 0; qa < g.Size(); qa++ {
-		sum += s.Model.Eval(p, g.Location(qa)) / s.CostAt(qa)
-	}
-	return sum / float64(g.Size())
 }

@@ -46,31 +46,6 @@ func buildSpace(t *testing.T, res int) *ess.Space {
 	return s
 }
 
-func TestSubOptAtLeastOne(t *testing.T) {
-	s := buildSpace(t, 10)
-	for ci := 0; ci < s.Grid.Size(); ci++ {
-		if so := SubOpt(s, ci); so < 1-1e-9 {
-			t.Fatalf("cell %d: SubOpt %g < 1", ci, so)
-		}
-	}
-}
-
-func TestSubOptAtEstimateIsOptimal(t *testing.T) {
-	s := buildSpace(t, 10)
-	// When the truth coincides with the (snapped) estimate, the native
-	// optimizer is optimal.
-	g := s.Grid
-	est := s.Model.EstimateLocation()
-	idx := make([]int, g.D)
-	for d := range idx {
-		idx[d] = g.CeilIndex(d, est[d])
-	}
-	ci := g.Flatten(idx)
-	if so := SubOpt(s, ci); so > 1+1e-9 {
-		t.Errorf("SubOpt at the estimate cell = %g, want 1", so)
-	}
-}
-
 func TestMSOExceedsRobustAlgorithms(t *testing.T) {
 	s := buildSpace(t, 10)
 	mso := MSO(s, 1)
@@ -89,16 +64,5 @@ func TestMSOExceedsRobustAlgorithms(t *testing.T) {
 	// Stride < 1 is clamped.
 	if MSO(s, 0) != mso {
 		t.Error("MSO(0) should behave as stride 1")
-	}
-}
-
-func TestASO(t *testing.T) {
-	s := buildSpace(t, 10)
-	aso := ASO(s)
-	if aso < 1 {
-		t.Fatalf("ASO = %g < 1", aso)
-	}
-	if mso := MSO(s, 1); aso > mso {
-		t.Errorf("ASO %g exceeds MSO %g", aso, mso)
 	}
 }

@@ -45,9 +45,6 @@ func NewShared(m *cost.Model) (*Shared, error) {
 	return &Shared{opt: o, memo: make(map[string]sharedResult)}, nil
 }
 
-// Model returns the underlying cost model.
-func (s *Shared) Model() *cost.Model { return s.opt.Model() }
-
 // Optimize returns the optimal plan and cost at the location, consulting
 // the memo first. Safe for concurrent use.
 func (s *Shared) Optimize(at cost.Location) (*plan.Plan, float64) {

@@ -87,7 +87,6 @@ type Plan struct {
 
 	fingerprint string
 	pipelines   []Pipeline
-	relSet      uint64
 
 	// subtrees memoizes Subtree: an immutable slice, replaced (never
 	// mutated) under subtreeMu when a join ID is first asked for.
@@ -108,20 +107,12 @@ func New(root *Node) *Plan {
 	p := &Plan{Root: root}
 	p.fingerprint = string(appendFingerprint(nil, root))
 	p.pipelines = decompose(root)
-	root.walk(func(n *Node) {
-		if n.Kind == SeqScan {
-			p.relSet |= 1 << uint(n.Rel)
-		}
-	})
 	return p
 }
 
 // Fingerprint returns a canonical string identifying the plan's structure;
 // two plans with equal fingerprints are the same plan.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
-
-// Relations returns the bitmask of relation indices the plan scans.
-func (p *Plan) Relations() uint64 { return p.relSet }
 
 // walk visits the subtree rooted at n in pre-order.
 func (n *Node) walk(f func(*Node)) {

@@ -7,7 +7,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/catalog"
@@ -250,19 +249,6 @@ func (q *Query) FiltersOn(rel int) []Filter {
 	return out
 }
 
-// JoinsBetween returns the IDs of join predicates with one side in set a and
-// the other in set b, where a and b are bitmasks over relation indices.
-func (q *Query) JoinsBetween(a, b uint64) []int {
-	var out []int
-	for _, j := range q.Joins {
-		lbit, rbit := uint64(1)<<j.LeftRel, uint64(1)<<j.RightRel
-		if (a&lbit != 0 && b&rbit != 0) || (a&rbit != 0 && b&lbit != 0) {
-			out = append(out, j.ID)
-		}
-	}
-	return out
-}
-
 // Connected reports whether the join graph spans all relations.
 func (q *Query) Connected() bool {
 	if len(q.Relations) == 0 {
@@ -346,15 +332,4 @@ func (q *Query) String() string {
 		fmt.Fprintf(&b, " [epps: %s]", strings.Join(eppStrs, ", "))
 	}
 	return b.String()
-}
-
-// SortedAliases returns the relation aliases in sorted order; useful for
-// deterministic iteration in tests and rendering.
-func (q *Query) SortedAliases() []string {
-	out := make([]string, len(q.Relations))
-	for i, r := range q.Relations {
-		out[i] = r.Alias
-	}
-	sort.Strings(out)
-	return out
 }

@@ -114,17 +114,6 @@ func TestIsEPP(t *testing.T) {
 	}
 }
 
-func TestJoinsBetween(t *testing.T) {
-	q := validQuery(t)
-	got := q.JoinsBetween(1<<0, 1<<1)
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("JoinsBetween = %v", got)
-	}
-	if got := q.JoinsBetween(1<<0, 1<<0); len(got) != 0 {
-		t.Errorf("same-side JoinsBetween = %v", got)
-	}
-}
-
 func TestFiltersOn(t *testing.T) {
 	q := validQuery(t)
 	if fs := q.FiltersOn(0); len(fs) != 1 {
@@ -160,14 +149,6 @@ func TestFilterOpString(t *testing.T) {
 	}
 	if s := FilterOp(99).String(); !strings.Contains(s, "99") {
 		t.Errorf("unknown op String = %q", s)
-	}
-}
-
-func TestSortedAliases(t *testing.T) {
-	q := validQuery(t)
-	got := q.SortedAliases()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("SortedAliases = %v", got)
 	}
 }
 

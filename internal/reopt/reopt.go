@@ -20,9 +20,6 @@
 package reopt
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/cost"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
@@ -54,19 +51,6 @@ type Outcome struct {
 	// Completed reports overall completion (always true: the final attempt
 	// runs under fully learned selectivities).
 	Completed bool
-}
-
-// Trace renders the attempts.
-func (o Outcome) Trace() string {
-	var b strings.Builder
-	for i, a := range o.Attempts {
-		status := fmt.Sprintf("reoptimized on dim %d", a.TriggeredBy)
-		if a.Completed {
-			status = "completed"
-		}
-		fmt.Fprintf(&b, "attempt %d: assumed %v, spent %.4g, %s\n", i+1, a.Assumed, a.Spent, status)
-	}
-	return b.String()
 }
 
 // Runner executes the POP-style baseline for one query.

@@ -2,6 +2,7 @@ package reopt
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
@@ -31,11 +32,15 @@ func buildQ91(t *testing.T) (*optimizer.Optimizer, *ess.Space) {
 func TestRunCompletes(t *testing.T) {
 	o, s := buildQ91(t)
 	r := NewRunner(o)
+	var cells []int
 	for ci := 0; ci < s.Grid.Size(); ci += 7 {
+		cells = append(cells, ci)
+	}
+	for _, ci := range append(cells, s.Grid.Size()-1) {
 		truth := s.Grid.Location(ci)
 		out := r.Run(truth)
 		if !out.Completed {
-			t.Fatalf("truth %v: did not complete\n%s", truth, out.Trace())
+			t.Fatalf("truth %v: did not complete: %+v", truth, out.Attempts)
 		}
 		if out.TotalCost <= 0 {
 			t.Fatalf("truth %v: no cost", truth)
@@ -102,17 +107,8 @@ func TestDeterminism(t *testing.T) {
 	r := NewRunner(o)
 	truth := s.Grid.Location(s.Grid.Size() / 2)
 	a, b := r.Run(truth), r.Run(truth)
-	if a.Trace() != b.Trace() || a.TotalCost != b.TotalCost {
+	if !reflect.DeepEqual(a.Attempts, b.Attempts) || a.TotalCost != b.TotalCost {
 		t.Error("not deterministic")
-	}
-}
-
-func TestTraceRendering(t *testing.T) {
-	o, s := buildQ91(t)
-	out := NewRunner(o).Run(s.Grid.Location(s.Grid.Size() - 1))
-	tr := out.Trace()
-	if tr == "" || len(out.Attempts) == 0 {
-		t.Fatal("empty trace")
 	}
 }
 

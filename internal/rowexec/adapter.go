@@ -21,14 +21,8 @@ type Adapter struct {
 
 var _ engine.ContextExecutor = (*Adapter)(nil)
 
-// Execute runs the plan on real rows under the cost budget.
-func (a *Adapter) Execute(p *plan.Plan, budget float64) engine.Result {
-	res, _ := a.ExecuteCtx(context.Background(), p, budget)
-	return res
-}
-
-// ExecuteCtx runs the plan on real rows with cancellation (the row loop
-// polls the context).
+// ExecuteCtx runs the plan on real rows under the cost budget, with
+// cancellation (the row loop polls the context).
 func (a *Adapter) ExecuteCtx(ctx context.Context, p *plan.Plan, budget float64) (engine.Result, error) {
 	res, err := a.E.RunContext(ctx, p, budget)
 	if err != nil {
@@ -54,16 +48,10 @@ func (a *Adapter) recordSpend(ctx context.Context, dim int, budget, spent float6
 	})
 }
 
-// ExecuteSpill runs the epp subtree on real rows, deriving the learnt
-// selectivity from the observed output count: exact on completion, the
-// partial observation otherwise (a conservative lower bound — output so
-// far over the input cross product).
-func (a *Adapter) ExecuteSpill(p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool) {
-	res, ok, _ := a.ExecuteSpillCtx(context.Background(), p, dim, budget)
-	return res, ok
-}
-
-// ExecuteSpillCtx is ExecuteSpill with cancellation.
+// ExecuteSpillCtx runs the epp subtree on real rows, with cancellation,
+// deriving the learnt selectivity from the observed output count: exact on
+// completion, the partial observation otherwise (a conservative lower
+// bound — output so far over the input cross product).
 func (a *Adapter) ExecuteSpillCtx(ctx context.Context, p *plan.Plan, dim int, budget float64) (engine.SpillResult, bool, error) {
 	joinID := a.E.Query.EPPs[dim]
 	if p.FindJoinNode(joinID) == nil {

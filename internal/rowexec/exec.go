@@ -113,16 +113,12 @@ func (e *Engine) RunContext(ctx context.Context, p *plan.Plan, budget float64) (
 	return e.runNode(ctx, p.Root, budget)
 }
 
-// SpillRun executes only the subtree rooted at the node applying the ESS
-// dimension's predicate, discarding its output — spill-mode execution
-// (Sec 3.1.2). The returned result's OutRows is the spilled operator's
-// observed output count; combined with the input cardinalities it yields
-// the monitored selectivity.
-func (e *Engine) SpillRun(p *plan.Plan, dim int, budget float64) (Result, *NodeStats, error) {
-	return e.SpillRunContext(context.Background(), p, dim, budget)
-}
-
-// SpillRunContext is SpillRun with cancellation (see RunContext).
+// SpillRunContext executes only the subtree rooted at the node applying
+// the ESS dimension's predicate, discarding its output — spill-mode
+// execution (Sec 3.1.2) — with cancellation as in RunContext. The returned
+// result's OutRows is the spilled operator's observed output count;
+// combined with the input cardinalities it yields the monitored
+// selectivity.
 func (e *Engine) SpillRunContext(ctx context.Context, p *plan.Plan, dim int, budget float64) (Result, *NodeStats, error) {
 	joinID := e.Query.EPPs[dim]
 	sub := p.Subtree(joinID)

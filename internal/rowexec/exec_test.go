@@ -1,6 +1,7 @@
 package rowexec
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestBudgetTermination(t *testing.T) {
 func TestSpillRunMonitorsSelectivity(t *testing.T) {
 	e, _ := smallEngine(t)
 	p := leftDeepHJ()
-	res, st, err := e.SpillRun(p, 0, 0)
+	res, st, err := e.SpillRunContext(context.Background(), p, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestSpillRunMonitorsSelectivity(t *testing.T) {
 	}
 	// Spilling on a predicate the plan does not apply fails cleanly.
 	sub := plan.New(&plan.Node{Kind: plan.SeqScan, Rel: 0})
-	if _, _, err := e.SpillRun(sub, 1, 0); err == nil {
+	if _, _, err := e.SpillRunContext(context.Background(), sub, 1, 0); err == nil {
 		t.Error("spill on absent predicate should error")
 	}
 }
@@ -357,12 +358,12 @@ func TestAdapterPartialSpillLearning(t *testing.T) {
 	a := &Adapter{E: e}
 	// Find the full spill cost, then give half: learning must report a
 	// conservative positive bound below the ground truth.
-	full, ok := a.ExecuteSpill(leftDeepHJ(), 0, 1e12)
-	if !ok || !full.Completed {
+	full, ok, err := a.ExecuteSpillCtx(context.Background(), leftDeepHJ(), 0, 1e12)
+	if err != nil || !ok || !full.Completed {
 		t.Fatal("setup failed")
 	}
-	res, ok := a.ExecuteSpill(leftDeepHJ(), 0, full.Spent/2)
-	if !ok {
+	res, ok, err := a.ExecuteSpillCtx(context.Background(), leftDeepHJ(), 0, full.Spent/2)
+	if err != nil || !ok {
 		t.Fatal("spill rejected")
 	}
 	if res.Completed {
@@ -381,12 +382,12 @@ func TestAdapterExecute(t *testing.T) {
 	e, _ := smallEngine(t)
 	a := &Adapter{E: e}
 	p := leftDeepHJ()
-	full := a.Execute(p, 1e12)
-	if !full.Completed {
+	full, err := a.ExecuteCtx(context.Background(), p, 1e12)
+	if err != nil || !full.Completed {
 		t.Fatal("unbudgeted adapter run failed")
 	}
-	part := a.Execute(p, full.Spent/3)
-	if part.Completed || part.Spent != full.Spent/3 {
+	part, err := a.ExecuteCtx(context.Background(), p, full.Spent/3)
+	if err != nil || part.Completed || part.Spent != full.Spent/3 {
 		t.Errorf("budgeted adapter run: %+v", part)
 	}
 }

@@ -86,7 +86,10 @@ func TestPlanBouquetOnRealRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := bouquet.Reduce(s, 0.2)
-	out := bouquet.Run(d, &Adapter{E: e}, 2)
+	out, err := bouquet.RunContext(context.Background(), d, &Adapter{E: e}, s.ContourCosts(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !out.Completed {
 		t.Fatal("physical PlanBouquet did not complete")
 	}
@@ -118,7 +121,7 @@ func TestAdapterSpillOnAbsentPredicate(t *testing.T) {
 	a := &Adapter{E: e}
 	// A bare scan applies no join predicate.
 	sub := plan.New(&plan.Node{Kind: plan.SeqScan, Rel: 0})
-	if _, ok := a.ExecuteSpill(sub, 0, 100); ok {
+	if _, ok, err := a.ExecuteSpillCtx(context.Background(), sub, 0, 100); err != nil || ok {
 		t.Error("spill on absent predicate should report !ok")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	repro "repro"
 )
@@ -35,14 +34,8 @@ func (s *Server) handleAtlas(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Errorf("missing session parameter"))
 		return
 	}
-	s.mu.Lock()
-	e, ok := s.sessions[id]
-	if ok {
-		e.lastUsed = time.Now()
-	}
-	s.mu.Unlock()
+	e, ok := s.lookup(w, id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, codeNotFound, fmt.Errorf("no session %q", id))
 		return
 	}
 	sess, ok := s.ready(w, e)

@@ -307,7 +307,7 @@ type runInfo struct {
 // session with a readable snapshot, recovered or started by this process,
 // sorted by run ID, without events.
 func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	e, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -338,7 +338,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 // state and result summary, with its events while the trace store holds
 // them.
 func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
+	e, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
 		return
 	}

@@ -803,8 +803,9 @@ func (s *Server) info(e *session) sessionInfo {
 	return out
 }
 
-func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool) {
-	id := r.PathValue("id")
+// lookup returns the session with the given ID and marks it used, or
+// writes a 404 when there is none.
+func (s *Server) lookup(w http.ResponseWriter, id string) (*session, bool) {
 	s.mu.Lock()
 	e, ok := s.sessions[id]
 	if ok {
@@ -839,7 +840,7 @@ func (s *Server) ready(w http.ResponseWriter, e *session) (*repro.Session, bool)
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	if e, ok := s.lookup(w, r); ok {
+	if e, ok := s.lookup(w, r.PathValue("id")); ok {
 		writeJSON(w, http.StatusOK, s.info(e))
 	}
 }
@@ -929,7 +930,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.shedBrownout(w, "run")
 		return
 	}
-	e, ok := s.lookup(w, r)
+	e, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
 		return
 	}
@@ -1148,7 +1149,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.shedBrownout(w, "run")
 		return
 	}
-	e, ok := s.lookup(w, r)
+	e, ok := s.lookup(w, r.PathValue("id"))
 	if !ok {
 		return
 	}

@@ -67,8 +67,8 @@ func TestObserveTraceOverwriteAndEmptyID(t *testing.T) {
 	if strings.Contains(out.String(), "trace_id") {
 		t.Errorf("empty trace ID produced an exemplar:\n%s", out.String())
 	}
-	if h.Count() != 1 {
-		t.Errorf("count = %d, want 1", h.Count())
+	if h.s.count.Load() != 1 {
+		t.Errorf("count = %d, want 1", h.s.count.Load())
 	}
 
 	h.ObserveTrace(0.3, "aaaa")

@@ -181,9 +181,6 @@ func (g *Gauge) Add(v float64) { addFloat(&g.s.bits, v) }
 // SetMax raises the gauge to at least v (a high-water mark).
 func (g *Gauge) SetMax(v float64) { maxFloat(&g.s.bits, v) }
 
-// Value reads the gauge.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.s.bits.Load()) }
-
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 
@@ -203,9 +200,6 @@ func (h *Histogram) Observe(v float64) {
 	h.s.count.Add(1)
 	addFloat(&h.s.sumBits, v)
 }
-
-// Count reports the number of observations.
-func (h *Histogram) Count() uint64 { return h.s.count.Load() }
 
 // ObserveTrace records one sample and, when traceID is non-empty, stores it
 // as the landing bucket's exemplar: the OpenMetrics exposition

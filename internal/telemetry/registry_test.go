@@ -65,8 +65,8 @@ func TestHistogramExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if h.Count() != 5 {
-		t.Errorf("count = %d", h.Count())
+	if h.s.count.Load() != 5 {
+		t.Errorf("count = %d", h.s.count.Load())
 	}
 }
 
@@ -155,8 +155,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if c.Value() != 1600 {
 		t.Errorf("counter = %g, want 1600", c.Value())
 	}
-	if h.Count() != 1600 {
-		t.Errorf("histogram count = %d", h.Count())
+	if h.s.count.Load() != 1600 {
+		t.Errorf("histogram count = %d", h.s.count.Load())
 	}
 	snap := Snapshot(reg)
 	if snap.Runtime.Goroutines <= 0 || len(snap.Metrics) != 3 {

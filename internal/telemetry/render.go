@@ -122,27 +122,3 @@ func appendLocation(b []byte, loc []float64) []byte {
 	}
 	return append(b, ')')
 }
-
-// CountRetries counts the actual retry attempts in the stream. Final
-// ("giving up") notes are records of exhaustion, not attempts, and are
-// excluded.
-func CountRetries(events []Event) int {
-	n := 0
-	for _, ev := range events {
-		if ev.Kind == Retry && !ev.Final {
-			n++
-		}
-	}
-	return n
-}
-
-// Degradation reports whether the stream records a Native-plan fallback and
-// the terminal failure that forced it.
-func Degradation(events []Event) (degraded bool, reason string) {
-	for _, ev := range events {
-		if ev.Kind == Degrade {
-			return true, ev.Detail
-		}
-	}
-	return false, ""
-}

@@ -218,16 +218,6 @@ func (r *Recorder) EventsFrom(i int) []Event {
 	return append([]Event(nil), r.events[i:]...)
 }
 
-// Len reports the number of events recorded so far.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // ctxKey keys the recorder on a context.
 type ctxKey struct{}
 

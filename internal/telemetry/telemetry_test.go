@@ -15,9 +15,6 @@ func TestRecorderSequencesEvents(t *testing.T) {
 	if len(evs) != 2 || evs[0].Seq != 0 || evs[1].Seq != 1 {
 		t.Fatalf("events = %+v", evs)
 	}
-	if r.Len() != 2 {
-		t.Errorf("Len = %d", r.Len())
-	}
 	// The returned slice is a copy.
 	evs[0].Kind = Degrade
 	if r.Events()[0].Kind != SpillExec {
@@ -65,7 +62,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Record(Event{Kind: Done})
 	r.EnterContour(3)
-	if r.Events() != nil || r.Len() != 0 {
+	if r.Events() != nil {
 		t.Error("nil recorder should record nothing")
 	}
 }
@@ -180,27 +177,13 @@ func TestRenderTraceNativeAndDegrade(t *testing.T) {
 	if deg != want {
 		t.Errorf("degrade trace:\n%q\nwant:\n%q", deg, want)
 	}
-}
-
-func TestRetryAndDegradationHelpers(t *testing.T) {
-	events := []Event{
+	retries := RenderTrace([]Event{
 		{Kind: Retry, Detail: "a"},
 		{Kind: Retry, Detail: "b"},
 		{Kind: Retry, Detail: "giving up", Final: true},
 		{Kind: Degrade, Detail: "cause"},
-	}
-	if n := CountRetries(events); n != 2 {
-		t.Errorf("retries = %d, want 2", n)
-	}
-	deg, reason := Degradation(events)
-	if !deg || reason != "cause" {
-		t.Errorf("degradation = %v %q", deg, reason)
-	}
-	deg, reason = Degradation(nil)
-	if deg || reason != "" {
-		t.Error("empty stream should not degrade")
-	}
-	if strings.Contains(RenderTrace(events), "giving up\nresilience") {
+	})
+	if strings.Contains(retries, "giving up\nresilience") {
 		t.Error("final retry note ordering broken")
 	}
 }

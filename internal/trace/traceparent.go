@@ -42,11 +42,6 @@ func (tp Traceparent) Header() string {
 	return "00-" + tp.TraceID + "-" + tp.SpanID + "-" + flags
 }
 
-// Valid reports whether the traceparent carries well-formed, non-zero IDs.
-func (tp Traceparent) Valid() bool {
-	return validHex(tp.TraceID, 32) && validHex(tp.SpanID, 16)
-}
-
 // Parse parses a traceparent header value. It accepts any version except
 // the forbidden ff, ignores trailing version-specific fields, and rejects
 // the all-zero trace and span IDs the spec reserves as invalid.

@@ -23,7 +23,7 @@ func TestParseHeaderRoundTrip(t *testing.T) {
 	if got := tp.Header(); got != w3cExample {
 		t.Errorf("Header() = %q, want %q", got, w3cExample)
 	}
-	if !tp.Valid() {
+	if !validHex(tp.TraceID, 32) || !validHex(tp.SpanID, 16) {
 		t.Error("parsed traceparent reports invalid")
 	}
 }
@@ -77,7 +77,7 @@ func TestParseRejects(t *testing.T) {
 
 func TestNewMintsValid(t *testing.T) {
 	a, b := New(), New()
-	if !a.Valid() || !a.Sampled {
+	if !validHex(a.TraceID, 32) || !validHex(a.SpanID, 16) || !a.Sampled {
 		t.Fatalf("New() = %+v", a)
 	}
 	if _, err := Parse(a.Header()); err != nil {

@@ -34,28 +34,6 @@ func ContourMap(s *ess.Space, ratio float64) (string, error) {
 	return render(s, ratio, nil, nil)
 }
 
-// PlanDiagram renders the 2D plan diagram (Picasso-style): each cell shows
-// which POSP plan is optimal there, labelled by plan index. The optimality
-// regions are the colored areas of the paper's Fig. 3.
-func PlanDiagram(s *ess.Space, a interface{ PlanIDAt(int) int }) (string, error) {
-	g := s.Grid
-	if g.D != 2 {
-		return "", fmt.Errorf("viz: can only render 2D plan diagrams, have %dD", g.D)
-	}
-	nx, ny := g.Res(0), g.Res(1)
-	var out strings.Builder
-	fmt.Fprintf(&out, "plan diagram (%d POSP plans; cells labelled by plan id)\n", len(s.Plans()))
-	for y := ny - 1; y >= 0; y-- {
-		out.WriteString("  |")
-		for x := 0; x < nx; x++ {
-			out.WriteByte(bandChar(a.PlanIDAt(g.Flatten([]int{x, y}))))
-		}
-		out.WriteByte('\n')
-	}
-	out.WriteString("  +" + strings.Repeat("-", nx) + "\n")
-	return out.String(), nil
-}
-
 // Fig7 renders the contour map with a SpillBound run's Manhattan profile
 // overlaid: '*' marks the running location's path from the origin, 'X' the
 // true location q_a.

@@ -139,36 +139,3 @@ func TestBandChar(t *testing.T) {
 		t.Error("band character bounds misbehave")
 	}
 }
-
-func TestPlanDiagram(t *testing.T) {
-	s := build2D(t, 12)
-	out, err := PlanDiagram(s, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "plan diagram") {
-		t.Error("header missing")
-	}
-	// Must show at least two distinct plan labels when the POSP is diverse.
-	if len(distinctBodyRunes(out)) < 2 {
-		t.Errorf("plan diagram shows a single region:\n%s", out)
-	}
-	if _, err := PlanDiagram(build3D(t), nil); err == nil {
-		t.Error("3D plan diagram should be rejected")
-	}
-}
-
-// distinctBodyRunes collects the cell labels from a rendered map.
-func distinctBodyRunes(out string) map[byte]bool {
-	seen := map[byte]bool{}
-	for _, line := range strings.Split(out, "\n") {
-		bar := strings.IndexByte(line, '|')
-		if bar < 0 {
-			continue
-		}
-		for i := bar + 1; i < len(line); i++ {
-			seen[line[i]] = true
-		}
-	}
-	return seen
-}
