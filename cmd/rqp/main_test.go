@@ -64,6 +64,23 @@ func afterHeader(t *testing.T, s string) string {
 	return s[i:]
 }
 
+// TestStrategiesGolden pins the exact bytes of rqp -strategies against
+// testdata/strategies.txt: the strategies in name order with their kinds and
+// guarantee formulas.
+func TestStrategiesGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "strategies.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := run([]string{"-strategies"}, &stdout, &stdout); err != nil {
+		t.Fatal(err)
+	}
+	if stdout.String() != string(want) {
+		t.Errorf("rqp -strategies drifted from strategies.txt:\n%s\nwant:\n%s", stdout.String(), want)
+	}
+}
+
 func TestListMatchesWorkload(t *testing.T) {
 	var stdout bytes.Buffer
 	if err := run([]string{"-list"}, &stdout, &stdout); err != nil {

@@ -1,9 +1,36 @@
 package server
 
 import (
+	"bytes"
+	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 )
+
+// TestStrategiesListingGolden pins the exact bytes of GET /v1/strategies
+// against testdata/strategies.json: the strategies in name order, each with
+// its kind, guarantee formula, resumability and params.
+func TestStrategiesListingGolden(t *testing.T) {
+	ts := testServer(t)
+	resp, err := http.Get(ts.URL + "/v1/strategies")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "strategies.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Errorf("GET /v1/strategies = %d\n%s\nwant:\n%s", resp.StatusCode, got, want)
+	}
+}
 
 // TestStrategiesEndpoint checks GET /v1/strategies lists every registered
 // strategy with its kind and guarantee formula — the discovery trio, the
