@@ -19,16 +19,8 @@ func BenchmarkQueries() []BenchmarkQuery { return workload.TPCDSQueries() }
 // ("2D_Q91".."6D_Q91") or "JOB_1a".
 func BenchmarkQueryByName(name string) (BenchmarkQuery, bool) { return workload.ByName(name) }
 
-// Q91Benchmark returns the Q91 analogue with d error-prone predicates
-// (2..6), the paper's Fig. 9 dimensionality study.
-func Q91Benchmark(d int) BenchmarkQuery { return workload.Q91(d) }
-
 // JOB1aBenchmark returns the Join Order Benchmark Q1a analogue (Sec 6.5).
 func JOB1aBenchmark() BenchmarkQuery { return workload.JOB1a() }
-
-// EQBenchmark returns the paper's motivating example query EQ (Fig. 1)
-// over the TPC-H schema.
-func EQBenchmark() BenchmarkQuery { return workload.EQ() }
 
 // BenchmarkOptions returns Options that defer the grid shape to each
 // benchmark query's recommended resolution (see NewBenchmarkSession).
@@ -48,7 +40,7 @@ func NewBenchmarkSession(bq BenchmarkQuery, opts Options) (*Session, error) {
 
 // NewBenchmarkSessionContext is NewBenchmarkSession with cancellation: the
 // parallel ESS construction aborts with the context's error on cancel or
-// deadline expiry (see NewSessionContext). The session's query carries the
+// deadline expiry (see newSessionContext). The session's query carries the
 // benchmark's name, so artifacts such as the robustness atlas are labelled
 // with it.
 func NewBenchmarkSessionContext(ctx context.Context, bq BenchmarkQuery, opts Options) (*Session, error) {
@@ -69,7 +61,7 @@ func NewBenchmarkSessionContext(ctx context.Context, bq BenchmarkQuery, opts Opt
 	if opts.GridLo == 0 {
 		opts.GridLo = bq.GridLo
 	}
-	s, err := NewSessionContext(ctx, cat, bq.SQL, bq.EPPs, opts)
+	s, err := newSessionContext(ctx, cat, bq.SQL, bq.EPPs, opts)
 	if err != nil {
 		return nil, err
 	}

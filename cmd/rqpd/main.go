@@ -13,10 +13,10 @@
 //	     -d '{"strategy":"spillbound","truth":[0.04,0.1]}'
 //
 // Observability: GET /v1/metrics serves Prometheus text exposition
-// (request, run, sub-optimality and session-build metrics; negotiate
-// Accept: application/openmetrics-text for bucket exemplars carrying trace
-// IDs), GET /v1/debug/stats returns a JSON runtime+metrics snapshot, and
-// -pprof mounts net/http/pprof under /debug/pprof/ (off by default). Every
+// (request, run, sub-optimality and session-build metrics, and the
+// rqp_goroutines and rqp_heap_bytes process gauges; negotiate Accept:
+// application/openmetrics-text for bucket exemplars carrying trace IDs),
+// and -pprof mounts net/http/pprof under /debug/pprof/ (off by default). Every
 // response carries a W3C Traceparent and X-Request-ID; span trees of
 // sampled runs and builds are served at GET /v1/runs/{traceID}/trace
 // (?format=svg renders a flamegraph), with retention governed by

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/runstate"
 	"repro/internal/trace"
 )
@@ -20,19 +19,6 @@ import (
 // contour iteration that was in flight when the process died (bounded redo:
 // total spend across incarnations ≤ uninterrupted spend + one contour's
 // executions). See DESIGN.md, "Crash tolerance & durability".
-
-// ErrRunCrashed reports whether the error came from an injected checkpoint
-// crash (FaultPlan.CrashAtCheckpoint): the run aborted as if the process had
-// died at a contour boundary, and ResumeRun will pick it up from the last
-// durable snapshot.
-func ErrRunCrashed(err error) bool { return faults.IsCrash(err) }
-
-// ErrRunFenced reports whether the error came from an ownership-epoch
-// fencing rejection: the session failed over to another owner while this
-// process was still executing the run, and the write was refused so the
-// zombie incarnation cannot clobber the new owner's state. Terminal — do
-// not retry, degrade, or resume from this process.
-func ErrRunFenced(err error) bool { return runstate.IsFenced(err) }
 
 // RunDurable is RunContext with crash tolerance: the run's discovery state is
 // checkpointed atomically under Options.DataDir at every contour boundary,
@@ -170,37 +156,10 @@ func (s *Session) DurableRunState(runID string) (*runstate.RunState, error) {
 	return rs, nil
 }
 
-// DeleteRun removes a durable run's snapshot (missing snapshots are not an
-// error).
-func (s *Session) DeleteRun(runID string) error {
-	if err := s.requireStore(); err != nil {
-		return err
-	}
-	return s.store.DeleteRun(runID)
-}
-
-// DataDir returns the session's durable data directory ("" when the session
-// is not durable).
-func (s *Session) DataDir() string {
-	if s.store == nil {
-		return ""
-	}
-	return s.store.Dir()
-}
-
-// OwnershipEpoch returns the session's current ownership epoch (0 until the
-// first failover advances it).
-func (s *Session) OwnershipEpoch() (int64, error) {
-	if err := s.requireStore(); err != nil {
-		return 0, err
-	}
-	return s.store.Epoch(), nil
-}
-
 // AdvanceOwnershipEpoch fences out every previous owner of this session's
 // durable state: runs started or resumed after the advance stamp the new
 // epoch, and checkpoints stamped with any older epoch are rejected with a
-// terminal fencing error (see ErrRunFenced). A fleet node calls this once
+// terminal fencing error (runstate.IsFenced). A fleet node calls this once
 // when it adopts an orphaned session, before resuming its interrupted runs;
 // node names the new owner for diagnostics.
 func (s *Session) AdvanceOwnershipEpoch(node string) (int64, error) {

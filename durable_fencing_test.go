@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faults"
 	"repro/internal/runstate"
 )
 
@@ -26,8 +27,8 @@ func TestDurableEpochFencing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch, err := sess.OwnershipEpoch(); err != nil || epoch != 0 {
-		t.Fatalf("fresh session epoch = %d, %v; fencing must be inert at 0", epoch, err)
+	if epoch := sess.store.Epoch(); epoch != 0 {
+		t.Fatalf("fresh session epoch = %d; fencing must be inert at 0", epoch)
 	}
 
 	// A second store handle over the same durable state: the "new owner"
@@ -64,10 +65,10 @@ func TestDurableEpochFencing(t *testing.T) {
 	if aerr := <-advanced; aerr != nil {
 		t.Fatal(aerr)
 	}
-	if !ErrRunFenced(err) {
+	if !runstate.IsFenced(err) {
 		t.Fatalf("superseded owner's run: want fenced error, got %v", err)
 	}
-	if ErrRunCrashed(err) {
+	if faults.IsCrash(err) {
 		t.Fatalf("fenced error misclassified as crash: %v", err)
 	}
 	// Terminal rejection: the fenced incarnation must not have retried its
@@ -83,7 +84,7 @@ func TestDurableEpochFencing(t *testing.T) {
 
 	// The zombie's direct checkpoint write is rejected with the sentinel.
 	zerr := st.SaveRun(&runstate.RunState{RunID: "fence-zombie", Algorithm: "spillbound", Epoch: 0})
-	if !errors.Is(zerr, runstate.ErrFenced) || !ErrRunFenced(zerr) {
+	if !errors.Is(zerr, runstate.ErrFenced) || !runstate.IsFenced(zerr) {
 		t.Fatalf("stale-epoch write: want ErrFenced, got %v", zerr)
 	}
 	if epoch, node, err := st.LoadEpoch(); err != nil || epoch != 1 || node != "node-b" {
@@ -134,13 +135,13 @@ func TestDurableEpochFencingInertWithoutFailover(t *testing.T) {
 	truth := Location{0.8, 0.01, 0.3}
 
 	_, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: 1}), SpillBound, truth, "inert")
-	if !ErrRunCrashed(err) {
+	if !faults.IsCrash(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
 	if resumed, err := sess.ResumeRun(ctx, "inert"); err != nil || !resumed.Resumed {
 		t.Fatalf("single-owner resume must be untouched by fencing: %+v, %v", resumed, err)
 	}
-	if epoch, err := sess.OwnershipEpoch(); err != nil || epoch != 0 {
-		t.Fatalf("epoch advanced without a failover: %d, %v", epoch, err)
+	if epoch := sess.store.Epoch(); epoch != 0 {
+		t.Fatalf("epoch advanced without a failover: %d", epoch)
 	}
 }

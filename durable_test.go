@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 )
 
@@ -18,7 +19,7 @@ func newDurableTestSession(t *testing.T, dir string) *Session {
 	opts := BenchmarkOptions()
 	opts.GridRes = 7
 	opts.DataDir = dir
-	sess, err := NewBenchmarkSession(Q91Benchmark(3), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "3D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestCrashResumeChaos(t *testing.T) {
 	for k := 1; k <= K; k++ {
 		rid := fmt.Sprintf("crash%d", k)
 		crashed, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: k}), SpillBound, truth, rid)
-		if !ErrRunCrashed(err) {
+		if !faults.IsCrash(err) {
 			t.Fatalf("k=%d: want crash, got err=%v", k, err)
 		}
 		if crashed.RunID != rid {
@@ -176,7 +177,7 @@ func TestResumeMatchesForAllAlgorithms(t *testing.T) {
 			// Crash at a mid-run boundary, then resume to completion.
 			rid := "crash-" + a.String()
 			_, err = sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: (K + 1) / 2}), a, truth, rid)
-			if !ErrRunCrashed(err) {
+			if !faults.IsCrash(err) {
 				t.Fatalf("want crash, got %v", err)
 			}
 			resumed, err := sess.ResumeRun(ctx, rid)
@@ -212,7 +213,7 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	builds := 0
 	opts.BuildProgress = func(done, total int) { builds++ }
 	opts.Workers = 1 // serial build so the progress counter needs no lock
-	first, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	first, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	opts.BuildProgress = func(done, total int) {
 		t.Error("rehydrated session re-ran the ESS build")
 	}
-	second, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	second, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	opts.GridRes = 6
 	rebuilt := 0
 	opts.BuildProgress = func(done, total int) { rebuilt++ }
-	if _, err := NewBenchmarkSession(Q91Benchmark(2), opts); err != nil {
+	if _, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts); err != nil {
 		t.Fatal(err)
 	}
 	if rebuilt == 0 {
@@ -267,7 +268,7 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	}
 	opts.GridRes = 8
 	rebuilt = 0
-	recovered, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	recovered, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestRejectedDurableRunLeavesNoSnapshot(t *testing.T) {
 	opts := BenchmarkOptions()
 	opts.GridRes = 8
 	opts.DataDir = t.TempDir()
-	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +310,7 @@ func TestDurableAPIGuards(t *testing.T) {
 	ctx := context.Background()
 	opts := BenchmarkOptions()
 	opts.GridRes = 8
-	plain, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	plain, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +320,12 @@ func TestDurableAPIGuards(t *testing.T) {
 	if _, err := plain.ResumeRun(ctx, "r1"); err == nil {
 		t.Error("ResumeRun on a non-durable session should fail")
 	}
-	if plain.DataDir() != "" {
-		t.Errorf("plain session has data dir %q", plain.DataDir())
+	if _, err := plain.DurableRuns(); err == nil {
+		t.Error("DurableRuns on a non-durable session should fail")
 	}
 
 	opts.DataDir = t.TempDir()
-	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +351,8 @@ func TestDurableAPIGuards(t *testing.T) {
 	if !containsString(runs, "done") {
 		t.Errorf("runs = %v, want done listed", runs)
 	}
-	if err := sess.DeleteRun("done"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.DurableRunState("done"); err == nil {
-		t.Error("deleted run still loads")
+	if _, err := sess.DurableRunState("nope"); err == nil {
+		t.Error("unknown run id loads")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 // The paper's motivating example query EQ (Fig. 1): orders for cheap
 // parts, with both join predicates error-prone.
 func ExampleNewSession() {
-	bq := repro.EQBenchmark()
+	bq, _ := repro.BenchmarkQueryByName("2D_EQ")
 	opts := repro.BenchmarkOptions()
 	opts.GridRes = 10 // keep the example fast
 	sess, err := repro.NewBenchmarkSession(bq, opts)
@@ -25,7 +25,8 @@ func ExampleNewSession() {
 }
 
 func ExampleSession_Run() {
-	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), func() repro.Options {
+	bq, _ := repro.BenchmarkQueryByName("2D_EQ")
+	sess, err := repro.NewBenchmarkSession(bq, func() repro.Options {
 		o := repro.BenchmarkOptions()
 		o.GridRes = 10
 		return o
@@ -57,15 +58,9 @@ func ExampleIdentifyEPPs() {
 	// 2 error-prone predicates identified
 }
 
-func ExampleOptimalContourRatio() {
-	ratio, bound := repro.OptimalContourRatio(2)
-	fmt.Printf("r* ≈ %.2f improves the 2D bound to %.1f\n", ratio, bound)
-	// Output:
-	// r* ≈ 1.82 improves the 2D bound to 9.9
-}
-
 func ExampleSession_Sweep() {
-	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), func() repro.Options {
+	bq, _ := repro.BenchmarkQueryByName("2D_EQ")
+	sess, err := repro.NewBenchmarkSession(bq, func() repro.Options {
 		o := repro.BenchmarkOptions()
 		o.GridRes = 8
 		return o

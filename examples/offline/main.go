@@ -1,14 +1,14 @@
 // Deployment workflow demonstration (paper Sec 7): automatic error-prone-
 // predicate identification, parallel offline ESS construction, persisting
-// the built space to disk, and reloading it in a fresh session — the
-// "canned queries with offline enumeration" mode — plus processing under a
-// bounded cost-model error.
+// the built space under a data directory, and reloading it in a fresh
+// session — the "canned queries with offline enumeration" mode — plus
+// processing under a bounded cost-model error.
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"log"
+	"os"
 	"runtime"
 	"time"
 
@@ -34,10 +34,17 @@ func main() {
 	fmt.Printf("identified error-prone predicates: %v\n", epps)
 
 	// 2. Offline preprocessing, parallelized across cores (Sec 7:
-	//    "the contour constructions can be carried out in parallel").
+	//    "the contour constructions can be carried out in parallel"). A
+	//    data directory persists the built space.
+	dir, err := os.MkdirTemp("", "rqp-offline-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
 	opts := repro.DefaultOptions()
 	opts.GridRes = 24
 	opts.Workers = runtime.NumCPU()
+	opts.DataDir = dir
 	start := time.Now()
 	sess, err := repro.NewSession(cat, sql, epps, opts)
 	if err != nil {
@@ -46,22 +53,16 @@ func main() {
 	fmt.Printf("built %d-contour ESS with %d POSP plans in %v on %d workers\n",
 		sess.ContourCount(), sess.POSPSize(), time.Since(start).Round(time.Millisecond), runtime.NumCPU())
 
-	// 3. Persist the investment.
-	var disk bytes.Buffer
-	if err := sess.SaveESS(&disk); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("serialized ESS: %d KiB\n", disk.Len()/1024)
-
-	// 4. A later process reloads it without touching the optimizer.
+	// 3. A later session on the same directory reloads the space without
+	//    touching the optimizer.
 	start = time.Now()
-	warm, err := repro.LoadSession(cat, sql, epps, opts, &disk)
+	warm, err := repro.NewSession(cat, sql, epps, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("reloaded in %v\n\n", time.Since(start).Round(time.Microsecond))
 
-	// 5. Process a query instance — and the same instance under a 30%
+	// 4. Process a query instance — and the same instance under a 30%
 	//    bounded cost-model error (guarantees inflate by (1+δ)², Sec 7).
 	truth := repro.Location{0.04, 0.1}
 	clean, err := warm.Run(repro.SpillBound, truth)
@@ -77,7 +78,7 @@ func main() {
 	fmt.Printf("same instance under δ=0.3 model error: sub-optimality %.2f (inflated bound %.1f)\n",
 		noisy.SubOpt, warm.Guarantee(repro.SpillBound)*1.3*1.3)
 
-	// 6. And the paper's Fig. 7 view of the discovery.
+	// 5. And the paper's Fig. 7 view of the discovery.
 	plotted, err := warm.RenderRun(repro.SpillBound, truth)
 	if err != nil {
 		log.Fatal(err)

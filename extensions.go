@@ -3,15 +3,12 @@ package repro
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/aligned"
 	"repro/internal/engine"
 	"repro/internal/eppid"
-	"repro/internal/ess"
 	"repro/internal/rowexec"
-	"repro/internal/spillbound"
 	"repro/internal/sqlmini"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -19,10 +16,9 @@ import (
 )
 
 // This file exposes the deployment-oriented extensions of the library
-// (paper Sec 7 and the Sec 4.2 remark): automatic error-prone-predicate
-// identification, ESS persistence, parallel ESS construction, contour-ratio
-// tuning, bounded cost-model-error injection, and the textual Fig. 7
-// renderer.
+// (paper Sec 7): automatic error-prone-predicate identification, bounded
+// cost-model-error injection, the textual Fig. 7 renderer and physical
+// execution on the row engine. ESS persistence is Options.DataDir.
 
 // IdentifyEPPs parses the SQL against the catalog and returns the k most
 // error-prone join predicates (rendered "alias.col = alias.col", ready for
@@ -42,37 +38,6 @@ func IdentifyEPPs(cat *Catalog, sql string, k int) ([]string, error) {
 	return out, nil
 }
 
-// SpillBoundGuaranteeWithRatio returns SpillBound's MSO bound under a
-// geometric contour ratio r (Sec 4.2 remark); r=2 gives D²+3D.
-func SpillBoundGuaranteeWithRatio(d int, r float64) float64 {
-	return spillbound.GuaranteeWithRatio(d, r)
-}
-
-// OptimalContourRatio returns the contour ratio minimizing SpillBound's
-// bound for dimensionality d, with the minimized bound (≈1.82 and 9.9 for
-// d=2, per the paper's remark).
-func OptimalContourRatio(d int) (ratio, bound float64) { return spillbound.OptimalRatio(d) }
-
-// SaveESS writes the session's built selectivity space (grid, optimal cost
-// surface, POSP) so later sessions can skip the optimizer enumeration —
-// the paper's Sec 7 offline-preprocessing deployment mode.
-func (s *Session) SaveESS(w io.Writer) error { return s.space.Save(w) }
-
-// LoadSession rebuilds a Session from SQL plus a previously saved ESS,
-// skipping the grid enumeration. The query and options must match the ones
-// the space was built with (dimensionality is validated; costs are trusted).
-func LoadSession(cat *Catalog, sql string, epps []string, opts Options, saved io.Reader) (*Session, error) {
-	q, m, err := bindQuery(cat, sql, epps, opts)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := ess.Load(saved, m)
-	if err != nil {
-		return nil, err
-	}
-	return newSession(opts, q, m, sp)
-}
-
 // RunWithCostError is Run with bounded cost-model error injected into the
 // executor: every execution's true cost is the model's prediction times a
 // deterministic factor in [1/(1+delta), 1+delta] keyed by (plan, seed).
@@ -82,11 +47,6 @@ func (s *Session) RunWithCostError(a Algorithm, truth Location, delta float64, s
 		return RunResult{}, fmt.Errorf("repro: negative or non-finite delta %g", delta)
 	}
 	return s.runFull(context.Background(), a, truth, engine.DeterministicCostError(delta, seed), nil, nil)
-}
-
-// ContourMap renders the session's 2D ESS as a textual contour-band map.
-func (s *Session) ContourMap() (string, error) {
-	return viz.ContourMap(s.space, s.opts.ContourRatio)
 }
 
 // RenderRun runs the strategy at the given truth and renders the Fig. 7

@@ -1,12 +1,12 @@
 package repro
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/spillbound"
 	"repro/internal/telemetry"
 )
 
@@ -42,42 +42,15 @@ func TestIdentifyEPPs(t *testing.T) {
 	}
 }
 
+// TestContourRatioHelpers checks the contour-ratio bounds cmd/experiments
+// -extra ratio reports (Sec 4.2 remark).
 func TestContourRatioHelpers(t *testing.T) {
-	if g := SpillBoundGuaranteeWithRatio(2, 2); g != 10 {
+	if g := spillbound.GuaranteeWithRatio(2, 2); g != 10 {
 		t.Errorf("ratio-2 guarantee = %g", g)
 	}
-	r, b := OptimalContourRatio(2)
+	r, b := spillbound.OptimalRatio(2)
 	if math.Abs(r-1.8165) > 0.01 || math.Abs(b-9.899) > 0.01 {
 		t.Errorf("optimal ratio = %.4f / %.4f, want ≈1.8165 / 9.899", r, b)
-	}
-}
-
-func TestSaveLoadSession(t *testing.T) {
-	sess := newTestSession(t)
-	var buf bytes.Buffer
-	if err := sess.SaveESS(&buf); err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.GridRes = 10
-	loaded, err := LoadSession(TPCDSCatalog(10), paperEQ, paperEPPs, opts, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := Location{0.01, 0.001}
-	a, err := sess.Run(SpillBound, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := loaded.Run(SpillBound, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalCost != b.TotalCost || a.Trace != b.Trace {
-		t.Error("loaded session diverges from the original")
-	}
-	if _, err := LoadSession(TPCDSCatalog(10), paperEQ, paperEPPs, opts, strings.NewReader("junk")); err == nil {
-		t.Error("corrupt payload should error")
 	}
 }
 
@@ -129,13 +102,6 @@ const renderRunSpillBound = `ESS contour map (29 contours, C_min=6.37e+05, C_max
 
 func TestContourMapAndRenderRun(t *testing.T) {
 	sess := newTestSession(t)
-	m, err := sess.ContourMap()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(m, "contour map") {
-		t.Error("map header missing")
-	}
 	out, err := sess.RenderRun(SpillBound, Location{0.02, 0.2})
 	if err != nil {
 		t.Fatal(err)

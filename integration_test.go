@@ -1,18 +1,19 @@
 package repro
 
 import (
-	"bytes"
+	"fmt"
 	"math"
 	"testing"
 )
 
 // TestEndToEndEQ is the cross-cutting integration test: starting from the
 // paper's example query as raw SQL, identify the epps automatically, build
-// the ESS in parallel, persist and reload it, process the query with every
+// the ESS in parallel, persist and reload it through a data directory,
+// process the query with every
 // strategy in both the simulated and physical engines, and verify the
 // structural guarantees across an exhaustive sweep.
 func TestEndToEndEQ(t *testing.T) {
-	bq := EQBenchmark()
+	bq := benchmarkQuery(t, "2D_EQ")
 	cat := TPCHCatalog(1)
 
 	// 1. Automatic epp identification must recover the spec's designation
@@ -29,19 +30,24 @@ func TestEndToEndEQ(t *testing.T) {
 	opts := DefaultOptions()
 	opts.GridRes = 10
 	opts.Workers = 4
+	opts.DataDir = t.TempDir()
 	sess, err := NewSession(cat, bq.SQL, epps, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// 3. Persistence round trip.
-	var disk bytes.Buffer
-	if err := sess.SaveESS(&disk); err != nil {
-		t.Fatal(err)
+	// 3. Persistence round trip: a second session on the same data
+	//    directory reloads the space instead of building it.
+	opts.BuildProgress = func(done, total int) {
+		t.Error("reloaded session re-ran the ESS build")
 	}
-	warm, err := LoadSession(cat, bq.SQL, epps, opts, &disk)
+	warm, err := NewSession(cat, bq.SQL, epps, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if warm.POSPSize() != sess.POSPSize() || warm.ContourCount() != sess.ContourCount() {
+		t.Fatalf("reloaded session differs: POSP %d/%d contours %d/%d",
+			warm.POSPSize(), sess.POSPSize(), warm.ContourCount(), sess.ContourCount())
 	}
 
 	// 4. Every strategy completes on the reloaded session; robust ones
@@ -82,10 +88,7 @@ func TestEndToEndEQ(t *testing.T) {
 		t.Errorf("physical run degenerate: %+v", phys)
 	}
 
-	// 7. The rendering surfaces work on the same session.
-	if _, err := warm.ContourMap(); err != nil {
-		t.Errorf("ContourMap: %v", err)
-	}
+	// 7. The rendering surface works on the same session.
 	if _, err := warm.RenderRun(SpillBound, truth); err != nil {
 		t.Errorf("RenderRun: %v", err)
 	}
@@ -107,7 +110,7 @@ func TestGuaranteeMonotoneInD(t *testing.T) {
 	for d := 2; d <= 4; d++ {
 		opts := BenchmarkOptions()
 		opts.GridRes = []int{0, 0, 8, 5, 4}[d]
-		sess, err := NewBenchmarkSession(Q91Benchmark(d), opts)
+		sess, err := NewBenchmarkSession(benchmarkQuery(t, fmt.Sprintf("%dD_Q91", d)), opts)
 		if err != nil {
 			t.Fatal(err)
 		}

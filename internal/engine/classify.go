@@ -68,7 +68,7 @@ func IsEscape(err error) bool {
 
 // Terminal reports whether an execution-step error must not be retried:
 // context cancellation and deadline expiry, budget aborts, ESS escapes and
-// injected checkpoint crashes (faults.ErrCrashed / repro.ErrRunCrashed) are
+// injected checkpoint crashes (faults.ErrCrashed, matched by faults.IsCrash) are
 // terminal — retrying cannot succeed and may double-charge the budget
 // ledger; everything else is transient.
 func Terminal(err error) bool {

@@ -151,7 +151,7 @@ func (l *Lab) ReoptComparison() ([]ReoptRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := cost.NewModel(q, l.Config.Params)
+		m, err := cost.NewModel(q, paperParams)
 		if err != nil {
 			return nil, err
 		}
@@ -219,10 +219,10 @@ func (l *Lab) LambdaSensitivity() ([]LambdaRow, error) {
 	var rows []LambdaRow
 	for _, lambda := range []float64{0, 0.1, 0.2, 0.5, 1.0} {
 		d := bouquet.Reduce(s, lambda)
-		costs := s.ContourCosts(l.Config.Ratio)
+		costs := s.ContourCosts(contourRatio)
 		_, rho := bouquet.ContourDensities(s, d, costs)
 		sweep := l.sweep(s, func(truth cost.Location) float64 {
-			return bouquet.Run(d, engine.New(s.Model, truth), l.Config.Ratio).TotalCost
+			return bouquet.Run(d, engine.New(s.Model, truth), contourRatio).TotalCost
 		})
 		rows = append(rows, LambdaRow{
 			Lambda: lambda, Plans: d.PlanCount(), Rho: rho,

@@ -26,13 +26,13 @@ func (l *Lab) Fig7() (string, error) {
 	}
 	truth := cost.Location{0.04, 0.1} // the paper's example location
 	rec := telemetry.NewRecorder()
-	r := &spillbound.Runner{Space: s, Ratio: l.Config.Ratio}
+	r := &spillbound.Runner{Space: s, Ratio: contourRatio}
 	out, err := r.RunContext(telemetry.With(context.Background(), rec), engine.New(s.Model, truth))
 	if err != nil {
 		return "", err
 	}
 	events := rec.Events()
-	m, err := viz.Fig7(s, l.Config.Ratio, events, truth)
+	m, err := viz.Fig7(s, contourRatio, events, truth)
 	if err != nil {
 		return "", err
 	}
@@ -106,10 +106,10 @@ func (l *Lab) DeltaRobustness() ([]DeltaRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner := &spillbound.Runner{Space: s, Ratio: l.Config.Ratio}
+	runner := &spillbound.Runner{Space: s, Ratio: contourRatio}
 	var rows []DeltaRow
 	for _, delta := range []float64{0, 0.1, 0.3, 0.5} {
-		errFn := engine.DeterministicCostError(delta, uint64(l.Config.Seed)+1)
+		errFn := engine.DeterministicCostError(delta, uint64(sweepSeed)+1)
 		res := l.sweep(s, func(truth cost.Location) float64 {
 			e := engine.New(s.Model, truth)
 			e.CostError = errFn

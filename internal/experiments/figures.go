@@ -62,11 +62,11 @@ func (l *Lab) guaranteeRow(sp workload.Spec) (GuaranteeRow, error) {
 	if err != nil {
 		return GuaranteeRow{}, err
 	}
-	costs := s.ContourCosts(l.Config.Ratio)
+	costs := s.ContourCosts(contourRatio)
 	_, rho := bouquet.ContourDensities(s, d, costs)
 	return GuaranteeRow{
 		Query: sp.Name, D: sp.D, RhoRed: rho,
-		PB: 4 * (1 + l.Config.Lambda) * float64(rho),
+		PB: 4 * (1 + reductionLambda) * float64(rho),
 		SB: spillbound.Guarantee(sp.D),
 	}, nil
 }

@@ -25,23 +25,28 @@ import (
 	"repro/internal/workload"
 )
 
+// The paper's settings every experiment runs under.
+const (
+	// contourRatio is the contour cost ratio (paper default 2).
+	contourRatio = ess.CostDoublingRatio
+	// reductionLambda is the anorexic reduction threshold for PlanBouquet
+	// (paper default 0.2).
+	reductionLambda = 0.2
+	// sweepSeed drives sweep subsampling.
+	sweepSeed = 1
+	// scaleFactor is the TPC-DS (and TPC-H) scale (paper: 100, i.e. 100 GB).
+	scaleFactor = 100
+)
+
+// paperParams is the platform cost profile (paper: PostgreSQL).
+var paperParams = cost.PostgresLike()
+
 // Config collects the experiment-wide knobs.
 type Config struct {
-	// Params is the platform cost profile (paper: PostgreSQL).
-	Params cost.Params
-	// Ratio is the contour cost ratio (paper default 2).
-	Ratio float64
-	// Lambda is the anorexic reduction threshold for PlanBouquet
-	// (paper default 0.2).
-	Lambda float64
 	// MaxLocations caps per-query MSO sweeps; 0 = exhaustive. The paper
 	// enumerated exhaustively; large high-D grids are subsampled here to
 	// stay laptop-scale.
 	MaxLocations int
-	// Seed drives sweep subsampling.
-	Seed int64
-	// ScaleFactor is the TPC-DS scale (paper: 100, i.e. 100 GB).
-	ScaleFactor float64
 	// ResOverride optionally overrides the grid resolution per query name
 	// (useful to shrink benchmark runtimes).
 	ResOverride map[string]int
@@ -52,14 +57,7 @@ type Config struct {
 
 // DefaultConfig returns the paper-faithful configuration.
 func DefaultConfig() Config {
-	return Config{
-		Params:       cost.PostgresLike(),
-		Ratio:        ess.CostDoublingRatio,
-		Lambda:       0.2,
-		MaxLocations: 512,
-		Seed:         1,
-		ScaleFactor:  100,
-	}
+	return Config{MaxLocations: 512}
 }
 
 // Lab owns the built ESS spaces and reduced diagrams, caching them across
@@ -96,12 +94,12 @@ func (l *Lab) Catalog(name string) (*catalog.Catalog, error) {
 	switch name {
 	case "tpcds":
 		if l.tpcds == nil {
-			l.tpcds = catalog.TPCDS(l.Config.ScaleFactor)
+			l.tpcds = catalog.TPCDS(scaleFactor)
 		}
 		return l.tpcds, nil
 	case "tpch":
 		if l.tpch == nil {
-			l.tpch = catalog.TPCH(l.Config.ScaleFactor)
+			l.tpch = catalog.TPCH(scaleFactor)
 		}
 		return l.tpch, nil
 	case "imdb":
@@ -115,7 +113,7 @@ func (l *Lab) Catalog(name string) (*catalog.Catalog, error) {
 
 // Space returns the built ESS for the spec, caching per (query, profile).
 func (l *Lab) Space(sp workload.Spec) (*ess.Space, error) {
-	return l.SpaceWith(sp, l.Config.Params)
+	return l.SpaceWith(sp, paperParams)
 }
 
 // SpaceWith is Space under an explicit cost profile.
@@ -157,7 +155,7 @@ func (l *Lab) SpaceWith(sp workload.Spec, params cost.Params) (*ess.Space, error
 
 // Diagram returns the anorexic-reduced plan diagram for the spec.
 func (l *Lab) Diagram(sp workload.Spec) (*bouquet.Diagram, error) {
-	key := sp.Name + "@" + l.Config.Params.Name
+	key := sp.Name + "@" + paperParams.Name
 	l.mu.Lock()
 	if d, ok := l.diagrams[key]; ok {
 		l.mu.Unlock()
@@ -169,7 +167,7 @@ func (l *Lab) Diagram(sp workload.Spec) (*bouquet.Diagram, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := bouquet.Reduce(s, l.Config.Lambda)
+	d := bouquet.Reduce(s, reductionLambda)
 	l.mu.Lock()
 	l.diagrams[key] = d
 	l.mu.Unlock()
@@ -190,7 +188,7 @@ func (l *Lab) sweep(s *ess.Space, run metrics.RunFunc) metrics.SweepResult {
 func (l *Lab) sweepOn(s *ess.Space, run metrics.RunFunc, workers int) metrics.SweepResult {
 	res, _ := metrics.SweepContext(context.Background(), s, run, metrics.SweepOptions{
 		MaxLocations: l.Config.MaxLocations,
-		Seed:         l.Config.Seed,
+		Seed:         sweepSeed,
 		Workers:      workers,
 	})
 	return res
@@ -216,13 +214,13 @@ func (l *Lab) cachedSweep(key string, s *ess.Space, run metrics.RunFunc) metrics
 func (l *Lab) pbRun(d *bouquet.Diagram) metrics.RunFunc {
 	return func(truth cost.Location) float64 {
 		e := engine.New(d.Space.Model, truth)
-		return bouquet.Run(d, e, l.Config.Ratio).TotalCost
+		return bouquet.Run(d, e, contourRatio).TotalCost
 	}
 }
 
 // sbRun returns a RunFunc executing SpillBound.
 func (l *Lab) sbRun(s *ess.Space) metrics.RunFunc {
-	r := &spillbound.Runner{Space: s, Ratio: l.Config.Ratio}
+	r := &spillbound.Runner{Space: s, Ratio: contourRatio}
 	return func(truth cost.Location) float64 {
 		return r.Run(engine.New(s.Model, truth)).TotalCost
 	}
@@ -232,7 +230,7 @@ func (l *Lab) sbRun(s *ess.Space) metrics.RunFunc {
 // maximum partition penalty seen across the sweep (safe under parallel
 // sweeps).
 func (l *Lab) abRun(s *ess.Space, maxPenalty *float64) metrics.RunFunc {
-	r := &aligned.Runner{Space: s, Ratio: l.Config.Ratio}
+	r := &aligned.Runner{Space: s, Ratio: contourRatio}
 	var mu sync.Mutex
 	return func(truth cost.Location) float64 {
 		out := r.Run(engine.New(s.Model, truth))

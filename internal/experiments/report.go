@@ -100,11 +100,11 @@ type Report struct {
 // BuildReport runs every experiment and collects the structured results.
 func (l *Lab) BuildReport() (*Report, error) {
 	var r Report
-	r.Config.Profile = l.Config.Params.Name
-	r.Config.Ratio = l.Config.Ratio
-	r.Config.Lambda = l.Config.Lambda
+	r.Config.Profile = paperParams.Name
+	r.Config.Ratio = contourRatio
+	r.Config.Lambda = reductionLambda
 	r.Config.MaxLocations = l.Config.MaxLocations
-	r.Config.ScaleFactor = l.Config.ScaleFactor
+	r.Config.ScaleFactor = scaleFactor
 	var err error
 	if r.Fig8, err = l.Fig8(); err != nil {
 		return nil, err

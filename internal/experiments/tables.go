@@ -48,7 +48,7 @@ func (l *Lab) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := aligned.AnalyzeAlignment(s, l.Config.Ratio)
+		st := aligned.AnalyzeAlignment(s, contourRatio)
 		rows = append(rows, Table2Row{
 			Query:       sp.Name,
 			OriginalPct: st.NativePct(),
@@ -123,7 +123,7 @@ func (l *Lab) Table3() (Table3Result, error) {
 	timeScale := optCost / paperOptSeconds
 
 	rec := telemetry.NewRecorder()
-	sb, err := (&spillbound.Runner{Space: s, Ratio: l.Config.Ratio}).RunContext(telemetry.With(context.Background(), rec), engine.New(s.Model, truth))
+	sb, err := (&spillbound.Runner{Space: s, Ratio: contourRatio}).RunContext(telemetry.With(context.Background(), rec), engine.New(s.Model, truth))
 	if err != nil {
 		return Table3Result{}, err
 	}
@@ -188,7 +188,7 @@ func (l *Lab) Table3() (Table3Result, error) {
 	res.NativeSubOpt = nativeCost / optCost
 	res.NativeSeconds = nativeCost / timeScale
 
-	ab := (&aligned.Runner{Space: s, Ratio: l.Config.Ratio}).Run(engine.New(s.Model, truth))
+	ab := (&aligned.Runner{Space: s, Ratio: contourRatio}).Run(engine.New(s.Model, truth))
 	res.ABSubOpt = ab.TotalCost / optCost
 	res.ABSeconds = ab.TotalCost / timeScale
 	return res, nil
@@ -242,12 +242,12 @@ func (l *Lab) PlatformShift() ([]PlatformRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		d := bouquet.Reduce(s, l.Config.Lambda)
-		costs := s.ContourCosts(l.Config.Ratio)
+		d := bouquet.Reduce(s, reductionLambda)
+		costs := s.ContourCosts(contourRatio)
 		_, rho := bouquet.ContourDensities(s, d, costs)
 		rows = append(rows, PlatformRow{
 			Profile: params.Name, RhoRed: rho,
-			PB: 4 * (1 + l.Config.Lambda) * float64(rho),
+			PB: 4 * (1 + reductionLambda) * float64(rho),
 			SB: spillbound.Guarantee(sp.D),
 		})
 	}

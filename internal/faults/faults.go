@@ -78,8 +78,8 @@ type Knobs struct {
 	// previous checkpoint and the resume path must redo the in-flight
 	// contour (the bounded-redo case). Unlike the other faults it bypasses
 	// the retry/degradation ladder: the run ends in an error matched by
-	// repro.ErrRunCrashed, and repro's ResumeRun recovers it. Only durable
-	// runs pass checkpoints. 0 disables.
+	// IsCrash, and repro's ResumeRun recovers it. Only durable runs pass
+	// checkpoints. 0 disables.
 	CrashAtCheckpoint int
 }
 

@@ -102,29 +102,6 @@ func (r *SweepResult) aggregate(weight func(ci int) float64) {
 	}
 }
 
-// SweepManyContext evaluates several named strategies over one shared cell
-// sample: pickCells is deterministic in the options, so every strategy is
-// measured at identical true locations — including under subsampling — and
-// the per-strategy MSO/ASO aggregates are directly comparable. Strategies
-// run in name order; a context abort returns the aggregates completed so
-// far with the context's error.
-func SweepManyContext(ctx context.Context, s *ess.Space, runs map[string]RunFunc, opts SweepOptions) (map[string]SweepResult, error) {
-	names := make([]string, 0, len(runs))
-	for name := range runs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make(map[string]SweepResult, len(runs))
-	for _, name := range names {
-		res, err := SweepContext(ctx, s, runs[name], opts)
-		if err != nil {
-			return out, err
-		}
-		out[name] = res
-	}
-	return out, nil
-}
-
 // pickCells returns the sweep's cell sample: every cell when within budget,
 // otherwise a deterministic uniform sample of exactly MaxLocations cells
 // that starts from the origin and, for a cap of two or more, the terminus.

@@ -112,17 +112,6 @@ func (st *Store) LoadRun(runID string) (*RunState, error) {
 	return rs, nil
 }
 
-// DeleteRun removes a run snapshot (missing files are not an error).
-func (st *Store) DeleteRun(runID string) error {
-	if err := validRunID(runID); err != nil {
-		return err
-	}
-	if err := os.Remove(st.runPath(runID)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("runstate: delete run %s: %w", runID, err)
-	}
-	return nil
-}
-
 // Runs lists every run snapshot ID in the store, sorted.
 func (st *Store) Runs() ([]string, error) {
 	entries, err := os.ReadDir(filepath.Join(st.dir, "runs"))

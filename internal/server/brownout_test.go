@@ -122,7 +122,7 @@ func TestBrownoutStageFourShedsRuns(t *testing.T) {
 		t.Fatalf("stage 4 run: status %d, want 503", r.StatusCode)
 	}
 	// The observability surface must survive a full shed.
-	for _, path := range []string{"/v1/healthz", "/v1/metrics", "/v1/debug/stats"} {
+	for _, path := range []string{"/v1/healthz", "/v1/metrics"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/faults"
 	"repro/internal/workload"
 )
 
@@ -64,13 +65,13 @@ func crashRun(t *testing.T, dir, sid string, a repro.Algorithm, rid string) {
 	opts := repro.BenchmarkOptions()
 	opts.GridRes = 6
 	opts.DataDir = filepath.Join(dir, sid)
-	sess, err := repro.NewBenchmarkSession(repro.EQBenchmark(), opts)
+	sess, err := repro.NewBenchmarkSession(workload.EQ(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := repro.WithFaults(context.Background(), &repro.FaultPlan{CrashAtCheckpoint: 2})
 	_, err = sess.RunDurable(ctx, a, repro.Location{0.04, 0.1}, rid)
-	if !repro.ErrRunCrashed(err) {
+	if !faults.IsCrash(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
 }

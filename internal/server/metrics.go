@@ -1,6 +1,6 @@
 // Server-side process metrics: every instrument the HTTP layer populates,
 // registered on one per-Server telemetry.Registry and exposed in the
-// Prometheus text format at GET /v1/metrics (JSON twin: /v1/debug/stats).
+// Prometheus text format at GET /v1/metrics.
 // Instrumentation happens at route-registration time — each handler is
 // wrapped with its route pattern — so the request path never does pattern
 // lookups and the registry's atomic cells are the only shared state.
@@ -230,9 +230,4 @@ func (m *serverMetrics) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = m.reg.WriteProm(w)
-}
-
-// handleDebugStats serves the JSON twin plus process runtime statistics.
-func (m *serverMetrics) handleDebugStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, telemetry.Snapshot(m.reg))
 }

@@ -89,6 +89,12 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		map[string]string{"route": "GET /v1/healthz"}); got < 1 {
 		t.Errorf("rqp_request_duration_seconds_count for GET /v1/healthz = %g, want >= 1", got)
 	}
+	// The process gauges are sampled at scrape time.
+	for _, name := range []string{"rqp_goroutines", "rqp_heap_bytes"} {
+		if got := sampleSum(fams[name], "", nil); got <= 0 {
+			t.Errorf("%s = %g, want > 0", name, got)
+		}
+	}
 }
 
 func TestRunAndSweepPopulateRunMetrics(t *testing.T) {
@@ -138,36 +144,6 @@ func TestRunAndSweepPopulateRunMetrics(t *testing.T) {
 	}
 	if got := sampleSum(fams["rqp_build_cells_optimized_total"], "", nil); got <= 0 {
 		t.Errorf("rqp_build_cells_optimized_total = %g, want > 0", got)
-	}
-}
-
-func TestDebugStatsSnapshot(t *testing.T) {
-	ts := testServer(t)
-	var stats struct {
-		Runtime struct {
-			Goroutines int `json:"goroutines"`
-			GOMAXPROCS int `json:"gomaxprocs"`
-		} `json:"runtime"`
-		Metrics []struct {
-			Name string `json:"name"`
-			Type string `json:"type"`
-		} `json:"metrics"`
-	}
-	resp := getJSON(t, ts.URL+"/v1/debug/stats", &stats)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/stats status %d", resp.StatusCode)
-	}
-	if stats.Runtime.Goroutines <= 0 || stats.Runtime.GOMAXPROCS <= 0 {
-		t.Errorf("runtime stats empty: %+v", stats.Runtime)
-	}
-	found := false
-	for _, m := range stats.Metrics {
-		if m.Name == "rqp_requests_total" && m.Type == "counter" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("debug/stats missing rqp_requests_total family")
 	}
 }
 

@@ -343,7 +343,6 @@ func (s *Server) Handler() http.Handler {
 	// daemon restarts (crash-resumed runs) and outlive its session.
 	route("GET /v1/runs/{id}/trace", s.handleGetTrace)
 	route("GET /v1/metrics", m.handleMetrics)
-	route("GET /v1/debug/stats", m.handleDebugStats)
 	// The trace middleware sits outermost so every response — including
 	// panics recovered below it and overload sheds — carries Traceparent
 	// and X-Request-ID headers.

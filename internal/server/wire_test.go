@@ -17,6 +17,7 @@ import (
 	"time"
 
 	repro "repro"
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -116,7 +117,7 @@ func buildWireGolden(t *testing.T) []wireCase {
 	ctx := trace.WithContext(context.Background(), tp)
 	_, err = sess.RunDurable(repro.WithFaults(ctx, &repro.FaultPlan{CrashAtCheckpoint: 2}),
 		"spillbound", repro.Location{0.0123, 0.234, 0.00456, 0.5678}, "wire-resumed")
-	if !repro.ErrRunCrashed(err) {
+	if !faults.IsCrash(err) {
 		t.Fatalf("want a crash at checkpoint 2, got %v", err)
 	}
 	res, err := sess.ResumeRun(context.Background(), "wire-resumed")

@@ -374,7 +374,7 @@ func Sum(fams map[string]*telemetry.ParsedFamily, name, label, value string) flo
 	return sum
 }
 
-// AwaitGoroutineSettle polls /v1/debug/stats until the daemon's goroutine
+// AwaitGoroutineSettle polls /v1/metrics until the daemon's goroutine
 // count drops back to within slack of the pre-drill baseline, returning the
 // last observed count either way. Every drill that stresses the daemon ends
 // with this check: handlers that survive their request are leaks, and a leak
@@ -392,18 +392,16 @@ func AwaitGoroutineSettle(base string, baseline, slack int, timeout time.Duratio
 	return final, err
 }
 
-// Goroutines reads the live goroutine count from /v1/debug/stats.
+// Goroutines reads the live goroutine count, the rqp_goroutines gauge of
+// /v1/metrics.
 func Goroutines(base string) (int, error) {
-	var doc struct {
-		Runtime struct {
-			Goroutines int `json:"goroutines"`
-		} `json:"runtime"`
-	}
-	if err := GetJSON(base+"/v1/debug/stats", &doc); err != nil {
+	fams, err := Scrape(base, Prometheus)
+	if err != nil {
 		return 0, err
 	}
-	if doc.Runtime.Goroutines <= 0 {
-		return 0, fmt.Errorf("debug stats reported %d goroutines", doc.Runtime.Goroutines)
+	n := int(Sum(fams, "rqp_goroutines", "", ""))
+	if n <= 0 {
+		return 0, fmt.Errorf("metrics reported %d goroutines", n)
 	}
-	return doc.Runtime.Goroutines, nil
+	return n, nil
 }

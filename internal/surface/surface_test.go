@@ -1,8 +1,10 @@
 // Package surface_test holds one check over the whole module: every
 // exported function and method declared in a non-test file under internal/
-// has a caller in a program, or is reachable through the public API. A name
-// that only tests call is library surface nothing runs; delete it with the
-// code only it uses, and move its tests to the path the program runs.
+// has a caller in a program, or is reachable through the public API, and
+// every exported function and method of the root package, which is the
+// public API, has a caller in a program outside it. A name that only tests
+// call is library surface nothing runs; delete it with the code only it
+// uses, and move its tests to the path the program runs.
 //
 // The package has no non-test files, so it builds nothing of its own and its
 // test runs in parallel with the other packages' tests.
@@ -32,10 +34,11 @@ const (
 )
 
 // exempt lists the exported names with no program caller that stay, each
-// with its reason. Interface methods and names reachable from the root
-// package's exported API are found by the check itself and are not listed.
-// A key is a package under internal/, then the receiver's type name for a
-// method, then the name; a bare package exempts all of it.
+// with its reason. Interface methods and, under internal/, names reachable
+// from the root package's exported API are found by the check itself and
+// are not listed. A key is a package under internal/ (or "repro" for the
+// root), then the receiver's type name for a method, then the name; a bare
+// package exempts all of it.
 var exempt = map[string]string{
 	// Test seams that other packages' tests call.
 	"optimizer.MustNew":       "panicking constructor for tests over fixed queries",
@@ -81,7 +84,7 @@ func TestEveryExportHasProgramCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range unused {
-		t.Errorf("%s has no caller outside _test.go files: delete it, or add it to exempt with the reason it stays", name)
+		t.Errorf("%s has no caller outside _test.go files (nor, in the root package, outside it): delete it, or add it to exempt with the reason it stays", name)
 	}
 	for _, name := range stale {
 		t.Errorf("exempt lists %s, which has a caller, is reachable from the API or is gone: drop the entry", name)
@@ -90,13 +93,16 @@ func TestEveryExportHasProgramCaller(t *testing.T) {
 
 // scan type-checks the non-test files of every package of the modules in
 // dirs, the first of which holds the root package. It returns the exported
-// functions and methods under internal/ that nothing outside tests uses and
-// exempt does not list, and the exempt entries that cover none of them.
+// functions and methods under internal/ that nothing outside tests uses, and
+// those of the root package that nothing outside tests and the root package
+// uses, that exempt does not list, and the exempt entries that cover none
+// of them.
 func scan(dirs ...string) (unused, stale []string, err error) {
 	c := &checker{
 		fset:    token.NewFileSet(),
 		local:   map[string]pkg{},
 		checked: map[string]*types.Package{},
+		files:   map[*token.File]string{},
 		info: &types.Info{
 			Defs:  map[*ast.Ident]types.Object{},
 			Uses:  map[*ast.Ident]types.Object{},
@@ -144,12 +150,13 @@ func scan(dirs ...string) (unused, stale []string, err error) {
 		}
 	}
 
-	// Every exported function and method declared under internal/; a
-	// method an interface type declares has no body to be dead.
+	// Every exported function and method declared in the root package or
+	// under internal/; a method an interface type declares has no body to
+	// be dead.
 	decls := map[*types.Func]string{}
 	for _, obj := range c.info.Defs {
 		fn, ok := obj.(*types.Func)
-		if !ok || !fn.Exported() || !strings.HasPrefix(fn.Pkg().Path(), internal) {
+		if !ok || !fn.Exported() || fn.Pkg().Path() != module && !strings.HasPrefix(fn.Pkg().Path(), internal) {
 			continue
 		}
 		if recv := fn.Type().(*types.Signature).Recv(); recv == nil || !types.IsInterface(recv.Type()) {
@@ -167,6 +174,11 @@ func scan(dirs ...string) (unused, stale []string, err error) {
 		if _, ok := decls[fn]; ok && fn.Scope().Contains(id.Pos()) {
 			continue
 		}
+		// The root package is the public API: an export there is a promise
+		// to callers outside it, so its own uses do not count.
+		if fn.Pkg() != nil && fn.Pkg().Path() == module && c.files[c.fset.File(id.Pos())] == module {
+			continue
+		}
 		used[fn] = true
 	}
 
@@ -177,7 +189,7 @@ func scan(dirs ...string) (unused, stale []string, err error) {
 	api := reachable(c.checked[module])
 	needed := map[string]bool{}
 	for fn, name := range decls {
-		if used[fn] || api[fn] || implements(fn, ifaces) {
+		if used[fn] || api[fn] && fn.Pkg().Path() != module || implements(fn, ifaces) {
 			continue
 		}
 		if k, ok := exempted(name); ok {
@@ -218,13 +230,15 @@ func goList(dir string, args ...string) ([]pkg, error) {
 }
 
 // checker type-checks the module's packages from source, each once, and
-// the standard library from export data, recording every use in one Info.
+// the standard library from export data, recording every use in one Info
+// and the package of every file it parsed.
 type checker struct {
 	fset    *token.FileSet
 	gc      types.Importer
 	local   map[string]pkg
 	checked map[string]*types.Package
 	info    *types.Info
+	files   map[*token.File]string
 }
 
 func (c *checker) Import(path string) (*types.Package, error) {
@@ -242,6 +256,7 @@ func (c *checker) Import(path string) (*types.Package, error) {
 			return nil, err
 		}
 		files = append(files, f)
+		c.files[c.fset.File(f.Pos())] = path
 	}
 	conf := types.Config{Importer: c}
 	tp, err := conf.Check(path, c.fset, files, c.info)
@@ -382,8 +397,8 @@ func reachable(root *types.Package) map[*types.Func]bool {
 	return out
 }
 
-// key names fn as exempt does: its package under internal/, its receiver's
-// type name for a method, and its own name.
+// key names fn as exempt does: its package under internal/ (or the root
+// package's path), its receiver's type name for a method, and its own name.
 func key(fn *types.Func) string {
 	k := strings.TrimPrefix(fn.Pkg().Path(), internal)
 	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -426,99 +425,4 @@ func formatValue(v float64) string {
 		return "-Inf"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// FamilySnapshot is one metric family in a point-in-time snapshot.
-type FamilySnapshot struct {
-	Name   string           `json:"name"`
-	Help   string           `json:"help"`
-	Type   string           `json:"type"`
-	Series []SeriesSnapshot `json:"series"`
-}
-
-// SeriesSnapshot is one labeled series' data.
-type SeriesSnapshot struct {
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   float64           `json:"value"`
-	Count   uint64            `json:"count,omitempty"`
-	Sum     float64           `json:"sum,omitempty"`
-	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
-}
-
-// BucketSnapshot is one cumulative histogram bucket.
-type BucketSnapshot struct {
-	LE    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// SnapshotMetrics captures every family's current values — the JSON twin of
-// the text exposition, served by /v1/debug/stats.
-func (r *Registry) SnapshotMetrics() []FamilySnapshot {
-	var out []FamilySnapshot
-	for _, f := range r.sortedFamilies() {
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ}
-		if f.fn != nil {
-			fs.Series = []SeriesSnapshot{{Value: f.fn()}}
-			out = append(out, fs)
-			continue
-		}
-		for _, s := range f.sortedSeries() {
-			ss := SeriesSnapshot{}
-			if len(f.labels) > 0 {
-				ss.Labels = make(map[string]string, len(f.labels))
-				for i, n := range f.labels {
-					ss.Labels[n] = s.labelValues[i]
-				}
-			}
-			if f.typ == "histogram" {
-				cum := uint64(0)
-				for i, ub := range f.buckets {
-					cum += s.counts[i].Load()
-					ss.Buckets = append(ss.Buckets, BucketSnapshot{LE: formatValue(ub), Count: cum})
-				}
-				cum += s.counts[len(f.buckets)].Load()
-				ss.Buckets = append(ss.Buckets, BucketSnapshot{LE: "+Inf", Count: cum})
-				ss.Count = s.count.Load()
-				ss.Sum = math.Float64frombits(s.sumBits.Load())
-			} else {
-				ss.Value = math.Float64frombits(s.bits.Load())
-			}
-			fs.Series = append(fs.Series, ss)
-		}
-		out = append(out, fs)
-	}
-	return out
-}
-
-// RuntimeStats is the process-level half of a debug snapshot.
-type RuntimeStats struct {
-	Goroutines     int    `json:"goroutines"`
-	GOMAXPROCS     int    `json:"gomaxprocs"`
-	HeapAllocBytes uint64 `json:"heapAllocBytes"`
-	TotalAllocated uint64 `json:"totalAllocBytes"`
-	SysBytes       uint64 `json:"sysBytes"`
-	NumGC          uint32 `json:"numGC"`
-}
-
-// Stats is the full debug snapshot served by /v1/debug/stats.
-type Stats struct {
-	Runtime RuntimeStats     `json:"runtime"`
-	Metrics []FamilySnapshot `json:"metrics"`
-}
-
-// Snapshot captures the registry together with process runtime statistics.
-func Snapshot(r *Registry) Stats {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return Stats{
-		Runtime: RuntimeStats{
-			Goroutines:     runtime.NumGoroutine(),
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-			HeapAllocBytes: m.HeapAlloc,
-			TotalAllocated: m.TotalAlloc,
-			SysBytes:       m.Sys,
-			NumGC:          m.NumGC,
-		},
-		Metrics: r.SnapshotMetrics(),
-	}
 }

@@ -158,41 +158,4 @@ func TestRegistryConcurrency(t *testing.T) {
 	if h.s.count.Load() != 1600 {
 		t.Errorf("histogram count = %d", h.s.count.Load())
 	}
-	snap := Snapshot(reg)
-	if snap.Runtime.Goroutines <= 0 || len(snap.Metrics) != 3 {
-		t.Errorf("snapshot = %+v", snap.Runtime)
-	}
-}
-
-func TestSnapshotMetricsShape(t *testing.T) {
-	reg := NewRegistry()
-	reg.CounterVec("r_total", "x", "algo").With("spillbound").Add(2)
-	h := reg.Histogram("s", "x", []float64{1})
-	h.Observe(0.5)
-	h.Observe(3)
-	snap := reg.SnapshotMetrics()
-	if len(snap) != 2 {
-		t.Fatalf("families = %d", len(snap))
-	}
-	var rs, ss *FamilySnapshot
-	for i := range snap {
-		switch snap[i].Name {
-		case "r_total":
-			rs = &snap[i]
-		case "s":
-			ss = &snap[i]
-		}
-	}
-	if rs == nil || ss == nil {
-		t.Fatalf("missing families: %+v", snap)
-	}
-	if rs.Series[0].Labels["algo"] != "spillbound" || rs.Series[0].Value != 2 {
-		t.Errorf("counter series = %+v", rs.Series[0])
-	}
-	if ss.Series[0].Count != 2 || ss.Series[0].Sum != 3.5 {
-		t.Errorf("histogram series = %+v", ss.Series[0])
-	}
-	if got := ss.Series[0].Buckets; len(got) != 2 || got[0].Count != 1 || got[1].Count != 2 || got[1].LE != "+Inf" {
-		t.Errorf("buckets = %+v", got)
-	}
 }

@@ -27,13 +27,6 @@ func bandChar(i int) byte {
 	return bandChars[i]
 }
 
-// ContourMap renders the covering-contour index of every grid cell of a 2D
-// space: cell (x,y) shows the first contour whose budget covers the
-// optimal cost there. The Y (dimension 1) axis points up.
-func ContourMap(s *ess.Space, ratio float64) (string, error) {
-	return render(s, ratio, nil, nil)
-}
-
 // Fig7 renders the contour map with a SpillBound run's Manhattan profile
 // overlaid: '*' marks the running location's path from the origin, 'X' the
 // true location q_a.

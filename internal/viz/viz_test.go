@@ -44,9 +44,11 @@ func build3D(t *testing.T) *ess.Space {
 	return s
 }
 
+// TestContourMapRenders checks the contour map Fig7 draws its profile
+// over, rendered without a path or truth.
 func TestContourMapRenders(t *testing.T) {
 	s := build2D(t, 12)
-	out, err := ContourMap(s, 2)
+	out, err := render(s, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestContourMapRenders(t *testing.T) {
 
 func TestContourMapBandsMonotone(t *testing.T) {
 	s := build2D(t, 10)
-	out, err := ContourMap(s, 2)
+	out, err := render(s, 2, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestFig7Overlay(t *testing.T) {
 
 func TestRenderRejectsNon2D(t *testing.T) {
 	s := build3D(t)
-	if _, err := ContourMap(s, 2); err == nil {
+	if _, err := render(s, 2, nil, nil); err == nil {
 		t.Error("3D map should be rejected")
 	}
 	if _, err := Fig7(s, 2, nil, cost.Location{1, 1, 1}); err == nil {

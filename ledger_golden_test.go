@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // ledgerEntry is one pinned durable snapshot: which run produced it and the
@@ -74,7 +76,7 @@ func buildLedgerGolden(t *testing.T) []ledgerEntry {
 				if err == nil {
 					break
 				}
-				if !ErrRunCrashed(err) {
+				if !faults.IsCrash(err) {
 					t.Fatalf("%s/%s k=%d: %v", c.query, a, k, err)
 				}
 				add(fmt.Sprintf("crash@%d", k), rid)
@@ -82,15 +84,6 @@ func buildLedgerGolden(t *testing.T) []ledgerEntry {
 					t.Fatalf("%s/%s k=%d resume: %v", c.query, a, k, err)
 				}
 				add(fmt.Sprintf("resume@%d", k), rid)
-			}
-			ids, err := sess.DurableRuns()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range ids {
-				if err := sess.DeleteRun(id); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 	}

@@ -11,16 +11,14 @@ import (
 // worker contention).
 func parallelCases() []struct {
 	name string
-	bq   BenchmarkQuery
 	res  int
 } {
 	return []struct {
 		name string
-		bq   BenchmarkQuery
 		res  int
 	}{
-		{"2D_Q91", Q91Benchmark(2), 10},
-		{"3D_Q91", Q91Benchmark(3), 7},
+		{"2D_Q91", 10},
+		{"3D_Q91", 7},
 	}
 }
 
@@ -34,12 +32,12 @@ func TestParallelBuildMatchesSerialSession(t *testing.T) {
 			opts := BenchmarkOptions()
 			opts.GridRes = tc.res
 			opts.Workers = 1
-			serial, err := NewBenchmarkSession(tc.bq, opts)
+			serial, err := NewBenchmarkSession(benchmarkQuery(t, tc.name), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			opts.Workers = 8
-			par, err := NewBenchmarkSession(tc.bq, opts)
+			par, err := NewBenchmarkSession(benchmarkQuery(t, tc.name), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +75,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := BenchmarkOptions()
 			opts.GridRes = tc.res
-			sess, err := NewBenchmarkSession(tc.bq, opts)
+			sess, err := NewBenchmarkSession(benchmarkQuery(t, tc.name), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +118,7 @@ func TestSweepSeedOption(t *testing.T) {
 	opts := BenchmarkOptions()
 	opts.GridRes = 10
 	opts.SweepSeed = 7
-	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +154,7 @@ func TestSweepSeedOption(t *testing.T) {
 func TestNewSessionContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewSessionContext(ctx, TPCDSCatalog(10), paperEQ, paperEPPs, DefaultOptions()); err == nil {
+	if _, err := newSessionContext(ctx, TPCDSCatalog(10), paperEQ, paperEPPs, DefaultOptions()); err == nil {
 		t.Fatal("canceled build should fail")
 	}
 }
@@ -177,7 +175,7 @@ func TestBuildProgressOption(t *testing.T) {
 		}
 		lastTotal = total
 	}
-	if _, err := NewBenchmarkSession(Q91Benchmark(2), opts); err != nil {
+	if _, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts); err != nil {
 		t.Fatal(err)
 	}
 	if want := 8 * 8; calls != want || maxDone != want || lastTotal != want {
@@ -191,7 +189,7 @@ func TestBuildProgressOption(t *testing.T) {
 func TestSessionOptimizerReuse(t *testing.T) {
 	opts := BenchmarkOptions()
 	opts.GridRes = 8
-	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +205,7 @@ func TestSessionOptimizerReuse(t *testing.T) {
 	if r1.TotalCost != r2.TotalCost || r1.OptimalCost != r2.OptimalCost {
 		t.Errorf("repeated runs diverge: %+v vs %+v", r1, r2)
 	}
-	fresh, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	fresh, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +225,7 @@ func TestSessionOptimizerReuse(t *testing.T) {
 func TestConcurrentRunsOnOneSession(t *testing.T) {
 	opts := BenchmarkOptions()
 	opts.GridRes = 8
-	sess, err := NewBenchmarkSession(Q91Benchmark(2), opts)
+	sess, err := NewBenchmarkSession(benchmarkQuery(t, "2D_Q91"), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

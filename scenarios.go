@@ -15,14 +15,13 @@ import (
 // This file exposes the error-regime scenario machinery: seeded scenario
 // suites sweeping the three q-error regimes (benign, regret-correlated,
 // adversarial — see PAPERS.md "When Does q-error Predict Plan Regret?"),
-// per-regime MSO/ASO sweeps with a guardrail-intervention census, and the
-// Graefe-style robustness atlas built from them.
+// and the Graefe-style robustness atlas built from per-regime sweeps with a
+// guardrail-intervention census.
 // A scenario composes the fault knobs (SkewLearnedAt/Factor, Latency,
 // BudgetOverrun, exec failures, crash points) into a deterministic,
 // replayable plan.
 
-// The three error regimes, as reported by Scenario.Regime and
-// RegimeSummary.Regime.
+// The three error regimes, as reported by Scenario.Regime.
 const (
 	// RegimeBenign: estimation error present, plan regret absent.
 	RegimeBenign = "benign"
@@ -34,9 +33,9 @@ const (
 	RegimeAdversarial = "adversarial"
 )
 
-// Regimes returns the regime labels in canonical sweep order. A regime's
+// regimes returns the regime labels in canonical sweep order. A regime's
 // index in this order seeds its scenarios' random streams.
-func Regimes() []string {
+func regimes() []string {
 	return []string{RegimeBenign, RegimeCorrelated, RegimeAdversarial}
 }
 
@@ -73,7 +72,7 @@ func ScenarioSuite(seed int64, perRegime int) []Scenario {
 		perRegime = 1
 	}
 	var out []Scenario
-	for r, regime := range Regimes() {
+	for r, regime := range regimes() {
 		for i := 0; i < perRegime; i++ {
 			out = append(out, newScenario(seed, r, i, fmt.Sprintf("%s-%d", regime, i+1)))
 		}
@@ -88,7 +87,7 @@ func ScenarioSuite(seed int64, perRegime int) []Scenario {
 // ScenarioSuite would not produce (n < 1, a sign, leading zeros) resolve to
 // nothing.
 func ScenarioByName(seed int64, name string) (Scenario, bool) {
-	for r, regime := range Regimes() {
+	for r, regime := range regimes() {
 		if len(name) <= len(regime) || name[:len(regime)] != regime || name[len(regime)] != '-' {
 			continue
 		}
@@ -103,7 +102,7 @@ func ScenarioByName(seed int64, name string) (Scenario, bool) {
 }
 
 // newScenario draws the i-th (0-based) scenario of the regime at index r of
-// Regimes(). Its random stream derives from (seed, r, i) alone, so a
+// regimes(). Its random stream derives from (seed, r, i) alone, so a
 // scenario's knobs are identical regardless of the suite size it was
 // generated in — "adversarial-1" means the same faults in a 1-per-regime
 // drill and a 10-per-regime atlas sweep. The class rotation is a function
@@ -111,7 +110,7 @@ func ScenarioByName(seed int64, name string) (Scenario, bool) {
 // scenarios' classes.
 func newScenario(seed int64, r, i int, name string) Scenario {
 	rng := rand.New(rand.NewSource(seed*1000003 + int64(r)*8191 + int64(i)*31 + 7))
-	sc := Scenario{Name: name, Regime: Regimes()[r]}
+	sc := Scenario{Name: name, Regime: regimes()[r]}
 	k := &sc.Faults
 	switch sc.Regime {
 	case RegimeBenign:
@@ -155,70 +154,14 @@ func newScenario(seed int64, r, i int, name string) Scenario {
 	return sc
 }
 
-// RegimeSummary aggregates one algorithm's robustness within one error
-// regime: MSO/ASO over every (scenario, location) pair plus the census of
-// guardrail interventions — the per-regime numbers that one aggregate MSO
-// hides (a strategy can look robust on average while an entire regime is
-// carried by the escape fallback).
-type RegimeSummary struct {
-	// Regime is the regime label (RegimeBenign, ...).
-	Regime string
-	// Algorithm is the evaluated strategy.
-	Algorithm Algorithm
-	// Scenarios is how many suite scenarios fed the aggregate.
-	Scenarios int
-	// MSO is the worst sub-optimality over every (scenario, location) pair.
-	MSO float64
-	// ASO is the average sub-optimality.
-	ASO float64
-	// Locations counts the accounted (scenario, location) evaluations.
-	Locations int
-	// WorstLocation attains the MSO (nil when nothing ran).
-	WorstLocation Location
-	// GuardVerdicts counts runs by guard intervention: "budget_abort",
-	// "ess_escape", "crashed". Clean runs are not counted.
-	GuardVerdicts map[string]int
-	// Degraded counts runs that fell back to the Native plan.
-	Degraded int
-	// Skipped counts evaluations excluded from the aggregates (unexpected
-	// terminal errors).
-	Skipped int
-}
-
-// SweepScenarios evaluates the algorithm under every scenario of the suite
-// at (a sample of) every ESS grid cell and aggregates per regime, in
-// canonical regime order. Each (scenario, location) evaluation is a full
-// guarded run — fault injection, budget cut-off, escape fallback, retry
-// ladder — so the summaries report the operational robustness of the
-// strategy, not just its clean-path cost. maxLocations caps the
-// per-scenario location sample (0 = exhaustive); the sample is shared
-// across scenarios and algorithms (Options.SweepSeed), so strategies are
-// compared on identical ground truth.
-func (s *Session) SweepScenarios(ctx context.Context, a Algorithm, suite []Scenario, maxLocations int) ([]RegimeSummary, error) {
-	if len(suite) == 0 {
-		return nil, fmt.Errorf("repro: empty scenario suite")
-	}
-	results, err := s.scenarioSweep(ctx, a, suite, maxLocations)
-	if err != nil {
-		return nil, fmt.Errorf("repro: scenario sweep aborted: %w", err)
-	}
-	out := make([]RegimeSummary, len(results))
-	for i, r := range results {
-		out[i] = RegimeSummary{
-			Regime: r.Regime, Algorithm: a, Scenarios: r.Scenarios,
-			MSO: r.MSO, ASO: r.ASO, Locations: r.Locations,
-			GuardVerdicts: r.Guard, Degraded: r.Degraded, Skipped: r.Skipped,
-		}
-		if r.MSOCell >= 0 {
-			out[i].WorstLocation = s.space.Grid.Location(r.MSOCell)
-		}
-	}
-	return out, nil
-}
-
 // scenarioSweep runs the algorithm under every scenario of the suite at (a
-// sample of) every grid cell, one full guarded run per (scenario,
-// location), and aggregates per regime.
+// sample of) every grid cell and aggregates per regime, in canonical regime
+// order. Each (scenario, location) evaluation is a full guarded run — fault
+// injection, budget cut-off, escape fallback, retry ladder — so the results
+// report the operational robustness of the strategy, not just its
+// clean-path cost. maxLocations caps the per-scenario location sample (0 =
+// exhaustive); the sample is shared across scenarios and algorithms
+// (Options.SweepSeed), so strategies are compared on identical ground truth.
 func (s *Session) scenarioSweep(ctx context.Context, a Algorithm, suite []Scenario, maxLocations int) ([]*metrics.RegimeResult, error) {
 	regimeOf := make([]string, len(suite))
 	for i, sc := range suite {
@@ -279,7 +222,7 @@ func (s *Session) Atlas(ctx context.Context, algos []Algorithm, suite []Scenario
 		NY:      g.Res(1),
 		SelX:    append([]float64(nil), g.Points[0]...),
 		SelY:    append([]float64(nil), g.Points[1]...),
-		Regimes: Regimes(),
+		Regimes: regimes(),
 	}
 	for _, a := range algos {
 		results, err := s.scenarioSweep(ctx, a, suite, maxLocations)
@@ -306,13 +249,11 @@ func (s *Session) Atlas(ctx context.Context, algos []Algorithm, suite []Scenario
 
 // defaultAtlasAlgorithms is the atlas's default row set: the paper's
 // discovery trio in their canonical order, followed by every other
-// registered non-baseline strategy (the selection family, external
-// registrations) sorted by name — so new strategies grow atlas rows
-// without callers naming them.
+// non-baseline strategy (the selection family) sorted by name.
 func defaultAtlasAlgorithms() []Algorithm {
 	algos := []Algorithm{PlanBouquet, SpillBound, AlignedBound}
 	listed := map[Algorithm]bool{Native: true, PlanBouquet: true, SpillBound: true, AlignedBound: true}
-	for _, name := range StrategyNames() {
+	for _, name := range strategyNames() {
 		if a := Algorithm(name); !listed[a] {
 			algos = append(algos, a)
 		}

@@ -21,7 +21,7 @@ func TestScenarioSuitePublicAPI(t *testing.T) {
 			t.Errorf("ScenarioByName(%q) = %+v, %v; want %+v", sc.Name, got, ok, sc)
 		}
 	}
-	for _, r := range Regimes() {
+	for _, r := range regimes() {
 		if counts[r] != 2 {
 			t.Errorf("regime %s: %d scenarios, want 2", r, counts[r])
 		}
@@ -53,7 +53,7 @@ func TestScenarioSuiteDeterministicAndComplete(t *testing.T) {
 	for _, sc := range a {
 		counts[sc.Regime]++
 	}
-	for _, r := range Regimes() {
+	for _, r := range regimes() {
 		if counts[r] != 3 {
 			t.Errorf("regime %s has %d scenarios, want 3", r, counts[r])
 		}
@@ -177,16 +177,16 @@ func FuzzScenarioByName(f *testing.F) {
 	})
 }
 
-// TestSweepScenariosAcrossAlgorithms is the tentpole acceptance check: one
-// seeded suite drives per-regime MSO/ASO for all three q-error regimes
-// across every robust strategy and a selection strategy, from a single
-// harness, and the guard-verdict census records the pinned drills.
+// TestSweepScenariosAcrossAlgorithms checks the scenario sweep the atlas
+// runs: one seeded suite drives per-regime MSO/ASO for all three q-error
+// regimes across every robust strategy and a selection strategy, from a
+// single harness, and the guard-verdict census records the pinned drills.
 func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 	sess := newTestSession(t)
 	suite := ScenarioSuite(42, 2)
-	want := Regimes()
+	want := regimes()
 	for _, a := range []Algorithm{PlanBouquet, SpillBound, AlignedBound, "penaltyaware"} {
-		summaries, err := sess.SweepScenarios(context.Background(), a, suite, 8)
+		summaries, err := sess.scenarioSweep(context.Background(), a, suite, 8)
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -198,28 +198,28 @@ func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 			if rs.Regime != want[i] {
 				t.Errorf("%v: regime[%d] = %s, want %s", a, i, rs.Regime, want[i])
 			}
-			if rs.Algorithm != a || rs.Scenarios != 2 {
-				t.Errorf("%v/%s: algorithm/scenario bookkeeping: %+v", a, rs.Regime, rs)
+			if rs.Scenarios != 2 {
+				t.Errorf("%v/%s: scenario bookkeeping: %+v", a, rs.Regime, rs)
 			}
 			if rs.Locations == 0 || math.IsInf(rs.MSO, 0) || math.IsNaN(rs.MSO) ||
 				rs.MSO < 1 || rs.ASO < 1 || rs.MSO < rs.ASO {
 				t.Errorf("%v/%s: implausible aggregates MSO=%g ASO=%g locations=%d",
 					a, rs.Regime, rs.MSO, rs.ASO, rs.Locations)
 			}
-			if rs.MSO > 1 && rs.WorstLocation == nil {
+			if rs.MSO > 1 && rs.MSOCell < 0 {
 				t.Errorf("%v/%s: missing worst location", a, rs.Regime)
 			}
 			// regret-correlated-1 always overruns its budgets, so the
 			// watchdog must abort for a discovery and a selection strategy;
 			// adversarial-1 skews monitoring past the ESS boundary.
 			if rs.Regime == RegimeCorrelated && (a == SpillBound || a == "penaltyaware") &&
-				rs.GuardVerdicts["budget_abort"] == 0 {
+				rs.Guard["budget_abort"] == 0 {
 				t.Errorf("%v/%s: no budget_abort censused", a, rs.Regime)
 			}
-			if rs.Regime == RegimeAdversarial && a == SpillBound && rs.GuardVerdicts["ess_escape"] == 0 {
+			if rs.Regime == RegimeAdversarial && a == SpillBound && rs.Guard["ess_escape"] == 0 {
 				t.Errorf("%v/%s: no ess_escape censused", a, rs.Regime)
 			}
-			escapes += rs.GuardVerdicts["ess_escape"]
+			escapes += rs.Guard["ess_escape"]
 		}
 		// The escape guardrail must fire for the spill-monitoring
 		// strategies. PlanBouquet never spills and the selection family has
@@ -230,9 +230,11 @@ func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSweepScenariosRejectsEmptySuite checks that the atlas, the scenario
+// sweep's caller, rejects a suite with no scenarios.
 func TestSweepScenariosRejectsEmptySuite(t *testing.T) {
 	sess := newTestSession(t)
-	if _, err := sess.SweepScenarios(context.Background(), SpillBound, nil, 4); err == nil {
+	if _, err := sess.Atlas(context.Background(), []Algorithm{SpillBound}, nil, 4); err == nil {
 		t.Error("empty suite accepted")
 	}
 }
@@ -264,7 +266,7 @@ func TestSessionAtlas(t *testing.T) {
 		t.Errorf("JSON render failed: %v", err)
 	}
 	// The atlas is a 2D artifact.
-	sess3, err := NewBenchmarkSession(Q91Benchmark(3), func() Options {
+	sess3, err := NewBenchmarkSession(benchmarkQuery(t, "3D_Q91"), func() Options {
 		o := BenchmarkOptions()
 		o.GridRes = 4
 		return o

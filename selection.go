@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/runstate"
 )
 
 const (
@@ -220,13 +222,16 @@ func chooseMinmaxRegret(s *Session) selectionChoice {
 func runLadder(ctx context.Context, r *StrategyRun, name string, choose func(*Session) selectionChoice) (StrategyOutcome, error) {
 	ch := r.sess.selectionFor(name, choose)
 	var out StrategyOutcome
-	start, _ := r.Resume()
+	start := 0
+	if r.resume != nil {
+		start = r.resume.Contour
+	}
 	budget := ch.initBudget * math.Pow(2, float64(start))
 	for step := start; step < maxLadderSteps; step++ {
-		if err := r.Checkpoint(ctx, step); err != nil {
+		if err := runstate.Checkpoint(ctx, step); err != nil {
 			return out, err
 		}
-		spent, completed, err := r.Execute(ctx, step+1, ch.planID, budget)
+		spent, completed, err := r.execute(ctx, step+1, ch.planID, budget)
 		if err != nil {
 			return out, err
 		}
@@ -253,10 +258,9 @@ func (st selectionStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOu
 }
 func (st selectionStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
 
-// registerSelectionStrategies registers the selection family (called from
-// the strategy registry's init).
-func registerSelectionStrategies() {
-	mustRegisterStrategy(selectionStrategy{
+// selectionStrategies is the selection family's part of strategyTable.
+var selectionStrategies = []Strategy{
+	selectionStrategy{
 		info: StrategyInfo{
 			Name: "penaltyaware", Kind: "selection", Guarantee: "none",
 			Resumable: true,
@@ -267,8 +271,8 @@ func registerSelectionStrategies() {
 			},
 		},
 		choose: choosePenaltyAware,
-	})
-	mustRegisterStrategy(selectionStrategy{
+	},
+	selectionStrategy{
 		info: StrategyInfo{
 			Name: "probabilistic", Kind: "selection", Guarantee: "none",
 			Resumable: true,
@@ -278,8 +282,8 @@ func registerSelectionStrategies() {
 			},
 		},
 		choose: chooseProbabilistic,
-	})
-	mustRegisterStrategy(selectionStrategy{
+	},
+	selectionStrategy{
 		info: StrategyInfo{
 			Name: "minmaxregret", Kind: "selection", Guarantee: "none",
 			Resumable: true,
@@ -288,5 +292,5 @@ func registerSelectionStrategies() {
 			},
 		},
 		choose: chooseMinmaxRegret,
-	})
+	},
 }

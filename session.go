@@ -27,14 +27,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Algorithm selects a query processing strategy. It is a thin compatibility
-// shim over the strategy registry (see strategy.go): the value IS the
-// registered strategy name, so every Algorithm-typed API accepts any
-// registered strategy, not just the built-in constants below.
+// Algorithm selects a query processing strategy by its canonical name (see
+// strategy.go), so every Algorithm-typed API accepts any strategy, not just
+// the constants below.
 type Algorithm string
 
-// The built-in processing strategies (see Strategies() for the full
-// registry, including the selection strategies of selection.go).
+// The paper's processing strategies (see Strategies() for the full set,
+// including the selection strategies of selection.go).
 const (
 	// Native is the traditional optimize-then-execute baseline: pick the
 	// plan optimal at the statistics estimate and run it regardless.
@@ -48,7 +47,7 @@ const (
 	AlignedBound Algorithm = "alignedbound"
 )
 
-// String names the algorithm: the canonical registry name.
+// String names the algorithm: the strategy's canonical name.
 func (a Algorithm) String() string { return string(a) }
 
 // Options configures a Session.
@@ -130,8 +129,8 @@ type Session struct {
 	pbGuarantee float64
 
 	// selMu guards selections, the per-session memo of the selection
-	// strategies' plan choices (see selection.go): registered strategy
-	// values are shared across sessions, so their per-session state lives
+	// strategies' plan choices (see selection.go): strategy values are
+	// shared across sessions, so their per-session state lives
 	// here, computed once and reused by runs and sweeps alike.
 	selMu      sync.Mutex
 	selections map[string]selectionChoice
@@ -140,18 +139,18 @@ type Session struct {
 // NewSession parses and binds the SQL against the catalog, marks the given
 // join predicates (rendered "alias.col = alias.col") as error-prone, and
 // builds the ESS by one optimizer DP over the whole grid, parallelized
-// across Options.Workers (GOMAXPROCS by default). It is NewSessionContext
+// across Options.Workers (GOMAXPROCS by default). It is newSessionContext
 // with a background context.
 func NewSession(cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
-	return NewSessionContext(context.Background(), cat, sql, epps, opts)
+	return newSessionContext(context.Background(), cat, sql, epps, opts)
 }
 
-// NewSessionContext is NewSession with cancellation: the ESS construction —
+// newSessionContext is NewSession with cancellation: the ESS construction —
 // the session's long-running offline phase — checks the context between
 // chunks of its work and abandons the build with the context's error on
 // cancel or deadline expiry. Options.BuildProgress, when set, observes the
 // build as it runs.
-func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
+func newSessionContext(ctx context.Context, cat *Catalog, sql string, epps []string, opts Options) (*Session, error) {
 	if opts.GridRes < 2 {
 		return nil, fmt.Errorf("repro: grid resolution %d too small", opts.GridRes)
 	}
@@ -196,11 +195,11 @@ func NewSessionContext(ctx context.Context, cat *Catalog, sql string, epps []str
 	return s, nil
 }
 
-// bindQuery is the bind step both session constructors (NewSessionContext
-// and LoadSession) share: it parses the SQL against the catalog, marks the
-// error-prone join predicates and builds the query's cost model. It first
-// rejects a contour ratio the session could not build its contours with; a
-// session fixes PlanBouquet's guarantee from them up front.
+// bindQuery is newSessionContext's bind step: it parses the SQL against the
+// catalog, marks the error-prone join predicates and builds the query's
+// cost model. It first rejects a contour ratio the session could not build
+// its contours with; a session fixes PlanBouquet's guarantee from them up
+// front.
 func bindQuery(cat *Catalog, sql string, epps []string, opts Options) (*query.Query, *cost.Model, error) {
 	if opts.ContourRatio <= 1 {
 		return nil, nil, fmt.Errorf("repro: contour ratio %g must exceed 1", opts.ContourRatio)
@@ -300,7 +299,7 @@ func (s *Session) EstimateLocation() Location { return s.model.EstimateLocation(
 // Guarantee returns the strategy's MSO guarantee for this session:
 // PlanBouquet's behavioral 4(1+λ)ρ, SpillBound's structural D²+3D,
 // AlignedBound's worst-case D²+3D, and +Inf (none) for the native baseline,
-// the selection strategies, and unregistered names.
+// the selection strategies, and unknown names.
 func (s *Session) Guarantee(a Algorithm) float64 {
 	st, ok := LookupStrategy(string(a))
 	if !ok {
@@ -378,10 +377,10 @@ type RunResult struct {
 	// interrupted incarnation(s), so SubOpt accounts the whole run.
 	Resumed bool
 	// TraceID identifies the run's trace: the W3C trace ID propagated on the
-	// context (WithTraceparent, the server's traceparent middleware) or a
-	// fresh random one. A crash-resumed run reuses the original incarnation's
-	// trace ID, so one trace spans every process incarnation. The span tree
-	// is derived from Events (see TraceTree). Excluded from the JSON form:
+	// context (the server's traceparent middleware) or a fresh random one.
+	// A crash-resumed run reuses the original incarnation's trace ID, so one
+	// trace spans every process incarnation. The span tree is derived from
+	// Events (internal/trace.FromRun). Excluded from the JSON form:
 	// a minted trace ID is random, and serialized RunResults (goldens,
 	// caches) must stay deterministic — carriers that want it in-band (the
 	// server's run response) surface it under their own key.
@@ -647,54 +646,23 @@ func (s *Session) Sweep(a Algorithm, maxLocations int) (SweepSummary, error) {
 // serial sweep regardless of worker count, and sampled sweeps draw their
 // locations from Options.SweepSeed.
 func (s *Session) SweepContext(ctx context.Context, a Algorithm, maxLocations int) (SweepSummary, error) {
-	sums, err := s.SweepStrategies(ctx, []string{string(a)}, maxLocations)
+	st, err := ParseStrategy(string(a))
 	if err != nil {
 		return SweepSummary{}, err
 	}
-	return sums[0], nil
-}
-
-// SweepStrategies evaluates several strategies' MSO/ASO over one shared
-// location sample (identical truth cells per strategy, including under
-// subsampling), returning one summary per requested strategy in request
-// order. Names are exact registry names (see ParseStrategy);
-// duplicates collapse to their first occurrence. An empty names slice
-// sweeps every registered strategy, sorted by name.
-func (s *Session) SweepStrategies(ctx context.Context, names []string, maxLocations int) ([]SweepSummary, error) {
-	if len(names) == 0 {
-		names = StrategyNames()
-	}
-	runs := make(map[string]metrics.RunFunc, len(names))
-	order := make([]string, 0, len(names))
-	for _, name := range names {
-		st, err := ParseStrategy(name)
-		if err != nil {
-			return nil, err
-		}
-		if _, dup := runs[name]; dup {
-			continue
-		}
-		runs[name] = st.SweepRun(s)
-		order = append(order, name)
-	}
-	results, err := metrics.SweepManyContext(ctx, s.space, runs, metrics.SweepOptions{
+	res, err := metrics.SweepContext(ctx, s.space, st.SweepRun(s), metrics.SweepOptions{
 		MaxLocations: maxLocations,
 		Seed:         s.opts.sweepSeed(),
 		Workers:      s.opts.workers(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("repro: sweep aborted: %w", err)
+		return SweepSummary{}, fmt.Errorf("repro: sweep aborted: %w", err)
 	}
-	out := make([]SweepSummary, 0, len(order))
-	for _, name := range order {
-		res := results[name]
-		sum := SweepSummary{Algorithm: Algorithm(name), MSO: res.MSO, ASO: res.ASO, Locations: len(res.Cells)}
-		if res.MSOCell >= 0 {
-			sum.WorstLocation = s.space.Grid.Location(res.MSOCell)
-		}
-		out = append(out, sum)
+	sum := SweepSummary{Algorithm: a, MSO: res.MSO, ASO: res.ASO, Locations: len(res.Cells)}
+	if res.MSOCell >= 0 {
+		sum.WorstLocation = s.space.Grid.Location(res.MSOCell)
 	}
-	return out, nil
+	return sum, nil
 }
 
 // NativeMSO returns the native baseline's MSO maximized over both the

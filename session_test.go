@@ -30,6 +30,17 @@ func newTestSession(t *testing.T) *Session {
 	return sess
 }
 
+// benchmarkQuery resolves a benchmark query by name, failing the test when
+// no query has that name.
+func benchmarkQuery(t *testing.T, name string) BenchmarkQuery {
+	t.Helper()
+	bq, ok := BenchmarkQueryByName(name)
+	if !ok {
+		t.Fatalf("no benchmark query %q", name)
+	}
+	return bq
+}
+
 func TestNewSessionBasics(t *testing.T) {
 	sess := newTestSession(t)
 	if sess.D() != 2 {
@@ -233,7 +244,7 @@ func TestBenchmarkQueryHelpers(t *testing.T) {
 	if JOB1aBenchmark().Catalog != "imdb" {
 		t.Error("JOB1a catalog")
 	}
-	if EQBenchmark().Catalog != "tpch" {
+	if bq, ok := BenchmarkQueryByName("2D_EQ"); !ok || bq.Catalog != "tpch" {
 		t.Error("EQ catalog")
 	}
 	// Unknown catalog in a synthetic spec.

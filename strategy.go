@@ -1,10 +1,9 @@
-// Strategy is the pluggable plan-selection/processing interface behind
-// Session.Run, Sweep, the scenario sweeps, the robustness atlas, and the
-// /v1 API. The paper's discovery algorithms (PlanBouquet, SpillBound,
+// Strategy is the plan-selection/processing interface behind Session.Run,
+// Sweep, the scenario sweeps, the robustness atlas, and the /v1 API. The
+// set is fixed: the paper's discovery algorithms (PlanBouquet, SpillBound,
 // AlignedBound), the Native baseline, and the non-discovery selection
 // strategies (penalty-aware, probabilistic, minmax-regret — see
-// selection.go) are all registered implementations; Algorithm is a thin
-// compatibility shim over registry lookup.
+// selection.go); Algorithm names one of them.
 package repro
 
 import (
@@ -13,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/aligned"
 	"repro/internal/bouquet"
@@ -38,10 +36,10 @@ func sweepByRun(st Strategy, s *Session) func(Location) float64 {
 	}
 }
 
-// StrategyInfo describes a registered strategy for listings (the rqp CLI,
+// StrategyInfo describes a strategy for listings (the rqp CLI,
 // GET /v1/strategies) and capability gating.
 type StrategyInfo struct {
-	// Name is the canonical registry name (lowercase, e.g. "spillbound").
+	// Name is the strategy's canonical name (lowercase, e.g. "spillbound").
 	Name string `json:"name"`
 	// Kind classifies the strategy: "baseline" (run the estimate-optimal
 	// plan), "discovery" (contour-budgeted selectivity discovery), or
@@ -72,7 +70,7 @@ type StrategyOutcome struct {
 // StrategyRun is the execution context handed to Strategy.Run: the session,
 // the hidden truth, the resilient executor stack (engine → retry), the
 // run's telemetry recorder, and any crash-resume state. Budget semantics:
-// every execution must go through Execute (or the internal runners), which
+// every execution must go through execute (or the internal runners), which
 // charges min(cost, budget) — never run plans outside the ledger, or MSO
 // accounting breaks.
 type StrategyRun struct {
@@ -83,31 +81,13 @@ type StrategyRun struct {
 	rec    *telemetry.Recorder
 }
 
-// Session returns the owning session (grid shape, POSP, estimate, oracle).
-func (r *StrategyRun) Session() *Session { return r.sess }
-
-// Truth returns the hidden true selectivity location the run executes at
-// (nil on a physical run, whose truth is emergent from the data).
-// Strategies must not use it for plan choice — only pass it to executions.
-func (r *StrategyRun) Truth() Location { return r.truth }
-
-// Resume returns the crash-checkpoint restart state: the step/contour index
-// to restart from and whether the run is a resume at all. The carried-over
-// budget ledger is added by the driver, not the strategy.
-func (r *StrategyRun) Resume() (step int, ok bool) {
-	if r.resume == nil {
-		return 0, false
-	}
-	return r.resume.Contour, true
-}
-
-// Execute runs one budgeted step of the POSP plan with the given 1-based
+// execute runs one budgeted step of the POSP plan with the given 1-based
 // step index through the resilient executor stack, recording the plan_exec
 // event that charges it to the run's ledger. It returns the charged cost and
 // whether the plan completed within budget; errors (cancellation, injected
 // faults past the retries, budget aborts) propagate to the driver's
 // degradation ladder.
-func (r *StrategyRun) Execute(ctx context.Context, step, planID int, budget float64) (spent float64, completed bool, err error) {
+func (r *StrategyRun) execute(ctx context.Context, step, planID int, budget float64) (spent float64, completed bool, err error) {
 	res, err := r.rex.ExecuteCtx(ctx, r.sess.space.Plans()[planID], budget)
 	if err != nil {
 		return res.Spent, false, err
@@ -119,16 +99,8 @@ func (r *StrategyRun) Execute(ctx context.Context, step, planID int, budget floa
 	return res.Spent, res.Completed, nil
 }
 
-// Checkpoint marks a step boundary for durable runs: the runstate tracker
-// (if any) folds the events recorded since its last checkpoint and persists
-// a restart snapshot for the 0-based step about to run. Plain runs pay two
-// context lookups.
-func (r *StrategyRun) Checkpoint(ctx context.Context, step int) error {
-	return runstate.Checkpoint(ctx, step)
-}
-
-// Strategy is one pluggable processing strategy. Implementations must be
-// stateless or internally synchronized: one registered value serves every
+// Strategy is one processing strategy of the fixed set. Implementations
+// must be stateless or internally synchronized: one value serves every
 // session concurrently.
 type Strategy interface {
 	// Info describes the strategy (name, kind, guarantee formula,
@@ -149,90 +121,63 @@ type Strategy interface {
 	SweepRun(s *Session) func(truth Location) float64
 }
 
-// The strategy registry. Built-ins register at init; external packages add
-// strategies via RegisterStrategy before building sessions.
-var (
-	strategyMu  sync.RWMutex
-	strategyReg = make(map[string]Strategy)
-)
+// strategyTable is every strategy, sorted by name: the Native baseline, the
+// paper's discovery algorithms and the selection family (selection.go),
+// whose RunResults, event streams and checkpoints are golden-pinned
+// (TestStrategyGoldenEquivalence). It is built once and never changes, so
+// reading it takes no lock.
+var strategyTable = func() []namedStrategy {
+	var t []namedStrategy
+	for _, st := range append([]Strategy{nativeStrategy{}, planBouquetStrategy{}, spillBoundStrategy{}, alignedBoundStrategy{}}, selectionStrategies...) {
+		t = append(t, namedStrategy{st.Info().Name, st})
+	}
+	sort.Slice(t, func(i, j int) bool { return t[i].name < t[j].name })
+	return t
+}()
 
-// RegisterStrategy adds a strategy to the registry. The name must be
-// non-empty lowercase and not already taken. Safe for concurrent use.
-func RegisterStrategy(st Strategy) error {
-	name := st.Info().Name
-	if name == "" || name != strings.ToLower(name) {
-		return fmt.Errorf("repro: strategy name %q must be non-empty lowercase", name)
-	}
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	if _, dup := strategyReg[name]; dup {
-		return fmt.Errorf("repro: strategy %q already registered", name)
-	}
-	strategyReg[name] = st
-	return nil
+// namedStrategy is one strategyTable entry: a strategy under its Info name.
+type namedStrategy struct {
+	name string
+	st   Strategy
 }
 
-// mustRegisterStrategy registers a built-in, panicking on conflict.
-func mustRegisterStrategy(st Strategy) {
-	if err := RegisterStrategy(st); err != nil {
-		panic(err.Error())
-	}
-}
-
-// LookupStrategy returns the strategy registered under the canonical name.
+// LookupStrategy returns the strategy with the canonical name.
 func LookupStrategy(name string) (Strategy, bool) {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	st, ok := strategyReg[name]
-	return st, ok
+	for _, e := range strategyTable {
+		if e.name == name {
+			return e.st, true
+		}
+	}
+	return nil, false
 }
 
-// StrategyNames returns the canonical registered names, sorted.
-func StrategyNames() []string {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
-	names := make([]string, 0, len(strategyReg))
-	for name := range strategyReg {
-		names = append(names, name)
+// strategyNames returns the canonical strategy names, sorted.
+func strategyNames() []string {
+	names := make([]string, len(strategyTable))
+	for i, e := range strategyTable {
+		names[i] = e.name
 	}
-	sort.Strings(names)
 	return names
 }
 
-// Strategies lists every registered strategy's descriptor, sorted by name.
+// Strategies lists every strategy's descriptor, sorted by name.
 func Strategies() []StrategyInfo {
-	strategyMu.RLock()
-	infos := make([]StrategyInfo, 0, len(strategyReg))
-	for _, st := range strategyReg {
-		infos = append(infos, st.Info())
+	infos := make([]StrategyInfo, len(strategyTable))
+	for i, e := range strategyTable {
+		infos[i] = e.st.Info()
 	}
-	strategyMu.RUnlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
-// ParseStrategy resolves a registered strategy name, as LookupStrategy does,
-// but reports an unknown name as an error that lists the registry.
+// ParseStrategy resolves a strategy name, as LookupStrategy does, but
+// reports an unknown name as an error that lists every strategy.
 func ParseStrategy(name string) (Strategy, error) {
 	st, ok := LookupStrategy(name)
 	if !ok {
 		return nil, fmt.Errorf("repro: unknown strategy %q (registered: %s)",
-			name, strings.Join(StrategyNames(), ", "))
+			name, strings.Join(strategyNames(), ", "))
 	}
 	return st, nil
-}
-
-// The built-in strategies: the Native baseline and the paper's discovery
-// algorithms, ported verbatim from the pre-registry Session switch — their
-// RunResults, event streams and checkpoints are golden-pinned
-// (TestStrategyGoldenEquivalence) to stay byte-identical through the
-// redesign.
-func init() {
-	mustRegisterStrategy(nativeStrategy{})
-	mustRegisterStrategy(planBouquetStrategy{})
-	mustRegisterStrategy(spillBoundStrategy{})
-	mustRegisterStrategy(alignedBoundStrategy{})
-	registerSelectionStrategies()
 }
 
 // nativeStrategy is the traditional optimize-then-execute baseline: run the

@@ -203,7 +203,7 @@ func TestSweepRunEqualsRun(t *testing.T) {
 		sess := goldenSession(t, c.query, c.res, "")
 		g := sess.space.Grid
 		cells := []int{0, g.Size() / 3, g.Size() / 2, 2 * g.Size() / 3, g.Size() - 1}
-		for _, name := range StrategyNames() {
+		for _, name := range strategyNames() {
 			st, _ := LookupStrategy(name)
 			sweep := st.SweepRun(sess)
 			for _, ci := range cells {

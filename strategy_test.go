@@ -4,15 +4,16 @@ import (
 	"context"
 	"math"
 	"strings"
-	"sync"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // TestParseStrategyExactNames pins the name contract: every registered
 // name resolves to itself, while former aliases and non-canonical spellings
 // are unknown, and the error enumerates the registry.
 func TestParseStrategyExactNames(t *testing.T) {
-	for _, name := range StrategyNames() {
+	for _, name := range strategyNames() {
 		st, err := ParseStrategy(name)
 		if err != nil || st.Info().Name != name {
 			t.Errorf("ParseStrategy(%q) = %v, %v", name, st, err)
@@ -29,62 +30,33 @@ func TestParseStrategyExactNames(t *testing.T) {
 	}
 }
 
-// TestStrategyRegistryConcurrency hammers the registry's read and write
-// paths from concurrent goroutines — meaningful under -race (make race),
-// where it pins the RWMutex discipline. The write path only attempts
-// registrations that must be rejected (duplicate name, non-lowercase name),
-// so the registry is left exactly as found.
-func TestStrategyRegistryConcurrency(t *testing.T) {
-	t.Parallel()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(4)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if err := RegisterStrategy(nativeStrategy{}); err == nil {
-					t.Error("duplicate registration must fail")
-				}
-				if err := RegisterStrategy(selectionStrategy{info: StrategyInfo{Name: "SpillBound"}}); err == nil {
-					t.Error("non-lowercase registration must fail")
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if names := StrategyNames(); len(names) < 7 {
-					t.Errorf("registry shrank: %v", names)
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				for _, info := range Strategies() {
-					if _, ok := LookupStrategy(info.Name); !ok {
-						t.Errorf("listed strategy %q not resolvable", info.Name)
-					}
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				if _, err := ParseStrategy("minmaxregret"); err != nil {
-					t.Error(err)
-				}
-			}
-		}()
+// TestStrategiesResolve checks the fixed strategy table: Strategies lists
+// seven distinct lowercase names in order, each of which LookupStrategy
+// resolves to the strategy describing itself, without allocating.
+func TestStrategiesResolve(t *testing.T) {
+	infos := Strategies()
+	if len(infos) != 7 {
+		t.Fatalf("%d strategies, want 7: %+v", len(infos), infos)
 	}
-	wg.Wait()
+	for i, info := range infos {
+		if info.Name == "" || info.Name != strings.ToLower(info.Name) || i > 0 && infos[i-1].Name >= info.Name {
+			t.Errorf("strategy %d named %q: names must be non-empty, lowercase, distinct and sorted", i, info.Name)
+		}
+		st, ok := LookupStrategy(info.Name)
+		if !ok || st.Info().Name != info.Name {
+			t.Errorf("listed strategy %q not resolvable", info.Name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { LookupStrategy("minmaxregret") }); n != 0 {
+		t.Errorf("LookupStrategy allocates %g times", n)
+	}
 }
 
 // TestSelectionStrategiesRunAndSweep runs each selection-family strategy
 // end-to-end on the shared 2D session: no MSO guarantee (+Inf), but every
 // run must finish its budget-doubling ladder on one committed plan with the
 // charged ledger matching the step stream, and sweeps must land finite —
-// for them and, over one shared sample, for every registered strategy.
+// for them and, over one shared sample, for every strategy.
 func TestSelectionStrategiesRunAndSweep(t *testing.T) {
 	sess := newTestSession(t)
 	truth := Location{0.02, 0.3}
@@ -129,17 +101,14 @@ func TestSelectionStrategiesRunAndSweep(t *testing.T) {
 		}
 	}
 
-	// Registry-wide: every registered strategy over one shared sample must
+	// Every strategy over one shared sample (the sweep seed picks it) must
 	// land a finite MSO >= 1, and discovery strategies stay within their
 	// guarantees (+Inf for the rest, which never trips).
-	sums, err := sess.SweepStrategies(context.Background(), nil, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(StrategyNames()); len(sums) != want {
-		t.Fatalf("swept %d strategies, registry has %d", len(sums), want)
-	}
-	for _, sum := range sums {
+	for _, name := range strategyNames() {
+		sum, err := sess.Sweep(Algorithm(name), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.IsInf(sum.MSO, 0) || math.IsNaN(sum.MSO) || sum.MSO < 1 {
 			t.Errorf("%v: MSO %g is not finite and >= 1", sum.Algorithm, sum.MSO)
 		}
@@ -169,7 +138,7 @@ func TestSelectionLadderCrashResume(t *testing.T) {
 	}
 
 	crashed, err := sess.RunDurable(WithFaults(ctx, &FaultPlan{CrashAtCheckpoint: 2}), a, truth, "sel-crash")
-	if !ErrRunCrashed(err) {
+	if !faults.IsCrash(err) {
 		t.Fatalf("want crash, got err=%v (result %+v)", err, crashed)
 	}
 	resumed, err := sess.ResumeRun(ctx, "sel-crash")

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -25,11 +26,11 @@ const (
 // every pinned run joins the same trace and the span IDs are reproducible.
 func tracedCtx(t *testing.T) context.Context {
 	t.Helper()
-	ctx, err := WithTraceparent(context.Background(), goldenTraceparent)
+	tp, err := trace.Parse(goldenTraceparent)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ctx
+	return trace.WithContext(context.Background(), tp)
 }
 
 // goldenTraceEntry is one pinned span tree.
@@ -44,7 +45,7 @@ func traceTreeJSON(t *testing.T, res RunResult) json.RawMessage {
 	if res.TraceID != goldenTraceID {
 		t.Fatalf("run trace ID %q, want the fixed traceparent's %q", res.TraceID, goldenTraceID)
 	}
-	raw, err := TraceTree(res)
+	raw, err := trace.FromRun(res.TraceID, res.Events).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func buildTraceGolden(t *testing.T) []goldenTraceEntry {
 	durable := goldenSession(t, "2D_EQ", 8, t.TempDir())
 	crashCtx := WithFaults(tracedCtx(t), &FaultPlan{CrashAtCheckpoint: 2})
 	crashed, err := durable.RunDurable(crashCtx, SpillBound, Location{0.9, 0.9}, "golden-crash")
-	if !ErrRunCrashed(err) {
+	if !faults.IsCrash(err) {
 		t.Fatalf("want crash, got %v", err)
 	}
 	// The resume context carries no traceparent: the run must rejoin its
@@ -197,11 +198,11 @@ func TestTraceSerialParallelIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ja, err := TraceTree(runA)
+	ja, err := trace.FromRun(runA.TraceID, runA.Events).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	jb, err := TraceTree(runB)
+	jb, err := trace.FromRun(runB.TraceID, runB.Events).JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestTraceResumeReplayDeterministic(t *testing.T) {
 		sess := goldenSession(t, "2D_EQ", 8, t.TempDir())
 		ctx := WithFaults(tracedCtx(t), &FaultPlan{CrashAtCheckpoint: 2})
 		_, err := sess.RunDurable(ctx, SpillBound, Location{0.9, 0.9}, "replay")
-		if !ErrRunCrashed(err) {
+		if !faults.IsCrash(err) {
 			t.Fatalf("want crash, got %v", err)
 		}
 		resumed, err := sess.ResumeRun(context.Background(), "replay")
@@ -232,7 +233,7 @@ func TestTraceResumeReplayDeterministic(t *testing.T) {
 		if resumed.TraceID != goldenTraceID {
 			t.Fatalf("resumed trace %q did not rejoin the original", resumed.TraceID)
 		}
-		j, err := TraceTree(resumed)
+		j, err := trace.FromRun(resumed.TraceID, resumed.Events).JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
