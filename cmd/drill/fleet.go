@@ -341,8 +341,8 @@ type runDoc struct {
 }
 
 // crashSeed finds a scenario seed whose adversarial-4 crashes at the FIRST
-// checkpoint — resolved in-process through the same registry the daemon
-// uses, so the drill never guesses at fault knobs.
+// checkpoint — resolved in-process through the same scenario lookup the
+// daemon uses, so the drill never guesses at fault knobs.
 func crashSeed() (int64, error) {
 	for seed := int64(1); seed < 256; seed++ {
 		if sc, ok := repro.ScenarioByName(seed, "adversarial-4"); ok && sc.Faults.CrashAtCheckpoint == 1 {

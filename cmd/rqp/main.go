@@ -9,7 +9,7 @@
 //	rqp -list
 //	rqp atlas -query 2D_EQ -algos spillbound -o atlas.svg
 //
-// Every run goes through the library Session and its strategy registry, so
+// Every run goes through the library Session and its strategies, so
 // the output equals what rqpd's /v1 API returns for the same query and
 // truth. The atlas subcommand sweeps a seeded error-regime scenario suite
 // and dumps the per-regime robustness atlas (see rqp atlas -h).
@@ -63,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		queryName = fs.String("query", "2D_Q91", "benchmark query name (see -list)")
 		algoName  = fs.String("algo", "spillbound", "strategy name (see -strategies)")
-		stratList = fs.Bool("strategies", false, "list registered strategies (name, kind, guarantee) and exit")
+		stratList = fs.Bool("strategies", false, "list the strategies (name, kind, guarantee) and exit")
 		truthStr  = fs.String("truth", "", "comma-separated true selectivities (default: midpoint of each dimension)")
 		res       = fs.Int("res", 0, "grid resolution override (0 = query default)")
 		profile   = fs.String("profile", "postgres", "cost profile: postgres | commercial")

@@ -246,7 +246,7 @@ func TestSessionRehydratesPersistedESS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.TotalCost != r2.TotalCost || r1.SubOpt != r2.SubOpt {
+	if r1.TotalCost != r2.TotalCost || r1.SubOpt != r2.SubOpt || r1.Trace != r2.Trace {
 		t.Errorf("rehydrated run diverges: %g/%g vs %g/%g", r2.TotalCost, r2.SubOpt, r1.TotalCost, r1.SubOpt)
 	}
 

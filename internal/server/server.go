@@ -17,12 +17,12 @@
 //	GET  /v1/sessions/{id}/sweep?strategy=spillbound&max=200
 //	GET  /v1/sessions/{id}/runs        durable run resources (servers started with a data directory)
 //	GET  /v1/sessions/{id}/runs/{rid}  one durable run, read from its last snapshot: status, checkpoint and result summary
-//	GET  /v1/strategies                registered strategy listing (name, kind, guarantee, params)
+//	GET  /v1/strategies                strategy listing (name, kind, guarantee, params)
 //	GET  /v1/queries                   benchmark query list
 //	GET  /v1/healthz
 //
-// Run, sweep and atlas requests name their strategy by its exact registered
-// name (see GET /v1/strategies) in the "strategy" field or parameter
+// Run, sweep and atlas requests name their strategy by its exact name (see
+// GET /v1/strategies) in the "strategy" field or parameter
 // ("strategies" for the atlas). A missing or unknown name is rejected with
 // the envelope code "unknown_strategy".
 //
@@ -905,14 +905,14 @@ type runResponse struct {
 	TraceID string `json:"traceId,omitempty"`
 }
 
-// handleStrategies serves the strategy registry listing: every registered
-// strategy's canonical name, kind, guarantee formula, resumability and
+// handleStrategies serves the strategy listing: every strategy's canonical
+// name, kind, guarantee formula, resumability and
 // tuning-knob documentation.
 func (s *Server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, repro.Strategies())
 }
 
-// resolveStrategy resolves a wire strategy name against the registry; a
+// resolveStrategy resolves a wire strategy name against the strategies; a
 // missing or unknown name writes the uniform envelope with code
 // "unknown_strategy".
 func (s *Server) resolveStrategy(w http.ResponseWriter, name string) (repro.Algorithm, bool) {

@@ -84,7 +84,7 @@ func TestEveryExportHasProgramCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range unused {
-		t.Errorf("%s has no caller outside _test.go files (nor, in the root package, outside it): delete it, or add it to exempt with the reason it stays", name)
+		t.Errorf("%s has no caller in a program (a non-test file, outside package repro for a root name): delete it, or add it to exempt with the reason it stays", name)
 	}
 	for _, name := range stale {
 		t.Errorf("exempt lists %s, which has a caller, is reachable from the API or is gone: drop the entry", name)
@@ -93,10 +93,10 @@ func TestEveryExportHasProgramCaller(t *testing.T) {
 
 // scan type-checks the non-test files of every package of the modules in
 // dirs, the first of which holds the root package. It returns the exported
-// functions and methods under internal/ that nothing outside tests uses, and
-// those of the root package that nothing outside tests and the root package
-// uses, that exempt does not list, and the exempt entries that cover none
-// of them.
+// functions and methods that no program uses and exempt does not list, and
+// the exempt entries that cover none of them. A program use of a name under
+// internal/ is one in any non-test file; of a root name, one in a non-test
+// file outside the root package.
 func scan(dirs ...string) (unused, stale []string, err error) {
 	c := &checker{
 		fset:    token.NewFileSet(),

@@ -63,9 +63,9 @@ type selectionChoice struct {
 }
 
 // selectionFor returns the memoized choice for the named strategy,
-// computing it on first use. Registered strategy values are shared across
-// sessions, so the memo lives on the Session (guarded by selMu); the
-// chooser runs at most once per (session, strategy).
+// computing it on first use. Strategy values are shared across sessions,
+// so the memo lives on the Session (guarded by selMu); the chooser runs at
+// most once per (session, strategy).
 func (s *Session) selectionFor(name string, choose func(*Session) selectionChoice) selectionChoice {
 	s.selMu.Lock()
 	defer s.selMu.Unlock()
