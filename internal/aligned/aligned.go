@@ -65,10 +65,10 @@ type partExec struct {
 // contour cells, their per-spill-dimension extremes and the pool of plans
 // per spill dimension.
 type contourState struct {
-	s       *ess.Space
-	cells   []int
-	scan    spillbound.ContourScan
-	pools   map[int][]int   // dim -> POSP plan IDs spilling on dim
+	s     *ess.Space
+	cells []int
+	scan  spillbound.ContourScan
+	poolSet
 	memo    map[[2]int]memo // (part mask, leader) -> part penalty
 	indMemo map[[2]int]memo // (leader, coord) -> induced replacement
 }
@@ -85,10 +85,17 @@ func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourSt
 	return &contourState{
 		s: s, cells: cells,
 		scan:    spillbound.ScanContour(s, cells, learned),
-		pools:   table(s).learntPools(s, learned),
+		poolSet: table(s).learntPools(s, learned),
 		memo:    map[[2]int]memo{},
 		indMemo: map[[2]int]memo{},
 	}
+}
+
+// poolSet is the spill pools of one learnt set, with the schedule
+// (ess.Space.PlanSchedule) that costs each.
+type poolSet struct {
+	pools map[int][]int   // dim -> POSP plan IDs spilling on dim
+	slots map[int][]int32 // dim -> the schedule of pools[dim]
 }
 
 // poolTable is AlignedBound's planner state on a Space: the spill pools of
@@ -97,18 +104,19 @@ func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourSt
 // contour per (sub-ESS, budget).
 type poolTable struct {
 	mu     sync.Mutex
-	byMask []map[int][]int
+	byMask []poolSet
 }
 
 // table returns the Space's pool table.
 func table(s *ess.Space) *poolTable {
 	return s.PlannerState(ess.AlignedBoundSlot, func() any {
-		return &poolTable{byMask: make([]map[int][]int, 1<<uint(s.Grid.D))}
+		return &poolTable{byMask: make([]poolSet, 1<<uint(s.Grid.D))}
 	}).(*poolTable)
 }
 
-// learntPools returns spillPools(s, learned) through the pool table.
-func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) map[int][]int {
+// learntPools returns the spill pools of the learned set and their
+// schedules through the pool table.
+func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) poolSet {
 	mask := 0
 	for d, id := range s.Query.EPPs {
 		if learned[id] {
@@ -117,10 +125,14 @@ func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) map[int][]in
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.byMask[mask] == nil {
-		t.byMask[mask] = spillPools(s, learned)
+	ps := &t.byMask[mask]
+	if ps.pools == nil {
+		ps.pools, ps.slots = spillPools(s, learned), map[int][]int32{}
+		for d, ids := range ps.pools {
+			ps.slots[d], _ = s.PlanSchedule(ids)
+		}
 	}
-	return t.byMask[mask]
+	return *ps
 }
 
 // spillPools groups the POSP plan IDs by the dimension each spills on
@@ -184,8 +196,8 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 // induces PSA with the given leader at the given extreme coordinate:
 // S = contour cells whose leader coordinate equals coord, candidates are
 // the POSP plans spilling on the leader (Sec 5.2.1), costed through a cost
-// table borrowed from the Space so subtrees shared by the pool are costed
-// once per cell.
+// table borrowed from the Space by the pool's schedule, so subtrees shared
+// by the pool are costed once per cell.
 // Memoized per (leader, coord) — the coordinate can only be one of D
 // precomputed extremes.
 func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
@@ -202,7 +214,7 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 		if s.Grid.Coord(ci, leader) != coord {
 			continue
 		}
-		costs.At(ci)
+		costs.Eval(ci, st.slots[leader])
 		opt := s.CostAt(ci)
 		for _, id := range pool {
 			c := costs.Cost(id)

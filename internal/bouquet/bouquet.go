@@ -71,17 +71,29 @@ func (d *Diagram) PlanCount() int { return len(d.kept) }
 //
 // Each plan is costed at a cell at most once, through the Space's POSP cost
 // table (ess.PlanCosts), which evaluates every subtree shared between plans
-// once per cell. A cell is first re-homed when its optimal plan is the
-// victim. The survivors then are the plans after that owner in swallow
-// order and the plans before it whose swallow failed, and a plan's cost at
-// a cell never changes, so every later re-homing of the cell picks from a
-// subset of those costs. Reduce therefore begins with one parallel pass
-// over the grid (feasiblePlans) that lists, for each cell, the plans after
-// its owner within (1+lambda) of optimal, with their costs. The greedy
-// loop then costs only the failed survivors before the owner, at a cell's
-// first visit (see owner), and reads everything else from the cell's list.
-// The lists live in per-worker slabs that are dropped when Reduce returns.
+// once per cell, bottom-up from a precomputed schedule. A cell is first
+// re-homed when its optimal plan is the victim. The survivors then are the
+// plans after that owner in swallow order and the plans before it whose
+// swallow failed, and a plan's cost at a cell never changes, so every
+// later re-homing of the cell picks from a subset of those costs. Reduce
+// therefore begins with one parallel pass over the grid (feasiblePlans)
+// that lists, for each cell, the plans after its owner within (1+lambda)
+// of optimal, with their costs. The greedy loop then costs only the failed
+// survivors before the owner, at a cell's first visit (see owner), and
+// reads everything else from the cell's list. The lists live in per-worker
+// slabs that are dropped when Reduce returns.
 func Reduce(s *ess.Space, lambda float64) *Diagram {
+	d, _ := reduce(s, lambda)
+	return d
+}
+
+// reduce is Reduce, also returning the number of plan-set nodes it costed,
+// counted from the schedules it evaluated: the pre-pass's ranked cut at
+// every cell, and the failed survivors' schedule at every first visit. A
+// failing swallow stops at the first cell that finds no owner, and with
+// more than one worker, which of the victim's cells were visited by then
+// depends on the schedule; with one, the count is fixed by the space.
+func reduce(s *ess.Space, lambda float64) (*Diagram, int) {
 	g := s.Grid
 	n := g.Size()
 	d := &Diagram{Space: s, Lambda: lambda, planIdx: make([]int32, n)}
@@ -98,7 +110,7 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		}
 	}
 	if lambda <= 0 || len(d.kept) == 1 {
-		return d
+		return d, 0
 	}
 
 	order := slices.Clone(d.kept)
@@ -123,7 +135,9 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		r.rank[id] = i
 		r.live[id] = true
 	}
-	r.lists = feasiblePlans(costs, s, order, r.rank, lambda)
+	slots, cut := s.PlanSchedule(order)
+	var evals int
+	r.lists, evals = feasiblePlans(costs, s, order, r.rank, slots, cut, lambda)
 	var cells []int
 	for _, victim := range order {
 		if len(d.kept) == 1 {
@@ -135,8 +149,15 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 				cells = append(cells, ci)
 			}
 		}
-		if !r.rehome(victim, cells) {
+		ok := r.rehome(victim, cells)
+		for i, ci := range cells {
+			if r.to[i] != unvisited && s.PlanIDAt(ci) == victim {
+				evals += len(r.failedSlots)
+			}
+		}
+		if !ok {
 			r.failed = append(r.failed, victim)
+			r.failedSlots, _ = s.PlanSchedule(r.failed)
 			continue
 		}
 		for i, ci := range cells {
@@ -150,7 +171,7 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 		i, _ := slices.BinarySearch(d.kept, victim)
 		d.kept = slices.Delete(d.kept, i, i+1)
 	}
-	return d
+	return d, evals
 }
 
 // entry is a plan that can take a cell: its POSP index, -1 for none, and
@@ -177,13 +198,19 @@ type rehomer struct {
 	rank   []int            // by POSP index: the position in swallow order
 	live   []bool           // by POSP index: not swallowed
 	lists  *cellLists
-	// failed holds the plans whose swallow failed, in swallow order. They
-	// survive for good and are never a victim again, so a cell keeps only
-	// the cheapest one known to take it: fallback[ci], id -1 for none.
-	failed   []int
-	fallback []entry
-	to       []int32 // the last rehome's owners, to[i] for its cells[i]
+	// failed holds the plans whose swallow failed, in swallow order, and
+	// failedSlots their schedule. They survive for good and are never a
+	// victim again, so a cell keeps only the cheapest one known to take it:
+	// fallback[ci], id -1 for none.
+	failed      []int
+	failedSlots []int32
+	fallback    []entry
+	// to holds the last rehome's owners, to[i] for its cells[i]: -1 for
+	// none, unvisited for a cell skipped after another failed.
+	to []int32
 }
+
+const unvisited = -2
 
 // rehome finds a new owner for each of the victim's cells, into r.to[i]
 // for cells[i], and reports false when some cell has none. Workers claim
@@ -196,12 +223,12 @@ func (r *rehomer) rehome(victim int, cells []int) bool {
 	var failed atomic.Bool
 	par.Each(context.Background(), len(cells), len(r.costs), func(w, i int) {
 		if failed.Load() {
+			r.to[i] = unvisited
 			return
 		}
 		best := r.owner(r.costs[w], cells[i], victim)
 		if best.id < 0 {
 			failed.Store(true)
-			return
 		}
 		r.to[i] = best.id
 	})
@@ -244,7 +271,7 @@ func (r *rehomer) cheapestFailed(costs *ess.PlanCosts, ci int) entry {
 	if len(r.failed) == 0 {
 		return best
 	}
-	costs.At(ci)
+	costs.Eval(ci, r.failedSlots)
 	limit := r.s.CostAt(ci) * (1 + r.lambda)
 	for _, id := range r.failed {
 		if c := costs.Cost(id); c <= limit {
@@ -285,16 +312,21 @@ const (
 // entry's ahead included. Workers, one per cost table (at most one per
 // chunk), claim chunks of cells in turn and append to their own slab. A
 // block holds at least the longest list a cell can have, and a new one is
-// started when the next cell's list might not fit. A cell's list depends
-// only on the cell, so the lists, and the diagram the greedy loop draws
-// from them, are the same whatever the worker count or schedule.
-func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, lambda float64) *cellLists {
+// started when the next cell's list might not fit. A cell costs the plans
+// after its owner through slots[:cut[rank of the owner]], their schedule
+// (ess.Space.PlanSchedule), and the pass also returns the number of
+// nodes those schedules hold over all cells. A cell's list depends only on
+// the cell, so the lists, and the diagram the greedy loop draws from them,
+// are the same whatever the worker count or schedule.
+func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, slots []int32, cut []int, lambda float64) (*cellLists, int) {
 	n := s.Grid.Size()
 	l := &cellLists{slabs: make([][][]entry, len(costs)), spans: make([]span, n)}
+	evals := make([]int, len(costs))
 	par.Each(context.Background(), (n+feasibleChunk-1)/feasibleChunk, len(costs), func(w, k int) {
 		slab := l.slabs[w]
 		for ci := k * feasibleChunk; ci < min((k+1)*feasibleChunk, n); ci++ {
-			after := order[rank[s.PlanIDAt(ci)]+1:]
+			rk := rank[s.PlanIDAt(ci)]
+			after := order[rk+1:]
 			if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(after) {
 				slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
 			}
@@ -302,7 +334,9 @@ func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, lamb
 			block := slab[b]
 			start := len(block)
 			if len(after) > 0 {
-				costs[w].At(ci)
+				sched := slots[:cut[rk]]
+				costs[w].Eval(ci, sched)
+				evals[w] += len(sched)
 				limit := s.CostAt(ci) * (1 + lambda)
 				for _, id := range after {
 					if c := costs[w].Cost(id); c <= limit {
@@ -320,7 +354,11 @@ func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, lamb
 		}
 		l.slabs[w] = slab
 	})
-	return l
+	total := 0
+	for _, e := range evals {
+		total += e
+	}
+	return l, total
 }
 
 // ReductionStats quantifies an anorexic reduction's effect (Harish et al.'s

@@ -330,8 +330,9 @@ func requireMatchesReferences(t *testing.T, name string, s *ess.Space, lambda fl
 	return d
 }
 
-// reduceReference is the serial form of Reduce: one PlanSet, each victim's
-// cells re-homed in cell order, stopping at the first that cannot be.
+// reduceReference is the serial form of Reduce: one PlanSet costing every
+// survivor at every cell, each victim's cells re-homed in cell order,
+// stopping at the first that cannot be.
 // Unlike referenceReduce it costs plans exactly as Reduce does, so it
 // isolates the parallel re-homing: Reduce must give its diagram at any
 // GOMAXPROCS.
@@ -373,11 +374,12 @@ func reduceReference(s *ess.Space, lambda float64) *Diagram {
 		// Try to re-home every cell of the victim within threshold.
 		moves = moves[:0]
 		ok := true
+		survivors, _ := ev.Schedule(d.kept)
 		for _, ci := range cellsOf[victim] {
 			if int(d.planIdx[ci]) != victim {
 				continue // already re-homed by an earlier swallow
 			}
-			ev.At(g.Location(ci))
+			ev.Eval(g.Location(ci), survivors)
 			limit := s.CostAt(ci) * (1 + lambda)
 			bestID, bestCost := -1, limit
 			for _, id := range d.kept {

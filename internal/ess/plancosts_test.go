@@ -13,14 +13,19 @@ import (
 )
 
 // requireLentCostsMatchEval has several goroutines share out the cells of
-// the space, each borrowing a PlanCosts per cell, moving it there and
-// returning it, and fails unless every POSP plan at every cell costs bit
-// for bit what Model.Eval gives. Clones pass between cells and goroutines
-// through the Space, so a memo left stale by an earlier borrower shows as a
-// mismatch.
+// the space, each borrowing a PlanCosts per cell, costing the POSP's
+// schedule there and returning it, and fails unless every POSP plan at
+// every cell costs bit for bit what Model.Eval gives. Clones pass between
+// cells and goroutines through the Space, so a memo left stale by an
+// earlier borrower shows as a mismatch.
 func requireLentCostsMatchEval(t *testing.T, name string, s *Space) {
 	t.Helper()
 	const goroutines = 4
+	all := make([]int, len(s.Plans()))
+	for id := range all {
+		all[id] = id
+	}
+	slots, _ := s.PlanSchedule(all)
 	var wg sync.WaitGroup
 	for k := 0; k < goroutines; k++ {
 		wg.Add(1)
@@ -28,7 +33,7 @@ func requireLentCostsMatchEval(t *testing.T, name string, s *Space) {
 			defer wg.Done()
 			for ci := k; ci < s.Grid.Size(); ci += goroutines {
 				c := s.BorrowCosts()
-				c.At(ci)
+				c.Eval(ci, slots)
 				loc := s.Grid.Location(ci)
 				for id, p := range s.Plans() {
 					if got, want := c.Cost(id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {
@@ -75,7 +80,7 @@ func TestLentCostsMatchEval(t *testing.T) {
 	}
 }
 
-// TestLentCostsReborrowed moves a table to one cell, gives it back and
+// TestLentCostsReborrowed costs a table at one cell, gives it back and
 // borrows again: the table costs the next cell afresh, not from the memo
 // the first borrower left.
 func TestLentCostsReborrowed(t *testing.T) {
@@ -85,15 +90,20 @@ func TestLentCostsReborrowed(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := s.Grid.Origin(), s.Grid.Terminus()
+	all := make([]int, len(s.Plans()))
+	for id := range all {
+		all[id] = id
+	}
+	slots, _ := s.PlanSchedule(all)
 	c := s.BorrowCosts()
-	c.At(lo)
+	c.Eval(lo, slots)
 	for id := range s.Plans() {
 		c.Cost(id)
 	}
 	s.ReturnCosts(c)
 	c = s.BorrowCosts()
 	defer s.ReturnCosts(c)
-	c.At(hi)
+	c.Eval(hi, slots)
 	loc := s.Grid.Location(hi)
 	for id, p := range s.Plans() {
 		if got, want := c.Cost(id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {

@@ -429,37 +429,53 @@ func (s *Space) PlannerState(slot PlanSlot, init func() any) any {
 	return s.state[slot]
 }
 
-// PlanCosts prices every POSP plan at one grid cell at a time, each bit for
-// bit Model.Eval: a clone of the Space's node table with its own memo, so a
-// subtree shared by many plans is costed once per cell. Space.BorrowCosts
-// lends one. A PlanCosts is not safe for concurrent use.
+// PlanCosts prices POSP plans at one grid cell at a time, each bit for bit
+// Model.Eval: a clone of the Space's node table with its own memo, filled
+// bottom-up from a schedule (see cost.PlanSet), so a subtree shared by many
+// plans is costed once per cell. Space.BorrowCosts lends one, and
+// Space.PlanSchedule builds the schedules. A PlanCosts is not safe for
+// concurrent use.
 type PlanCosts struct {
 	ps  *cost.PlanSet
 	g   *Grid
 	loc cost.Location
 }
 
-// At moves the table to cell ci, invalidating every memoized cost.
-func (c *PlanCosts) At(ci int) {
+// Eval costs the schedule slots at cell ci; Cost then reads every plan
+// whose nodes it holds.
+func (c *PlanCosts) Eval(ci int, slots []int32) {
 	for d := range c.loc {
 		c.loc[d] = c.g.Points[d][c.g.Coord(ci, d)]
 	}
-	c.ps.At(c.loc)
+	c.ps.Eval(c.loc, slots)
 }
 
-// Cost returns the cost of POSP plan id at the cell of the last At call.
+// Cost returns the cost of POSP plan id at the cell of the last Eval whose
+// schedule held the plan.
 func (c *PlanCosts) Cost(id int) float64 { return c.ps.Cost(id) }
+
+// planTable returns the Space's node table over its POSP, hash-consing it
+// on first use.
+func (s *Space) planTable() *cost.PlanSet {
+	s.tableOnce.Do(func() { s.table = cost.NewPlanSet(s.Model, s.plans) })
+	return s.table
+}
+
+// PlanSchedule returns the schedule of POSP plans order, and slots[:cut[i]]
+// that of order[i+1:] (see cost.PlanSet.Schedule). Safe for concurrent use.
+func (s *Space) PlanSchedule(order []int) (slots []int32, cut []int) {
+	return s.planTable().Schedule(order)
+}
 
 // BorrowCosts lends the caller a PlanCosts over the POSP, to give back with
 // ReturnCosts once done. The Space owns the one node table (cost.PlanSet)
-// over its POSP, hash-consed on the first borrow; every PlanCosts is a clone
-// of it, which a later borrower may reuse. Safe for concurrent use.
+// over its POSP, hash-consed on first use; every PlanCosts is a clone of
+// it, which a later borrower may reuse. Safe for concurrent use.
 func (s *Space) BorrowCosts() *PlanCosts {
 	if c, ok := s.lent.Get().(*PlanCosts); ok {
 		return c
 	}
-	s.tableOnce.Do(func() { s.table = cost.NewPlanSet(s.Model, s.plans) })
-	return &PlanCosts{ps: s.table.Clone(), g: &s.Grid, loc: make(cost.Location, s.Grid.D)}
+	return &PlanCosts{ps: s.planTable().Clone(), g: &s.Grid, loc: make(cost.Location, s.Grid.D)}
 }
 
 // ReturnCosts takes back a PlanCosts lent by BorrowCosts; the caller must

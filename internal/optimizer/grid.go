@@ -209,7 +209,10 @@ func (o *Optimizer) OptimizeGrid(ctx context.Context, points [][]float64, worker
 	for _, f := range fillers {
 		res.Splits += f.splits
 	}
-	res.PlanIdx, res.Plans = o.gridPlans(tabs)
+	res.PlanIdx, res.Plans = o.gridPlans(ctx, tabs, len(fillers))
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
@@ -244,8 +247,11 @@ func (o *Optimizer) gridTables(points [][]float64) []table {
 // gridPlans numbers the optimal plans of the full set's table, one per
 // cell, by first appearance in cell order. Subtrees are interned by
 // (subset, entry), so each entry is walked once, and by structure, so each
-// distinct subtree is built once and each distinct plan made once.
-func (o *Optimizer) gridPlans(tabs []table) ([]int32, []*plan.Plan) {
+// distinct subtree is built once and each distinct plan made once. The
+// numbering is serial; the plans, each only reading the interned nodes,
+// are then made by at most workers workers. A canceled context leaves
+// some plans nil.
+func (o *Optimizer) gridPlans(ctx context.Context, tabs []table, workers int) ([]int32, []*plan.Plan) {
 	memo := make([][]int32, len(tabs))
 	for s, t := range tabs {
 		memo[s] = make([]int32, len(t.entries))
@@ -255,17 +261,19 @@ func (o *Optimizer) gridPlans(tabs []table) ([]int32, []*plan.Plan) {
 	}
 	full := int32(len(tabs) - 1)
 	planIdx := make([]int32, len(tabs[full].entries))
-	var plans []*plan.Plan
+	var roots []int32             // root intern id, by POSP index
 	posp := make(map[int32]int32) // root intern id -> POSP index
 	for ci := range planIdx {
 		id := o.intern(tabs, memo, full, int32(ci))
 		pi, ok := posp[id]
 		if !ok {
-			pi = int32(len(plans))
+			pi = int32(len(roots))
 			posp[id] = pi
-			plans = append(plans, o.rootPlan(id))
+			roots = append(roots, id)
 		}
 		planIdx[ci] = pi
 	}
+	plans := make([]*plan.Plan, len(roots))
+	par.Each(ctx, len(roots), workers, func(_, i int) { plans[i] = o.rootPlan(roots[i]) })
 	return planIdx, plans
 }

@@ -297,7 +297,8 @@ func (o *Optimizer) node(e *dpEntry, k internKey) *plan.Node {
 }
 
 // rootPlan returns the plan of the full set's interned join tree id, made
-// on the first ask: under an aggregate when the query groups.
+// on the first ask: under an aggregate when the query groups. Calls for
+// distinct ids may run concurrently, with no intern running.
 func (o *Optimizer) rootPlan(id int32) *plan.Plan {
 	if p := o.internPlans[id]; p != nil {
 		return p
