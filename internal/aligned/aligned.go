@@ -115,7 +115,10 @@ func table(s *ess.Space) *poolTable {
 }
 
 // learntPools returns the spill pools of the learned set and their
-// schedules through the pool table.
+// schedules through the pool table. A missing set is computed outside the
+// lock, so planners on the Space's other learnt sets do not wait for it,
+// and published under it; the set is a pure function of the mask, so
+// when two planners compute one, the first stored wins.
 func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) poolSet {
 	mask := 0
 	for d, id := range s.Query.EPPs {
@@ -124,15 +127,21 @@ func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) poolSet {
 		}
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	ps := &t.byMask[mask]
-	if ps.pools == nil {
-		ps.pools, ps.slots = spillPools(s, learned), map[int][]int32{}
-		for d, ids := range ps.pools {
-			ps.slots[d], _ = s.PlanSchedule(ids)
-		}
+	ps := t.byMask[mask]
+	t.mu.Unlock()
+	if ps.pools != nil {
+		return ps
 	}
-	return *ps
+	ps.pools, ps.slots = spillPools(s, learned), map[int][]int32{}
+	for d, ids := range ps.pools {
+		ps.slots[d], _ = s.PlanSchedule(ids)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.byMask[mask].pools == nil {
+		t.byMask[mask] = ps
+	}
+	return t.byMask[mask]
 }
 
 // spillPools groups the POSP plan IDs by the dimension each spills on

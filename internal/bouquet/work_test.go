@@ -23,9 +23,32 @@ const workGolden = "../../testdata/work_golden.json"
 func TestReduceNodeEvalsGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	got := map[string]int{}
-	for _, name := range []string{"4D_Q91", "5D_Q84", "6D_Q18"} {
+	for _, name := range benchmarkQueries {
 		_, got[name] = reduce(benchmarkSpace(t, name), 0.2)
 	}
+	checkWork(t, "bouquet.node_evals", got)
+}
+
+// TestBuildSplitsGolden pins optimizer.splits, the split evaluations of the
+// whole-grid DP that builds each benchmark space (ess.Space.Splits), under
+// the same rules: a rise fails, and a fall fails until re-recorded.
+func TestBuildSplitsGolden(t *testing.T) {
+	got := map[string]int{}
+	for _, name := range benchmarkQueries {
+		got[name] = benchmarkSpace(t, name).Splits()
+	}
+	checkWork(t, "optimizer.splits", got)
+}
+
+// benchmarkQueries are the spaces the work counts are pinned on.
+var benchmarkQueries = []string{"4D_Q91", "5D_Q84", "6D_Q18"}
+
+// checkWork compares one counter's per-query counts with the golden: a
+// count above the golden fails, and so does one below it or missing from
+// it, until -update re-records the counter. -update rewrites that counter
+// only and keeps every other one in the file.
+func checkWork(t *testing.T, counter string, got map[string]int) {
+	t.Helper()
 	golden := map[string]map[string]int{}
 	raw, err := os.ReadFile(filepath.FromSlash(workGolden))
 	if err != nil && !*updateWork {
@@ -36,7 +59,6 @@ func TestReduceNodeEvalsGolden(t *testing.T) {
 			t.Fatalf("%s: %v", workGolden, err)
 		}
 	}
-	const counter = "bouquet.node_evals"
 	if *updateWork {
 		golden[counter] = got
 		out, err := json.MarshalIndent(golden, "", "  ")

@@ -176,8 +176,9 @@ func splitCounts(q *query.Query, g Grid) (grid, perCell int) {
 	return grid, perCell
 }
 
-// TestBuildSplitCount pins optimizer.splits, the build's host-independent
-// work count: it equals the count of splitCounts, and, as a percentage of
+// TestBuildSplitCount checks optimizer.splits, the build's host-independent
+// work count (TestBuildSplitsGolden in internal/bouquet pins its value): it
+// equals the count of splitCounts, and, as a percentage of
 // what one DP per cell evaluates rounded to a tenth, it is at most the
 // given figure (the exact shares are 20.84%, 16.78% and 10.07%).
 func TestBuildSplitCount(t *testing.T) {

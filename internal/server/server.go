@@ -716,7 +716,7 @@ func (s *Server) startBuild(e *session, opts repro.Options, traceID string, admi
 		sess, err := buildSession(ctx, e.spec, opts)
 		s.metrics.buildDuration.ObserveTrace(time.Since(start).Seconds(), traceID)
 		if err == nil && rec != nil {
-			s.recordTrace(traceID, trace.KindBuild, rec.Events())
+			s.recordTrace(traceID, trace.KindBuild, rec.Take())
 		}
 		if admitted {
 			s.buildLimiter.Release(err == nil)

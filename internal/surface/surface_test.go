@@ -59,7 +59,7 @@ var exempt = map[string]string{
 	"lowerbound":            "Theorem 4.6's adversary game, played by its tests and benchmark",
 
 	// Counters a test pins before a program reads them.
-	"ess.Space.Splits": "the DP's split-evaluation count, pinned by TestBuildSplitCount for the work-count gate",
+	"ess.Space.Splits": "the DP's split-evaluation count (optimizer.splits), pinned by TestBuildSplitsGolden in testdata/work_golden.json",
 }
 
 // pkg is one package as go list prints it.

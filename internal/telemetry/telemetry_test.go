@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +135,146 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 	if spends != 800 {
 		t.Errorf("spends = %d, want 800", spends)
+	}
+}
+
+// TestEventsSpanBlocks reads a stream across its block boundaries: the
+// copies see every event once, in order, whatever block it sits in.
+func TestEventsSpanBlocks(t *testing.T) {
+	r := NewRecorder()
+	const n = 3*blockSize + 5
+	for i := 0; i < n; i++ {
+		r.Record(Event{Kind: PlanExec, Dim: -1, PlanID: i})
+	}
+	for _, from := range []int{0, 1, blockSize - 1, blockSize, 2*blockSize + 7, n - 1} {
+		evs := r.EventsFrom(from)
+		if len(evs) != n-from {
+			t.Fatalf("EventsFrom(%d): %d events, want %d", from, len(evs), n-from)
+		}
+		for k, ev := range evs {
+			if ev.Seq != from+k || ev.PlanID != from+k {
+				t.Fatalf("EventsFrom(%d)[%d] = seq %d plan %d", from, k, ev.Seq, ev.PlanID)
+			}
+		}
+	}
+	if evs := r.Take(); len(evs) != n || evs[n-1].PlanID != n-1 || cap(evs) != n {
+		t.Fatalf("Take: len %d cap %d, want an exact-size copy of %d events", len(evs), cap(evs), n)
+	}
+}
+
+// TestTakeAllocs pins what one run's record costs once the block pool is
+// warm: a 300-event Record…Take cycle allocates the recorder, the block
+// list that outgrows the recorder's inline head (300 events fill 10
+// blocks, the head holds 8) and Take's one exact-size copy. The blocks
+// come from and go back to the pool.
+func TestTakeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cycle := func() {
+		r := NewRecorder()
+		for i := 0; i < 300; i++ {
+			if i%30 == 0 {
+				r.EnterContour(i / 30)
+			}
+			r.Record(Event{Kind: PlanExec, Dim: -1, PlanID: i, Budget: 1, Spent: 1})
+		}
+		if evs := r.Take(); len(evs) != 310 {
+			t.Fatalf("Take: %d events, want 310", len(evs))
+		}
+	}
+	cycle() // warm the pool
+	// The recorder, the block list past its head and Take's copy.
+	const bound = 3
+	if got := testing.AllocsPerRun(100, cycle); got > bound {
+		t.Errorf("a 300-event run allocates %v times, want at most %d", got, bound)
+	}
+}
+
+// TestRecordAfterTakeIsDropped: Take is the recorder's last use. A
+// straggler's Record or EnterContour leaves the taken stream as it was and
+// reaches no block, and every later read returns nil.
+func TestRecordAfterTakeIsDropped(t *testing.T) {
+	r := NewRecorder()
+	r.EnterContour(1)
+	r.Record(Event{Kind: PlanExec, Dim: -1, PlanID: 7})
+	evs := r.Take()
+	want := append([]Event(nil), evs...)
+	r.Record(Event{Kind: Done, Dim: -1})
+	r.EnterContour(2)
+	if len(evs) != 2 || !reflect.DeepEqual(evs, want) {
+		t.Fatalf("taken stream changed: %+v, want %+v", evs, want)
+	}
+	if r.Events() != nil || r.EventsFrom(0) != nil || r.Take() != nil {
+		t.Error("a taken recorder still returns events")
+	}
+	var nilRec *Recorder
+	if nilRec.Take() != nil {
+		t.Error("nil recorder should take nothing")
+	}
+}
+
+// TestReusedBlockHoldsNoPreviousRun: Take clears every block it hands back,
+// so a block a new recorder draws from the pool holds none of the previous
+// run's events (nor their Location slices and strings for the GC to keep).
+func TestReusedBlockHoldsNoPreviousRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prev := NewRecorder()
+	for i := 0; i < blockSize+3; i++ {
+		prev.Record(Event{Kind: Degrade, Dim: 2, Detail: "previous run", Location: []float64{0.5}, TotalCost: 9})
+	}
+	used := append([]*block(nil), prev.blocks...)
+	prev.Take()
+	for i, b := range used {
+		if !reflect.DeepEqual(*b, block{}) {
+			t.Fatalf("returned block %d is not cleared", i)
+		}
+	}
+	next := NewRecorder()
+	next.Record(Event{Kind: ContourEnter, Contour: 1, Dim: -1})
+	b := next.blocks[0]
+	if b[0].Kind != ContourEnter || b[0].Detail != "" || b[0].Location != nil {
+		t.Fatalf("first event of the new run = %+v", b[0])
+	}
+	for i := 1; i < blockSize; i++ {
+		if !reflect.DeepEqual(b[i], Event{}) {
+			t.Fatalf("reused block slot %d holds %+v", i, b[i])
+		}
+	}
+	if evs := next.Take(); len(evs) != 1 {
+		t.Fatalf("new run's stream = %+v", evs)
+	}
+}
+
+// TestConcurrentRecordAndTake races writers against the final Take under
+// -race: the taken stream is a gapless prefix of what was recorded, and
+// every event recorded after it is dropped.
+func TestConcurrentRecordAndTake(t *testing.T) {
+	r := NewRecorder()
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 200; i++ {
+				r.Record(Event{Kind: BudgetSpend, Dim: -1, Spent: 1})
+				r.EnterContour(i % 3)
+			}
+		}()
+	}
+	close(start)
+	evs := r.Take()
+	wg.Wait()
+	for i, ev := range evs {
+		if ev.Seq != i {
+			t.Fatalf("taken event %d has seq %d", i, ev.Seq)
+		}
+	}
+	if r.Events() != nil {
+		t.Error("events recorded after Take were kept")
 	}
 }
 

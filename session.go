@@ -515,21 +515,23 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 	return finishRun(rec, res, true), nil
 }
 
-// finishRun seals the run's event stream (the terminal Done summary) and
-// derives every event-sourced RunResult field from it in one place, so the
-// steps, trace, retry count and degradation flags cannot drift from the
-// events: one pass folds them, into a Steps slice sized to the charged
-// events. Retries counts the actual retry attempts (a Final "giving up"
-// note records exhaustion, not an attempt); the first Degrade event gives
-// the degradation and its reason; an ESS escape (the guard abandoned
-// discovery for the safe path) dominates budget aborts (discovery went on
-// under the enforced ledger) in GuardVerdict.
+// finishRun seals the run's event stream (the terminal Done summary), takes
+// it from the recorder (its last use: the one exact-size copy that the
+// result and the trace store keep) and derives every event-sourced
+// RunResult field from it in one place, so the steps, trace, retry count
+// and degradation flags cannot drift from the events: one pass folds them,
+// into a Steps slice sized to the charged events. Retries counts the
+// actual retry attempts (a Final "giving up" note records exhaustion, not
+// an attempt); the first Degrade event gives the degradation and its
+// reason; an ESS escape (the guard abandoned discovery for the safe path)
+// dominates budget aborts (discovery went on under the enforced ledger) in
+// GuardVerdict.
 func finishRun(rec *telemetry.Recorder, res RunResult, completed bool) RunResult {
 	rec.Record(telemetry.Event{
 		Kind: telemetry.Done, Dim: -1, Algorithm: res.Algorithm.String(),
 		TotalCost: res.TotalCost, SubOpt: res.SubOpt, Completed: completed,
 	})
-	res.Events = rec.Events()
+	res.Events = rec.Take()
 	charged := 0
 	for i := range res.Events {
 		if res.Events[i].Charged() {
