@@ -34,7 +34,7 @@ func (s *Session) RunDurable(ctx context.Context, a Algorithm, truth Location, r
 	if err != nil {
 		return RunResult{}, err
 	}
-	if !st.Info().Resumable {
+	if !st.info.Resumable {
 		// The native baseline is a single unbudgeted execution: there is no
 		// discovery state to checkpoint and nothing to resume. Any other
 		// non-resumable registered strategy is rejected the same way.

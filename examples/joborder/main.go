@@ -33,8 +33,8 @@ func main() {
 
 	fmt.Printf("native optimizer MSO : %8.0f   (unbounded in principle)\n", nat)
 	fmt.Printf("SpillBound MSO       : %8.1f   (guarantee %.0f)\n", sb.MSO, sess.Guarantee(repro.SpillBound))
-	fmt.Printf("AlignedBound MSO     : %8.1f   (range [%.0f, %.0f])\n",
-		ab.MSO, sess.GuaranteeLowerAB(), sess.Guarantee(repro.AlignedBound))
+	abLo, abHi := sess.GuaranteeRangeAB()
+	fmt.Printf("AlignedBound MSO     : %8.1f   (range [%.0f, %.0f])\n", ab.MSO, abLo, abHi)
 
 	// Drill into one painful instance: the estimate is tiny, the actual
 	// selectivities are large.

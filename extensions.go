@@ -79,13 +79,13 @@ func (s *Session) GuaranteeRangeAB() (lo, hi float64) {
 // and the selection strategies are rejected).
 func (s *Session) RunPhysical(a Algorithm, rowCap int64) (RunResult, error) {
 	st, ok := LookupStrategy(string(a))
-	if !ok || st.Info().Kind != "discovery" {
+	if !ok || st.info.Kind != "discovery" {
 		return RunResult{}, fmt.Errorf("repro: physical execution supports planbouquet, spillbound, alignedbound; got %v", a)
 	}
 	re := &rowexec.Engine{Query: s.query, Params: s.opts.Params, RowCap: rowCap}
 	rec := telemetry.NewRecorder()
 	ctx := telemetry.With(context.Background(), rec)
-	out, err := st.Run(ctx, &StrategyRun{sess: s, rex: &rowexec.Adapter{E: re}, rec: rec})
+	spent, err := st.run(ctx, &strategyRun{sess: s, rex: &rowexec.Adapter{E: re}, rec: rec})
 	if err != nil {
 		return RunResult{}, fmt.Errorf("repro: physical run: %w", err)
 	}
@@ -104,8 +104,8 @@ func (s *Session) RunPhysical(a Algorithm, rowCap int64) (RunResult, error) {
 		return RunResult{}, fmt.Errorf("repro: no POSP plan executed physically")
 	}
 	res := RunResult{
-		Algorithm: a, TotalCost: out.TotalCost,
-		OptimalCost: best, SubOpt: out.TotalCost / best, TraceID: trace.New().TraceID,
+		Algorithm: a, TotalCost: spent,
+		OptimalCost: best, SubOpt: spent / best, TraceID: trace.New().TraceID,
 	}
 	return finishRun(rec, res, true), nil
 }

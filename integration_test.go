@@ -115,7 +115,7 @@ func TestGuaranteeMonotoneInD(t *testing.T) {
 			t.Fatal(err)
 		}
 		sb := sess.Guarantee(SpillBound)
-		abLo := sess.GuaranteeLowerAB()
+		abLo, _ := sess.GuaranteeRangeAB()
 		if sb <= prevSB || abLo <= prevABLo {
 			t.Errorf("D=%d: guarantees not increasing (SB %g, ABlo %g)", d, sb, abLo)
 		}

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ess"
 	"repro/internal/par"
@@ -90,9 +89,8 @@ func Reduce(s *ess.Space, lambda float64) *Diagram {
 // reduce is Reduce, also returning the number of plan-set nodes it costed,
 // counted from the schedules it evaluated: the pre-pass's ranked cut at
 // every cell, and the failed survivors' schedule at every first visit. A
-// failing swallow stops at the first cell that finds no owner, and with
-// more than one worker, which of the victim's cells were visited by then
-// depends on the schedule; with one, the count is fixed by the space.
+// failing swallow stops at the first cell that finds no owner, in cell
+// order, so the count is fixed by the space.
 func reduce(s *ess.Space, lambda float64) (*Diagram, int) {
 	g := s.Grid
 	n := g.Size()
@@ -126,7 +124,7 @@ func reduce(s *ess.Space, lambda float64) (*Diagram, int) {
 	r := &rehomer{
 		s:        s,
 		lambda:   lambda,
-		costs:    costs,
+		costs:    costs[0],
 		rank:     make([]int, len(s.Plans())),
 		live:     make([]bool, len(s.Plans())),
 		fallback: make([]entry, n),
@@ -150,8 +148,8 @@ func reduce(s *ess.Space, lambda float64) (*Diagram, int) {
 			}
 		}
 		ok := r.rehome(victim, cells)
-		for i, ci := range cells {
-			if r.to[i] != unvisited && s.PlanIDAt(ci) == victim {
+		for _, ci := range cells[:len(r.to)] {
+			if s.PlanIDAt(ci) == victim {
 				evals += len(r.failedSlots)
 			}
 		}
@@ -194,9 +192,9 @@ func (e entry) beats(o entry) bool {
 type rehomer struct {
 	s      *ess.Space
 	lambda float64
-	costs  []*ess.PlanCosts // one per worker
-	rank   []int            // by POSP index: the position in swallow order
-	live   []bool           // by POSP index: not swallowed
+	costs  *ess.PlanCosts
+	rank   []int  // by POSP index: the position in swallow order
+	live   []bool // by POSP index: not swallowed
 	lists  *cellLists
 	// failed holds the plans whose swallow failed, in swallow order, and
 	// failedSlots their schedule. They survive for good and are never a
@@ -205,34 +203,24 @@ type rehomer struct {
 	failed      []int
 	failedSlots []int32
 	fallback    []entry
-	// to holds the last rehome's owners, to[i] for its cells[i]: -1 for
-	// none, unvisited for a cell skipped after another failed.
+	// to holds the last rehome's owners, to[i] for its cells[i], one per
+	// cell visited: -1 for none.
 	to []int32
 }
 
-const unvisited = -2
-
-// rehome finds a new owner for each of the victim's cells, into r.to[i]
-// for cells[i], and reports false when some cell has none. Workers claim
-// cells in turn and skip the rest once one fails. A cell's owner depends
-// only on the survivors, the victim and the cell, and the caller applies
-// the moves in cell order after every worker is done, so the diagram is
-// the serial one whatever the worker count or schedule.
+// rehome finds a new owner for each of the victim's cells in turn, into
+// r.to[i] for cells[i], and reports false when some cell has none; it
+// stops at that cell.
 func (r *rehomer) rehome(victim int, cells []int) bool {
-	r.to = slices.Grow(r.to[:0], len(cells))[:len(cells)]
-	var failed atomic.Bool
-	par.Each(context.Background(), len(cells), len(r.costs), func(w, i int) {
-		if failed.Load() {
-			r.to[i] = unvisited
-			return
-		}
-		best := r.owner(r.costs[w], cells[i], victim)
+	r.to = r.to[:0]
+	for _, ci := range cells {
+		best := r.owner(ci, victim)
+		r.to = append(r.to, best.id)
 		if best.id < 0 {
-			failed.Store(true)
+			return false
 		}
-		r.to[i] = best.id
-	})
-	return !failed.Load()
+	}
+	return true
 }
 
 // owner returns the new owner of cell ci, which the victim owns: the
@@ -243,9 +231,9 @@ func (r *rehomer) rehome(victim int, cells []int) bool {
 // are settled by now, so they are dropped from the front of the cell's
 // list, the failed ones folded into its fallback; every plan left in the
 // list is a survivor, and the first entry's ahead names the best of them.
-func (r *rehomer) owner(costs *ess.PlanCosts, ci, victim int) entry {
+func (r *rehomer) owner(ci, victim int) entry {
 	if r.s.PlanIDAt(ci) == victim {
-		r.fallback[ci] = r.cheapestFailed(costs, ci)
+		r.fallback[ci] = r.cheapestFailed(ci)
 	}
 	list := r.lists.of(ci)
 	q := 0
@@ -266,15 +254,15 @@ func (r *rehomer) owner(costs *ess.PlanCosts, ci, victim int) entry {
 
 // cheapestFailed returns the cheapest failed survivor at cell ci within
 // (1+lambda) of optimal, the lowest POSP index among equal costs, or id -1.
-func (r *rehomer) cheapestFailed(costs *ess.PlanCosts, ci int) entry {
+func (r *rehomer) cheapestFailed(ci int) entry {
 	best := entry{id: -1}
 	if len(r.failed) == 0 {
 		return best
 	}
-	costs.Eval(ci, r.failedSlots)
+	r.costs.Eval(ci, r.failedSlots)
 	limit := r.s.CostAt(ci) * (1 + r.lambda)
 	for _, id := range r.failed {
-		if c := costs.Cost(id); c <= limit {
+		if c := r.costs.Cost(id); c <= limit {
 			if e := (entry{id: int32(id), cost: c}); e.beats(best) {
 				best = e
 			}

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
@@ -16,12 +15,11 @@ var updateWork = flag.Bool("update", false, "rewrite testdata/work_golden.json a
 const workGolden = "../../testdata/work_golden.json"
 
 // TestReduceNodeEvalsGolden pins bouquet.node_evals, the plan-set nodes one
-// Reduce at λ = 0.2 costs on each benchmark space, at one worker (see
-// reduce). The count depends on no host, so a change that makes the
-// reduction do more work fails here even where timings are too noisy to
-// show it; one that makes it do less re-records the golden with -update.
+// Reduce at λ = 0.2 costs on each benchmark space (see reduce). The count
+// depends on no host or worker count, so a change that makes the reduction
+// do more work fails here even where timings are too noisy to show it; one
+// that makes it do less re-records the golden with -update.
 func TestReduceNodeEvalsGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	got := map[string]int{}
 	for _, name := range benchmarkQueries {
 		_, got[name] = reduce(benchmarkSpace(t, name), 0.2)

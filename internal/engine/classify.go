@@ -12,6 +12,7 @@
 // outcome and would double-charge the ledger — while everything else
 // (injected failures, panics recovered into errors, transient substrate
 // trouble) is transient and rides the backoff schedule.
+
 package engine
 
 import (

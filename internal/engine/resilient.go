@@ -5,6 +5,7 @@
 // discovery run with a typed error so the session layer can fall back to the
 // Native (estimate-optimal) plan and report the downgraded guarantee —
 // instead of panicking or hanging.
+
 package engine
 
 import (

@@ -2,6 +2,7 @@
 // failures open the circuit, rejections are immediate (no queueing behind a
 // failing dependency), and after a cooldown a single half-open probe decides
 // whether to close again.
+
 package guard
 
 import (

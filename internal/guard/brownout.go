@@ -13,6 +13,7 @@
 //	2  shed expensive read endpoints (sweeps, atlas)
 //	3  shed session builds; admit runs only
 //	4  full shed (health, metrics and fleet endpoints still served)
+
 package guard
 
 import "sync"
@@ -20,17 +21,17 @@ import "sync"
 // BrownoutStages is the number of degradation stages above normal.
 const BrownoutStages = 4
 
-// BrownoutConfig tunes the stage thresholds and hysteresis. The zero value
-// takes the defaults noted per field.
+// stageEnter holds the pressure thresholds at which each stage engages:
+// stageEnter[i] is the minimum pressure for stage i+1.
+var stageEnter = [BrownoutStages]float64{0.5, 0.75, 0.9, 0.97}
+
+// exitMargin is the hysteresis band: the controller only considers leaving
+// stage i once pressure drops below stageEnter[i-1]-exitMargin.
+const exitMargin = 0.1
+
+// BrownoutConfig tunes the hysteresis. The zero value takes the default
+// noted on the field.
 type BrownoutConfig struct {
-	// Enter holds the pressure thresholds at which each stage engages:
-	// Enter[i] is the minimum pressure for stage i+1. Must be
-	// non-decreasing; default [0.5, 0.75, 0.9, 0.97].
-	Enter []float64
-	// ExitMargin is the hysteresis band: the controller only considers
-	// leaving stage i once pressure drops below Enter[i-1]-ExitMargin.
-	// Default 0.1.
-	ExitMargin float64
 	// DwellTicks is how many consecutive Observe ticks pressure must stay
 	// below a stage's exit threshold before the controller steps down one
 	// stage — the time-domain half of the hysteresis. Default 3.
@@ -38,12 +39,6 @@ type BrownoutConfig struct {
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if len(c.Enter) == 0 {
-		c.Enter = []float64{0.5, 0.75, 0.9, 0.97}
-	}
-	if c.ExitMargin <= 0 {
-		c.ExitMargin = 0.1
-	}
 	if c.DwellTicks < 1 {
 		c.DwellTicks = 3
 	}
@@ -70,10 +65,7 @@ func NewBrownout(cfg BrownoutConfig) *Brownout {
 // hysteresis: the highest stage whose enter threshold the sample clears.
 func (b *Brownout) target(pressure float64) int {
 	t := 0
-	for i, th := range b.cfg.Enter {
-		if i >= BrownoutStages {
-			break
-		}
+	for i, th := range stageEnter {
 		if pressure >= th {
 			t = i + 1
 		}
@@ -100,7 +92,7 @@ func (b *Brownout) Observe(pressure float64) (stage int, changed bool) {
 		return b.stage, true
 	}
 	if b.stage > 0 {
-		exit := b.cfg.Enter[b.stage-1] - b.cfg.ExitMargin
+		exit := stageEnter[b.stage-1] - exitMargin
 		if pressure < exit {
 			b.calm++
 			if b.calm >= b.cfg.DwellTicks {

@@ -2,6 +2,7 @@
 // heartbeat responses, and the scalar pressure score both the edge-shedding
 // proxy and the brownout controller steer by. The struct is the wire format
 // (JSON on /v1/fleet/health and /v1/fleet/vitals), so fields are stable.
+
 package guard
 
 import (

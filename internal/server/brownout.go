@@ -11,6 +11,7 @@
 //
 // The current stage is published as rqp_brownout_stage, and Vitals() is the
 // snapshot the fleet gossips on every heartbeat response.
+
 package server
 
 import (

@@ -129,8 +129,8 @@ type Config struct {
 	Brownout bool
 	// BrownoutInterval is the pressure sampling cadence (default 1s).
 	BrownoutInterval time.Duration
-	// BrownoutConfig tunes the stage thresholds and hysteresis; the zero
-	// value takes guard's defaults.
+	// BrownoutConfig tunes the brownout's hysteresis; the zero value takes
+	// guard's default.
 	BrownoutConfig guard.BrownoutConfig
 }
 

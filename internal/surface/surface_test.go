@@ -1,13 +1,18 @@
-// Package surface_test holds one check over the whole module: every
-// exported function and method declared in a non-test file under internal/
-// has a caller in a program, or is reachable through the public API, and
-// every exported function and method of the root package, which is the
-// public API, has a caller in a program outside it. A name that only tests
-// call is library surface nothing runs; delete it with the code only it
-// uses, and move its tests to the path the program runs.
+// Package surface_test holds two checks over the whole module. The first:
+// every exported function and method declared in a non-test file under
+// internal/ has a caller in a program, or is reachable through the public
+// API; every exported function and method of the root package, which is
+// the public API, has a caller in a program outside it; and every exported
+// type, constant and variable of the root package is named by a program
+// outside it or, for a type, reached through the public API. A name that
+// only tests use is library surface nothing runs; delete it with the code
+// only it uses, and move its tests to the path the program runs. The
+// second: each package has at most one package doc comment, since go doc
+// joins every comment placed directly above a package clause into the
+// package's overview.
 //
 // The package has no non-test files, so it builds nothing of its own and its
-// test runs in parallel with the other packages' tests.
+// tests run in parallel with the other packages' tests.
 package surface_test
 
 import (
@@ -34,11 +39,12 @@ const (
 )
 
 // exempt lists the exported names with no program caller that stay, each
-// with its reason. Interface methods and, under internal/, names reachable
-// from the root package's exported API are found by the check itself and
-// are not listed. A key is a package under internal/ (or "repro" for the
-// root), then the receiver's type name for a method, then the name; a bare
-// package exempts all of it.
+// with its reason. Interface methods, root types reachable from the root
+// package's exported API and, under internal/, functions and methods
+// reachable from it are found by the check itself and are not listed. A
+// key is a package under internal/ (or "repro" for the root), then the
+// receiver's type name for a method, then the name; a bare package
+// exempts all of it.
 var exempt = map[string]string{
 	// Test seams that other packages' tests call.
 	"optimizer.MustNew":       "panicking constructor for tests over fixed queries",
@@ -72,6 +78,50 @@ type pkg struct {
 }
 
 func TestEveryExportHasProgramCaller(t *testing.T) {
+	unused, stale, err := scan(moduleDirs(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range unused {
+		t.Errorf("%s has no use in a program (a non-test file, outside package repro for a root name) and is not reached through the API: delete it, or add it to exempt with the reason it stays", name)
+	}
+	for _, name := range stale {
+		t.Errorf("exempt lists %s, which has a caller, is reachable from the API or is gone: drop the entry", name)
+	}
+}
+
+// TestOnePackageDocComment fails when more than one non-test file of a
+// package carries a package doc comment: a file comment meant for the
+// file alone needs a blank line between it and the package clause.
+func TestOnePackageDocComment(t *testing.T) {
+	for _, dir := range moduleDirs(t) {
+		ps, err := goList(dir, "-json=ImportPath,Dir,GoFiles", "./...")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ps {
+			var docs []string
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(p.Dir, name), nil, parser.PackageClauseOnly|parser.ParseComments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.Doc != nil {
+					docs = append(docs, name)
+				}
+			}
+			if len(docs) > 1 {
+				t.Errorf("%s has %d package doc comments (%s): keep one, and set a blank line between each other comment and its package clause", p.ImportPath, len(docs), strings.Join(docs, ", "))
+			}
+		}
+	}
+}
+
+// moduleDirs returns the module's root directory, which holds the root
+// package, and perfbench's, skipping the test when there is no go command
+// to list their packages with.
+func moduleDirs(t *testing.T) []string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go command not found")
 	}
@@ -79,22 +129,14 @@ func TestEveryExportHasProgramCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, stale, err := scan(root, filepath.Join(root, "perfbench"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range unused {
-		t.Errorf("%s has no caller in a program (a non-test file, outside package repro for a root name): delete it, or add it to exempt with the reason it stays", name)
-	}
-	for _, name := range stale {
-		t.Errorf("exempt lists %s, which has a caller, is reachable from the API or is gone: drop the entry", name)
-	}
+	return []string{root, filepath.Join(root, "perfbench")}
 }
 
 // scan type-checks the non-test files of every package of the modules in
 // dirs, the first of which holds the root package. It returns the exported
-// functions and methods that no program uses and exempt does not list, and
-// the exempt entries that cover none of them. A program use of a name under
+// functions and methods, and the root package's exported types, constants
+// and variables, that no program uses and exempt does not list, and the
+// exempt entries that cover none of them. A program use of a name under
 // internal/ is one in any non-test file; of a root name, one in a non-test
 // file outside the root package.
 func scan(dirs ...string) (unused, stale []string, err error) {
@@ -151,9 +193,10 @@ func scan(dirs ...string) (unused, stale []string, err error) {
 	}
 
 	// Every exported function and method declared in the root package or
-	// under internal/; a method an interface type declares has no body to
-	// be dead.
-	decls := map[*types.Func]string{}
+	// under internal/, a method an interface type declares excepted (it has
+	// no body to be dead), and every other exported name the root package
+	// declares.
+	decls := map[types.Object]string{}
 	for _, obj := range c.info.Defs {
 		fn, ok := obj.(*types.Func)
 		if !ok || !fn.Exported() || fn.Pkg().Path() != module && !strings.HasPrefix(fn.Pkg().Path(), internal) {
@@ -163,33 +206,45 @@ func scan(dirs ...string) (unused, stale []string, err error) {
 			decls[fn] = key(fn)
 		}
 	}
-	used := map[*types.Func]bool{}
-	for id, obj := range c.info.Uses {
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
+	rootScope := c.checked[module].Scope()
+	for _, name := range rootScope.Names() {
+		if obj := rootScope.Lookup(name); obj.Exported() {
+			if _, ok := obj.(*types.Func); !ok {
+				decls[obj] = module + "." + name
+			}
 		}
-		fn = fn.Origin()
-		// A function calling itself is no caller.
-		if _, ok := decls[fn]; ok && fn.Scope().Contains(id.Pos()) {
-			continue
+	}
+	used := map[types.Object]bool{}
+	for id, obj := range c.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+			// A function calling itself is no caller.
+			if _, ok := decls[obj]; ok && obj.(*types.Func).Scope().Contains(id.Pos()) {
+				continue
+			}
 		}
 		// The root package is the public API: an export there is a promise
 		// to callers outside it, so its own uses do not count.
-		if fn.Pkg() != nil && fn.Pkg().Path() == module && c.files[c.fset.File(id.Pos())] == module {
+		if obj.Pkg() != nil && obj.Pkg().Path() == module && c.files[c.fset.File(id.Pos())] == module {
 			continue
 		}
-		used[fn] = true
+		used[obj] = true
 	}
 
 	ifaces, err := c.interfaces(std)
 	if err != nil {
 		return nil, nil, err
 	}
-	api := reachable(c.checked[module])
+	apiFuncs, apiTypes := reachable(c.checked[module], used)
 	needed := map[string]bool{}
-	for fn, name := range decls {
-		if used[fn] || api[fn] && fn.Pkg().Path() != module || implements(fn, ifaces) {
+	for obj, name := range decls {
+		if used[obj] {
+			continue
+		}
+		if fn, ok := obj.(*types.Func); ok && (apiFuncs[fn] && fn.Pkg().Path() != module || implements(fn, ifaces)) {
+			continue
+		}
+		if tn, ok := obj.(*types.TypeName); ok && apiTypes[tn] {
 			continue
 		}
 		if k, ok := exempted(name); ok {
@@ -336,12 +391,17 @@ func implements(fn *types.Func, ifaces []*types.Interface) bool {
 	return false
 }
 
-// reachable returns the methods a user of root can call: the exported
-// methods of every named type that root's exported API reaches through
-// declarations, aliases, signatures, exported or embedded fields and
-// element types.
-func reachable(root *types.Package) map[*types.Func]bool {
+// reachable returns the methods a user of root can call, and the named
+// types the user can get hold of: those that root's exported API reaches
+// through declarations, aliases, signatures, exported or embedded fields
+// and element types, and the exported methods of each. The walk starts
+// from root's exported functions, constants and variables, and from its
+// exported types that used holds, the ones a program outside root names;
+// an exported type that no program names is not reached by its own
+// declaration.
+func reachable(root *types.Package, used map[types.Object]bool) (map[*types.Func]bool, map[*types.TypeName]bool) {
 	out := map[*types.Func]bool{}
+	named := map[*types.TypeName]bool{}
 	seen := map[types.Type]bool{}
 	var walk func(types.Type)
 	walk = func(t types.Type) {
@@ -352,6 +412,7 @@ func reachable(root *types.Package) map[*types.Func]bool {
 		seen[t] = true
 		switch t := t.(type) {
 		case *types.Named:
+			named[t.Obj()] = true
 			for i := 0; i < t.NumMethods(); i++ {
 				if m := t.Method(i); m.Exported() {
 					out[m.Origin()] = true
@@ -390,11 +451,12 @@ func reachable(root *types.Package) map[*types.Func]bool {
 	}
 	s := root.Scope()
 	for _, name := range s.Names() {
-		if obj := s.Lookup(name); obj.Exported() {
+		obj := s.Lookup(name)
+		if _, isType := obj.(*types.TypeName); obj.Exported() && (!isType || used[obj]) {
 			walk(obj.Type())
 		}
 	}
-	return out
+	return out, named
 }
 
 // key names fn as exempt does: its package under internal/ (or the root

@@ -35,7 +35,7 @@ func Fig7(s *ess.Space, ratio float64, events []telemetry.Event, truth cost.Loca
 	if err != nil {
 		return "", err
 	}
-	return render(s, ratio, path, truth)
+	return render(s, ratio, path, truth), nil
 }
 
 // manhattanPath converts a run's spill executions (its SpillExec events)
@@ -75,12 +75,10 @@ func manhattanPath(s *ess.Space, events []telemetry.Event, truth cost.Location) 
 	return path, nil
 }
 
-// render paints the map; path (vertex list) and truth may be nil.
-func render(s *ess.Space, ratio float64, path [][2]int, truth cost.Location) (string, error) {
+// render paints the map of a 2D space; path (vertex list) and truth may be
+// nil.
+func render(s *ess.Space, ratio float64, path [][2]int, truth cost.Location) string {
 	g := s.Grid
-	if g.D != 2 {
-		return "", fmt.Errorf("viz: can only render 2D spaces, have %dD", g.D)
-	}
 	costs := s.ContourCosts(ratio)
 	nx, ny := g.Res(0), g.Res(1)
 
@@ -134,7 +132,7 @@ func render(s *ess.Space, ratio float64, path [][2]int, truth cost.Location) (st
 	}
 	out.WriteString(strings.Repeat(" ", 11) + lo + strings.Repeat(" ", pad) + hi + "\n")
 	out.WriteString(strings.Repeat(" ", 11) + "dimension 0 selectivity (log scale) →\n")
-	return out.String(), nil
+	return out.String()
 }
 
 func sign(x int) int {

@@ -48,10 +48,7 @@ func build3D(t *testing.T) *ess.Space {
 // over, rendered without a path or truth.
 func TestContourMapRenders(t *testing.T) {
 	s := build2D(t, 12)
-	out, err := render(s, 2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := render(s, 2, nil, nil)
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// Header + 12 rows + axis + 2 label lines.
 	if len(lines) != 1+12+1+2 {
@@ -74,10 +71,7 @@ func TestContourMapRenders(t *testing.T) {
 
 func TestContourMapBandsMonotone(t *testing.T) {
 	s := build2D(t, 10)
-	out, err := render(s, 2, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := render(s, 2, nil, nil)
 	// Along each row, the band character must be nondecreasing in
 	// band-index order (left to right = increasing selectivity).
 	idx := func(c byte) int { return strings.IndexByte(bandChars, c) }
@@ -123,11 +117,8 @@ func TestFig7Overlay(t *testing.T) {
 	}
 }
 
-func TestRenderRejectsNon2D(t *testing.T) {
+func TestFig7RejectsNon2D(t *testing.T) {
 	s := build3D(t)
-	if _, err := render(s, 2, nil, nil); err == nil {
-		t.Error("3D map should be rejected")
-	}
 	if _, err := Fig7(s, 2, nil, cost.Location{1, 1, 1}); err == nil {
 		t.Error("3D Fig7 should be rejected")
 	}

@@ -23,28 +23,28 @@ import (
 
 // The three error regimes, as reported by Scenario.Regime.
 const (
-	// RegimeBenign: estimation error present, plan regret absent.
-	RegimeBenign = "benign"
-	// RegimeCorrelated: damage proportional to the error magnitude (budget
+	// regimeBenign: estimation error present, plan regret absent.
+	regimeBenign = "benign"
+	// regimeCorrelated: damage proportional to the error magnitude (budget
 	// overruns; the budget cut-off's regime).
-	RegimeCorrelated = "regret-correlated"
-	// RegimeAdversarial: damage decoupled from the error magnitude (ESS
+	regimeCorrelated = "regret-correlated"
+	// regimeAdversarial: damage decoupled from the error magnitude (ESS
 	// escapes, transient failures, checkpoint crashes).
-	RegimeAdversarial = "adversarial"
+	regimeAdversarial = "adversarial"
 )
 
 // regimes returns the regime labels in canonical sweep order. A regime's
 // index in this order seeds its scenarios' random streams.
 func regimes() []string {
-	return []string{RegimeBenign, RegimeCorrelated, RegimeAdversarial}
+	return []string{regimeBenign, regimeCorrelated, regimeAdversarial}
 }
 
 // Scenario is one named error-regime composition of fault knobs.
 type Scenario struct {
 	// Name is "<regime>-<n>", unique within a suite.
 	Name string
-	// Regime is the scenario's error regime (RegimeBenign, RegimeCorrelated
-	// or RegimeAdversarial).
+	// Regime is the scenario's error regime: "benign", "regret-correlated"
+	// or "adversarial".
 	Regime string
 	// Faults is the fault composition applied to every run under the
 	// scenario (a fresh injection plan is instantiated per run).
@@ -113,7 +113,7 @@ func newScenario(seed int64, r, i int, name string) Scenario {
 	sc := Scenario{Name: name, Regime: regimes()[r]}
 	k := &sc.Faults
 	switch sc.Regime {
-	case RegimeBenign:
+	case regimeBenign:
 		// Skew that stays well inside the unit selectivity range: the
 		// monitoring observation is wrong but the discovery still converges
 		// on a competitive plan (q-error without regret).
@@ -122,7 +122,7 @@ func newScenario(seed int64, r, i int, name string) Scenario {
 		if i%3 == 2 {
 			k.Latency = time.Duration(1+rng.Intn(3)) * time.Millisecond
 		}
-	case RegimeCorrelated:
+	case regimeCorrelated:
 		// Damage proportional to the drawn error: the overrun factor is the
 		// error, so bigger error means bigger charged cost until the engine
 		// cuts the execution off at its budget.
@@ -131,7 +131,7 @@ func newScenario(seed int64, r, i int, name string) Scenario {
 			k.SkewLearnedAt = 1 + rng.Intn(2)
 			k.SkewLearnedFactor = 2 + rng.Float64()*6
 		}
-	case RegimeAdversarial:
+	case regimeAdversarial:
 		switch {
 		case i%2 == 0:
 			// Escape-scale skew: any positive observation is pushed past 1,

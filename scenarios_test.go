@@ -83,18 +83,18 @@ func TestCanonicalScenarioClasses(t *testing.T) {
 		for _, sc := range ScenarioSuite(seed, 4) {
 			k := sc.Faults
 			switch sc.Regime {
-			case RegimeBenign:
+			case regimeBenign:
 				if k.BudgetOverrun > 0 || k.SkewLearnedFactor > 4 || k.CrashAtCheckpoint > 0 {
 					t.Errorf("seed %d: benign scenario with non-benign knobs: %+v", seed, sc)
 				}
 				if k.SkewLearnedAt == 0 {
 					t.Errorf("seed %d: benign scenario without skew: %+v", seed, sc)
 				}
-			case RegimeCorrelated:
+			case regimeCorrelated:
 				if k.BudgetOverrun <= 1 {
 					t.Errorf("seed %d: correlated scenario without overrun: %+v", seed, sc)
 				}
-			case RegimeAdversarial:
+			case regimeAdversarial:
 				if k.SkewLearnedFactor < 1e6 && k.FailExecAt == 0 && k.CrashAtCheckpoint == 0 {
 					t.Errorf("seed %d: adversarial scenario without adversarial knobs: %+v", seed, sc)
 				}
@@ -212,11 +212,11 @@ func TestSweepScenariosAcrossAlgorithms(t *testing.T) {
 			// regret-correlated-1 always overruns its budgets, so the
 			// watchdog must abort for a discovery and a selection strategy;
 			// adversarial-1 skews monitoring past the ESS boundary.
-			if rs.Regime == RegimeCorrelated && (a == SpillBound || a == "penaltyaware") &&
+			if rs.Regime == regimeCorrelated && (a == SpillBound || a == "penaltyaware") &&
 				rs.Guard["budget_abort"] == 0 {
 				t.Errorf("%v/%s: no budget_abort censused", a, rs.Regime)
 			}
-			if rs.Regime == RegimeAdversarial && a == SpillBound && rs.Guard["ess_escape"] == 0 {
+			if rs.Regime == regimeAdversarial && a == SpillBound && rs.Guard["ess_escape"] == 0 {
 				t.Errorf("%v/%s: no ess_escape censused", a, rs.Regime)
 			}
 			escapes += rs.Guard["ess_escape"]

@@ -20,6 +20,7 @@
 // None of the three carries an MSO guarantee (Session.Guarantee reports
 // +Inf); the sweeps and the robustness atlas exist to measure how far
 // profile-driven selection actually lands from the discovery bounds.
+
 package repro
 
 import (
@@ -219,9 +220,9 @@ func chooseMinmaxRegret(s *Session) selectionChoice {
 // alone, checkpointed like a contour boundary, so selection runs are
 // durable and crash-resumable (the choice itself is deterministic and is
 // simply recomputed on resume).
-func runLadder(ctx context.Context, r *StrategyRun, name string, choose func(*Session) selectionChoice) (StrategyOutcome, error) {
+func runLadder(ctx context.Context, r *strategyRun, name string, choose func(*Session) selectionChoice) (float64, error) {
 	ch := r.sess.selectionFor(name, choose)
-	var out StrategyOutcome
+	var total float64
 	start := 0
 	if r.resume != nil {
 		start = r.resume.Contour
@@ -229,68 +230,32 @@ func runLadder(ctx context.Context, r *StrategyRun, name string, choose func(*Se
 	budget := ch.initBudget * math.Pow(2, float64(start))
 	for step := start; step < maxLadderSteps; step++ {
 		if err := runstate.Checkpoint(ctx, step); err != nil {
-			return out, err
+			return total, err
 		}
 		spent, completed, err := r.execute(ctx, step+1, ch.planID, budget)
 		if err != nil {
-			return out, err
+			return total, err
 		}
-		out.TotalCost += spent
+		total += spent
 		if completed {
-			return out, nil
+			return total, nil
 		}
 		budget *= 2
 	}
-	return out, fmt.Errorf("repro: %s budget ladder exceeded %d doublings (non-finite execution cost?)", name, maxLadderSteps)
+	return total, fmt.Errorf("repro: %s budget ladder exceeded %d doublings (non-finite execution cost?)", name, maxLadderSteps)
 }
 
-// selectionStrategy implements Strategy for one member of the selection
-// family; the members differ only in descriptor, salt and chooser.
-type selectionStrategy struct {
-	info   StrategyInfo
-	choose func(*Session) selectionChoice
-}
-
-func (st selectionStrategy) Info() StrategyInfo      { return st.info }
-func (selectionStrategy) Guarantee(*Session) float64 { return math.Inf(1) }
-func (st selectionStrategy) Run(ctx context.Context, r *StrategyRun) (StrategyOutcome, error) {
-	return runLadder(ctx, r, st.info.Name, st.choose)
-}
-func (st selectionStrategy) SweepRun(s *Session) func(Location) float64 { return sweepByRun(st, s) }
-
-// selectionStrategies is the selection family's part of strategyTable.
-var selectionStrategies = []Strategy{
-	selectionStrategy{
+// selection is the strategyTable entry of one member of the selection
+// family; the members differ only in name, documented knobs and chooser.
+func selection(name string, params map[string]string, choose func(*Session) selectionChoice) Strategy {
+	return Strategy{
 		info: StrategyInfo{
-			Name: "penaltyaware", Kind: "selection", Guarantee: "none",
-			Resumable: true,
-			Params: map[string]string{
-				"samples": "64 log-normal error-profile samples (seeded by Options.SweepSeed)",
-				"sigma":   "1.0 decades of multiplicative estimation error",
-				"alpha":   "0.5 worst-case weight in the penalty blend",
-			},
+			Name: name, Kind: "selection", Guarantee: "none",
+			Resumable: true, Params: params,
 		},
-		choose: choosePenaltyAware,
-	},
-	selectionStrategy{
-		info: StrategyInfo{
-			Name: "probabilistic", Kind: "selection", Guarantee: "none",
-			Resumable: true,
-			Params: map[string]string{
-				"samples": "64 log-normal selectivity samples (seeded by Options.SweepSeed)",
-				"sigma":   "1.0 decades of multiplicative estimation error",
-			},
+		guarantee: noGuarantee,
+		run: func(ctx context.Context, r *strategyRun) (float64, error) {
+			return runLadder(ctx, r, name, choose)
 		},
-		choose: chooseProbabilistic,
-	},
-	selectionStrategy{
-		info: StrategyInfo{
-			Name: "minmaxregret", Kind: "selection", Guarantee: "none",
-			Resumable: true,
-			Params: map[string]string{
-				"factor": "100x per-dimension uncertainty box (estimate plus 2^D corners)",
-			},
-		},
-		choose: chooseMinmaxRegret,
-	},
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/aligned"
 	"repro/internal/bouquet"
 	"repro/internal/cost"
 	"repro/internal/engine"
@@ -305,11 +304,8 @@ func (s *Session) Guarantee(a Algorithm) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	return st.Guarantee(s)
+	return st.guarantee(s)
 }
-
-// GuaranteeLowerAB returns AlignedBound's aligned-case bound 2D+2.
-func (s *Session) GuaranteeLowerAB() float64 { return aligned.GuaranteeLower(s.D()) }
 
 // ExecutionStep is one budgeted execution of a robust run.
 type ExecutionStep struct {
@@ -484,8 +480,8 @@ func (s *Session) runFull(ctx context.Context, a Algorithm, truth Location, cost
 		}
 	}
 
-	out, runErr := st.Run(ctx, &StrategyRun{sess: s, rex: rex, truth: truth, resume: resume, rec: rec})
-	res.TotalCost = out.TotalCost + base
+	spent, runErr := st.run(ctx, &strategyRun{sess: s, rex: rex, truth: truth, resume: resume, rec: rec})
+	res.TotalCost = spent + base
 	if runErr != nil {
 		if faults.IsCrash(runErr) {
 			// An injected checkpoint crash models the process dying: no

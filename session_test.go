@@ -86,7 +86,7 @@ func TestGuarantees(t *testing.T) {
 	if g := sess.Guarantee(AlignedBound); g != 10 {
 		t.Errorf("AB upper = %g", g)
 	}
-	if g := sess.GuaranteeLowerAB(); g != 6 {
+	if g, _ := sess.GuaranteeRangeAB(); g != 6 {
 		t.Errorf("AB lower = %g", g)
 	}
 	if g := sess.Guarantee(PlanBouquet); g < 4 {
