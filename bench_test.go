@@ -12,6 +12,7 @@ package repro
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -391,6 +392,27 @@ func BenchmarkColdSweepAB(b *testing.B) {
 	}
 }
 
+// BenchmarkColdSweepSB is BenchmarkColdSweepAB for SpillBound: 400
+// locations of a fresh 5D_Q84 benchmark session per op, the build outside
+// the timer, so every spill's monitoring bound is computed afresh.
+func BenchmarkColdSweepSB(b *testing.B) {
+	bq, ok := BenchmarkQueryByName("5D_Q84")
+	if !ok {
+		b.Fatal("5D_Q84 missing from the benchmark workload")
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sess, err := NewBenchmarkSession(bq, BenchmarkOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := sess.SweepContext(context.Background(), SpillBound, 400); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMetricsSweepPB sweeps PlanBouquet over 400 locations of a
 // 4D_Q91 benchmark session through Session.SweepContext, the offline
 // workload's sweep: every run executes the diagram's contour plan lists.
@@ -454,6 +476,43 @@ func BenchmarkReduce(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				bouquet.Reduce(s.space, s.opts.ReductionLambda)
 			}
+		})
+	}
+}
+
+// BenchmarkPlanSetEval costs the schedule of the first half of 6D_Q18's
+// POSP through a borrowed cost table, at one cell in one lane and at
+// cost.Lanes cells in as many lanes, and reports the time per node costed
+// in one lane (ns/node).
+func BenchmarkPlanSetEval(b *testing.B) {
+	bq, ok := BenchmarkQueryByName("6D_Q18")
+	if !ok {
+		b.Fatal("6D_Q18 missing from the benchmark workload")
+	}
+	s, err := NewBenchmarkSession(bq, BenchmarkOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := s.space
+	half := make([]int, len(sp.Plans())/2)
+	for id := range half {
+		half[id] = id
+	}
+	slots, _ := sp.PlanSchedule(half)
+	for _, lanes := range []int{1, cost.Lanes} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			cells, cut := make([]int, lanes), make([]int, lanes)
+			for j := range cells {
+				cells[j] = j * (sp.Grid.Size() / lanes)
+				cut[j] = len(slots)
+			}
+			c := sp.BorrowCosts()
+			defer sp.ReturnCosts(c)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Eval(cells, slots, cut)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes*len(slots)), "ns/node")
 		})
 	}
 }

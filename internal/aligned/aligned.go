@@ -14,6 +14,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cost"
 	"repro/internal/engine"
 	"repro/internal/ess"
 	"repro/internal/runstate"
@@ -71,6 +72,7 @@ type contourState struct {
 	poolSet
 	memo    map[[2]int]memo // (part mask, leader) -> part penalty
 	indMemo map[[2]int]memo // (leader, coord) -> induced replacement
+	costed  int             // (cell, plan) pairs the induced replacements costed
 }
 
 type memo struct {
@@ -105,6 +107,7 @@ type poolSet struct {
 type poolTable struct {
 	mu     sync.Mutex
 	byMask []poolSet
+	costed int // (cell, plan) pairs costed over every contour planned (aligned.pool_costs)
 }
 
 // table returns the Space's pool table.
@@ -205,8 +208,8 @@ func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool
 // induces PSA with the given leader at the given extreme coordinate:
 // S = contour cells whose leader coordinate equals coord, candidates are
 // the POSP plans spilling on the leader (Sec 5.2.1), costed through a cost
-// table borrowed from the Space by the pool's schedule, so subtrees shared
-// by the pool are costed once per cell.
+// table borrowed from the Space by the pool's schedule, cost.Lanes cells
+// at a time, so subtrees shared by the pool are costed once per cell.
 // Memoized per (leader, coord) — the coordinate can only be one of D
 // precomputed extremes.
 func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
@@ -215,22 +218,36 @@ func (st *contourState) inducedReplacement(leader, coord int) (partExec, bool) {
 		return m.exec, m.feasible
 	}
 	s := st.s
-	pool := st.pools[leader]
+	pool, slots := st.pools[leader], st.slots[leader]
 	costs := s.BorrowCosts()
 	defer s.ReturnCosts(costs)
 	best := spillbound.Spill{Dim: leader, Penalty: math.Inf(1)}
+	var cells []int // S
 	for _, ci := range st.cells {
-		if s.Grid.Coord(ci, leader) != coord {
-			continue
+		if s.Grid.Coord(ci, leader) == coord {
+			cells = append(cells, ci)
 		}
-		costs.Eval(ci, st.slots[leader])
-		opt := s.CostAt(ci)
-		for _, id := range pool {
-			c := costs.Cost(id)
-			if pen := c / opt; pen < best.Penalty {
-				best = spillbound.Spill{
-					PlanID: id, Dim: leader,
-					Budget: c, Penalty: pen,
+	}
+	var cut [cost.Lanes]int
+	for j := range cut {
+		cut[j] = len(slots)
+	}
+	// One lane per cell, the cells scanned in order: the strict comparison
+	// keeps the first (cell, plan) of least penalty.
+	for len(cells) > 0 {
+		unit := cells[:min(cost.Lanes, len(cells))]
+		cells = cells[len(unit):]
+		costs.Eval(unit, slots, cut[:len(unit)])
+		for j, ci := range unit {
+			st.costed += len(pool)
+			opt := s.CostAt(ci)
+			for _, id := range pool {
+				c := costs.Cost(j, id)
+				if pen := c / opt; pen < best.Penalty {
+					best = spillbound.Spill{
+						PlanID: id, Dim: leader,
+						Budget: c, Penalty: pen,
+					}
 				}
 			}
 		}
@@ -323,7 +340,12 @@ func (r *Runner) RunContext(ctx context.Context, e engine.ContextExecutor) (Outc
 // penalty as the plan's.
 func partitionPlanner(s *ess.Space) spillbound.Planner {
 	return spillbound.Planner{Slot: ess.AlignedBoundSlot, Plan: func(c spillbound.Contour) spillbound.Plan {
-		execs, penalty := newContourState(s, c.Cells, c.Learned).bestPartition(c.Free)
+		st := newContourState(s, c.Cells, c.Learned)
+		execs, penalty := st.bestPartition(c.Free)
+		t := table(s)
+		t.mu.Lock()
+		t.costed += st.costed
+		t.mu.Unlock()
 		spills := make([]spillbound.Spill, 0, len(execs))
 		for _, pe := range execs {
 			if !pe.empty {

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/cost"
 	"repro/internal/ess"
 	"repro/internal/par"
 )
@@ -133,9 +134,13 @@ func reduce(s *ess.Space, lambda float64) (*Diagram, int) {
 		r.rank[id] = i
 		r.live[id] = true
 	}
+	byRank := make([]int, 0, n) // the cells in their owner's swallow order
+	for _, id := range order {
+		byRank = append(byRank, cellsOf[id]...)
+	}
 	slots, cut := s.PlanSchedule(order)
 	var evals int
-	r.lists, evals = feasiblePlans(costs, s, order, r.rank, slots, cut, lambda)
+	r.lists, evals = feasiblePlans(costs, s, order, r.rank, byRank, slots, cut, lambda)
 	var cells []int
 	for _, victim := range order {
 		if len(d.kept) == 1 {
@@ -259,10 +264,11 @@ func (r *rehomer) cheapestFailed(ci int) entry {
 	if len(r.failed) == 0 {
 		return best
 	}
-	r.costs.Eval(ci, r.failedSlots)
+	cells, cut := [1]int{ci}, [1]int{len(r.failedSlots)}
+	r.costs.Eval(cells[:], r.failedSlots, cut[:])
 	limit := r.s.CostAt(ci) * (1 + r.lambda)
 	for _, id := range r.failed {
-		if c := r.costs.Cost(id); c <= limit {
+		if c := r.costs.Cost(0, id); c <= limit {
 			if e := (entry{id: int32(id), cost: c}); e.beats(best) {
 				best = e
 			}
@@ -289,56 +295,77 @@ func (l *cellLists) of(ci int) []entry {
 }
 
 const (
-	// feasibleChunk is the number of consecutive cells a worker claims at
-	// once.
-	feasibleChunk = 64
+	// feasibleChunk is the number of cells, in owner-rank order, a worker
+	// claims at once: a whole number of cost.Lanes units.
+	feasibleChunk = 4 * cost.Lanes
 	// listBlock is the least number of entries in a slab block (256 KiB).
 	listBlock = 1 << 14
 )
 
 // feasiblePlans builds every cell's list in one pass over the grid, each
-// entry's ahead included. Workers, one per cost table (at most one per
-// chunk), claim chunks of cells in turn and append to their own slab. A
-// block holds at least the longest list a cell can have, and a new one is
-// started when the next cell's list might not fit. A cell costs the plans
-// after its owner through slots[:cut[rank of the owner]], their schedule
-// (ess.Space.PlanSchedule), and the pass also returns the number of
-// nodes those schedules hold over all cells. A cell's list depends only on
-// the cell, so the lists, and the diagram the greedy loop draws from them,
-// are the same whatever the worker count or schedule.
-func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank []int, slots []int32, cut []int, lambda float64) (*cellLists, int) {
+// entry's ahead included. byRank holds the cells in their owner's swallow
+// order. Workers, one per cost table (at most one per chunk), claim chunks
+// of byRank in turn and append to their own slab. A block holds at least
+// the longest list a cell can have, and a new one is started when the next
+// cell's list does not fit. A cell costs the plans after its owner through
+// slots[:cut[rank of the owner]], their schedule (ess.Space.PlanSchedule),
+// in one lane of a cost.Lanes-cell unit: the unit's cells are consecutive
+// in owner rank, so their prefixes do not grow from lane to lane, as the
+// lane kernel requires. The pass also returns the number of nodes those
+// prefixes hold over all cells. A cell's list depends only on the cell, so
+// the lists, and the diagram the greedy loop draws from them, are the same
+// whatever the worker count or schedule.
+func feasiblePlans(costs []*ess.PlanCosts, s *ess.Space, order, rank, byRank []int, slots []int32, cut []int, lambda float64) (*cellLists, int) {
 	n := s.Grid.Size()
 	l := &cellLists{slabs: make([][][]entry, len(costs)), spans: make([]span, n)}
 	evals := make([]int, len(costs))
+	lanes := make([][cost.Lanes][]entry, len(costs)) // per worker, each lane's list
 	par.Each(context.Background(), (n+feasibleChunk-1)/feasibleChunk, len(costs), func(w, k int) {
-		slab := l.slabs[w]
-		for ci := k * feasibleChunk; ci < min((k+1)*feasibleChunk, n); ci++ {
-			rk := rank[s.PlanIDAt(ci)]
-			after := order[rk+1:]
-			if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(after) {
-				slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
+		slab, lists := l.slabs[w], &lanes[w]
+		var rk, cuts [cost.Lanes]int
+		var limit [cost.Lanes]float64
+		chunk := byRank[k*feasibleChunk : min((k+1)*feasibleChunk, n)]
+		for len(chunk) > 0 {
+			unit := chunk[:min(cost.Lanes, len(chunk))]
+			chunk = chunk[len(unit):]
+			for j, ci := range unit {
+				rk[j] = rank[s.PlanIDAt(ci)]
+				cuts[j] = cut[rk[j]]
+				evals[w] += cuts[j]
+				limit[j] = s.CostAt(ci) * (1 + lambda)
+				lists[j] = lists[j][:0]
 			}
-			b := len(slab) - 1
-			block := slab[b]
-			start := len(block)
-			if len(after) > 0 {
-				sched := slots[:cut[rk]]
-				costs[w].Eval(ci, sched)
-				evals[w] += len(sched)
-				limit := s.CostAt(ci) * (1 + lambda)
-				for _, id := range after {
-					if c := costs[w].Cost(id); c <= limit {
-						block = append(block, entry{id: int32(id), cost: c})
+			costs[w].Eval(unit, slots, cuts[:len(unit)])
+			// Plan by plan, so that the lanes' costs of one plan, adjacent
+			// in the memo, are read together: lane j lists the plans after
+			// rank rk[j], and the lanes holding position p are a prefix.
+			m := 0
+			for p := rk[0] + 1; p < len(order); p++ {
+				for m < len(unit) && rk[m] < p {
+					m++
+				}
+				id := order[p]
+				for j := range m {
+					if c := costs[w].Cost(j, id); c <= limit[j] {
+						lists[j] = append(lists[j], entry{id: int32(id), cost: c})
 					}
 				}
+			}
+			for j, ci := range unit {
+				if len(slab) == 0 || cap(slab[len(slab)-1])-len(slab[len(slab)-1]) < len(lists[j]) {
+					slab = append(slab, make([]entry, 0, max(listBlock, len(order))))
+				}
+				b := len(slab) - 1
+				start := len(slab[b])
+				block := append(slab[b], lists[j]...)
 				for i := len(block) - 2; i >= start; i-- {
-					if j := i + 1 + int(block[i+1].ahead); block[j].beats(block[i]) {
-						block[i].ahead = int32(j - i)
+					if to := i + 1 + int(block[i+1].ahead); block[to].beats(block[i]) {
+						block[i].ahead = int32(to - i)
 					}
 				}
+				slab[b] = block
+				l.spans[ci] = span{int32(w), int32(b), int32(start), int32(len(block))}
 			}
-			slab[b] = block
-			l.spans[ci] = span{int32(w), int32(b), int32(start), int32(len(block))}
 		}
 		l.slabs[w] = slab
 	})

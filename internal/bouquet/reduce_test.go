@@ -379,14 +379,14 @@ func reduceReference(s *ess.Space, lambda float64) *Diagram {
 			if int(d.planIdx[ci]) != victim {
 				continue // already re-homed by an earlier swallow
 			}
-			ev.Eval(g.Location(ci), survivors)
+			ev.Eval([]cost.Location{g.Location(ci)}, survivors, []int{len(survivors)})
 			limit := s.CostAt(ci) * (1 + lambda)
 			bestID, bestCost := -1, limit
 			for _, id := range d.kept {
 				if id == victim {
 					continue
 				}
-				if c := ev.Cost(id); c <= limit && (bestID < 0 || c < bestCost) {
+				if c := ev.Cost(0, id); c <= limit && (bestID < 0 || c < bestCost) {
 					bestID, bestCost = id, c
 				}
 			}

@@ -33,9 +33,7 @@ func (m *Model) AggNC(in NodeCost) NodeCost {
 	if out > in.Rows {
 		out = in.Rows
 	}
-	if out < 1 {
-		out = 1
-	}
+	out = atLeastOneRow(out)
 	self := in.Rows*(p.CPUOperCost+p.HashQualCost) + out*p.CPUTupleCost
 	if in.Rows > p.WorkMemRows {
 		self += m.spillIO(in.Rows)
@@ -50,10 +48,15 @@ func (m *Model) JoinRowsFor(joinIDs []int, lrows, rrows float64, at Location) fl
 	for _, id := range joinIDs {
 		out *= m.Selectivity(id, at)
 	}
-	if out < 1 {
-		out = 1
+	return atLeastOneRow(out)
+}
+
+// atLeastOneRow floors an estimated cardinality at one row.
+func atLeastOneRow(rows float64) float64 {
+	if rows < 1 {
+		return 1
 	}
-	return out
+	return rows
 }
 
 // JoinNC returns the NodeCost of a join of the given physical kind applying
@@ -70,30 +73,56 @@ func (m *Model) JoinNC(kind plan.OpKind, joinIDs []int, l, r NodeCost, innerRel 
 
 // JoinNCOut is JoinNC given the join's output cardinality out, as
 // JoinRowsFor returns it: a caller costing several physical alternatives of
-// one join computes out once. For IndexNestLoop, r is ignored.
+// one join computes out once. For IndexNestLoop, r is ignored. It
+// dispatches to the per-kind functions below, which PlanSet's lane kernel
+// calls directly.
 func (m *Model) JoinNCOut(kind plan.OpKind, out float64, l, r NodeCost) NodeCost {
-	p := &m.Params
 	switch kind {
 	case plan.HashJoin:
-		self := r.Rows*(p.CPUOperCost+p.HashQualCost) +
-			l.Rows*p.HashQualCost +
-			out*p.CPUTupleCost
-		if r.Rows > p.WorkMemRows {
-			self += m.spillIO(r.Rows) + m.spillIO(l.Rows)
-		}
-		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+		return m.hashJoinNC(out, l, r)
 	case plan.MergeJoin:
-		self := (l.Rows+r.Rows)*p.CPUOperCost + out*p.CPUTupleCost
-		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+		return m.mergeJoinNC(out, l, r)
 	case plan.NestLoop:
-		self := r.Rows*p.MaterializeCost +
-			l.Rows*r.Rows*p.NLPairCost +
-			out*p.CPUTupleCost
-		return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+		return m.nestLoopNC(out, l, r)
 	case plan.IndexNestLoop:
-		self := l.Rows*p.IndexProbeCost +
-			out*(p.RandPageCost+p.CPUTupleCost)
-		return NodeCost{Rows: out, Self: self, Total: l.Total + self}
+		return m.indexJoinNC(out, l)
 	}
 	return NodeCost{}
+}
+
+// hashJoinNC costs a hash join building on r and probing with l.
+func (m *Model) hashJoinNC(out float64, l, r NodeCost) NodeCost {
+	p := &m.Params
+	self := r.Rows*(p.CPUOperCost+p.HashQualCost) +
+		l.Rows*p.HashQualCost +
+		out*p.CPUTupleCost
+	if r.Rows > p.WorkMemRows {
+		self += m.spillIO(r.Rows) + m.spillIO(l.Rows)
+	}
+	return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+}
+
+// mergeJoinNC costs a merge join of two sorted inputs.
+func (m *Model) mergeJoinNC(out float64, l, r NodeCost) NodeCost {
+	p := &m.Params
+	self := (l.Rows+r.Rows)*p.CPUOperCost + out*p.CPUTupleCost
+	return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+}
+
+// nestLoopNC costs a nested-loop join over a materialized inner r.
+func (m *Model) nestLoopNC(out float64, l, r NodeCost) NodeCost {
+	p := &m.Params
+	self := r.Rows*p.MaterializeCost +
+		l.Rows*r.Rows*p.NLPairCost +
+		out*p.CPUTupleCost
+	return NodeCost{Rows: out, Self: self, Total: l.Total + r.Total + self}
+}
+
+// indexJoinNC costs an index nested-loop join: one index descent per outer
+// row of l, one random fetch per output row; the inner is never scanned.
+func (m *Model) indexJoinNC(out float64, l NodeCost) NodeCost {
+	p := &m.Params
+	self := l.Rows*p.IndexProbeCost +
+		out*(p.RandPageCost+p.CPUTupleCost)
+	return NodeCost{Rows: out, Self: self, Total: l.Total + self}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -15,12 +16,14 @@ import (
 	"repro/internal/workload"
 )
 
-// requireBitIdentical fails unless the plan set costs every plan of the
+// requireBitIdentical fails unless the plan set costs the plans of the
 // space bit-identically to Model.Eval at each of the sampled cells, through
-// the schedule of a shuffled order of the whole set, and through that of
-// the plans after a random position of it. Each schedule is evaluated by a
-// fresh clone, so a node it drops reads as zero, not as its cost at an
-// earlier cell.
+// the schedule of a shuffled order of the whole set, in ragged batches: 1
+// to cost.Lanes lanes at distinct cells, each lane cut at a random suffix
+// of the order (or none), the cuts non-increasing. Every lane must cost
+// each plan of its suffix as Model.Eval does, and as the same cell alone
+// in one lane does. Each batch is evaluated by a fresh clone, so a node a
+// lane drops reads as zero, not as its cost at an earlier cell.
 func requireBitIdentical(t *testing.T, name string, s *ess.Space, cells []int, rng *rand.Rand) {
 	t.Helper()
 	plans := s.Plans()
@@ -36,24 +39,40 @@ func requireBitIdentical(t *testing.T, name string, s *ess.Space, cells []int, r
 	order := rng.Perm(len(plans))
 	slots, cut := ps.Schedule(order)
 	requireSchedules(t, name, ps, order, slots, cut)
-	check := func(ev *cost.PlanSet, ci int, loc cost.Location, ids []int) {
-		t.Helper()
-		for _, id := range ids {
-			got, want := ev.Cost(id), s.Model.Eval(plans[id], loc)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: plan %d at cell %d: PlanSet %v, Model.Eval %v", name, id, ci, got, want)
+	for len(cells) > 0 {
+		n := min(1+rng.Intn(cost.Lanes), len(cells))
+		batch := cells[:n]
+		cells = cells[n:]
+		// Lane j holds order[from[j]:]; from 0 is the whole schedule.
+		from := make([]int, n)
+		for j := range from {
+			if rng.Intn(3) > 0 {
+				from[j] = 1 + rng.Intn(len(order))
 			}
 		}
-	}
-	for _, ci := range cells {
-		loc := s.Grid.Location(ci)
+		slices.Sort(from)
+		locs := make([]cost.Location, n)
+		cuts := make([]int, n)
+		for j, ci := range batch {
+			locs[j] = s.Grid.Location(ci)
+			cuts[j] = len(slots)
+			if from[j] > 0 {
+				cuts[j] = cut[from[j]-1]
+			}
+		}
 		ev := ps.Clone()
-		ev.Eval(loc, slots)
-		check(ev, ci, loc, rng.Perm(len(plans)))
-		r := rng.Intn(len(order))
-		ev = ps.Clone()
-		ev.Eval(loc, slots[:cut[r]])
-		check(ev, ci, loc, order[r+1:])
+		ev.Eval(locs, slots, cuts)
+		for j, ci := range batch {
+			one := ps.Clone()
+			one.Eval(locs[j:j+1], slots, cuts[j:j+1])
+			for _, id := range order[from[j]:] {
+				got, alone, want := ev.Cost(j, id), one.Cost(0, id), s.Model.Eval(plans[id], locs[j])
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(alone) != math.Float64bits(want) {
+					t.Fatalf("%s: plan %d at cell %d in lane %d of %d: PlanSet %v (alone %v), Model.Eval %v",
+						name, id, ci, j, n, got, alone, want)
+				}
+			}
+		}
 	}
 }
 
@@ -233,9 +252,9 @@ func TestPlanSetAggregateAndIndexJoin(t *testing.T) {
 	g := ess.NewGrid(q.D(), 4, sp.GridLo)
 	for ci := 0; ci < g.Size(); ci++ {
 		loc := g.Location(ci)
-		ps.Eval(loc, slots)
+		ps.Eval([]cost.Location{loc}, slots, []int{len(slots)})
 		for i, pl := range plans {
-			if got, want := ps.Cost(i), m.Eval(pl, loc); math.Float64bits(got) != math.Float64bits(want) {
+			if got, want := ps.Cost(0, i), m.Eval(pl, loc); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("plan %d at %v: PlanSet %v, Model.Eval %v", i, loc, got, want)
 			}
 		}

@@ -96,7 +96,8 @@ type Engine struct {
 	// (see DeterministicCostError and paper Sec 7). Nil disables injection.
 	CostError CostErrorFn
 
-	evals map[*plan.Plan]float64 // Model.Eval(p, Truth) per executed plan
+	evals  map[*plan.Plan]float64 // Model.Eval(p, Truth) per executed plan
+	probes int                    // monitorBound's subtree costings (engine.bound_probes)
 }
 
 // New returns an engine executing at the given true location. It panics on
@@ -303,31 +304,97 @@ func (e *Engine) executeSpill(p *plan.Plan, dim int, budget float64, overrun flo
 
 // monitorBound inverts the (monotone) subtree cost along dimension dim:
 // the largest selectivity s <= truth[dim] with Cost(subtree, truth[dim:=s])
-// <= budget. This simulates counting the rows the spilled operator produced
-// before the budget expired. sub is rooted at the one node applying the
-// dimension's predicate, so its children's cost is the same at every probe:
-// they are costed once, and each probe re-costs only the root
-// (cost.RootCost), bit-identical to a full Model.Eval.
+// <= budget, as the 64-step bisection below finds it. This simulates
+// counting the rows the spilled operator produced before the budget
+// expired. sub is rooted at the one node applying the dimension's
+// predicate, so its children's cost is the same at every probe: they are
+// costed once, and each probe re-costs only the root (cost.RootCost),
+// bit-identical to a full Model.Eval. That root cost is nondecreasing in
+// the probed selectivity, even in float arithmetic (positive products,
+// max(1, ·) and sums), so eval(mid) <= budget holds exactly when mid <= t,
+// t the largest float in [0, truth[dim]] with eval(t) <= budget. The
+// bound finds t in a few probes (threshold), then runs the bisection on
+// comparisons with t alone.
 func (e *Engine) monitorBound(sub *plan.Plan, dim int, budget float64) float64 {
 	probe := e.Truth.Clone()
 	root := e.Model.RootEval(sub, e.Truth)
 	eval := func(s float64) float64 {
+		e.probes++
 		probe[dim] = s
 		return root.Eval(probe)
 	}
 	lo, hi := 0.0, e.Truth[dim]
-	if eval(lo) > budget {
+	f0 := eval(lo)
+	if f0 > budget {
 		// Even the zero-selectivity work exceeds the budget: nothing about
 		// the dimension was learnt.
 		return 0
 	}
+	t := hi
+	if ft := eval(hi); ft > budget {
+		t = threshold(eval, lo, hi, f0, ft, budget)
+	}
 	for i := 0; i < 64 && hi-lo > 1e-16; i++ {
 		mid := (lo + hi) / 2
-		if eval(mid) <= budget {
+		if mid <= t {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// threshold returns the largest float t in [lo, hi] with f(t) <= budget,
+// for f nondecreasing with f(lo) = flo <= budget < fhi = f(hi) and lo >= 0.
+// Nonnegative floats order as their bits do, so it searches the bits: a
+// few secant steps first (the root cost is close to affine in the
+// selectivity, so they land next to t), then a gallop from the last probe
+// in doubling strides of ulps until it crosses t, then a bisection of what
+// is left. Each step keeps f(a) <= budget < f(b), so a is t once b = a+1.
+func threshold(f func(float64) float64, lo, hi, flo, fhi, budget float64) float64 {
+	a, b := math.Float64bits(lo), math.Float64bits(hi)
+	up := true // the last probe fell at or below t
+	for i := 0; i < 2 && b-a > 1; i++ {
+		x := lo + (hi-lo)*((budget-flo)/(fhi-flo))
+		xb := math.Float64bits(x)
+		if !(xb > a && xb < b) {
+			break
+		}
+		if fx := f(x); fx <= budget {
+			a, lo, flo, up = xb, x, fx, true
+		} else {
+			b, hi, fhi, up = xb, x, fx, false
+		}
+	}
+	for step := uint64(1); b-a > 1; step *= 2 {
+		if up {
+			if a+step >= b {
+				break
+			}
+			if f(math.Float64frombits(a+step)) > budget {
+				b = a + step
+				break
+			}
+			a += step
+		} else {
+			if b-step <= a {
+				break
+			}
+			if f(math.Float64frombits(b-step)) <= budget {
+				a = b - step
+				break
+			}
+			b -= step
+		}
+	}
+	for b-a > 1 {
+		m := a + (b-a)/2
+		if f(math.Float64frombits(m)) <= budget {
+			a = m
+		} else {
+			b = m
+		}
+	}
+	return math.Float64frombits(a)
 }

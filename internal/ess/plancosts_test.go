@@ -33,10 +33,10 @@ func requireLentCostsMatchEval(t *testing.T, name string, s *Space) {
 			defer wg.Done()
 			for ci := k; ci < s.Grid.Size(); ci += goroutines {
 				c := s.BorrowCosts()
-				c.Eval(ci, slots)
+				c.Eval([]int{ci}, slots, []int{len(slots)})
 				loc := s.Grid.Location(ci)
 				for id, p := range s.Plans() {
-					if got, want := c.Cost(id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {
+					if got, want := c.Cost(0, id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {
 						t.Errorf("%s: plan %d at cell %d: lent table %v, Model.Eval %v", name, id, ci, got, want)
 						s.ReturnCosts(c)
 						return
@@ -96,17 +96,17 @@ func TestLentCostsReborrowed(t *testing.T) {
 	}
 	slots, _ := s.PlanSchedule(all)
 	c := s.BorrowCosts()
-	c.Eval(lo, slots)
+	c.Eval([]int{lo}, slots, []int{len(slots)})
 	for id := range s.Plans() {
-		c.Cost(id)
+		c.Cost(0, id)
 	}
 	s.ReturnCosts(c)
 	c = s.BorrowCosts()
 	defer s.ReturnCosts(c)
-	c.Eval(hi, slots)
+	c.Eval([]int{hi}, slots, []int{len(slots)})
 	loc := s.Grid.Location(hi)
 	for id, p := range s.Plans() {
-		if got, want := c.Cost(id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := c.Cost(0, id), s.Model.Eval(p, loc); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("plan %d at the terminus after a reborrow: %v, Model.Eval %v", id, got, want)
 		}
 	}

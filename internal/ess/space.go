@@ -429,30 +429,34 @@ func (s *Space) PlannerState(slot PlanSlot, init func() any) any {
 	return s.state[slot]
 }
 
-// PlanCosts prices POSP plans at one grid cell at a time, each bit for bit
-// Model.Eval: a clone of the Space's node table with its own memo, filled
-// bottom-up from a schedule (see cost.PlanSet), so a subtree shared by many
-// plans is costed once per cell. Space.BorrowCosts lends one, and
-// Space.PlanSchedule builds the schedules. A PlanCosts is not safe for
-// concurrent use.
+// PlanCosts prices POSP plans at up to cost.Lanes grid cells at a time,
+// each bit for bit Model.Eval: a clone of the Space's node table with its
+// own memo, filled bottom-up from a schedule in one lane per cell (see
+// cost.PlanSet), so a subtree shared by many plans is costed once per
+// cell. Space.BorrowCosts lends one, and Space.PlanSchedule builds the
+// schedules. A PlanCosts is not safe for concurrent use.
 type PlanCosts struct {
-	ps  *cost.PlanSet
-	g   *Grid
-	loc cost.Location
+	ps   *cost.PlanSet
+	g    *Grid
+	locs [cost.Lanes]cost.Location
 }
 
-// Eval costs the schedule slots at cell ci; Cost then reads every plan
-// whose nodes it holds.
-func (c *PlanCosts) Eval(ci int, slots []int32) {
-	for d := range c.loc {
-		c.loc[d] = c.g.Points[d][c.g.Coord(ci, d)]
+// Eval costs, in lane j, the schedule prefix slots[:cut[j]] at cell
+// cells[j], for up to cost.Lanes cells; cut must not increase. Cost then
+// reads, in each lane, every plan whose nodes its prefix holds.
+func (c *PlanCosts) Eval(cells []int, slots []int32, cut []int) {
+	for j, ci := range cells {
+		loc := c.locs[j]
+		for d := range loc {
+			loc[d] = c.g.Points[d][c.g.Coord(ci, d)]
+		}
 	}
-	c.ps.Eval(c.loc, slots)
+	c.ps.Eval(c.locs[:len(cells)], slots, cut)
 }
 
-// Cost returns the cost of POSP plan id at the cell of the last Eval whose
-// schedule held the plan.
-func (c *PlanCosts) Cost(id int) float64 { return c.ps.Cost(id) }
+// Cost returns the cost of POSP plan id in lane j, at the cell of the last
+// Eval whose prefix in that lane held the plan.
+func (c *PlanCosts) Cost(j, id int) float64 { return c.ps.Cost(j, id) }
 
 // planTable returns the Space's node table over its POSP, hash-consing it
 // on first use.
@@ -475,7 +479,13 @@ func (s *Space) BorrowCosts() *PlanCosts {
 	if c, ok := s.lent.Get().(*PlanCosts); ok {
 		return c
 	}
-	return &PlanCosts{ps: s.planTable().Clone(), g: &s.Grid, loc: make(cost.Location, s.Grid.D)}
+	c := &PlanCosts{ps: s.planTable().Clone(), g: &s.Grid}
+	d := s.Grid.D
+	buf := make([]float64, cost.Lanes*d)
+	for j := range c.locs {
+		c.locs[j] = buf[j*d : (j+1)*d : (j+1)*d]
+	}
+	return c
 }
 
 // ReturnCosts takes back a PlanCosts lent by BorrowCosts; the caller must

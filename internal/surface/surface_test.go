@@ -57,6 +57,7 @@ var exempt = map[string]string{
 	"spillbound.NewRunner":    "runner over a bare Space for tests outside the package",
 	"aligned.NewRunner":       "runner over a bare Space for tests outside the package",
 	"telemetry.Counter.Value": "reads a counter in the server and fleet metric tests",
+	"workgolden.Check":        "checks the work counts of testdata/work_golden.json in the bouquet, aligned and engine tests",
 
 	// Reference implementations that tests compare the program's path with.
 	"ess.Subspace.Each":     "full walk of a subspace that ContourCells is checked against",
