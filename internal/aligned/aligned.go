@@ -70,7 +70,6 @@ type contourState struct {
 	cells []int
 	scan  spillbound.ContourScan
 	poolSet
-	memo    map[[2]int]memo // (part mask, leader) -> part penalty
 	indMemo map[[2]int]memo // (leader, coord) -> induced replacement
 	costed  int             // (cell, plan) pairs the induced replacements costed
 }
@@ -80,79 +79,70 @@ type memo struct {
 	feasible bool
 }
 
-// newContourState analyzes one contour under the current learned set,
+// newContourState analyzes one contour under the learnt bitmask,
 // precomputing the per-dimension extreme coordinates that make partition
 // penalty queries O(D) instead of O(|contour|).
-func newContourState(s *ess.Space, cells []int, learned map[int]bool) *contourState {
+func newContourState(s *ess.Space, cells []int, learnt int) *contourState {
 	return &contourState{
 		s: s, cells: cells,
-		scan:    spillbound.ScanContour(s, cells, learned),
-		poolSet: table(s).learntPools(s, learned),
-		memo:    map[[2]int]memo{},
+		scan:    spillbound.ScanContour(s, cells, learnt),
+		poolSet: table(s).learntPools(s, learnt),
 		indMemo: map[[2]int]memo{},
 	}
 }
 
 // poolSet is the spill pools of one learnt set, with the schedule
-// (ess.Space.PlanSchedule) that costs each.
+// (ess.Space.PlanSchedule) that costs each, both indexed by dimension.
 type poolSet struct {
-	pools map[int][]int   // dim -> POSP plan IDs spilling on dim
-	slots map[int][]int32 // dim -> the schedule of pools[dim]
+	pools [][]int   // dim -> POSP plan IDs spilling on dim
+	slots [][]int32 // dim -> the schedule of pools[dim]
 }
 
 // poolTable is AlignedBound's planner state on a Space: the spill pools of
 // each learnt set, indexed by the bitmask of learnt dimensions and computed
-// on first use. There are at most 2^D learnt sets, against one planned
-// contour per (sub-ESS, budget).
+// once, on first use. There are at most 2^D learnt sets, against one
+// planned contour per (sub-ESS, budget).
 type poolTable struct {
+	byMask []learntPoolSet
 	mu     sync.Mutex
-	byMask []poolSet
 	costed int // (cell, plan) pairs costed over every contour planned (aligned.pool_costs)
+}
+
+// learntPoolSet is one pool table entry, computed under its own once so
+// that planners on the Space's other learnt sets do not wait for it.
+type learntPoolSet struct {
+	once sync.Once
+	poolSet
 }
 
 // table returns the Space's pool table.
 func table(s *ess.Space) *poolTable {
 	return s.PlannerState(ess.AlignedBoundSlot, func() any {
-		return &poolTable{byMask: make([]poolSet, 1<<uint(s.Grid.D))}
+		return &poolTable{byMask: make([]learntPoolSet, 1<<uint(s.Grid.D))}
 	}).(*poolTable)
 }
 
-// learntPools returns the spill pools of the learned set and their
-// schedules through the pool table. A missing set is computed outside the
-// lock, so planners on the Space's other learnt sets do not wait for it,
-// and published under it; the set is a pure function of the mask, so
-// when two planners compute one, the first stored wins.
-func (t *poolTable) learntPools(s *ess.Space, learned map[int]bool) poolSet {
-	mask := 0
-	for d, id := range s.Query.EPPs {
-		if learned[id] {
-			mask |= 1 << uint(d)
+// learntPools returns the spill pools of the learnt set and their
+// schedules through the pool table, computing them on the set's first ask;
+// concurrent first asks wait for that one computation.
+func (t *poolTable) learntPools(s *ess.Space, learnt int) poolSet {
+	e := &t.byMask[learnt]
+	e.once.Do(func() {
+		e.pools = spillPools(s, learnt)
+		e.slots = make([][]int32, len(e.pools))
+		for d, ids := range e.pools {
+			e.slots[d], _ = s.PlanSchedule(ids)
 		}
-	}
-	t.mu.Lock()
-	ps := t.byMask[mask]
-	t.mu.Unlock()
-	if ps.pools != nil {
-		return ps
-	}
-	ps.pools, ps.slots = spillPools(s, learned), map[int][]int32{}
-	for d, ids := range ps.pools {
-		ps.slots[d], _ = s.PlanSchedule(ids)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.byMask[mask].pools == nil {
-		t.byMask[mask] = ps
-	}
-	return t.byMask[mask]
+	})
+	return e.poolSet
 }
 
 // spillPools groups the POSP plan IDs by the dimension each spills on
-// under the learned set.
-func spillPools(s *ess.Space, learned map[int]bool) map[int][]int {
-	pools := map[int][]int{}
+// under the learnt bitmask.
+func spillPools(s *ess.Space, learnt int) [][]int {
+	pools := make([][]int, s.Grid.D)
 	for id, p := range s.Plans() {
-		if d, ok := spillbound.SpillDim(s, p, learned); ok {
+		if _, d, ok := p.SpillTarget(s.Query.EPPs, learnt); ok {
 			pools[d] = append(pools[d], id)
 		}
 	}
@@ -165,16 +155,6 @@ func spillPools(s *ess.Space, learned map[int]bool) map[int][]int {
 // it. Parts none of whose dimensions are spilled on the contour need no
 // execution and cost nothing.
 func (st *contourState) partPenalty(mask int, leader int) (partExec, bool) {
-	key := [2]int{mask, leader}
-	if m, ok := st.memo[key]; ok {
-		return m.exec, m.feasible
-	}
-	exec, feasible := st.computePartPenalty(mask, leader)
-	st.memo[key] = memo{exec, feasible}
-	return exec, feasible
-}
-
-func (st *contourState) computePartPenalty(mask int, leader int) (partExec, bool) {
 	s := st.s
 
 	// Members: contour cells whose optimal plan spills on a dim in T.
@@ -340,7 +320,7 @@ func (r *Runner) RunContext(ctx context.Context, e engine.ContextExecutor) (Outc
 // penalty as the plan's.
 func partitionPlanner(s *ess.Space) spillbound.Planner {
 	return spillbound.Planner{Slot: ess.AlignedBoundSlot, Plan: func(c spillbound.Contour) spillbound.Plan {
-		st := newContourState(s, c.Cells, c.Learned)
+		st := newContourState(s, c.Cells, c.Learnt)
 		execs, penalty := st.bestPartition(c.Free)
 		t := table(s)
 		t.mu.Lock()

@@ -61,7 +61,7 @@ func AnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
 	all := 1<<uint(s.Grid.D) - 1
 	stats := AlignmentStats{Contours: len(costs)}
 	for _, cc := range costs {
-		st := newContourState(s, full.ContourCells(cc), nil)
+		st := newContourState(s, full.ContourCells(cc), 0)
 		best := math.Inf(1)
 		for dim := 0; dim < s.Grid.D; dim++ {
 			pe, ok := st.partPenalty(all, dim)

@@ -23,7 +23,7 @@ func referenceAnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
 	costs := s.ContourCosts(ratio)
 	full := s.Full()
 	stats := AlignmentStats{Contours: len(costs)}
-	pools := spillPools(s, nil)
+	pools := spillPools(s, 0)
 	for _, cc := range costs {
 		cells := full.ContourCells(cc)
 		best := math.Inf(1)
@@ -42,7 +42,7 @@ func referenceAnalyzeAlignment(s *ess.Space, ratio float64) AlignmentStats {
 				if g.Coord(ci, dim) != extCoord {
 					continue
 				}
-				if d, ok := spillbound.SpillDim(s, s.PlanAt(ci), nil); ok && d == dim {
+				if _, d, ok := s.PlanAt(ci).SpillTarget(s.Query.EPPs, 0); ok && d == dim {
 					native = true
 					break
 				}
@@ -154,7 +154,7 @@ func TestInducedReplacementMatchesEval(t *testing.T) {
 	contours, replacements := 0, 0
 	planner := spillbound.Planner{Slot: base.Slot, Plan: func(c spillbound.Contour) spillbound.Plan {
 		contours++
-		st := newContourState(s, c.Cells, c.Learned)
+		st := newContourState(s, c.Cells, c.Learnt)
 		st.bestPartition(c.Free)
 		for key, got := range st.indMemo {
 			want, feasible := referenceReplacement(st, key[0], key[1])

@@ -18,9 +18,9 @@ var updateWork = flag.Bool("update", false, "rewrite this package's counters in 
 
 // TestPoolCostsGolden pins aligned.pool_costs, the (cell, plan) pairs the
 // induced replacements cost in a cold 400-location AlignedBound sweep (the
-// benchmark sessions' seed) of a fresh space. The sweep runs on one worker:
-// two runs that reach one unplanned contour at once may both plan it, and
-// then its pairs count twice.
+// benchmark sessions' seed) of a fresh space. The sweep runs on four
+// workers: each contour and each learnt set's pools are planned once, so
+// the count does not depend on how many runs reach them at once.
 func TestPoolCostsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps two benchmark spaces cold; skipped in -short")
@@ -40,7 +40,7 @@ func TestPoolCostsGolden(t *testing.T) {
 		r := NewRunner(s)
 		if _, err := metrics.SweepContext(context.Background(), s, func(truth cost.Location) float64 {
 			return r.Run(engine.New(m, truth)).TotalCost
-		}, metrics.SweepOptions{MaxLocations: 400, Seed: 1, Workers: 1}); err != nil {
+		}, metrics.SweepOptions{MaxLocations: 400, Seed: 1, Workers: 4}); err != nil {
 			t.Fatal(err)
 		}
 		got[name] = poolCosts(s)

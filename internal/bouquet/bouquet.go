@@ -411,20 +411,6 @@ func (d *Diagram) Stats() ReductionStats {
 	return st
 }
 
-// ContourDensities returns, for each contour budget, the number of distinct
-// plans the assignment places on the contour's cells, plus the maximum —
-// the ρ of the MSO guarantee. costs must ascend, as ContourCosts returns
-// them.
-func ContourDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
-	plans := contourPlans(s, a, costs)
-	densities = make([]int, len(plans))
-	for i, ids := range plans {
-		densities[i] = len(ids)
-		rho = max(rho, len(ids))
-	}
-	return densities, rho
-}
-
 // contourPlans returns, for each contour budget, the distinct plans the
 // assignment places on the contour's cells, in first-appearance order over
 // ascending cell index: distinctPlans of the contour's ContourCells. costs
@@ -487,12 +473,19 @@ func (d *Diagram) Schedule(costs []float64) [][]int {
 	return plans
 }
 
-// Guarantee returns PlanBouquet's MSO guarantee 4·(1+λ)·ρ for the reduced
-// diagram under the given contour budgets, ρ read from its schedule.
-func (d *Diagram) Guarantee(costs []float64) float64 {
+// Rho returns the diagram's contour plan density ρ under the given contour
+// budgets: the most plans it places on one contour, the longest list of
+// its schedule.
+func (d *Diagram) Rho(costs []float64) int {
 	rho := 0
 	for _, ids := range d.Schedule(costs) {
 		rho = max(rho, len(ids))
 	}
-	return 4 * (1 + d.Lambda) * float64(rho)
+	return rho
+}
+
+// Guarantee returns PlanBouquet's MSO guarantee 4·(1+λ)·ρ for the reduced
+// diagram under the given contour budgets.
+func (d *Diagram) Guarantee(costs []float64) float64 {
+	return 4 * (1 + d.Lambda) * float64(d.Rho(costs))
 }

@@ -15,12 +15,20 @@ import (
 	"repro/internal/telemetry"
 )
 
+// runCellDerived is the budgeted loop over the whole space with each
+// contour's plans derived from its cells (distinctPlans of ContourCells)
+// instead of read from the diagram's schedule, under budgets cc·(1+λ).
+func runCellDerived(ctx context.Context, d *Diagram, e engine.ContextExecutor, costs []float64, start int) (Outcome, error) {
+	full := d.Space.Full()
+	return run(ctx, d.Space, d, e, costs, start, full.MaxCorner(), 1+d.Lambda,
+		func(i int) []int { return distinctPlans(d, full.ContourCells(costs[i])) })
+}
+
 // runRecorded runs the PlanBouquet protocol like Run, under a recorder,
 // and returns the outcome with the run's charged executions.
 func runRecorded(d *Diagram, e engine.ContextExecutor, ratio float64) (Outcome, []telemetry.Event) {
 	rec := telemetry.NewRecorder()
-	out, _ := RunSubspaceContext(telemetry.With(context.Background(), rec), d.Space, d, e,
-		d.Space.ContourCosts(ratio), 0, d.Space.Full(), 1+d.Lambda)
+	out, _ := runCellDerived(telemetry.With(context.Background(), rec), d, e, d.Space.ContourCosts(ratio), 0)
 	var execs []telemetry.Event
 	for _, ev := range rec.Events() {
 		if ev.Charged() {
@@ -134,7 +142,7 @@ func TestReductionStats(t *testing.T) {
 func TestContourDensities(t *testing.T) {
 	s := buildSpace(t, 10)
 	costs := s.ContourCosts(2)
-	dens, rho := ContourDensities(s, s, costs)
+	dens, rho := contourDensities(s, s, costs)
 	if len(dens) != len(costs) {
 		t.Fatalf("densities len = %d", len(dens))
 	}
@@ -152,7 +160,7 @@ func TestContourDensities(t *testing.T) {
 	}
 	// Reduction must not increase any contour's density.
 	red := Reduce(s, 0.2)
-	densRed, rhoRed := ContourDensities(s, red, costs)
+	densRed, rhoRed := contourDensities(s, red, costs)
 	_ = densRed
 	if rhoRed > rho {
 		t.Errorf("reduced rho %d exceeds unreduced %d", rhoRed, rho)
@@ -163,7 +171,10 @@ func TestGuaranteeFormula(t *testing.T) {
 	s := buildSpace(t, 10)
 	d := Reduce(s, 0.2)
 	costs := s.ContourCosts(2)
-	_, rho := ContourDensities(s, d, costs)
+	_, rho := contourDensities(s, d, costs)
+	if got := d.Rho(costs); got != rho {
+		t.Errorf("Rho = %d, want %d", got, rho)
+	}
 	want := 4 * 1.2 * float64(rho)
 	if got := d.Guarantee(costs); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Guarantee = %g, want %g", got, want)
@@ -280,7 +291,7 @@ func TestRunSubspace1D(t *testing.T) {
 	sub := s.Full().Fix(0, 4) // dimension 0 fully learnt
 	costs := s.ContourCosts(2)
 	rec := telemetry.NewRecorder()
-	out, err := RunSubspaceContext(telemetry.With(context.Background(), rec), s, s, e, costs, 2, sub, 1)
+	out, err := RunSubspaceContext(telemetry.With(context.Background(), rec), s, e, costs, 2, sub)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,22 @@ import (
 	"repro/internal/plan"
 )
 
-// referenceDensities is the per-contour scan ContourDensities replaced:
-// collect each contour's cells with ContourCells, then count the distinct
-// plans the assignment places on them.
+// contourDensities returns, for each contour budget, the number of
+// distinct plans contourPlans places on the contour, plus the maximum — the
+// ρ of the MSO guarantee.
+func contourDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
+	plans := contourPlans(s, a, costs)
+	densities = make([]int, len(plans))
+	for i, ids := range plans {
+		densities[i] = len(ids)
+		rho = max(rho, len(ids))
+	}
+	return densities, rho
+}
+
+// referenceDensities is the per-contour scan contourPlans replaced: collect
+// each contour's cells with ContourCells, then count the distinct plans the
+// assignment places on them.
 func referenceDensities(s *ess.Space, a Assignment, costs []float64) (densities []int, rho int) {
 	densities = make([]int, len(costs))
 	for i, cc := range costs {
@@ -27,7 +40,7 @@ func referenceDensities(s *ess.Space, a Assignment, costs []float64) (densities 
 
 func requireDensitiesMatch(t *testing.T, name string, s *ess.Space, a Assignment, costs []float64) {
 	t.Helper()
-	got, gotRho := ContourDensities(s, a, costs)
+	got, gotRho := contourDensities(s, a, costs)
 	want, wantRho := referenceDensities(s, a, costs)
 	if !slices.Equal(got, want) || gotRho != wantRho {
 		t.Fatalf("%s: densities %v (rho %d), reference %v (rho %d)", name, got, gotRho, want, wantRho)
@@ -118,5 +131,5 @@ func TestContourDensitiesRejectsUnsortedBudgets(t *testing.T) {
 			t.Fatal("descending budgets did not panic")
 		}
 	}()
-	ContourDensities(s, s, []float64{s.MaxCost(), s.MinCost()})
+	contourPlans(s, s, []float64{s.MaxCost(), s.MinCost()})
 }

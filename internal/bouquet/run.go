@@ -42,11 +42,12 @@ func RunContext(ctx context.Context, d *Diagram, e engine.ContextExecutor, costs
 // subspace and starting contour: the terminal 1-D phase of SpillBound and
 // AlignedBound (paper Sec 4.1: "we simply invoke the standard PlanBouquet
 // with only the [remaining] epp, starting from the contour currently being
-// explored"). Each contour's plans are derived from its cells inside the
-// subspace, in the order RunContext's schedule lists them.
-func RunSubspaceContext(ctx context.Context, s *ess.Space, a Assignment, e engine.ContextExecutor, costs []float64, start int, sub ess.Subspace, inflate float64) (Outcome, error) {
-	return run(ctx, s, a, e, costs, start, sub.MaxCorner(), inflate,
-		func(i int) []int { return distinctPlans(a, sub.ContourCellsCached(costs[i])) })
+// explored"). It runs the space's optimal plans under the plain contour
+// budgets; each contour's plans are derived from its cells inside the
+// subspace, scanned afresh, in the order RunContext's schedule lists them.
+func RunSubspaceContext(ctx context.Context, s *ess.Space, e engine.ContextExecutor, costs []float64, start int, sub ess.Subspace) (Outcome, error) {
+	return run(ctx, s, s, e, costs, start, sub.MaxCorner(), 1,
+		func(i int) []int { return distinctPlans(s, sub.ContourCells(costs[i])) })
 }
 
 // run is the one budgeted execution loop: from contour index start, every

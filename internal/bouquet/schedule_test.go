@@ -113,9 +113,8 @@ func TestScheduleConcurrentFirstAsks(t *testing.T) {
 
 // TestRunContextMatchesCellDerivedLoop runs PlanBouquet from the schedule
 // (RunContext) and from lists derived from each contour's cells
-// (RunSubspaceContext over the full space) at every grid location and off
-// the grid, from the first and a later contour: the event streams must be
-// identical.
+// (runCellDerived) at every grid location and off the grid, from the first
+// and a later contour: the event streams must be identical.
 func TestRunContextMatchesCellDerivedLoop(t *testing.T) {
 	s := buildSpace(t, 10)
 	d := Reduce(s, 0.2)
@@ -140,7 +139,7 @@ func TestRunContextMatchesCellDerivedLoop(t *testing.T) {
 			})
 			e = engine.New(s.Model, truth)
 			want, wantEvents := stream(func(ctx context.Context) (Outcome, error) {
-				return RunSubspaceContext(ctx, s, d, e, costs, start, s.Full(), 1+d.Lambda)
+				return runCellDerived(ctx, d, e, costs, start)
 			})
 			if got != want || !reflect.DeepEqual(gotEvents, wantEvents) {
 				t.Fatalf("truth %v start %d: schedule run %+v (%d events), cell-derived run %+v (%d events)",

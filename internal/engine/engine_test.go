@@ -114,13 +114,12 @@ func TestSpillHalfSpacePruning(t *testing.T) {
 		q := cost.Location{math.Pow(10, -6*rng.Float64()), math.Pow(10, -6*rng.Float64())}
 		truth := cost.Location{math.Pow(10, -6*rng.Float64()), math.Pow(10, -6*rng.Float64())}
 		p, budget := o.Optimize(q)
-		tgt, ok := p.SpillTarget(epps, nil)
+		tgt, dim, ok := p.SpillTarget(epps, 0)
 		if !ok {
 			t.Fatal("optimal plan has no spillable epp")
 		}
-		dim, isEPP := m.Query.IsEPP(tgt.JoinID)
-		if !isEPP {
-			t.Fatalf("spill target %d is not an epp", tgt.JoinID)
+		if d, isEPP := m.Query.IsEPP(tgt.JoinID); !isEPP || d != dim {
+			t.Fatalf("spill target %d is not the epp of dimension %d", tgt.JoinID, dim)
 		}
 		e := New(m, truth)
 		res, ok := e.ExecuteSpill(p, dim, budget)

@@ -4,8 +4,11 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -335,21 +338,13 @@ func TestContourCellsCached(t *testing.T) {
 	costs := s.ContourCosts(2)
 	for _, cc := range costs[:4] {
 		plain := sub.ContourCells(cc)
-		cached := sub.ContourCellsCached(cc)
-		if len(plain) != len(cached) {
-			t.Fatalf("cached frontier size %d != %d", len(cached), len(plain))
-		}
-		for i := range plain {
-			if plain[i] != cached[i] {
-				t.Fatal("cached frontier differs")
-			}
+		cached := sub.CachedContour(cc).Cells
+		if !slices.Equal(plain, cached) {
+			t.Fatalf("cached frontier %v, want %v", cached, plain)
 		}
 		// Second call hits the cache and returns the same slice contents.
-		again := sub.ContourCellsCached(cc)
-		for i := range cached {
-			if again[i] != cached[i] {
-				t.Fatal("cache unstable")
-			}
+		if again := sub.CachedContour(cc).Cells; !slices.Equal(again, cached) {
+			t.Fatal("cache unstable")
 		}
 	}
 	// Distinct subspaces get distinct memo keys.
@@ -363,24 +358,52 @@ func TestContourCellsCached(t *testing.T) {
 		}
 		keys[u.key()] = name
 	}
-	// Subspaces with one free dimension bypass the memo: the uncached path
-	// returns what ContourCells returns and stores nothing.
-	entries := len(s.memo)
-	for gi := 0; gi < s.Grid.Res(0); gi++ {
-		fixed := sub.Fix(0, gi)
-		for _, cc := range costs {
-			a := fixed.ContourCellsCached(cc)
-			b := fixed.ContourCells(cc)
-			if !slices.Equal(a, b) {
-				t.Fatalf("1-D subspace 0=%d at %g: uncached frontier %v, want %v", gi, cc, a, b)
-			}
-		}
-	}
-	if len(s.memo) != entries {
-		t.Errorf("1-D contours entered the memo: %d entries, was %d", len(s.memo), entries)
-	}
 	if sub.Fix(0, 2).s != s {
 		t.Error("Fix lost the subspace's space")
+	}
+}
+
+// TestContourPlanOnce has 16 goroutines ask one unplanned contour's slot at
+// once. The planner waits until every goroutine is about to ask, so the
+// asks overlap the planning: it must still run exactly once, and every
+// goroutine must get its result.
+func TestContourPlanOnce(t *testing.T) {
+	s := buildSpace(t, 8)
+	c := s.Full().CachedContour(s.ContourCosts(2)[2])
+	const askers = 16
+	var ready, done sync.WaitGroup
+	ready.Add(askers)
+	var calls atomic.Int32
+	plan := func() any {
+		calls.Add(1)
+		ready.Wait()
+		time.Sleep(time.Millisecond)
+		return slices.Clone(c.Cells)
+	}
+	got := make([]any, askers)
+	start := make(chan struct{})
+	for g := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			<-start
+			ready.Done()
+			got[g] = c.Plan(AlignedBoundSlot, plan)
+		}()
+	}
+	close(start)
+	done.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the planner ran %d times for one contour slot, want 1", n)
+	}
+	for g, v := range got {
+		if cells, ok := v.([]int); !ok || &cells[0] != &got[0].([]int)[0] {
+			t.Fatalf("goroutine %d got %v, not the one planned choice", g, v)
+		}
+	}
+	// The other slot is planned on its own first ask.
+	if c.Plan(SpillBoundSlot, func() any { return 1 }).(int) != 1 || calls.Load() != 1 {
+		t.Error("slots share a planner run")
 	}
 }
 

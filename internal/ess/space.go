@@ -354,40 +354,26 @@ type Contour struct {
 	// must not modify them.
 	Cells []int
 
-	mu    sync.Mutex
+	once  [numPlanSlots]sync.Once
 	plans [numPlanSlots]any
 }
 
 // Plan returns the choice memoized in slot, computing it with plan on the
-// first ask. Concurrent first asks may each compute; plan must be a pure
-// function of the contour, so whichever result is kept equals the others.
+// first ask: each slot's planner runs exactly once, and concurrent first
+// asks wait for that run. plan must be a pure function of the contour.
 func (c *Contour) Plan(slot PlanSlot, plan func() any) any {
-	c.mu.Lock()
-	v := c.plans[slot]
-	c.mu.Unlock()
-	if v != nil {
-		return v
-	}
-	v = plan()
-	c.mu.Lock()
-	c.plans[slot] = v
-	c.mu.Unlock()
-	return v
+	c.once[slot].Do(func() { c.plans[slot] = plan() })
+	return c.plans[slot]
 }
 
 // CachedContour returns the contour with budget cc inside the subspace from
 // the Space's memo, computing its cells on a miss; safe for concurrent use.
 // Discovery sweeps re-explore the same contours for every candidate true
 // location, and the cells and each planner's choice depend only on the
-// subspace and the budget, so a hit equals a fresh computation. Subspaces
-// with fewer than two free dimensions are not memoized: the terminal 1-D
-// contour of a PlanBouquet phase holds about one cell, a scan of at most
-// Res cells costs less than the entry, and those subspaces would otherwise
-// make up most of the memo. They get a fresh, unshared entry.
+// subspace and the budget, so a hit equals a fresh computation. Discovery
+// asks it only for subspaces with two or more free dimensions: the terminal
+// 1-D phase scans its contours directly (bouquet.RunSubspaceContext).
 func (u Subspace) CachedContour(cc float64) *Contour {
-	if len(u.FreeDims()) < 2 {
-		return &Contour{Cells: u.ContourCells(cc)}
-	}
 	key := contourKey{fixed: u.key(), budget: math.Float64bits(cc)}
 	s := u.s
 	s.memoMu.Lock()
@@ -409,12 +395,6 @@ func (u Subspace) CachedContour(cc float64) *Contour {
 	s.memoMu.Unlock()
 	return c
 }
-
-// ContourCellsCached is ContourCells through the Space's contour memo:
-// memoized for subspaces with two or more free dimensions, a plain scan for
-// the 1-D subspaces of the terminal PlanBouquet phase (see CachedContour).
-// Safe for concurrent use.
-func (u Subspace) ContourCellsCached(cc float64) []int { return u.CachedContour(cc).Cells }
 
 // PlannerState returns slot's per-Space planner state, creating it with
 // init on first use; safe for concurrent use. It holds what a planner

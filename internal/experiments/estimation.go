@@ -220,13 +220,12 @@ func (l *Lab) LambdaSensitivity() ([]LambdaRow, error) {
 	for _, lambda := range []float64{0, 0.1, 0.2, 0.5, 1.0} {
 		d := bouquet.Reduce(s, lambda)
 		costs := s.ContourCosts(contourRatio)
-		_, rho := bouquet.ContourDensities(s, d, costs)
 		sweep := l.sweep(s, func(truth cost.Location) float64 {
 			return bouquet.Run(d, engine.New(s.Model, truth), contourRatio).TotalCost
 		})
 		rows = append(rows, LambdaRow{
-			Lambda: lambda, Plans: d.PlanCount(), Rho: rho,
-			Guarantee: 4 * (1 + lambda) * float64(rho),
+			Lambda: lambda, Plans: d.PlanCount(), Rho: d.Rho(costs),
+			Guarantee: d.Guarantee(costs),
 			MSOe:      sweep.MSO,
 		})
 	}

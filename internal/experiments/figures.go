@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/aligned"
-	"repro/internal/bouquet"
 	"repro/internal/metrics"
 	"repro/internal/spillbound"
 	"repro/internal/workload"
@@ -63,10 +62,9 @@ func (l *Lab) guaranteeRow(sp workload.Spec) (GuaranteeRow, error) {
 		return GuaranteeRow{}, err
 	}
 	costs := s.ContourCosts(contourRatio)
-	_, rho := bouquet.ContourDensities(s, d, costs)
 	return GuaranteeRow{
-		Query: sp.Name, D: sp.D, RhoRed: rho,
-		PB: 4 * (1 + reductionLambda) * float64(rho),
+		Query: sp.Name, D: sp.D, RhoRed: d.Rho(costs),
+		PB: d.Guarantee(costs),
 		SB: spillbound.Guarantee(sp.D),
 	}, nil
 }

@@ -244,10 +244,9 @@ func (l *Lab) PlatformShift() ([]PlatformRow, error) {
 		}
 		d := bouquet.Reduce(s, reductionLambda)
 		costs := s.ContourCosts(contourRatio)
-		_, rho := bouquet.ContourDensities(s, d, costs)
 		rows = append(rows, PlatformRow{
-			Profile: params.Name, RhoRed: rho,
-			PB: 4 * (1 + reductionLambda) * float64(rho),
+			Profile: params.Name, RhoRed: d.Rho(costs),
+			PB: d.Guarantee(costs),
 			SB: spillbound.Guarantee(sp.D),
 		})
 	}

@@ -267,7 +267,7 @@ func TestOptimizeWithGroupBy(t *testing.T) {
 		t.Error("aggregate output exceeds its input")
 	}
 	// Spill machinery still works: epps live below the aggregate.
-	if _, ok := p.SpillTarget(q.EPPs, nil); !ok {
+	if _, _, ok := p.SpillTarget(q.EPPs, 0); !ok {
 		t.Error("no spill target under the aggregate")
 	}
 }

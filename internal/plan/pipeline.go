@@ -75,49 +75,27 @@ type EPPNode struct {
 	Position int
 }
 
-// EPPOrder returns the plan's error-prone predicate nodes in the total
-// order of paper Sec 3.1.3: first by the execution order of their
-// pipelines (inter-pipeline rule), then upstream-before-downstream within
-// a pipeline (intra-pipeline rule). Only predicates in epps are considered;
-// predicates in learned are excluded. The first element, if any, is the
-// plan's spill node.
-func (p *Plan) EPPOrder(epps []int, learned map[int]bool) []EPPNode {
-	want := make(map[int]bool, len(epps))
-	for _, id := range epps {
-		if !learned[id] {
-			want[id] = true
-		}
-	}
-	var out []EPPNode
+// SpillTarget returns the node this plan spills on (paper Sec 3.1.3) and
+// the ESS dimension of its predicate: the first error-prone predicate node
+// in the total order of pipelines in execution order (inter-pipeline rule)
+// and upstream before downstream within one (intra-pipeline rule). Only
+// predicates in epps whose dimension — their index in epps — is not set in
+// the learnt bitmask are considered. Successive calls with the returned
+// dimension added to learnt walk the whole order. ok is false when the plan
+// contains no spillable epp node.
+func (p *Plan) SpillTarget(epps []int, learnt int) (tgt EPPNode, dim int, ok bool) {
 	for pi, pl := range p.pipelines {
 		for pos, n := range pl.Nodes {
 			if n.Kind == SeqScan || n.Kind == Sort || n.Kind == Aggregate || len(n.JoinIDs) == 0 {
 				continue
 			}
-			if id := n.JoinIDs[0]; want[id] {
-				out = append(out, EPPNode{JoinID: id, Node: n, Pipeline: pi, Position: pos})
+			id := n.JoinIDs[0]
+			if d := slices.Index(epps, id); d >= 0 && learnt&(1<<d) == 0 {
+				return EPPNode{JoinID: id, Node: n, Pipeline: pi, Position: pos}, d, true
 			}
 		}
 	}
-	return out
-}
-
-// SpillTarget returns the predicate and node this plan would spill on given
-// the unlearned epp set: the first entry of EPPOrder, found by the same
-// scan without building the order. ok is false when the plan contains no
-// spillable epp node.
-func (p *Plan) SpillTarget(epps []int, learned map[int]bool) (EPPNode, bool) {
-	for pi, pl := range p.pipelines {
-		for pos, n := range pl.Nodes {
-			if n.Kind == SeqScan || n.Kind == Sort || n.Kind == Aggregate || len(n.JoinIDs) == 0 {
-				continue
-			}
-			if id := n.JoinIDs[0]; !learned[id] && slices.Contains(epps, id) {
-				return EPPNode{JoinID: id, Node: n, Pipeline: pi, Position: pos}, true
-			}
-		}
-	}
-	return EPPNode{}, false
+	return EPPNode{}, -1, false
 }
 
 // Subtree returns the plan consisting only of the subtree rooted at the

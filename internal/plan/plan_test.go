@@ -131,9 +131,37 @@ func TestPipelineSimpleHashChain(t *testing.T) {
 	}
 }
 
+// EPPOrder is the reference spill order of paper Sec 3.1.3 that
+// SpillTarget's scan is checked against: the plan's error-prone predicate
+// nodes ordered first by the execution order of their pipelines
+// (inter-pipeline rule), then upstream-before-downstream within a pipeline
+// (intra-pipeline rule). Only predicates in epps are considered; those
+// whose dimension (index in epps) is set in learnt are excluded. The first
+// element, if any, is the plan's spill node.
+func (p *Plan) EPPOrder(epps []int, learnt int) []EPPNode {
+	want := make(map[int]bool, len(epps))
+	for d, id := range epps {
+		if learnt&(1<<d) == 0 {
+			want[id] = true
+		}
+	}
+	var out []EPPNode
+	for pi, pl := range p.pipelines {
+		for pos, n := range pl.Nodes {
+			if n.Kind == SeqScan || n.Kind == Sort || n.Kind == Aggregate || len(n.JoinIDs) == 0 {
+				continue
+			}
+			if id := n.JoinIDs[0]; want[id] {
+				out = append(out, EPPNode{JoinID: id, Node: n, Pipeline: pi, Position: pos})
+			}
+		}
+	}
+	return out
+}
+
 func TestEPPOrder(t *testing.T) {
 	p := buildExample()
-	order := p.EPPOrder([]int{0, 1, 2}, nil)
+	order := p.EPPOrder([]int{0, 1, 2}, 0)
 	if len(order) != 3 {
 		t.Fatalf("EPPOrder len = %d, want 3", len(order))
 	}
@@ -154,7 +182,7 @@ func TestEPPOrderIntraPipeline(t *testing.T) {
 	hj1 := &Node{Kind: HashJoin, Rel: -1, JoinIDs: []int{1},
 		Left: hj0, Right: &Node{Kind: SeqScan, Rel: 2}}
 	p := New(hj1)
-	order := p.EPPOrder([]int{0, 1}, nil)
+	order := p.EPPOrder([]int{0, 1}, 0)
 	if len(order) != 2 || order[0].JoinID != 0 || order[1].JoinID != 1 {
 		t.Fatalf("EPPOrder = %+v, want j0 before j1", order)
 	}
@@ -165,12 +193,12 @@ func TestEPPOrderIntraPipeline(t *testing.T) {
 
 func TestEPPOrderLearnedExcluded(t *testing.T) {
 	p := buildExample()
-	order := p.EPPOrder([]int{0, 1, 2}, map[int]bool{0: true})
+	order := p.EPPOrder([]int{0, 1, 2}, 1)
 	if len(order) != 2 || order[0].JoinID != 1 {
 		t.Fatalf("EPPOrder with learned j0 = %+v", order)
 	}
 	// Subset of epps only.
-	order = p.EPPOrder([]int{2}, nil)
+	order = p.EPPOrder([]int{2}, 0)
 	if len(order) != 1 || order[0].JoinID != 2 {
 		t.Fatalf("EPPOrder([2]) = %+v", order)
 	}
@@ -178,11 +206,14 @@ func TestEPPOrderLearnedExcluded(t *testing.T) {
 
 func TestSpillTarget(t *testing.T) {
 	p := buildExample()
-	e, ok := p.SpillTarget([]int{1, 2}, nil)
-	if !ok || e.JoinID != 1 {
-		t.Errorf("SpillTarget = %+v, %v; want j1", e, ok)
+	e, dim, ok := p.SpillTarget([]int{1, 2}, 0)
+	if !ok || e.JoinID != 1 || dim != 0 {
+		t.Errorf("SpillTarget = %+v, dim %d, %v; want j1 on dim 0", e, dim, ok)
 	}
-	if _, ok := p.SpillTarget([]int{0}, map[int]bool{0: true}); ok {
+	if e, dim, ok := p.SpillTarget([]int{1, 2}, 1); !ok || e.JoinID != 2 || dim != 1 {
+		t.Errorf("SpillTarget with j1 learnt = %+v, dim %d, %v; want j2 on dim 1", e, dim, ok)
+	}
+	if _, _, ok := p.SpillTarget([]int{0}, 1); ok {
 		t.Error("SpillTarget with everything learned should report !ok")
 	}
 }

@@ -162,8 +162,9 @@ func TestSubtreeMemoConcurrent(t *testing.T) {
 }
 
 // TestSpillTargetMatchesEPPOrder checks SpillTarget against the first entry
-// of EPPOrder, ok included, on every POSP plan of three suite queries under
-// every subset of their epps as the learned set, and that it allocates
+// of EPPOrder, its dimension and ok included, on every POSP plan of three
+// suite queries under every subset of their epps as the learnt set, that
+// the walk by repeated calls visits the whole order, and that it allocates
 // nothing.
 func TestSpillTargetMatchesEPPOrder(t *testing.T) {
 	for _, name := range []string{"4D_Q91", "5D_Q84", "6D_Q18"} {
@@ -173,27 +174,35 @@ func TestSpillTargetMatchesEPPOrder(t *testing.T) {
 		}
 		m, posp := suitePOSP(t, sp)
 		epps := m.Query.EPPs
-		for mask := 0; mask < 1<<len(epps); mask++ {
-			learned := map[int]bool{}
-			for d, id := range epps {
-				if mask&(1<<d) != 0 {
-					learned[id] = true
-				}
-			}
+		for learnt := 0; learnt < 1<<len(epps); learnt++ {
 			for i, p := range posp {
-				got, gotOK := p.SpillTarget(epps, learned)
-				var want plan.EPPNode
-				order := p.EPPOrder(epps, learned)
+				got, gotDim, gotOK := p.SpillTarget(epps, learnt)
+				want, wantDim := plan.EPPNode{}, -1
+				order := p.EPPOrder(epps, learnt)
 				if len(order) > 0 {
 					want = order[0]
+					wantDim, _ = m.Query.IsEPP(want.JoinID)
 				}
-				if got != want || gotOK != (len(order) > 0) {
-					t.Fatalf("%s plan %d learned %v: SpillTarget %+v, %v; EPPOrder %+v", name, i, learned, got, gotOK, order)
+				if got != want || gotDim != wantDim || gotOK != (len(order) > 0) {
+					t.Fatalf("%s plan %d learnt %b: SpillTarget %+v, dim %d, %v; EPPOrder %+v", name, i, learnt, got, gotDim, gotOK, order)
+				}
+				// Walking the order by adding each returned dimension to the
+				// learnt set visits EPPOrder's entries in turn.
+				walk, k := learnt, 0
+				for tgt, dim, ok := p.SpillTarget(epps, walk); ok; tgt, dim, ok = p.SpillTarget(epps, walk) {
+					if k >= len(order) || tgt != order[k] {
+						t.Fatalf("%s plan %d learnt %b: walk step %d is %+v; EPPOrder %+v", name, i, learnt, k, tgt, order)
+					}
+					walk |= 1 << dim
+					k++
+				}
+				if k != len(order) {
+					t.Fatalf("%s plan %d learnt %b: walk visited %d of EPPOrder's %d nodes", name, i, learnt, k, len(order))
 				}
 			}
-			p := posp[mask%len(posp)]
-			if allocs := testing.AllocsPerRun(100, func() { p.SpillTarget(epps, learned) }); allocs != 0 {
-				t.Fatalf("%s learned %v: SpillTarget allocates %v times per call", name, learned, allocs)
+			p := posp[learnt%len(posp)]
+			if allocs := testing.AllocsPerRun(100, func() { p.SpillTarget(epps, learnt) }); allocs != 0 {
+				t.Fatalf("%s learnt %b: SpillTarget allocates %v times per call", name, learnt, allocs)
 			}
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/optimizer"
 	"repro/internal/plan"
-	"repro/internal/query"
 )
 
 // Attempt records one plan execution attempt.
@@ -69,25 +68,22 @@ func (r *Runner) Run(truth cost.Location) Outcome {
 	q := m.Query
 	d := q.D()
 	assumed := m.EstimateLocation()
-	learned := make([]bool, d)
+	learnt := 0 // the learnt dimensions, one bit each
 	var out Outcome
 
 	for attempt := 0; attempt <= d; attempt++ {
 		p, _ := r.Opt.Optimize(assumed)
 		a := Attempt{PlanFP: p.Fingerprint(), Assumed: assumed.Clone(), TriggeredBy: -1}
 
-		// Walk the plan's epp observation points in pipeline order; each
-		// unlearned epp is observed only after paying for the subtree that
-		// produces it (at the true selectivities).
+		// Walk the plan's epp observation points in pipeline order (its
+		// spill order, each next point the spill target once the ones before
+		// it are learnt); each unlearned epp is observed only after paying
+		// for the subtree that produces it (at the true selectivities).
 		reoptimized := false
-		for _, en := range p.EPPOrder(q.EPPs, learnedSet(q, learned)) {
-			dim, ok := q.IsEPP(en.JoinID)
-			if !ok {
-				continue
-			}
+		for en, dim, ok := p.SpillTarget(q.EPPs, learnt); ok; en, dim, ok = p.SpillTarget(q.EPPs, learnt) {
 			sub := plan.New(en.Node)
 			a.Spent = maxf(a.Spent, m.Eval(sub, truth))
-			learned[dim] = true
+			learnt |= 1 << dim
 			assumed[dim] = truth[dim]
 			// Validity check: would the optimizer still run this plan?
 			np, _ := r.Opt.Optimize(assumed)
@@ -118,18 +114,6 @@ func (r *Runner) Run(truth cost.Location) Outcome {
 	})
 	out.TotalCost += c
 	out.Completed = true
-	return out
-}
-
-// learnedSet converts the learned flags into the join-ID set EPPOrder
-// expects.
-func learnedSet(q *query.Query, learned []bool) map[int]bool {
-	out := map[int]bool{}
-	for dim, l := range learned {
-		if l {
-			out[q.EPPs[dim]] = true
-		}
-	}
 	return out
 }
 

@@ -7,7 +7,6 @@ import (
 	"repro/internal/bouquet"
 	"repro/internal/engine"
 	"repro/internal/ess"
-	"repro/internal/plan"
 	"repro/internal/runstate"
 	"repro/internal/telemetry"
 )
@@ -39,9 +38,9 @@ type Contour struct {
 	Cells []int
 	// Free are the unlearnt dimensions, ascending (at least two).
 	Free []int
-	// Learned holds the learnt epps by join ID (plan.SpillTarget's keys);
-	// planners must not modify it.
-	Learned map[int]bool
+	// Learnt is the bitmask of learnt dimensions: bit d is set once
+	// dimension d is learnt (plan.SpillTarget's learnt set).
+	Learnt int
 }
 
 // Plan is a planner's choice on one contour.
@@ -76,11 +75,11 @@ type Planner struct {
 func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Discovery, planner Planner, e engine.ContextExecutor) (Outcome, error) {
 	rec := telemetry.From(ctx)
 	costs := s.ContourCosts(ratio)
-	learned := make(map[int]bool) // by join ID (plan.SpillTarget keys)
+	learnt := 0 // bit d set once dimension d is learnt
 	sub := s.Full()
 	var out Outcome
 	learn := func(dim int, sel float64) {
-		learned[s.Query.EPPs[dim]] = true
+		learnt |= 1 << dim
 		sub = sub.Fix(dim, s.Grid.CeilIndex(dim, sel))
 	}
 
@@ -109,7 +108,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			// Terminal 1-D phase: plain PlanBouquet over the remaining
 			// dimension, starting from the current contour, in regular
 			// (non-spill) mode — spilling in 1-D weakens the bound.
-			tail, err := bouquet.RunSubspaceContext(ctx, s, s, e, costs, i, sub, 1)
+			tail, err := bouquet.RunSubspaceContext(ctx, s, e, costs, i, sub)
 			out.TotalCost += tail.TotalCost
 			out.Completed = tail.Completed
 			return out, err
@@ -133,7 +132,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 			continue
 		}
 		plan := ct.Plan(planner.Slot, func() any {
-			return planner.Plan(Contour{Cost: costs[i], Cells: ct.Cells, Free: free, Learned: learned})
+			return planner.Plan(Contour{Cost: costs[i], Cells: ct.Cells, Free: free, Learnt: learnt})
 		}).(Plan)
 		out.MaxPartitionPenalty = max(out.MaxPartitionPenalty, plan.Penalty)
 		progressed := false
@@ -190,18 +189,7 @@ func Drive(ctx context.Context, s *ess.Space, ratio float64, resume *runstate.Di
 	return out, nil
 }
 
-// SpillDim returns the ESS dimension plan p spills on under the learned
-// set (join IDs): the dimension of its first unlearnt epp in pipeline
-// order (plan.SpillTarget). ok is false when p spills on no epp.
-func SpillDim(s *ess.Space, p *plan.Plan, learned map[int]bool) (dim int, ok bool) {
-	tgt, has := p.SpillTarget(s.Query.EPPs, learned)
-	if !has {
-		return -1, false
-	}
-	return s.Query.IsEPP(tgt.JoinID)
-}
-
-// ContourScan is one pass over a contour's cells under a learned set.
+// ContourScan is one pass over a contour's cells under a learnt set.
 type ContourScan struct {
 	// MaxCoord[d][j] is the maximum j-coordinate over the cells whose plan
 	// spills on dimension d, or -1 when no cell spills on d.
@@ -211,8 +199,8 @@ type ContourScan struct {
 	JMaxCell []int
 }
 
-// ScanContour computes the ContourScan of cells under learned.
-func ScanContour(s *ess.Space, cells []int, learned map[int]bool) ContourScan {
+// ScanContour computes the ContourScan of cells under the learnt bitmask.
+func ScanContour(s *ess.Space, cells []int, learnt int) ContourScan {
 	g := s.Grid
 	sc := ContourScan{MaxCoord: make([][]int, g.D), JMaxCell: make([]int, g.D)}
 	flat := make([]int, g.D*g.D)
@@ -224,7 +212,7 @@ func ScanContour(s *ess.Space, cells []int, learned map[int]bool) ContourScan {
 		sc.JMaxCell[d] = -1
 	}
 	for _, ci := range cells {
-		d, ok := SpillDim(s, s.PlanAt(ci), learned)
+		_, d, ok := s.PlanAt(ci).SpillTarget(s.Query.EPPs, learnt)
 		if !ok {
 			continue
 		}

@@ -76,7 +76,7 @@ func (r *Runner) RunContext(ctx context.Context, e engine.ContextExecutor) (Outc
 // skipped.
 func maxCellPlanner(s *ess.Space) Planner {
 	return Planner{Slot: ess.SpillBoundSlot, Plan: func(c Contour) Plan {
-		jmax := ScanContour(s, c.Cells, c.Learned).JMaxCell
+		jmax := ScanContour(s, c.Cells, c.Learnt).JMaxCell
 		spills := make([]Spill, 0, len(c.Free))
 		for _, dim := range c.Free {
 			if cell := jmax[dim]; cell >= 0 {
